@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
                                                   .samples = wd_samples};
     watchdog.emplace(
         sharded ? bcast::make_cache_watchdog(*sharded_cache, wd_cfg)
-                : bcast::make_cache_watchdog(*dyn, *cache, wd_cfg));
+                : bcast::make_cache_watchdog(*cache, wd_cfg));
   }
 
   // /healthz mirrors the latest watchdog verdict through an atomic (the

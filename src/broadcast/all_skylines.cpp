@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "broadcast/relay_skyline.hpp"
-#include "core/skyline_dc.hpp"
-#include "geometry/disk.hpp"
 
 namespace mldcs::bcast {
 
@@ -45,11 +43,7 @@ MLDCS_HOT_PATH AllSkylines compute_all_skylines(const net::DiskGraph& g,
     std::vector<std::uint32_t> set_sizes;   // per node in [lo, hi)
     std::vector<std::uint32_t> arc_counts;  // per node in [lo, hi)
     std::size_t lo = 0;
-    core::SkylineWorkspace ws;
-    std::vector<geom::Disk> disks;
-    std::vector<core::Arc> arcs;
-    std::vector<std::size_t> sky_set;
-    std::vector<net::NodeId> relay_ids;
+    detail::RelayScratch scratch;
   };
   // mldcs-analyze:allow(hot-no-alloc): one-shot sweep setup, O(threads)
   std::vector<ChunkOut> chunk_out(std::min(pool.size(), n));
@@ -70,15 +64,15 @@ MLDCS_HOT_PATH AllSkylines compute_all_skylines(const net::DiskGraph& g,
                                              std::size_t hi) {
     ChunkOut& co = chunk_out[c];
     co.lo = lo;
-    co.ws.reserve(64);
+    co.scratch.ws.reserve(64);
     co.set_sizes.reserve(hi - lo);
     co.arc_counts.reserve(hi - lo);
     for (std::size_t u = lo; u < hi; ++u) {
       const net::NodeId id = static_cast<net::NodeId>(u);
-      co.arc_counts.push_back(detail::relay_forwarding_set(
-          g, id, co.ws, co.disks, co.arcs, co.sky_set, co.relay_ids));
-      co.ids.insert(co.ids.end(), co.relay_ids.begin(), co.relay_ids.end());
-      co.set_sizes.push_back(static_cast<std::uint32_t>(co.relay_ids.size()));
+      co.arc_counts.push_back(detail::relay_forwarding_set(g, id, co.scratch));
+      const std::vector<net::NodeId>& set = co.scratch.relay_ids;
+      co.ids.insert(co.ids.end(), set.begin(), set.end());
+      co.set_sizes.push_back(static_cast<std::uint32_t>(set.size()));
     }
   });
 

@@ -1,8 +1,5 @@
 #include "broadcast/sharded_cache.hpp"
 
-#include <algorithm>
-
-#include "broadcast/relay_skyline.hpp"
 #include "obs/event_log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
@@ -12,15 +9,10 @@ namespace mldcs::bcast {
 
 namespace {
 
-/// Post-barrier maintenance telemetry, reported by the composite on the
-/// caller thread (shard updates themselves are lock-free and touch no
-/// registry).  Names are shared with the single-engine cache where the
-/// meaning coincides, so dashboards read both engines the same way.
+/// The one sharded-only series; the shared `cache.*` set is recorded by
+/// detail::report_cache_step, post-barrier on the caller thread (shard
+/// updates themselves are lock-free and touch no registry).
 struct ShardedCacheTelemetry {
-  obs::Counter& updates = obs::registry().counter("cache.updates");
-  obs::Counter& dirty_relays = obs::registry().counter("cache.dirty_relays");
-  obs::Histogram& dirty_per_step =
-      obs::registry().histogram("cache.dirty_relays_per_step");
   obs::Histogram& dirty_per_shard =
       obs::registry().histogram("cache.dirty_relays_per_shard");
 };
@@ -34,15 +26,13 @@ ShardedCacheTelemetry& sharded_cache_telemetry() {
 
 ShardCache::ShardCache(const net::DynamicDiskGraph& g, std::uint32_t shard,
                        std::span<const std::uint32_t> owner_of, Config config)
-    : g_(&g), shard_(shard), owner_of_(owner_of), config_(config) {
-  const std::size_t n = g.size();
-  slots_.resize(n);
-  arc_counts_.assign(n, 0);
-  in_dirty_.assign(n, 0);
-  committed_pos_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    committed_pos_[i] = g.node(static_cast<net::NodeId>(i)).pos;
-  }
+    : g_(&g),
+      shard_(shard),
+      owner_of_(owner_of),
+      config_(config),
+      store_(g.size()),
+      arc_counts_(g.size(), 0),
+      dirty_(g) {
   full_sweep();
 }
 
@@ -50,14 +40,8 @@ MLDCS_ALLOC_OK void ShardCache::full_sweep() {
   // The initial everything-dirty build is cache recompute too; update()
   // tags the incremental path, this tags the bootstrap.
   const obs::PhaseScope phase(obs::Phase::kCacheRecompute);
-  const std::size_t n = g_->size();
-  dirty_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId u = static_cast<net::NodeId>(i);
-    if (owned(u)) dirty_.push_back(u);
-  }
+  dirty_.mark_all([this](net::NodeId u) { return owned(u); });
   recompute_marked();
-  recomputes_ = 0;  // lifetime counter excludes the initial sweep
   dirty_.clear();
 }
 
@@ -65,117 +49,38 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::update(
     const net::DynamicDiskGraph::StepDelta& delta,
     std::span<const net::NodeId> migrated) {
   const obs::PhaseScope phase(obs::Phase::kCacheRecompute);
-  const net::DynamicDiskGraph& g = *g_;
-  dirty_.clear();
-  const auto mark = [this](net::NodeId w) {
-    // Ownership filter: the dirty rule runs over the full region (halo
-    // movers dirty owned neighbors) but only owned relays are recomputed —
-    // every other resident is some neighbor shard's problem.
-    if (owner_of_[w] != shard_ || in_dirty_[w] != 0) return;
-    in_dirty_[w] = 1;
-    dirty_.push_back(w);
-  };
-
-  const double tol2 = config_.position_tolerance * config_.position_tolerance;
-  for (const net::NodeId u : delta.moved) {
-    // Same accumulation rule as SkylineCache: committed positions advance
-    // only when the move dirties.  Evicted movers fall through harmlessly —
-    // they own nothing here and their post-apply neighbor list is empty
-    // (the removals are in link_changed).
-    if (geom::distance2(committed_pos_[u], g.node(u).pos) <= tol2) continue;
-    committed_pos_[u] = g.node(u).pos;
-    mark(u);
-    for (const net::NodeId v : g.neighbors(u)) mark(v);
-  }
-  for (const net::NodeId w : delta.link_changed) mark(w);
-  // Ownership handovers: an arriving relay is recomputed even when its
-  // drift stayed under tolerance, so the new owner's slot is never stale
-  // (at tolerance 0 arrivals are already dirty and this is a no-op).
-  for (const net::NodeId u : migrated) {
-    if (owner_of_[u] != shard_) continue;
-    committed_pos_[u] = g.node(u).pos;
-    mark(u);
-  }
-  std::sort(dirty_.begin(), dirty_.end());
-  for (const net::NodeId w : dirty_) in_dirty_[w] = 0;
-
-  recomputes_ += dirty_.size();
+  // Ownership filter: the dirty rule runs over the full region (halo movers
+  // dirty owned neighbors) but only owned relays are recomputed — every
+  // other resident is some neighbor shard's problem.  Evicted movers fall
+  // through harmlessly: they own nothing here and their post-apply
+  // neighbor list is empty (the removals are in link_changed).  Migration
+  // arrivals are force-marked so ownership handover never serves a stale
+  // slot.
+  dirty_.collect(*g_, delta, config_.position_tolerance,
+                 [this](net::NodeId w) { return owned(w); }, migrated);
+  recomputes_ += dirty_.relays().size();
   recompute_marked();
   ++updates_;
 }
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::recompute_marked() {
-  const net::DynamicDiskGraph& g = *g_;
   // Serial and in ascending relay order: the store layout is deterministic
   // in the dirty sequence alone, independent of shard count or thread
   // placement (the shard itself is the unit of parallelism).
-  for (const net::NodeId u : dirty_) {
-    arc_counts_[u] =
-        detail::relay_forwarding_set(g, u, ws_, disks_, arcs_, sky_set_,
-                                     relay_ids_);
-    store(u, relay_ids_);
+  for (const net::NodeId u : dirty_.relays()) {
+    arc_counts_[u] = detail::relay_forwarding_set(*g_, u, scratch_);
+    store_.store(u, scratch_.relay_ids);
   }
-  if (dead_ids_ > 0 &&
-      static_cast<double>(dead_ids_) >
-          config_.compaction_threshold * static_cast<double>(ids_.size())) {
-    compact();
-  }
-}
-
-MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::store(
-    net::NodeId u, std::span<const net::NodeId> set) {
-  Slot& s = slots_[u];
-  live_ids_ += set.size();
-  live_ids_ -= s.len;
-  if (set.size() <= s.cap) {
-    std::copy(set.begin(), set.end(), ids_.begin() + s.begin);
-    s.len = static_cast<std::uint32_t>(set.size());
-    return;
-  }
-  // Outgrown: abandon the old slot and append a fresh one with new slack.
-  // mldcs-analyze:allow(hot-no-alloc): member store growth, amortized
-  dead_ids_ += s.cap;
-  s.begin = static_cast<std::uint32_t>(ids_.size());
-  s.len = static_cast<std::uint32_t>(set.size());
-  s.cap = cap_for(set.size());
-  ids_.resize(ids_.size() + s.cap);
-  std::copy(set.begin(), set.end(), ids_.begin() + s.begin);
-}
-
-void ShardCache::corrupt_slot_for_testing(net::NodeId u) {
-  Slot& s = slots_[u];
-  if (s.len > 0) {
-    --s.len;
-    --live_ids_;
-    return;
-  }
-  const net::NodeId bogus = u == 0 ? 1 : 0;
-  store(u, {&bogus, 1});
-}
-
-MLDCS_ALLOC_OK void ShardCache::compact() {
-  ++compactions_;
-  std::vector<net::NodeId> packed;
-  packed.reserve(live_ids_ + live_ids_ / 4 + 2 * slots_.size());
-  for (Slot& s : slots_) {
-    const std::uint32_t begin = static_cast<std::uint32_t>(packed.size());
-    packed.insert(packed.end(), ids_.begin() + s.begin,
-                  ids_.begin() + s.begin + s.len);
-    const std::uint32_t cap = cap_for(s.len);
-    packed.resize(packed.size() + (cap - s.len));
-    s.begin = begin;
-    s.cap = cap;
-  }
-  ids_ = std::move(packed);
-  dead_ids_ = 0;
+  if (store_.needs_compaction(config_.compaction_threshold)) store_.compact();
 }
 
 ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine,
                                          Config config)
     : engine_(&engine) {
-  // Eager registration (the PR 4 thread-pool fix): materialize the cache.*
-  // series now, so a /snapshot.json taken before the first step already
-  // carries them instead of waiting for the first recompute to land.
+  // Eager registration: materialize the cache.* series now, so a
+  // /snapshot.json taken before the first step already carries them
+  // instead of waiting for the first recompute to land.
+  detail::register_cache_telemetry();
   sharded_cache_telemetry();
   const std::size_t shards = engine.shard_count();
   shards_.resize(shards);
@@ -200,25 +105,26 @@ MLDCS_HOT_PATH void ShardedSkylineCache::step(
     std::span<const net::Node> current,
     std::span<const net::NodeId> moved_hint) {
   const obs::TraceSpan span("cache.sharded_step");
+  const detail::StoreStats before = store_stats();
   engine_->step(current, moved_hint);  // shard hook recomputes dirty relays
 
   ++updates_;
   last_dirty_count_ = 0;
   for (const auto& sh : shards_) {
     last_dirty_count_ += sh->last_dirty().size();
+    sharded_cache_telemetry().dirty_per_shard.record(sh->last_dirty().size());
   }
   last_update_event_ = obs::emit_event(
       obs::EventType::kCacheUpdate,
       static_cast<std::uint32_t>(last_dirty_count_), obs::kNoNode,
       engine_->last_event(), updates_);
+  detail::report_cache_step(last_dirty_count_, before, store_stats());
+}
 
-  ShardedCacheTelemetry& t = sharded_cache_telemetry();
-  t.updates.add();
-  t.dirty_relays.add(last_dirty_count_);
-  t.dirty_per_step.record(last_dirty_count_);
-  for (const auto& sh : shards_) {
-    t.dirty_per_shard.record(sh->last_dirty().size());
-  }
+detail::StoreStats ShardedSkylineCache::store_stats() const noexcept {
+  detail::StoreStats total;
+  for (const auto& sh : shards_) total += sh->store_stats();
+  return total;
 }
 
 std::size_t ShardedSkylineCache::total_forwarders() const {

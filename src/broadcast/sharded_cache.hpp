@@ -7,11 +7,13 @@
 /// The single-engine `SkylineCache` parallelizes *within* one dirty set
 /// (chunked workers into one slotted store).  At deployment scale the
 /// better unit of parallelism is the shard: each `net::ShardedEngine` tile
-/// gets its own cache — private slotted arc store, private workspace,
-/// private dirty set — maintaining forwarding sets for exactly the relays
-/// the tile owns.  Because an owned relay's adjacency in its shard's
-/// region graph is identical to the whole-plane adjacency (sorted global
-/// NodeIds — the halo guarantee), the per-relay inner loop
+/// gets its own cache — private slotted set store, private workspace,
+/// private dirty set (the same detail::SlotStore and detail::DirtyRelays
+/// the single engine uses, cache_store.hpp) — maintaining forwarding sets
+/// for exactly the relays the tile owns.  Because an owned relay's
+/// adjacency in its shard's region graph is identical to the whole-plane
+/// adjacency (sorted global NodeIds — the halo guarantee), the per-relay
+/// inner loop
 /// (relay_skyline.hpp) produces byte-identical sets, so
 /// `ShardedSkylineCache::forwarding_set(u)` — which reads the owner
 /// shard's store — equals the single-engine cache after every step.  Exact
@@ -25,8 +27,8 @@
 /// `MLDCS_NO_LOCK` and therefore touches no telemetry registry, no trace
 /// spans, no event log (all of which are lock-light but not lock-free to
 /// first-register).  Every counter it keeps is a plain member; the
-/// composite aggregates them and reports after the barrier, on the caller
-/// thread.
+/// composite sums them over shards and reports after the barrier, on the
+/// caller thread, under the same `cache.*` names as the single engine.
 
 #include <cstddef>
 #include <cstdint>
@@ -34,11 +36,9 @@
 #include <span>
 #include <vector>
 
+#include "broadcast/cache_store.hpp"
+#include "broadcast/relay_skyline.hpp"
 #include "core/annotations.hpp"
-#include "core/arc.hpp"
-#include "core/skyline_dc.hpp"
-#include "geometry/disk.hpp"
-#include "geometry/vec2.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/node.hpp"
 #include "net/sharded_engine.hpp"
@@ -52,12 +52,7 @@ namespace mldcs::bcast {
 /// so lookups need no id translation.
 class ShardCache {
  public:
-  struct Config {
-    /// Same meaning as SkylineCache::Config: 0 = exact maintenance.
-    double position_tolerance = 0.0;
-    /// Dead fraction of the slotted store that triggers compaction.
-    double compaction_threshold = 0.5;
-  };
+  using Config = CacheConfig;
 
   /// Full initial sweep over the relays `owner_of` assigns to `shard`.
   /// `g` (the shard's region graph) and the `owner_of` span (the engine's
@@ -79,8 +74,7 @@ class ShardCache {
   /// while this shard owns `u` (the composite routes queries to owners).
   [[nodiscard]] std::span<const net::NodeId> forwarding_set(
       net::NodeId u) const noexcept {
-    const Slot& s = slots_[u];
-    return {ids_.data() + s.begin, ids_.data() + s.begin + s.len};
+    return store_.get(u);
   }
 
   [[nodiscard]] std::uint32_t arc_count(net::NodeId u) const noexcept {
@@ -89,68 +83,49 @@ class ShardCache {
 
   /// Owned relays recomputed by the most recent update (sorted ascending).
   [[nodiscard]] std::span<const net::NodeId> last_dirty() const noexcept {
-    return dirty_;
+    return dirty_.relays();
   }
 
   [[nodiscard]] std::uint64_t recompute_count() const noexcept {
     return recomputes_;
   }
   [[nodiscard]] std::uint64_t compaction_count() const noexcept {
-    return compactions_;
+    return store_.stats().compactions;
   }
   [[nodiscard]] std::uint64_t update_count() const noexcept {
     return updates_;
   }
-  [[nodiscard]] std::size_t store_size() const noexcept { return ids_.size(); }
-
-  /// Deliberately corrupt relay `u`'s slot (watchdog tests only).
-  void corrupt_slot_for_testing(net::NodeId u);
-
- private:
-  struct Slot {
-    std::uint32_t begin = 0;
-    std::uint32_t len = 0;
-    std::uint32_t cap = 0;
-  };
-
-  /// Slot slack policy, identical to SkylineCache::cap_for.
-  [[nodiscard]] static std::uint32_t cap_for(std::size_t len) noexcept {
-    return static_cast<std::uint32_t>(len + len / 4 + 2);
+  [[nodiscard]] std::size_t store_size() const noexcept {
+    return store_.size();
+  }
+  /// Store accounting, summed over shards by the composite's telemetry.
+  [[nodiscard]] detail::StoreStats store_stats() const noexcept {
+    return store_.stats();
   }
 
+  /// Deliberately corrupt relay `u`'s slot (watchdog tests only).
+  void corrupt_slot_for_testing(net::NodeId u) {
+    store_.corrupt_slot_for_testing(u);
+  }
+
+ private:
   [[nodiscard]] bool owned(net::NodeId u) const noexcept {
     return owner_of_[u] == shard_;
   }
   MLDCS_ALLOC_OK void full_sweep();
   MLDCS_HOT_PATH MLDCS_NO_LOCK void recompute_marked();
-  MLDCS_HOT_PATH MLDCS_NO_LOCK void store(net::NodeId u,
-                                          std::span<const net::NodeId> set);
-  MLDCS_ALLOC_OK void compact();
 
   const net::DynamicDiskGraph* g_;
   std::uint32_t shard_;
   std::span<const std::uint32_t> owner_of_;
   Config config_;
 
-  std::vector<Slot> slots_;
-  std::vector<net::NodeId> ids_;
+  detail::SlotStore store_;
   std::vector<std::uint32_t> arc_counts_;
-  std::size_t live_ids_ = 0;  ///< sum of slot lengths (store accounting)
-  std::size_t dead_ids_ = 0;  ///< abandoned (outgrown) slot capacity
-
-  std::vector<geom::Vec2> committed_pos_;
-  std::vector<net::NodeId> dirty_;
-  std::vector<std::uint8_t> in_dirty_;
-
-  /// Serial per-shard recompute scratch (the shard *is* the worker).
-  core::SkylineWorkspace ws_;
-  std::vector<geom::Disk> disks_;
-  std::vector<core::Arc> arcs_;
-  std::vector<std::size_t> sky_set_;
-  std::vector<net::NodeId> relay_ids_;
+  detail::DirtyRelays dirty_;
+  detail::RelayScratch scratch_;  ///< the shard *is* the worker
 
   std::uint64_t recomputes_ = 0;
-  std::uint64_t compactions_ = 0;
   std::uint64_t updates_ = 0;
 };
 
@@ -161,7 +136,7 @@ class ShardCache {
 /// bit-identical sets at tolerance 0).
 class ShardedSkylineCache {
  public:
-  using Config = ShardCache::Config;
+  using Config = CacheConfig;
 
   /// Builds every shard's cache (initial sweeps run in parallel on the
   /// engine's pool) and installs the engine's shard hook.  The engine must
@@ -187,6 +162,13 @@ class ShardedSkylineCache {
   }
   [[nodiscard]] std::uint32_t arc_count(net::NodeId u) const noexcept {
     return shards_[engine_->owner_of(u)]->arc_count(u);
+  }
+
+  /// The graph holding relay `u`'s full 1-hop set: its owner shard's
+  /// region graph (the halo guarantee), the watchdog's reference input.
+  [[nodiscard]] const net::DynamicDiskGraph& graph_of(
+      net::NodeId u) const noexcept {
+    return engine_->shard_graph(engine_->owner_of(u));
   }
 
   /// Total forwarding-set cardinality over all relays (owner-routed scan).
@@ -223,6 +205,8 @@ class ShardedSkylineCache {
   }
 
  private:
+  [[nodiscard]] detail::StoreStats store_stats() const noexcept;
+
   net::ShardedEngine* engine_;
   std::vector<std::unique_ptr<ShardCache>> shards_;
   std::uint64_t updates_ = 0;

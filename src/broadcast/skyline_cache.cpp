@@ -2,123 +2,62 @@
 
 #include <algorithm>
 
-#include "broadcast/relay_skyline.hpp"
 #include "obs/event_log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace mldcs::bcast {
 
 namespace {
 
-/// Maintenance telemetry (docs/OBSERVABILITY.md): per-step dirty-relay
-/// distribution, slot overflow / compaction churn, and the live/dead shape
-/// of the slotted store — the signals that tune position_tolerance,
-/// compaction_threshold, and the slot slack policy.
-struct CacheTelemetry {
-  obs::Counter& updates = obs::registry().counter("cache.updates");
-  obs::Counter& dirty_relays = obs::registry().counter("cache.dirty_relays");
-  obs::Counter& slot_overflows =
-      obs::registry().counter("cache.slot_overflows");
-  obs::Counter& compactions = obs::registry().counter("cache.compactions");
-  obs::Histogram& dirty_per_step =
-      obs::registry().histogram("cache.dirty_relays_per_step");
-  obs::Gauge& store_size = obs::registry().gauge("cache.store_size");
-  obs::Gauge& live_ids = obs::registry().gauge("cache.live_ids");
-  obs::Gauge& dead_permille = obs::registry().gauge("cache.dead_permille");
-};
-
-CacheTelemetry& cache_telemetry() {
-  static CacheTelemetry t;
-  return t;
-}
+constexpr auto kAllOwned = [](net::NodeId) { return true; };
 
 }  // namespace
 
 SkylineCache::SkylineCache(const net::DynamicDiskGraph& g,
                            sim::ThreadPool& pool, Config config)
-    : g_(&g), pool_(&pool), config_(config) {
-  const std::size_t n = g.size();
-  slots_.resize(n);
-  arc_counts_.assign(n, 0);
-  in_dirty_.assign(n, 0);
-  committed_pos_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    committed_pos_[i] = g.node(static_cast<net::NodeId>(i)).pos;
-  }
+    : g_(&g),
+      pool_(&pool),
+      config_(config),
+      store_(g.size()),
+      arc_counts_(g.size(), 0),
+      dirty_(g) {
   full_sweep();
 }
 
 void SkylineCache::full_sweep() {
-  const std::size_t n = g_->size();
-  if (n == 0) return;
   // Reuse the incremental machinery: everything is dirty once.
-  dirty_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) dirty_[i] = static_cast<net::NodeId>(i);
+  dirty_.mark_all(kAllOwned);
   recompute_dirty();
-  recomputes_ = 0;  // lifetime counter excludes the initial sweep
   dirty_.clear();
 }
 
 MLDCS_HOT_PATH void SkylineCache::update(
     const net::DynamicDiskGraph::StepDelta& delta) {
   const obs::TraceSpan span("cache.update");
-  const net::DynamicDiskGraph& g = *g_;
-  dirty_.clear();
-  const auto mark = [this](net::NodeId w) {
-    if (in_dirty_[w] != 0) return;
-    in_dirty_[w] = 1;
-    dirty_.push_back(w);
-  };
-
-  const double tol2 =
-      config_.position_tolerance * config_.position_tolerance;
-  for (const net::NodeId u : delta.moved) {
-    // Below-tolerance drift accumulates: committed_pos_ only advances when
-    // the move actually dirties, so slow nodes cannot creep forever.
-    if (geom::distance2(committed_pos_[u], g.node(u).pos) <= tol2) continue;
-    committed_pos_[u] = g.node(u).pos;
-    mark(u);
-    for (const net::NodeId v : g.neighbors(u)) mark(v);
-  }
-  // A flipped edge changes both endpoints' local disk sets regardless of
-  // how far anyone drifted (committed positions are left alone: a link
-  // flip says nothing about how far the endpoint itself has crept).
-  for (const net::NodeId w : delta.link_changed) mark(w);
-  std::sort(dirty_.begin(), dirty_.end());
-  for (const net::NodeId w : dirty_) in_dirty_[w] = 0;
-
-  recomputes_ += dirty_.size();
+  dirty_.collect(*g_, delta, config_.position_tolerance, kAllOwned);
+  const std::size_t n_dirty = dirty_.relays().size();
+  recomputes_ += n_dirty;
+  const detail::StoreStats before = store_.stats();
   recompute_dirty();
 
   ++updates_;
   last_update_event_ = obs::emit_event(
-      obs::EventType::kCacheUpdate,
-      static_cast<std::uint32_t>(dirty_.size()), obs::kNoNode, delta.event_id,
-      updates_);
-
-  CacheTelemetry& t = cache_telemetry();
-  t.updates.add();
-  t.dirty_relays.add(dirty_.size());
-  t.dirty_per_step.record(dirty_.size());
-  t.store_size.set(static_cast<std::int64_t>(ids_.size()));
-  t.live_ids.set(static_cast<std::int64_t>(live_ids_));
-  t.dead_permille.set(
-      ids_.empty() ? 0
-                   : static_cast<std::int64_t>(
-                         1000 * dead_ids_ / ids_.size()));
+      obs::EventType::kCacheUpdate, static_cast<std::uint32_t>(n_dirty),
+      obs::kNoNode, delta.event_id, updates_);
+  detail::report_cache_step(n_dirty, before, store_.stats());
 }
 
 void SkylineCache::recompute_dirty() {
-  if (dirty_.empty()) return;
+  const std::span<const net::NodeId> dirty = dirty_.relays();
+  if (dirty.empty()) return;
   const net::DynamicDiskGraph& g = *g_;
-  const std::size_t n_dirty = dirty_.size();
+  const std::size_t n_dirty = dirty.size();
 
   // Phase 1 (parallel): compute every dirty relay's new set into per-chunk
   // buffers; arc counts go straight to the shared array (disjoint indices).
-  // chunk_out_ only ever grows and carries each chunk's scratch (workspace
-  // plus relay buffers), so steady-state updates allocate nothing here.
+  // chunk_out_ only ever grows and carries each chunk's scratch, so
+  // steady-state updates allocate nothing here.
   const std::size_t n_chunks = std::min(pool_->size(), n_dirty);
   if (chunk_out_.size() < n_chunks) chunk_out_.resize(n_chunks);
   {
@@ -131,19 +70,17 @@ void SkylineCache::recompute_dirty() {
           co.lens.clear();
           co.lo = lo;
           for (std::size_t k = lo; k < hi; ++k) {
-            const net::NodeId u = dirty_[k];
-            arc_counts_[u] = detail::relay_forwarding_set(
-                g, u, co.ws, co.disks, co.arcs, co.sky_set, co.relay_ids);
-            co.ids.insert(co.ids.end(), co.relay_ids.begin(),
-                          co.relay_ids.end());
-            co.lens.push_back(static_cast<std::uint32_t>(co.relay_ids.size()));
+            const net::NodeId u = dirty[k];
+            arc_counts_[u] = detail::relay_forwarding_set(g, u, co.scratch);
+            const std::vector<net::NodeId>& set = co.scratch.relay_ids;
+            co.ids.insert(co.ids.end(), set.begin(), set.end());
+            co.lens.push_back(static_cast<std::uint32_t>(set.size()));
           }
         });
   }
 
-  // Phase 2 (serial): patch the slotted store in dirty order — in place
-  // when the new set fits the slot, appended otherwise.  Serial and in
-  // ascending relay order, so the store layout is deterministic and
+  // Phase 2 (serial): patch the slotted store in dirty order.  Serial and
+  // in ascending relay order, so the store layout is deterministic and
   // independent of the pool's thread count.
   {
     const obs::TraceSpan patch_span("cache.patch_store");
@@ -151,70 +88,17 @@ void SkylineCache::recompute_dirty() {
       const ChunkOut& co = chunk_out_[c];
       std::size_t off = 0;
       for (std::size_t k = 0; k < co.lens.size(); ++k) {
-        const net::NodeId u = dirty_[co.lo + k];
         const std::uint32_t len = co.lens[k];
-        store(u, {co.ids.data() + off, len});
+        store_.store(dirty[co.lo + k], {co.ids.data() + off, len});
         off += len;
       }
     }
   }
 
-  if (dead_ids_ > 0 &&
-      static_cast<double>(dead_ids_) >
-          config_.compaction_threshold * static_cast<double>(ids_.size())) {
-    compact();
+  if (store_.needs_compaction(config_.compaction_threshold)) {
+    const obs::TraceSpan compact_span("cache.compact");
+    store_.compact();
   }
-}
-
-void SkylineCache::store(net::NodeId u, std::span<const net::NodeId> set) {
-  Slot& s = slots_[u];
-  live_ids_ += set.size();
-  live_ids_ -= s.len;
-  if (set.size() <= s.cap) {
-    std::copy(set.begin(), set.end(), ids_.begin() + s.begin);
-    s.len = static_cast<std::uint32_t>(set.size());
-    return;
-  }
-  // Outgrown: abandon the old slot (dead until the next compaction) and
-  // append a fresh one with new slack.  cap == 0 means the slot was never
-  // assigned (initial sweep), not an overflow worth counting.
-  if (s.cap != 0) cache_telemetry().slot_overflows.add();
-  dead_ids_ += s.cap;
-  s.begin = static_cast<std::uint32_t>(ids_.size());
-  s.len = static_cast<std::uint32_t>(set.size());
-  s.cap = cap_for(set.size());
-  ids_.resize(ids_.size() + s.cap);
-  std::copy(set.begin(), set.end(), ids_.begin() + s.begin);
-}
-
-void SkylineCache::corrupt_slot_for_testing(net::NodeId u) {
-  Slot& s = slots_[u];
-  if (s.len > 0) {
-    --s.len;
-    --live_ids_;
-    return;
-  }
-  const net::NodeId bogus = u == 0 ? 1 : 0;
-  store(u, {&bogus, 1});
-}
-
-MLDCS_ALLOC_OK void SkylineCache::compact() {
-  const obs::TraceSpan span("cache.compact");
-  ++compactions_;
-  cache_telemetry().compactions.add();
-  std::vector<net::NodeId> packed;
-  packed.reserve(live_ids_ + live_ids_ / 4 + 2 * slots_.size());
-  for (Slot& s : slots_) {
-    const std::uint32_t begin = static_cast<std::uint32_t>(packed.size());
-    packed.insert(packed.end(), ids_.begin() + s.begin,
-                  ids_.begin() + s.begin + s.len);
-    const std::uint32_t cap = cap_for(s.len);
-    packed.resize(packed.size() + (cap - s.len));
-    s.begin = begin;
-    s.cap = cap;
-  }
-  ids_ = std::move(packed);
-  dead_ids_ = 0;
 }
 
 }  // namespace mldcs::bcast

@@ -10,38 +10,29 @@
 /// that flipped.  `SkylineCache` exploits exactly that: it holds the result
 /// of a whole-network sweep (the CSR store of bcast::compute_all_skylines)
 /// and, fed the `StepDelta` of a `net::DynamicDiskGraph`, recomputes only
-/// the **dirty** relays:
-///
-///   dirty(w)  iff  w's 1-hop neighbor set changed (w is an endpoint of a
-///                  flipped edge), or w itself moved beyond the position
-///                  tolerance, or a current neighbor of w did.
-///
-/// With the default tolerance 0 this is exact: after every update the
-/// cached sets are bit-identical to a from-scratch `DiskGraph::build` +
+/// the **dirty** relays (detail::DirtyRelays states the rule).  With the
+/// default tolerance 0 this is exact: after every update the cached sets
+/// are bit-identical to a from-scratch `DiskGraph::build` +
 /// `compute_all_skylines` on the same positions (differential-tested over
 /// long mobility runs in tests/broadcast/skyline_cache_test.cpp).  A
 /// positive tolerance trades exactness for even fewer recomputes: a node
 /// must drift that far from its last committed position before it dirties
 /// its neighborhood.
 ///
-/// Dirty relays are recomputed in parallel through the per-chunk
-/// `SkylineWorkspace` machinery (same inner loop as compute_all_skylines —
-/// see relay_skyline.hpp), and results are patched into a slotted arc
-/// store: every node owns a stable slot with some slack, so a recomputed
-/// set that still fits is written in place and clean relays cost zero.
-/// Slots that outgrow their slack are re-appended; when the dead fraction
-/// of the store passes the compaction threshold the store is repacked.
+/// Dirty relays are recomputed in parallel through per-chunk scratch (same
+/// inner loop as compute_all_skylines — see relay_skyline.hpp), and results
+/// are patched serially into the slotted set store.  The dirty rule, the
+/// store and the Config are shared with the sharded cache (cache_store.hpp);
+/// only the recompute loop is this engine's own.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "broadcast/cache_store.hpp"
+#include "broadcast/relay_skyline.hpp"
 #include "core/annotations.hpp"
-#include "core/arc.hpp"
-#include "core/skyline_dc.hpp"
-#include "geometry/disk.hpp"
-#include "geometry/vec2.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/node.hpp"
 #include "obs/event_log.hpp"
@@ -52,14 +43,7 @@ namespace mldcs::bcast {
 /// Cached all-relay skyline forwarding sets over a DynamicDiskGraph.
 class SkylineCache {
  public:
-  struct Config {
-    /// A moved node dirties its neighborhood only once it has drifted more
-    /// than this from its last committed position.  0 = exact maintenance
-    /// (cached output always bit-identical to a from-scratch sweep).
-    double position_tolerance = 0.0;
-    /// Dead fraction of the slotted store that triggers compaction.
-    double compaction_threshold = 0.5;
-  };
+  using Config = CacheConfig;
 
   /// Full initial sweep over `g` (which must outlive the cache).  `pool` is
   /// retained and reused by every update — steady-state maintenance spawns
@@ -75,14 +59,13 @@ class SkylineCache {
   /// per-chunk workspaces and buffers) is retained across calls.
   MLDCS_HOT_PATH void update(const net::DynamicDiskGraph::StepDelta& delta);
 
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return g_->size(); }
 
   /// The cached skyline/MLDCS forwarding set of relay `u`, sorted
   /// ascending.  Identical to compute_all_skylines(...).forwarding_set(u).
   [[nodiscard]] std::span<const net::NodeId> forwarding_set(
       net::NodeId u) const noexcept {
-    const Slot& s = slots_[u];
-    return {ids_.data() + s.begin, ids_.data() + s.begin + s.len};
+    return store_.get(u);
   }
 
   /// Cached skyline arc count of relay `u` (Lemma 8 instrumentation).
@@ -92,7 +75,14 @@ class SkylineCache {
 
   /// Total forwarding-set cardinality over all relays.
   [[nodiscard]] std::size_t total_forwarders() const noexcept {
-    return live_ids_;
+    return store_.stats().live;
+  }
+
+  /// The graph holding relay `u`'s full 1-hop set (the watchdog's
+  /// from-scratch reference input).
+  [[nodiscard]] const net::DynamicDiskGraph& graph_of(
+      net::NodeId /*u*/) const noexcept {
+    return *g_;
   }
 
   // --- Maintenance instrumentation -----------------------------------------
@@ -100,7 +90,7 @@ class SkylineCache {
   /// Relays recomputed by the most recent update (sorted ascending; empty
   /// after a no-op step).  Valid until the next update.
   [[nodiscard]] std::span<const net::NodeId> last_dirty() const noexcept {
-    return dirty_;
+    return dirty_.relays();
   }
 
   /// Total relays recomputed over the cache's lifetime (excluding the
@@ -111,7 +101,7 @@ class SkylineCache {
 
   /// Times the slotted store was repacked.
   [[nodiscard]] std::uint64_t compaction_count() const noexcept {
-    return compactions_;
+    return store_.stats().compactions;
   }
 
   /// Updates applied (excluding the initial sweep).
@@ -126,70 +116,42 @@ class SkylineCache {
     return last_update_event_;
   }
 
-  /// Deliberately corrupt relay `u`'s cached forwarding set (drop an entry,
-  /// or plant a bogus one when the true set is empty).  Exists so watchdog
-  /// tests can prove injected corruption is caught; never called by the
-  /// maintenance path.
-  void corrupt_slot_for_testing(net::NodeId u);
-
-  /// Current size of the slotted store (live + slack + dead entries).
-  [[nodiscard]] std::size_t store_size() const noexcept { return ids_.size(); }
-
- private:
-  struct Slot {
-    std::uint32_t begin = 0;
-    std::uint32_t len = 0;
-    std::uint32_t cap = 0;
-  };
-
-  /// Slot capacity policy: enough slack that typical set-size jitter under
-  /// motion stays in place.
-  [[nodiscard]] static std::uint32_t cap_for(std::size_t len) noexcept {
-    return static_cast<std::uint32_t>(len + len / 4 + 2);
+  /// Deliberately corrupt relay `u`'s cached forwarding set (watchdog tests
+  /// only; see SlotStore::corrupt_slot_for_testing).
+  void corrupt_slot_for_testing(net::NodeId u) {
+    store_.corrupt_slot_for_testing(u);
   }
 
+  /// Current size of the slotted store (live + slack + dead entries).
+  [[nodiscard]] std::size_t store_size() const noexcept {
+    return store_.size();
+  }
+
+ private:
   MLDCS_ALLOC_OK void full_sweep();
   void recompute_dirty();
-  void store(net::NodeId u, std::span<const net::NodeId> set);
-  MLDCS_ALLOC_OK void compact();
 
   const net::DynamicDiskGraph* g_;
   sim::ThreadPool* pool_;
   Config config_;
 
-  std::vector<Slot> slots_;
-  std::vector<net::NodeId> ids_;  ///< slotted blob (slack between slots)
+  detail::SlotStore store_;
   std::vector<std::uint32_t> arc_counts_;
-  std::size_t live_ids_ = 0;  ///< sum of slot lengths
-  std::size_t dead_ids_ = 0;  ///< abandoned (outgrown) slot capacity
+  detail::DirtyRelays dirty_;
 
-  /// Last position at which each node's neighborhood was committed; only
-  /// drift beyond the tolerance re-dirties (always current when
-  /// position_tolerance == 0).
-  std::vector<geom::Vec2> committed_pos_;
-
-  std::vector<net::NodeId> dirty_;     ///< last update's recomputed relays
-  std::vector<std::uint8_t> in_dirty_; ///< membership mask for dirty_
-
-  /// Per-worker-chunk recompute output plus the chunk's reusable scratch
-  /// (skyline workspace and relay buffers), stitched serially into the
-  /// store.  Keeping the scratch here — not as locals of the recompute
-  /// lambda — is what makes steady-state updates allocation-free: every
-  /// buffer holds its high-water capacity across steps.
+  /// Per-worker-chunk recompute output plus the chunk's reusable scratch,
+  /// stitched serially into the store.  Keeping the scratch here — not as
+  /// locals of the recompute lambda — is what makes steady-state updates
+  /// allocation-free: every buffer holds its high-water capacity.
   struct ChunkOut {
     std::vector<net::NodeId> ids;
     std::vector<std::uint32_t> lens;
     std::size_t lo = 0;
-    core::SkylineWorkspace ws;
-    std::vector<geom::Disk> disks;
-    std::vector<core::Arc> arcs;
-    std::vector<std::size_t> sky_set;
-    std::vector<net::NodeId> relay_ids;
+    detail::RelayScratch scratch;
   };
   std::vector<ChunkOut> chunk_out_;
 
   std::uint64_t recomputes_ = 0;
-  std::uint64_t compactions_ = 0;
   std::uint64_t updates_ = 0;
   std::uint64_t last_update_event_ = obs::kNoEvent;
 };

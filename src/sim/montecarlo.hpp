@@ -7,7 +7,6 @@
 /// regardless of the thread schedule).
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -27,24 +26,6 @@ template <typename F,
 [[nodiscard]] std::vector<T> run_trials(std::uint64_t seed, std::size_t trials,
                                         F&& experiment,
                                         std::size_t threads = 0) {
-  std::vector<T> results(trials);
-  parallel_for(
-      trials,
-      [&](std::size_t k) {
-        Xoshiro256 rng(derive_seed(seed, k));
-        results[k] = experiment(rng, k);
-      },
-      threads);
-  return results;
-}
-
-/// Type-erased overload, kept for ABI users (and for callers that name T
-/// explicitly, e.g. run_trials<double>(...)).
-template <typename T>
-[[nodiscard]] std::vector<T> run_trials(
-    std::uint64_t seed, std::size_t trials,
-    const std::function<T(Xoshiro256&, std::size_t)>& experiment,
-    std::size_t threads = 0) {
   std::vector<T> results(trials);
   parallel_for(
       trials,

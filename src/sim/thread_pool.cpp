@@ -137,20 +137,6 @@ void ThreadPool::wait_idle() {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_chunks(n, [&body](std::size_t /*chunk*/, std::size_t lo,
-                             std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  ThreadPool pool(threads);
-  pool.parallel_for(n, body);
-}
-
 namespace detail {
 
 std::size_t thread_override(const char* text, std::size_t hw) noexcept {

@@ -86,9 +86,6 @@ class ThreadPool {
     });
   }
 
-  /// Type-erased overload, kept for ABI users holding a std::function.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
   /// Chunk-level form: run `body(chunk, lo, hi)` for each of the <= size()
   /// contiguous chunks covering [0, n).  `chunk` is a dense index in
   /// [0, min(size(), n)) — the hook for per-thread scratch (workspaces,
@@ -226,10 +223,6 @@ void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
   ThreadPool pool(threads);
   pool.parallel_for(n, body);
 }
-
-/// Type-erased overload, kept for ABI users holding a std::function.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
 
 /// Process-wide shared pool, created on first use, destroyed at exit.  The
 /// hook for steady-state loops — mobility maintenance, repeated sweeps —

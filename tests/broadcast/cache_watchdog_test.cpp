@@ -36,7 +36,7 @@ TEST(CacheWatchdogTest, SilentAcrossFiveHundredCleanMobilitySteps) {
   sim::ThreadPool pool(2);
   SkylineCache cache(dyn, pool);
 
-  auto wd = make_cache_watchdog(dyn, cache, {.period = 16, .samples = 8});
+  auto wd = make_cache_watchdog(cache, {.period = 16, .samples = 8});
   for (int t = 0; t < 512; ++t) {
     mobile.step(1.0, rng);
     cache.update(dyn.apply(mobile.nodes(), mobile.moved_last_step()));
@@ -61,7 +61,7 @@ TEST(CacheWatchdogTest, InjectedCorruptionCaughtWithinOnePeriod) {
   // Sampling the whole population each check makes "within one period"
   // deterministic: the first check after the injection must bark.
   const auto n = static_cast<std::uint32_t>(dyn.size());
-  auto wd = make_cache_watchdog(dyn, cache, {.period = 8, .samples = n});
+  auto wd = make_cache_watchdog(cache, {.period = 8, .samples = n});
 
   // Inject right after the step-23 update: the corruption lands mid-run
   // with no later cache.update between it and the step-24 check, so a

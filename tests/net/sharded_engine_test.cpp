@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "broadcast/cache_watchdog.hpp"
+#include "broadcast/relay_skyline.hpp"
 #include "broadcast/sharded_cache.hpp"
 #include "broadcast/skyline_cache.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/mobility.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -198,10 +200,14 @@ std::vector<Regime> regimes() {
 }
 
 /// Drive `steps` mobility steps comparing the sharded cache against the
-/// single-engine SkylineCache relay by relay, every step.
+/// single-engine SkylineCache relay by relay, every step.  Also checks the
+/// sharded `cache.compactions` telemetry against the shards' own counts.
+/// Adds the compaction count summed over shards to `*compactions`.
 void expect_bit_identical_run(std::uint64_t seed, const WaypointParams& wp,
                               std::size_t shards, std::size_t steps,
-                              const char* regime) {
+                              const char* regime,
+                              const bcast::CacheConfig& config = {},
+                              std::uint64_t* compactions = nullptr) {
   const double side = 12.5;
   DeploymentParams dp = small_deploy();
   sim::Xoshiro256 rng(seed);
@@ -209,16 +215,21 @@ void expect_bit_identical_run(std::uint64_t seed, const WaypointParams& wp,
 
   sim::ThreadPool pool(2);
   DynamicDiskGraph whole{std::vector<Node>(net.nodes())};
-  bcast::SkylineCache single(whole, pool);
+  bcast::SkylineCache single(whole, pool, config);
   ShardedEngine engine{std::vector<Node>(net.nodes()), pool,
                        sharded(shards, side)};
-  bcast::ShardedSkylineCache cache(engine);
+  bcast::ShardedSkylineCache cache(engine, config);
+  const obs::Counter& compactions_counter =
+      obs::registry().counter("cache.compactions");
+  std::uint64_t sharded_reported = 0;
 
   for (std::size_t k = 0; k < steps; ++k) {
     net.step(0.5, rng);
     const auto moved = net.moved_last_step();
     single.update(whole.apply(net.nodes(), moved));
+    const std::uint64_t before = compactions_counter.value();
     cache.step(net.nodes(), moved);
+    sharded_reported += compactions_counter.value() - before;
 
     for (NodeId u = 0; u < whole.size(); ++u) {
       const auto got = cache.forwarding_set(u);
@@ -233,6 +244,16 @@ void expect_bit_identical_run(std::uint64_t seed, const WaypointParams& wp,
   }
   EXPECT_EQ(cache.total_forwarders(), single.total_forwarders());
   EXPECT_EQ(cache.update_count(), steps);
+
+  std::uint64_t summed = 0;
+  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
+    summed += cache.shard(s).compaction_count();
+  }
+  if (obs::kTelemetryEnabled) {
+    EXPECT_EQ(sharded_reported, summed)
+        << regime << ": cache.compactions disagrees with the shard stores";
+  }
+  if (compactions != nullptr) *compactions += summed;
 }
 
 TEST(ShardedEngineTest, BitIdenticalAcrossShardCounts) {
@@ -242,11 +263,52 @@ TEST(ShardedEngineTest, BitIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardedEngineTest, LongRunDifferentialAcrossRegimesAndSeeds) {
+  // The second config compacts every shard store eagerly, so repacking
+  // runs inside the barrier and must leave the sets untouched.
+  bcast::CacheConfig eager;
+  eager.compaction_threshold = 0.05;
+  std::uint64_t eager_compactions = 0;
   for (const Regime& regime : regimes()) {
     for (const std::uint64_t seed : {7ull, 23ull}) {
       expect_bit_identical_run(seed, regime.wp, 4, 30, regime.name);
+      expect_bit_identical_run(seed, regime.wp, 4, 30, regime.name, eager,
+                               &eager_compactions);
     }
   }
+  EXPECT_GT(eager_compactions, 0u) << "no shard store was ever compacted";
+}
+
+// --- Positive tolerance ----------------------------------------------------
+
+TEST(ShardedEngineTest, MigratedRelaysAreFreshAtPositiveTolerance) {
+  // With a tolerance far above the per-step drift, almost nothing is
+  // re-dirtied by motion, so a relay that crosses a tile border is fresh
+  // in its new owner's store only because of the migration force-mark.
+  sim::Xoshiro256 rng(53);
+  MobileNetwork net(small_deploy(), regimes()[0].wp, rng);
+  sim::ThreadPool pool(2);
+  ShardedEngine engine{std::vector<Node>(net.nodes()), pool,
+                       sharded(4, 12.5)};
+  bcast::CacheConfig config;
+  config.position_tolerance = 0.5;
+  bcast::ShardedSkylineCache cache(engine, config);
+
+  bcast::detail::RelayScratch scratch;
+  std::size_t checked = 0;
+  for (int k = 0; k < 400; ++k) {
+    net.step(0.5, rng);
+    cache.step(net.nodes(), net.moved_last_step());
+    for (const NodeId u : engine.migrated_last_step()) {
+      bcast::detail::relay_forwarding_set(
+          engine.shard_graph(engine.owner_of(u)), u, scratch);
+      const auto got = cache.forwarding_set(u);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), scratch.relay_ids.begin(),
+                             scratch.relay_ids.end()))
+          << "step " << k << ": migrated relay " << u << " is stale";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u) << "no relay migrated: the test proved nothing";
 }
 
 // --- Events ----------------------------------------------------------------

@@ -205,7 +205,9 @@ TEST(IntrospectServerTest, PreStepSnapshotCarriesShardSeries) {
   for (const char* series :
        {"\"shard.count\":4", "\"shard.steps\"", "\"shard.halo_nodes\"",
         "\"shard.barrier_wait_ns\"", "\"cache.updates\"",
-        "\"cache.dirty_relays_per_shard\""}) {
+        "\"cache.dirty_relays_per_shard\"", "\"cache.compactions\"",
+        "\"cache.slot_overflows\"", "\"cache.store_size\"",
+        "\"cache.live_ids\"", "\"cache.dead_permille\""}) {
     EXPECT_NE(snapshot.find(series), std::string::npos)
         << "pre-step snapshot is missing " << series;
   }

@@ -96,12 +96,13 @@ TEST(ChartTest, HistogramTableAlignsSeveralHistograms) {
 }
 
 TEST(MonteCarloTest, TrialsAreDeterministicAndIndependentOfThreads) {
-  const std::function<double(Xoshiro256&, std::size_t)> experiment =
-      [](Xoshiro256& rng, std::size_t) { return rng.uniform(); };
-  const auto a = run_trials<double>(123, 64, experiment, 1);
-  const auto b = run_trials<double>(123, 64, experiment, 4);
+  const auto experiment = [](Xoshiro256& rng, std::size_t) {
+    return rng.uniform();
+  };
+  const auto a = run_trials(123, 64, experiment, 1);
+  const auto b = run_trials(123, 64, experiment, 4);
   EXPECT_EQ(a, b);  // per-trial seeding, not shared streams
-  const auto c = run_trials<double>(124, 64, experiment, 1);
+  const auto c = run_trials(124, 64, experiment, 1);
   EXPECT_NE(a, c);
 }
 
