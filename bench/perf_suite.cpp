@@ -11,7 +11,8 @@
 ///  2. batched all-relay throughput on the ~1000-node heterogeneous
 ///     deployment: compute_all_skylines vs the pre-batch per-relay loop
 ///     (LocalView + skyline_forwarding_set) and vs a bare per-relay
-///     compute_skyline loop.
+///     compute_skyline loop; plus one skyline simulate_broadcast on the
+///     same graph, with its time and allocations.
 ///  3. DiskGraph::build timings at growing deployment sizes (count-then-
 ///     fill CSR construction).
 ///  4. compute_all_skylines thread scaling: the batched sweep at several
@@ -76,6 +77,7 @@
 #include <vector>
 
 #include "broadcast/all_skylines.hpp"
+#include "broadcast/broadcast_sim.hpp"
 #include "broadcast/forwarding.hpp"
 #include "broadcast/local_view.hpp"
 #include "broadcast/sharded_cache.hpp"
@@ -560,6 +562,13 @@ int main(int argc, char** argv) {
       }
       if (total == 0) std::abort();
     });
+    // One skyline broadcast from node 0 on the same graph: the simulator's
+    // per-transmitter sets come from the same relay loop as the sweep.
+    const Measurement m_sim = measure(budget_ns, [&] {
+      const bcast::BroadcastResult r =
+          bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
+      if (r.transmissions == 0) std::abort();
+    });
 
     const double n_nodes = static_cast<double>(g.size());
     std::cout << "  all-relays (" << g.size() << " nodes, avg degree "
@@ -567,7 +576,8 @@ int main(int argc, char** argv) {
               << " ms, per-relay loop " << m_loop.ns_per_op / 1e6
               << " ms, bare skyline loop " << m_bare.ns_per_op / 1e6
               << " ms => speedup " << m_loop.ns_per_op / m_batch.ns_per_op
-              << "x\n";
+              << "x; skyline broadcast " << m_sim.ns_per_op / 1e6 << " ms ("
+              << m_sim.allocs_per_op << " allocs)\n";
 
     j.open_obj("batch_all_relays");
     j.field("nodes", static_cast<std::uint64_t>(g.size()));
@@ -584,6 +594,8 @@ int main(int argc, char** argv) {
             m_loop.ns_per_op / m_batch.ns_per_op);
     j.field("speedup_vs_bare_skyline_loop",
             m_bare.ns_per_op / m_batch.ns_per_op);
+    j.field("simulate_broadcast_skyline_ns", m_sim.ns_per_op);
+    j.field("simulate_broadcast_skyline_allocs", m_sim.allocs_per_op);
     j.close_obj();
   }
 

@@ -49,7 +49,11 @@ struct BroadcastResult {
 };
 
 /// Simulate one broadcast from `source` with forwarding sets chosen by
-/// `scheme` at every relaying node.
+/// `scheme` at every relaying node.  Skyline sets come from 1-hop
+/// information only, through the shared relay loop of relay_skyline.hpp
+/// (the one compute_all_skylines runs), and equal forwarding_set(g, u,
+/// Scheme::kSkyline); the 2-hop schemes use forwarding_set's LocalView
+/// path.
 [[nodiscard]] BroadcastResult simulate_broadcast(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,
     ReceptionModel reception = ReceptionModel::kBidirectionalLink);

@@ -6,8 +6,9 @@
 ///
 /// Every whole-network path runs exactly this per relay — the one-shot
 /// `compute_all_skylines`, the incremental `SkylineCache`, each sharded
-/// `ShardCache`, and the cache watchdog's from-scratch reference — so the
-/// bit-identical guarantee between them reduces to sharing this function.
+/// `ShardCache`, the cache watchdog's from-scratch reference, and each
+/// transmitter of a skyline `simulate_broadcast` — so the bit-identical
+/// guarantee between them reduces to sharing this function.
 /// Templated on the graph type (`net::DiskGraph` and `net::DynamicDiskGraph`
 /// expose the same node()/neighbors() surface).
 

@@ -1,6 +1,9 @@
 #include "net/disk_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "net/spatial_grid.hpp"
 #include "sim/thread_pool.hpp"
@@ -24,8 +27,19 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   g.nodes_ = std::move(nodes);
   const std::size_t n = g.nodes_.size();
 
+  // A non-finite coordinate would reach the grid's floor-to-int64 cell
+  // mapping (UB for NaN) and an infinite one would size its cell array
+  // without bound, so reject both here, at the boundary.
   double max_r = 0.0;
-  for (const Node& node : g.nodes_) max_r = std::max(max_r, node.radius);
+  for (const Node& node : g.nodes_) {
+    if (!std::isfinite(node.pos.x) || !std::isfinite(node.pos.y) ||
+        !std::isfinite(node.radius)) {
+      throw std::invalid_argument(
+          "DiskGraph::build: node " + std::to_string(node.id) +
+          " has a non-finite position or radius");
+    }
+    max_r = std::max(max_r, node.radius);
+  }
   const SpatialGrid grid(g.nodes_, std::max(max_r, 1e-6));
 
   // Count-then-fill CSR build, no per-node vectors.  A node's neighbors are

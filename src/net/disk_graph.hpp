@@ -17,6 +17,8 @@ class DiskGraph {
  public:
   /// Build the graph.  Node ids are reassigned to positions in `nodes`
   /// (callers address nodes by index).  Uses a spatial grid, O(N * degree).
+  /// Throws std::invalid_argument, naming the node index, if a position or
+  /// radius is not finite.
   static DiskGraph build(std::vector<Node> nodes);
 
   /// Adopt known adjacency lists (adj[i] = sorted neighbor ids of node i)

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <utility>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
@@ -192,6 +195,104 @@ TEST(BroadcastSimTest, AsymmetricScenarioReplayDerivationAgrees) {
 }
 
 #endif  // MLDCS_ENABLE_TELEMETRY
+
+/// Independent replay of the simulator's semantics over the per-relay
+/// LocalView reference, forwarding_set(g, u, kSkyline): FIFO transmissions,
+/// receivers in ascending id order, a node re-transmits once iff it has
+/// received the message and some sender named it.
+BroadcastResult reference_skyline_broadcast(const net::DiskGraph& g,
+                                            net::NodeId source,
+                                            ReceptionModel model) {
+  BroadcastResult r;
+  r.reachable = g.reachable_from(source).size();
+  std::vector<bool> received(g.size(), false);
+  std::vector<bool> designated(g.size(), false);
+  std::vector<std::uint64_t> hops(g.size(), 0);
+  std::deque<net::NodeId> fifo{source};
+  received[source] = designated[source] = true;
+  r.delivered = 1;
+  while (!fifo.empty()) {
+    const net::NodeId u = fifo.front();
+    fifo.pop_front();
+    ++r.transmissions;
+    const std::vector<net::NodeId> fwd =
+        forwarding_set(g, u, Scheme::kSkyline);
+    for (net::NodeId v = 0; v < g.size(); ++v) {
+      const bool hears = model == ReceptionModel::kBidirectionalLink
+                             ? g.linked(u, v)
+                             : v != u && g.node(u).covers(g.node(v));
+      if (!hears) continue;
+      if (received[v]) {
+        ++r.redundant_receptions;
+      } else {
+        received[v] = true;
+        hops[v] = hops[u] + 1;
+        ++r.delivered;
+        r.max_hops = std::max(r.max_hops, hops[v]);
+      }
+      if (!designated[v] && std::binary_search(fwd.begin(), fwd.end(), v)) {
+        designated[v] = true;
+        fifo.push_back(v);
+      }
+    }
+  }
+  return r;
+}
+
+void expect_matches_reference(const net::DiskGraph& g, net::NodeId source,
+                              ReceptionModel model) {
+  const BroadcastResult got = simulate_broadcast(g, source, Scheme::kSkyline,
+                                                 model);
+  const BroadcastResult want = reference_skyline_broadcast(g, source, model);
+  EXPECT_EQ(got.transmissions, want.transmissions);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.max_hops, want.max_hops);
+  EXPECT_EQ(got.reachable, want.reachable);
+  EXPECT_EQ(got.redundant_receptions, want.redundant_receptions);
+}
+
+TEST(BroadcastSimTest, SkylineMatchesLocalViewReferenceReplay) {
+  for (std::uint64_t seed = 150; seed < 154; ++seed) {
+    for (const bool hetero : {false, true}) {
+      const auto g = random_graph(seed, 10, hetero);
+      ASSERT_GT(g.size(), 2u);
+      for (const ReceptionModel model : {ReceptionModel::kBidirectionalLink,
+                                         ReceptionModel::kPhysicalCoverage}) {
+        for (const net::NodeId source :
+             {net::NodeId{0}, static_cast<net::NodeId>(g.size() / 2),
+              static_cast<net::NodeId>(g.size() - 1)}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " hetero " << hetero
+                       << " model " << static_cast<int>(model) << " source "
+                       << source);
+          expect_matches_reference(g, source, model);
+        }
+      }
+    }
+  }
+}
+
+TEST(BroadcastSimTest, SkylineMatchesReferenceWithCoincidentDuplicates) {
+  // Every third node gets a coincident twin (same position and radius):
+  // ties between identical disks must break the same way on both paths.
+  net::DeploymentParams p;
+  p.target_avg_degree = 10;
+  p.model = net::RadiusModel::kUniform;
+  sim::Xoshiro256 rng(160);
+  std::vector<net::Node> nodes = net::generate_deployment(p, rng);
+  const std::size_t n = nodes.size();
+  for (std::size_t i = 0; i < n; i += 3) nodes.push_back(nodes[i]);
+  const auto g = net::DiskGraph::build(std::move(nodes));
+  for (const ReceptionModel model : {ReceptionModel::kBidirectionalLink,
+                                     ReceptionModel::kPhysicalCoverage}) {
+    for (const net::NodeId source :
+         {net::NodeId{0}, static_cast<net::NodeId>(n)}) {  // a pair
+      SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(model)
+                                        << " source " << source);
+      expect_matches_reference(g, source, model);
+    }
+  }
+}
 
 TEST(BroadcastSimTest, TransmissionCountsAreDeterministic) {
   const auto g = random_graph(140, 10, true);

@@ -18,8 +18,11 @@
 #include <mutex>
 #include <vector>
 
+#include "broadcast/broadcast_sim.hpp"
 #include "core/invariants.hpp"
 #include "core/skyline_dc.hpp"
+#include "net/topology.hpp"
+#include "obs/event_log.hpp"
 #include "sim/rng.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/lock_guard.hpp"
@@ -119,6 +122,40 @@ TEST(HotPathGuard, ColdWorkspaceAllocatesAndGuardSeesIt) {
   core::compute_skyline_arcs(disks, {0.0, 0.0}, ws, arcs);
   EXPECT_GT(guard.count(), 0u)
       << "a cold workspace must grow (otherwise the probe is dead)";
+}
+
+// --- simulate_broadcast: skyline sets through the shared relay loop --------
+
+// Not an annotated hot path, but the simulator's per-transmission loop must
+// not allocate either: the allocations of one broadcast are its O(N) state
+// vectors and its relay scratch, never one per transmitter (a LocalView, a
+// receiver copy, a result vector).
+TEST(HotPathGuard, SimulateBroadcastAllocFree) {
+  if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
+  if (core::kInvariantChecksEnabled) {
+    GTEST_SKIP() << "invariant diagnostics allocate by design (ALLOC_OK)";
+  }
+  // The static_1k deployment: ~1000 nodes, radii U[1,2], degree 36.8.
+  net::DeploymentParams p;
+  p.model = net::RadiusModel::kUniform;
+  p.target_avg_degree = 36.8;
+  sim::Xoshiro256 rng(1);
+  const net::DiskGraph g = net::generate_graph(p, rng);
+  obs::events_stop();
+
+  // Warm-up: telemetry registration and the thread-local engine state.
+  for (int i = 0; i < 2; ++i) {
+    (void)bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
+  }
+
+  AllocGuard guard;
+  const bcast::BroadcastResult r =
+      bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
+  const std::uint64_t allocs = guard.count();
+  RecordProperty("allocations", static_cast<int>(allocs));
+  RecordProperty("transmissions", static_cast<int>(r.transmissions));
+  EXPECT_GE(r.transmissions, 400u);
+  EXPECT_LE(allocs, 256u) << "over " << r.transmissions << " transmissions";
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "sim/rng.hpp"
 
@@ -133,6 +136,25 @@ TEST(DiskGraphTest, HeterogeneousAsymmetricCoverageDoesNotLink) {
   const DiskGraph g = DiskGraph::build({{0, {0, 0}, 5.0}, {1, {2, 0}, 1.0}});
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_TRUE(g.node(0).covers(g.node(1)));
+}
+
+TEST(DiskGraphTest, NonFinitePositionOrRadiusThrowsNamingTheNode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Node bad[] = {{0, {nan, 0}, 1.0},
+                      {0, {0, inf}, 1.0},
+                      {0, {0, 0}, nan},
+                      {0, {0, 0}, inf}};
+  for (const Node& b : bad) {
+    // The bad node sits at index 1, behind a valid one.
+    try {
+      (void)DiskGraph::build({{0, {0, 0}, 1.0}, b});
+      ADD_FAILURE() << "build accepted a non-finite node";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

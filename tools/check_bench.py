@@ -13,6 +13,11 @@ of the single_relay_skyline section (matched by n_disks):
     workspace engine is allocation-free by design; even 1 alloc/op means
     the scratch-reuse contract broke)
 
+  * simulator allocation regression, from the batch_all_relays section:
+    simulate_broadcast_skyline_allocs above the baseline (by the same
+    rule as allocs_per_op: the per-transmission loop runs on reused
+    scratch, so any rise means it allocates per transmitter again)
+
   * SIMD dispatch regression, from the single_relay_skyline_simd
     section of the fresh run alone: when the provenance says wide
     kernels are compiled in and the CPU supports them, dispatch must
@@ -207,6 +212,37 @@ def check_simd_dispatch(doc, path):
         print(f"  n_disks={n}: dispatch {dispatch}, "
               f"{speedup:.2f}x vs scalar [{status}]")
     return failures
+
+
+SIM_ALLOCS_KEY = "simulate_broadcast_skyline_allocs"
+
+
+def check_simulate_broadcast_allocs(baseline_doc, fresh_doc):
+    """Gate one skyline simulate_broadcast's allocations (batch_all_relays).
+
+    Returns a list of failure strings: the fresh count above the
+    baseline's is a regression, by the same rule as the workspace
+    allocs_per_op gate.  A document without the field (an older baseline,
+    or a sectioned run) skips the gate with a named warning.
+    """
+    counts = []
+    for label, doc in (("baseline", baseline_doc), ("fresh run", fresh_doc)):
+        batch = doc.get("batch_all_relays")
+        val = batch.get(SIM_ALLOCS_KEY) if isinstance(batch, dict) else None
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            warn(f"{label}: batch_all_relays.{SIM_ALLOCS_KEY} missing; "
+                 "skipping simulator allocation gate")
+            return []
+        counts.append(val)
+    base, cur = counts
+    if cur > base:
+        print(f"  simulate_broadcast skyline: {cur} allocs (baseline "
+              f"{base}) [FAIL]")
+        return [f"simulate_broadcast skyline now allocates more "
+                f"({base} -> {cur} allocs/broadcast)"]
+    print(f"  simulate_broadcast skyline: {cur} allocs (baseline {base}) "
+          "[ok]")
+    return []
 
 
 def flatten(summary, prefix=""):
@@ -423,6 +459,7 @@ def main():
                   f"(baseline/{ratio:.2f}), {cur['allocs_per_op']} "
                   f"allocs/op [{status}]")
 
+    failures += check_simulate_broadcast_allocs(baseline_doc, fresh_doc)
     failures += check_simd_dispatch(fresh_doc, args.fresh)
 
     previous = read_history_previous(args.history) if args.history else None

@@ -527,8 +527,11 @@ def bench_summary(doc):
                                                       dict))
 
     batch = doc.get("batch_all_relays")
-    if isinstance(batch, dict) and "batch_relays_per_s" in batch:
-        out["batch_relays_per_s"] = batch["batch_relays_per_s"]
+    if isinstance(batch, dict):
+        for key in ("batch_relays_per_s", "simulate_broadcast_skyline_ns",
+                    "simulate_broadcast_skyline_allocs"):
+            if key in batch:
+                out[key] = batch[key]
 
     gb = doc.get("graph_build")
     if isinstance(gb, list) and gb:
