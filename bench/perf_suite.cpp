@@ -413,7 +413,6 @@ int main(int argc, char** argv) {
 
   // --- 1. single-relay skyline, workspace vs recursive ---------------------
   if (run_section("single_relay_skyline")) {
-  const obs::TraceSpan section_span("bench.single_relay_skyline");
   j.open_arr("single_relay_skyline");
   for (const std::size_t n : {std::size_t{64}, std::size_t{256},
                               std::size_t{1024}, std::size_t{4096}}) {
@@ -472,7 +471,6 @@ int main(int argc, char** argv) {
   // sits at ~1.0 — check_bench.py gates on it either way to catch silent
   // regressions to the fallback.
   if (run_section("single_relay_skyline_simd")) {
-    const obs::TraceSpan section_span("bench.single_relay_skyline_simd");
     j.open_arr("single_relay_skyline_simd");
     for (const std::size_t n :
          {std::size_t{64}, std::size_t{256}, std::size_t{1024}}) {
@@ -525,7 +523,6 @@ int main(int argc, char** argv) {
   // The paper's heterogeneous deployment scaled to ~1000 nodes (side fixed,
   // degree raised until node_count_for lands at 1000).
   if (run_section("batch_all_relays")) {
-    const obs::TraceSpan section_span("bench.batch_all_relays");
     net::DeploymentParams p;
     p.model = net::RadiusModel::kUniform;
     p.target_avg_degree = 36.8;  // node_count_for(p) ~= 1000 on 12.5 x 12.5
@@ -601,7 +598,6 @@ int main(int argc, char** argv) {
 
   // --- 3. graph build ------------------------------------------------------
   if (run_section("graph_build")) {
-  const obs::TraceSpan section_span("bench.graph_build");
   j.open_arr("graph_build");
   for (const double scale : (quick ? std::vector<double>{1.0, 4.0}
                                    : std::vector<double>{1.0, 4.0, 16.0})) {
@@ -641,7 +637,6 @@ int main(int argc, char** argv) {
   // overhead rather than speedup; the speedup_vs_1_thread field makes that
   // legible either way.
   if (run_section("batch_all_relays_threads")) {
-    const obs::TraceSpan section_span("bench.batch_all_relays_threads");
     net::DeploymentParams p;
     p.model = net::RadiusModel::kUniform;
     p.target_avg_degree = 36.8;
@@ -697,7 +692,6 @@ int main(int argc, char** argv) {
   // output.  Dirty-relay counts are reported so the speedup can be read
   // against how much of the network each regime actually perturbs.
   if (run_section("mobility_steady_state")) {
-    const obs::TraceSpan section_span("bench.mobility_steady_state");
     struct MobilityRegime {
       const char* name;
       net::WaypointParams wp;
@@ -838,7 +832,6 @@ int main(int argc, char** argv) {
   // sets every other step; every sharded run is compared against the
   // recording and the bench aborts on any divergence.
   if (run_section("sharded_mobility")) {
-    const obs::TraceSpan section_span("bench.sharded_mobility");
     const std::vector<std::size_t> node_targets =
         quick ? std::vector<std::size_t>{10000}
               : std::vector<std::size_t>{10000, 100000, 1000000};

@@ -23,10 +23,12 @@
 ///                              [--shards N] [--introspect PORT]
 ///                              [--blackbox PATH] [--profile PATH]
 ///
-/// --trace records the run as chrome://tracing trace events (graph.apply /
-/// cache.update spans per period); --telemetry dumps the process-wide
-/// mldcs-telemetry-v1 registry snapshot — dirty-relay histograms, slot
-/// overflows, compactions, pool busy time (docs/OBSERVABILITY.md).
+/// --trace records the run as chrome://tracing trace events, one span per
+/// obs::Scope phase (graph_apply / cache_update / cache_recompute per
+/// period; engine_step / shard_step / halo_exchange too with --shards);
+/// --telemetry dumps the process-wide mldcs-telemetry-v1 registry
+/// snapshot — dirty-relay histograms, slot overflows, compactions, pool
+/// busy time (docs/OBSERVABILITY.md).
 ///
 /// --events records the run in the flight recorder (kStep / kCacheUpdate
 /// causal chain per period) and writes the mldcs-events-v1 JSONL to PATH.

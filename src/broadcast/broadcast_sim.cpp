@@ -5,8 +5,8 @@
 
 #include "broadcast/relay_skyline.hpp"
 #include "obs/event_log.hpp"
+#include "obs/scope.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace mldcs::bcast {
 
@@ -74,7 +74,7 @@ std::uint64_t reachable_count(const net::DiskGraph& g, net::NodeId source,
 
 BroadcastResult simulate_broadcast(const net::DiskGraph& g, net::NodeId source,
                                    Scheme scheme, ReceptionModel reception) {
-  const obs::TraceSpan span("bcast.simulate_broadcast");
+  const obs::Scope scope(obs::Phase::kBroadcast);
   BroadcastResult result;
   if (source >= g.size()) return result;
 

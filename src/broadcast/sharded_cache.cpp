@@ -1,9 +1,8 @@
 #include "broadcast/sharded_cache.hpp"
 
 #include "obs/event_log.hpp"
-#include "obs/profiler.hpp"
+#include "obs/scope.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace mldcs::bcast {
 
@@ -39,7 +38,7 @@ ShardCache::ShardCache(const net::DynamicDiskGraph& g, std::uint32_t shard,
 MLDCS_ALLOC_OK void ShardCache::full_sweep() {
   // The initial everything-dirty build is cache recompute too; update()
   // tags the incremental path, this tags the bootstrap.
-  const obs::PhaseScope phase(obs::Phase::kCacheRecompute);
+  const obs::Scope scope(obs::Phase::kCacheRecompute);
   dirty_.mark_all([this](net::NodeId u) { return owned(u); });
   recompute_marked();
   dirty_.clear();
@@ -48,7 +47,7 @@ MLDCS_ALLOC_OK void ShardCache::full_sweep() {
 MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::update(
     const net::DynamicDiskGraph::StepDelta& delta,
     std::span<const net::NodeId> migrated) {
-  const obs::PhaseScope phase(obs::Phase::kCacheRecompute);
+  const obs::Scope scope(obs::Phase::kCacheRecompute);
   // Ownership filter: the dirty rule runs over the full region (halo movers
   // dirty owned neighbors) but only owned relays are recomputed — every
   // other resident is some neighbor shard's problem.  Evicted movers fall
@@ -104,7 +103,7 @@ ShardedSkylineCache::~ShardedSkylineCache() {
 MLDCS_HOT_PATH void ShardedSkylineCache::step(
     std::span<const net::Node> current,
     std::span<const net::NodeId> moved_hint) {
-  const obs::TraceSpan span("cache.sharded_step");
+  const obs::Scope scope(obs::Phase::kCacheUpdate);
   const detail::StoreStats before = store_stats();
   engine_->step(current, moved_hint);  // shard hook recomputes dirty relays
 

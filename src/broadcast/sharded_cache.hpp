@@ -24,11 +24,12 @@
 ///
 /// Concurrency contract: `ShardCache::update` runs on the engine's worker
 /// threads, one shard per call, with **zero cross-shard locking** — it is
-/// `MLDCS_NO_LOCK` and therefore touches no telemetry registry, no trace
-/// spans, no event log (all of which are lock-light but not lock-free to
-/// first-register).  Every counter it keeps is a plain member; the
-/// composite sums them over shards and reports after the barrier, on the
-/// caller thread, under the same `cache.*` names as the single engine.
+/// `MLDCS_NO_LOCK` and therefore touches no telemetry registry and no
+/// event log (both lock-light, not lock-free); its `obs::Scope` is
+/// lock-free on the pool's registered workers, armed trace included.
+/// Every counter it keeps is a plain member; the composite sums them over
+/// shards and reports after the barrier, on the caller thread, under the
+/// same `cache.*` names as the single engine.
 
 #include <cstddef>
 #include <cstdint>

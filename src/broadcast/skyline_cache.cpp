@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "obs/event_log.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 
 namespace mldcs::bcast {
 
@@ -34,7 +33,7 @@ void SkylineCache::full_sweep() {
 
 MLDCS_HOT_PATH void SkylineCache::update(
     const net::DynamicDiskGraph::StepDelta& delta) {
-  const obs::TraceSpan span("cache.update");
+  const obs::Scope scope(obs::Phase::kCacheUpdate);
   dirty_.collect(*g_, delta, config_.position_tolerance, kAllOwned);
   const std::size_t n_dirty = dirty_.relays().size();
   recomputes_ += n_dirty;
@@ -61,10 +60,10 @@ void SkylineCache::recompute_dirty() {
   const std::size_t n_chunks = std::min(pool_->size(), n_dirty);
   if (chunk_out_.size() < n_chunks) chunk_out_.resize(n_chunks);
   {
-    const obs::TraceSpan recompute_span("cache.recompute_dirty");
+    const obs::Scope recompute(obs::Phase::kCacheRecompute);
     pool_->parallel_chunks(
         n_dirty, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-          const obs::PhaseScope phase(obs::Phase::kCacheRecompute);
+          const obs::Scope chunk(obs::Phase::kCacheRecompute);
           ChunkOut& co = chunk_out_[c];
           co.ids.clear();
           co.lens.clear();
@@ -83,7 +82,7 @@ void SkylineCache::recompute_dirty() {
   // in ascending relay order, so the store layout is deterministic and
   // independent of the pool's thread count.
   {
-    const obs::TraceSpan patch_span("cache.patch_store");
+    const obs::Scope patch(obs::Phase::kCachePatch);
     for (std::size_t c = 0; c < n_chunks; ++c) {
       const ChunkOut& co = chunk_out_[c];
       std::size_t off = 0;
@@ -96,7 +95,7 @@ void SkylineCache::recompute_dirty() {
   }
 
   if (store_.needs_compaction(config_.compaction_threshold)) {
-    const obs::TraceSpan compact_span("cache.compact");
+    const obs::Scope compact(obs::Phase::kCacheCompact);
     store_.compact();
   }
 }

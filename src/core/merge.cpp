@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "core/invariants.hpp"
 #include "geometry/angle.hpp"
@@ -141,35 +142,19 @@ void resolve_span(double alpha, double beta, std::size_t i, std::size_t j,
 
 }  // namespace
 
-MLDCS_ALLOC_OK std::vector<Arc> merge_skylines(std::span<const Arc> sl1,
-                                               std::span<const Arc> sl2,
-                                               std::span<const geom::Disk> disks,
-                                               geom::Vec2 o, MergeStats* stats) {
-  std::vector<double> breaks;
-  std::vector<Arc> out;
-  merge_skylines(sl1, sl2, disks, o, breaks, out, stats);
-  return out;
-}
-
-MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_skylines(
-    std::span<const Arc> sl1, std::span<const Arc> sl2,
-    std::span<const geom::Disk> disks, geom::Vec2 o,
-    std::vector<double>& breaks, std::vector<Arc>& out, MergeStats* stats) {
-  if (sl1.empty()) {
-    out.insert(out.end(), sl2.begin(), sl2.end());
-    return;
-  }
-  if (sl2.empty()) {
-    out.insert(out.end(), sl1.begin(), sl1.end());
-    return;
-  }
+std::vector<Arc> merge_skylines(std::span<const Arc> sl1,
+                                std::span<const Arc> sl2,
+                                std::span<const geom::Disk> disks,
+                                geom::Vec2 o, MergeStats* stats) {
+  if (sl1.empty()) return {sl2.begin(), sl2.end()};
+  if (sl2.empty()) return {sl1.begin(), sl1.end()};
   // Both inputs must already be full well-formed skylines over [0, 2*pi];
   // Merge's lockstep walk silently derails on anything less.
   MLDCS_DCHECK_OK(check_arc_list(sl1, disks.size()));
   MLDCS_DCHECK_OK(check_arc_list(sl2, disks.size()));
 
   // Step 1 (refinement): the union of both breakpoint sequences, deduped.
-  breaks.clear();
+  std::vector<double> breaks;
   breaks.reserve(sl1.size() + sl2.size() + 1);
   for (const Arc& a : sl1) breaks.push_back(a.start);
   for (const Arc& a : sl2) breaks.push_back(a.start);
@@ -185,8 +170,8 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_skylines(
   breaks.back() = kTwoPi;
 
   // Step 2: walk both arc lists in lockstep over the refined spans,
-  // appending raw (possibly fragmented) arcs after the caller's prefix.
-  const std::size_t base = out.size();
+  // collecting raw (possibly fragmented) arcs.
+  std::vector<Arc> out;
   std::size_t p1 = 0;
   std::size_t p2 = 0;
   for (std::size_t k = 0; k + 1 < breaks.size(); ++k) {
@@ -200,9 +185,8 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_skylines(
                  stats);
   }
 
-  // Step 3: coalesce neighboring same-disk arcs and restore the invariants,
-  // in place on the appended tail.
-  normalize_arcs_in_place(out, base);
+  // Step 3: coalesce neighboring same-disk arcs and restore the invariants.
+  return normalize_arcs(std::move(out));
 }
 
 namespace detail {

@@ -34,22 +34,14 @@ struct MergeStats {
 /// Merge two well-formed arc lists over the same local disk set `disks`
 /// around relay `o`.  Either input may be empty (the other is returned).
 /// The result is well-formed (normalized).  `stats`, when non-null, is
-/// accumulated into.
-[[nodiscard]] MLDCS_ALLOC_OK std::vector<Arc> merge_skylines(
-    std::span<const Arc> sl1, std::span<const Arc> sl2,
-    std::span<const geom::Disk> disks, geom::Vec2 o,
-    MergeStats* stats = nullptr);
-
-/// Workspace overload: append the merged, normalized skyline to `out`
-/// (slots before the call's `out.size()` are left untouched), reusing
-/// `breaks` as breakpoint scratch.  Allocation-free once both buffers have
-/// grown to steady-state capacity — this is the hot path of the iterative
-/// skyline engine.  Neither `sl1` nor `sl2` may alias `out`.
-MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_skylines(
-    std::span<const Arc> sl1, std::span<const Arc> sl2,
-    std::span<const geom::Disk> disks, geom::Vec2 o,
-    std::vector<double>& breaks, std::vector<Arc>& out,
-    MergeStats* stats = nullptr);
+/// accumulated into.  This is the paper's pairwise Merge as written, used
+/// by skyline_reference and the tests; the engine merges a whole level at
+/// once through detail::merge_level_batched.
+[[nodiscard]] std::vector<Arc> merge_skylines(std::span<const Arc> sl1,
+                                              std::span<const Arc> sl2,
+                                              std::span<const geom::Disk> disks,
+                                              geom::Vec2 o,
+                                              MergeStats* stats = nullptr);
 
 /// Decide which of two disks is the outer one at ray angle `theta`, with the
 /// library tie-break (larger radial distance; ties -> larger disk radius,

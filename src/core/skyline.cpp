@@ -114,41 +114,36 @@ bool Skyline::well_formed(std::span<const Arc> arcs,
 }
 
 std::vector<Arc> normalize_arcs(std::vector<Arc> arcs) {
-  normalize_arcs_in_place(arcs);
-  return arcs;
-}
-
-void normalize_arcs_in_place(std::vector<Arc>& arcs, std::size_t from) {
-  if (arcs.size() <= from) return;
-  std::sort(arcs.begin() + static_cast<std::ptrdiff_t>(from), arcs.end(),
+  if (arcs.empty()) return arcs;
+  std::sort(arcs.begin(), arcs.end(),
             [](const Arc& a, const Arc& b) { return a.start < b.start; });
 
   // Compact in place: `w` is one past the last kept arc.  The read cursor
   // is always >= w, so reads never see overwritten slots.
-  std::size_t w = from;
-  for (std::size_t r = from; r < arcs.size(); ++r) {
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < arcs.size(); ++r) {
     Arc a = arcs[r];
-    if (w > from) a.start = arcs[w - 1].end;  // snap, kill drift
+    if (w > 0) a.start = arcs[w - 1].end;  // snap, kill drift
     if (a.end - a.start <= kAngleTol) {
       // Empty sliver: extend the previous arc over it instead.
-      if (w > from && a.end > arcs[w - 1].end) arcs[w - 1].end = a.end;
+      if (w > 0 && a.end > arcs[w - 1].end) arcs[w - 1].end = a.end;
       continue;
     }
-    if (w > from && arcs[w - 1].disk == a.disk) {
+    if (w > 0 && arcs[w - 1].disk == a.disk) {
       arcs[w - 1].end = a.end;  // coalesce same-disk neighbors (Merge Step 3)
     } else {
       arcs[w++] = a;
     }
   }
-  if (w > from) {
-    arcs[from].start = 0.0;
+  if (w > 0) {
+    arcs.front().start = 0.0;
     arcs[w - 1].end = kTwoPi;
     // Snapping the last endpoint may create a sliver-free list already; the
     // front/back adjustments preserve contiguity by construction.
   }
   arcs.resize(w);
-  MLDCS_DCHECK_OK(check_arc_list(
-      std::span<const Arc>(arcs.data() + from, arcs.size() - from)));
+  MLDCS_DCHECK_OK(check_arc_list(arcs));
+  return arcs;
 }
 
 }  // namespace mldcs::core

@@ -89,11 +89,4 @@ class Skyline {
 /// they are kept split per the paper's +x-axis convention).
 [[nodiscard]] std::vector<Arc> normalize_arcs(std::vector<Arc> arcs);
 
-/// In-place variant: normalize the tail `arcs[from..]` (a fragmented arc
-/// list covering [0, 2*pi]) without touching `arcs[0..from)`, compacting
-/// the vector so the normalized arcs end at the (possibly smaller) new
-/// size.  Allocation-free; the workspace skyline engine appends a raw
-/// Merge output and normalizes it in place with this.
-void normalize_arcs_in_place(std::vector<Arc>& arcs, std::size_t from = 0);
-
 }  // namespace mldcs::core

@@ -13,7 +13,7 @@
 #include "geometry/radial.hpp"
 #include "geometry/simd.hpp"
 #include "geometry/tolerance.hpp"
-#include "obs/profiler.hpp"
+#include "obs/scope.hpp"
 #include "obs/telemetry.hpp"
 
 namespace mldcs::core {
@@ -130,7 +130,7 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
     std::vector<Arc>& out, MergeStats* stats) {
   // Innermost tag wins: samples landing here attribute to the kernel even
   // when reached through cache_recompute (the enclosing scope restores).
-  const obs::PhaseScope phase(obs::Phase::kSimdKernel);
+  const obs::Scope scope(obs::Phase::kSimdKernel);
   out.clear();
   const std::size_t n = disks.size();
   if (n == 0) return;

@@ -6,8 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/scope.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace mldcs::net {
 
@@ -214,7 +214,7 @@ MLDCS_HOT_PATH void DynamicDiskGraph::classify_movers(
 MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta&
 DynamicDiskGraph::apply_moved(
     std::span<const Node> current) {
-  const obs::TraceSpan span("graph.apply");
+  const obs::Scope scope(obs::Phase::kGraphApply);
   delta_.link_changed.clear();
   delta_.edges_added = 0;
   delta_.edges_removed = 0;

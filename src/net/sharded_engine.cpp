@@ -1,8 +1,6 @@
 #include "net/sharded_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -10,7 +8,6 @@
 #include "obs/profiler.hpp"
 #include "obs/shard_stats.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace mldcs::net {
 
@@ -35,13 +32,6 @@ struct ShardTelemetry {
 ShardTelemetry& shard_telemetry() {
   static ShardTelemetry t;
   return t;
-}
-
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Factor `shards` into rows*cols so tiles stay as square as the
@@ -195,17 +185,23 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
   if (current.size() != nodes_.size()) {
     throw std::invalid_argument("ShardedEngine::step: node count changed");
   }
-  const obs::TraceSpan span("engine.step");
+  // The deployment-rectangle contract, checked before any owner or
+  // position state changes.  NaN positions fail contains() too.
+  for (const NodeId u : moved_hint) {
+    if (!deployment_.contains(current[u].pos)) {
+      throw std::invalid_argument(
+          "ShardedEngine::step: position outside the deployment rectangle");
+    }
+  }
+  const obs::Scope scope(obs::Phase::kEngineStep);
 
   // Phase 1 (serial): ownership commit.  Owner tiles follow the *new*
   // positions so the parallel phase — including any cache hook — reads one
   // stable owner map; border crossings are this step's migrations.
   {
-    const obs::PhaseScope phase(obs::Phase::kStepOwnership);
+    const obs::Scope phase(obs::Phase::kStepOwnership);
     migrated_.clear();
     for (const NodeId u : moved_hint) {
-      assert(deployment_.contains(current[u].pos) &&
-             "ShardedEngine::step: position escaped the deployment rectangle");
       const std::uint32_t t = tile_of(current[u].pos);
       const std::uint32_t prev = owner_of_[u];
       if (t != prev) {
@@ -227,14 +223,14 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
       shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo,
                           std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
-          const obs::PhaseScope phase(obs::Phase::kShardStep);
+          const obs::Scope phase(obs::Phase::kShardStep);
           Shard& sh = *shards_[s];
-          const std::uint64_t t0 = now_ns();
+          const std::int64_t t0 = obs::clock_ns();
           {
             // Halo exchange proper: routing movers into the shard's
             // region and applying them to its graph.  The hook (cache
             // recompute) tags its own phase.
-            const obs::PhaseScope halo(obs::Phase::kHaloExchange);
+            const obs::Scope halo(obs::Phase::kHaloExchange);
             sh.incoming.clear();
             for (const NodeId u : moved_hint) {
               if (sh.region.contains(nodes_[u].pos) ||
@@ -245,12 +241,12 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
             sh.graph.apply(current, sh.incoming);
           }
           if (hook_) hook_(s);
-          sh.step_ns = now_ns() - t0;
+          sh.step_ns = static_cast<std::uint64_t>(obs::clock_ns() - t0);
         }
       });
 
   // Phase 3 (serial): commit global positions and report.
-  const obs::PhaseScope phase(obs::Phase::kStepCommit);
+  const obs::Scope phase(obs::Phase::kStepCommit);
   for (const NodeId u : moved_hint) nodes_[u].pos = current[u].pos;
   ++steps_;
 

@@ -40,10 +40,11 @@
 /// broadcast/sharded_cache.hpp and tests/net/sharded_engine_test.cpp).
 ///
 /// Contract: every position the run ever produces must lie inside the
-/// deployment rectangle (mobility models here confine nodes to the square;
-/// the constructor rejects initial positions outside it).  A node outside
-/// the rectangle could drift beyond its owner tile's dilation band and lose
-/// sight of its neighborhood.
+/// deployment rectangle (mobility models here confine nodes to the square).
+/// A node outside the rectangle could drift beyond its owner tile's
+/// dilation band and lose sight of its neighborhood, so the constructor
+/// rejects initial positions outside it and step() rejects such a mover
+/// (NaN included) with std::invalid_argument before changing any state.
 
 #include <atomic>
 #include <cstddef>

@@ -44,45 +44,21 @@ const char* event_type_name(EventType t) noexcept {
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <mutex>
+
+#include "obs/thread_record.hpp"
 
 namespace mldcs::obs {
 
 namespace {
 
-/// One buffer per thread; the mutex serializes the owning thread's appends
-/// against a concurrent flush (same shape as the trace buffers).
-struct EventBuffer {
-  std::mutex mu;
-  std::vector<Event> events;
-};
-
-struct EventState {
-  std::atomic<bool> enabled{false};
-  std::atomic<std::uint64_t> next_id{0};
-  std::atomic<std::uint64_t> capacity{kDefaultEventCapacity};
-  std::atomic<std::uint64_t> dropped{0};
-  std::mutex mu;  ///< guards `buffers` (registration and flush iteration)
-  std::vector<std::shared_ptr<EventBuffer>> buffers;
-};
-
-EventState& state() {
-  // Leaked: worker threads may emit during static teardown.
-  static EventState* s = new EventState;
-  return *s;
-}
-
-EventBuffer& local_buffer() {
-  thread_local std::shared_ptr<EventBuffer> tl = [] {
-    auto buf = std::make_shared<EventBuffer>();
-    EventState& s = state();
-    const std::lock_guard<std::mutex> lock(s.mu);
-    s.buffers.push_back(buf);  // registry keeps events past thread exit
-    return buf;
-  }();
-  return *tl;
-}
+// Events live in each thread's observability record (thread_record.hpp);
+// only arming and the id sequence are global.  Trivially destructible, so
+// emits during static teardown stay safe.
+std::atomic<bool> g_enabled{false};
+std::atomic<std::uint64_t> g_next_id{0};
+std::atomic<std::uint64_t> g_capacity{kDefaultEventCapacity};
+std::atomic<std::uint64_t> g_dropped{0};
 
 void write_event_line(std::ostream& os, const Event& e) {
   os << "{\"id\":" << e.id << ",\"t\":\"" << event_type_name(e.type) << '"';
@@ -95,62 +71,56 @@ void write_event_line(std::ostream& os, const Event& e) {
 }  // namespace
 
 void events_start(std::size_t capacity) {
-  EventState& s = state();
-  s.capacity.store(capacity, std::memory_order_relaxed);
-  s.enabled.store(true, std::memory_order_relaxed);
+  g_capacity.store(capacity, std::memory_order_relaxed);
+  g_enabled.store(true, std::memory_order_relaxed);
 }
 
 void events_stop() {
-  state().enabled.store(false, std::memory_order_relaxed);
+  g_enabled.store(false, std::memory_order_relaxed);
 }
 
 bool events_enabled() noexcept {
-  return state().enabled.load(std::memory_order_relaxed);
+  return g_enabled.load(std::memory_order_relaxed);
 }
 
 // Alloc-exempt: the disarmed emit is one relaxed load; the armed path
-// buffers into per-thread storage (bounded by events_start's capacity),
+// buffers into the thread's record (bounded by events_start's capacity),
 // and benches measure the skyline path events-disarmed at 0 allocs/op.
 MLDCS_ALLOC_OK std::uint64_t emit_event(EventType type, std::uint32_t a,
                                         std::uint32_t b, std::uint64_t parent,
                                         std::uint64_t value) noexcept {
-  EventState& s = state();
-  if (!s.enabled.load(std::memory_order_relaxed)) return kNoEvent;
-  const std::uint64_t id = s.next_id.fetch_add(1, std::memory_order_relaxed);
-  if (id >= s.capacity.load(std::memory_order_relaxed)) {
-    s.dropped.fetch_add(1, std::memory_order_relaxed);
+  if (!g_enabled.load(std::memory_order_relaxed)) return kNoEvent;
+  const std::uint64_t id = g_next_id.fetch_add(1, std::memory_order_relaxed);
+  if (id >= g_capacity.load(std::memory_order_relaxed)) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
     return kNoEvent;
   }
-  EventBuffer& buf = local_buffer();
-  const std::lock_guard<std::mutex> lock(buf.mu);
-  buf.events.push_back({id, parent, value, a, b, type});
+  detail::ThreadRec& rec = detail::this_thread_rec();
+  const std::lock_guard<std::mutex> lock(rec.events_mu);
+  rec.events.push_back({id, parent, value, a, b, type});
   return id;
 }
 
 std::uint64_t events_dropped() noexcept {
-  return state().dropped.load(std::memory_order_relaxed);
+  return g_dropped.load(std::memory_order_relaxed);
 }
 
 void events_clear() {
-  EventState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    buf->events.clear();
+  for (detail::ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
+    const std::lock_guard<std::mutex> lock(rec->events_mu);
+    rec->events.clear();
   }
-  s.next_id.store(0, std::memory_order_relaxed);
-  s.dropped.store(0, std::memory_order_relaxed);
+  g_next_id.store(0, std::memory_order_relaxed);
+  g_dropped.store(0, std::memory_order_relaxed);
 }
 
 std::vector<Event> events_snapshot() {
-  EventState& s = state();
   std::vector<Event> out;
-  {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& buf : s.buffers) {
-      const std::lock_guard<std::mutex> buf_lock(buf->mu);
-      out.insert(out.end(), buf->events.begin(), buf->events.end());
-    }
+  for (detail::ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
+    const std::lock_guard<std::mutex> lock(rec->events_mu);
+    out.insert(out.end(), rec->events.begin(), rec->events.end());
   }
   std::sort(out.begin(), out.end(),
             [](const Event& x, const Event& y) { return x.id < y.id; });

@@ -13,9 +13,11 @@
 /// exported for offline forensics (write_events_jsonl, schema
 /// `mldcs-events-v1`).
 ///
-/// Design (same discipline as trace.hpp):
-///  - **Per-thread buffers.**  Each thread appends to its own buffer; the
-///    per-buffer mutex is only ever contended by an in-flight flush.
+/// Design:
+///  - **Per-thread buffers.**  Each thread appends to its observability
+///    record (which also holds its profiler samples and trace spans); the
+///    record's mutex is only ever contended by an in-flight flush, and no
+///    MLDCS_NO_LOCK code emits.
 ///  - **Causal ids.**  Every emitted event draws a globally unique id from
 ///    one relaxed atomic; a later event names its cause by that id (a kRx
 ///    points at the kTx it heard, a kTx points at the kRx that delivered

@@ -13,6 +13,23 @@
 
 #include <ostream>
 
+namespace mldcs::obs {
+namespace {
+
+/// JSON string body for `in` (quotes and backslashes escaped, control
+/// characters flattened to spaces).
+std::string json_escape(const std::string& in) {
+  std::string out;
+  for (const char c : in) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
+  }
+  return out;
+}
+
+}  // namespace
+}  // namespace mldcs::obs
+
 #if MLDCS_ENABLE_TELEMETRY
 
 #include <dlfcn.h>
@@ -34,6 +51,7 @@
 #include <unordered_map>
 
 #include "core/annotations.hpp"
+#include "obs/thread_record.hpp"
 
 // Linux guards SIGEV_THREAD_ID behind __USE_GNU; provide the stable ABI
 // values when the headers hide them (the kernel interface is fixed).
@@ -70,49 +88,20 @@ namespace detail {
 thread_local constinit std::atomic<std::uint32_t> t_phase{0};
 }  // namespace detail
 
+using detail::kMaxDepth;
+using detail::kRingSlots;
+using detail::Sample;
+using detail::ThreadRec;
+
 namespace {
 
-constexpr std::size_t kMaxDepth = 32;
-constexpr std::size_t kRingSlots = 256;  // power of two; ~66 KB per thread
-constexpr std::size_t kMaxThreads = 64;
 constexpr std::uint32_t kMinHz = 1;
 constexpr std::uint32_t kMaxHz = 1000;
 constexpr std::size_t kCrashBytes = 16384;
 constexpr auto kDrainPeriod = std::chrono::milliseconds(50);
 
-/// One ring slot.  Every word is a relaxed atomic: the handler publishes
-/// the slot by advancing `head` with release order, and because the ring
-/// drops-when-full the drain thread never reads a slot the handler could
-/// still be writing — no seqlock needed.
-struct Sample {
-  std::atomic<std::uint32_t> phase{0};
-  std::atomic<std::uint32_t> depth{0};
-  std::atomic<std::uintptr_t> pc[kMaxDepth] = {};
-};
-
-/// Per-thread sampling state.  Leaked on thread exit (alive flips false,
-/// the slot stays) so a late SIGPROF can never touch freed memory — the
-/// same reasoning as the blackbox's leaked State.  Bounded by
-/// kMaxThreads * sizeof(ThreadRec) ~ 4 MB worst case.
-struct ThreadRec {
-  pthread_t pth{};
-  pid_t tid = 0;
-  std::uintptr_t stack_lo = 0;
-  std::uintptr_t stack_hi = 0;
-  timer_t timer{};
-  bool timer_active = false;          // under State::mu
-  std::atomic<bool> alive{true};
-  std::atomic<std::uint64_t> head{0}; // handler-advanced, release
-  std::atomic<std::uint64_t> tail{0}; // drain-advanced, release
-  std::atomic<std::uint64_t> dropped{0};
-  Sample ring[kRingSlots];
-};
-
 struct State {
-  // Control side (normal context, under mu).
-  std::mutex mu;  ///< arm/disarm/register/timer lifecycle
-  ThreadRec* recs[kMaxThreads] = {};
-  std::atomic<std::size_t> nrecs{0};  ///< published count; entries precede
+  // Control side (normal context, under detail::g_registry_mu).
   bool armed = false;
   bool handler_installed = false;
   std::uint32_t hz = 0;
@@ -154,6 +143,8 @@ State& state() {
   }();
   return *s;
 }
+
+std::uint32_t g_nrecs = 0;  ///< records ever created (registry lock)
 
 /// The calling thread's record; constant-initialized TLS so the handler
 /// read is one register-relative load, no init guard.
@@ -231,7 +222,7 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void sigprof_handler(int /*sig*/,
 }
 
 // ---------------------------------------------------------------------------
-// Timer lifecycle (normal context, under State::mu).
+// Timer lifecycle (normal context, under the registry lock).
 
 void start_timer_for(State& s, ThreadRec* rec) {
   if (rec->timer_active || !rec->alive.load(std::memory_order_relaxed)) {
@@ -264,23 +255,31 @@ void stop_timer_for(ThreadRec* rec) {
 
 /// Thread-exit hook: a function-local thread_local whose destructor tears
 /// the timer down and retires the record before the thread's CPU clock
-/// dies with it.  The record itself is leaked by design.
+/// dies with it.  The record itself is leaked by design (a late SIGPROF
+/// can never touch freed memory) and handed to the next registrant.
 struct ThreadExitGuard {
   ThreadRec* rec;
   ~ThreadExitGuard() {
-    State& s = state();
-    const std::scoped_lock lock(s.mu);
+    const std::scoped_lock lock(detail::g_registry_mu);
     stop_timer_for(rec);
-    rec->alive.store(false, std::memory_order_release);
+    rec->alive.store(false, std::memory_order_relaxed);
     t_rec = nullptr;
   }
 };
 
 void register_thread_locked(State& s) {
   if (t_rec != nullptr) return;
-  const std::size_t n = s.nrecs.load(std::memory_order_relaxed);
-  if (n >= kMaxThreads) return;  // over capacity: thread goes unsampled
-  auto* rec = new ThreadRec;     // leaked (see ThreadRec)
+  ThreadRec* rec = detail::thread_recs();
+  while (rec != nullptr && rec->alive.load(std::memory_order_relaxed)) {
+    rec = rec->next;
+  }
+  if (rec == nullptr) {  // no retired record to reuse
+    rec = new ThreadRec;
+    rec->index = g_nrecs++;
+    rec->next = detail::g_thread_recs.load(std::memory_order_relaxed);
+    detail::g_thread_recs.store(rec, std::memory_order_release);
+  }
+  rec->alive.store(true, std::memory_order_relaxed);
   rec->pth = pthread_self();
   rec->tid = static_cast<pid_t>(::syscall(SYS_gettid));
   pthread_attr_t attr;
@@ -293,8 +292,9 @@ void register_thread_locked(State& s) {
     }
     pthread_attr_destroy(&attr);
   }
-  s.recs[n] = rec;
-  s.nrecs.store(n + 1, std::memory_order_release);
+  if (detail::g_trace_armed.load(std::memory_order_relaxed)) {
+    detail::ensure_span_ring(*rec);
+  }
   t_rec = rec;
   static thread_local ThreadExitGuard guard{rec};
   (void)guard;
@@ -305,20 +305,6 @@ void register_thread_locked(State& s) {
 // Drain thread: folds ring samples into collapsed stacks (dladdr +
 // demangle at fold time, with a pc -> name cache) and refreshes the
 // pre-serialized crash snapshot.
-
-/// JSON-escape `in` into `out` (append).
-void escape_json(const std::string& in, std::string& out) {
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 /// Best-effort symbol for `pc`: demangled function name with the argument
 /// list stripped and spaces flattened (folded frames are ';'- and
@@ -367,10 +353,9 @@ const std::string& symbolize(State& s, std::uintptr_t pc) {
 std::uint64_t drain_once(State& s) {
   std::uint64_t folded_now = 0;
   std::string key;
-  const std::size_t n = s.nrecs.load(std::memory_order_acquire);
   const std::scoped_lock fold_lock(s.fold_mu);
-  for (std::size_t i = 0; i < n; ++i) {
-    ThreadRec* rec = s.recs[i];
+  for (ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
     const std::uint64_t head = rec->head.load(std::memory_order_acquire);
     const std::uint64_t tail = rec->tail.load(std::memory_order_relaxed);
     for (std::uint64_t t = tail; t < head; ++t) {
@@ -443,9 +428,7 @@ void refresh_crash_snapshot(State& s) {
     for (const auto& [count, stack] : order) {
       std::string entry;
       if (!first) entry += ',';
-      entry += "[\"";
-      escape_json(*stack, entry);
-      entry += "\",";
+      entry += "[\"" + json_escape(*stack) + "\",";
       entry += std::to_string(count);
       entry += ']';
       if (doc.size() + entry.size() + 4 > kCrashBytes) break;
@@ -483,9 +466,22 @@ double armed_seconds(const State& s) {
 
 }  // namespace
 
+namespace detail {
+
+ThreadRec& this_thread_rec() {
+  if (t_rec == nullptr) {
+    State& s = state();
+    const std::scoped_lock lock(g_registry_mu);
+    register_thread_locked(s);
+  }
+  return *t_rec;
+}
+
+}  // namespace detail
+
 bool profiler_arm(const ProfilerConfig& config) {
   State& s = state();
-  const std::scoped_lock lock(s.mu);
+  const std::scoped_lock lock(detail::g_registry_mu);
   if (s.armed) return false;
   s.hz = std::clamp(config.hz, kMinHz, kMaxHz);
   register_thread_locked(s);
@@ -498,9 +494,8 @@ bool profiler_arm(const ProfilerConfig& config) {
     s.dropped = 0;
   }
   s.sampled_s = 0.0;
-  const std::size_t n = s.nrecs.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i) {
-    ThreadRec* rec = s.recs[i];
+  for (ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
     rec->head.store(0, std::memory_order_relaxed);
     rec->tail.store(0, std::memory_order_relaxed);
     rec->dropped.store(0, std::memory_order_relaxed);
@@ -519,7 +514,10 @@ bool profiler_arm(const ProfilerConfig& config) {
   }
 
   g_sampling.store(true, std::memory_order_release);
-  for (std::size_t i = 0; i < n; ++i) start_timer_for(s, s.recs[i]);
+  for (ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
+    start_timer_for(s, rec);
+  }
   s.arm_time = std::chrono::steady_clock::now();
   s.drain = std::thread([&s] { drain_loop(s); });
   s.armed = true;
@@ -530,10 +528,12 @@ void profiler_disarm() {
   State& s = state();
   std::thread drain;
   {
-    const std::scoped_lock lock(s.mu);
+    const std::scoped_lock lock(detail::g_registry_mu);
     if (!s.armed) return;
-    const std::size_t n = s.nrecs.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < n; ++i) stop_timer_for(s.recs[i]);
+    for (ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+         rec = rec->next) {
+      stop_timer_for(rec);
+    }
     s.sampled_s += armed_seconds(s);
     g_sampling.store(false, std::memory_order_release);
     s.armed = false;
@@ -548,18 +548,13 @@ bool profiler_armed() noexcept {
   return g_sampling.load(std::memory_order_acquire);
 }
 
-void profiler_register_thread() {
-  if (t_rec != nullptr) return;
-  State& s = state();
-  const std::scoped_lock lock(s.mu);
-  register_thread_locked(s);
-}
+void profiler_register_thread() { (void)detail::this_thread_rec(); }
 
 ProfileReport profiler_report() {
   State& s = state();
   ProfileReport r;
   {
-    const std::scoped_lock lock(s.mu);
+    const std::scoped_lock lock(detail::g_registry_mu);
     r.hz = s.hz;
     r.duration_s = s.sampled_s + (s.armed ? armed_seconds(s) : 0.0);
   }
@@ -666,22 +661,6 @@ std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept {
 
 namespace mldcs::obs {
 
-namespace {
-
-void json_escaped(std::ostream& os, const std::string& in) {
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
-
 void write_profile_folded(std::ostream& os, const ProfileReport& r) {
   for (const auto& [stack, count] : r.folded) {
     os << stack << ' ' << count << '\n';
@@ -697,18 +676,14 @@ void write_profile_json(std::ostream& os, const ProfileReport& r) {
   for (const auto& [phase, count] : r.phases) {
     if (!first) os << ',';
     first = false;
-    os << '"';
-    json_escaped(os, phase);
-    os << "\":" << count;
+    os << '"' << json_escape(phase) << "\":" << count;
   }
   os << "},\"folded\":{";
   first = true;
   for (const auto& [stack, count] : r.folded) {
     if (!first) os << ',';
     first = false;
-    os << '"';
-    json_escaped(os, stack);
-    os << "\":" << count;
+    os << '"' << json_escape(stack) << "\":" << count;
   }
   os << "}}\n";
 }

@@ -19,12 +19,12 @@
 ///    into a preallocated per-thread ring of relaxed-atomic sample
 ///    slots.  The ring drops-when-full instead of overwriting, so the
 ///    drain side never reads a torn sample.
-///  - **Phase words.**  A thread-local phase tag set by the RAII
-///    `PhaseScope` (two relaxed stores; hand-audited hot-path-safe and
-///    known to mldcs-analyze by name) is woven through the hot layers —
-///    ShardedEngine step phases, halo routing, cache recompute, SIMD
-///    kernel dispatch, pool idle — and captured with every sample, so a
-///    profile splits by phase even when frame pointers are compiled out.
+///  - **Phase words.**  A thread-local phase tag set by `obs::Scope`
+///    (scope.hpp; the same object emits the region's trace span) is woven
+///    through the hot layers — engine step phases, graph apply, halo
+///    routing, cache update/recompute, SIMD kernel dispatch, pool idle —
+///    and captured with every sample, so a profile splits by phase even
+///    when frame pointers are compiled out.
 ///  - **Folding.**  A drain thread sweeps the rings every ~50 ms and
 ///    folds stacks into collapsed-stack form ("phase;outer;...;leaf N",
 ///    flamegraph.pl / speedscope compatible; schema `mldcs-profile-v1`)
@@ -40,7 +40,7 @@
 /// "Sampling profiler").
 ///
 /// With MLDCS_ENABLE_TELEMETRY=OFF every function is an inline no-op
-/// stub (arm fails, reports are empty, PhaseScope compiles away); the
+/// stub (arm fails, reports are empty, Scope compiles away); the
 /// folded/JSON writers stay real so unconditional callers (the
 /// introspection server) still emit valid empty documents.
 
@@ -51,55 +51,9 @@
 #include <utility>
 #include <vector>
 
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
-
-#if MLDCS_ENABLE_TELEMETRY
-#include <atomic>
-#endif
+#include "obs/scope.hpp"  // Phase vocabulary, Scope, telemetry switch
 
 namespace mldcs::obs {
-
-/// Phase vocabulary for sample attribution.  kNone is the untagged
-/// default (startup, bench harness code, anything outside the woven
-/// scopes); every sample carries exactly one phase, so per-phase counts
-/// always sum to the total.
-enum class Phase : std::uint32_t {
-  kNone = 0,           ///< outside any woven scope
-  kStepOwnership = 1,  ///< ShardedEngine step phase 1: ownership commit
-  kShardStep = 2,      ///< step phase 2: per-shard graph apply + hook
-  kHaloExchange = 3,   ///< phase 2 sub-span: routing movers into halos
-  kCacheRecompute = 4, ///< ShardCache / SkylineCache dirty-relay recompute
-  kStepCommit = 5,     ///< step phase 3: position commit + telemetry
-  kSimdKernel = 6,     ///< compute_skyline_arcs (SIMD kernel dispatch)
-  kPoolIdle = 7,       ///< ThreadPool worker parked on the task queue
-};
-
-inline constexpr std::size_t kPhaseCount = 8;
-
-/// Stable token for a phase ("shard_step", ...); used as the folded-stack
-/// root frame and as the JSON phase key.  Async-signal-safe (returns
-/// string literals).
-[[nodiscard]] constexpr const char* phase_name(Phase p) noexcept {
-  switch (p) {
-    case Phase::kNone:
-      return "none";
-    case Phase::kStepOwnership:
-      return "step_ownership";
-    case Phase::kShardStep:
-      return "shard_step";
-    case Phase::kHaloExchange:
-      return "halo_exchange";
-    case Phase::kCacheRecompute:
-      return "cache_recompute";
-    case Phase::kStepCommit:
-      return "step_commit";
-    case Phase::kSimdKernel:
-      return "simd_kernel";
-    case Phase::kPoolIdle:
-      return "pool_idle";
-  }
-  return "none";
-}
 
 /// Profiler arming parameters.
 struct ProfilerConfig {
@@ -122,31 +76,6 @@ struct ProfileReport {
 
 #if MLDCS_ENABLE_TELEMETRY
 
-namespace detail {
-/// The per-thread phase word.  Constant-initialized (no TLS init guard),
-/// so the SIGPROF handler's read is a plain thread-local atomic load.
-extern thread_local std::atomic<std::uint32_t> t_phase;
-}  // namespace detail
-
-/// RAII phase tag: two relaxed thread-local stores, nothing else — safe
-/// inside MLDCS_HOT_PATH / MLDCS_NO_LOCK code by hand audit (and known to
-/// mldcs-analyze's lock-discipline rule by name).  Scopes nest; the
-/// destructor restores the enclosing phase.
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase p) noexcept
-      : prev_(detail::t_phase.load(std::memory_order_relaxed)) {
-    detail::t_phase.store(static_cast<std::uint32_t>(p),
-                          std::memory_order_relaxed);
-  }
-  ~PhaseScope() { detail::t_phase.store(prev_, std::memory_order_relaxed); }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  std::uint32_t prev_;
-};
-
 /// The calling thread's current phase tag (tests, diagnostics).
 [[nodiscard]] inline Phase profiler_current_phase() noexcept {
   return static_cast<Phase>(
@@ -168,11 +97,11 @@ void profiler_disarm();
 
 [[nodiscard]] bool profiler_armed() noexcept;
 
-/// Register the calling thread for sampling.  Idempotent and cheap after
-/// the first call; a no-op beyond the fixed thread capacity (64).  Called
-/// from ThreadPool workers and ShardedEngine construction; call it from
-/// any additional thread that should appear in profiles.  While armed,
-/// registration starts the thread's timer immediately.
+/// Register the calling thread for sampling (its record also carries its
+/// trace spans and events).  Idempotent and cheap after the first call.
+/// Called from ThreadPool workers and ShardedEngine construction; call it
+/// from any additional thread that should appear in profiles.  While
+/// armed, registration starts the thread's timer immediately.
 void profiler_register_thread();
 
 /// The profile folded so far (armed or not).  Thread-safe; between drain
@@ -196,13 +125,6 @@ void profiler_register_thread();
 std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept;
 
 #else  // !MLDCS_ENABLE_TELEMETRY
-
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase) noexcept {}
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-};
 
 [[nodiscard]] inline Phase profiler_current_phase() noexcept {
   return Phase::kNone;

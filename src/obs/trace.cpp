@@ -5,138 +5,108 @@
 #if MLDCS_ENABLE_TELEMETRY
 
 #include <atomic>
-#include <chrono>
-#include <memory>
+#include <cstdint>
 #include <mutex>
-#include <vector>
+
+#include "core/annotations.hpp"
+#include "obs/thread_record.hpp"
 
 namespace mldcs::obs {
 
+namespace detail {
+std::atomic<bool> g_trace_armed{false};
+}  // namespace detail
+
 namespace {
 
-std::int64_t now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct TraceEvent {
-  const char* name;
-  std::int64_t t0_ns;   ///< relative to the trace epoch
-  std::int64_t dur_ns;
-};
-
-/// One buffer per thread.  The mutex serializes the owning thread's
-/// appends against a concurrent flush; appends are otherwise uncontended.
-struct TraceBuffer {
-  std::mutex mu;
-  std::vector<TraceEvent> events;
-  std::uint32_t tid = 0;
-};
-
-struct TraceState {
-  std::atomic<bool> enabled{false};
-  std::atomic<std::int64_t> epoch_ns{0};
-  std::mutex mu;  ///< guards `buffers` (registration and flush iteration)
-  std::vector<std::shared_ptr<TraceBuffer>> buffers;
-  std::uint32_t next_tid = 0;
-};
-
-TraceState& state() {
-  // Leaked: worker threads may record spans during static teardown.
-  static TraceState* s = new TraceState;
-  return *s;
-}
-
-TraceBuffer& local_buffer() {
-  thread_local std::shared_ptr<TraceBuffer> tl = [] {
-    auto buf = std::make_shared<TraceBuffer>();
-    TraceState& s = state();
-    const std::lock_guard<std::mutex> lock(s.mu);
-    buf->tid = s.next_tid++;
-    s.buffers.push_back(buf);  // registry keeps events past thread exit
-    return buf;
-  }();
-  return *tl;
-}
-
-void write_json_escaped(std::ostream& os, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';  // control chars never appear in span literals
-    } else {
-      os << c;
-    }
-  }
-}
+std::atomic<std::int64_t> g_epoch_ns{0};
+std::atomic<std::uint64_t> g_dropped{0};
 
 }  // namespace
 
 void trace_start() {
-  TraceState& s = state();
   std::int64_t expected = 0;
   // First start fixes the epoch; restarts keep it so event timestamps from
   // separate start/stop windows stay on one timeline.
-  s.epoch_ns.compare_exchange_strong(expected, now_ns(),
+  g_epoch_ns.compare_exchange_strong(expected, clock_ns(),
                                      std::memory_order_relaxed);
-  s.enabled.store(true, std::memory_order_relaxed);
+  (void)detail::this_thread_rec();
+  const std::scoped_lock lock(detail::g_registry_mu);
+  for (detail::ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
+    if (rec->alive.load(std::memory_order_relaxed)) {
+      detail::ensure_span_ring(*rec);
+    }
+  }
+  // Armed under the lock: a thread registering from here on sees the flag
+  // and brings its own ring.
+  detail::g_trace_armed.store(true, std::memory_order_relaxed);
 }
 
 void trace_stop() {
-  state().enabled.store(false, std::memory_order_relaxed);
+  detail::g_trace_armed.store(false, std::memory_order_relaxed);
 }
 
 bool trace_enabled() noexcept {
-  return state().enabled.load(std::memory_order_relaxed);
+  return detail::g_trace_armed.load(std::memory_order_relaxed);
 }
 
-TraceSpan::TraceSpan(const char* name) noexcept
-    : name_(trace_enabled() ? name : nullptr) {
-  if (name_ != nullptr) t0_ns_ = now_ns();
+// Alloc-exempt: a registered thread (every pool worker and engine caller)
+// only stores into its preallocated ring; only a thread's very first armed
+// span, outside any step, registers it and allocates.
+MLDCS_ALLOC_OK void Scope::record(Phase p, std::int64_t t0_ns) noexcept {
+  const std::int64_t t1 = clock_ns();
+  detail::ThreadRec& rec = detail::this_thread_rec();
+  detail::SpanSlot* ring = rec.spans.load(std::memory_order_acquire);
+  const std::uint64_t head = rec.span_head.load(std::memory_order_relaxed);
+  if (ring == nullptr ||
+      head - rec.span_tail.load(std::memory_order_acquire) >=
+          kTraceRingSlots) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;  // full, or this thread sees no ring yet: drop
+  }
+  ring[head & (kTraceRingSlots - 1)] = {
+      t0_ns - g_epoch_ns.load(std::memory_order_relaxed), t1 - t0_ns, p};
+  rec.span_head.store(head + 1, std::memory_order_release);
 }
 
-TraceSpan::~TraceSpan() {
-  if (name_ == nullptr) return;
-  const std::int64_t t1 = now_ns();
-  const std::int64_t epoch = state().epoch_ns.load(std::memory_order_relaxed);
-  TraceBuffer& buf = local_buffer();
-  const std::lock_guard<std::mutex> lock(buf.mu);
-  buf.events.push_back({name_, t0_ns_ - epoch, t1 - t0_ns_});
-}
-
+// Flush and clear are the rings' one consumer side: the registry lock
+// keeps them from interleaving.
 void write_trace_json(std::ostream& os) {
-  TraceState& s = state();
+  const std::scoped_lock lock(detail::g_registry_mu);
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  const std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (const TraceEvent& e : buf->events) {
+  for (detail::ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
+    const detail::SpanSlot* ring = rec->spans.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    const std::uint64_t head = rec->span_head.load(std::memory_order_acquire);
+    for (std::uint64_t t = rec->span_tail.load(std::memory_order_relaxed);
+         t < head; ++t) {
+      const detail::SpanSlot& e = ring[t & (kTraceRingSlots - 1)];
       if (!first) os << ",";
       first = false;
       // chrome://tracing wants microsecond timestamps; fractional values
       // keep the ns resolution.
-      os << "{\"name\":\"";
-      write_json_escaped(os, e.name);
-      os << "\",\"cat\":\"mldcs\",\"ph\":\"X\",\"pid\":0,\"tid\":" << buf->tid
-         << ",\"ts\":" << static_cast<double>(e.t0_ns) / 1e3
+      os << "{\"name\":\"" << phase_name(e.phase)
+         << "\",\"cat\":\"mldcs\",\"ph\":\"X\",\"pid\":0,\"tid\":"
+         << rec->index << ",\"ts\":" << static_cast<double>(e.t0_ns) / 1e3
          << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3 << "}";
     }
-    buf->events.clear();
+    rec->span_tail.store(head, std::memory_order_release);
   }
-  os << "]}\n";
+  os << "],\"otherData\":{\"dropped_spans\":"
+     << g_dropped.exchange(0, std::memory_order_relaxed) << "}}\n";
 }
 
 void trace_clear() {
-  TraceState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    const std::lock_guard<std::mutex> buf_lock(buf->mu);
-    buf->events.clear();
+  const std::scoped_lock lock(detail::g_registry_mu);
+  for (detail::ThreadRec* rec = detail::thread_recs(); rec != nullptr;
+       rec = rec->next) {
+    rec->span_tail.store(rec->span_head.load(std::memory_order_acquire),
+                         std::memory_order_release);
   }
+  g_dropped.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mldcs::obs
@@ -146,7 +116,8 @@ void trace_clear() {
 namespace mldcs::obs {
 
 void write_trace_json(std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[],"
+        "\"otherData\":{\"dropped_spans\":0}}\n";
 }
 
 }  // namespace mldcs::obs

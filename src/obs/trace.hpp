@@ -1,73 +1,44 @@
 #pragma once
 
 /// \file trace.hpp
-/// Scoped tracing spans emitting chrome://tracing-compatible trace-event
-/// JSON (load the file at chrome://tracing or https://ui.perfetto.dev).
-///
-/// Usage:
-///
-///   obs::trace_start();                      // arm collection
-///   { obs::TraceSpan span("cache.update");   // RAII: one complete event
-///     ... }
-///   obs::write_trace_json(out);              // flush all thread buffers
-///
-/// Design:
-///  - **Per-thread buffers.**  Each thread appends completed spans to its
-///    own buffer (registered once, kept alive past thread exit), so span
-///    recording never contends across threads; the per-buffer mutex is
-///    only ever contended by an in-flight flush.
-///  - **Runtime arming.**  When tracing is stopped (the default), a span
-///    costs one relaxed atomic load — cheap enough to leave spans compiled
-///    into steady-state paths like SkylineCache::update.  Do not put spans
-///    in per-arc/per-disk inner loops; counters (telemetry.hpp) are the
-///    tool at that granularity.
-///  - **Compile-time kill switch.**  With MLDCS_ENABLE_TELEMETRY=OFF the
-///    span is an empty object and the functions are inline no-ops
-///    (write_trace_json still emits a valid empty document).
-///
-/// Span names must be string literals (or otherwise outlive the flush):
-/// buffers store the pointer, not a copy.
+/// chrome://tracing trace-event JSON of `obs::Scope` regions (scope.hpp;
+/// open at chrome://tracing or https://ui.perfetto.dev).  Span names are
+/// `phase_name(p)`, so a trace and a profile split time by one vocabulary.
+/// Each thread's spans go to a lock-free single-producer ring of
+/// kTraceRingSlots in its observability record, allocated when tracing is
+/// armed; a full ring drops and counts (`otherData.dropped_spans`).  With
+/// MLDCS_ENABLE_TELEMETRY=OFF the functions are inline no-ops
+/// (write_trace_json still emits a valid empty document).
 
-#include <cstdint>
+#include <cstddef>
 #include <iosfwd>
 
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
+#include "obs/scope.hpp"
 
 namespace mldcs::obs {
 
+/// Spans one thread can buffer between flushes.
+inline constexpr std::size_t kTraceRingSlots = std::size_t{1} << 15;
+
 #if MLDCS_ENABLE_TELEMETRY
 
-/// Begin collecting spans (clock epoch is set on the first start).
+/// Begin collecting spans (clock epoch is set on the first start) and
+/// give every live registered thread its span ring.
 void trace_start();
 
-/// Stop collecting.  Already-recorded events stay buffered until
+/// Stop collecting.  Already-recorded spans stay buffered until
 /// write_trace_json or trace_clear.
 void trace_stop();
 
 [[nodiscard]] bool trace_enabled() noexcept;
 
-/// Write every buffered event as one chrome://tracing JSON document and
+/// Write every buffered span as one chrome://tracing JSON document and
 /// clear the buffers.  Collection state (started/stopped) is unchanged;
-/// spans still open on other threads flush with whatever has completed.
+/// scopes still open on other threads flush with whatever has completed.
 void write_trace_json(std::ostream& os);
 
-/// Drop all buffered events.
+/// Drop all buffered spans and the dropped-span count.
 void trace_clear();
-
-/// RAII span: records one complete ("ph":"X") event on the calling
-/// thread's buffer, from construction to destruction, iff tracing was
-/// enabled at construction.  `name` must outlive the flush (use literals).
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) noexcept;
-  ~TraceSpan();
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_;  ///< nullptr when disarmed
-  std::int64_t t0_ns_ = 0;
-};
 
 #else  // !MLDCS_ENABLE_TELEMETRY
 
@@ -76,13 +47,6 @@ inline void trace_stop() {}
 [[nodiscard]] inline bool trace_enabled() noexcept { return false; }
 void write_trace_json(std::ostream& os);  // valid empty document
 inline void trace_clear() {}
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) noexcept {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
 
 #endif  // MLDCS_ENABLE_TELEMETRY
 

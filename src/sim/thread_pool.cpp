@@ -1,7 +1,6 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "obs/profiler.hpp"
@@ -73,7 +72,7 @@ void ThreadPool::worker_loop() {
       // Parked workers burn no CPU, so the CPU-clock profiler rarely
       // catches this phase; the tag exists for the samples that land in
       // the wake/sleep edges.
-      const obs::PhaseScope idle(obs::Phase::kPoolIdle);
+      const obs::Scope idle(obs::Phase::kPoolIdle);
       task_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and fully drained
       task = std::move(queue_.front());
@@ -83,11 +82,7 @@ void ThreadPool::worker_loop() {
     // Clock reads sit outside the telemetry stubs, so gate them too: with
     // the kill switch off the worker loop compiles exactly as before.
     std::int64_t t0 = 0;
-    if constexpr (obs::kTelemetryEnabled) {
-      t0 = std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-               .count();
-    }
+    if constexpr (obs::kTelemetryEnabled) t0 = obs::clock_ns();
     try {
       task();
     } catch (...) {
@@ -95,13 +90,9 @@ void ThreadPool::worker_loop() {
       if (!first_error_) first_error_ = std::current_exception();
     }
     if constexpr (obs::kTelemetryEnabled) {
-      const std::int64_t t1 =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
       PoolTelemetry& t = pool_telemetry();
       t.tasks.add();
-      t.busy_ns.add(static_cast<std::uint64_t>(t1 - t0));
+      t.busy_ns.add(static_cast<std::uint64_t>(obs::clock_ns() - t0));
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "broadcast/cache_watchdog.hpp"
@@ -309,6 +312,54 @@ TEST(ShardedEngineTest, MigratedRelaysAreFreshAtPositiveTolerance) {
     }
   }
   EXPECT_GT(checked, 0u) << "no relay migrated: the test proved nothing";
+}
+
+// --- Deployment-rectangle contract ----------------------------------------
+
+TEST(ShardedEngineTest, StepRejectsMoverOutsideDeploymentBeforeAnyChange) {
+  const double side = 12.5;
+  sim::Xoshiro256 rng(61);
+  MobileNetwork net(small_deploy(), regimes()[1].wp, rng);
+  sim::ThreadPool pool(2);
+  DynamicDiskGraph whole{std::vector<Node>(net.nodes())};
+  bcast::SkylineCache single(whole, pool);
+  ShardedEngine engine{std::vector<Node>(net.nodes()), pool,
+                       sharded(4, side)};
+  bcast::ShardedSkylineCache cache(engine);
+
+  net.step(0.5, rng);
+  const std::vector<NodeId> moved = vec(net.moved_last_step());
+  ASSERT_FALSE(moved.empty());
+  const std::vector<std::uint32_t> owners(engine.owner_map().begin(),
+                                          engine.owner_map().end());
+  const std::vector<Node> committed(engine.nodes().begin(),
+                                    engine.nodes().end());
+  for (const geom::Vec2 bad :
+       {geom::Vec2{side + 1.0, 1.0}, geom::Vec2{-0.5, 3.0},
+        geom::Vec2{std::numeric_limits<double>::quiet_NaN(), 2.0}}) {
+    // Only the last mover escapes, so every earlier mover would already
+    // have been committed by a check that ran inside the ownership loop.
+    std::vector<Node> escaped(net.nodes().begin(), net.nodes().end());
+    escaped[moved.back()].pos = bad;
+    EXPECT_THROW(cache.step(escaped, moved), std::invalid_argument);
+    EXPECT_EQ(engine.step_count(), 0u);
+    EXPECT_TRUE(engine.migrated_last_step().empty());
+    for (NodeId u = 0; u < engine.size(); ++u) {
+      ASSERT_EQ(engine.owner_of(u), owners[u]) << "owner of " << u;
+      ASSERT_EQ(engine.nodes()[u].pos, committed[u].pos) << "node " << u;
+    }
+  }
+
+  // The rejected step left nothing behind: the same motion, valid this
+  // time, still matches the single engine relay by relay.
+  single.update(whole.apply(net.nodes(), moved));
+  cache.step(net.nodes(), moved);
+  for (NodeId u = 0; u < whole.size(); ++u) {
+    const auto got = cache.forwarding_set(u);
+    const auto want = single.forwarding_set(u);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "forwarding set mismatch at relay " << u;
+  }
 }
 
 // --- Events ----------------------------------------------------------------

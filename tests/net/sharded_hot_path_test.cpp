@@ -8,17 +8,22 @@
 // at unchanged positions, the worst case for the classify/rebucket/drift
 // machinery) must allocate nothing; steps with real motion must still
 // take no mutex, which is the "zero cross-shard locking" claim made
-// observable.
+// observable — including with tracing armed, when every obs::Scope on
+// the path records a span.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "broadcast/sharded_cache.hpp"
 #include "net/mobility.hpp"
 #include "net/sharded_engine.hpp"
 #include "net/topology.hpp"
+#include "obs/trace.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/alloc_guard.hpp"
@@ -124,6 +129,72 @@ TEST(ShardedHotPath, RealMotionStepsTakeNoMutex) {
       << "MLDCS_NO_LOCK contract: shard updates synchronize only at the "
          "pool barrier (inline at one worker) — no mutex in the loop";
   EXPECT_GT(f.cache.recompute_count(), 0u);
+}
+
+// Armed tracing must not break either contract: span rings are allocated
+// at trace_start / thread registration, so a warmed step's scopes (cache
+// update, engine step, shard step, halo exchange, graph apply, recompute,
+// commit) only store into preallocated slots.  Real motion still grows
+// engine scratch now and then, so its allocation count is compared with
+// a disarmed twin run over the identical motion; hover steps allocate
+// nothing at all.
+struct StepCost {
+  std::uint64_t locks = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t hover_allocs = 0;
+};
+
+StepCost measure_steps(bool armed, std::string* trace_out) {
+  obs::trace_stop();
+  obs::trace_clear();
+  if (armed) obs::trace_start();
+  ShardedFixture f;
+  f.warm(8);
+  StepCost cost;
+  for (int i = 0; i < 20; ++i) {
+    f.mobile.step(1.0, f.rng);
+    const LockGuard lock_guard;
+    const AllocGuard alloc_guard;
+    f.cache.step(f.mobile.nodes(), f.mobile.moved_last_step());
+    cost.locks += lock_guard.count();
+    cost.allocs += alloc_guard.count();
+  }
+  const std::vector<Node> frozen(f.mobile.nodes().begin(),
+                                 f.mobile.nodes().end());
+  const std::vector<NodeId> hint = f.all_ids();
+  f.cache.step(frozen, hint);
+  const AllocGuard hover_guard;
+  for (int i = 0; i < 5; ++i) f.cache.step(frozen, hint);
+  cost.hover_allocs = hover_guard.count();
+  EXPECT_GT(f.cache.recompute_count(), 0u);
+  obs::trace_stop();
+  std::ostringstream trace;
+  obs::write_trace_json(trace);
+  if (trace_out != nullptr) *trace_out = trace.str();
+  return cost;
+}
+
+TEST(ShardedHotPath, ArmedTraceStepsTakeNoMutexAndAllocateNothing) {
+  const StepCost disarmed = measure_steps(false, nullptr);
+  std::string trace;
+  const StepCost armed = measure_steps(true, &trace);
+
+  if (test::lock_probe_active()) {
+    EXPECT_EQ(armed.locks, 0u)
+        << "armed scopes must not lock inside the shard barrier";
+  }
+  if (test::alloc_probe_active()) {
+    EXPECT_EQ(armed.allocs, disarmed.allocs)
+        << "armed scopes must not allocate after warm-up";
+    EXPECT_EQ(armed.hover_allocs, 0u);
+  }
+  if (obs::kTelemetryEnabled) {
+    for (const char* name : {"\"cache_update\"", "\"engine_step\"",
+                             "\"shard_step\"", "\"graph_apply\"",
+                             "\"cache_recompute\""}) {
+      EXPECT_NE(trace.find(name), std::string::npos) << name;
+    }
+  }
 }
 
 // The cold path must register on the probe, or the zeros above are

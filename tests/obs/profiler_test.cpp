@@ -1,4 +1,4 @@
-// Tests for the sampling profiler: arm/disarm lifecycle, PhaseScope
+// Tests for the sampling profiler: arm/disarm lifecycle, Scope
 // nesting, phase attribution over a tagged busy loop (the sampling path
 // itself, end to end: timers, SIGPROF handler, ring, drain, fold),
 // capture-window semantics, the crash-snapshot line, the folded/JSON
@@ -75,13 +75,13 @@ TEST_F(ProfilerTest, ArmIsExclusiveAndRearmable) {
   profiler_disarm();
 }
 
-TEST_F(ProfilerTest, PhaseScopeNestsAndRestores) {
+TEST_F(ProfilerTest, ScopeNestsAndRestores) {
   EXPECT_EQ(profiler_current_phase(), Phase::kNone);
   {
-    const PhaseScope outer(Phase::kShardStep);
+    const Scope outer(Phase::kShardStep);
     EXPECT_EQ(profiler_current_phase(), Phase::kShardStep);
     {
-      const PhaseScope inner(Phase::kHaloExchange);
+      const Scope inner(Phase::kHaloExchange);
       EXPECT_EQ(profiler_current_phase(), Phase::kHaloExchange);
     }
     EXPECT_EQ(profiler_current_phase(), Phase::kShardStep);
@@ -97,7 +97,7 @@ TEST_F(ProfilerTest, TaggedBusyLoopDominatesProfile) {
   cfg.hz = 500;  // dense sampling keeps the test short but stable
   ASSERT_TRUE(profiler_arm(cfg));
   {
-    const PhaseScope phase(Phase::kSimdKernel);
+    const Scope phase(Phase::kSimdKernel);
     EXPECT_NE(spin_for_ms(400), 0u);
   }
   profiler_disarm();
@@ -125,7 +125,7 @@ TEST_F(ProfilerTest, CaptureWindowSamplesRegisteredWorker) {
   std::thread worker([&] {
     profiler_register_thread();
     ready.store(true);
-    const PhaseScope phase(Phase::kCacheRecompute);
+    const Scope phase(Phase::kCacheRecompute);
     while (!stop.load()) {
       EXPECT_NE(spin_for_ms(10), 0u);
     }
@@ -153,7 +153,7 @@ TEST_F(ProfilerTest, CrashSnapshotIsBoundedJsonLine) {
   cfg.hz = 500;
   ASSERT_TRUE(profiler_arm(cfg));
   {
-    const PhaseScope phase(Phase::kShardStep);
+    const Scope phase(Phase::kShardStep);
     EXPECT_NE(spin_for_ms(300), 0u);
   }
   profiler_disarm();
@@ -230,7 +230,7 @@ TEST(ProfilerStubs, OffBuildIsFullyInert) {
   EXPECT_FALSE(profiler_armed());
   profiler_register_thread();
   profiler_disarm();
-  const PhaseScope scope(Phase::kShardStep);
+  const Scope scope(Phase::kShardStep);
   EXPECT_EQ(profiler_current_phase(), Phase::kNone);
   EXPECT_EQ(profiler_report().total_samples, 0u);
   EXPECT_EQ(profiler_capture_window(0.05, ProfilerConfig{}).total_samples,

@@ -34,9 +34,11 @@ Rule summaries (full motivation in docs/CORRECTNESS.md):
                         never change what compiles.
 
   event-vocabulary      The EventType enum, the event_type_name switch, and
-                        tools/obslib.py EVENT_TYPES must agree exactly, and
-                        every emit_event call site outside src/obs/ must
-                        pass a literal, registered EventType member.
+                        tools/obslib.py EVENT_TYPES must agree exactly (and
+                        likewise the Phase enum, the phase_name switch, and
+                        PHASE_NAMES), and every emit_event call site outside
+                        src/obs/ must pass a literal, registered EventType
+                        member.
 """
 
 from __future__ import annotations
@@ -87,10 +89,12 @@ ALLOC_SINKS = frozenset(("new", "alloc-call", "local-container",
 LOCK_SINKS = frozenset(("lock-type", "lock-call"))
 
 #: Callees the lock-discipline walk never descends into: hand-audited
-#: lock-free by construction.  obs::PhaseScope (obs/profiler.hpp) is two
-#: relaxed thread-local stores — woven through MLDCS_NO_LOCK shard bodies
-#: to tag profiler samples, and safe there by design.
-LOCK_FREE_CALLEES = frozenset(("PhaseScope",))
+#: lock-free by construction.  obs::Scope (obs/scope.hpp) is two relaxed
+#: thread-local stores plus, when tracing is armed, one store into the
+#: thread's preallocated span ring — woven through MLDCS_NO_LOCK shard
+#: bodies, and safe there on registered threads by design (only a thread's
+#: first armed span registers it, and pool workers register at start).
+LOCK_FREE_CALLEES = frozenset(("Scope",))
 
 
 def _reach(model, ctx, rule, root_annot, stop_annot, sink_kinds, what,
@@ -367,37 +371,51 @@ def rule_telemetry_stub_parity(model, ctx):
 
 # --- Rule 5: event-vocabulary -----------------------------------------------
 
-def _enum_members(model, ctx):
-    """EventType members from src/obs/event_log.hpp, in order."""
+#: Every enum whose names leave the process, as (header, enum, name switch,
+#: tools/obslib.py set, the obslib loader that rejects unknown names).
+VOCABULARIES = (
+    ("src/obs/event_log.hpp", "EventType", "event_type_name", "EVENT_TYPES",
+     "load_events"),
+    ("src/obs/scope.hpp", "Phase", "phase_name", "PHASE_NAMES",
+     "load_profile"),
+)
+
+
+def _enum_members(model, ctx, header, enum):
+    """Members of `enum class <enum>` in `header`, in order."""
     for path, lx in model.lexed.items():
-        if not ctx.rel(path).endswith("src/obs/event_log.hpp") and \
-                ctx.rel(path) != "src/obs/event_log.hpp":
+        if ctx.rel(path) != header:
             continue
         toks = lx.tokens
         for i in range(len(toks) - 2):
             if toks[i].val == "enum" and toks[i + 1].val == "class" \
-                    and toks[i + 2].val == "EventType":
+                    and toks[i + 2].val == enum:
                 j = i + 3
                 while j < len(toks) and toks[j].val != "{":
                     j += 1
                 members = []
                 depth = 0
+                expect_member = True
                 for k in range(j, len(toks)):
                     v = toks[k].val
                     if v == "{":
                         depth += 1
                     elif v == "}":
                         break
-                    elif toks[k].kind == "id" and depth == 1:
+                    elif v == "," and depth == 1:
+                        expect_member = True
+                    elif toks[k].kind == "id" and depth == 1 \
+                            and expect_member:
                         members.append((v, toks[k].line))
+                        expect_member = False  # skip `= value` tokens
                 return path, members
     return None, []
 
 
-def _switch_strings(model, ctx):
-    """(member -> string) pairs from the event_type_name switch."""
+def _switch_strings(model, fn_name, enum):
+    """(member, string, line) triples from the `fn_name` switch."""
     for fn in model.functions:
-        if fn.name != "event_type_name" or fn.body is None:
+        if fn.name != fn_name or fn.body is None:
             continue
         toks = model.lexed[fn.file].tokens
         lo, hi = fn.body
@@ -405,7 +423,7 @@ def _switch_strings(model, ctx):
         j = lo
         while j < hi:
             if toks[j].val == "case" and j + 3 < hi \
-                    and toks[j + 1].val == "EventType":
+                    and toks[j + 1].val == enum:
                 member = toks[j + 3].val
                 k = j + 4
                 while k < hi and toks[k].val != "return":
@@ -419,18 +437,8 @@ def _switch_strings(model, ctx):
     return None, []
 
 
-_PY_SET_RE = re.compile(r"EVENT_TYPES\s*=\s*frozenset\(\{(.*?)\}\)",
-                        re.DOTALL)
-
-
 def rule_event_vocabulary(model, ctx):
     findings = []
-    hpp_path, members = _enum_members(model, ctx)
-    if hpp_path is None:
-        return findings  # tree without an event log: nothing to check
-    member_names = {m for m, _ in members}
-    cpp_path, mapping = _switch_strings(model, ctx)
-    rel_hpp = ctx.rel(hpp_path)
 
     def emit(path, line, msg, keyctx):
         rel = ctx.rel(path)
@@ -438,44 +446,64 @@ def rule_event_vocabulary(model, ctx):
             findings.append(Finding("event-vocabulary", rel, line, msg,
                                     f"event-vocabulary:{rel}:{keyctx}"))
 
-    covered = {m for m, _, _ in mapping}
-    strings = [s for _, s, _ in mapping]
-    if cpp_path is not None:
-        for m, line in members:
-            if m not in covered:
-                emit(cpp_path, 1,
-                     f"EventType::{m} has no case in event_type_name — "
-                     f"its events would export as \"unknown\"", f"switch:{m}")
-        for m, s, line in mapping:
-            if m not in member_names:
-                emit(cpp_path, line,
-                     f"event_type_name names unknown member EventType::{m}",
-                     f"switch:{m}")
-        dup = {s for s in strings if strings.count(s) > 1}
-        for s in sorted(dup):
-            emit(cpp_path, 1,
-                 f"event_type_name string \"{s}\" is not unique — JSONL "
-                 f"consumers cannot distinguish the types", f"dup:{s}")
-
-    # tools/obslib.py EVENT_TYPES parity (only when the tree ships it).
     obslib = os.path.join(ctx.root, "tools", "obslib.py")
+    obslib_text = None
     if os.path.isfile(obslib):
         with open(obslib, encoding="utf-8") as f:
-            text = f.read()
-        m = _PY_SET_RE.search(text)
+            obslib_text = f.read()
+
+    event_members = None
+    for header, enum, fn_name, py_set, loader in VOCABULARIES:
+        hpp_path, members = _enum_members(model, ctx, header, enum)
+        if hpp_path is None:
+            continue  # tree without this vocabulary: nothing to check
+        member_names = {m for m, _ in members}
+        if enum == "EventType":
+            event_members = member_names
+        cpp_path, mapping = _switch_strings(model, fn_name, enum)
+        covered = {m for m, _, _ in mapping}
+        strings = [s for _, s, _ in mapping]
+        if cpp_path is not None:
+            for m, line in members:
+                if m not in covered:
+                    emit(cpp_path, 1,
+                         f"{enum}::{m} has no case in {fn_name} — its "
+                         f"records would export under a fallback name",
+                         f"switch:{m}")
+            for m, s, line in mapping:
+                if m not in member_names:
+                    emit(cpp_path, line,
+                         f"{fn_name} names unknown member {enum}::{m}",
+                         f"switch:{m}")
+            dup = {s for s in strings if strings.count(s) > 1}
+            for s in sorted(dup):
+                emit(cpp_path, 1,
+                     f"{fn_name} string \"{s}\" is not unique — "
+                     f"consumers cannot distinguish the members", f"dup:{s}")
+
+        # tools/obslib.py parity (only when the tree ships the set).
+        m = None
+        if obslib_text is not None:
+            m = re.search(rf"{py_set}\s*=\s*frozenset\(\{{(.*?)\}}\)",
+                          obslib_text, re.DOTALL)
         if m:
-            py_types = set(re.findall(r"[\"']([\w]+)[\"']", m.group(1)))
-            cpp_types = set(strings)
-            line = text[:m.start()].count("\n") + 1
-            for s in sorted(cpp_types - py_types):
+            py_names = set(re.findall(r"[\"']([\w]+)[\"']", m.group(1)))
+            cpp_names = set(strings)
+            line = obslib_text[:m.start()].count("\n") + 1
+            for s in sorted(cpp_names - py_names):
                 emit(obslib, line,
-                     f"event type \"{s}\" emitted by C++ but missing from "
-                     f"obslib EVENT_TYPES — load_events would reject it",
-                     f"obslib:{s}")
-            for s in sorted(py_types - cpp_types):
+                     f"\"{s}\" emitted by C++ {fn_name} but missing from "
+                     f"obslib {py_set} — {loader} would reject it",
+                     f"obslib:{py_set}:{s}")
+            for s in sorted(py_names - cpp_names):
                 emit(obslib, line,
-                     f"obslib EVENT_TYPES lists \"{s}\" which no EventType "
-                     f"maps to — stale vocabulary entry", f"obslib:{s}")
+                     f"obslib {py_set} lists \"{s}\" which no {enum} maps "
+                     f"to — stale vocabulary entry", f"obslib:{py_set}:{s}")
+
+    if event_members is None:
+        return findings
+    member_names = event_members
+    rel_hpp = VOCABULARIES[0][0]
 
     # Emit sites: literal registered members only, outside src/obs/.
     for path, lx in model.lexed.items():

@@ -24,7 +24,7 @@ EXPECTED = os.path.join(FIXTURES, "expected.json")
 ANALYZER = os.path.join(HERE, "mldcs_analyze.py")
 
 CLEAN_FILES = ("src/core/hot_alloc_ok.cpp",
-               "src/core/phase_scope_ok.cpp")
+               "src/core/scope_ok.cpp")
 
 
 def run_analyzer(extra):

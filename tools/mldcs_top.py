@@ -17,7 +17,7 @@ introspection") and redraws a per-shard table:
     pool.queue_depth gauge (and its high-water mark),
   * /profile?seconds=N&format=json (mldcs-profile-v1, only with
     --profile N): a sampled phase-breakdown strip — where the CPU went,
-    by PhaseScope tag, over an N-second window.  The profile request
+    by obs::Scope phase tag, over an N-second window.  The profile request
     blocks the (single-threaded) server for the window, so the redraw
     cadence drops to roughly the window length while enabled.
 

@@ -270,10 +270,14 @@ def load_blackbox(path):
     return header, frames, events
 
 
-#: Phase tokens emitted by obs::phase_name (one per obs::Phase).
+#: Phase tokens emitted by obs::phase_name (one per obs::Phase): profile
+#: phase keys and folded-stack roots, and the span names of a trace
+#: (mldcs-analyze's event-vocabulary rule keeps this set in sync).
 PHASE_NAMES = frozenset({
     "none", "step_ownership", "shard_step", "halo_exchange",
     "cache_recompute", "step_commit", "simd_kernel", "pool_idle",
+    "graph_apply", "engine_step", "cache_update", "cache_patch",
+    "cache_compact", "broadcast",
 })
 
 
