@@ -1,7 +1,6 @@
 #include "broadcast/self_pruning.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace mldcs::bcast {
 
@@ -18,63 +17,9 @@ bool self_pruning_would_forward(const net::DiskGraph& g, net::NodeId sender,
 BroadcastResult simulate_pruned_broadcast(const net::DiskGraph& g,
                                           net::NodeId source, Scheme scheme,
                                           ReceptionModel reception) {
-  BroadcastResult result;
-  if (source >= g.size()) return result;
-  result.reachable = g.reachable_from(source).size();
-
-  std::vector<bool> received(g.size(), false);
-  std::vector<bool> scheduled(g.size(), false);
-  std::vector<bool> transmitted(g.size(), false);
-  std::vector<std::uint64_t> hops(g.size(), 0);
-
-  std::queue<net::NodeId> pending;
-  received[source] = true;
-  scheduled[source] = true;
-  pending.push(source);
-  result.delivered = 1;
-
-  while (!pending.empty()) {
-    const net::NodeId u = pending.front();
-    pending.pop();
-    if (transmitted[u]) continue;
-    transmitted[u] = true;
-    ++result.transmissions;
-
-    const std::vector<net::NodeId> fwd =
-        scheme == Scheme::kFlooding ? std::vector<net::NodeId>{}
-                                    : forwarding_set(g, u, scheme);
-
-    // Receivers under the chosen reception model.
-    std::vector<net::NodeId> hearers;
-    if (reception == ReceptionModel::kBidirectionalLink) {
-      const auto nb = g.neighbors(u);
-      hearers.assign(nb.begin(), nb.end());
-    } else {
-      for (const net::Node& v : g.nodes()) {
-        if (v.id != u && g.node(u).covers(v)) hearers.push_back(v.id);
-      }
-    }
-
-    for (net::NodeId v : hearers) {
-      if (!received[v]) {
-        received[v] = true;
-        hops[v] = hops[u] + 1;
-        ++result.delivered;
-        result.max_hops = std::max(result.max_hops, hops[v]);
-      } else {
-        ++result.redundant_receptions;
-      }
-      const bool named = scheme == Scheme::kFlooding ||
-                         std::binary_search(fwd.begin(), fwd.end(), v);
-      // The hybrid rule: designated by the sender AND not self-pruned.
-      if (named && !scheduled[v] &&
-          self_pruning_would_forward(g, u, v)) {
-        scheduled[v] = true;
-        if (!transmitted[v]) pending.push(v);
-      }
-    }
-  }
-  return result;
+  // The hybrid rule: designated by the sender AND not self-pruned.
+  return detail::simulate_broadcast(g, source, scheme, reception,
+                                    &self_pruning_would_forward);
 }
 
 }  // namespace mldcs::bcast

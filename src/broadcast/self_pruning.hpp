@@ -9,14 +9,12 @@
 /// own neighborhood with the sender's and stays silent when it would add
 /// nothing.  Because the silence decision is made with fresh local
 /// information at every hop, self-pruning composes with any sender scheme;
-/// `simulate_pruned_broadcast` runs the hybrid (sender designation AND
-/// receiver self-pruning), which is where the network-wide storm reduction
-/// the forwarding-set literature promises actually materializes (see the
-/// abl_network_storm bench).
+/// `simulate_pruned_broadcast` runs the hybrid — the one delivery loop of
+/// broadcast_sim.hpp with this rule as its receiver gate — which is where
+/// the network-wide storm reduction the forwarding-set literature promises
+/// actually materializes (see the abl_network_storm bench).
 
 #include "broadcast/broadcast_sim.hpp"
-#include "broadcast/forwarding.hpp"
-#include "net/disk_graph.hpp"
 
 namespace mldcs::bcast {
 
@@ -31,7 +29,8 @@ namespace mldcs::bcast {
 /// scheme designated it (flooding designates everyone), AND (b) the Wu-Li
 /// self-pruning rule does not silence it.  Delivery is still guaranteed in
 /// the graphs where the pure scheme guarantees it: a silenced node's
-/// neighbors all hear the same transmission it heard.
+/// neighbors all hear the same transmission it heard.  Emits the events
+/// and telemetry of any broadcast, tagged kSelfPrunedTag.
 [[nodiscard]] BroadcastResult simulate_pruned_broadcast(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,
     ReceptionModel reception = ReceptionModel::kBidirectionalLink);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/scope.hpp"
 #include "obs/telemetry.hpp"
@@ -34,6 +35,21 @@ GraphTelemetry& graph_telemetry() {
   return t;
 }
 
+bool finite_position(const Node& node) noexcept {
+  return std::isfinite(node.pos.x) && std::isfinite(node.pos.y);
+}
+
+/// The cold half of the finite-input checks: builds the message.  A NaN
+/// position would reach the float-to-integer cast in cell_of, and a NaN
+/// radius would make linked_to asymmetric (std::min with one NaN operand).
+[[noreturn]] MLDCS_ALLOC_OK void throw_non_finite(const char* where,
+                                                  std::size_t node,
+                                                  const char* what) {
+  throw std::invalid_argument(std::string(where) + ": node " +
+                              std::to_string(node) + " has a non-finite " +
+                              what);
+}
+
 }  // namespace
 
 DynamicDiskGraph::DynamicDiskGraph(std::vector<Node> nodes) {
@@ -48,6 +64,9 @@ DynamicDiskGraph::DynamicDiskGraph(std::vector<Node> nodes,
 
 void DynamicDiskGraph::init(std::vector<Node> nodes) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!finite_position(nodes[i]) || !std::isfinite(nodes[i].radius)) {
+      throw_non_finite("DynamicDiskGraph", i, "position or radius");
+    }
     nodes[i].id = static_cast<NodeId>(i);
   }
   nodes_ = std::move(nodes);
@@ -174,6 +193,11 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
   if (current.size() != nodes_.size()) {
     throw std::invalid_argument("DynamicDiskGraph::apply: node count changed");
   }
+  for (std::size_t i = 0; i < current.size(); ++i) {
+    if (!finite_position(current[i])) {
+      throw_non_finite("DynamicDiskGraph::apply", i, "position");
+    }
+  }
   delta_.moved.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (current[i].pos != nodes_[i].pos) {
@@ -187,6 +211,11 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
     std::span<const Node> current, std::span<const NodeId> moved_hint) {
   if (current.size() != nodes_.size()) {
     throw std::invalid_argument("DynamicDiskGraph::apply: node count changed");
+  }
+  for (const NodeId u : moved_hint) {
+    if (!finite_position(current[u])) {
+      throw_non_finite("DynamicDiskGraph::apply", u, "position");
+    }
   }
   delta_.moved.assign(moved_hint.begin(), moved_hint.end());
   std::sort(delta_.moved.begin(), delta_.moved.end());

@@ -72,8 +72,9 @@ class DynamicDiskGraph {
     }
   };
 
-  /// Build the initial topology.  Node ids are reassigned to indices, as in
-  /// `DiskGraph::build`.
+  /// Build the initial topology.  As in `DiskGraph::build`, node ids are
+  /// reassigned to indices, and a non-finite position or radius throws
+  /// std::invalid_argument.
   explicit DynamicDiskGraph(std::vector<Node> nodes);
 
   /// Region mode: keep a slot for every node (ids are still indices into the
@@ -131,7 +132,8 @@ class DynamicDiskGraph {
   /// re-bucketed if their grid cell changed, their adjacency lists are
   /// recomputed from the grid, and the resulting edge diffs are patched
   /// into the unmoved endpoints' lists.  Returns the delta of this step;
-  /// the reference stays valid until the next `apply`.
+  /// the reference stays valid until the next `apply`.  A non-finite mover
+  /// position throws std::invalid_argument before any state changes.
   ///
   /// In region mode each mover is first classified against the interest
   /// rectangle (move / insert / evict / ignore); `delta.moved` then lists

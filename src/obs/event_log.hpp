@@ -36,7 +36,7 @@
 ///
 /// | type              | a              | b                   | value        | parent            |
 /// |-------------------|----------------|---------------------|--------------|-------------------|
-/// | kBroadcast        | source node    | (reception<<8)|scheme | reachable  | —                 |
+/// | kBroadcast        | source node    | (pruned<<16)|(reception<<8)|scheme | reachable | — |
 /// | kTx               | transmitter    | —                   | hop          | the Rx that fed it|
 /// | kRx               | receiver       | transmitter         | hop          | the Tx heard      |
 /// | kDuplicateRx      | receiver       | transmitter         | hop          | the Tx heard      |
@@ -49,6 +49,10 @@
 /// | kShardExchange    | routed halo updates | migrations     | step index   | —                 |
 /// | kHeartbeat        | frame sequence | —                   | step index   | —                 |
 /// | kCrashDump        | —              | —                   | frames written | —               |
+///
+/// kBroadcast's `pruned` bit (bcast::kSelfPrunedTag) marks a self-pruned
+/// broadcast (simulate_pruned_broadcast); every broadcast, pruned or not,
+/// is also counted in the `bcast.*` telemetry.
 ///
 /// kShardExchange is the sharded engine's step-level event (one per
 /// barrier; shard region graphs emit no per-shard kStep), so a sharded

@@ -53,7 +53,8 @@ struct NodeFate {
 /// One broadcast reconstructed from its event segment.
 struct ReplayedBroadcast {
   std::uint32_t source = kNoNode;
-  /// Raw tag from the kBroadcast event: (reception_model << 8) | scheme.
+  /// Raw tag from the kBroadcast event:
+  /// (self_pruned << 16) | (reception_model << 8) | scheme.
   std::uint32_t scheme_tag = 0;
   std::uint64_t begin_event = kNoEvent;  ///< id of the kBroadcast event
 

@@ -9,10 +9,16 @@
 #include <utility>
 #include <vector>
 
+#include "broadcast/all_skylines.hpp"
+#include "broadcast/self_pruning.hpp"
+#include "broadcast/skyline_cache.hpp"
+#include "net/dynamic_disk_graph.hpp"
+#include "net/mobility.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "obs/event_replay.hpp"
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace mldcs::bcast {
 namespace {
@@ -197,12 +203,14 @@ TEST(BroadcastSimTest, AsymmetricScenarioReplayDerivationAgrees) {
 #endif  // MLDCS_ENABLE_TELEMETRY
 
 /// Independent replay of the simulator's semantics over the per-relay
-/// LocalView reference, forwarding_set(g, u, kSkyline): FIFO transmissions,
+/// LocalView reference, forwarding_set(g, u, scheme): FIFO transmissions,
 /// receivers in ascending id order, a node re-transmits once iff it has
-/// received the message and some sender named it.
-BroadcastResult reference_skyline_broadcast(const net::DiskGraph& g,
-                                            net::NodeId source,
-                                            ReceptionModel model) {
+/// received the message and some sender named it (flooding names every
+/// receiver, covered non-neighbors included) — and, when `pruned`, the
+/// Wu-Li rule let it through for that sender.
+BroadcastResult reference_broadcast(const net::DiskGraph& g,
+                                    net::NodeId source, Scheme scheme,
+                                    ReceptionModel model, bool pruned) {
   BroadcastResult r;
   r.reachable = g.reachable_from(source).size();
   std::vector<bool> received(g.size(), false);
@@ -216,7 +224,8 @@ BroadcastResult reference_skyline_broadcast(const net::DiskGraph& g,
     fifo.pop_front();
     ++r.transmissions;
     const std::vector<net::NodeId> fwd =
-        forwarding_set(g, u, Scheme::kSkyline);
+        scheme == Scheme::kFlooding ? std::vector<net::NodeId>{}
+                                    : forwarding_set(g, u, scheme);
     for (net::NodeId v = 0; v < g.size(); ++v) {
       const bool hears = model == ReceptionModel::kBidirectionalLink
                              ? g.linked(u, v)
@@ -230,7 +239,10 @@ BroadcastResult reference_skyline_broadcast(const net::DiskGraph& g,
         ++r.delivered;
         r.max_hops = std::max(r.max_hops, hops[v]);
       }
-      if (!designated[v] && std::binary_search(fwd.begin(), fwd.end(), v)) {
+      const bool named = scheme == Scheme::kFlooding ||
+                         std::binary_search(fwd.begin(), fwd.end(), v);
+      if (!designated[v] && named &&
+          (!pruned || self_pruning_would_forward(g, u, v))) {
         designated[v] = true;
         fifo.push_back(v);
       }
@@ -239,16 +251,29 @@ BroadcastResult reference_skyline_broadcast(const net::DiskGraph& g,
   return r;
 }
 
-void expect_matches_reference(const net::DiskGraph& g, net::NodeId source,
-                              ReceptionModel model) {
-  const BroadcastResult got = simulate_broadcast(g, source, Scheme::kSkyline,
-                                                 model);
-  const BroadcastResult want = reference_skyline_broadcast(g, source, model);
+void expect_same_result(const BroadcastResult& got,
+                        const BroadcastResult& want) {
   EXPECT_EQ(got.transmissions, want.transmissions);
   EXPECT_EQ(got.delivered, want.delivered);
   EXPECT_EQ(got.max_hops, want.max_hops);
   EXPECT_EQ(got.reachable, want.reachable);
   EXPECT_EQ(got.redundant_receptions, want.redundant_receptions);
+}
+
+void expect_matches_reference(const net::DiskGraph& g, net::NodeId source,
+                              ReceptionModel model) {
+  for (const Scheme scheme :
+       {Scheme::kFlooding, Scheme::kSkyline, Scheme::kGreedy}) {
+    for (const bool pruned : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << scheme_name(scheme)
+                                        << (pruned ? " pruned" : " plain"));
+      const BroadcastResult got =
+          pruned ? simulate_pruned_broadcast(g, source, scheme, model)
+                 : simulate_broadcast(g, source, scheme, model);
+      expect_same_result(got,
+                         reference_broadcast(g, source, scheme, model, pruned));
+    }
+  }
 }
 
 TEST(BroadcastSimTest, SkylineMatchesLocalViewReferenceReplay) {
@@ -292,6 +317,78 @@ TEST(BroadcastSimTest, SkylineMatchesReferenceWithCoincidentDuplicates) {
       expect_matches_reference(g, source, model);
     }
   }
+}
+
+TEST(BroadcastSimTest, DeliverOverAllSkylinesMatchesSimulator) {
+  sim::ThreadPool pool(2);
+  DeliveryScratch scratch;  // kept across every broadcast below
+  for (const bool hetero : {false, true}) {
+    const auto g = random_graph(170, 12, hetero);
+    const AllSkylines all = compute_all_skylines(g, pool);
+    const auto sets = [&](net::NodeId u) { return all.forwarding_set(u); };
+    for (const ReceptionModel model : {ReceptionModel::kBidirectionalLink,
+                                       ReceptionModel::kPhysicalCoverage}) {
+      for (const net::NodeId source :
+           {net::NodeId{0}, static_cast<net::NodeId>(g.size() / 3),
+            static_cast<net::NodeId>(g.size() / 2),
+            static_cast<net::NodeId>(g.size() - 1)}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "hetero " << hetero << " model "
+                     << static_cast<int>(model) << " source " << source);
+        expect_same_result(
+            deliver(g, source, Scheme::kSkyline, sets, model, scratch),
+            simulate_broadcast(g, source, Scheme::kSkyline, model));
+        expect_same_result(
+            deliver(g, source, Scheme::kFlooding, sets, model, scratch),
+            simulate_broadcast(g, source, Scheme::kFlooding, model));
+      }
+    }
+  }
+}
+
+TEST(BroadcastSimTest, DeliverOverSkylineCacheMatchesSimulatorAfterMobility) {
+  net::DeploymentParams p;
+  p.target_avg_degree = 10;
+  p.model = net::RadiusModel::kUniform;
+  // Slow, pause-heavy motion: links keep changing, but few relays go
+  // dirty per step, so 60 steps stay cheap under the sanitizers.
+  net::WaypointParams wp;
+  wp.v_min = 0.02;
+  wp.v_max = 0.1;
+  wp.pause = 10.0;
+  wp.max_leg = 1.0;
+  wp.steady_state_init = true;
+  sim::Xoshiro256 rng(180);
+  sim::ThreadPool pool(2);
+  net::MobileNetwork mobile(p, wp, rng);
+  net::DynamicDiskGraph dyn{
+      std::vector<net::Node>(mobile.nodes().begin(), mobile.nodes().end())};
+  SkylineCache cache(dyn, pool);
+  const auto sets = [&](net::NodeId u) { return cache.forwarding_set(u); };
+  DeliveryScratch scratch;
+  std::size_t link_flips = 0;
+  for (int t = 1; t <= 60; ++t) {
+    mobile.step(1.0, rng);
+    const auto& delta = dyn.apply(mobile.nodes(), mobile.moved_last_step());
+    link_flips += delta.edges_added + delta.edges_removed;
+    cache.update(delta);
+    if (t % 20 != 0) continue;
+    const net::DiskGraph g = dyn.to_disk_graph();
+    for (const ReceptionModel model : {ReceptionModel::kBidirectionalLink,
+                                       ReceptionModel::kPhysicalCoverage}) {
+      for (const net::NodeId source :
+           {net::NodeId{0}, static_cast<net::NodeId>(g.size() / 2)}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "step " << t << " model " << static_cast<int>(model)
+                     << " source " << source);
+        expect_same_result(
+            deliver(dyn, source, Scheme::kSkyline, sets, model, scratch),
+            simulate_broadcast(g, source, Scheme::kSkyline, model));
+      }
+    }
+  }
+  RecordProperty("link_flips", static_cast<int>(link_flips));
+  EXPECT_GT(link_flips, 0u) << "the topology never changed";
 }
 
 TEST(BroadcastSimTest, TransmissionCountsAreDeterministic) {

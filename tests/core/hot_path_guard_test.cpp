@@ -18,12 +18,15 @@
 #include <mutex>
 #include <vector>
 
+#include "broadcast/all_skylines.hpp"
 #include "broadcast/broadcast_sim.hpp"
+#include "broadcast/self_pruning.hpp"
 #include "core/invariants.hpp"
 #include "core/skyline_dc.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/lock_guard.hpp"
 
@@ -126,6 +129,15 @@ TEST(HotPathGuard, ColdWorkspaceAllocatesAndGuardSeesIt) {
 
 // --- simulate_broadcast: skyline sets through the shared relay loop --------
 
+/// The static_1k deployment: ~1000 nodes, radii U[1,2], degree 36.8.
+net::DiskGraph static_1k_graph() {
+  net::DeploymentParams p;
+  p.model = net::RadiusModel::kUniform;
+  p.target_avg_degree = 36.8;
+  sim::Xoshiro256 rng(1);
+  return net::generate_graph(p, rng);
+}
+
 // Not an annotated hot path, but the simulator's per-transmission loop must
 // not allocate either: the allocations of one broadcast are its O(N) state
 // vectors and its relay scratch, never one per transmitter (a LocalView, a
@@ -135,27 +147,60 @@ TEST(HotPathGuard, SimulateBroadcastAllocFree) {
   if (core::kInvariantChecksEnabled) {
     GTEST_SKIP() << "invariant diagnostics allocate by design (ALLOC_OK)";
   }
-  // The static_1k deployment: ~1000 nodes, radii U[1,2], degree 36.8.
-  net::DeploymentParams p;
-  p.model = net::RadiusModel::kUniform;
-  p.target_avg_degree = 36.8;
-  sim::Xoshiro256 rng(1);
-  const net::DiskGraph g = net::generate_graph(p, rng);
+  const net::DiskGraph g = static_1k_graph();
   obs::events_stop();
 
-  // Warm-up: telemetry registration and the thread-local engine state.
-  for (int i = 0; i < 2; ++i) {
-    (void)bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
-  }
+  // The self-pruned hybrid runs the same loop, so it is held to the same
+  // bound.
+  for (const bool pruned : {false, true}) {
+    const auto broadcast = [&] {
+      return pruned ? bcast::simulate_pruned_broadcast(g, 0,
+                                                       bcast::Scheme::kSkyline)
+                    : bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
+    };
+    // Warm-up: telemetry registration and the thread-local engine state.
+    for (int i = 0; i < 2; ++i) (void)broadcast();
 
-  AllocGuard guard;
-  const bcast::BroadcastResult r =
-      bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
-  const std::uint64_t allocs = guard.count();
-  RecordProperty("allocations", static_cast<int>(allocs));
-  RecordProperty("transmissions", static_cast<int>(r.transmissions));
-  EXPECT_GE(r.transmissions, 400u);
-  EXPECT_LE(allocs, 256u) << "over " << r.transmissions << " transmissions";
+    AllocGuard guard;
+    const bcast::BroadcastResult r = broadcast();
+    const std::uint64_t allocs = guard.count();
+    RecordProperty(pruned ? "pruned_allocations" : "allocations",
+                   static_cast<int>(allocs));
+    RecordProperty(pruned ? "pruned_transmissions" : "transmissions",
+                   static_cast<int>(r.transmissions));
+    EXPECT_GE(r.transmissions, 400u);
+    EXPECT_LE(allocs, 256u) << (pruned ? "pruned" : "plain") << ", over "
+                            << r.transmissions << " transmissions";
+  }
+}
+
+// Delivery over sets the caller already holds: with the scratch kept, only
+// the first broadcast grows it; repeated ones allocate nothing.
+TEST(HotPathGuard, DeliverWithKeptScratchAllocFree) {
+  if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
+  const net::DiskGraph g = static_1k_graph();
+  sim::ThreadPool pool(1);
+  const bcast::AllSkylines all = bcast::compute_all_skylines(g, pool);
+  const auto sets = [&](net::NodeId u) { return all.forwarding_set(u); };
+  obs::events_stop();
+
+  for (const bcast::ReceptionModel model :
+       {bcast::ReceptionModel::kBidirectionalLink,
+        bcast::ReceptionModel::kPhysicalCoverage}) {
+    bcast::DeliveryScratch scratch;
+    const auto broadcast = [&] {
+      return bcast::deliver(g, 0, bcast::Scheme::kSkyline, sets, model,
+                            scratch);
+    };
+    const bcast::BroadcastResult first = broadcast();
+    AllocGuard guard;
+    for (int i = 0; i < 3; ++i) {
+      const bcast::BroadcastResult r = broadcast();
+      EXPECT_EQ(r.transmissions, first.transmissions);
+    }
+    EXPECT_EQ(guard.count(), 0u) << "model " << static_cast<int>(model);
+    EXPECT_GE(first.transmissions, 400u);
+  }
 }
 
 }  // namespace

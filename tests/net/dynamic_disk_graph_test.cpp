@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "net/mobility.hpp"
@@ -113,6 +115,63 @@ TEST(DynamicDiskGraphTest, ToDiskGraphReflectsIncrementalState) {
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
   }
   expect_matches_rebuild(dyn, "materialized");
+}
+
+TEST(DynamicDiskGraphTest, ConstructorRejectsNonFiniteInput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Node> bad[] = {
+      {{0, {0.0, 0.0}, 1.0}, {1, {nan, 0.0}, 1.0}},
+      {{0, {0.0, 0.0}, 1.0}, {1, {0.5, inf}, 1.0}},
+      {{0, {0.0, 0.0}, nan}, {1, {0.5, 0.0}, 1.0}},
+      {{0, {0.0, 0.0}, 1.0}, {1, {0.5, 0.0}, inf}},
+  };
+  for (const std::vector<Node>& nodes : bad) {
+    EXPECT_THROW(DynamicDiskGraph{std::vector<Node>(nodes)},
+                 std::invalid_argument);
+    // Region mode (the shard substrate of ShardedEngine) too.
+    EXPECT_THROW((DynamicDiskGraph{std::vector<Node>(nodes),
+                                   geom::BBox{{-1.0, -1.0}, {1.0, 1.0}}}),
+                 std::invalid_argument);
+  }
+}
+
+TEST(DynamicDiskGraphTest, ApplyRejectsNonFiniteMoverBeforeAnyChange) {
+  sim::Xoshiro256 rng(13);
+  std::vector<Node> nodes = generate_deployment(small_deploy(), rng);
+  ASSERT_GT(nodes.size(), 4u);
+  DynamicDiskGraph dyn{std::vector<Node>(nodes)};
+  std::vector<Node> moved = nodes;
+  moved[1].pos.x += 0.5;
+  dyn.apply(moved);
+  const std::vector<NodeId> last(dyn.last_delta().moved);
+  const std::size_t edges = dyn.edge_count();
+
+  // Scanning and hinted forms, NaN and infinite positions: each throws and
+  // leaves the graph — positions, adjacency, last delta — as it was.
+  std::vector<Node> bad = moved;
+  bad[2].pos.x += 0.3;  // a valid mover in the same step
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    bad[3].pos.y = v;
+    EXPECT_THROW(dyn.apply(bad), std::invalid_argument);
+    const std::vector<NodeId> hint{2, 3};
+    EXPECT_THROW(dyn.apply(bad, hint), std::invalid_argument);
+    EXPECT_EQ(dyn.last_delta().moved, last);
+    EXPECT_EQ(dyn.edge_count(), edges);
+    for (NodeId u = 0; u < dyn.size(); ++u) {
+      ASSERT_EQ(dyn.node(u).pos, moved[u].pos) << u;
+    }
+    expect_matches_rebuild(dyn, "after rejected apply");
+  }
+
+  // A valid apply afterwards still matches a from-scratch build.
+  bad[3].pos = moved[3].pos;
+  bad[3].pos.x -= 0.4;
+  dyn.apply(bad, std::vector<NodeId>{2, 3});
+  expect_matches_rebuild(dyn, "valid apply after rejections");
+  dyn.apply(nodes);
+  expect_matches_rebuild(dyn, "scanning apply after rejections");
 }
 
 /// Long differential run: random-waypoint motion across regimes, the

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "broadcast/broadcast_sim.hpp"
+#include "broadcast/self_pruning.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "sim/rng.hpp"
@@ -47,13 +48,16 @@ BroadcastResult result_of(const ReplayedBroadcast& r) {
   return out;
 }
 
-/// Simulate with the recorder armed and return (simulated, replayed).
+/// Simulate (self-pruned when `pruned`) with the recorder armed and return
+/// (simulated, replayed).
 std::pair<BroadcastResult, ReplayedBroadcast> record_and_replay(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,
-    ReceptionModel model) {
+    ReceptionModel model, bool pruned = false) {
   events_clear();
   events_start();
-  const BroadcastResult sim = simulate_broadcast(g, source, scheme, model);
+  const BroadcastResult sim =
+      pruned ? bcast::simulate_pruned_broadcast(g, source, scheme, model)
+             : simulate_broadcast(g, source, scheme, model);
   events_stop();
   const auto replays = replay_broadcasts(events_snapshot());
   EXPECT_EQ(replays.size(), 1u);
@@ -89,12 +93,16 @@ TEST_F(EventReplayTest, ReplayMatchesSimulatorAcrossSchemesAndModels) {
         for (const ReceptionModel model :
              {ReceptionModel::kBidirectionalLink,
               ReceptionModel::kPhysicalCoverage}) {
-          const auto [sim, replay] = record_and_replay(g, 0, scheme, model);
-          expect_byte_equal(sim, replay, bcast::scheme_name(scheme).data());
-          EXPECT_EQ(replay.source, 0u);
-          EXPECT_EQ(replay.scheme_tag,
-                    (static_cast<std::uint32_t>(model) << 8) |
-                        static_cast<std::uint32_t>(scheme));
+          for (const bool pruned : {false, true}) {
+            const auto [sim, replay] =
+                record_and_replay(g, 0, scheme, model, pruned);
+            expect_byte_equal(sim, replay, bcast::scheme_name(scheme).data());
+            EXPECT_EQ(replay.source, 0u);
+            EXPECT_EQ(replay.scheme_tag,
+                      (pruned ? bcast::kSelfPrunedTag : 0u) |
+                          (static_cast<std::uint32_t>(model) << 8) |
+                          static_cast<std::uint32_t>(scheme));
+          }
         }
       }
     }
