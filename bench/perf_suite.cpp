@@ -717,8 +717,12 @@ int main(int argc, char** argv) {
     regimes[3].wp.v_max = 2.0;
     regimes[3].wp.pause = 0.0;
 
+    // The same 100 steps in --quick runs: check_bench.py gates a quick
+    // run's speedup_vs_full_rebuild against full-run history, and over 30
+    // steps one host stall swung the ratio by up to 30% (4-core x86-64:
+    // 30-step runs read 1.02-1.56x where 100-step runs read 1.19-1.42x).
     const int warmup_steps = 20;
-    const int steps = quick ? 30 : 100;
+    const int steps = 100;
     using clock = std::chrono::steady_clock;
 
     j.open_arr("mobility_steady_state");

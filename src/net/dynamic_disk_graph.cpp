@@ -1,6 +1,7 @@
 #include "net/dynamic_disk_graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -9,6 +10,7 @@
 
 #include "obs/scope.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace mldcs::net {
 
@@ -118,17 +120,12 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
 
   adjacency_.resize(n);
   in_moved_.assign(n, 0);
+  link_mark_.assign(n, 0);
+  chunks_.resize(1);
   for (NodeId u = 0; u < n; ++u) {
     if (resident_[u] == 0) continue;
-    const Node& nu = nodes_[u];
-    scratch_candidates_.clear();
-    query_candidates(nu.pos, nu.radius, scratch_candidates_);
-    std::vector<NodeId>& adj = adjacency_[u];
-    for (const NodeId v : scratch_candidates_) {
-      if (v != u && nu.linked_to(nodes_[v])) adj.push_back(v);
-    }
-    std::sort(adj.begin(), adj.end());
-    edges_ += adj.size();
+    link_scan(u, chunks_[0].candidates, adjacency_[u]);
+    edges_ += adjacency_[u].size();
   }
   edges_ /= 2;
 }
@@ -143,8 +140,11 @@ std::size_t DynamicDiskGraph::cell_of(geom::Vec2 p) const noexcept {
   return static_cast<std::size_t>(cy * nx_ + cx);
 }
 
-void DynamicDiskGraph::query_candidates(geom::Vec2 p, double range,
-                                        std::vector<NodeId>& out) const {
+void DynamicDiskGraph::link_scan(NodeId u, std::vector<NodeId>& candidates,
+                                 std::vector<NodeId>& out) const {
+  const Node& nu = nodes_[u];
+  const geom::Vec2 p = nu.pos;
+  const double range = nu.radius;
   const std::int64_t cx0 = std::clamp<std::int64_t>(
       static_cast<std::int64_t>(std::floor((p.x - range - min_x_) / cell_)), 0,
       nx_ - 1);
@@ -157,13 +157,19 @@ void DynamicDiskGraph::query_candidates(geom::Vec2 p, double range,
   const std::int64_t cy1 = std::clamp<std::int64_t>(
       static_cast<std::int64_t>(std::floor((p.y + range - min_y_) / cell_)), 0,
       ny_ - 1);
+  candidates.clear();
   for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
     for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
       const std::vector<NodeId>& bucket =
           buckets_[static_cast<std::size_t>(cy * nx_ + cx)];
-      out.insert(out.end(), bucket.begin(), bucket.end());
+      candidates.insert(candidates.end(), bucket.begin(), bucket.end());
     }
   }
+  out.clear();
+  for (const NodeId v : candidates) {
+    if (v != u && nu.linked_to(nodes_[v])) out.push_back(v);
+  }
+  std::sort(out.begin(), out.end());
 }
 
 bool DynamicDiskGraph::linked(NodeId u, NodeId v) const noexcept {
@@ -240,6 +246,66 @@ MLDCS_HOT_PATH void DynamicDiskGraph::classify_movers(
   delta_.moved.resize(w);
 }
 
+MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(ChunkScratch& cs,
+                                                  std::size_t lo,
+                                                  std::size_t hi) {
+  cs.marked.clear();
+  cs.patches.clear();
+  cs.added = 0;
+  cs.removed = 0;
+  // Another chunk may mark the same endpoint concurrently; both store the
+  // same value, and an id both saw unmarked is deduplicated in phase 3.
+  const auto mark = [this, &cs](NodeId v) {
+    const std::atomic_ref<std::uint8_t> flag(link_mark_[v]);
+    if (flag.load(std::memory_order_relaxed) != 0) return;
+    flag.store(1, std::memory_order_relaxed);
+    cs.marked.push_back(v);
+  };
+  for (std::size_t m = lo; m < hi; ++m) {
+    const NodeId u = delta_.moved[m];
+    // An evicted node's new list is empty by fiat — its bucket slot is
+    // already gone, so every old link shows up as removed.
+    cs.adj.clear();
+    if (in_moved_[u] != 2) link_scan(u, cs.candidates, cs.adj);
+
+    // Sorted two-pointer diff of old (adjacency_[u]) vs new (cs.adj).  Both
+    // endpoints of a flip between movers see it (linked_to is symmetric
+    // and both sides see post-move positions), so it is counted from the
+    // lower one; an unmoved endpoint gets a queued patch instead.
+    std::vector<NodeId>& old_adj = adjacency_[u];
+    const auto record = [&](NodeId v, bool added) {
+      if (in_moved_[v] != 0 && v < u) return;  // counted from min(u, v)
+      added ? ++cs.added : ++cs.removed;
+      mark(u);
+      mark(v);
+      if (in_moved_[v] == 0) cs.patches.push_back({v, u, added});
+    };
+    std::size_t i = 0;
+    std::size_t k = 0;
+    while (i < old_adj.size() || k < cs.adj.size()) {
+      if (k == cs.adj.size() ||
+          (i < old_adj.size() && old_adj[i] < cs.adj[k])) {
+        record(old_adj[i], /*added=*/false);
+        ++i;
+      } else if (i == old_adj.size() || cs.adj[k] < old_adj[i]) {
+        record(cs.adj[k], /*added=*/true);
+        ++k;
+      } else {
+        ++i;
+        ++k;
+      }
+    }
+    // Regrow with slack (the SlotStore::cap_for rule): `assign` alone would
+    // reallocate to the exact size each time a degree passes its old
+    // maximum, and under motion some node does that almost every step.
+    if (old_adj.capacity() < cs.adj.size()) {
+      old_adj.clear();
+      old_adj.reserve(cs.adj.size() + cs.adj.size() / 4 + 2);
+    }
+    old_adj.assign(cs.adj.begin(), cs.adj.end());
+  }
+}
+
 MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta&
 DynamicDiskGraph::apply_moved(
     std::span<const Node> current) {
@@ -280,64 +346,54 @@ DynamicDiskGraph::apply_moved(
     nodes_[u].pos = current[u].pos;
   }
 
-  // Phase 2: recompute each moved node's neighbor list exactly, and patch
-  // the diffs into unmoved endpoints.  A flipped edge between two moved
-  // nodes shows up in both recomputations (linked_to is symmetric and both
-  // sides see post-move positions), so it is counted only from the lower
-  // endpoint.  An evicted node's new list is empty by fiat — its bucket
-  // slot is already gone, so every old link shows up as removed.
-  for (const NodeId u : delta_.moved) {
-    scratch_adj_.clear();
-    if (in_moved_[u] != 2) {
-      const Node& nu = nodes_[u];
-      scratch_candidates_.clear();
-      query_candidates(nu.pos, nu.radius, scratch_candidates_);
-      for (const NodeId v : scratch_candidates_) {
-        if (v != u && nu.linked_to(nodes_[v])) scratch_adj_.push_back(v);
-      }
-      std::sort(scratch_adj_.begin(), scratch_adj_.end());
-    }
+  // Phase 2: the per-mover diff, as one inline chunk or one chunk per
+  // worker.  Whole-plane only: a region graph is a shard already stepped on
+  // a pool worker inside the engine's barrier.
+  const std::size_t movers = delta_.moved.size();
+  sim::ThreadPool* pool = nullptr;
+  std::size_t n_chunks = 1;
+  if (!region_mode_ && movers >= kParallelApplyMovers &&
+      sim::ThreadPool::worker_pool() == nullptr) {
+    pool = &sim::default_pool();
+    n_chunks = std::min(pool->size(), movers);
+  }
+  if (chunks_.size() < n_chunks) chunks_.resize(n_chunks);
+  if (pool != nullptr) {
+    pool->parallel_chunks(
+        movers, [this](std::size_t c, std::size_t lo, std::size_t hi) {
+          const obs::Scope chunk(obs::Phase::kGraphApply);
+          diff_movers(chunks_[c], lo, hi);
+        });
+  } else {
+    diff_movers(chunks_[0], 0, movers);
+  }
 
-    // Sorted two-pointer diff of old (adjacency_[u]) vs new (scratch_adj_).
-    const std::vector<NodeId>& old_adj = adjacency_[u];
-    std::size_t i = 0;
-    std::size_t k = 0;
-    const auto record = [this, u](NodeId v, bool added) {
-      if (in_moved_[v] != 0 && v < u) return;  // counted from min(u, v)
-      added ? ++delta_.edges_added : ++delta_.edges_removed;
-      delta_.link_changed.push_back(u);
-      delta_.link_changed.push_back(v);
-      if (in_moved_[v] == 0) {
-        // Patch the unmoved endpoint's sorted list in place.
-        std::vector<NodeId>& adj = adjacency_[v];
-        const auto pos = std::lower_bound(adj.begin(), adj.end(), u);
-        added ? static_cast<void>(adj.insert(pos, u))
+  // Phase 3: chunks cover the movers in ascending runs, so walking them in
+  // chunk order patches the unmoved endpoints in mover order.
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    const ChunkScratch& cs = chunks_[c];
+    for (const Patch& p : cs.patches) {
+      std::vector<NodeId>& adj = adjacency_[p.v];
+      const auto pos = std::lower_bound(adj.begin(), adj.end(), p.u);
+      p.added ? static_cast<void>(adj.insert(pos, p.u))
               : static_cast<void>(adj.erase(pos));
-      }
-    };
-    while (i < old_adj.size() || k < scratch_adj_.size()) {
-      if (k == scratch_adj_.size() ||
-          (i < old_adj.size() && old_adj[i] < scratch_adj_[k])) {
-        record(old_adj[i], /*added=*/false);
-        ++i;
-      } else if (i == old_adj.size() || scratch_adj_[k] < old_adj[i]) {
-        record(scratch_adj_[k], /*added=*/true);
-        ++k;
-      } else {
-        ++i;
-        ++k;
-      }
     }
-    adjacency_[u].assign(scratch_adj_.begin(), scratch_adj_.end());
+    delta_.edges_added += cs.added;
+    delta_.edges_removed += cs.removed;
+    delta_.link_changed.insert(delta_.link_changed.end(), cs.marked.begin(),
+                               cs.marked.end());
   }
   edges_ += delta_.edges_added;
   edges_ -= delta_.edges_removed;
 
   for (const NodeId u : delta_.moved) in_moved_[u] = 0;
+  // At most one entry per node, plus the rare id two chunks both saw
+  // unmarked.
   std::sort(delta_.link_changed.begin(), delta_.link_changed.end());
   delta_.link_changed.erase(
       std::unique(delta_.link_changed.begin(), delta_.link_changed.end()),
       delta_.link_changed.end());
+  for (const NodeId v : delta_.link_changed) link_mark_[v] = 0;
 
   ++steps_;
   if (region_mode_) {

@@ -20,7 +20,28 @@
 /// layer (bcast::SkylineCache) needs to recompute only dirty relays.  The
 /// maintained adjacency is always identical to what `DiskGraph::build`
 /// would produce on the current positions (differential-tested in
-/// tests/net/dynamic_disk_graph_test.cpp).
+/// tests/net/dynamic_disk_graph_test.cpp and, at pool sizes 1, 2 and the
+/// host's, tests/net/parallel_apply_test.cpp).
+///
+/// **Phases of one apply.**  (1) Serial: commit each mover's position and
+/// re-bucket it.  (2) The one per-mover body: grid query, exact link
+/// filter, sort, and a two-pointer diff against the mover's old list, then
+/// the new list replaces the old.  The body reads only post-move positions,
+/// the grid and the movers' own lists, so it runs over contiguous chunks of
+/// the mover list — one inline chunk, or one chunk per worker of
+/// `sim::default_pool()`.  A flip between two movers is counted from the
+/// lower endpoint.  Each chunk marks flipped endpoints in a per-node byte
+/// mask and queues edits to *unmoved* endpoints' lists; it keeps no record
+/// per flip.  (3) Serial: the queued edits are patched in, in mover order,
+/// and `link_changed` is the marked ids, sorted (at most one entry per
+/// node — never a sort over every flipped edge's endpoints).
+///
+/// Phase 2 goes to the pool when the graph is whole-plane, the step has at
+/// least `kParallelApplyMovers` movers, and the caller is not itself a pool
+/// worker.  Region graphs (the shards of ShardedEngine, already stepped one
+/// per worker inside the engine's barrier) always run it inline.  The
+/// output — adjacency, `StepDelta`, kStep event, `graph.*` counters — is
+/// the same at every pool size.
 ///
 /// **Region mode** (the shard substrate of net::ShardedEngine): constructed
 /// with an interest rectangle, the graph keeps every node *slot* (ids stay
@@ -71,6 +92,13 @@ class DynamicDiskGraph {
       return moved.empty() && link_changed.empty();
     }
   };
+
+  /// Whole-plane steps with at least this many movers run the per-mover
+  /// diff on `sim::default_pool()` (see the file comment).  Measured on the
+  /// ~1000-node paper deployment, 4-core x86-64: at 256 movers the pool won
+  /// every run (0.50-0.67 ms against 0.77 ms inline); at 128-192 the
+  /// workers' wake-up ate the gain in about one run in three.
+  static constexpr std::size_t kParallelApplyMovers = 256;
 
   /// Build the initial topology.  As in `DiskGraph::build`, node ids are
   /// reassigned to indices, and a non-finite position or radius throws
@@ -130,8 +158,9 @@ class DynamicDiskGraph {
   /// Move nodes to the positions in `current` (same size and order as
   /// `nodes()`; radii must be unchanged).  Nodes whose position differs are
   /// re-bucketed if their grid cell changed, their adjacency lists are
-  /// recomputed from the grid, and the resulting edge diffs are patched
-  /// into the unmoved endpoints' lists.  Returns the delta of this step;
+  /// recomputed from the grid (on `sim::default_pool()` for large
+  /// whole-plane steps), and the resulting edge diffs are patched into the
+  /// unmoved endpoints' lists.  Returns the delta of this step;
   /// the reference stays valid until the next `apply`.  A non-finite mover
   /// position throws std::invalid_argument before any state changes.
   ///
@@ -163,12 +192,34 @@ class DynamicDiskGraph {
   [[nodiscard]] DiskGraph to_disk_graph() const;
 
  private:
+  /// An edit to an unmoved endpoint's list, queued by phase 2 and applied
+  /// in phase 3: insert (added) or erase mover `u` in `v`'s list.
+  struct Patch {
+    NodeId v;
+    NodeId u;
+    bool added;
+  };
+
+  /// One phase-2 chunk's scratch and results; grows to the pool size, then
+  /// is reused every step.
+  struct ChunkScratch {
+    std::vector<NodeId> candidates;
+    std::vector<NodeId> adj;     ///< the current mover's new list
+    std::vector<NodeId> marked;  ///< ids this chunk set in link_mark_
+    std::vector<Patch> patches;  ///< in mover order
+    std::size_t added = 0;
+    std::size_t removed = 0;
+  };
+
   void init(std::vector<Node> nodes);
   MLDCS_HOT_PATH const StepDelta& apply_moved(std::span<const Node> current);
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);
+  MLDCS_HOT_PATH void diff_movers(ChunkScratch& cs, std::size_t lo,
+                                  std::size_t hi);
   [[nodiscard]] std::size_t cell_of(geom::Vec2 p) const noexcept;
-  void query_candidates(geom::Vec2 p, double range,
-                        std::vector<NodeId>& out) const;
+  /// u's exact neighbor list at its current position, sorted, into `out`.
+  void link_scan(NodeId u, std::vector<NodeId>& candidates,
+                 std::vector<NodeId>& out) const;
   void rebucket(NodeId u, geom::Vec2 new_pos);
 
   std::vector<Node> nodes_;
@@ -196,12 +247,14 @@ class DynamicDiskGraph {
 
   // Step scratch, reused across apply() calls.
   StepDelta delta_;
-  std::vector<NodeId> scratch_candidates_;
-  std::vector<NodeId> scratch_adj_;
+  std::vector<ChunkScratch> chunks_;
   /// Membership mask for delta_.moved: 0 = unmoved, 1 = moved (or inserted
   /// into the region), 2 = evicted from the region (new adjacency forced
   /// empty in phase 2).
   std::vector<std::uint8_t> in_moved_;
+  /// 1 = endpoint of a flipped edge this step.  Chunks set it concurrently
+  /// (relaxed atomic_ref stores); phase 3 clears what it gathered.
+  std::vector<std::uint8_t> link_mark_;
 };
 
 }  // namespace mldcs::net

@@ -15,7 +15,8 @@ namespace {
 /// utilization numerator — compare against workers x elapsed), plus the
 /// submit-side queue depth and its high-water mark.  Tasks here are
 /// chunk-sized (one per worker per parallel_for), so the two clock reads
-/// per task are noise.
+/// per task are noise.  A parallel_* dispatch's chunk 0 runs on the caller,
+/// not as a task, so it counts in neither.
 struct PoolTelemetry {
   obs::Counter& tasks = obs::registry().counter("pool.tasks_executed");
   obs::Counter& busy_ns = obs::registry().counter("pool.busy_ns");
@@ -29,7 +30,12 @@ PoolTelemetry& pool_telemetry() {
   return t;
 }
 
+/// The pool this thread works for (set once at the top of worker_loop).
+thread_local ThreadPool* t_worker_pool = nullptr;
+
 }  // namespace
+
+ThreadPool* ThreadPool::worker_pool() noexcept { return t_worker_pool; }
 
 ThreadPool::ThreadPool(std::size_t threads)
     : workers_(threads != 0 ? threads
@@ -62,6 +68,7 @@ void ThreadPool::ensure_started() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_pool = this;
   // Workers run the shard bodies; register them for CPU-time sampling
   // (idempotent, lock paid once per worker lifetime).
   obs::profiler_register_thread();

@@ -8,10 +8,12 @@
 /// trial) pairs; per the HPC guides we keep parallelism explicit and
 /// deterministic: parallel_for deals work out in fixed contiguous chunks
 /// (no work stealing, no shared RNG), so results are bitwise identical at
-/// any thread count.  The queue side exists for the ROADMAP's async/batched
-/// workloads: tasks may submit further tasks from inside a worker, and
-/// destruction drains every queued task before joining (verified under
-/// ThreadSanitizer by tests/sim/thread_pool_stress_test.cpp).
+/// any thread count.  The calling thread runs chunk 0 itself and submits
+/// only chunks 1..T-1, so a dispatch never waits for one more worker to
+/// wake than it has chunks to hand out.  The queue side exists for the
+/// ROADMAP's async/batched workloads: tasks may submit further tasks from
+/// inside a worker, and destruction drains every queued task before joining
+/// (verified under ThreadSanitizer by tests/sim/thread_pool_stress_test.cpp).
 ///
 /// Concurrency contract:
 ///  - submit() is safe from any thread, including from inside a running
@@ -20,8 +22,11 @@
 ///  - wait_idle() blocks until the queue is empty and no task is running,
 ///    then rethrows the first exception any submitted task threw since the
 ///    last wait_idle().
-///  - parallel_for() must be called from outside the pool's own workers
-///    (it blocks the caller until its chunks finish).
+///  - parallel_for() / parallel_chunks() / parallel_weighted_chunks() block
+///    the caller until every chunk has finished.  Called from one of this
+///    pool's own workers they run every chunk inline, in chunk order, on
+///    that worker (same boundaries and chunk indices): a nested dispatch
+///    cannot deadlock waiting for workers that are all blocked in it.
 ///  - The destructor finishes every queued task (including tasks those
 ///    tasks submit) before joining; exceptions from tasks drained during
 ///    destruction are swallowed.
@@ -72,9 +77,11 @@ class ThreadPool {
   }
 
   /// Run `body(i)` for every i in [0, n), partitioned into `size()`
-  /// contiguous chunks executed concurrently.  Blocks until all complete.
-  /// Exceptions thrown by `body` are rethrown (first one wins).  Runs
-  /// inline on the calling thread when size() <= 1 or n <= 1.
+  /// contiguous chunks executed concurrently (chunk 0 on the calling
+  /// thread).  Blocks until all complete.  Exceptions thrown by `body` are
+  /// rethrown once every chunk has finished (first one wins).  Runs inline
+  /// on the calling thread when size() <= 1, n <= 1, or the caller is one
+  /// of this pool's workers.
   ///
   /// Statically dispatched on the callable: the only type erasure is one
   /// task object per *chunk* (= per worker), never per index.
@@ -89,42 +96,16 @@ class ThreadPool {
   /// Chunk-level form: run `body(chunk, lo, hi)` for each of the <= size()
   /// contiguous chunks covering [0, n).  `chunk` is a dense index in
   /// [0, min(size(), n)) — the hook for per-thread scratch (workspaces,
-  /// RNGs): chunk c runs entirely on one worker.  Same chunk boundaries as
-  /// parallel_for (deterministic in (n, size()) only).
+  /// RNGs): chunk c runs entirely on one thread (chunk 0 on the caller).
+  /// Same chunk boundaries as parallel_for (deterministic in (n, size())
+  /// only).
   template <typename F>
   MLDCS_ALLOC_OK void parallel_chunks(std::size_t n, F&& body) {
     if (n == 0) return;
-    const std::size_t nthreads = std::min(workers_, n);
-    if (nthreads <= 1) {
-      body(std::size_t{0}, std::size_t{0}, n);
-      return;
-    }
-    // Static contiguous chunking: chunk t covers [t*n/T, (t+1)*n/T).
-    // Completion is tracked by a local latch, not wait_idle(), so
-    // concurrent submit() traffic from other threads cannot stall us.
-    ChunkLatch latch;
-    latch.remaining = nthreads;
-    for (std::size_t t = 0; t < nthreads; ++t) {
-      const std::size_t lo = t * n / nthreads;
-      const std::size_t hi = (t + 1) * n / nthreads;
-      submit([&latch, &body, t, lo, hi] {
-        try {
-          body(t, lo, hi);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(latch.m);
-          if (!latch.error) latch.error = std::current_exception();
-        }
-        {
-          // Notify under the lock: once `remaining` hits 0 the caller may
-          // destroy the latch, so the notify must not happen after release.
-          const std::lock_guard<std::mutex> lock(latch.m);
-          if (--latch.remaining == 0) latch.cv.notify_all();
-        }
-      });
-    }
-    std::unique_lock<std::mutex> lock(latch.m);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-    if (latch.error) std::rethrow_exception(latch.error);
+    // Static contiguous chunking: chunk c of T covers [c*n/T, (c+1)*n/T).
+    const std::size_t chunks = std::min(workers_, n);
+    const auto lo_of = [n, chunks](std::size_t c) { return c * n / chunks; };
+    run_chunks(chunks, lo_of, body);
   }
 
   /// Weighted chunk-level form: like parallel_chunks over
@@ -164,41 +145,74 @@ class ThreadPool {
       if (i > bounds.back()) bounds.push_back(i);
     }
     if (n > bounds.back()) bounds.push_back(n);
-    const std::size_t chunks = bounds.size() - 1;
-    if (chunks <= 1) {
-      body(std::size_t{0}, std::size_t{0}, n);
-      return;
-    }
-    ChunkLatch latch;
-    latch.remaining = chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = bounds[c];
-      const std::size_t hi = bounds[c + 1];
-      submit([&latch, &body, c, lo, hi] {
-        try {
-          body(c, lo, hi);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(latch.m);
-          if (!latch.error) latch.error = std::current_exception();
-        }
-        {
-          const std::lock_guard<std::mutex> lock(latch.m);
-          if (--latch.remaining == 0) latch.cv.notify_all();
-        }
-      });
-    }
-    std::unique_lock<std::mutex> lock(latch.m);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-    if (latch.error) std::rethrow_exception(latch.error);
+    const auto lo_of = [&bounds](std::size_t c) { return bounds[c]; };
+    run_chunks(bounds.size() - 1, lo_of, body);
   }
 
+  /// The pool whose worker thread is calling, or nullptr on any thread
+  /// that is not a pool worker (the main thread, a caller-run chunk 0).
+  /// Code that would dispatch to a *different* pool checks it too: a
+  /// worker that blocks on another pool's chunks holds its own pool's
+  /// capacity hostage.
+  [[nodiscard]] static ThreadPool* worker_pool() noexcept;
+
  private:
-  struct ChunkLatch {
+  /// One dispatch's shared state, on the caller's stack.  A submitted task
+  /// captures only {job, chunk} — 16 trivially copyable bytes, which
+  /// std::function stores inline, so a dispatch allocates no task objects.
+  /// Completion is tracked here, not by wait_idle(), so concurrent submit()
+  /// traffic from other threads cannot stall the caller.
+  template <typename Bounds, typename F>
+  struct ChunkJob {
+    ChunkJob(const Bounds& bounds, F& f, std::size_t submitted)
+        : lo_of(bounds), body(f), remaining(submitted) {}
+
+    const Bounds& lo_of;
+    F& body;
     std::mutex m;
     std::condition_variable cv;
-    std::size_t remaining = 0;
-    std::exception_ptr error;
+    std::size_t remaining;     // guarded by m: submitted chunks not done
+    std::exception_ptr error;  // guarded by m: the first chunk exception
+
+    // Runs chunk c; the first exception is recorded, not thrown, so every
+    // chunk finishes before the caller rethrows.
+    void run(std::size_t c) noexcept {
+      try {
+        body(c, lo_of(c), lo_of(c + 1));
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(m);
+        if (!error) error = std::current_exception();
+      }
+    }
   };
+
+  /// Run body(c, lo_of(c), lo_of(c + 1)) for every c in [0, chunks): chunk
+  /// 0 on the calling thread, chunks 1.. as pool tasks.  Everything runs
+  /// inline, in chunk order, when there is one chunk or the caller is one
+  /// of this pool's workers.
+  template <typename Bounds, typename F>
+  void run_chunks(std::size_t chunks, const Bounds& lo_of, F& body) {
+    if (chunks <= 1 || worker_pool() == this) {
+      for (std::size_t c = 0; c < chunks; ++c) {
+        body(c, lo_of(c), lo_of(c + 1));
+      }
+      return;
+    }
+    ChunkJob<Bounds, F> job(lo_of, body, chunks - 1);
+    for (std::size_t c = 1; c < chunks; ++c) {
+      submit([shared = &job, c] {
+        shared->run(c);
+        // Notify under the lock: once `remaining` hits 0 the caller may
+        // destroy the job, so the notify must not happen after release.
+        const std::lock_guard<std::mutex> lock(shared->m);
+        if (--shared->remaining == 0) shared->cv.notify_all();
+      });
+    }
+    job.run(0);
+    std::unique_lock<std::mutex> lock(job.m);
+    job.cv.wait(lock, [&job] { return job.remaining == 0; });
+    if (job.error) std::rethrow_exception(job.error);
+  }
 
   void ensure_started();  // spawn workers on first submit; callers hold no lock
   void worker_loop();
@@ -229,6 +243,12 @@ void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
 /// that should reuse one set of workers across steps instead of paying
 /// pool construction per step.  Same concurrency contract as any
 /// ThreadPool; callers must not rely on exclusive use.
+///
+/// The library dispatches to it on its own in one place: a whole-plane
+/// `net::DynamicDiskGraph::apply` with many movers runs its per-mover diff
+/// here (dynamic_disk_graph.hpp).  That apply is bounded by this pool's
+/// size, not by any pool the caller hands to a cache or a sweep — so
+/// `perf_suite --threads` does not bound it, and `MLDCS_THREADS` does.
 ///
 /// Size: hardware_concurrency, unless the `MLDCS_THREADS` environment
 /// variable names a positive integer — then that, clamped to

@@ -1,0 +1,267 @@
+// Whole-plane DynamicDiskGraph::apply on the ~1000-node paper deployment,
+// where steps with kParallelApplyMovers or more movers run the per-mover
+// diff on sim::default_pool(), checked step by step against two
+// consecutive from-scratch DiskGraph::build calls.
+//
+// tests/CMakeLists.txt registers this binary three times: at the host's
+// default pool size, and with MLDCS_THREADS=1 and =2.  default_pool() reads
+// the variable once per process, so each pool size needs its own process;
+// all of them must pass the same oracle, which is what makes the parallel
+// path's output equal to the serial one's.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "net/dynamic_disk_graph.hpp"
+#include "net/mobility.hpp"
+#include "net/topology.hpp"
+#include "obs/event_log.hpp"
+#include "obs/telemetry.hpp"
+#include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
+
+namespace mldcs::net {
+namespace {
+
+/// The paper's heterogeneous deployment: ~1000 nodes, radii U[1,2],
+/// average degree 36.8.
+DeploymentParams paper_deploy() {
+  DeploymentParams p;
+  p.model = RadiusModel::kUniform;
+  p.target_avg_degree = 36.8;
+  return p;
+}
+
+using Edge = std::pair<NodeId, NodeId>;
+
+std::set<Edge> edges_of(const DiskGraph& g) {
+  std::set<Edge> out;
+  for (NodeId u = 0; u < g.size(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u < v) out.emplace(u, v);
+    }
+  }
+  return out;
+}
+
+/// Graph-level telemetry and the pool's task count, read before a step.
+struct Counters {
+  std::uint64_t edges_added;
+  std::uint64_t edges_removed;
+  std::uint64_t pool_tasks;
+
+  static Counters read() {
+    obs::Registry& r = obs::registry();
+    return {r.counter("graph.edges_added").value(),
+            r.counter("graph.edges_removed").value(),
+            r.counter("pool.tasks_executed").value()};
+  }
+};
+
+/// Drives one DynamicDiskGraph and checks every step against the delta of
+/// two consecutive builds.  Counts the steps whose diff ran on pool workers
+/// (as seen through pool.tasks_executed).
+class Oracle {
+ public:
+  explicit Oracle(const std::vector<Node>& nodes)
+      : dyn_(std::vector<Node>(nodes)), prev_(DiskGraph::build(nodes)) {}
+
+  void step(const std::vector<Node>& current, std::span<const NodeId> hint,
+            bool hinted, const char* where) {
+    const Counters before = Counters::read();
+    const DynamicDiskGraph::StepDelta& d =
+        hinted ? dyn_.apply(current, hint) : dyn_.apply(current);
+    const Counters after = Counters::read();
+    const DiskGraph fresh = DiskGraph::build(current);
+
+    // Adjacency: every list equals the rebuild's.
+    ASSERT_EQ(dyn_.edge_count(), fresh.edge_count()) << where;
+    for (NodeId u = 0; u < fresh.size(); ++u) {
+      const auto got = dyn_.neighbors(u);
+      const auto want = fresh.neighbors(u);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << where << ": adjacency of node " << u;
+    }
+
+    // The delta: movers, flipped-edge endpoints and flip counts.
+    std::vector<NodeId> moved;
+    for (NodeId u = 0; u < current.size(); ++u) {
+      if (current[u].pos != prev_.node(u).pos) moved.push_back(u);
+    }
+    const std::set<Edge> old_edges = edges_of(prev_);
+    const std::set<Edge> new_edges = edges_of(fresh);
+    std::size_t added = 0;
+    std::size_t removed = 0;
+    std::set<NodeId> changed;
+    for (const Edge& e : new_edges) {
+      if (old_edges.count(e) == 0) {
+        ++added;
+        changed.insert({e.first, e.second});
+      }
+    }
+    for (const Edge& e : old_edges) {
+      if (new_edges.count(e) == 0) {
+        ++removed;
+        changed.insert({e.first, e.second});
+      }
+    }
+    const std::vector<NodeId> want_changed(changed.begin(), changed.end());
+    EXPECT_EQ(d.moved, moved) << where;
+    EXPECT_EQ(d.link_changed, want_changed) << where;
+    EXPECT_EQ(d.edges_added, added) << where;
+    EXPECT_EQ(d.edges_removed, removed) << where;
+
+    // The kStep event and the graph.* counters carry the same numbers.
+    if constexpr (obs::kTelemetryEnabled) {
+      EXPECT_EQ(after.edges_added - before.edges_added, added) << where;
+      EXPECT_EQ(after.edges_removed - before.edges_removed, removed) << where;
+      if (after.pool_tasks != before.pool_tasks) ++pooled_steps_;
+      const std::vector<obs::Event> events = obs::events_snapshot();
+      ASSERT_FALSE(events.empty()) << where;
+      const obs::Event& e = events.back();
+      EXPECT_EQ(e.id, d.event_id) << where;
+      EXPECT_EQ(e.type, obs::EventType::kStep) << where;
+      EXPECT_EQ(e.a, moved.size()) << where;
+      EXPECT_EQ(e.b, changed.size()) << where;
+      EXPECT_EQ(e.parent, obs::kNoEvent) << where;
+      EXPECT_EQ(e.value, dyn_.step_count()) << where;
+    }
+    prev_ = fresh;
+  }
+
+  [[nodiscard]] std::size_t pooled_steps() const { return pooled_steps_; }
+
+ private:
+  DynamicDiskGraph dyn_;
+  DiskGraph prev_;
+  std::size_t pooled_steps_ = 0;
+};
+
+class ParallelApplyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::events_clear();
+    obs::events_start();
+  }
+  void TearDown() override {
+    obs::events_stop();
+    obs::events_clear();
+  }
+
+  /// With more than one worker, a step over the threshold must actually
+  /// have reached the pool — otherwise this file tests the serial path
+  /// twice.
+  static void expect_pool_used(const Oracle& oracle, const char* where) {
+    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1) {
+      EXPECT_GT(oracle.pooled_steps(), 0u) << where;
+    }
+  }
+};
+
+TEST_F(ParallelApplyTest, MatchesConsecutiveRebuildsAcrossRegimes) {
+  struct Regime {
+    const char* name;
+    WaypointParams wp;
+    bool pooled;  ///< most steps have >= kParallelApplyMovers movers
+  };
+  // The perf_suite mobility_steady_state regimes.
+  std::vector<Regime> regimes(4);
+  regimes[0].name = "quasi_static";
+  regimes[0].wp.v_min = 0.02;
+  regimes[0].wp.v_max = 0.1;
+  regimes[0].wp.pause = 2000.0;
+  regimes[0].wp.max_leg = 1.0;
+  regimes[0].wp.steady_state_init = true;
+  regimes[0].pooled = false;
+  regimes[1].name = "low_speed";
+  regimes[1].wp.v_min = 0.02;
+  regimes[1].wp.v_max = 0.1;
+  regimes[1].wp.pause = 2.0;
+  regimes[1].wp.steady_state_init = true;
+  regimes[1].pooled = true;
+  regimes[2].name = "moderate";
+  regimes[2].wp.v_min = 0.1;
+  regimes[2].wp.v_max = 0.5;
+  regimes[2].wp.pause = 2.0;
+  regimes[2].pooled = true;
+  regimes[3].name = "high_speed";
+  regimes[3].wp.v_min = 0.5;
+  regimes[3].wp.v_max = 2.0;
+  regimes[3].wp.pause = 0.0;
+  regimes[3].pooled = true;
+
+  for (const Regime& regime : regimes) {
+    sim::Xoshiro256 rng(0x5EEDC0DEULL);
+    MobileNetwork mobile(paper_deploy(), regime.wp, rng);
+    Oracle oracle(mobile.nodes());
+    std::size_t big_steps = 0;
+    for (int t = 0; t < 30; ++t) {
+      mobile.step(1.0, rng);
+      const std::size_t movers = mobile.moved_last_step().size();
+      if (movers >= DynamicDiskGraph::kParallelApplyMovers) ++big_steps;
+      // Alternate the hinted and scanning apply() forms.
+      oracle.step(mobile.nodes(), mobile.moved_last_step(), t % 2 == 0,
+                  regime.name);
+      if (HasFatalFailure()) return;
+    }
+    if (regime.pooled) {
+      EXPECT_GT(big_steps, 20u) << regime.name;
+      expect_pool_used(oracle, regime.name);
+    } else {
+      EXPECT_EQ(big_steps, 0u) << regime.name;
+    }
+  }
+}
+
+// Coincident duplicates: stacked nodes, equal and unequal radii, movers
+// landing exactly on another node.  A flip's endpoints then share a
+// position, and both copies of a stack move in the same step.
+TEST_F(ParallelApplyTest, MatchesConsecutiveRebuildsWithCoincidentNodes) {
+  sim::Xoshiro256 rng(77);
+  const DeploymentParams p = paper_deploy();
+  std::vector<Node> nodes = generate_deployment(p, rng);
+  const std::size_t base = nodes.size();
+  for (std::size_t i = 0; i < 64; ++i) {
+    Node copy = nodes[i * 7];
+    if (i % 2 == 1) copy.radius = 1.0 + 0.5 * copy.radius / 2.0;
+    nodes.push_back(copy);
+  }
+  Oracle oracle(nodes);
+  std::vector<NodeId> hint;
+  for (int t = 0; t < 30; ++t) {
+    hint.clear();
+    for (NodeId u = 0; u < base; ++u) {
+      if (rng.uniform(0.0, 1.0) < 0.6) {
+        const geom::Vec2 old = nodes[u].pos;
+        const double dx = rng.uniform(-0.5, 0.5);
+        const double dy = rng.uniform(-0.5, 0.5);
+        nodes[u].pos.x = std::clamp(old.x + dx, 0.0, p.side);
+        nodes[u].pos.y = std::clamp(old.y + dy, 0.0, p.side);
+        if (nodes[u].pos != old) hint.push_back(u);
+      }
+    }
+    // Every duplicate follows its original (the stack moves together) or,
+    // on odd steps, lands on a random other node.
+    for (std::size_t i = 0; i < 64; ++i) {
+      const NodeId dup = static_cast<NodeId>(base + i);
+      NodeId target = static_cast<NodeId>(i * 7);
+      if (t % 2 == 1) target = static_cast<NodeId>(rng.uniform_int(base));
+      if (nodes[dup].pos != nodes[target].pos) {
+        nodes[dup].pos = nodes[target].pos;
+        hint.push_back(dup);
+      }
+    }
+    ASSERT_GE(hint.size(), DynamicDiskGraph::kParallelApplyMovers);
+    oracle.step(nodes, hint, t % 3 != 0, "coincident");
+    if (HasFatalFailure()) return;
+  }
+  expect_pool_used(oracle, "coincident");
+}
+
+}  // namespace
+}  // namespace mldcs::net

@@ -6,11 +6,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 namespace mldcs::sim {
@@ -148,6 +152,154 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
     seen[i] = std::this_thread::get_id();
   });
   for (const auto& id : seen) EXPECT_EQ(id, this_thread);
+}
+
+// --- The dispatch contract: boundaries, caller-run chunk 0, errors --------
+
+using Triple = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+/// A chunk body that records every (chunk, lo, hi) it ran and the thread
+/// each chunk ran on.
+class ChunkLog {
+ public:
+  void operator()(std::size_t c, std::size_t lo, std::size_t hi) {
+    const std::lock_guard<std::mutex> lock(m_);
+    seen_.emplace_back(c, lo, hi);
+    thread_of_[c] = std::this_thread::get_id();
+  }
+  std::vector<Triple> sorted() {
+    const std::lock_guard<std::mutex> lock(m_);
+    std::sort(seen_.begin(), seen_.end());
+    return seen_;
+  }
+  std::thread::id thread_of(std::size_t c) {
+    const std::lock_guard<std::mutex> lock(m_);
+    return thread_of_.at(c);
+  }
+
+ private:
+  std::mutex m_;
+  std::vector<Triple> seen_;
+  std::map<std::size_t, std::thread::id> thread_of_;
+};
+
+/// parallel_chunks' boundaries: chunk t of T = min(size, n) covers
+/// [t*n/T, (t+1)*n/T).
+std::vector<Triple> equal_chunks(std::size_t n, std::size_t size) {
+  const std::size_t t_count = std::min(size, n);
+  std::vector<Triple> out;
+  for (std::size_t t = 0; t < t_count; ++t) {
+    out.emplace_back(t, t * n / t_count, (t + 1) * n / t_count);
+  }
+  return out;
+}
+
+/// parallel_weighted_chunks' boundaries: chunk t ends where the running
+/// weight sum first reaches (t+1)/T of the total; empty ranges are dropped
+/// and a zero total or a single chunk is one chunk of everything.
+std::vector<Triple> weighted_chunks(std::span<const std::uint32_t> w,
+                                    std::size_t size) {
+  const std::size_t n = w.size();
+  const std::size_t t_count = std::min(size, n);
+  std::uint64_t total = 0;
+  for (const std::uint32_t x : w) total += x;
+  if (t_count <= 1 || total == 0) return {{0, 0, n}};
+  std::vector<std::size_t> bounds{0};
+  std::uint64_t cum = 0;
+  std::size_t i = 0;
+  for (std::size_t t = 0; t + 1 < t_count; ++t) {
+    const std::uint64_t target = (t + 1) * total / t_count;
+    while (i < n && cum < target) cum += w[i++];
+    if (i > bounds.back()) bounds.push_back(i);
+  }
+  if (n > bounds.back()) bounds.push_back(n);
+  std::vector<Triple> out;
+  for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+    out.emplace_back(c, bounds[c], bounds[c + 1]);
+  }
+  return out;
+}
+
+/// Skewed weights with zeros: nothing every 5th index, a hub every 7th.
+std::uint32_t skewed_weight(std::size_t i) {
+  if (i % 5 == 0) return 0;
+  return i % 7 == 0 ? 40 : static_cast<std::uint32_t>(1 + i % 3);
+}
+
+TEST(ThreadPoolDispatchTest, ChunkTriplesFollowTheBoundaryFormulas) {
+  for (std::size_t size = 1; size <= 5; ++size) {
+    ThreadPool pool(size);
+    for (const std::size_t n : {1u, 3u, 4u, 5u, 1000u}) {
+      ChunkLog plain;
+      pool.parallel_chunks(n, plain);
+      EXPECT_EQ(plain.sorted(), equal_chunks(n, size))
+          << "size " << size << ", n " << n;
+
+      std::vector<std::uint32_t> w(n);
+      for (std::size_t i = 0; i < n; ++i) w[i] = skewed_weight(i);
+      ChunkLog weighted;
+      pool.parallel_weighted_chunks(w, weighted);
+      EXPECT_EQ(weighted.sorted(), weighted_chunks(w, size))
+          << "weighted, size " << size << ", n " << n;
+    }
+  }
+}
+
+TEST(ThreadPoolDispatchTest, ChunkZeroRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  ChunkLog plain;
+  pool.parallel_chunks(100, plain);
+  ChunkLog weighted;
+  pool.parallel_weighted_chunks(std::vector<std::uint32_t>(100, 1), weighted);
+  for (ChunkLog* log : {&plain, &weighted}) {
+    EXPECT_EQ(log->thread_of(0), caller);
+    for (std::size_t c = 1; c < 4; ++c) EXPECT_NE(log->thread_of(c), caller);
+  }
+}
+
+/// Dispatch 4 chunks; chunk `thrower` throws at once, the others finish
+/// late.  The rethrow must come after every other chunk has finished.
+void expect_rethrow_after_all_chunks(std::size_t thrower) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_chunks(4, [&](std::size_t c, std::size_t, std::size_t) {
+      if (c == thrower) throw std::runtime_error("chunk failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      finished.fetch_add(1);
+    });
+    ADD_FAILURE() << "no exception from chunk " << thrower;
+  } catch (const std::runtime_error&) {
+    EXPECT_EQ(finished.load(), 3) << "thrown by chunk " << thrower;
+  }
+}
+
+TEST(ThreadPoolDispatchTest, ChunkZeroExceptionHeldUntilAllChunksFinish) {
+  expect_rethrow_after_all_chunks(0);
+}
+
+TEST(ThreadPoolDispatchTest, WorkerChunkExceptionHeldUntilAllChunksFinish) {
+  expect_rethrow_after_all_chunks(2);
+}
+
+// A dispatch from one of the pool's own workers runs inline: with every
+// worker nesting one, waiting for free workers would deadlock.
+TEST(ThreadPoolDispatchTest, NestedDispatchFromOwnWorkerRunsInline) {
+  ThreadPool pool(4);
+  std::thread::id task_thread;
+  ChunkLog nested;
+  pool.submit([&] {
+    task_thread = std::this_thread::get_id();
+    EXPECT_EQ(ThreadPool::worker_pool(), &pool);
+    pool.parallel_chunks(4, nested);
+  });
+  pool.wait_idle();
+  EXPECT_EQ(nested.sorted(), equal_chunks(4, 4));
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(nested.thread_of(c), task_thread);
+  }
+  EXPECT_EQ(ThreadPool::worker_pool(), nullptr);
 }
 
 // MLDCS_THREADS parsing for default_pool() sizing: 0 means "no override".

@@ -33,6 +33,17 @@ of the single_relay_skyline section (matched by n_disks):
     curve measures oversubscription, not scaling (the provenance's
     hardware_concurrency field says which reading applies).
 
+  * incremental-maintenance regression, from the mobility_steady_state
+    section: in the low_speed, moderate and high_speed regimes, where
+    nearly every node moves and the incremental step only just beats a
+    rebuild, speedup_vs_full_rebuild must not drop more than 20% below
+    the same reference as the sharded gate.  Both sides of that ratio
+    run on the host's cores (the cache update on the suite's pool, the
+    graph apply on sim::default_pool()), so hosts with fewer than 4
+    cores are skipped.  quasi_static is reported, not gated: its
+    incremental step is under 1 ms, and on one idle 4-core host its
+    ratio read anywhere from 4.6x to 9.6x.
+
 A missing or renamed section/field (e.g. a fresh run produced with
 `perf_suite --section ...`, or an older baseline from before a schema
 addition) is a named WARNING, not a failure: the comparison that cannot
@@ -72,6 +83,15 @@ MIN_SIMD_SPEEDUP = 1.0
 #: Allowed fractional drop in sharded speedup_vs_1_shard at the top shard
 #: count before the scaling gate fails (0.2 = 20%).
 MAX_SHARDED_SPEEDUP_DROP = 0.2
+
+#: Allowed fractional drop in a mobility_steady_state regime's
+#: speedup_vs_full_rebuild before the incremental-maintenance gate fails.
+MAX_MOBILITY_SPEEDUP_DROP = 0.2
+#: Cores the mobility gate needs: the incremental step and the rebuild both
+#: run on 4-worker pools, and on fewer cores their ratio measures the host.
+MOBILITY_GATE_MIN_CORES = 4
+#: The regimes the mobility gate covers (see the module docstring).
+MOBILITY_GATED_REGIMES = ("low_speed", "moderate", "high_speed")
 
 #: Top-level keys of an mldcs-perf-v1 document that are not sections.
 ENVELOPE_KEYS = frozenset({"schema", "mode", "threads", "provenance"})
@@ -355,6 +375,58 @@ def check_sharded_scaling(fresh_doc, fresh_path, reference, ref_label):
     return failures
 
 
+def check_mobility_speedup(fresh_doc, fresh_path, reference, ref_label):
+    """Gate mobility_steady_state's incremental-vs-rebuild speedup.
+
+    `reference` is chosen as for check_sharded_scaling.  In each of
+    MOBILITY_GATED_REGIMES, the fresh speedup_vs_full_rebuild must not
+    drop more than MAX_MOBILITY_SPEEDUP_DROP below the reference's.
+    Regimes the reference never measured are skipped with a warning, and
+    so is the whole gate on a host with fewer than MOBILITY_GATE_MIN_CORES
+    cores.
+    """
+    failures = []
+    fresh = obslib.bench_summary(fresh_doc).get(
+        "mobility_speedup_vs_full_rebuild")
+    if not isinstance(fresh, dict) or not fresh:
+        warn(f"{fresh_path}: section 'mobility_steady_state' missing or "
+             "empty; skipping incremental-maintenance gate")
+        return failures
+    prov = fresh_doc.get("provenance")
+    hw = (prov.get("hardware_concurrency")
+          if isinstance(prov, dict) else None)
+    if isinstance(hw, (int, float)) and hw < MOBILITY_GATE_MIN_CORES:
+        print(f"  mobility: skipped, host has {int(hw)} core(s) "
+              f"(gate needs {MOBILITY_GATE_MIN_CORES})")
+        return failures
+    ref = {}
+    if isinstance(reference, dict):
+        raw = reference.get("mobility_speedup_vs_full_rebuild")
+        if isinstance(raw, dict):
+            ref = raw
+    for regime, speedup in sorted(fresh.items()):
+        if regime not in MOBILITY_GATED_REGIMES:
+            print(f"  mobility {regime}: {speedup:.2f}x vs full rebuild "
+                  "(not gated)")
+            continue
+        prev = ref.get(regime)
+        if not isinstance(prev, (int, float)) or prev <= 0:
+            warn(f"mobility {regime}: no reference speedup in {ref_label}; "
+                 "skipping")
+            continue
+        floor = prev * (1.0 - MAX_MOBILITY_SPEEDUP_DROP)
+        status = "ok"
+        if speedup < floor:
+            failures.append(
+                f"mobility {regime}: speedup_vs_full_rebuild dropped "
+                f"{prev:.2f}x -> {speedup:.2f}x (gate: >= {floor:.2f}x, "
+                f"{ref_label})")
+            status = "FAIL"
+        print(f"  mobility {regime}: {speedup:.2f}x vs full rebuild "
+              f"(reference {prev:.2f}x) [{status}]")
+    return failures
+
+
 def update_history(path, fresh_doc, fresh_path, previous):
     """Append the fresh run's summary to the history file and print
     deltas against `previous` (the last valid entry, already read)."""
@@ -470,6 +542,8 @@ def main():
         ref_label = f"baseline {args.baseline}"
     failures += check_sharded_scaling(fresh_doc, args.fresh, reference,
                                       ref_label)
+    failures += check_mobility_speedup(fresh_doc, args.fresh, reference,
+                                       ref_label)
 
     if args.history:
         update_history(args.history, fresh_doc, args.fresh, previous)
