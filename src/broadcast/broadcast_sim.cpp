@@ -2,10 +2,87 @@
 
 #include "broadcast/relay_skyline.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace mldcs::bcast {
 
 namespace {
+
+using detail::relay_forwarding_set;
+using detail::RelayScratch;
+
+/// Frontiers of at least this many transmitters compute their skyline sets
+/// on the pool.  Measured on the ~1000-node paper deployment (10 seeds,
+/// 4-core x86-64, Release): a broadcast took 2.5-3.0 ms at every threshold
+/// from 4 to 32 against 5.0-7.8 ms inline, and lost ground from 48 up
+/// (3.7 ms at 64, 5.5 ms at 128) as fewer frontiers qualified.
+constexpr std::size_t kParallelFrontier = 16;
+
+/// Each thread's relay scratch, kept across broadcasts: its buffers stay at
+/// their high-water capacity, so a warmed-up thread names sets without
+/// allocating.
+thread_local RelayScratch t_relay;
+
+/// The skyline sets of simulate_broadcast, named a frontier at a time.  A
+/// frontier of kParallelFrontier or more transmitters, with a pool to run
+/// on, has its sets computed up front in degree-weighted chunks, each into
+/// the owner's slot (a node's set is a subset of its neighbors, so slot u
+/// is u's stretch of a CSR-shaped buffer); a smaller one, or any frontier
+/// without a pool, names each set when its transmitter comes up.  A set
+/// depends only on (graph, relay), so both ways give the same sets.
+class FrontierSkylines {
+ public:
+  FrontierSkylines(const net::DiskGraph& g, sim::ThreadPool* pool)
+      : g_(g), pool_(pool) {}
+
+  void prepare(std::span<const net::NodeId> frontier) {
+    pooled_ = pool_ != nullptr && frontier.size() >= kParallelFrontier;
+    if (!pooled_) return;
+    if (first_.empty()) {  // the first pooled frontier sizes the slots
+      const std::size_t n = g_.size();
+      first_.resize(n + 1);
+      for (net::NodeId u = 0; u < n; ++u) {
+        first_[u + 1] = first_[u] + static_cast<std::uint32_t>(g_.degree(u));
+      }
+      last_.resize(n);
+      ids_.resize(first_[n]);
+      weights_.reserve(n);
+    }
+    // Per-relay cost grows with the relay's local disk set.
+    weights_.clear();
+    for (const net::NodeId u : frontier) {
+      weights_.push_back(static_cast<std::uint32_t>(g_.degree(u)) + 1);
+    }
+    pool_->parallel_weighted_chunks(
+        weights_, [this, frontier](std::size_t /*chunk*/, std::size_t lo,
+                                   std::size_t hi) {
+          const obs::Scope chunk(obs::Phase::kBroadcast);
+          RelayScratch& relay = t_relay;
+          for (std::size_t i = lo; i < hi; ++i) {
+            const net::NodeId u = frontier[i];
+            relay_forwarding_set(g_, u, relay);
+            const auto end = std::copy(relay.relay_ids.begin(),
+                                       relay.relay_ids.end(),
+                                       ids_.begin() + first_[u]);
+            last_[u] = static_cast<std::uint32_t>(end - ids_.begin());
+          }
+        });
+  }
+
+  std::span<const net::NodeId> operator()(net::NodeId u) const {
+    if (pooled_) return {ids_.data() + first_[u], ids_.data() + last_[u]};
+    relay_forwarding_set(g_, u, t_relay);
+    return t_relay.relay_ids;
+  }
+
+ private:
+  const net::DiskGraph& g_;
+  sim::ThreadPool* pool_;
+  bool pooled_ = false;  ///< the current frontier's sets are in the slots
+  std::vector<std::uint32_t> first_, last_;  ///< slot u: ids_[first_, last_)
+  std::vector<net::NodeId> ids_;
+  std::vector<std::uint32_t> weights_;  ///< the current frontier's weights
+};
 
 /// Broadcast telemetry (docs/OBSERVABILITY.md): storm pressure
 /// (transmissions, redundant receptions) and coverage outcome per
@@ -45,32 +122,19 @@ BroadcastResult detail::simulate_broadcast(const net::DiskGraph& g,
                                            net::NodeId source, Scheme scheme,
                                            ReceptionModel reception,
                                            Gate<net::DiskGraph> gate) {
-  // Skyline sets come from 1-hop information through the shared relay loop.
-  // Size its scratch once for the largest local disk set, so it does not
-  // regrow as bigger transmitters come up (Lemma 8 bounds the arcs at 2 per
-  // disk).  The 2-hop schemes keep forwarding_set's LocalView path.
-  RelayScratch relay;
+  DeliveryScratch scratch;
   if (scheme == Scheme::kSkyline) {
-    std::size_t max_disks = 1;
-    for (net::NodeId u = 0; u < g.size(); ++u) {
-      max_disks = std::max(max_disks, g.degree(u) + 1);
-    }
-    relay.ws.reserve(max_disks);
-    relay.disks.reserve(max_disks);
-    relay.arcs.reserve(2 * max_disks);
-    relay.sky_set.reserve(2 * max_disks);
-    relay.relay_ids.reserve(max_disks);
+    // Skyline sets come from 1-hop information through the shared relay
+    // loop, a frontier at a time.
+    FrontierSkylines sets(g, sim::fan_out_pool());
+    return deliver_gated(g, source, scheme, sets, reception, scratch, gate);
   }
+  // The 2-hop schemes keep forwarding_set's LocalView path.
   std::vector<net::NodeId> two_hop;
   const auto sets = [&](net::NodeId u) -> std::span<const net::NodeId> {
-    if (scheme != Scheme::kSkyline) {
-      two_hop = forwarding_set(g, u, scheme);
-      return two_hop;
-    }
-    relay_forwarding_set(g, u, relay);
-    return relay.relay_ids;
+    two_hop = forwarding_set(g, u, scheme);
+    return two_hop;
   };
-  DeliveryScratch scratch;
   return deliver_gated(g, source, scheme, sets, reception, scratch, gate);
 }
 

@@ -118,10 +118,14 @@ template <typename Graph>
 using Gate = bool (*)(const Graph&, net::NodeId, net::NodeId);
 
 /// `deliver` with a receiver gate (nullptr: none).  A gated broadcast is
-/// self-pruned: its kBroadcast tag carries kSelfPrunedTag.
+/// self-pruned: its kBroadcast tag carries kSelfPrunedTag.  If `sets` is a
+/// non-const object with `prepare(frontier)`, each non-flooding frontier —
+/// the transmitters one hop further out, in FIFO order — is handed to it
+/// before the first of them transmits, so the sets can be computed together
+/// (simulate_broadcast does, on a pool).
 template <typename Graph, typename Sets>
 BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
-                              Scheme scheme, const Sets& sets,
+                              Scheme scheme, Sets& sets,
                               ReceptionModel reception, DeliveryScratch& s,
                               std::type_identity_t<Gate<Graph>> gate) {
   const obs::Scope scope(obs::Phase::kBroadcast);
@@ -161,7 +165,19 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
   result.delivered = 1;
 
   const bool floods = scheme == Scheme::kFlooding;
+  std::size_t frontier_end = 0;
   while (head < tail) {
+    // A frontier is [head, tail) when head reaches the end of the previous
+    // one: the transmitters the previous frontier queued.  Handing it to
+    // sets.prepare ahead of its transmissions changes no order.
+    if constexpr (requires(std::span<const net::NodeId> f) {
+                    sets.prepare(f);
+                  }) {
+      if (head == frontier_end) {
+        frontier_end = tail;
+        if (!floods) sets.prepare({s.fifo.data() + head, tail - head});
+      }
+    }
     const net::NodeId u = s.fifo[head++];
     ++result.transmissions;
     std::uint64_t tx_id = obs::kNoEvent;
@@ -241,8 +257,9 @@ template <typename Graph, typename Sets>
 /// `scheme` at every relaying node: `deliver` over sets derived on demand.
 /// Skyline sets come from 1-hop information only, through the shared relay
 /// loop of relay_skyline.hpp (the one compute_all_skylines runs), and equal
-/// forwarding_set(g, u, Scheme::kSkyline); the 2-hop schemes use
-/// forwarding_set's LocalView path.
+/// forwarding_set(g, u, Scheme::kSkyline); each large frontier's sets are
+/// computed together on sim::fan_out_pool(), with the same result.  The
+/// 2-hop schemes use forwarding_set's LocalView path.
 [[nodiscard]] BroadcastResult simulate_broadcast(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,
     ReceptionModel reception = ReceptionModel::kBidirectionalLink);

@@ -12,10 +12,15 @@ namespace mldcs::net {
 
 namespace {
 
-/// Deployments below this size build serially: the paper's per-trial graphs
-/// (hundreds of nodes) are built inside already-parallel trial loops, where
-/// spinning up a transient pool per build would cost more than it saves.
-constexpr std::size_t kParallelBuildThreshold = 4096;
+/// Deployments of at least this many nodes run the count and fill passes on
+/// sim::fan_out_pool(); the paper's graphs (~1000 nodes) build inline.  A
+/// pooled build already wins from ~256 nodes at the paper's density (4-core
+/// x86-64, Release, warm workers: 0.20 vs 0.37 ms at 256 nodes, 0.9 vs
+/// 2.5 ms at 999), but a ~1000-node pooled build + sweep also beats the
+/// incremental maintenance step (DynamicDiskGraph::apply +
+/// SkylineCache::update) that mobile networks rely on.  The threshold comes
+/// down once that step is faster again (ROADMAP.md, item 1).
+constexpr std::size_t kParallelBuildNodes = 4096;
 
 }  // namespace
 
@@ -43,52 +48,46 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   const SpatialGrid grid(g.nodes_, std::max(max_r, 1e-6));
 
   // Count-then-fill CSR build, no per-node vectors.  A node's neighbors are
-  // within min(r_u, r_v) <= r_u of it, so querying the grid at range r_u
-  // and filtering by the bidirectional rule finds all of them; the grid
-  // query is cheap enough that running it twice (count pass, fill pass)
-  // beats materializing a vector<vector> of all adjacency lists.
+  // within min(r_u, r_v) <= r_u of it, so visiting the grid candidates at
+  // range r_u and filtering by the bidirectional rule finds all of them;
+  // the visit is cheap enough that running it twice (count pass, fill pass)
+  // beats materializing a vector<vector> of all adjacency lists.  Neither
+  // pass allocates, and each node's entries depend on the node alone, so
+  // the passes run over contiguous node ranges, inline or one per worker,
+  // with the same output.
   g.offsets_.assign(n + 1, 0);
-
-  // Candidates come straight from query_candidates into per-thread scratch
-  // (query() would allocate an intermediate vector per call); linked_to is
-  // stricter than the grid's range filter, so no exactness is lost.
-  const auto count_range = [&g, &grid](std::vector<NodeId>& scratch,
-                                       std::size_t lo, std::size_t hi) {
+  const auto count_range = [&g, &grid](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const Node& u = g.nodes_[i];
-      scratch.clear();
-      grid.query_candidates(u.pos, u.radius, scratch);
       std::uint32_t deg = 0;
-      for (NodeId v : scratch) {
+      grid.for_each_candidate(u.pos, u.radius, [&](NodeId v) {
         if (v != u.id && u.linked_to(g.nodes_[v])) ++deg;
-      }
+      });
       g.offsets_[i + 1] = deg;  // shifted; prefix-summed below
     }
   };
-  const auto fill_range = [&g, &grid](std::vector<NodeId>& scratch,
-                                      std::size_t lo, std::size_t hi) {
+  const auto fill_range = [&g, &grid](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const Node& u = g.nodes_[i];
-      scratch.clear();
-      grid.query_candidates(u.pos, u.radius, scratch);
-      NodeId* dst = g.adjacency_.data() + g.offsets_[i];
-      NodeId* const first = dst;
-      for (NodeId v : scratch) {
+      NodeId* const first = g.adjacency_.data() + g.offsets_[i];
+      NodeId* dst = first;
+      grid.for_each_candidate(u.pos, u.radius, [&](NodeId v) {
         if (v != u.id && u.linked_to(g.nodes_[v])) *dst++ = v;
-      }
+      });
       std::sort(first, dst);
     }
   };
 
-  const bool parallel = n >= kParallelBuildThreshold;
-  sim::ThreadPool pool(parallel ? 0 : 1);
-  const auto run_pass = [&pool, n](const auto& pass) {
-    pool.parallel_chunks(
+  sim::ThreadPool* const pool =
+      n >= kParallelBuildNodes ? sim::fan_out_pool() : nullptr;
+  const auto run_pass = [pool, n](const auto& pass) {
+    if (pool == nullptr) {
+      pass(0, n);
+      return;
+    }
+    pool->parallel_chunks(
         n, [&pass](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-          // Per-chunk (= per-worker) candidate scratch, reused across the
-          // whole contiguous node range.
-          std::vector<NodeId> scratch;
-          pass(scratch, lo, hi);
+          pass(lo, hi);
         });
   };
 

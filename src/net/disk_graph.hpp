@@ -16,7 +16,9 @@ namespace mldcs::net {
 class DiskGraph {
  public:
   /// Build the graph.  Node ids are reassigned to positions in `nodes`
-  /// (callers address nodes by index).  Uses a spatial grid, O(N * degree).
+  /// (callers address nodes by index).  Uses a spatial grid, O(N * degree);
+  /// deployments of 4096+ nodes run on sim::fan_out_pool(), with the same
+  /// result.
   /// Throws std::invalid_argument, naming the node index, if a position or
   /// radius is not finite.
   static DiskGraph build(std::vector<Node> nodes);

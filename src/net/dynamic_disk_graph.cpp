@@ -350,13 +350,11 @@ DynamicDiskGraph::apply_moved(
   // worker.  Whole-plane only: a region graph is a shard already stepped on
   // a pool worker inside the engine's barrier.
   const std::size_t movers = delta_.moved.size();
-  sim::ThreadPool* pool = nullptr;
-  std::size_t n_chunks = 1;
-  if (!region_mode_ && movers >= kParallelApplyMovers &&
-      sim::ThreadPool::worker_pool() == nullptr) {
-    pool = &sim::default_pool();
-    n_chunks = std::min(pool->size(), movers);
-  }
+  sim::ThreadPool* const pool =
+      !region_mode_ && movers >= kParallelApplyMovers ? sim::fan_out_pool()
+                                                      : nullptr;
+  const std::size_t n_chunks =
+      pool != nullptr ? std::min(pool->size(), movers) : 1;
   if (chunks_.size() < n_chunks) chunks_.resize(n_chunks);
   if (pool != nullptr) {
     pool->parallel_chunks(

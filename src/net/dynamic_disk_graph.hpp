@@ -37,11 +37,11 @@
 /// node — never a sort over every flipped edge's endpoints).
 ///
 /// Phase 2 goes to the pool when the graph is whole-plane, the step has at
-/// least `kParallelApplyMovers` movers, and the caller is not itself a pool
-/// worker.  Region graphs (the shards of ShardedEngine, already stepped one
-/// per worker inside the engine's barrier) always run it inline.  The
-/// output — adjacency, `StepDelta`, kStep event, `graph.*` counters — is
-/// the same at every pool size.
+/// least `kParallelApplyMovers` movers, and `sim::fan_out_pool()` allows it
+/// (the caller is outside every pool dispatch).  Region graphs (the shards
+/// of ShardedEngine, already stepped one per worker inside the engine's
+/// barrier) always run it inline.  The output — adjacency, `StepDelta`,
+/// kStep event, `graph.*` counters — is the same at every pool size.
 ///
 /// **Region mode** (the shard substrate of net::ShardedEngine): constructed
 /// with an interest rectangle, the graph keeps every node *slot* (ids stay

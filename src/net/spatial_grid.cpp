@@ -44,46 +44,17 @@ SpatialGrid::SpatialGrid(std::span<const Node> nodes, double cell_size)
 }
 
 std::int64_t SpatialGrid::cell_of(geom::Vec2 p) const noexcept {
-  std::int64_t cx = static_cast<std::int64_t>(std::floor((p.x - min_x_) / cell_));
-  std::int64_t cy = static_cast<std::int64_t>(std::floor((p.y - min_y_) / cell_));
-  cx = std::clamp<std::int64_t>(cx, 0, nx_ - 1);
-  cy = std::clamp<std::int64_t>(cy, 0, ny_ - 1);
-  return cy * nx_ + cx;
-}
-
-void SpatialGrid::query_candidates(geom::Vec2 p, double range,
-                                   std::vector<NodeId>& out) const {
-  const std::int64_t cx0 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.x - range - min_x_) / cell_)), 0,
-      nx_ - 1);
-  const std::int64_t cx1 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.x + range - min_x_) / cell_)), 0,
-      nx_ - 1);
-  const std::int64_t cy0 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.y - range - min_y_) / cell_)), 0,
-      ny_ - 1);
-  const std::int64_t cy1 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.y + range - min_y_) / cell_)), 0,
-      ny_ - 1);
-  for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-      const std::size_t c = static_cast<std::size_t>(cy * nx_ + cx);
-      for (std::uint32_t k = offsets_[c]; k < offsets_[c + 1]; ++k) {
-        out.push_back(ids_[k]);
-      }
-    }
-  }
+  return clamped(p.y - min_y_, ny_) * nx_ + clamped(p.x - min_x_, nx_);
 }
 
 void SpatialGrid::query(geom::Vec2 p, double range, NodeId exclude,
                         std::vector<NodeId>& out) const {
-  std::vector<NodeId> candidates;
-  query_candidates(p, range, candidates);
   const double r2 = range * range;
-  for (NodeId id : candidates) {
-    if (id == exclude) continue;
-    if (geom::distance2(nodes_[id].pos, p) <= r2) out.push_back(id);
-  }
+  for_each_candidate(p, range, [&](NodeId id) {
+    if (id != exclude && geom::distance2(nodes_[id].pos, p) <= r2) {
+      out.push_back(id);
+    }
+  });
 }
 
 }  // namespace mldcs::net

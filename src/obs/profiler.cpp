@@ -160,12 +160,14 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void sigprof_handler(int /*sig*/,
                                                   void* uctx) {
   ThreadRec* rec = t_rec;
   if (rec == nullptr || !g_sampling.load(std::memory_order_relaxed)) return;
+  Sample* const ring = rec->samples.load(std::memory_order_acquire);
+  if (ring == nullptr) return;  // allocated before the timer ever starts
   const std::uint64_t head = rec->head.load(std::memory_order_relaxed);
   if (head - rec->tail.load(std::memory_order_relaxed) >= kRingSlots) {
     rec->dropped.fetch_add(1, std::memory_order_relaxed);
     return;  // full: drop the sample, never overwrite an undrained slot
   }
-  Sample& slot = rec->ring[head & (kRingSlots - 1)];
+  Sample& slot = ring[head & (kRingSlots - 1)];
 
   std::uintptr_t pc = 0;
   std::uintptr_t fp = 0;
@@ -227,6 +229,11 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void sigprof_handler(int /*sig*/,
 void start_timer_for(State& s, ThreadRec* rec) {
   if (rec->timer_active || !rec->alive.load(std::memory_order_relaxed)) {
     return;
+  }
+  // The sample ring comes with the record's first timer: every pool worker
+  // registers, and most runs never arm the profiler.
+  if (rec->samples.load(std::memory_order_relaxed) == nullptr) {
+    rec->samples.store(new Sample[kRingSlots], std::memory_order_release);
   }
   clockid_t clock;
   if (pthread_getcpuclockid(rec->pth, &clock) != 0) return;
@@ -356,10 +363,12 @@ std::uint64_t drain_once(State& s) {
   const std::scoped_lock fold_lock(s.fold_mu);
   for (ThreadRec* rec = detail::thread_recs(); rec != nullptr;
        rec = rec->next) {
+    const Sample* const ring = rec->samples.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;  // never sampled
     const std::uint64_t head = rec->head.load(std::memory_order_acquire);
     const std::uint64_t tail = rec->tail.load(std::memory_order_relaxed);
     for (std::uint64_t t = tail; t < head; ++t) {
-      const Sample& slot = rec->ring[t & (kRingSlots - 1)];
+      const Sample& slot = ring[t & (kRingSlots - 1)];
       const std::uint32_t phase = slot.phase.load(std::memory_order_relaxed);
       const std::uint32_t depth =
           std::min<std::uint32_t>(slot.depth.load(std::memory_order_relaxed),

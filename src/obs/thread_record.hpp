@@ -57,12 +57,14 @@ struct ThreadRec {
 
   // Profiler: CPU-clock timer (under the registry lock) and the sample
   // ring, produced by the SIGPROF handler and drained by the drain thread.
+  // The ring (kRingSlots samples) is allocated when the profiler first
+  // starts the record's timer, so a thread never sampled never pays it.
   timer_t timer{};
   bool timer_active = false;
   std::atomic<std::uint64_t> head{0};  ///< handler-advanced, release
   std::atomic<std::uint64_t> tail{0};  ///< drain-advanced, release
   std::atomic<std::uint64_t> dropped{0};
-  Sample ring[kRingSlots];
+  std::atomic<Sample*> samples{nullptr};
 
   // Trace spans: the same drop-when-full ring (kTraceRingSlots, 768 KB),
   // allocated once tracing is armed while the record is live.

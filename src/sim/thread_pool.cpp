@@ -37,6 +37,10 @@ thread_local ThreadPool* t_worker_pool = nullptr;
 
 ThreadPool* ThreadPool::worker_pool() noexcept { return t_worker_pool; }
 
+void ThreadPool::set_worker_pool(ThreadPool* pool) noexcept {
+  t_worker_pool = pool;
+}
+
 ThreadPool::ThreadPool(std::size_t threads)
     : workers_(threads != 0 ? threads
                             : std::max<std::size_t>(
@@ -162,6 +166,12 @@ ThreadPool& default_pool() {
   static ThreadPool pool(detail::thread_override(
       std::getenv("MLDCS_THREADS"), std::thread::hardware_concurrency()));
   return pool;
+}
+
+ThreadPool* fan_out_pool() {
+  if (ThreadPool::worker_pool() != nullptr) return nullptr;
+  ThreadPool& pool = default_pool();
+  return pool.size() > 1 ? &pool : nullptr;
 }
 
 }  // namespace mldcs::sim

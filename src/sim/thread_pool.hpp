@@ -10,7 +10,8 @@
 /// (no work stealing, no shared RNG), so results are bitwise identical at
 /// any thread count.  The calling thread runs chunk 0 itself and submits
 /// only chunks 1..T-1, so a dispatch never waits for one more worker to
-/// wake than it has chunks to hand out.  The queue side exists for the
+/// wake than it has chunks to hand out; while it runs chunk 0 it counts as
+/// one of the pool's workers (worker_pool()).  The queue side exists for the
 /// ROADMAP's async/batched workloads: tasks may submit further tasks from
 /// inside a worker, and destruction drains every queued task before joining
 /// (verified under ThreadSanitizer by tests/sim/thread_pool_stress_test.cpp).
@@ -23,10 +24,11 @@
 ///    then rethrows the first exception any submitted task threw since the
 ///    last wait_idle().
 ///  - parallel_for() / parallel_chunks() / parallel_weighted_chunks() block
-///    the caller until every chunk has finished.  Called from one of this
-///    pool's own workers they run every chunk inline, in chunk order, on
-///    that worker (same boundaries and chunk indices): a nested dispatch
-///    cannot deadlock waiting for workers that are all blocked in it.
+///    the caller until every chunk has finished.  Called from a thread
+///    that works for this pool (see worker_pool()) they run every chunk
+///    inline, in chunk order, on that thread (same boundaries and chunk
+///    indices): a nested dispatch cannot deadlock waiting for workers
+///    that are all blocked in it.
 ///  - The destructor finishes every queued task (including tasks those
 ///    tasks submit) before joining; exceptions from tasks drained during
 ///    destruction are swallowed.
@@ -149,11 +151,12 @@ class ThreadPool {
     run_chunks(bounds.size() - 1, lo_of, body);
   }
 
-  /// The pool whose worker thread is calling, or nullptr on any thread
-  /// that is not a pool worker (the main thread, a caller-run chunk 0).
-  /// Code that would dispatch to a *different* pool checks it too: a
-  /// worker that blocks on another pool's chunks holds its own pool's
-  /// capacity hostage.
+  /// The pool the calling thread works for: the pool whose worker it is,
+  /// or — while a caller outside every pool runs chunk 0 of a dispatch —
+  /// the dispatching pool.  nullptr on any other thread (the main thread
+  /// between dispatches).  Code that would dispatch to a *different* pool
+  /// checks it too (through fan_out_pool()): a thread that blocks on
+  /// another pool's chunks holds its own pool's capacity hostage.
   [[nodiscard]] static ThreadPool* worker_pool() noexcept;
 
  private:
@@ -192,7 +195,8 @@ class ThreadPool {
   /// of this pool's workers.
   template <typename Bounds, typename F>
   void run_chunks(std::size_t chunks, const Bounds& lo_of, F& body) {
-    if (chunks <= 1 || worker_pool() == this) {
+    ThreadPool* const outer = worker_pool();
+    if (chunks <= 1 || outer == this) {
       for (std::size_t c = 0; c < chunks; ++c) {
         body(c, lo_of(c), lo_of(c + 1));
       }
@@ -208,12 +212,19 @@ class ThreadPool {
         if (--shared->remaining == 0) shared->cv.notify_all();
       });
     }
+    // Chunk 0 runs beside the workers' chunks, so the caller counts as one
+    // of this pool's workers meanwhile: a dispatch nested in it runs
+    // inline, and so does library code that asks fan_out_pool().  A thread
+    // that already works for another pool stays that pool's.
+    if (outer == nullptr) set_worker_pool(this);
     job.run(0);
+    if (outer == nullptr) set_worker_pool(nullptr);
     std::unique_lock<std::mutex> lock(job.m);
     job.cv.wait(lock, [&job] { return job.remaining == 0; });
     if (job.error) std::rethrow_exception(job.error);
   }
 
+  static void set_worker_pool(ThreadPool* pool) noexcept;
   void ensure_started();  // spawn workers on first submit; callers hold no lock
   void worker_loop();
 
@@ -244,11 +255,13 @@ void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
 /// pool construction per step.  Same concurrency contract as any
 /// ThreadPool; callers must not rely on exclusive use.
 ///
-/// The library dispatches to it on its own in one place: a whole-plane
-/// `net::DynamicDiskGraph::apply` with many movers runs its per-mover diff
-/// here (dynamic_disk_graph.hpp).  That apply is bounded by this pool's
+/// The library also dispatches to it on its own, through fan_out_pool():
+/// a whole-plane `net::DynamicDiskGraph::apply` with many movers (its
+/// per-mover diff), a `net::DiskGraph::build` of 4096+ nodes (its count
+/// and fill passes), and a skyline `bcast::simulate_broadcast` (each large
+/// frontier's forwarding sets).  Those stages are bounded by this pool's
 /// size, not by any pool the caller hands to a cache or a sweep — so
-/// `perf_suite --threads` does not bound it, and `MLDCS_THREADS` does.
+/// `perf_suite --threads` does not bound them, and `MLDCS_THREADS` does.
 ///
 /// Size: hardware_concurrency, unless the `MLDCS_THREADS` environment
 /// variable names a positive integer — then that, clamped to
@@ -256,6 +269,15 @@ void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
 /// without plumbing --threads through every binary; unparsable or
 /// non-positive values are ignored.
 ThreadPool& default_pool();
+
+/// The one fan-out rule for library code: the pool an internal parallel
+/// stage may use here.  default_pool() when the caller is outside every
+/// pool dispatch and that pool has more than one worker; nullptr (run
+/// inline) otherwise.  Inside a dispatch — on a pool worker, or while the
+/// caller runs chunk 0 — the sibling chunks already hold the cores, so a
+/// nested build, apply or broadcast runs inline instead of oversubscribing
+/// them.  The stage's output must not depend on which way it ran.
+[[nodiscard]] ThreadPool* fan_out_pool();
 
 namespace detail {
 /// MLDCS_THREADS parsing, exposed for tests: returns the worker count for

@@ -1,0 +1,178 @@
+// The library's own fan-out, checked against the inline path: a skyline
+// simulate_broadcast computes each large frontier's forwarding sets on
+// sim::default_pool(), and a large DiskGraph::build runs its count and fill
+// passes there.  Called from inside a pool worker, both run inline
+// (sim::fan_out_pool()), so each check runs a call twice — from the test's
+// main thread, then from a worker of a one-worker pool — and demands the
+// same output.
+//
+// tests/CMakeLists.txt registers this binary three times: at the host's
+// default pool size, and with MLDCS_THREADS=1 and =2.  default_pool() reads
+// the variable once per process, so each pool size needs its own process.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "broadcast/broadcast_sim.hpp"
+#include "broadcast/self_pruning.hpp"
+#include "net/disk_graph.hpp"
+#include "net/topology.hpp"
+#include "obs/event_log.hpp"
+#include "obs/telemetry.hpp"
+#include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
+#include "support/pool_tasks.hpp"
+
+namespace mldcs {
+namespace {
+
+using bcast::BroadcastResult;
+using bcast::ReceptionModel;
+using bcast::Scheme;
+using test::pool_tasks;
+
+/// The paper's heterogeneous deployment: radii U[1,2], ~1000 nodes at side
+/// 12.5.  The broadcast checks run at average degree 10 rather than the
+/// paper's 36.8: the sanitizer presets check every skyline's invariants,
+/// and at 36.8 one broadcast costs seconds there.  Frontiers still reach
+/// the pool (the test asserts it).
+std::vector<net::Node> paper_nodes(std::uint64_t seed, double degree,
+                                   double side = 12.5) {
+  net::DeploymentParams p;
+  p.model = net::RadiusModel::kUniform;
+  p.target_avg_degree = degree;
+  p.side = side;
+  sim::Xoshiro256 rng(seed);
+  return net::generate_deployment(p, rng);
+}
+
+/// Runs `f` on the worker of a one-worker pool: inside a pool, so the
+/// library's own stages run inline.
+template <typename F>
+void run_inline(F&& f) {
+  sim::ThreadPool one(1);
+  one.submit([&f] {
+    ASSERT_EQ(sim::fan_out_pool(), nullptr);
+    f();
+  });
+  one.wait_idle();
+}
+
+/// One armed broadcast: its result and its flight-recorder events.
+struct Recorded {
+  BroadcastResult result;
+  std::vector<obs::Event> events;
+};
+
+template <typename F>
+Recorded record(F&& broadcast) {
+  obs::events_clear();
+  obs::events_start();
+  Recorded out;
+  out.result = broadcast();
+  obs::events_stop();
+  out.events = obs::events_snapshot();
+  obs::events_clear();
+  return out;
+}
+
+void expect_same(const Recorded& pooled, const Recorded& inl,
+                 const std::string& where) {
+  EXPECT_EQ(pooled.result.transmissions, inl.result.transmissions) << where;
+  EXPECT_EQ(pooled.result.delivered, inl.result.delivered) << where;
+  EXPECT_EQ(pooled.result.max_hops, inl.result.max_hops) << where;
+  EXPECT_EQ(pooled.result.reachable, inl.result.reachable) << where;
+  EXPECT_EQ(pooled.result.redundant_receptions,
+            inl.result.redundant_receptions)
+      << where;
+  ASSERT_EQ(pooled.events.size(), inl.events.size()) << where;
+  for (std::size_t i = 0; i < pooled.events.size(); ++i) {
+    const obs::Event& a = pooled.events[i];
+    const obs::Event& b = inl.events[i];
+    ASSERT_TRUE(a.id == b.id && a.parent == b.parent && a.value == b.value &&
+                a.a == b.a && a.b == b.b && a.type == b.type)
+        << where << ": event " << i << " differs";
+  }
+}
+
+// Plain and self-pruned skyline broadcasts, under both reception models,
+// over several deployments and sources: the pooled run and the inline run
+// give the same result and the same armed event stream.
+TEST(ParallelBroadcastTest, SkylineBroadcastMatchesInlineRun) {
+  std::uint64_t pooled_tasks = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const net::DiskGraph g =
+        net::DiskGraph::build(paper_nodes(seed, 10.0));
+    for (const net::NodeId source :
+         {net::NodeId{0}, static_cast<net::NodeId>(g.size() / 2),
+          static_cast<net::NodeId>(g.size() - 1)}) {
+      for (const ReceptionModel model : {ReceptionModel::kBidirectionalLink,
+                                         ReceptionModel::kPhysicalCoverage}) {
+        for (const bool pruned : {false, true}) {
+          const auto broadcast = [&] {
+            return pruned ? bcast::simulate_pruned_broadcast(
+                                g, source, Scheme::kSkyline, model)
+                          : bcast::simulate_broadcast(g, source,
+                                                      Scheme::kSkyline, model);
+          };
+          const std::uint64_t before = pool_tasks();
+          const Recorded pooled = record(broadcast);
+          pooled_tasks += pool_tasks() - before;
+          Recorded inl;
+          run_inline([&] { inl = record(broadcast); });
+          const std::string where =
+              "seed " + std::to_string(seed) + ", source " +
+              std::to_string(source) + ", model " +
+              std::to_string(static_cast<int>(model)) +
+              (pruned ? ", pruned" : ", plain");
+          ASSERT_GE(pooled.result.transmissions, 2u) << where;
+          if (obs::kTelemetryEnabled) {
+            ASSERT_FALSE(pooled.events.empty()) << where;
+          }
+          expect_same(pooled, inl, where);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  // With more than one worker the pooled runs must actually have reached
+  // the pool — otherwise this file tests the inline path twice.
+  if (obs::kTelemetryEnabled && sim::default_pool().size() > 1) {
+    EXPECT_GT(pooled_tasks, 0u);
+  }
+}
+
+// DiskGraph::build gives the same CSR arrays on the pool and inline, below
+// and above the size at which it starts to fan out (4096 nodes).
+TEST(ParallelBroadcastTest, GraphBuildMatchesInlineRun) {
+  for (const double side : {8.0, 12.5, 25.0, 30.0}) {
+    const std::vector<net::Node> nodes = paper_nodes(7, 36.8, side);
+    const std::uint64_t before = pool_tasks();
+    const net::DiskGraph pooled = net::DiskGraph::build(nodes);
+    const std::uint64_t tasks = pool_tasks() - before;
+    net::DiskGraph inl;
+    run_inline([&] { inl = net::DiskGraph::build(nodes); });
+
+    const std::string where = std::to_string(nodes.size()) + " nodes";
+    ASSERT_EQ(pooled.size(), inl.size()) << where;
+    ASSERT_EQ(pooled.edge_count(), inl.edge_count()) << where;
+    for (net::NodeId u = 0; u < pooled.size(); ++u) {
+      const auto a = pooled.neighbors(u);
+      const auto b = inl.neighbors(u);
+      ASSERT_EQ(a.size(), b.size()) << where << ", node " << u;
+      ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+          << where << ", node " << u;
+    }
+    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1 &&
+        nodes.size() >= 4096) {
+      EXPECT_GT(tasks, 0u) << where << " should build on the pool";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace mldcs

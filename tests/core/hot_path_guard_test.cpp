@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "broadcast/all_skylines.hpp"
@@ -27,16 +28,19 @@
 #include "net/mobility.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/lock_guard.hpp"
+#include "support/pool_tasks.hpp"
 
 namespace mldcs {
 namespace {
 
 using test::AllocGuard;
 using test::LockGuard;
+using test::pool_tasks;
 
 std::vector<geom::Disk> random_disks(std::size_t n, std::uint64_t seed) {
   sim::Xoshiro256 rng(seed);
@@ -142,8 +146,9 @@ net::DiskGraph static_1k_graph() {
 
 // Not an annotated hot path, but the simulator's per-transmission loop must
 // not allocate either: the allocations of one broadcast are its O(N) state
-// vectors and its relay scratch, never one per transmitter (a LocalView, a
-// receiver copy, a result vector).
+// vectors, its frontier slots and the pool's dispatches, never one per
+// transmitter (a LocalView, a receiver copy, a result vector) nor one relay
+// scratch per chunk (each thread keeps its own across broadcasts).
 TEST(HotPathGuard, SimulateBroadcastAllocFree) {
   if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
   if (core::kInvariantChecksEnabled) {
@@ -163,6 +168,7 @@ TEST(HotPathGuard, SimulateBroadcastAllocFree) {
     // Warm-up: telemetry registration and the thread-local engine state.
     for (int i = 0; i < 2; ++i) (void)broadcast();
 
+    const std::uint64_t tasks_before = pool_tasks();
     AllocGuard guard;
     const bcast::BroadcastResult r = broadcast();
     const std::uint64_t allocs = guard.count();
@@ -173,6 +179,46 @@ TEST(HotPathGuard, SimulateBroadcastAllocFree) {
     EXPECT_GE(r.transmissions, 400u);
     EXPECT_LE(allocs, 256u) << (pruned ? "pruned" : "plain") << ", over "
                             << r.transmissions << " transmissions";
+    // With more than one worker the frontiers' sets must have been
+    // computed on the pool, so the bound above covers that path.
+    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1) {
+      EXPECT_GT(pool_tasks(), tasks_before) << (pruned ? "pruned" : "plain");
+    }
+  }
+}
+
+// --- DiskGraph::build: count and fill passes without per-chunk scratch -----
+
+// Builds at the paper's density, held to the 26 allocations the serial
+// 999-node build made: 999 nodes (inline) and ~5700 (on the pool when it has
+// more than one worker).  Both passes visit the grid's candidates in place,
+// so no chunk allocates; a candidate vector per chunk and pass would add
+// allocations to every build.
+TEST(HotPathGuard, DiskGraphBuildAllocations) {
+  if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
+  for (const double side : {12.5, 30.0}) {
+    net::DeploymentParams p;
+    p.model = net::RadiusModel::kUniform;
+    p.target_avg_degree = 36.8;
+    p.side = side;
+    sim::Xoshiro256 rng(1);
+    const std::vector<net::Node> nodes = net::generate_deployment(p, rng);
+    for (int i = 0; i < 2; ++i) (void)net::DiskGraph::build(nodes);  // warm-up
+
+    std::vector<net::Node> copy = nodes;
+    const std::uint64_t tasks_before = pool_tasks();
+    AllocGuard guard;
+    const net::DiskGraph g = net::DiskGraph::build(std::move(copy));
+    const std::uint64_t allocs = guard.count();
+    const std::string where = std::to_string(nodes.size()) + " nodes";
+    RecordProperty("allocations_n" + std::to_string(nodes.size()),
+                   static_cast<int>(allocs));
+    EXPECT_GT(g.edge_count(), 0u) << where;
+    EXPECT_LE(allocs, 26u) << where;
+    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1 &&
+        nodes.size() >= 4096) {
+      EXPECT_GT(pool_tasks(), tasks_before) << where << " should fan out";
+    }
   }
 }
 

@@ -67,12 +67,13 @@ TEST(SpatialGridTest, CandidatesAreSupersetOfMatches) {
   const SpatialGrid grid(nodes, 2.0);
   for (int trial = 0; trial < 20; ++trial) {
     const geom::Vec2 p{rng.uniform(0, 12.5), rng.uniform(0, 12.5)};
-    std::vector<NodeId> cand, match;
-    grid.query_candidates(p, 1.5, cand);
-    grid.query(p, 1.5, kNoNode, match);
+    std::vector<NodeId> cand;
+    grid.for_each_candidate(p, 1.5, [&cand](NodeId id) { cand.push_back(id); });
     std::sort(cand.begin(), cand.end());
-    for (NodeId id : match) {
-      EXPECT_TRUE(std::binary_search(cand.begin(), cand.end(), id));
+    for (const Node& n : nodes) {  // brute force: every match is a candidate
+      if (geom::distance2(n.pos, p) <= 1.5 * 1.5) {
+        EXPECT_TRUE(std::binary_search(cand.begin(), cand.end(), n.id));
+      }
     }
   }
 }

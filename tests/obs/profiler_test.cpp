@@ -118,7 +118,9 @@ TEST_F(ProfilerTest, TaggedBusyLoopDominatesProfile) {
 
 // capture_window from a disarmed state arms, samples registered worker
 // threads (the caller sleeps on its CPU clock, so the samples must come
-// from the worker), disarms, and returns a complete report.
+// from the worker), disarms, and returns a complete report.  The worker
+// registered before arming, so it got its sample ring when the profiler
+// armed.
 TEST_F(ProfilerTest, CaptureWindowSamplesRegisteredWorker) {
   std::atomic<bool> ready{false};
   std::atomic<bool> stop{false};
@@ -143,6 +145,26 @@ TEST_F(ProfilerTest, CaptureWindowSamplesRegisteredWorker) {
   EXPECT_EQ(phase_sum(r), r.total_samples);
   EXPECT_GT(phase_count(r, "cache_recompute"), 0u)
       << "the worker's tagged loop must appear in the window";
+}
+
+// A thread that registers while the profiler is armed gets its sample
+// ring and its timer on registration, and is sampled like any other.
+TEST_F(ProfilerTest, ThreadRegisteredWhileArmedIsSampled) {
+  ProfilerConfig cfg;
+  cfg.hz = 500;
+  ASSERT_TRUE(profiler_arm(cfg));
+  std::thread late([] {
+    profiler_register_thread();
+    const Scope phase(Phase::kGraphApply);
+    EXPECT_NE(spin_for_ms(400), 0u);
+  });
+  late.join();
+  profiler_disarm();
+
+  const ProfileReport r = profiler_report();
+  EXPECT_EQ(phase_sum(r), r.total_samples);
+  EXPECT_GT(phase_count(r, "graph_apply"), 0u)
+      << "the late thread's tagged loop must appear in the profile";
 }
 
 // The crash-snapshot line is refreshed by every drain sweep (including

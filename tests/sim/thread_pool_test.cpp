@@ -17,6 +17,12 @@
 #include <tuple>
 #include <vector>
 
+#include "net/disk_graph.hpp"
+#include "net/topology.hpp"
+#include "obs/telemetry.hpp"
+#include "sim/rng.hpp"
+#include "support/pool_tasks.hpp"
+
 namespace mldcs::sim {
 namespace {
 
@@ -300,6 +306,61 @@ TEST(ThreadPoolDispatchTest, NestedDispatchFromOwnWorkerRunsInline) {
     EXPECT_EQ(nested.thread_of(c), task_thread);
   }
   EXPECT_EQ(ThreadPool::worker_pool(), nullptr);
+}
+
+// While the caller runs chunk 0 beside the workers' chunks it counts as one
+// of the pool's workers: worker_pool() names the pool and fan_out_pool()
+// keeps library code inline.  Once the dispatch returns the caller is
+// outside every pool again.
+TEST(ThreadPoolDispatchTest, CallerCountsAsWorkerWhileRunningChunkZero) {
+  ThreadPool pool(2);
+  ThreadPool* seen = nullptr;
+  ThreadPool* fan_out = &pool;
+  pool.parallel_chunks(2, [&](std::size_t c, std::size_t, std::size_t) {
+    if (c == 0) {
+      seen = ThreadPool::worker_pool();
+      fan_out = fan_out_pool();
+    }
+  });
+  EXPECT_EQ(seen, &pool);
+  EXPECT_EQ(fan_out, nullptr);
+  EXPECT_EQ(ThreadPool::worker_pool(), nullptr);
+  if (default_pool().size() > 1) {
+    EXPECT_EQ(fan_out_pool(), &default_pool());
+  }
+}
+
+// A library call that fans out on its own (here a ~5700-node
+// DiskGraph::build) runs inline when made from chunk 0: the dispatch's own
+// chunk 1 is the only task any pool runs.
+TEST(ThreadPoolDispatchTest, LibraryCallFromChunkZeroStaysInline) {
+  if (!obs::kTelemetryEnabled || default_pool().size() < 2) {
+    GTEST_SKIP() << "needs pool telemetry and a multi-worker default pool";
+  }
+  net::DeploymentParams p;
+  p.model = net::RadiusModel::kUniform;
+  p.target_avg_degree = 36.8;
+  p.side = 30.0;  // the paper's density over 5.76x its area
+  Xoshiro256 rng(5);
+  const std::vector<net::Node> nodes = net::generate_deployment(p, rng);
+  ThreadPool pool(2);
+  const auto tasks = [&pool] {
+    pool.wait_idle();
+    return test::pool_tasks();
+  };
+
+  std::uint64_t before = tasks();
+  const net::DiskGraph top = net::DiskGraph::build(nodes);
+  ASSERT_GT(tasks() - before, 0u)
+      << "a top-level build must fan out, or this test proves nothing";
+
+  before = tasks();
+  std::size_t edges = 0;
+  pool.parallel_chunks(2, [&](std::size_t c, std::size_t, std::size_t) {
+    if (c == 0) edges = net::DiskGraph::build(nodes).edge_count();
+  });
+  EXPECT_EQ(tasks() - before, 1u);
+  EXPECT_EQ(edges, top.edge_count());
 }
 
 // MLDCS_THREADS parsing for default_pool() sizing: 0 means "no override".
