@@ -71,6 +71,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -632,10 +633,13 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. batched all-relay thread scaling ---------------------------------
-  // The same ~1000-node sweep as section 2, at several pool sizes.  On a
-  // single-core runner the >1 configurations measure oversubscription
-  // overhead rather than speedup; the speedup_vs_1_thread field makes that
-  // legible either way.
+  // The same ~1000-node sweep as section 2, at several pool sizes.  One
+  // sweep takes a few milliseconds, so a single timing is at the mercy of
+  // the host: each pool size is reported as the median of kSweeps timed
+  // sweeps, taken in rounds that visit every pool size once, so drift in
+  // host speed lands on all of them alike.  On a single-core runner the >1
+  // configurations measure oversubscription overhead rather than speedup;
+  // the speedup_vs_1_thread field makes that legible either way.
   if (run_section("batch_all_relays_threads")) {
     net::DeploymentParams p;
     p.model = net::RadiusModel::kUniform;
@@ -643,7 +647,7 @@ int main(int argc, char** argv) {
     sim::Xoshiro256 rng(0x5EEDC0DEULL);
     const net::DiskGraph g = net::generate_graph(p, rng);
 
-    // Plain array: the replaced global operator new/delete pair confuses
+    // Plain arrays: the replaced global operator new/delete pair confuses
     // GCC's -Wmismatched-new-delete for vectors of local types at -O2.
     std::size_t counts[4] = {0, 0, 0, 0};
     std::size_t n_counts = 0;
@@ -656,27 +660,49 @@ int main(int argc, char** argv) {
       counts[n_counts++] = 4;
       if (pool.size() > 4) counts[n_counts++] = pool.size();
     }
+    const std::size_t kSweeps = quick ? 21 : 51;
+    std::unique_ptr<sim::ThreadPool> pools[4];
+    std::vector<double> sweep_ns[4];
+    for (std::size_t ci = 0; ci < n_counts; ++ci) {
+      pools[ci] = std::make_unique<sim::ThreadPool>(counts[ci]);
+      sweep_ns[ci].reserve(kSweeps);
+    }
+    const auto sweep = [&g](sim::ThreadPool& pool_t) {
+      const bcast::AllSkylines all = bcast::compute_all_skylines(g, pool_t);
+      if (all.size() != g.size()) std::abort();
+    };
+    for (std::size_t ci = 0; ci < n_counts; ++ci) sweep(*pools[ci]);  // warm
+    for (std::size_t r = 0; r < kSweeps; ++r) {
+      for (std::size_t ci = 0; ci < n_counts; ++ci) {
+        const auto t0 = std::chrono::steady_clock::now();
+        sweep(*pools[ci]);
+        const auto t1 = std::chrono::steady_clock::now();
+        sweep_ns[ci].push_back(static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count()));
+      }
+    }
 
     j.open_arr("batch_all_relays_threads");
     double ns_1thread = 0.0;
     for (std::size_t ci = 0; ci < n_counts; ++ci) {
       const std::size_t t = counts[ci];
-      sim::ThreadPool pool_t(t);
-      const Measurement m = measure(budget_ns, [&] {
-        const bcast::AllSkylines all = bcast::compute_all_skylines(g, pool_t);
-        if (all.size() != g.size()) std::abort();
-      });
-      if (ns_1thread == 0.0) ns_1thread = m.ns_per_op;  // counts starts at 1
+      std::vector<double>& ns = sweep_ns[ci];
+      std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+      const double median_ns = ns[ns.size() / 2];
+      if (ns_1thread == 0.0) ns_1thread = median_ns;  // counts starts at 1
 
-      std::cout << "  all-relays threads=" << t << ": " << m.ns_per_op / 1e6
-                << " ms (" << ns_1thread / m.ns_per_op << "x vs 1 thread)\n";
+      std::cout << "  all-relays threads=" << t << ": " << median_ns / 1e6
+                << " ms median of " << kSweeps << " ("
+                << ns_1thread / median_ns << "x vs 1 thread)\n";
 
       j.open_obj();
       j.field("threads", static_cast<std::uint64_t>(t));
-      j.field("batch_ns", m.ns_per_op);
+      j.field("sweeps", static_cast<std::uint64_t>(kSweeps));
+      j.field("batch_ns", median_ns);
       j.field("batch_relays_per_s",
-              static_cast<double>(g.size()) * 1e9 / m.ns_per_op);
-      j.field("speedup_vs_1_thread", ns_1thread / m.ns_per_op);
+              static_cast<double>(g.size()) * 1e9 / median_ns);
+      j.field("speedup_vs_1_thread", ns_1thread / median_ns);
       j.close_obj();
     }
     j.close_arr();

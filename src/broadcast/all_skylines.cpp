@@ -1,6 +1,7 @@
 #include "broadcast/all_skylines.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,71 +29,53 @@ MLDCS_HOT_PATH AllSkylines compute_all_skylines(const net::DiskGraph& g,
   out.arc_counts_.assign(n, 0);
   if (n == 0) return out;
 
-  // Each chunk appends its nodes' forwarding sets to a private blob and
-  // stages per-node set sizes and arc counts in private arrays too — the
-  // sweep writes NOTHING shared, so chunk-boundary cache lines never
-  // ping-pong between workers.  Chunks cover contiguous node ranges, so
-  // after a (serial, O(n)) prefix sum the stitch is one straight copy per
-  // chunk, run back on the pool: the memory-bandwidth-heavy patch-in
-  // scales with the workers instead of serializing on the caller.  The
-  // chunk struct also carries the per-chunk scratch (skyline workspace
-  // plus the local disk set / arc / index buffers), reused across every
-  // node of the range.
-  struct ChunkOut {
-    std::vector<net::NodeId> ids;
-    std::vector<std::uint32_t> set_sizes;   // per node in [lo, hi)
-    std::vector<std::uint32_t> arc_counts;  // per node in [lo, hi)
-    std::size_t lo = 0;
-    detail::RelayScratch scratch;
-  };
+  // The pool's participants claim blocks of nodes.  Each appends its
+  // blocks' forwarding sets to a private blob and records, per block,
+  // where they start; set sizes and arc counts go straight to their node's
+  // entries (disjoint indices).  After the serial O(n) prefix sum, the
+  // stitch copies the blobs into the CSR array block by block, back on the
+  // pool: each block's span is disjoint by construction, so no locking.
+  // A slot also carries the participant's scratch (skyline workspace plus
+  // the local disk set / arc / index buffers), reused across every node
+  // it claims.  Claiming balances the per-node cost,
+  // which grows with the node's local disk set, without weights.
+  constexpr std::size_t kBlock = detail::kRelayBlock;
   // mldcs-analyze:allow(hot-no-alloc): one-shot sweep setup, O(threads)
-  std::vector<ChunkOut> chunk_out(std::min(pool.size(), n));
-
-  // Per-relay skyline cost scales with the local disk set (the relay's
-  // 1-hop neighborhood), so chunk by degree instead of node count —
-  // otherwise a contiguous cluster of hubs lands in one chunk and the
-  // sweep waits on that worker.  +1 keeps isolated nodes visible to the
-  // boundary sweep (their per-call overhead is not zero).
+  std::vector<detail::SlotSets> slot_out(pool.size());
   // mldcs-analyze:allow(hot-no-alloc): one-shot sweep setup, O(nodes)
-  std::vector<std::uint32_t> weights(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    weights[u] =
-        static_cast<std::uint32_t>(g.degree(static_cast<net::NodeId>(u)) + 1);
-  }
+  std::vector<detail::BlockBegin> block_begin((n - 1) / kBlock + 1);
 
-  pool.parallel_weighted_chunks(weights, [&](std::size_t c, std::size_t lo,
-                                             std::size_t hi) {
-    ChunkOut& co = chunk_out[c];
-    co.lo = lo;
-    co.scratch.ws.reserve(64);
-    co.set_sizes.reserve(hi - lo);
-    co.arc_counts.reserve(hi - lo);
-    for (std::size_t u = lo; u < hi; ++u) {
-      const net::NodeId id = static_cast<net::NodeId>(u);
-      co.arc_counts.push_back(detail::relay_forwarding_set(g, id, co.scratch));
-      const std::vector<net::NodeId>& set = co.scratch.relay_ids;
-      co.ids.insert(co.ids.end(), set.begin(), set.end());
-      co.set_sizes.push_back(static_cast<std::uint32_t>(set.size()));
-    }
-  });
+  pool.parallel_blocks(
+      n, kBlock, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+        detail::SlotSets& so = slot_out[slot];
+        block_begin[lo / kBlock] = {slot, so.ids.size()};
+        for (std::size_t u = lo; u < hi; ++u) {
+          const net::NodeId id = static_cast<net::NodeId>(u);
+          out.arc_counts_[u] = detail::relay_forwarding_set(g, id, so.scratch);
+          const std::vector<net::NodeId>& set = so.scratch.relay_ids;
+          so.ids.insert(so.ids.end(), set.begin(), set.end());
+          out.offsets_[u + 1] = static_cast<std::uint32_t>(set.size());
+        }
+      });
 
-  // Serial O(n) spine: shifted counts, then the prefix sum.
-  for (const ChunkOut& co : chunk_out) {
-    std::copy(co.set_sizes.begin(), co.set_sizes.end(),
-              out.offsets_.begin() + co.lo + 1);
-  }
+  // Serial O(n) spine: the prefix sum over the staged set sizes.
   for (std::size_t i = 0; i < n; ++i) out.offsets_[i + 1] += out.offsets_[i];
   out.ids_.resize(out.offsets_[n]);
 
-  // Parallel stitch: each chunk patches its own contiguous CSR span and
-  // arc-count range; spans are disjoint by construction, so no locking.
-  pool.parallel_for(chunk_out.size(), [&](std::size_t c) {
-    const ChunkOut& co = chunk_out[c];
-    std::copy(co.ids.begin(), co.ids.end(),
-              out.ids_.begin() + out.offsets_[co.lo]);
-    std::copy(co.arc_counts.begin(), co.arc_counts.end(),
-              out.arc_counts_.begin() + co.lo);
-  });
+  // Parallel stitch, a run of sweep blocks per claim: each sweep block's
+  // sets are one contiguous stretch of its slot's blob.
+  constexpr std::size_t kStitch = 32 * kBlock;
+  pool.parallel_blocks(
+      n, kStitch, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t b_lo = lo; b_lo < hi; b_lo += kBlock) {
+          const std::size_t b_hi = std::min(hi, b_lo + kBlock);
+          const detail::BlockBegin at = block_begin[b_lo / kBlock];
+          const auto src = slot_out[at.slot].ids.begin() +
+                           static_cast<std::ptrdiff_t>(at.offset);
+          std::copy(src, src + (out.offsets_[b_hi] - out.offsets_[b_lo]),
+                    out.ids_.begin() + out.offsets_[b_lo]);
+        }
+      });
   return out;
 }
 

@@ -11,8 +11,10 @@
 /// an unneeded 2-hop BFS — the skyline scheme is 1-hop only) and fresh
 /// vectors for disks and arcs.  compute_all_skylines instead walks the CSR
 /// adjacency directly and runs the iterative skyline engine with one
-/// SkylineWorkspace per worker thread, so the whole sweep performs O(1)
-/// allocations per chunk rather than O(1) per node — measured >= 2x faster
+/// SkylineWorkspace per pool participant, which claims blocks of nodes
+/// until none is left (sim::ThreadPool::parallel_blocks), so the whole
+/// sweep performs O(1) allocations per participant rather than O(1) per
+/// node — measured >= 2x faster
 /// than the per-relay loop (see bench/perf_suite.cpp and
 /// docs/PERFORMANCE.md).
 
@@ -69,8 +71,9 @@ class AllSkylines {
 };
 
 /// Compute the MLDCS forwarding set of every node of `g`, parallelized over
-/// `pool` with one SkylineWorkspace per worker chunk.  Deterministic: the
-/// result is independent of the pool's thread count.
+/// `pool` with one SkylineWorkspace per participant.  Deterministic: the
+/// result is independent of the pool's thread count and of which
+/// participant ran which block.
 [[nodiscard]] MLDCS_HOT_PATH AllSkylines compute_all_skylines(
     const net::DiskGraph& g, sim::ThreadPool& pool);
 

@@ -1,5 +1,10 @@
 #include "broadcast/broadcast_sim.hpp"
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "broadcast/relay_skyline.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/thread_pool.hpp"
@@ -18,18 +23,20 @@ using detail::RelayScratch;
 /// (3.7 ms at 64, 5.5 ms at 128) as fewer frontiers qualified.
 constexpr std::size_t kParallelFrontier = 16;
 
-/// Each thread's relay scratch, kept across broadcasts: its buffers stay at
-/// their high-water capacity, so a warmed-up thread names sets without
+/// Each thread's relay scratch, kept across broadcasts: slot 0 names the
+/// sets the thread computes itself, and slot s the sets of participant s
+/// of the frontiers it hands to the pool.  Buffers stay at their
+/// high-water capacity, so a warmed-up thread names sets without
 /// allocating.
-thread_local RelayScratch t_relay;
+thread_local std::vector<RelayScratch> t_relay(1);
 
 /// The skyline sets of simulate_broadcast, named a frontier at a time.  A
 /// frontier of kParallelFrontier or more transmitters, with a pool to run
-/// on, has its sets computed up front in degree-weighted chunks, each into
-/// the owner's slot (a node's set is a subset of its neighbors, so slot u
-/// is u's stretch of a CSR-shaped buffer); a smaller one, or any frontier
-/// without a pool, names each set when its transmitter comes up.  A set
-/// depends only on (graph, relay), so both ways give the same sets.
+/// on, has its sets computed up front in self-scheduled blocks, each set
+/// into its owner's stretch of a CSR-shaped buffer (a node's set is a
+/// subset of its neighbors); a smaller one, or any frontier without a
+/// pool, names each set when its transmitter comes up.  A set depends only
+/// on (graph, relay), so both ways give the same sets.
 class FrontierSkylines {
  public:
   FrontierSkylines(const net::DiskGraph& g, sim::ThreadPool* pool)
@@ -38,26 +45,27 @@ class FrontierSkylines {
   void prepare(std::span<const net::NodeId> frontier) {
     pooled_ = pool_ != nullptr && frontier.size() >= kParallelFrontier;
     if (!pooled_) return;
-    if (first_.empty()) {  // the first pooled frontier sizes the slots
+    if (first_.empty()) {  // the first pooled frontier sizes the buffers
       const std::size_t n = g_.size();
       first_.resize(n + 1);
+      std::size_t max_degree = 0;
       for (net::NodeId u = 0; u < n; ++u) {
+        max_degree = std::max(max_degree, g_.degree(u));
         first_[u + 1] = first_[u] + static_cast<std::uint32_t>(g_.degree(u));
       }
       last_.resize(n);
       ids_.resize(first_[n]);
-      weights_.reserve(n);
+      // Every participant's scratch is sized before anyone claims: one
+      // that claims nothing in this broadcast and a hub in the next would
+      // otherwise grow its buffers then.
+      if (relays_.size() < pool_->size()) relays_.resize(pool_->size());
+      for (RelayScratch& relay : relays_) relay.reserve(max_degree);
     }
-    // Per-relay cost grows with the relay's local disk set.
-    weights_.clear();
-    for (const net::NodeId u : frontier) {
-      weights_.push_back(static_cast<std::uint32_t>(g_.degree(u)) + 1);
-    }
-    pool_->parallel_weighted_chunks(
-        weights_, [this, frontier](std::size_t /*chunk*/, std::size_t lo,
-                                   std::size_t hi) {
-          const obs::Scope chunk(obs::Phase::kBroadcast);
-          RelayScratch& relay = t_relay;
+    pool_->parallel_blocks(
+        frontier.size(), detail::kRelayBlock,
+        [this, frontier](std::size_t slot, std::size_t lo, std::size_t hi) {
+          const obs::Scope block(obs::Phase::kBroadcast);
+          RelayScratch& relay = relays_[slot];
           for (std::size_t i = lo; i < hi; ++i) {
             const net::NodeId u = frontier[i];
             relay_forwarding_set(g_, u, relay);
@@ -71,17 +79,19 @@ class FrontierSkylines {
 
   std::span<const net::NodeId> operator()(net::NodeId u) const {
     if (pooled_) return {ids_.data() + first_[u], ids_.data() + last_[u]};
-    relay_forwarding_set(g_, u, t_relay);
-    return t_relay.relay_ids;
+    RelayScratch& relay = relays_[0];
+    relay_forwarding_set(g_, u, relay);
+    return relay.relay_ids;
   }
 
  private:
   const net::DiskGraph& g_;
   sim::ThreadPool* pool_;
-  bool pooled_ = false;  ///< the current frontier's sets are in the slots
-  std::vector<std::uint32_t> first_, last_;  ///< slot u: ids_[first_, last_)
+  /// The calling thread's scratch; pool participants use it by slot.
+  std::vector<RelayScratch>& relays_ = t_relay;
+  bool pooled_ = false;  ///< the current frontier's sets are in ids_
+  std::vector<std::uint32_t> first_, last_;  ///< u's set: ids_[first_, last_)
   std::vector<net::NodeId> ids_;
-  std::vector<std::uint32_t> weights_;  ///< the current frontier's weights
 };
 
 /// Broadcast telemetry (docs/OBSERVABILITY.md): storm pressure

@@ -121,10 +121,10 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
   adjacency_.resize(n);
   in_moved_.assign(n, 0);
   link_mark_.assign(n, 0);
-  chunks_.resize(1);
+  slots_.resize(1);
   for (NodeId u = 0; u < n; ++u) {
     if (resident_[u] == 0) continue;
-    link_scan(u, chunks_[0].candidates, adjacency_[u]);
+    link_scan(u, slots_[0].candidates, adjacency_[u]);
     edges_ += adjacency_[u].size();
   }
   edges_ /= 2;
@@ -246,15 +246,12 @@ MLDCS_HOT_PATH void DynamicDiskGraph::classify_movers(
   delta_.moved.resize(w);
 }
 
-MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(ChunkScratch& cs,
+MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(SlotScratch& cs,
                                                   std::size_t lo,
                                                   std::size_t hi) {
-  cs.marked.clear();
-  cs.patches.clear();
-  cs.added = 0;
-  cs.removed = 0;
-  // Another chunk may mark the same endpoint concurrently; both store the
-  // same value, and an id both saw unmarked is deduplicated in phase 3.
+  // Another participant may mark the same endpoint concurrently; both
+  // store the same value, and an id both saw unmarked is deduplicated in
+  // phase 3.
   const auto mark = [this, &cs](NodeId v) {
     const std::atomic_ref<std::uint8_t> flag(link_mark_[v]);
     if (flag.load(std::memory_order_relaxed) != 0) return;
@@ -346,30 +343,39 @@ DynamicDiskGraph::apply_moved(
     nodes_[u].pos = current[u].pos;
   }
 
-  // Phase 2: the per-mover diff, as one inline chunk or one chunk per
-  // worker.  Whole-plane only: a region graph is a shard already stepped on
-  // a pool worker inside the engine's barrier.
+  // Phase 2: the per-mover diff, inline or in self-scheduled blocks of
+  // movers on the pool.  Whole-plane only: a region graph is a shard
+  // already stepped on a pool worker inside the engine's barrier.
   const std::size_t movers = delta_.moved.size();
   sim::ThreadPool* const pool =
       !region_mode_ && movers >= kParallelApplyMovers ? sim::fan_out_pool()
                                                       : nullptr;
-  const std::size_t n_chunks =
-      pool != nullptr ? std::min(pool->size(), movers) : 1;
-  if (chunks_.size() < n_chunks) chunks_.resize(n_chunks);
+  if (pool != nullptr && slots_.size() < pool->size()) {
+    slots_.resize(pool->size());
+  }
+  for (SlotScratch& cs : slots_) {
+    cs.marked.clear();
+    cs.patches.clear();
+    cs.added = 0;
+    cs.removed = 0;
+  }
   if (pool != nullptr) {
-    pool->parallel_chunks(
-        movers, [this](std::size_t c, std::size_t lo, std::size_t hi) {
-          const obs::Scope chunk(obs::Phase::kGraphApply);
-          diff_movers(chunks_[c], lo, hi);
+    pool->parallel_blocks(
+        movers, kParallelApplyBlock,
+        [this](std::size_t slot, std::size_t lo, std::size_t hi) {
+          const obs::Scope block(obs::Phase::kGraphApply);
+          diff_movers(slots_[slot], lo, hi);
         });
   } else {
-    diff_movers(chunks_[0], 0, movers);
+    diff_movers(slots_[0], 0, movers);
   }
 
-  // Phase 3: chunks cover the movers in ascending runs, so walking them in
-  // chunk order patches the unmoved endpoints in mover order.
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const ChunkScratch& cs = chunks_[c];
+  // Phase 3: which slot queued which edit depends on the schedule, but the
+  // result does not.  Every edit inserts or erases a mover id in the sorted
+  // list of an unmoved endpoint, and the edits to one list name distinct
+  // movers (each mover diffs its own list once), so they commute; the
+  // counts are sums and link_changed is sorted below.
+  for (const SlotScratch& cs : slots_) {
     for (const Patch& p : cs.patches) {
       std::vector<NodeId>& adj = adjacency_[p.v];
       const auto pos = std::lower_bound(adj.begin(), adj.end(), p.u);
@@ -385,8 +391,8 @@ DynamicDiskGraph::apply_moved(
   edges_ -= delta_.edges_removed;
 
   for (const NodeId u : delta_.moved) in_moved_[u] = 0;
-  // At most one entry per node, plus the rare id two chunks both saw
-  // unmarked.
+  // At most one entry per node, plus the rare id two participants both
+  // saw unmarked.
   std::sort(delta_.link_changed.begin(), delta_.link_changed.end());
   delta_.link_changed.erase(
       std::unique(delta_.link_changed.begin(), delta_.link_changed.end()),

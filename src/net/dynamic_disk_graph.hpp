@@ -27,21 +27,26 @@
 /// re-bucket it.  (2) The one per-mover body: grid query, exact link
 /// filter, sort, and a two-pointer diff against the mover's old list, then
 /// the new list replaces the old.  The body reads only post-move positions,
-/// the grid and the movers' own lists, so it runs over contiguous chunks of
-/// the mover list — one inline chunk, or one chunk per worker of
-/// `sim::default_pool()`.  A flip between two movers is counted from the
-/// lower endpoint.  Each chunk marks flipped endpoints in a per-node byte
-/// mask and queues edits to *unmoved* endpoints' lists; it keeps no record
-/// per flip.  (3) Serial: the queued edits are patched in, in mover order,
-/// and `link_changed` is the marked ids, sorted (at most one entry per
-/// node — never a sort over every flipped edge's endpoints).
+/// the grid and the movers' own lists, so it runs over blocks of the mover
+/// list — inline, or in blocks claimed by the participants of
+/// `sim::default_pool()` (ThreadPool::parallel_blocks).  A flip between two
+/// movers is counted from the lower endpoint.  Each participant marks
+/// flipped endpoints in a per-node byte mask and queues edits to *unmoved*
+/// endpoints' lists in its own slot; it keeps no record per flip.  (3)
+/// Serial: the queued edits are patched in, slot by slot.  Which slot
+/// queued an edit depends on the schedule, but the result does not: every
+/// edit inserts or erases a mover id in an unmoved endpoint's sorted list,
+/// and the edits to one list name distinct movers, so they commute.
+/// `link_changed` is the marked ids, sorted (at most one entry per node —
+/// never a sort over every flipped edge's endpoints).
 ///
 /// Phase 2 goes to the pool when the graph is whole-plane, the step has at
 /// least `kParallelApplyMovers` movers, and `sim::fan_out_pool()` allows it
 /// (the caller is outside every pool dispatch).  Region graphs (the shards
 /// of ShardedEngine, already stepped one per worker inside the engine's
 /// barrier) always run it inline.  The output — adjacency, `StepDelta`,
-/// kStep event, `graph.*` counters — is the same at every pool size.
+/// kStep event, `graph.*` counters — is the same at every pool size and
+/// under every schedule.
 ///
 /// **Region mode** (the shard substrate of net::ShardedEngine): constructed
 /// with an interest rectangle, the graph keeps every node *slot* (ids stay
@@ -99,6 +104,12 @@ class DynamicDiskGraph {
   /// every run (0.50-0.67 ms against 0.77 ms inline); at 128-192 the
   /// workers' wake-up ate the gain in about one run in three.
   static constexpr std::size_t kParallelApplyMovers = 256;
+
+  /// Movers per block of a pooled phase 2.  A mover's diff costs about a
+  /// quarter of a relay's skyline (~5 against ~18 us of CPU in a traced
+  /// high-speed step, 4-core x86-64), so a block holds twice as many
+  /// movers as bcast::detail::kRelayBlock holds relays.
+  static constexpr std::size_t kParallelApplyBlock = 16;
 
   /// Build the initial topology.  As in `DiskGraph::build`, node ids are
   /// reassigned to indices, and a non-finite position or radius throws
@@ -200,13 +211,14 @@ class DynamicDiskGraph {
     bool added;
   };
 
-  /// One phase-2 chunk's scratch and results; grows to the pool size, then
-  /// is reused every step.
-  struct ChunkScratch {
+  /// One phase-2 participant's scratch and queued results, indexed by
+  /// parallel_blocks slot; grows to the pool size, then is reused every
+  /// step.
+  struct SlotScratch {
     std::vector<NodeId> candidates;
     std::vector<NodeId> adj;     ///< the current mover's new list
-    std::vector<NodeId> marked;  ///< ids this chunk set in link_mark_
-    std::vector<Patch> patches;  ///< in mover order
+    std::vector<NodeId> marked;  ///< ids this slot set in link_mark_
+    std::vector<Patch> patches;  ///< in the slot's claim order
     std::size_t added = 0;
     std::size_t removed = 0;
   };
@@ -214,7 +226,7 @@ class DynamicDiskGraph {
   void init(std::vector<Node> nodes);
   MLDCS_HOT_PATH const StepDelta& apply_moved(std::span<const Node> current);
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);
-  MLDCS_HOT_PATH void diff_movers(ChunkScratch& cs, std::size_t lo,
+  MLDCS_HOT_PATH void diff_movers(SlotScratch& cs, std::size_t lo,
                                   std::size_t hi);
   [[nodiscard]] std::size_t cell_of(geom::Vec2 p) const noexcept;
   /// u's exact neighbor list at its current position, sorted, into `out`.
@@ -247,13 +259,14 @@ class DynamicDiskGraph {
 
   // Step scratch, reused across apply() calls.
   StepDelta delta_;
-  std::vector<ChunkScratch> chunks_;
+  std::vector<SlotScratch> slots_;
   /// Membership mask for delta_.moved: 0 = unmoved, 1 = moved (or inserted
   /// into the region), 2 = evicted from the region (new adjacency forced
   /// empty in phase 2).
   std::vector<std::uint8_t> in_moved_;
-  /// 1 = endpoint of a flipped edge this step.  Chunks set it concurrently
-  /// (relaxed atomic_ref stores); phase 3 clears what it gathered.
+  /// 1 = endpoint of a flipped edge this step.  Participants set it
+  /// concurrently (relaxed atomic_ref stores); phase 3 clears what it
+  /// gathered.
   std::vector<std::uint8_t> link_mark_;
 };
 

@@ -2,16 +2,23 @@
 
 /// \file thread_pool.hpp
 /// A fixed-size persistent worker pool: a task queue with submit/wait_idle
-/// plus the static-chunked deterministic parallel_for the sweeps use.
+/// plus the deterministic parallel loops the sweeps use.
 ///
 /// The Chapter 5 sweeps are embarrassingly parallel across (sweep point,
 /// trial) pairs; per the HPC guides we keep parallelism explicit and
-/// deterministic: parallel_for deals work out in fixed contiguous chunks
-/// (no work stealing, no shared RNG), so results are bitwise identical at
-/// any thread count.  The calling thread runs chunk 0 itself and submits
-/// only chunks 1..T-1, so a dispatch never waits for one more worker to
-/// wake than it has chunks to hand out; while it runs chunk 0 it counts as
-/// one of the pool's workers (worker_pool()).  The queue side exists for the
+/// deterministic.  parallel_for and parallel_chunks deal work out in fixed
+/// contiguous chunks (no work stealing, no shared RNG), so which thread
+/// runs which index is a function of (n, size()) alone.  parallel_blocks
+/// is the one self-scheduled loop: its block boundaries depend only on
+/// (n, block), but which participant (slot) runs a block is decided at run
+/// time by one shared cursor, so a slow core claims fewer blocks instead
+/// of holding up the rest.  Its determinism rule is on the caller: keep
+/// every output keyed by index or by block, never by slot, and results are
+/// bitwise identical at any thread count and under any schedule.  The
+/// calling thread runs chunk 0 (slot 0) itself and submits only the
+/// others, so a dispatch never waits for one more worker to wake than it
+/// has work to hand out; while it runs chunk 0 it counts as one of the
+/// pool's workers (worker_pool()).  The queue side exists for the
 /// ROADMAP's async/batched workloads: tasks may submit further tasks from
 /// inside a worker, and destruction drains every queued task before joining
 /// (verified under ThreadSanitizer by tests/sim/thread_pool_stress_test.cpp).
@@ -23,17 +30,18 @@
 ///  - wait_idle() blocks until the queue is empty and no task is running,
 ///    then rethrows the first exception any submitted task threw since the
 ///    last wait_idle().
-///  - parallel_for() / parallel_chunks() / parallel_weighted_chunks() block
-///    the caller until every chunk has finished.  Called from a thread
-///    that works for this pool (see worker_pool()) they run every chunk
-///    inline, in chunk order, on that thread (same boundaries and chunk
-///    indices): a nested dispatch cannot deadlock waiting for workers
-///    that are all blocked in it.
+///  - parallel_for() / parallel_chunks() / parallel_blocks() block the
+///    caller until every chunk or block has finished.  Called from a
+///    thread that works for this pool (see worker_pool()) they run
+///    everything inline, in index order, on that thread (same boundaries;
+///    chunk indices as usual, every block as slot 0): a nested dispatch
+///    cannot deadlock waiting for workers that are all blocked in it.
 ///  - The destructor finishes every queued task (including tasks those
 ///    tasks submit) before joining; exceptions from tasks drained during
 ///    destruction are swallowed.
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -41,7 +49,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -106,49 +113,43 @@ class ThreadPool {
     if (n == 0) return;
     // Static contiguous chunking: chunk c of T covers [c*n/T, (c+1)*n/T).
     const std::size_t chunks = std::min(workers_, n);
-    const auto lo_of = [n, chunks](std::size_t c) { return c * n / chunks; };
-    run_chunks(chunks, lo_of, body);
+    run_chunks(chunks, [&body, n, chunks](std::size_t c) {
+      body(c, c * n / chunks, (c + 1) * n / chunks);
+    });
   }
 
-  /// Weighted chunk-level form: like parallel_chunks over
-  /// [0, weights.size()), but chunk boundaries follow the cumulative
-  /// `weights` — chunk t ends where the running weight sum first reaches
-  /// (t+1)/T of the total — so contiguous ranges carry roughly equal
-  /// *work* instead of equal index counts.  With per-node degrees as
-  /// weights, a sweep whose per-node cost scales with degree no longer
-  /// leaves most workers idle behind one chunk of hubs.  Chunk indices
-  /// stay dense in [0, chunks) (empty ranges are never dispatched), and
-  /// boundaries are deterministic in (weights, size()) — thread
-  /// scheduling cannot move work between chunks.  Zero weights are
-  /// allowed; a zero-total input degrades to one chunk of everything.
+  /// Self-scheduled block loop: run `body(slot, lo, hi)` once for every
+  /// block [b*block, min(n, (b+1)*block)) of [0, n).  Block boundaries
+  /// depend only on (n, block).  The caller (slot 0) and up to size()-1
+  /// workers (slots 1..) claim blocks in ascending order from one shared
+  /// cursor until none is left, so a participant on a slow core simply
+  /// claims fewer blocks.  `slot` is dense in [0, min(size(), blocks)) and
+  /// names the participant, not the work: a slot runs on one thread for
+  /// the whole call and may run any number of blocks (possibly none), so
+  /// it is the hook for per-participant scratch, while every output must
+  /// be keyed by index or by block.  Blocks until every participant has
+  /// stopped; a body exception stops its participant and is rethrown
+  /// after that (first one wins).  Runs every block inline, in order, as
+  /// slot 0, when there is one block, size() <= 1, or the caller is one
+  /// of this pool's workers.  `block` = 0 is read as 1.
   template <typename F>
-  MLDCS_ALLOC_OK void parallel_weighted_chunks(
-      std::span<const std::uint32_t> weights, F&& body) {
-    const std::size_t n = weights.size();
+  MLDCS_ALLOC_OK void parallel_blocks(std::size_t n, std::size_t block,
+                                      F&& body) {
     if (n == 0) return;
-    const std::size_t nthreads = std::min(workers_, n);
-    std::uint64_t total = 0;
-    for (const std::uint32_t w : weights) total += w;
-    if (nthreads <= 1 || total == 0) {
-      body(std::size_t{0}, std::size_t{0}, n);
-      return;
-    }
-    // Boundary sweep: O(n + T), one pass, no per-index dispatch.
-    // mldcs-analyze:allow(hot-no-alloc): O(threads) sweep setup
-    std::vector<std::size_t> bounds;
-    bounds.reserve(nthreads + 1);
-    bounds.push_back(0);
-    std::uint64_t cum = 0;
-    std::size_t i = 0;
-    for (std::size_t t = 0; t + 1 < nthreads; ++t) {
-      const std::uint64_t target =
-          (static_cast<std::uint64_t>(t) + 1) * total / nthreads;
-      while (i < n && cum < target) cum += weights[i++];
-      if (i > bounds.back()) bounds.push_back(i);
-    }
-    if (n > bounds.back()) bounds.push_back(n);
-    const auto lo_of = [&bounds](std::size_t c) { return bounds[c]; };
-    run_chunks(bounds.size() - 1, lo_of, body);
+    block = std::max<std::size_t>(block, 1);
+    const std::size_t blocks = (n - 1) / block + 1;
+    // One claim is one relaxed fetch_add: the blocks' writes reach the
+    // caller through the dispatch's completion latch, not the cursor.
+    alignas(64) std::atomic<std::size_t> cursor{0};
+    const auto claim_loop = [&](std::size_t slot) {
+      for (;;) {
+        const std::size_t b = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (b >= blocks) return;
+        const std::size_t lo = b * block;
+        body(slot, lo, n - lo <= block ? n : lo + block);
+      }
+    };
+    run_chunks(std::min(workers_, blocks), claim_loop);
   }
 
   /// The pool the calling thread works for: the pool whose worker it is,
@@ -165,13 +166,11 @@ class ThreadPool {
   /// std::function stores inline, so a dispatch allocates no task objects.
   /// Completion is tracked here, not by wait_idle(), so concurrent submit()
   /// traffic from other threads cannot stall the caller.
-  template <typename Bounds, typename F>
+  template <typename F>
   struct ChunkJob {
-    ChunkJob(const Bounds& bounds, F& f, std::size_t submitted)
-        : lo_of(bounds), body(f), remaining(submitted) {}
+    ChunkJob(F& f, std::size_t submitted) : run_one(f), remaining(submitted) {}
 
-    const Bounds& lo_of;
-    F& body;
+    F& run_one;
     std::mutex m;
     std::condition_variable cv;
     std::size_t remaining;     // guarded by m: submitted chunks not done
@@ -181,7 +180,7 @@ class ThreadPool {
     // chunk finishes before the caller rethrows.
     void run(std::size_t c) noexcept {
       try {
-        body(c, lo_of(c), lo_of(c + 1));
+        run_one(c);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(m);
         if (!error) error = std::current_exception();
@@ -189,20 +188,18 @@ class ThreadPool {
     }
   };
 
-  /// Run body(c, lo_of(c), lo_of(c + 1)) for every c in [0, chunks): chunk
-  /// 0 on the calling thread, chunks 1.. as pool tasks.  Everything runs
-  /// inline, in chunk order, when there is one chunk or the caller is one
-  /// of this pool's workers.
-  template <typename Bounds, typename F>
-  void run_chunks(std::size_t chunks, const Bounds& lo_of, F& body) {
+  /// Run run_one(c) for every c in [0, chunks): chunk 0 on the calling
+  /// thread, chunks 1.. as pool tasks.  Everything runs inline, in chunk
+  /// order, when there is one chunk or the caller is one of this pool's
+  /// workers.
+  template <typename F>
+  void run_chunks(std::size_t chunks, const F& run_one) {
     ThreadPool* const outer = worker_pool();
     if (chunks <= 1 || outer == this) {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        body(c, lo_of(c), lo_of(c + 1));
-      }
+      for (std::size_t c = 0; c < chunks; ++c) run_one(c);
       return;
     }
-    ChunkJob<Bounds, F> job(lo_of, body, chunks - 1);
+    ChunkJob<const F> job(run_one, chunks - 1);
     for (std::size_t c = 1; c < chunks; ++c) {
       submit([shared = &job, c] {
         shared->run(c);

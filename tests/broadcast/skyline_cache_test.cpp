@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "broadcast/all_skylines.hpp"
+#include "broadcast/relay_skyline.hpp"
 #include "core/invariants.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/mobility.hpp"
@@ -185,33 +189,86 @@ TEST(SkylineCacheTest, SlotOverflowAndCompactionStayCorrect) {
   EXPECT_LE(cache.store_size(), peak_store);
 }
 
+/// Relay u's slot position in the store, relative to the lowest slot: the
+/// store layout, comparable across caches.
+std::vector<std::ptrdiff_t> slot_offsets(const SkylineCache& cache) {
+  const net::NodeId* base = cache.forwarding_set(0).data();
+  for (net::NodeId u = 1; u < cache.size(); ++u) {
+    base = std::min(base, cache.forwarding_set(u).data());
+  }
+  std::vector<std::ptrdiff_t> out;
+  for (net::NodeId u = 0; u < cache.size(); ++u) {
+    out.push_back(cache.forwarding_set(u).data() - base);
+  }
+  return out;
+}
+
+/// One cache over its own graph and pool.
+struct PooledCache {
+  PooledCache(std::size_t threads, const std::vector<net::Node>& start)
+      : pool(threads), dyn(std::vector<net::Node>(start)), cache(dyn, pool) {}
+  sim::ThreadPool pool;
+  net::DynamicDiskGraph dyn;
+  SkylineCache cache;
+};
+
+// Pool sizes 1-4 give byte-identical caches — sets, arc counts and store
+// layout — whichever participant claims which block: over mobility steps
+// where every participant claims blocks, and over a step with fewer dirty
+// relays than one block per participant.
 TEST(SkylineCacheTest, ResultIndependentOfThreadCount) {
   sim::Xoshiro256 rng(33);
   net::WaypointParams wp;
   net::MobileNetwork mobile(small_deploy(), wp, rng);
   const std::vector<net::Node> start(mobile.nodes().begin(),
                                      mobile.nodes().end());
+  std::vector<std::unique_ptr<PooledCache>> legs;
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    legs.push_back(std::make_unique<PooledCache>(threads, start));
+  }
 
-  sim::ThreadPool pool1(1);
-  sim::ThreadPool pool4(4);
-  net::DynamicDiskGraph dyn1{std::vector<net::Node>(start)};
-  net::DynamicDiskGraph dyn4{std::vector<net::Node>(start)};
-  SkylineCache cache1(dyn1, pool1);
-  SkylineCache cache4(dyn4, pool4);
+  const auto step_all = [&](std::span<const net::Node> nodes) {
+    for (const auto& leg : legs) leg->cache.update(leg->dyn.apply(nodes));
+  };
+  const auto expect_identical = [&](const std::string& where) {
+    const SkylineCache& ref = legs[0]->cache;
+    const std::vector<std::ptrdiff_t> ref_layout = slot_offsets(ref);
+    for (std::size_t i = 1; i < legs.size(); ++i) {
+      const SkylineCache& c = legs[i]->cache;
+      const std::string leg = where + ", pool " + std::to_string(i + 1);
+      ASSERT_EQ(c.store_size(), ref.store_size()) << leg;
+      ASSERT_EQ(c.total_forwarders(), ref.total_forwarders()) << leg;
+      ASSERT_EQ(c.compaction_count(), ref.compaction_count()) << leg;
+      ASSERT_TRUE(std::ranges::equal(c.last_dirty(), ref.last_dirty())) << leg;
+      ASSERT_EQ(slot_offsets(c), ref_layout) << leg;
+      for (net::NodeId u = 0; u < ref.size(); ++u) {
+        const auto a = ref.forwarding_set(u);
+        const auto b = c.forwarding_set(u);
+        ASSERT_EQ(a.size(), b.size()) << leg << ", relay " << u;
+        ASSERT_TRUE(std::ranges::equal(a, b))
+            << leg << ", relay " << u;
+        ASSERT_EQ(c.arc_count(u), ref.arc_count(u)) << leg << ", relay " << u;
+      }
+    }
+  };
 
+  expect_identical("initial sweep");
   for (int t = 0; t < 10; ++t) {
     mobile.step(1.0, rng);
-    cache1.update(dyn1.apply(mobile.nodes()));
-    cache4.update(dyn4.apply(mobile.nodes()));
+    step_all(mobile.nodes());
+    expect_identical("step " + std::to_string(t));
+    if (HasFatalFailure()) return;
   }
-  ASSERT_EQ(cache1.size(), cache4.size());
-  EXPECT_EQ(cache1.store_size(), cache4.store_size());
-  for (net::NodeId u = 0; u < cache1.size(); ++u) {
-    const auto a = cache1.forwarding_set(u);
-    const auto b = cache4.forwarding_set(u);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-    ASSERT_EQ(cache1.arc_count(u), cache4.arc_count(u));
-  }
+
+  // One node nudged: it and its few neighbors are dirty, fewer relays than
+  // one block for each of the 4-worker pool's participants.
+  std::vector<net::Node> nudged(mobile.nodes().begin(), mobile.nodes().end());
+  nudged[7].pos.x += 1e-3;
+  step_all(nudged);
+  const std::size_t n_dirty = legs[0]->cache.last_dirty().size();
+  ASSERT_GT(n_dirty, 0u);
+  ASSERT_LT(n_dirty, detail::kRelayBlock * 4);
+  expect_identical("nudge");
 }
 
 /// The incremental-update contract measured, not just commented: with a

@@ -1,4 +1,5 @@
-// Tests for the thread pool and deterministic parallel_for.
+// Tests for the thread pool: parallel_for, parallel_chunks and the
+// self-scheduled parallel_blocks.
 
 #include "sim/thread_pool.hpp"
 
@@ -11,7 +12,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
-#include <span>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -55,72 +56,6 @@ TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
   std::vector<std::atomic<int>> visits(3);
   pool.parallel_for(3, [&](std::size_t i) { ++visits[i]; });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ThreadPoolTest, WeightedChunksCoverEveryIndexOnce) {
-  ThreadPool pool(4);
-  // Skewed weights: one hub dwarfs everything else.
-  std::vector<std::uint32_t> weights(100, 1);
-  weights[7] = 1000;
-  std::vector<int> visits(weights.size(), 0);
-  std::mutex m;
-  pool.parallel_weighted_chunks(
-      weights, [&](std::size_t, std::size_t lo, std::size_t hi) {
-        const std::lock_guard<std::mutex> lock(m);
-        for (std::size_t i = lo; i < hi; ++i) ++visits[i];
-      });
-  for (const int v : visits) EXPECT_EQ(v, 1);
-}
-
-TEST(ThreadPoolTest, WeightedChunksBalanceSkewedWeights) {
-  ThreadPool pool(4);
-  // Ascending quadratic weights: equal-count chunking would give the last
-  // chunk ~58% of the total; weighted chunking must stay near 25% each.
-  std::vector<std::uint32_t> weights(1000);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = static_cast<std::uint32_t>(i * i / 1000 + 1);
-  }
-  std::uint64_t total = 0;
-  for (const std::uint32_t w : weights) total += w;
-  std::vector<std::uint64_t> chunk_weight(4, 0);
-  std::size_t max_chunk = 0;
-  std::mutex m;
-  pool.parallel_weighted_chunks(
-      weights, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        const std::lock_guard<std::mutex> lock(m);
-        max_chunk = std::max(max_chunk, c);
-        for (std::size_t i = lo; i < hi; ++i) chunk_weight[c] += weights[i];
-      });
-  ASSERT_LE(max_chunk, 3u);
-  for (std::size_t c = 0; c <= max_chunk; ++c) {
-    // Each chunk within (25 +- 10)% of the total: one index can overshoot
-    // a boundary by at most the largest single weight (~0.1% here).
-    EXPECT_GT(chunk_weight[c], total / 7);
-    EXPECT_LT(chunk_weight[c], total / 2);
-  }
-}
-
-TEST(ThreadPoolTest, WeightedChunksZeroTotalRunsOneChunk) {
-  ThreadPool pool(4);
-  const std::vector<std::uint32_t> weights(10, 0);
-  std::vector<int> visits(weights.size(), 0);
-  std::atomic<int> chunks{0};
-  pool.parallel_weighted_chunks(
-      weights, [&](std::size_t, std::size_t lo, std::size_t hi) {
-        ++chunks;
-        for (std::size_t i = lo; i < hi; ++i) ++visits[i];
-      });
-  EXPECT_EQ(chunks.load(), 1);
-  for (const int v : visits) EXPECT_EQ(v, 1);
-}
-
-TEST(ThreadPoolTest, WeightedChunksEmptyInputIsNoOp) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_weighted_chunks(
-      std::span<const std::uint32_t>{},
-      [&](std::size_t, std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, ResultsIndependentOfThreadCount) {
@@ -200,38 +135,6 @@ std::vector<Triple> equal_chunks(std::size_t n, std::size_t size) {
   return out;
 }
 
-/// parallel_weighted_chunks' boundaries: chunk t ends where the running
-/// weight sum first reaches (t+1)/T of the total; empty ranges are dropped
-/// and a zero total or a single chunk is one chunk of everything.
-std::vector<Triple> weighted_chunks(std::span<const std::uint32_t> w,
-                                    std::size_t size) {
-  const std::size_t n = w.size();
-  const std::size_t t_count = std::min(size, n);
-  std::uint64_t total = 0;
-  for (const std::uint32_t x : w) total += x;
-  if (t_count <= 1 || total == 0) return {{0, 0, n}};
-  std::vector<std::size_t> bounds{0};
-  std::uint64_t cum = 0;
-  std::size_t i = 0;
-  for (std::size_t t = 0; t + 1 < t_count; ++t) {
-    const std::uint64_t target = (t + 1) * total / t_count;
-    while (i < n && cum < target) cum += w[i++];
-    if (i > bounds.back()) bounds.push_back(i);
-  }
-  if (n > bounds.back()) bounds.push_back(n);
-  std::vector<Triple> out;
-  for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
-    out.emplace_back(c, bounds[c], bounds[c + 1]);
-  }
-  return out;
-}
-
-/// Skewed weights with zeros: nothing every 5th index, a hub every 7th.
-std::uint32_t skewed_weight(std::size_t i) {
-  if (i % 5 == 0) return 0;
-  return i % 7 == 0 ? 40 : static_cast<std::uint32_t>(1 + i % 3);
-}
-
 TEST(ThreadPoolDispatchTest, ChunkTriplesFollowTheBoundaryFormulas) {
   for (std::size_t size = 1; size <= 5; ++size) {
     ThreadPool pool(size);
@@ -240,13 +143,6 @@ TEST(ThreadPoolDispatchTest, ChunkTriplesFollowTheBoundaryFormulas) {
       pool.parallel_chunks(n, plain);
       EXPECT_EQ(plain.sorted(), equal_chunks(n, size))
           << "size " << size << ", n " << n;
-
-      std::vector<std::uint32_t> w(n);
-      for (std::size_t i = 0; i < n; ++i) w[i] = skewed_weight(i);
-      ChunkLog weighted;
-      pool.parallel_weighted_chunks(w, weighted);
-      EXPECT_EQ(weighted.sorted(), weighted_chunks(w, size))
-          << "weighted, size " << size << ", n " << n;
     }
   }
 }
@@ -256,12 +152,8 @@ TEST(ThreadPoolDispatchTest, ChunkZeroRunsOnTheCallingThread) {
   const std::thread::id caller = std::this_thread::get_id();
   ChunkLog plain;
   pool.parallel_chunks(100, plain);
-  ChunkLog weighted;
-  pool.parallel_weighted_chunks(std::vector<std::uint32_t>(100, 1), weighted);
-  for (ChunkLog* log : {&plain, &weighted}) {
-    EXPECT_EQ(log->thread_of(0), caller);
-    for (std::size_t c = 1; c < 4; ++c) EXPECT_NE(log->thread_of(c), caller);
-  }
+  EXPECT_EQ(plain.thread_of(0), caller);
+  for (std::size_t c = 1; c < 4; ++c) EXPECT_NE(plain.thread_of(c), caller);
 }
 
 /// Dispatch 4 chunks; chunk `thrower` throws at once, the others finish
@@ -361,6 +253,174 @@ TEST(ThreadPoolDispatchTest, LibraryCallFromChunkZeroStaysInline) {
   });
   EXPECT_EQ(tasks() - before, 1u);
   EXPECT_EQ(edges, top.edge_count());
+}
+
+// --- parallel_blocks: self-scheduled blocks, slots, errors ----------------
+
+/// One parallel_blocks call's record: every (slot, lo, hi) it ran, in the
+/// order it ran them, and the thread each ran on.
+class BlockLog {
+ public:
+  struct Entry {
+    std::size_t slot, lo, hi;
+    std::thread::id thread;
+  };
+  void operator()(std::size_t slot, std::size_t lo, std::size_t hi) {
+    const std::lock_guard<std::mutex> lock(m_);
+    entries_.push_back({slot, lo, hi, std::this_thread::get_id()});
+  }
+  std::vector<Entry> entries() {
+    const std::lock_guard<std::mutex> lock(m_);
+    return entries_;
+  }
+
+ private:
+  std::mutex m_;
+  std::vector<Entry> entries_;
+};
+
+/// Every block of [0, n) ran exactly once, with the boundaries (n, block)
+/// alone define: [b*block, min(n, (b+1)*block)).
+void expect_every_block_once(const std::vector<BlockLog::Entry>& log,
+                             std::size_t n, std::size_t block) {
+  std::vector<int> visits(n, 0);
+  for (const BlockLog::Entry& e : log) {
+    ASSERT_EQ(e.lo % block, 0u) << "lo " << e.lo;
+    ASSERT_EQ(e.hi, std::min(n, e.lo + block)) << "lo " << e.lo;
+    for (std::size_t i = e.lo; i < e.hi; ++i) ++visits[i];
+  }
+  EXPECT_EQ(log.size(), n == 0 ? 0 : (n - 1) / block + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(visits[i], 1) << "index " << i << " of " << n;
+  }
+}
+
+TEST(ThreadPoolBlocksTest, EveryIndexVisitedExactlyOnce) {
+  for (std::size_t size = 1; size <= 4; ++size) {
+    ThreadPool pool(size);
+    for (const std::size_t block : {1u, 3u, 8u}) {
+      for (const std::size_t n :
+           {std::size_t{0}, std::size_t{1}, block - 1, block, block + 1,
+            10 * size * block}) {
+        BlockLog log;
+        pool.parallel_blocks(n, block, log);
+        expect_every_block_once(log.entries(), n, block);
+        if (HasFatalFailure()) {
+          ADD_FAILURE() << "size " << size << ", block " << block << ", n "
+                        << n;
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolBlocksTest, SlotsAreDenseAndTheCallerIsSlotZero) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t size = 1; size <= 4; ++size) {
+    ThreadPool pool(size);
+    for (const std::size_t blocks : {1u, 2u, 3u, 40u}) {
+      BlockLog log;
+      pool.parallel_blocks(blocks * 4, 4, log);
+      const std::vector<BlockLog::Entry> entries = log.entries();
+      expect_every_block_once(entries, blocks * 4, 4);
+      // A slot is one participant: one thread for the whole call, and no
+      // two slots share a thread.
+      std::map<std::size_t, std::thread::id> thread_of;
+      for (const BlockLog::Entry& e : entries) {
+        EXPECT_LT(e.slot, std::min(size, blocks))
+            << "size " << size << ", blocks " << blocks;
+        const auto it = thread_of.emplace(e.slot, e.thread).first;
+        EXPECT_EQ(it->second, e.thread) << "slot " << e.slot;
+        EXPECT_EQ(e.slot == 0, e.thread == caller) << "slot " << e.slot;
+      }
+      std::set<std::thread::id> threads;
+      for (const auto& entry : thread_of) threads.insert(entry.second);
+      EXPECT_EQ(threads.size(), thread_of.size());
+    }
+  }
+}
+
+// A call from one of the pool's own workers runs every block inline, in
+// block order, as slot 0: waiting for workers that may all be blocked in
+// the same call would deadlock.
+TEST(ThreadPoolBlocksTest, NestedCallFromOwnWorkerRunsInlineInOrder) {
+  ThreadPool pool(4);
+  std::thread::id task_thread;
+  BlockLog nested;
+  pool.submit([&] {
+    task_thread = std::this_thread::get_id();
+    pool.parallel_blocks(50, 4, nested);
+  });
+  pool.wait_idle();
+  const std::vector<BlockLog::Entry> entries = nested.entries();
+  ASSERT_EQ(entries.size(), 13u);
+  for (std::size_t b = 0; b < entries.size(); ++b) {
+    EXPECT_EQ(entries[b].slot, 0u);
+    EXPECT_EQ(entries[b].lo, 4 * b);
+    EXPECT_EQ(entries[b].hi, std::min<std::size_t>(50, 4 * b + 4));
+    EXPECT_EQ(entries[b].thread, task_thread);
+  }
+}
+
+// Slot 1 starts late twice over: first its task waits behind two sleeping
+// tasks on the pool's two workers (it has claimed nothing yet), then it
+// sleeps inside the first block it claims while the caller works through
+// 1 ms blocks.  The caller keeps claiming meanwhile, and every block
+// still runs once.
+TEST(ThreadPoolBlocksTest, CoverageHoldsWhenSlotOneSleeps) {
+  ThreadPool pool(2);
+  for (int i = 0; i < 2; ++i) {
+    pool.submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(30)); });
+  }
+  BlockLog late;
+  pool.parallel_blocks(400, 4, late);
+  expect_every_block_once(late.entries(), 400, 4);
+  pool.wait_idle();
+
+  BlockLog sleepy;
+  std::atomic<bool> slept{false};
+  pool.parallel_blocks(40, 1, [&](std::size_t slot, std::size_t lo,
+                                  std::size_t hi) {
+    if (slot == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (slot == 1 && !slept.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+    sleepy(slot, lo, hi);
+  });
+  expect_every_block_once(sleepy.entries(), 40, 1);
+}
+
+/// 40 blocks of 5 ms on 4 participants; block `thrower` throws at once.
+/// The rethrow must wait until every participant has stopped, and the
+/// participants that did not throw finish every other block.
+void expect_rethrow_after_all_participants(std::size_t thrower) {
+  ThreadPool pool(4);
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_blocks(40, 1, [&](std::size_t, std::size_t lo,
+                                    std::size_t) {
+      if (lo == thrower) throw std::runtime_error("block failed");
+      ++running;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ++finished;
+      --running;
+    });
+    ADD_FAILURE() << "no exception from block " << thrower;
+  } catch (const std::runtime_error&) {
+    EXPECT_EQ(running.load(), 0) << "thrown by block " << thrower;
+    EXPECT_EQ(finished.load(), 39) << "thrown by block " << thrower;
+  }
+}
+
+TEST(ThreadPoolBlocksTest, FirstBlockExceptionHeldUntilAllParticipantsStop) {
+  expect_rethrow_after_all_participants(0);
+}
+
+TEST(ThreadPoolBlocksTest, LaterBlockExceptionHeldUntilAllParticipantsStop) {
+  expect_rethrow_after_all_participants(17);
 }
 
 // MLDCS_THREADS parsing for default_pool() sizing: 0 means "no override".
