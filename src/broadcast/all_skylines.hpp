@@ -9,14 +9,13 @@
 /// forwarding set of each node, not just the center source.  Doing that
 /// with per-relay calls pays, per node, a LocalView construction (including
 /// an unneeded 2-hop BFS — the skyline scheme is 1-hop only) and fresh
-/// vectors for disks and arcs.  compute_all_skylines instead walks the CSR
-/// adjacency directly and runs the iterative skyline engine with one
-/// SkylineWorkspace per pool participant, which claims blocks of nodes
-/// until none is left (sim::ThreadPool::parallel_blocks), so the whole
-/// sweep performs O(1) allocations per participant rather than O(1) per
-/// node — measured >= 2x faster
-/// than the per-relay loop (see bench/perf_suite.cpp and
-/// docs/PERFORMANCE.md).
+/// vectors for disks and arcs.  compute_all_skylines instead runs every
+/// node as one relay batch (detail::RelayBatch, relay_skyline.hpp): it
+/// walks the CSR adjacency directly with one SkylineWorkspace per pool
+/// participant, which claims blocks of nodes until none is left, so the
+/// whole sweep performs O(1) allocations per participant rather than O(1)
+/// per node — measured >= 2x faster than the per-relay loop (see
+/// bench/perf_suite.cpp and docs/PERFORMANCE.md).
 
 #include <cstdint>
 #include <span>

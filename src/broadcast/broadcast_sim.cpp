@@ -1,20 +1,18 @@
 #include "broadcast/broadcast_sim.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "broadcast/relay_skyline.hpp"
+#include "core/invariants.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace mldcs::bcast {
 
 namespace {
-
-using detail::relay_forwarding_set;
-using detail::RelayScratch;
 
 /// Frontiers of at least this many transmitters compute their skyline sets
 /// on the pool.  Measured on the ~1000-node paper deployment (10 seeds,
@@ -23,75 +21,41 @@ using detail::RelayScratch;
 /// (3.7 ms at 64, 5.5 ms at 128) as fewer frontiers qualified.
 constexpr std::size_t kParallelFrontier = 16;
 
-/// Each thread's relay scratch, kept across broadcasts: slot 0 names the
-/// sets the thread computes itself, and slot s the sets of participant s
-/// of the frontiers it hands to the pool.  Buffers stay at their
-/// high-water capacity, so a warmed-up thread names sets without
-/// allocating.
-thread_local std::vector<RelayScratch> t_relay(1);
+/// Each thread's relay batch, kept across broadcasts: a warmed-up thread
+/// computes its frontiers' sets without allocating.
+thread_local detail::RelayBatch t_batch;
 
-/// The skyline sets of simulate_broadcast, named a frontier at a time.  A
-/// frontier of kParallelFrontier or more transmitters, with a pool to run
-/// on, has its sets computed up front in self-scheduled blocks, each set
-/// into its owner's stretch of a CSR-shaped buffer (a node's set is a
-/// subset of its neighbors); a smaller one, or any frontier without a
-/// pool, names each set when its transmitter comes up.  A set depends only
-/// on (graph, relay), so both ways give the same sets.
+/// The skyline sets of simulate_broadcast, computed a frontier at a time:
+/// prepare() runs the frontier as one relay batch — on the pool from
+/// kParallelFrontier transmitters, inline below that or without a pool —
+/// and operator() reads the sets back in frontier order, the order in
+/// which deliver_gated's FIFO transmits.  A set depends only on (graph,
+/// relay), so every pool size gives the same sets.
 class FrontierSkylines {
  public:
   FrontierSkylines(const net::DiskGraph& g, sim::ThreadPool* pool)
       : g_(g), pool_(pool) {}
 
   void prepare(std::span<const net::NodeId> frontier) {
-    pooled_ = pool_ != nullptr && frontier.size() >= kParallelFrontier;
-    if (!pooled_) return;
-    if (first_.empty()) {  // the first pooled frontier sizes the buffers
-      const std::size_t n = g_.size();
-      first_.resize(n + 1);
-      std::size_t max_degree = 0;
-      for (net::NodeId u = 0; u < n; ++u) {
-        max_degree = std::max(max_degree, g_.degree(u));
-        first_[u + 1] = first_[u] + static_cast<std::uint32_t>(g_.degree(u));
-      }
-      last_.resize(n);
-      ids_.resize(first_[n]);
-      // Every participant's scratch is sized before anyone claims: one
-      // that claims nothing in this broadcast and a hub in the next would
-      // otherwise grow its buffers then.
-      if (relays_.size() < pool_->size()) relays_.resize(pool_->size());
-      for (RelayScratch& relay : relays_) relay.reserve(max_degree);
-    }
-    pool_->parallel_blocks(
-        frontier.size(), detail::kRelayBlock,
-        [this, frontier](std::size_t slot, std::size_t lo, std::size_t hi) {
-          const obs::Scope block(obs::Phase::kBroadcast);
-          RelayScratch& relay = relays_[slot];
-          for (std::size_t i = lo; i < hi; ++i) {
-            const net::NodeId u = frontier[i];
-            relay_forwarding_set(g_, u, relay);
-            const auto end = std::copy(relay.relay_ids.begin(),
-                                       relay.relay_ids.end(),
-                                       ids_.begin() + first_[u]);
-            last_[u] = static_cast<std::uint32_t>(end - ids_.begin());
-          }
-        });
+    batch_.compute(g_, frontier,
+                   frontier.size() >= kParallelFrontier ? pool_ : nullptr,
+                   obs::Phase::kBroadcast);
+    frontier_ = frontier;
+    next_ = 0;
   }
 
-  std::span<const net::NodeId> operator()(net::NodeId u) const {
-    if (pooled_) return {ids_.data() + first_[u], ids_.data() + last_[u]};
-    RelayScratch& relay = relays_[0];
-    relay_forwarding_set(g_, u, relay);
-    return relay.relay_ids;
+  std::span<const net::NodeId> operator()([[maybe_unused]] net::NodeId u) {
+    MLDCS_DCHECK(next_ < frontier_.size() && frontier_[next_] == u,
+                 "transmitter " << u << " out of frontier order");
+    return batch_.set(next_++);
   }
 
  private:
   const net::DiskGraph& g_;
   sim::ThreadPool* pool_;
-  /// The calling thread's scratch; pool participants use it by slot.
-  std::vector<RelayScratch>& relays_ = t_relay;
-  bool pooled_ = false;  ///< the current frontier's sets are in ids_
-  std::vector<std::uint32_t> first_, last_;  ///< u's set: ids_[first_, last_)
-  std::vector<net::NodeId> ids_;
+  detail::RelayBatch& batch_ = t_batch;  ///< the calling thread's
+  std::span<const net::NodeId> frontier_;
+  std::size_t next_ = 0;  ///< frontier_[next_] transmits next
 };
 
 /// Broadcast telemetry (docs/OBSERVABILITY.md): storm pressure

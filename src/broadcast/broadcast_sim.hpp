@@ -121,8 +121,9 @@ using Gate = bool (*)(const Graph&, net::NodeId, net::NodeId);
 /// self-pruned: its kBroadcast tag carries kSelfPrunedTag.  If `sets` is a
 /// non-const object with `prepare(frontier)`, each non-flooding frontier —
 /// the transmitters one hop further out, in FIFO order — is handed to it
-/// before the first of them transmits, so the sets can be computed together
-/// (simulate_broadcast does, on a pool).
+/// before the first of them transmits, and `sets(u)` is then called once
+/// per transmitter in exactly that order, so the sets can be computed
+/// together and read back by position (simulate_broadcast does).
 template <typename Graph, typename Sets>
 BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
                               Scheme scheme, Sets& sets,
@@ -255,11 +256,12 @@ template <typename Graph, typename Sets>
 
 /// Simulate one broadcast from `source` with forwarding sets chosen by
 /// `scheme` at every relaying node: `deliver` over sets derived on demand.
-/// Skyline sets come from 1-hop information only, through the shared relay
-/// loop of relay_skyline.hpp (the one compute_all_skylines runs), and equal
-/// forwarding_set(g, u, Scheme::kSkyline); each large frontier's sets are
-/// computed together on sim::fan_out_pool(), with the same result.  The
-/// 2-hop schemes use forwarding_set's LocalView path.
+/// Skyline sets come from 1-hop information only, a frontier at a time
+/// through the relay batch of relay_skyline.hpp (the one
+/// compute_all_skylines runs), and equal forwarding_set(g, u,
+/// Scheme::kSkyline); a frontier of 16+ transmitters runs on
+/// sim::fan_out_pool(), with the same result.  The 2-hop schemes use
+/// forwarding_set's LocalView path.
 [[nodiscard]] BroadcastResult simulate_broadcast(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,
     ReceptionModel reception = ReceptionModel::kBidirectionalLink);

@@ -2,19 +2,23 @@
 
 /// \file relay_skyline.hpp
 /// The shared inner loop of batched MLDCS computation: one relay's skyline
-/// forwarding set straight from adjacency, using caller-owned scratch.
+/// forwarding set straight from adjacency, using caller-owned scratch, and
+/// `RelayBatch`, the one loop that runs it over a batch of relays.
 ///
 /// Every whole-network path runs exactly this per relay — the one-shot
-/// `compute_all_skylines`, the incremental `SkylineCache`, each sharded
-/// `ShardCache`, the cache watchdog's from-scratch reference, and each
-/// transmitter of a skyline `simulate_broadcast` — so the bit-identical
-/// guarantee between them reduces to sharing this function.
+/// `compute_all_skylines`, the incremental `SkylineCache` and each
+/// skyline `simulate_broadcast` frontier (all three through a
+/// `RelayBatch`), each sharded `ShardCache`, and the cache watchdog's
+/// from-scratch reference — so the bit-identical guarantee between them
+/// reduces to sharing this function.
 /// Templated on the graph type (`net::DiskGraph` and `net::DynamicDiskGraph`
 /// expose the same node()/neighbors() surface).
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -22,6 +26,8 @@
 #include "core/skyline_dc.hpp"
 #include "geometry/disk.hpp"
 #include "net/node.hpp"
+#include "obs/scope.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace mldcs::bcast::detail {
 
@@ -53,22 +59,6 @@ struct RelayScratch {
   }
 };
 
-/// One participant's share of a block-parallel relay loop (one
-/// sim::ThreadPool::parallel_blocks slot): the forwarding sets of the
-/// blocks it claimed, back to back in claim order, and its scratch.
-struct SlotSets {
-  std::vector<net::NodeId> ids;
-  RelayScratch scratch;
-};
-
-/// Where one block's forwarding sets start: in SlotSets `slot`'s ids, at
-/// `offset`.  Indexed by block, so a serial walk over the blocks reads the
-/// sets in relay order whichever slot ran each block.
-struct BlockBegin {
-  std::size_t slot = 0;
-  std::size_t offset = 0;
-};
-
 /// Compute relay `id`'s skyline forwarding set into `s.relay_ids` (cleared
 /// first; sorted ascending) and return the skyline arc count.
 template <typename Graph>
@@ -98,5 +88,74 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK std::uint32_t relay_forwarding_set(
   }
   return static_cast<std::uint32_t>(s.arcs.size());
 }
+
+/// The forwarding sets of a batch of relays, computed together: the loop
+/// behind compute_all_skylines, the SkylineCache recompute and each
+/// skyline simulate_broadcast frontier.  Relay k's set lands in its own
+/// stretch of one buffer, as long as the relay's degree (a set is a subset
+/// of the neighbors), so where a set goes does not depend on which
+/// participant computed it.  Every buffer only grows, and compute()
+/// reserves every participant's scratch for the batch's largest degree
+/// before anyone claims a block, so what a batch allocates depends on its
+/// inputs, never on the schedule: one kept across calls stops allocating
+/// once it has seen its largest batch.
+class RelayBatch {
+ public:
+  /// Compute the set and arc count of every relays[k] (a sized
+  /// random-access range of ids of `g`): in self-scheduled blocks of
+  /// kRelayBlock on `pool`, inline when `pool` is null, each block inside
+  /// obs::Scope(phase).  Replaces the previous batch.
+  template <typename Graph, std::ranges::random_access_range Relays>
+  MLDCS_HOT_PATH void compute(const Graph& g, const Relays& relays,
+                              sim::ThreadPool* pool, obs::Phase phase) {
+    const std::size_t n = std::ranges::size(relays);
+    first_.resize(n + 1);  // first_[0] stays 0
+    len_.resize(n);
+    arcs_.resize(n);
+    std::size_t max_degree = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t degree = g.neighbors(relays[k]).size();
+      max_degree = std::max(max_degree, degree);
+      first_[k + 1] = first_[k] + degree;
+    }
+    ids_.resize(first_[n]);
+    const std::size_t participants = pool == nullptr ? 1 : pool->size();
+    if (scratch_.size() < participants) scratch_.resize(participants);
+    for (RelayScratch& s : scratch_) s.reserve(max_degree);
+
+    const auto run = [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+      const obs::Scope block(phase);
+      RelayScratch& s = scratch_[slot];
+      for (std::size_t k = lo; k < hi; ++k) {
+        arcs_[k] = relay_forwarding_set(g, relays[k], s);
+        len_[k] = static_cast<std::uint32_t>(s.relay_ids.size());
+        std::copy(s.relay_ids.begin(), s.relay_ids.end(),
+                  ids_.data() + first_[k]);
+      }
+    };
+    if (pool == nullptr) {
+      run(0, 0, n);
+    } else {
+      pool->parallel_blocks(n, kRelayBlock, run);
+    }
+  }
+
+  /// The forwarding set of the last batch's relays[k], sorted ascending.
+  [[nodiscard]] std::span<const net::NodeId> set(std::size_t k) const noexcept {
+    return {ids_.data() + first_[k], len_[k]};
+  }
+
+  /// The skyline arc count of the last batch's relays[k].
+  [[nodiscard]] std::uint32_t arc_count(std::size_t k) const noexcept {
+    return arcs_[k];
+  }
+
+ private:
+  std::vector<std::size_t> first_;     ///< relays[k]'s stretch starts here
+  std::vector<std::uint32_t> len_;     ///< set length per position
+  std::vector<std::uint32_t> arcs_;    ///< arc count per position
+  std::vector<net::NodeId> ids_;       ///< the stretches, back to back
+  std::vector<RelayScratch> scratch_;  ///< one per participant (slot)
+};
 
 }  // namespace mldcs::bcast::detail

@@ -1,6 +1,7 @@
 #include "broadcast/skyline_cache.hpp"
 
-#include <algorithm>
+#include <cstddef>
+#include <span>
 
 #include "obs/event_log.hpp"
 #include "obs/scope.hpp"
@@ -50,51 +51,18 @@ MLDCS_HOT_PATH void SkylineCache::update(
 void SkylineCache::recompute_dirty() {
   const std::span<const net::NodeId> dirty = dirty_.relays();
   if (dirty.empty()) return;
-  const net::DynamicDiskGraph& g = *g_;
-  const std::size_t n_dirty = dirty.size();
-  constexpr std::size_t kBlock = detail::kRelayBlock;
-  const std::size_t n_blocks = (n_dirty - 1) / kBlock + 1;
-
-  // Phase 1 (parallel): the pool's participants claim blocks of dirty
-  // relays.  Each appends its blocks' sets to its own slot's buffer and
-  // records, per block, where they start; set lengths go by dirty
-  // position and arc counts by relay id (disjoint indices).  Every buffer
-  // here only grows, so steady-state updates allocate nothing.
-  if (slot_out_.size() < pool_->size()) slot_out_.resize(pool_->size());
-  if (block_begin_.size() < n_blocks) block_begin_.resize(n_blocks);
-  if (lens_.size() < n_dirty) lens_.resize(n_dirty);
-  for (detail::SlotSets& so : slot_out_) so.ids.clear();
   {
     const obs::Scope recompute(obs::Phase::kCacheRecompute);
-    pool_->parallel_blocks(
-        n_dirty, kBlock,
-        [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-          const obs::Scope block(obs::Phase::kCacheRecompute);
-          detail::SlotSets& so = slot_out_[slot];
-          block_begin_[lo / kBlock] = {slot, so.ids.size()};
-          for (std::size_t k = lo; k < hi; ++k) {
-            const net::NodeId u = dirty[k];
-            arc_counts_[u] = detail::relay_forwarding_set(g, u, so.scratch);
-            const std::vector<net::NodeId>& set = so.scratch.relay_ids;
-            so.ids.insert(so.ids.end(), set.begin(), set.end());
-            lens_[k] = static_cast<std::uint32_t>(set.size());
-          }
-        });
+    batch_.compute(*g_, dirty, pool_, obs::Phase::kCacheRecompute);
   }
 
-  // Phase 2 (serial): patch the slotted store block by block, so in
-  // ascending relay order whichever slot ran each block: the store layout
-  // is deterministic and independent of the pool's size and schedule.
+  // Serial patch in dirty order, i.e. ascending relay order: the store
+  // layout is independent of the pool's size and schedule.
   {
     const obs::Scope patch(obs::Phase::kCachePatch);
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      const detail::BlockBegin at = block_begin_[b];
-      const net::NodeId* ids = slot_out_[at.slot].ids.data() + at.offset;
-      const std::size_t hi = std::min(n_dirty, (b + 1) * kBlock);
-      for (std::size_t k = b * kBlock; k < hi; ++k) {
-        store_.store(dirty[k], {ids, lens_[k]});
-        ids += lens_[k];
-      }
+    for (std::size_t k = 0; k < dirty.size(); ++k) {
+      arc_counts_[dirty[k]] = batch_.arc_count(k);
+      store_.store(dirty[k], batch_.set(k));
     }
   }
 

@@ -19,12 +19,11 @@
 /// must drift that far from its last committed position before it dirties
 /// its neighborhood.
 ///
-/// Dirty relays are recomputed in self-scheduled blocks on the pool, each
-/// participant through its own scratch (same inner loop as
-/// compute_all_skylines — see relay_skyline.hpp), and results are patched
-/// serially, in relay order, into the slotted set store.  The dirty rule, the
-/// store and the Config are shared with the sharded cache (cache_store.hpp);
-/// only the recompute loop is this engine's own.
+/// Dirty relays are recomputed as one relay batch on the pool (the loop
+/// compute_all_skylines runs — see relay_skyline.hpp), and results are
+/// patched serially, in relay order, into the slotted set store.  The dirty
+/// rule, the store and the Config are shared with the sharded cache
+/// (cache_store.hpp); only the recompute loop is this engine's own.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,9 +55,8 @@ class SkylineCache {
 
   /// Recompute the relays dirtied by `delta` (the return value of the
   /// graph's `apply` for this step, which must already be applied).
-  /// Steady-state updates are allocation-free: all scratch (dirty set,
-  /// per-participant workspaces and buffers, per-block bookkeeping) is
-  /// retained across calls.
+  /// Steady-state updates are allocation-free at any pool size: all
+  /// scratch (dirty set, relay batch) is retained across calls.
   MLDCS_HOT_PATH void update(const net::DynamicDiskGraph::StepDelta& delta);
 
   [[nodiscard]] std::size_t size() const noexcept { return g_->size(); }
@@ -141,13 +139,9 @@ class SkylineCache {
   std::vector<std::uint32_t> arc_counts_;
   detail::DirtyRelays dirty_;
 
-  /// Recompute output and reusable scratch, per participant
-  /// (detail::SlotSets) and per block of dirty relays.  Keeping them here
-  /// — not as locals of the recompute lambda — is what makes steady-state
-  /// updates allocation-free: every buffer holds its high-water capacity.
-  std::vector<detail::SlotSets> slot_out_;
-  std::vector<detail::BlockBegin> block_begin_;
-  std::vector<std::uint32_t> lens_;  ///< set length per dirty position
+  /// The recompute's sets and scratch.  Kept across updates, it holds its
+  /// high-water capacity, which makes steady-state updates allocation-free.
+  detail::RelayBatch batch_;
 
   std::uint64_t recomputes_ = 0;
   std::uint64_t updates_ = 0;

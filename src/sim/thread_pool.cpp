@@ -1,6 +1,8 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "obs/profiler.hpp"
@@ -86,8 +88,7 @@ void ThreadPool::worker_loop() {
       const obs::Scope idle(obs::Phase::kPoolIdle);
       task_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      task = queue_.dequeue();
       ++active_;
     }
     // Clock reads sit outside the telemetry stubs, so gate them too: with
@@ -118,7 +119,7 @@ void ThreadPool::submit(std::function<void()> task) {
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+    queue_.enqueue(std::move(task));
     depth = queue_.size();
   }
   task_cv_.notify_one();
@@ -127,6 +128,16 @@ void ThreadPool::submit(std::function<void()> task) {
     t.queue_depth.set(static_cast<std::int64_t>(depth));
     t.queue_depth_hwm.set_max(static_cast<std::int64_t>(depth));
   }
+}
+
+MLDCS_ALLOC_OK void ThreadPool::TaskRing::grow() {
+  std::vector<std::function<void()>> bigger(
+      std::max<std::size_t>(16, 2 * slots_.size()));
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+  }
+  slots_ = std::move(bigger);
+  head_ = 0;
 }
 
 void ThreadPool::wait_idle() {

@@ -22,6 +22,9 @@
 /// ROADMAP's async/batched workloads: tasks may submit further tasks from
 /// inside a worker, and destruction drains every queued task before joining
 /// (verified under ThreadSanitizer by tests/sim/thread_pool_stress_test.cpp).
+/// The queue is a FIFO ring that only grows, and a dispatch's tasks are
+/// small enough for std::function to hold inline, so once the queue has
+/// reached its deepest level a dispatch allocates nothing.
 ///
 /// Concurrency contract:
 ///  - submit() is safe from any thread, including from inside a running
@@ -45,11 +48,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -69,8 +72,8 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const noexcept { return workers_; }
 
   /// Enqueue one task.  Safe from external threads and from inside tasks.
-  /// Dispatch infrastructure allocates by design (one type-erased task
-  /// object per call) — hot paths amortize it per chunk, never per item.
+  /// Allocates when `task` is too large for std::function to hold inline
+  /// (a dispatch's tasks never are) and when the queue reaches a new depth.
   MLDCS_ALLOC_OK void submit(std::function<void()> task);
 
   /// Block until every submitted task (transitively) has finished, then
@@ -221,6 +224,34 @@ class ThreadPool {
     if (job.error) std::rethrow_exception(job.error);
   }
 
+  /// The task queue: a FIFO ring over a buffer that only grows, so a
+  /// queue that has reached its deepest level allocates nothing per task.
+  /// The names stay clear of push/pop: mldcs-analyze links calls by name.
+  class TaskRing {
+   public:
+    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    void enqueue(std::function<void()>&& task) {
+      if (count_ == slots_.size()) grow();
+      slots_[(head_ + count_) % slots_.size()] = std::move(task);
+      ++count_;
+    }
+    /// The oldest task; the ring must not be empty.
+    std::function<void()> dequeue() noexcept {
+      const std::size_t at = head_;
+      head_ = (head_ + 1) % slots_.size();
+      --count_;
+      return std::exchange(slots_[at], nullptr);
+    }
+
+   private:
+    MLDCS_ALLOC_OK void grow();  // double the buffer, oldest task first
+
+    std::vector<std::function<void()>> slots_;
+    std::size_t head_ = 0;   // the oldest task's slot
+    std::size_t count_ = 0;  // queued tasks
+  };
+
   static void set_worker_pool(ThreadPool* pool) noexcept;
   void ensure_started();  // spawn workers on first submit; callers hold no lock
   void worker_loop();
@@ -230,7 +261,7 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable task_cv_;   // workers: queue non-empty or stopping
   std::condition_variable idle_cv_;   // waiters: queue empty and none active
-  std::deque<std::function<void()>> queue_;     // guarded by mutex_
+  TaskRing queue_;                              // guarded by mutex_
   std::vector<std::thread> threads_;            // guarded by mutex_
   std::size_t active_ = 0;                      // tasks currently executing
   bool stopping_ = false;                       // guarded by mutex_

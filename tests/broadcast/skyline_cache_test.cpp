@@ -23,6 +23,7 @@
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/alloc_guard.hpp"
+#include "support/pool_tasks.hpp"
 
 namespace mldcs::bcast {
 namespace {
@@ -271,17 +272,19 @@ TEST(SkylineCacheTest, ResultIndependentOfThreadCount) {
   expect_identical("nudge");
 }
 
-/// The incremental-update contract measured, not just commented: with a
-/// 1-thread pool (chunk dispatch runs inline, no type-erased task objects)
-/// a warmed-up cache absorbs topology churn without a single heap
-/// allocation.  "Steady state" here means the network oscillates inside an
-/// envelope it has visited before: the per-chunk scratch and the slotted
-/// store reached their high-water marks during warm-up, so every later set
-/// fits its slot in place.  (A random walk that keeps exploring *new*
-/// configurations legitimately appends to the store — that growth is
-/// amortized by slot slack, not zero.)  Cross-checks the static
-/// hot-no-alloc rule on SkylineCache::update (tools/analyze/), which
-/// cannot see through the ThreadPool dispatch.
+/// The incremental-update contract measured, not just commented: at every
+/// pool size from 1 to 4, a warmed-up cache absorbs topology churn (graph
+/// apply included) without a single heap allocation.  "Steady state" here
+/// means the network oscillates inside an envelope it has visited before:
+/// the relay batch and the slotted store reached their high-water marks
+/// during warm-up, so every later set fits its slot in place.  (A random
+/// walk that keeps exploring *new* configurations legitimately appends to
+/// the store — that growth is amortized by slot slack, not zero.)  What
+/// the recompute allocates may not depend on which participant claims
+/// which block, so 200 updates per pool size give every schedule a chance
+/// to show.  Cross-checks the static hot-no-alloc rule on
+/// SkylineCache::update (tools/analyze/), which cannot see through the
+/// ThreadPool dispatch.
 TEST(SkylineCacheTest, SteadyStateUpdateIsAllocationFree) {
   if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
   if (core::kInvariantChecksEnabled) {
@@ -296,30 +299,33 @@ TEST(SkylineCacheTest, SteadyStateUpdateIsAllocationFree) {
     displaced[i].pos.y -= 0.2;  // every third node dirty each flip
   }
 
-  net::DynamicDiskGraph dyn{std::vector<net::Node>(at_rest)};
-  sim::ThreadPool pool(1);
-  SkylineCache cache(dyn, pool);
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    net::DynamicDiskGraph dyn{std::vector<net::Node>(at_rest)};
+    sim::ThreadPool pool(threads);
+    SkylineCache cache(dyn, pool);
+    test::start_workers(pool);
 
-  // Warm-up: oscillate until every buffer and store slot has seen both
-  // configurations and sits at its high-water mark.
-  for (int t = 0; t < 6; ++t) {
-    cache.update(dyn.apply(t % 2 == 0 ? displaced : at_rest));
-  }
+    // Warm-up: oscillate until every buffer and store slot has seen both
+    // configurations and sits at its high-water mark.
+    for (int t = 0; t < 20; ++t) {
+      cache.update(dyn.apply(t % 2 == 0 ? displaced : at_rest));
+    }
 
-  std::uint64_t allocs = 0;
-  std::uint64_t updates_with_dirty = 0;
-  for (int t = 0; t < 6; ++t) {
-    const std::span<const net::Node> next = t % 2 == 0 ? displaced : at_rest;
-    const test::AllocGuard guard;
-    cache.update(dyn.apply(next));
-    allocs += guard.count();
-    updates_with_dirty += cache.last_dirty().empty() ? 0u : 1u;
+    std::uint64_t allocs = 0;
+    std::uint64_t updates_with_dirty = 0;
+    for (int t = 0; t < 200; ++t) {
+      const std::span<const net::Node> next = t % 2 == 0 ? displaced : at_rest;
+      const test::AllocGuard guard;
+      cache.update(dyn.apply(next));
+      allocs += guard.count();
+      updates_with_dirty += cache.last_dirty().empty() ? 0u : 1u;
+    }
+    EXPECT_EQ(allocs, 0u) << "pool size " << threads
+                          << ": warmed-up SkylineCache::update allocated";
+    EXPECT_GT(updates_with_dirty, 0u)
+        << "oscillation produced no dirty relays: the zero reading proved "
+           "nothing";
   }
-  EXPECT_EQ(allocs, 0u)
-      << "warmed-up SkylineCache::update allocated on the steady state";
-  EXPECT_GT(updates_with_dirty, 0u)
-      << "oscillation produced no dirty relays: the zero reading proved "
-         "nothing";
 }
 
 TEST(SkylineCacheTest, PositiveToleranceSkipsSubToleranceJitter) {

@@ -22,6 +22,7 @@
 #include "net/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
+#include "support/alloc_guard.hpp"
 #include "support/pool_tasks.hpp"
 
 namespace mldcs::sim {
@@ -183,6 +184,57 @@ TEST(ThreadPoolDispatchTest, WorkerChunkExceptionHeldUntilAllChunksFinish) {
 
 // A dispatch from one of the pool's own workers runs inline: with every
 // worker nesting one, waiting for free workers would deadlock.
+// A warmed-up pool dispatches without allocating: a dispatch's tasks fit
+// std::function's inline buffer, and the task queue keeps the capacity of
+// its deepest backlog.
+TEST(ThreadPoolDispatchTest, WarmedUpDispatchesAllocateNothing) {
+  if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> sums(pool.size(), 0);
+  const auto dispatch = [&] {
+    pool.parallel_blocks(64, 4, [&](std::size_t slot, std::size_t lo,
+                                    std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) sums[slot] += i;
+    });
+  };
+  test::start_workers(pool);
+  for (int i = 0; i < 64; ++i) dispatch();
+
+  const test::AllocGuard guard;
+  for (int i = 0; i < 1600; ++i) dispatch();
+  EXPECT_EQ(guard.count(), 0u) << "1600 dispatches of 3 pool tasks each";
+  EXPECT_EQ(std::accumulate(sums.begin(), sums.end(), std::uint64_t{0}),
+            1664u * (63u * 64u / 2u));
+}
+
+// The queue keeps FIFO order while it wraps and regrows: 10 tasks move its
+// head, then 40 queue up behind a task that holds the pool's one worker.
+TEST(ThreadPoolDispatchTest, QueueRunsTasksInSubmitOrderAcrossRegrowth) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // written by the pool's one worker only
+  const auto submit_range = [&](int lo, int hi) {
+    for (int i = lo; i < hi; ++i) {
+      pool.submit([&order, i] { order.push_back(i); });
+    }
+  };
+  submit_range(0, 10);
+  pool.wait_idle();
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    started = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  submit_range(10, 50);
+  EXPECT_EQ(pool.queue_depth(), 40u);
+  release = true;
+  pool.wait_idle();
+  std::vector<int> want(50);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(order, want);
+}
+
 TEST(ThreadPoolDispatchTest, NestedDispatchFromOwnWorkerRunsInline) {
   ThreadPool pool(4);
   std::thread::id task_thread;

@@ -2,9 +2,13 @@
 
 /// \file pool_tasks.hpp
 /// Did a call reach the pool?  Tests that check a library stage fanned out
-/// (or stayed inline) compare this count before and after the call.
+/// (or stayed inline) compare this count before and after the call.  Also
+/// a warm-up for allocation probes over pooled code: start_workers.
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <thread>
 
 #include "obs/telemetry.hpp"
 #include "sim/thread_pool.hpp"
@@ -18,6 +22,18 @@ namespace mldcs::test {
 inline std::uint64_t pool_tasks(sim::ThreadPool& pool = sim::default_pool()) {
   pool.wait_idle();
   return obs::registry().counter("pool.tasks_executed").value();
+}
+
+/// Returns once every worker of `pool` has started and run a task: one
+/// dispatch whose chunks wait for each other.  A worker registers its
+/// thread (which allocates) when it starts, so an allocation probe over
+/// pooled code warms up with this first.  Call it from outside the pool.
+inline void start_workers(sim::ThreadPool& pool = sim::default_pool()) {
+  std::atomic<std::size_t> arrived{0};
+  pool.parallel_chunks(pool.size(), [&](std::size_t, std::size_t, std::size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < pool.size()) std::this_thread::yield();
+  });
 }
 
 }  // namespace mldcs::test
