@@ -2,7 +2,7 @@
 /// run (BENCH_skyline.json, uploaded per-commit by the bench-smoke CI job;
 /// format documented in docs/PERFORMANCE.md).
 ///
-/// Three measurements:
+/// Measurements:
 ///  1. single-relay skyline, narrow-band hard regime (nearly equal radii,
 ///     neighbors pushed to the rim, so almost every disk survives into the
 ///     skyline): the iterative SkylineWorkspace engine vs the recursive
@@ -25,7 +25,11 @@
 ///     runtime-dispatched kernels vs the same engine pinned to the scalar
 ///     reference kernels (ScopedKernelOverride), so a silent regression to
 ///     the fallback shows up as simd_vs_scalar_speedup ~ 1.0.
-///  7. sharded mobility: the tiled ShardedEngine + ShardedSkylineCache at
+///  7. one relay at the paper's density: relay_forwarding_set over every
+///     relay of measurement 2's deployment on one thread, with the disks
+///     that enter each relay's skyline call and those its sector-bound
+///     prefilter lets into the merge.
+///  8. sharded mobility: the tiled ShardedEngine + ShardedSkylineCache at
 ///     growing deployment sizes (10k / 100k, plus 1M in --full) and shard
 ///     counts {1, 2, 4, 8}, each shard count on its own pool of that many
 ///     workers.  Reports recomputed relays/s, halo-node fraction, and
@@ -81,6 +85,7 @@
 #include "broadcast/broadcast_sim.hpp"
 #include "broadcast/forwarding.hpp"
 #include "broadcast/local_view.hpp"
+#include "broadcast/relay_skyline.hpp"
 #include "broadcast/sharded_cache.hpp"
 #include "broadcast/skyline_cache.hpp"
 #include "core/skyline_dc.hpp"
@@ -245,7 +250,8 @@ struct JsonWriter {
 constexpr const char* kSections[] = {
     "single_relay_skyline", "batch_all_relays", "graph_build",
     "batch_all_relays_threads", "mobility_steady_state",
-    "single_relay_skyline_simd", "sharded_mobility"};
+    "single_relay_skyline_simd", "single_relay_paper_density",
+    "sharded_mobility"};
 
 bool known_section(const std::string& name) {
   for (const char* s : kSections) {
@@ -518,6 +524,80 @@ int main(int argc, char** argv) {
       j.close_obj();
     }
     j.close_arr();
+  }
+
+  // --- 1c. one relay at the paper's density --------------------------------
+  // relay_forwarding_set over every relay of section 2's deployment (radii
+  // U[1,2], target degree 36.8, ~1000 nodes) on one thread: the per-relay
+  // cost that the sweep, the cache update and each skyline broadcast
+  // frontier all pay.  disks_in_per_relay and survivors_per_relay (disks
+  // the sector-bound prefilter lets into the merge) depend only on the
+  // seed; check_bench.py gates the survivors, so a weakened bound fails.
+  if (run_section("single_relay_paper_density")) {
+    net::DeploymentParams p;
+    p.model = net::RadiusModel::kUniform;
+    p.target_avg_degree = 36.8;
+    sim::Xoshiro256 rng(0x5EEDC0DEULL);
+    const net::DiskGraph g = net::generate_graph(p, rng);
+    const auto n_relays = static_cast<net::NodeId>(g.size());
+
+    // Reserved as RelayBatch reserves it: the two level buffers trade
+    // places every merge level, so after one warm-up sweep the buffer a
+    // later relay needs can still be short of capacity.
+    std::size_t max_degree = 0;
+    for (net::NodeId u = 0; u < n_relays; ++u) {
+      max_degree = std::max(max_degree, g.neighbors(u).size());
+    }
+    bcast::detail::RelayScratch scratch;
+    scratch.reserve(max_degree);
+    const Measurement m = measure(budget_ns, [&] {
+      std::uint64_t arcs = 0;
+      for (net::NodeId u = 0; u < n_relays; ++u) {
+        arcs += bcast::detail::relay_forwarding_set(g, u, scratch);
+      }
+      if (arcs == 0) std::abort();
+    });
+    // The same local sets relay_forwarding_set builds, once more with
+    // MergeStats to count what enters the merge.
+    core::MergeStats stats;
+    std::uint64_t disks_in = 0;
+    std::uint64_t arcs_total = 0;
+    {
+      core::SkylineWorkspace ws;
+      std::vector<geom::Disk> disks;
+      std::vector<core::Arc> arcs;
+      for (net::NodeId u = 0; u < n_relays; ++u) {
+        disks.clear();
+        disks.push_back(g.node(u).disk());
+        for (const net::NodeId v : g.neighbors(u)) {
+          disks.push_back(g.node(v).disk());
+        }
+        disks_in += disks.size();
+        core::compute_skyline_arcs(disks, g.node(u).pos, ws, arcs, &stats);
+        arcs_total += arcs.size();
+      }
+    }
+    const double relays = static_cast<double>(n_relays);
+    const double ns_per_relay = m.ns_per_op / relays;
+    const double survivors = static_cast<double>(stats.survivors) / relays;
+    const double in = static_cast<double>(disks_in) / relays;
+
+    std::cout << "  paper-density relay (" << n_relays << " relays): "
+              << ns_per_relay << " ns/relay (" << m.allocs_per_op / relays
+              << " allocs), " << in << " disks in, " << survivors
+              << " into the merge\n";
+
+    j.open_obj("single_relay_paper_density");
+    j.field("nodes", static_cast<std::uint64_t>(n_relays));
+    j.field("avg_degree", g.average_degree());
+    j.field("ns_per_relay", ns_per_relay);
+    j.field("relays_per_s", 1e9 / ns_per_relay);
+    j.field("allocs_per_relay", m.allocs_per_op / relays);
+    j.field("disks_in_per_relay", in);
+    j.field("survivors_per_relay", survivors);
+    j.field("arcs_per_relay", static_cast<double>(arcs_total) / relays);
+    j.field("reps", m.reps);
+    j.close_obj();
   }
 
   // --- 2. batched all-relay throughput -------------------------------------

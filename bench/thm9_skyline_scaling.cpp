@@ -32,10 +32,15 @@ void BM_SkylineDivideAndConquer(benchmark::State& state) {
     arcs = sky.arc_count();
     benchmark::DoNotOptimize(arcs);
   }
+  // Disks the sector-bound prefilter lets into the merge, counted in one
+  // untimed call.
+  mldcs::core::MergeStats stats;
+  (void)mldcs::core::compute_skyline(sc.disks, sc.origin, &stats);
   state.SetComplexityN(state.range(0));
   state.counters["arcs"] = static_cast<double>(arcs);
   state.counters["arcs_per_disk"] =
       static_cast<double>(arcs) / static_cast<double>(state.range(0));
+  state.counters["survivors"] = static_cast<double>(stats.survivors);
 }
 BENCHMARK(BM_SkylineDivideAndConquer)
     ->RangeMultiplier(2)
@@ -84,6 +89,7 @@ void BM_MergeWorkPerLevel(benchmark::State& state) {
   state.counters["merge_spans"] = static_cast<double>(stats.spans);
   state.counters["spans_per_n"] =
       static_cast<double>(stats.spans) / static_cast<double>(state.range(0));
+  state.counters["survivors"] = static_cast<double>(stats.survivors);
 }
 BENCHMARK(BM_MergeWorkPerLevel)
     ->RangeMultiplier(4)

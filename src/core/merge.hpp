@@ -29,6 +29,9 @@ struct MergeStats {
   std::uint64_t spans = 0;                 ///< aligned spans processed
   std::uint64_t circle_intersections = 0;  ///< circle-pair intersections computed
   std::uint64_t arcs_emitted = 0;          ///< arcs before Step-3 coalescing
+  /// Disks compute_skyline_arcs's sector-bound prefilter let into the
+  /// merge levels.
+  std::uint64_t survivors = 0;
 };
 
 /// Merge two well-formed arc lists over the same local disk set `disks`

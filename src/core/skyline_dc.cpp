@@ -1,7 +1,6 @@
 #include "core/skyline_dc.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -39,61 +38,6 @@ SkylineTelemetry& skyline_telemetry() {
   return t;
 }
 
-/// Margin for the dominated-disk prefilter.  If dist(u_i, u_j) + r_i <=
-/// r_j - margin, every point of disk i's boundary lies >= margin inside
-/// disk j, so disk i trails disk j's radial envelope by >= margin at every
-/// angle.  With margin >> geom::kTol the dominated disk can never win a
-/// Merge span even under tolerant comparisons, so dropping it leaves the
-/// output bit-identical.  Disks closer than the margin to coincident or
-/// internally tangent (duplicate_set, tangent_pair) are deliberately kept,
-/// preserving the engine's tie-break behavior on degenerate inputs.
-constexpr double kDominanceMargin = 1e-6;
-
-/// Cap on containment tests per disk.  The prefilter scans potential
-/// containers in radius-descending order; adversarial inputs (thousands of
-/// disks in a narrow radius band, nothing dominated) would otherwise turn
-/// it quadratic.  The cap only reduces pruning, never correctness.  16 is
-/// enough to catch essentially all dominations in the paper's U[1,2]
-/// deployments (containers much larger than the candidate sort first)
-/// while keeping the worst-case scan on undominatable narrow-band inputs
-/// to two lane blocks.
-constexpr std::size_t kMaxDominanceChecks = 16;
-
-/// Stable LSD byte-radix over the u64 keys of (key, index) pairs, skipping
-/// bytes on which every key agrees — disks drawn from a narrow radius band
-/// differ only in low mantissa bytes, so typically half the passes
-/// survive.  Stability plus the index-ascending seed order makes
-/// equal-radius ties resolve index-ascending without widening the sort
-/// key.  Small inputs keep std::sort: the histograms only pay in bulk.
-void sort_order_keys(
-    std::vector<std::pair<std::uint64_t, std::uint32_t>>& v,
-    std::vector<std::pair<std::uint64_t, std::uint32_t>>& alt) {
-  const std::size_t n = v.size();
-  if (n < 128) {
-    std::sort(v.begin(), v.end());
-    return;
-  }
-  std::uint64_t all_or = 0;
-  std::uint64_t all_and = ~std::uint64_t{0};
-  for (const auto& [key, idx] : v) {
-    all_or |= key;
-    all_and &= key;
-  }
-  const std::uint64_t differ = all_or & ~all_and;
-  alt.resize(n);
-  auto* src = &v;
-  auto* dst = &alt;
-  for (int b = 0; b < 64; b += 8) {
-    if (((differ >> b) & 0xffu) == 0) continue;
-    std::uint32_t hist[257] = {};
-    for (const auto& [key, idx] : *src) ++hist[((key >> b) & 0xffu) + 1];
-    for (int d = 0; d < 256; ++d) hist[d + 1] += hist[d];
-    for (const auto& p : *src) (*dst)[hist[(p.first >> b) & 0xffu]++] = p;
-    std::swap(src, dst);
-  }
-  if (src != &v) v.swap(alt);
-}
-
 }  // namespace
 
 MLDCS_ALLOC_OK void SkylineWorkspace::reserve(std::size_t n_disks) {
@@ -104,12 +48,10 @@ MLDCS_ALLOC_OK void SkylineWorkspace::reserve(std::size_t n_disks) {
   lev_next_.reserve(n_disks);
   scratch_.reserve(n_disks);
   soa_.reserve(n_disks);
-  filt_.reserve(n_disks);
   zeros_.reserve(n_disks);
-  order_.reserve(n_disks);
-  order_alt_.reserve(n_disks);
+  sector_max_.reserve(geom::simd::kSectors * geom::DiskSoA::padded(n_disks));
+  keep_.reserve(geom::DiskSoA::padded(n_disks));
   live_.reserve(n_disks);
-  dom_.reserve(n_disks);
 }
 
 void SkylineWorkspace::clear() noexcept {
@@ -117,12 +59,10 @@ void SkylineWorkspace::clear() noexcept {
   lev_next_ = {};
   scratch_ = {};
   soa_ = {};
-  filt_ = {};
   zeros_ = {};
-  order_ = {};
-  order_alt_ = {};
+  sector_max_ = {};
+  keep_ = {};
   live_ = {};
-  dom_ = {};
 }
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
@@ -138,56 +78,32 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
 
   const geom::simd::SkylineKernels& kernels = geom::simd::active_kernels();
 
-  // Dominated-disk prefilter: a disk strictly inside another (by more than
-  // kDominanceMargin) contributes no skyline arc, so it can skip the merge
-  // levels entirely.  In the paper's heterogeneous deployments (radii
-  // U[1,2], neighbors within min(r_u, r_v)) a large share of small disks
-  // are swallowed by bigger neighbors, and each dropped disk saves O(log n)
-  // Merge passes over its arcs.  Scanning containers largest-radius-first
-  // lets each disk stop at the first disk too small to contain it; the
-  // accepted containers live in a sentinel-padded DiskSoA so the batch
-  // kernel tests a whole lane block per step with the verdict taken at the
-  // lowest-index lane — identical to the sequential scan, cap included.
-  // The scan order is an exact deterministic tie-break (radius descending,
-  // then index ascending), not a geometric predicate — a tolerance here
-  // would make the prefilter order (and thus the merge tree) input-noise
-  // dependent.  Packed as one lexicographic (u64, u32) key: positive
-  // finite doubles order by their bit patterns, so ~bits(radius) sorts
-  // radius-descending exactly, and the sort never touches the disk array.
-  ws.order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.order_[i] = {~std::bit_cast<std::uint64_t>(disks[i].radius),
-                    static_cast<std::uint32_t>(i)};
-  }
-  sort_order_keys(ws.order_, ws.order_alt_);
-  ws.filt_.assign_sentinels(n);
-  ws.dom_.assign(n, 0);
-  for (const auto& [key, idx] : ws.order_) {
-    const geom::Disk& di = disks[idx];
-    if (!kernels.prefilter_dominated(
-            di.center.x, di.center.y, di.radius, ws.filt_.cx.data(),
-            ws.filt_.cy.data(), ws.filt_.r.data(), ws.filt_.cx.size(),
-            kDominanceMargin, static_cast<int>(kMaxDominanceChecks))) {
-      ws.filt_.push(di.center.x, di.center.y, di.radius);
-    } else {
-      ws.dom_[idx] = 1;
-    }
-  }
-  // Collect survivors in original disk order so the merge tree (and thus
-  // the exact arc output) depends only on the input, not on the radius
-  // sort — a linear verdict scan, where re-sorting the survivor list
-  // would cost another n log n.
+  // Sector-bound prefilter (simd.hpp SectorBoundFn): one linear pass
+  // bounds every disk's radial function over kSectors fixed sectors and
+  // drops the disks that trail the envelope's lower bound by more than
+  // kEnvelopeMargin in every sector.  Such a disk owns no skyline arc
+  // (Theorem 3), so it skips the merge levels entirely; at the paper's
+  // U[1,2] density about 13 of a relay's 34 disks remain.  Survivors keep
+  // input order, so the merge tree depends only on the input.
+  ws.soa_.assign(disks);
+  const std::size_t n_pad = geom::DiskSoA::padded(n);
+  ws.sector_max_.resize(geom::simd::kSectors * n_pad);
+  ws.keep_.resize(n_pad);
+  kernels.sector_bound(n, ws.soa_.cx.data(), ws.soa_.cy.data(),
+                       ws.soa_.r.data(), o.x, o.y, kEnvelopeMargin,
+                       ws.sector_max_.data(), ws.keep_.data());
   ws.live_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (ws.dom_[i] == 0) ws.live_.push_back(static_cast<std::uint32_t>(i));
+    if (ws.keep_[i] != 0) ws.live_.push_back(static_cast<std::uint32_t>(i));
   }
+  ws.soa_.retain(ws.keep_.data());
   const std::size_t n_live = ws.live_.size();
+  if (stats != nullptr) stats->survivors += n_live;
 
-  // Live disks in structure-of-arrays form (live-local ids from here on),
-  // plus each disk's zero-transition cuts — nonempty only when the relay
-  // sits exactly on the disk's boundary, hoisted out of the merge levels
-  // so resolve-time span work never calls libm for them.
-  ws.soa_.assign_subset(disks, ws.live_);
+  // Live-local ids from here on.  Each live disk's zero-transition cuts
+  // are nonempty only when the relay sits exactly on the disk's boundary;
+  // they are hoisted out of the merge levels so resolve-time span work
+  // never calls libm for them.
   ws.zeros_.assign(n_live);
   for (std::size_t i = 0; i < n_live; ++i) {
     const geom::Disk& d = disks[ws.live_[i]];

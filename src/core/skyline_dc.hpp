@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -63,17 +62,21 @@ class SkylineWorkspace {
   detail::LevelSoA lev_cur_;          ///< level k partial skylines
   detail::LevelSoA lev_next_;         ///< level k+1 under construction
   detail::MergeLevelScratch scratch_; ///< batched Merge task arrays
-  geom::DiskSoA soa_;                 ///< live disks, live-local order
-  geom::DiskSoA filt_;                ///< prefilter containers, radius-desc
+  geom::DiskSoA soa_;                 ///< all disks, then live-local order
   detail::ZeroCutTable zeros_;        ///< per-live-disk boundary-relay cuts
-  /// Prefilter scan order: (~radius-bits, index) keys whose ascending sort
-  /// is exactly radius-descending then index-ascending.  `order_alt_` is
-  /// the ping-pong buffer of the byte-wise radix sort (skyline_dc.cpp).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> order_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> order_alt_;
+  std::vector<double> sector_max_;    ///< prefilter: kSectors x padded(n)
+  std::vector<std::uint8_t> keep_;    ///< prefilter: per-disk verdicts
   std::vector<std::uint32_t> live_;   ///< prefilter: surviving indices
-  std::vector<std::uint8_t> dom_;     ///< prefilter: dominated verdicts
 };
+
+/// How far below the radial envelope a disk must stay, at every angle, for
+/// the sector-bound prefilter to drop it.  1e-6 is >> geom::kTol and
+/// >> |rho'| * geom::kAngleTol at the library's coordinate scale, so no
+/// tolerant comparison in Merge could have picked a dropped disk, and
+/// dropping it leaves the arcs bit-identical (docs/ALGORITHM.md section 5).
+/// Duplicates, concentric and internally tangent disks that touch the
+/// envelope stay within it and are kept.
+inline constexpr double kEnvelopeMargin = 1e-6;
 
 /// Compute the skyline of a local disk set around relay `o` with the
 /// divide-and-conquer algorithm.

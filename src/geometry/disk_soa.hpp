@@ -3,7 +3,7 @@
 /// \file disk_soa.hpp
 /// Structure-of-arrays disk storage for the batch geometry kernels.
 ///
-/// The skyline engine's hot loops (dominated-disk prefilter, circle-circle
+/// The skyline engine's hot loops (sector-bound prefilter, circle-circle
 /// intersection, per-ray boundary-distance evaluation) consume disk
 /// parameters lane-wise: the SIMD kernels in simd.hpp read `kLaneBlock`
 /// consecutive centers/radii per step.  An array-of-structs `geom::Disk`
@@ -11,10 +11,9 @@
 /// keeps the three components in separate contiguous arrays, padded so a
 /// full lane block read past the logical end is always in bounds.
 ///
-/// Padding lanes carry `kSentinelRadius` (most-negative double): in the
-/// prefilter kernel a sentinel radius makes the "container too small"
-/// early-exit fire on the first padding lane, so the block-wise scan stops
-/// exactly where the sequential scalar scan would.
+/// Padding lanes carry `kSentinelRadius` (most-negative double), which no
+/// real radius reaches: the sector-bound kernel reads a negative radius as
+/// a padding lane and keeps it out of its envelope bound.
 
 #include <cstddef>
 #include <cstdint>
@@ -82,13 +81,30 @@ struct DiskSoA {
     ++count;
   }
 
-  /// Bulk-load a subset of `disks` selected by `idx`, sentinel-padded.
-  void assign_subset(std::span<const Disk> disks,
-                     std::span<const std::uint32_t> idx) {
-    assign_sentinels(idx.size());
-    for (const std::uint32_t i : idx) {
-      push(disks[i].center.x, disks[i].center.y, disks[i].radius);
+  /// Bulk-load every disk of `disks`, sentinel-padded.
+  void assign(std::span<const Disk> disks) {
+    assign_sentinels(disks.size());
+    for (const Disk& d : disks) push(d.center.x, d.center.y, d.radius);
+  }
+
+  /// Keep the disks whose `keep` flag is nonzero, in order; the vacated
+  /// lanes become sentinels again, so every lane at and beyond the new
+  /// count is padding, as after push().  `keep` covers the current count.
+  void retain(const std::uint8_t* keep) noexcept {
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (keep[i] == 0) continue;
+      cx[w] = cx[i];
+      cy[w] = cy[i];
+      r[w] = r[i];
+      ++w;
     }
+    for (std::size_t i = w; i < count; ++i) {
+      cx[i] = 0.0;
+      cy[i] = 0.0;
+      r[i] = kSentinelRadius;
+    }
+    count = w;
   }
 };
 

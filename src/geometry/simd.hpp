@@ -5,7 +5,7 @@
 ///
 /// The divide-and-conquer skyline engine batches its per-span geometry —
 /// circle-circle intersection, cut-angle finalization (atan2 + unit
-/// vector), paired radial-distance evaluation, and the dominated-disk
+/// vector), paired radial-distance evaluation, and the sector-bound
 /// prefilter — into flat task arrays (see geom::DiskSoA) and runs each
 /// batch through one of these kernels.  Every kernel is implemented once,
 /// templated over a lane-width policy (simd_kernels_impl.hpp), and
@@ -20,10 +20,11 @@
 ///
 /// Bit-identity contract: kernels use only elementwise correctly-rounded
 /// IEEE-754 double operations (add/sub/mul/div/sqrt/abs/compare/select) in
-/// an identical order across policies, never reduce across lanes, and the
-/// kernel translation units are built with -ffp-contract=off so the
-/// compiler cannot fuse a mul+add into an FMA on one policy but not
-/// another.  Consequently scalar and SIMD dispatch produce byte-identical
+/// an identical order across policies, and the kernel translation units
+/// are built with -ffp-contract=off so the compiler cannot fuse a mul+add
+/// into an FMA on one policy but not another.  The one cross-lane step is
+/// SectorBoundFn's maximum over disks, and a maximum is exact whatever the
+/// grouping.  Consequently scalar and SIMD dispatch produce byte-identical
 /// outputs, which the engine turns into byte-identical skyline arcs.
 ///
 /// Dispatch order: the `MLDCS_SIMD` environment variable ("off" or
@@ -31,6 +32,7 @@
 /// else scalar.  The choice is made once per process.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace mldcs::geom::simd {
 
@@ -96,19 +98,28 @@ using RhoPairsFn = void (*)(std::size_t n, const double* sx,
                             const double* br, double ox, double oy,
                             double* da, double* db, double* ss);
 
-/// Dominated-disk prefilter for one candidate disk (cx, cy, r) against the
-/// already-accepted containers (lx, ly, lr), stored radius-descending and
-/// sentinel-padded to `n` (a kBatchPad multiple; see DiskSoA).  Returns
-/// true iff the sequential scalar scan would: walk containers in order,
-/// stop at the first with gap = (lr - r) - margin <= 0, report dominated
-/// at the first with dist^2 <= gap^2, and give up after `max_checks`
-/// inconclusive tests.  Lane blocks evaluate the tests in parallel but the
-/// verdict is taken at the lowest-index lane, so the result matches the
-/// scalar scan exactly, cap semantics included.
-using PrefilterFn = bool (*)(double cx, double cy, double r,
-                             const double* lx, const double* ly,
-                             const double* lr, std::size_t n, double margin,
-                             int max_checks);
+/// Sectors of the sector-bound prefilter: boundaries at 2*pi*k/kSectors
+/// around the relay.  On the paper's U[1,2] density 8 was measurably
+/// slower per relay and 16, 24 and 32 were within noise of each other
+/// (docs/PERFORMANCE.md); 16 has an exactly symmetric boundary table.
+inline constexpr std::size_t kSectors = 16;
+
+/// Sector-bound prefilter over a whole local disk set around the relay
+/// o = (ox, oy).  Each disk's radial function rho_i (Corollary 2) peaks at
+/// r + d toward its centre, bottoms at r - d opposite, and is monotone in
+/// between, so over each of the kSectors sectors its maximum and minimum
+/// are its two boundary values — or r + d / r - d where the signs of the
+/// two boundary cross products put the peak / trough inside the sector.
+/// LB_k = max_i min_ik bounds the envelope from below in sector k; disk i
+/// gets keep[i] = 0 iff max_ik < LB_k - margin in every sector (then it
+/// trails the envelope everywhere and owns no skyline arc), else 1.
+/// (cx, cy, r) hold the n disks sentinel-padded to the next kBatchPad
+/// multiple np (see DiskSoA); padding lanes never feed LB.  `smax` is
+/// scratch of kSectors * np doubles; keep is written for all np lanes.
+using SectorBoundFn = void (*)(std::size_t n, const double* cx,
+                               const double* cy, const double* r, double ox,
+                               double oy, double margin, double* smax,
+                               std::uint8_t* keep);
 
 /// One ISA's kernel set.  All four entries always come from the same
 /// policy instantiation, so mixing is impossible.
@@ -117,7 +128,7 @@ struct SkylineKernels {
   CircleIsectFn circle_isect;
   CutFinalizeFn cut_finalize;
   RhoPairsFn rho_pairs;
-  PrefilterFn prefilter_dominated;
+  SectorBoundFn sector_bound;
 };
 
 /// The width-1 reference kernels (always available).

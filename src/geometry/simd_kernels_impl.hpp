@@ -16,14 +16,16 @@
 ///   };
 ///
 /// Every operation used here is an elementwise correctly-rounded IEEE-754
-/// double op, applied in the same order by every policy, with no cross-lane
-/// arithmetic — so two policies produce byte-identical outputs lane for
-/// lane.  The TUs are compiled with -ffp-contract=off, which keeps the
-/// compiler from fusing mul+add chains into FMAs on one policy but not
-/// another (GCC contracts by default); see docs/PERFORMANCE.md.
+/// double op, applied in the same order by every policy; the one cross-lane
+/// step, sector_bound's maximum over disks, is exact in any grouping — so
+/// two policies produce byte-identical outputs lane for lane.  The TUs are
+/// compiled with -ffp-contract=off, which keeps the compiler from fusing
+/// mul+add chains into FMAs on one policy but not another (GCC contracts
+/// by default); see docs/PERFORMANCE.md.
 
-#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "geometry/angle.hpp"
 #include "geometry/simd.hpp"
@@ -48,6 +50,20 @@ inline constexpr double kAtanPoly[9] = {
 inline constexpr double kTanPi8 = 4.14213562373095034e-01;  // tan(pi/8)
 inline constexpr double kHalfPi = geom::kPi / 2.0;
 inline constexpr double kQuarterPi = geom::kPi / 4.0;
+
+/// Unit vectors of the sector boundaries 2*pi*k/16, built from the
+/// correctly rounded cos(pi/8), sin(pi/8) and sqrt(1/2) so the table is
+/// exactly symmetric and the axis boundaries are exact.
+inline constexpr double kCosPi8 = 0.9238795325112867;
+inline constexpr double kSinPi8 = 0.3826834323650898;
+inline constexpr double kSqrtHalf = 0.7071067811865476;
+static_assert(kSectors == 16, "the boundary table is written for 16 sectors");
+inline constexpr double kSectorUx[kSectors] = {
+    1.0,  kCosPi8,  kSqrtHalf,  kSinPi8,  0.0, -kSinPi8, -kSqrtHalf, -kCosPi8,
+    -1.0, -kCosPi8, -kSqrtHalf, -kSinPi8, 0.0, kSinPi8,  kSqrtHalf,  kCosPi8};
+inline constexpr double kSectorUy[kSectors] = {
+    0.0,  kSinPi8,  kSqrtHalf,  kCosPi8,  1.0,  kCosPi8,  kSqrtHalf,  kSinPi8,
+    0.0, -kSinPi8, -kSqrtHalf, -kCosPi8, -1.0, -kCosPi8, -kSqrtHalf, -kSinPi8};
 
 template <class P>
 struct BatchKernels {
@@ -358,44 +374,91 @@ struct BatchKernels {
     }
   }
 
-  // -- prefilter_dominated ------------------------------------------------
-  // Lane-parallel version of the sequential scan in compute_skyline_arcs:
-  // containers are radius-descending, so the first lane whose gap is <= 0
-  // ends the scan (everything after is smaller still); a dominated verdict
-  // counts only if it occurs at a lower index than that stop AND the scan
-  // would still be running there under the max_checks cap.  Sentinel
-  // padding lanes (radius -DBL_MAX) read as stops, terminating the loop at
-  // the logical end.
-  static bool prefilter_dominated(double cx, double cy, double r,
-                                  const double* lx, const double* ly,
-                                  const double* lr, std::size_t n,
-                                  double margin, int max_checks) noexcept {
+  // -- sector_bound ---------------------------------------------------------
+  // Pass 1 evaluates every disk's rho at each sector boundary in
+  // rho_pairs' form with a unit direction b (|b|^2 = 1 drops out):
+  //   rho = dot(rel, b) + sqrt(max(r^2 - cross(rel, b)^2, 0)),
+  // and turns each sector's pair of boundary values into the disk's max
+  // (stored) and min (folded into a per-lane running LB).  The peak lies
+  // in sector [b_k, b_k+1] iff cross(rel, b_k) <= 0 <= cross(rel, b_k+1),
+  // the trough iff the reverse; both are inclusive, which can only widen
+  // a disk's range, and a centre at the relay (rel = 0) puts both in
+  // every sector, where r + d = r - d = r is exact.  The lane maxima of LB
+  // are reduced once; pass 2 compares the stored maxima against LB_k -
+  // margin.  Padding lanes (sentinel radius -DBL_MAX, whose square is
+  // +inf) enter LB as -inf and so never raise it.
+  static void sector_bound(std::size_t n, const double* cx, const double* cy,
+                           const double* r, double ox, double oy,
+                           double margin, double* smax,
+                           std::uint8_t* keep) noexcept {
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    const std::size_t np = (n + kBatchPad - 1) / kBatchPad * kBatchPad;
     const V zero = P::broadcast(0.0);
-    const V vcx = P::broadcast(cx);
-    const V vcy = P::broadcast(cy);
-    const V vr = P::broadcast(r);
-    const V vmargin = P::broadcast(margin);
-    int checks = 0;
-    for (std::size_t i = 0; i < n; i += W) {
-      const V gap = P::sub(P::sub(P::load(lr + i), vr), vmargin);
-      const M stop = P::le(gap, zero);
-      const V dx = P::sub(vcx, P::load(lx + i));
-      const V dy = P::sub(vcy, P::load(ly + i));
-      const V dist2 = P::add(P::mul(dx, dx), P::mul(dy, dy));
-      const M dom = P::m_andnot(stop, P::le(dist2, P::mul(gap, gap)));
-      const unsigned sb = P::to_bits(stop);
-      const unsigned db = P::to_bits(dom);
-      if ((sb | db) != 0u) {
-        const int first_stop =
-            sb != 0u ? std::countr_zero(sb) : static_cast<int>(W);
-        const int first_dom =
-            db != 0u ? std::countr_zero(db) : static_cast<int>(W);
-        return first_dom < first_stop && checks + first_dom < max_checks;
+    const V neg_inf = P::broadcast(kNegInf);
+    const V vox = P::broadcast(ox);
+    const V voy = P::broadcast(oy);
+    double lb_lane[kSectors * W];
+    for (double& v : lb_lane) v = kNegInf;
+    for (std::size_t i = 0; i < np; i += W) {
+      const V relx = P::sub(P::load(cx + i), vox);
+      const V rely = P::sub(P::load(cy + i), voy);
+      const V rv = P::load(r + i);
+      const M real = P::le(zero, rv);
+      const V r2 = P::mul(rv, rv);
+      const V d = P::sqrt(P::add(P::mul(relx, relx), P::mul(rely, rely)));
+      const V peak = P::add(rv, d);
+      const V trough = P::sub(rv, d);
+      // cross(rel, b_k) and rho at boundary k.
+      struct Edge {
+        V cr;
+        V rho;
+      };
+      const auto at = [&](std::size_t k) {
+        const V bx = P::broadcast(kSectorUx[k]);
+        const V by = P::broadcast(kSectorUy[k]);
+        const V dot = P::add(P::mul(relx, bx), P::mul(rely, by));
+        const V cr = P::sub(P::mul(relx, by), P::mul(rely, bx));
+        const V rad = P::sub(r2, P::mul(cr, cr));
+        return Edge{cr, P::add(dot, P::sqrt(P::select(P::lt(rad, zero),
+                                                      zero, rad)))};
+      };
+      const Edge first = at(0);
+      Edge lo = first;
+      for (std::size_t k = 0; k < kSectors; ++k) {
+        const Edge hi = k + 1 < kSectors ? at(k + 1) : first;
+        const M has_peak = P::m_and(P::le(lo.cr, zero), P::le(zero, hi.cr));
+        const M has_trough =
+            P::m_and(P::le(zero, lo.cr), P::le(hi.cr, zero));
+        const M lo_high = P::lt(hi.rho, lo.rho);
+        const V hi_v = P::select(lo_high, lo.rho, hi.rho);
+        const V lo_v = P::select(lo_high, hi.rho, lo.rho);
+        P::store(smax + k * np + i, P::select(has_peak, peak, hi_v));
+        const V mn = P::select(real, P::select(has_trough, trough, lo_v),
+                               neg_inf);
+        const V lb = P::load(lb_lane + k * W);
+        P::store(lb_lane + k * W, P::select(P::lt(lb, mn), mn, lb));
+        lo = hi;
       }
-      checks += static_cast<int>(W);
-      if (checks >= max_checks) return false;
     }
-    return false;
+    double thr[kSectors];
+    for (std::size_t k = 0; k < kSectors; ++k) {
+      double lb = lb_lane[k * W];
+      for (std::size_t l = 1; l < W; ++l) {
+        lb = lb < lb_lane[k * W + l] ? lb_lane[k * W + l] : lb;
+      }
+      thr[k] = lb - margin;
+    }
+    for (std::size_t i = 0; i < np; i += W) {
+      M drop = P::lt(P::load(smax + i), P::broadcast(thr[0]));
+      for (std::size_t k = 1; k < kSectors; ++k) {
+        drop = P::m_and(drop, P::lt(P::load(smax + k * np + i),
+                                    P::broadcast(thr[k])));
+      }
+      const unsigned bits = P::to_bits(drop);
+      for (std::size_t l = 0; l < W; ++l) {
+        keep[i + l] = ((bits >> l) & 1u) != 0u ? 0 : 1;
+      }
+    }
   }
 };
 
@@ -406,7 +469,7 @@ template <class P>
   return SkylineKernels{name, &BatchKernels<P>::circle_isect,
                         &BatchKernels<P>::cut_finalize,
                         &BatchKernels<P>::rho_pairs,
-                        &BatchKernels<P>::prefilter_dominated};
+                        &BatchKernels<P>::sector_bound};
 }
 
 }  // namespace mldcs::geom::simd::detail

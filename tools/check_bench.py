@@ -18,6 +18,13 @@ of the single_relay_skyline section (matched by n_disks):
     rule as allocs_per_op: the per-transmission loop runs on reused
     scratch, so any rise means it allocates per transmitter again)
 
+  * paper-density regression, from the single_relay_paper_density
+    section, gated like single_relay_skyline: relays_per_s below
+    baseline/3, allocs_per_relay above the baseline, or
+    survivors_per_relay above the baseline.  The survivors (disks the
+    sector-bound prefilter lets into the merge) depend only on the
+    deployment seed, so any rise means a weakened bound.
+
   * SIMD dispatch regression, from the single_relay_skyline_simd
     section of the fresh run alone: when the provenance says wide
     kernels are compiled in and the CPU supports them, dispatch must
@@ -231,6 +238,64 @@ def check_simd_dispatch(doc, path):
             status = "FAIL"
         print(f"  n_disks={n}: dispatch {dispatch}, "
               f"{speedup:.2f}x vs scalar [{status}]")
+    return failures
+
+
+PAPER_DENSITY = "single_relay_paper_density"
+PAPER_DENSITY_KEYS = ("relays_per_s", "allocs_per_relay",
+                      "survivors_per_relay")
+
+
+def check_paper_density(baseline_doc, fresh_doc):
+    """Gate the single_relay_paper_density section.
+
+    Returns a list of failure strings: relays_per_s below the baseline's
+    by more than MAX_SLOWDOWN, or allocs_per_relay / survivors_per_relay
+    above the baseline's.  A fresh run without the section skips the gate
+    with a named warning; a baseline without it (recorded before the
+    section existed) skips it as informational, like every new section.
+    """
+    fresh = fresh_doc.get(PAPER_DENSITY)
+    if not isinstance(fresh, dict):
+        warn(f"fresh run: section '{PAPER_DENSITY}' missing; skipping "
+             "paper-density gate")
+        return []
+    base = baseline_doc.get(PAPER_DENSITY)
+    if not isinstance(base, dict):
+        print("  paper density: no baseline yet (informational)")
+        return []
+    for label, doc in (("baseline", base), ("fresh run", fresh)):
+        missing = [k for k in PAPER_DENSITY_KEYS
+                   if not isinstance(doc.get(k), (int, float))
+                   or isinstance(doc.get(k), bool)]
+        if missing:
+            warn(f"{label}: {PAPER_DENSITY} is missing "
+                 f"{'/'.join(missing)}; skipping paper-density gate")
+            return []
+    failures = []
+    if fresh["relays_per_s"] < base["relays_per_s"] / MAX_SLOWDOWN:
+        failures.append(
+            f"paper density: throughput collapsed "
+            f"{base['relays_per_s'] / fresh['relays_per_s']:.2f}x "
+            f"({base['relays_per_s']:.0f} -> {fresh['relays_per_s']:.0f} "
+            "relays/s)")
+    if fresh["allocs_per_relay"] > base["allocs_per_relay"]:
+        failures.append(
+            f"paper density: relay_forwarding_set now allocates "
+            f"({base['allocs_per_relay']} -> {fresh['allocs_per_relay']} "
+            "allocs/relay)")
+    if fresh["survivors_per_relay"] > base["survivors_per_relay"]:
+        failures.append(
+            f"paper density: more disks enter the merge "
+            f"({base['survivors_per_relay']:.4f} -> "
+            f"{fresh['survivors_per_relay']:.4f} per relay): the sector "
+            "bound drops fewer disks")
+    print(f"  paper density: {fresh['relays_per_s']:.0f} relays/s "
+          f"(baseline {base['relays_per_s']:.0f}), "
+          f"{fresh['allocs_per_relay']} allocs/relay, "
+          f"{fresh['survivors_per_relay']:.4f} survivors/relay (baseline "
+          f"{base['survivors_per_relay']:.4f}) "
+          f"[{'FAIL' if failures else 'ok'}]")
     return failures
 
 
@@ -532,6 +597,7 @@ def main():
                   f"allocs/op [{status}]")
 
     failures += check_simulate_broadcast_allocs(baseline_doc, fresh_doc)
+    failures += check_paper_density(baseline_doc, fresh_doc)
     failures += check_simd_dispatch(fresh_doc, args.fresh)
 
     previous = read_history_previous(args.history) if args.history else None

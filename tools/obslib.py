@@ -537,6 +537,12 @@ def bench_summary(doc):
             if key in batch:
                 out[key] = batch[key]
 
+    density = doc.get("single_relay_paper_density")
+    if isinstance(density, dict):
+        for key in ("relays_per_s", "survivors_per_relay"):
+            if key in density:
+                out[f"paper_density_{key}"] = density[key]
+
     gb = doc.get("graph_build")
     if isinstance(gb, list) and gb:
         per_node = [e["ns_per_node"] for e in gb
