@@ -17,10 +17,10 @@
 #include "core/skyline_dc.hpp"
 #include "net/topology.hpp"
 #include "sim/histogram.hpp"
-#include "sim/montecarlo.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/table.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace mldcs::bench {
 
@@ -38,14 +38,13 @@ inline constexpr std::size_t kMaxSchemes = 8;
 /// requested scheme, on freshly drawn deployments.  sizes[s][t] = size of
 /// scheme `schemes[s]`'s forwarding set in trial t.  Trials are
 /// deterministic per (seed, trial) and shared across schemes (every scheme
-/// sees the same point set, as in the paper).
-///
-/// Pass `pool` to reuse a caller's ThreadPool across sweep points
-/// (otherwise a transient pool is spun up, as before).
+/// sees the same point set, as in the paper).  Trials run on
+/// sim::default_pool(), so every sweep point of a bench shares one set of
+/// workers, sized by MLDCS_THREADS; the sizes do not depend on it.
 inline std::vector<std::vector<std::uint64_t>> run_sweep_point(
     const net::DeploymentParams& params,
     const std::vector<bcast::Scheme>& schemes, std::size_t trials,
-    std::uint64_t seed, sim::ThreadPool* pool = nullptr) {
+    std::uint64_t seed) {
   if (schemes.size() > kMaxSchemes) {
     throw std::invalid_argument("run_sweep_point: too many schemes");
   }
@@ -71,11 +70,7 @@ inline std::vector<std::vector<std::uint64_t>> run_sweep_point(
           bcast::forwarding_set(g, view, schemes[s], ws).size();
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(trials, body);
-  } else {
-    sim::parallel_for(trials, body);
-  }
+  sim::default_pool().parallel_for(trials, body);
 
   std::vector<std::vector<std::uint64_t>> sizes(
       schemes.size(), std::vector<std::uint64_t>(trials, 0));

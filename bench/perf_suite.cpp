@@ -88,6 +88,7 @@
 #include "broadcast/relay_skyline.hpp"
 #include "broadcast/sharded_cache.hpp"
 #include "broadcast/skyline_cache.hpp"
+#include "core/scenarios.hpp"
 #include "core/skyline_dc.hpp"
 #include "core/skyline_reference.hpp"
 #include "geometry/angle.hpp"
@@ -174,28 +175,6 @@ std::string build_flags() {
 #else
   return "unknown";
 #endif
-}
-
-// --- Scenario: narrow-band hard regime -------------------------------------
-
-/// Local disk set where nearly every disk survives into the skyline: radii
-/// in the narrow band [1.0, 1.02] and neighbors at 97% of the maximum
-/// bidirectional distance, spread around the circle.  This is the hard
-/// regime for Merge — the arc count stays Θ(n) instead of collapsing to a
-/// few dominating disks.
-std::vector<geom::Disk> narrow_band_set(sim::Xoshiro256& rng, std::size_t n) {
-  std::vector<geom::Disk> disks;
-  disks.reserve(n);
-  const double r0 = 1.01;
-  disks.push_back({{0.0, 0.0}, r0});
-  for (std::size_t i = 1; i < n; ++i) {
-    const double radius = rng.uniform(1.0, 1.02);
-    const double dist = 0.97 * std::min(r0, radius);
-    const double theta = rng.uniform(0.0, geom::kTwoPi);
-    disks.push_back(
-        {{dist * std::cos(theta), dist * std::sin(theta)}, radius});
-  }
-  return disks;
 }
 
 // --- JSON writer ------------------------------------------------------------
@@ -424,7 +403,8 @@ int main(int argc, char** argv) {
   for (const std::size_t n : {std::size_t{64}, std::size_t{256},
                               std::size_t{1024}, std::size_t{4096}}) {
     sim::Xoshiro256 rng(0xBADC0FFEEULL + n);
-    const std::vector<geom::Disk> disks = narrow_band_set(rng, n);
+    const std::vector<geom::Disk> disks =
+        core::narrow_band_set(rng, n).disks;
     const geom::Vec2 o{0.0, 0.0};
 
     core::SkylineWorkspace ws;
@@ -482,7 +462,8 @@ int main(int argc, char** argv) {
     for (const std::size_t n :
          {std::size_t{64}, std::size_t{256}, std::size_t{1024}}) {
       sim::Xoshiro256 rng(0xBADC0FFEEULL + n);
-      const std::vector<geom::Disk> disks = narrow_band_set(rng, n);
+      const std::vector<geom::Disk> disks =
+          core::narrow_band_set(rng, n).disks;
       const geom::Vec2 o{0.0, 0.0};
 
       core::SkylineWorkspace ws;

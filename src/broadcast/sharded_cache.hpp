@@ -5,12 +5,13 @@
 /// engine shard, recomputed inside the engine's per-step barrier.
 ///
 /// The single-engine `SkylineCache` parallelizes *within* one dirty set
-/// (chunked workers into one slotted store).  At deployment scale the
-/// better unit of parallelism is the shard: each `net::ShardedEngine` tile
-/// gets its own cache — private slotted set store, private workspace,
-/// private dirty set (the same detail::SlotStore and detail::DirtyRelays
-/// the single engine uses, cache_store.hpp) — maintaining forwarding sets
-/// for exactly the relays the tile owns.  Because an owned relay's
+/// (self-scheduled relay blocks into one slotted store).  At deployment
+/// scale the better unit of parallelism is the shard: each
+/// `net::ShardedEngine` tile gets its own cache — private slotted set
+/// store, private workspace, private dirty set (the same
+/// detail::SlotStore and detail::DirtyRelays the single engine uses,
+/// cache_store.hpp) — maintaining forwarding sets for exactly the relays
+/// the tile owns.  Because an owned relay's
 /// adjacency in its shard's region graph is identical to the whole-plane
 /// adjacency (sorted global NodeIds — the halo guarantee), the per-relay
 /// inner loop

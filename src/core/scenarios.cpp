@@ -1,5 +1,6 @@
 #include "core/scenarios.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "geometry/angle.hpp"
@@ -23,6 +24,21 @@ Scenario random_local_set(sim::Xoshiro256& rng, std::size_t n,
     const double rho = reach * std::sqrt(rng.uniform());
     const double theta = rng.uniform(0.0, geom::kTwoPi);
     s.disks.push_back(Disk{rho * geom::unit_at(theta), ri});
+  }
+  return s;
+}
+
+Scenario narrow_band_set(sim::Xoshiro256& rng, std::size_t n) {
+  Scenario s;
+  s.origin = {0.0, 0.0};
+  if (n == 0) return s;
+  const double r0 = 1.01;
+  s.disks.push_back(Disk{s.origin, r0});
+  for (std::size_t i = 1; i < n; ++i) {
+    const double ri = rng.uniform(1.0, 1.02);
+    const double dist = 0.97 * std::min(r0, ri);
+    const double theta = rng.uniform(0.0, geom::kTwoPi);
+    s.disks.push_back(Disk{dist * geom::unit_at(theta), ri});
   }
   return s;
 }

@@ -31,6 +31,13 @@ struct Scenario {
                                         bool heterogeneous,
                                         double r_min = 1.0, double r_max = 2.0);
 
+/// The hard regime for Merge: the relay's disk (radius 1.01) at the origin
+/// plus n - 1 neighbors with radii U[1.0, 1.02] at 97% of the link distance
+/// min(r_0, r_i), at uniform angles.  Nearly every disk owns an arc, so the
+/// sector-bound prefilter drops almost none (1023 of 1024 survive) and the
+/// arc count stays Θ(n) instead of collapsing to a few dominating disks.
+[[nodiscard]] Scenario narrow_band_set(sim::Xoshiro256& rng, std::size_t n);
+
 /// n concentric disks at the origin with radii 1, 2, ..., n — the skyline
 /// is the single largest disk.
 [[nodiscard]] Scenario concentric_set(std::size_t n);

@@ -132,14 +132,19 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
 
   // Level 0: every surviving disk's boundary is one full-circle arc, split
   // at the +x axis by convention (starts-only: start 0.0, unit (1, 0)),
-  // written as flat fills — skyline i is exactly arc i.
-  ws.lev_cur_.start.assign(n_live, 0.0);
-  ws.lev_cur_.ux.assign(n_live, 1.0);
-  ws.lev_cur_.uy.assign(n_live, 0.0);
-  ws.lev_cur_.disk.resize(n_live);
-  std::iota(ws.lev_cur_.disk.begin(), ws.lev_cur_.disk.end(), 0u);
-  ws.lev_cur_.bounds.resize(n_live + 1);
-  std::iota(ws.lev_cur_.bounds.begin(), ws.lev_cur_.bounds.end(), 0u);
+  // written as flat fills — skyline i is exactly arc i.  Even levels live
+  // in lev_cur_ and odd levels in lev_next_ on every call (the pointers
+  // trade places, the buffers do not), so each buffer grows to what its
+  // levels need and one warm-up call is enough for the next.
+  detail::LevelSoA* cur = &ws.lev_cur_;
+  detail::LevelSoA* next = &ws.lev_next_;
+  cur->start.assign(n_live, 0.0);
+  cur->ux.assign(n_live, 1.0);
+  cur->uy.assign(n_live, 0.0);
+  cur->disk.resize(n_live);
+  std::iota(cur->disk.begin(), cur->disk.end(), 0u);
+  cur->bounds.resize(n_live + 1);
+  std::iota(cur->bounds.begin(), cur->bounds.end(), 0u);
 
   // Bottom-up passes: merge adjacent pairs until one skyline remains.  An
   // odd tail skyline is carried to the next level verbatim, so the merge
@@ -149,35 +154,32 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   // pair of the level before handing them to the SIMD kernels, keeping
   // lanes full even when individual partial skylines are short.
   std::uint64_t levels = 0;
-  std::size_t level_arcs_max = ws.lev_cur_.start.size();
+  std::size_t level_arcs_max = cur->start.size();
   std::size_t count = n_live;
   while (count > 1) {
-    detail::merge_level_batched(ws.lev_cur_, ws.lev_next_, ws.soa_, o,
-                                ws.zeros_, kernels, ws.scratch_, stats);
+    detail::merge_level_batched(*cur, *next, ws.soa_, o, ws.zeros_, kernels,
+                                ws.scratch_, stats);
     if (count % 2 == 1) {
-      const std::uint32_t t0 = ws.lev_cur_.bounds[count - 1];
-      const std::uint32_t t1 = ws.lev_cur_.bounds[count];
+      const std::uint32_t t0 = cur->bounds[count - 1];
+      const std::uint32_t t1 = cur->bounds[count];
       for (std::uint32_t k = t0; k < t1; ++k) {
-        ws.lev_next_.push(ws.lev_cur_.start[k], ws.lev_cur_.ux[k],
-                          ws.lev_cur_.uy[k], ws.lev_cur_.disk[k]);
+        next->push(cur->start[k], cur->ux[k], cur->uy[k], cur->disk[k]);
       }
-      ws.lev_next_.close_skyline();
+      next->close_skyline();
     }
-    std::swap(ws.lev_cur_, ws.lev_next_);
-    count = ws.lev_cur_.skylines();
+    std::swap(cur, next);
+    count = cur->skylines();
     ++levels;
-    level_arcs_max = std::max(level_arcs_max, ws.lev_cur_.start.size());
+    level_arcs_max = std::max(level_arcs_max, cur->start.size());
   }
 
   // Starts-only to Arc conversion: endpoints are shared doubles by
   // construction, and live-local disk ids map back to input positions.
-  const std::size_t n_arcs = ws.lev_cur_.start.size();
+  const std::size_t n_arcs = cur->start.size();
   for (std::size_t k = 0; k < n_arcs; ++k) {
-    const double end =
-        (k + 1 < n_arcs) ? ws.lev_cur_.start[k + 1] : geom::kTwoPi;
-    out.push_back(Arc{ws.lev_cur_.start[k], end,
-                      static_cast<std::size_t>(
-                          ws.live_[ws.lev_cur_.disk[k]])});
+    const double end = (k + 1 < n_arcs) ? cur->start[k + 1] : geom::kTwoPi;
+    out.push_back(Arc{cur->start[k], end,
+                      static_cast<std::size_t>(ws.live_[cur->disk[k]])});
   }
 
   SkylineTelemetry& t = skyline_telemetry();

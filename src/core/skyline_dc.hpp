@@ -9,7 +9,7 @@
 ///
 /// The engine here runs the recursion *iteratively, bottom-up*: level 0
 /// holds n single-disk skylines concatenated in one buffer; each pass
-/// merges adjacent pairs into a second buffer and swaps.  All scratch
+/// merges adjacent pairs into the other buffer.  All scratch
 /// lives in a reusable `SkylineWorkspace`, so a relay sweep that computes
 /// thousands of skylines performs no heap allocation after the first call
 /// (the recursive formulation allocated four vectors per Merge — see
@@ -59,8 +59,8 @@ class SkylineWorkspace {
                                    SkylineWorkspace&, std::vector<Arc>&,
                                    MergeStats*);
 
-  detail::LevelSoA lev_cur_;          ///< level k partial skylines
-  detail::LevelSoA lev_next_;         ///< level k+1 under construction
+  detail::LevelSoA lev_cur_;          ///< even levels' partial skylines
+  detail::LevelSoA lev_next_;         ///< odd levels' partial skylines
   detail::MergeLevelScratch scratch_; ///< batched Merge task arrays
   geom::DiskSoA soa_;                 ///< all disks, then live-local order
   detail::ZeroCutTable zeros_;        ///< per-live-disk boundary-relay cuts

@@ -19,8 +19,12 @@ namespace {
 /// 2.5 ms at 999), but a ~1000-node pooled build + sweep also beats the
 /// incremental maintenance step (DynamicDiskGraph::apply +
 /// SkylineCache::update) that mobile networks rely on.  The threshold comes
-/// down once that step is faster again (ROADMAP.md, item 1).
+/// down once that step is faster again (ROADMAP.md, item 6).
 constexpr std::size_t kParallelBuildNodes = 4096;
+
+/// Nodes per block of a pooled pass: a 4096-node build hands out 16 blocks
+/// per pass, enough for a slow core to claim fewer of them.
+constexpr std::size_t kBuildBlock = 256;
 
 }  // namespace
 
@@ -53,8 +57,8 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   // the visit is cheap enough that running it twice (count pass, fill pass)
   // beats materializing a vector<vector> of all adjacency lists.  Neither
   // pass allocates, and each node's entries depend on the node alone, so
-  // the passes run over contiguous node ranges, inline or one per worker,
-  // with the same output.
+  // the passes run over contiguous node ranges, inline or in blocks on the
+  // pool, with the same output.
   g.offsets_.assign(n + 1, 0);
   const auto count_range = [&g, &grid](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -85,8 +89,9 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
       pass(0, n);
       return;
     }
-    pool->parallel_chunks(
-        n, [&pass](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
+    pool->parallel_blocks(
+        n, kBuildBlock,
+        [&pass](std::size_t /*slot*/, std::size_t lo, std::size_t hi) {
           pass(lo, hi);
         });
   };

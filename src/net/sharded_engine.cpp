@@ -219,30 +219,28 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
   // region, applies them to its region graph, then runs the hook.  Reads
   // shared state only (nodes_, current, owner map); writes shard-local
   // state only — zero cross-shard locking.
-  pool_->parallel_chunks(
-      shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo,
-                          std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          const obs::Scope phase(obs::Phase::kShardStep);
-          Shard& sh = *shards_[s];
-          const std::int64_t t0 = obs::clock_ns();
-          {
-            // Halo exchange proper: routing movers into the shard's
-            // region and applying them to its graph.  The hook (cache
-            // recompute) tags its own phase.
-            const obs::Scope halo(obs::Phase::kHaloExchange);
-            sh.incoming.clear();
-            for (const NodeId u : moved_hint) {
-              if (sh.region.contains(nodes_[u].pos) ||
-                  sh.region.contains(current[u].pos)) {
-                sh.incoming.push_back(u);
-              }
+  pool_->parallel_blocks(
+      shards_.size(), 1,
+      [&](std::size_t /*slot*/, std::size_t s, std::size_t /*hi*/) {
+        const obs::Scope phase(obs::Phase::kShardStep);
+        Shard& sh = *shards_[s];
+        const std::int64_t t0 = obs::clock_ns();
+        {
+          // Halo exchange proper: routing movers into the shard's region
+          // and applying them to its graph.  The hook (cache recompute)
+          // tags its own phase.
+          const obs::Scope halo(obs::Phase::kHaloExchange);
+          sh.incoming.clear();
+          for (const NodeId u : moved_hint) {
+            if (sh.region.contains(nodes_[u].pos) ||
+                sh.region.contains(current[u].pos)) {
+              sh.incoming.push_back(u);
             }
-            sh.graph.apply(current, sh.incoming);
           }
-          if (hook_) hook_(s);
-          sh.step_ns = static_cast<std::uint64_t>(obs::clock_ns() - t0);
+          sh.graph.apply(current, sh.incoming);
         }
+        if (hook_) hook_(s);
+        sh.step_ns = static_cast<std::uint64_t>(obs::clock_ns() - t0);
       });
 
   // Phase 3 (serial): commit global positions and report.

@@ -1,6 +1,7 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <utility>
@@ -14,17 +15,14 @@ namespace {
 
 /// Pool telemetry (docs/OBSERVABILITY.md), aggregated across every pool in
 /// the process: executed-task count and total busy wall time (the
-/// utilization numerator — compare against workers x elapsed), plus the
-/// submit-side queue depth and its high-water mark.  Tasks here are
-/// chunk-sized (one per worker per parallel_for), so the two clock reads
-/// per task are noise.  A parallel_* dispatch's chunk 0 runs on the caller,
-/// not as a task, so it counts in neither.
+/// utilization numerator — compare against workers x elapsed).  A task is
+/// one worker slot of a dispatch, so the two clock reads per task are
+/// noise.  Slot 0 runs on the caller, not as a task, so it counts in
+/// neither.  A task counts itself before it releases its dispatch, so the
+/// counts are final once the dispatch returns.
 struct PoolTelemetry {
   obs::Counter& tasks = obs::registry().counter("pool.tasks_executed");
   obs::Counter& busy_ns = obs::registry().counter("pool.busy_ns");
-  obs::Gauge& queue_depth = obs::registry().gauge("pool.queue_depth");
-  obs::Gauge& queue_depth_hwm =
-      obs::registry().gauge("pool.queue_depth_hwm");
 };
 
 PoolTelemetry& pool_telemetry() {
@@ -59,8 +57,6 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   task_cv_.notify_all();
-  // Workers only exit once the queue is empty, so every task submitted
-  // before (or during, by other tasks) the drain still runs.
   for (std::thread& t : threads_) t.join();
 }
 
@@ -73,13 +69,44 @@ void ThreadPool::ensure_started() {
   }
 }
 
+void ThreadPool::run_slot(Dispatch& job, std::size_t slot) noexcept {
+  try {
+    job.run(job.loop, slot);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(job.m);
+    if (!job.error) job.error = std::current_exception();
+  }
+}
+
+void ThreadPool::dispatch(Dispatch& job, std::size_t tasks) {
+  ensure_started();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t slot = 1; slot <= tasks; ++slot) {
+      queue_.enqueue({&job, slot});
+    }
+  }
+  for (std::size_t t = 0; t < tasks; ++t) task_cv_.notify_one();
+  // Slot 0 runs beside the workers' slots, so the caller counts as one of
+  // this pool's workers meanwhile: a dispatch nested in it runs inline, and
+  // so does library code that asks fan_out_pool().  A thread that already
+  // works for another pool stays that pool's.
+  ThreadPool* const outer = worker_pool();
+  if (outer == nullptr) set_worker_pool(this);
+  run_slot(job, 0);
+  if (outer == nullptr) set_worker_pool(nullptr);
+  std::unique_lock<std::mutex> lock(job.m);
+  job.cv.wait(lock, [&job] { return job.remaining == 0; });
+  if (job.error) std::rethrow_exception(job.error);
+}
+
 void ThreadPool::worker_loop() {
   t_worker_pool = this;
   // Workers run the shard bodies; register them for CPU-time sampling
   // (idempotent, lock paid once per worker lifetime).
   obs::profiler_register_thread();
   for (;;) {
-    std::function<void()> task;
+    Task task{};
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Parked workers burn no CPU, so the CPU-clock profiler rarely
@@ -87,67 +114,33 @@ void ThreadPool::worker_loop() {
       // the wake/sleep edges.
       const obs::Scope idle(obs::Phase::kPoolIdle);
       task_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained
+      if (queue_.empty()) return;  // stopping, and no dispatch is in flight
       task = queue_.dequeue();
-      ++active_;
     }
     // Clock reads sit outside the telemetry stubs, so gate them too: with
     // the kill switch off the worker loop compiles exactly as before.
     std::int64_t t0 = 0;
     if constexpr (obs::kTelemetryEnabled) t0 = obs::clock_ns();
-    try {
-      task();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
+    run_slot(*task.job, task.slot);
     if constexpr (obs::kTelemetryEnabled) {
       PoolTelemetry& t = pool_telemetry();
       t.tasks.add();
       t.busy_ns.add(static_cast<std::uint64_t>(obs::clock_ns() - t0));
     }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  ensure_started();
-  std::size_t depth = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.enqueue(std::move(task));
-    depth = queue_.size();
-  }
-  task_cv_.notify_one();
-  if constexpr (obs::kTelemetryEnabled) {
-    PoolTelemetry& t = pool_telemetry();
-    t.queue_depth.set(static_cast<std::int64_t>(depth));
-    t.queue_depth_hwm.set_max(static_cast<std::int64_t>(depth));
+    // Notify under the lock: once `remaining` hits 0 the caller may destroy
+    // the dispatch, so the notify must not happen after the release.
+    const std::lock_guard<std::mutex> lock(task.job->m);
+    if (--task.job->remaining == 0) task.job->cv.notify_all();
   }
 }
 
 MLDCS_ALLOC_OK void ThreadPool::TaskRing::grow() {
-  std::vector<std::function<void()>> bigger(
-      std::max<std::size_t>(16, 2 * slots_.size()));
+  std::vector<Task> bigger(std::max<std::size_t>(16, 2 * slots_.size()));
   for (std::size_t i = 0; i < count_; ++i) {
-    bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+    bigger[i] = slots_[(head_ + i) % slots_.size()];
   }
   slots_ = std::move(bigger);
   head_ = 0;
-}
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-    error = std::exchange(first_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 namespace detail {
@@ -170,8 +163,8 @@ std::size_t thread_override(const char* text, std::size_t hw) noexcept {
 }  // namespace detail
 
 ThreadPool& default_pool() {
-  // Meyers singleton: thread-safe construction, drained and joined during
-  // static destruction (the pool's destructor finishes queued tasks).
+  // Meyers singleton: thread-safe construction, joined during static
+  // destruction.
   // MLDCS_THREADS (clamped to hardware_concurrency) pins the size for
   // reproducible CI/bench runs; the variable is read once, at first use.
   static ThreadPool pool(detail::thread_override(

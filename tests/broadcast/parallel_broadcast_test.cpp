@@ -3,11 +3,11 @@
 // sim::default_pool(), and a large DiskGraph::build runs its count and fill
 // passes there.  Called from inside a pool worker, both run inline
 // (sim::fan_out_pool()), so each check runs a call twice — from the test's
-// main thread, then from a worker of a one-worker pool — and demands the
-// same output.
+// main thread, then from inside a dispatch on a two-worker pool — and
+// demands the same output.
 //
-// tests/CMakeLists.txt registers this binary three times: at the host's
-// default pool size, and with MLDCS_THREADS=1 and =2.  default_pool() reads
+// tests/CMakeLists.txt registers this binary four times: at the host's
+// default pool size, and with MLDCS_THREADS=1, 2 and 3.  default_pool() reads
 // the variable once per process, so each pool size needs its own process.
 
 #include <gtest/gtest.h>
@@ -50,16 +50,16 @@ std::vector<net::Node> paper_nodes(std::uint64_t seed, double degree,
   return net::generate_deployment(p, rng);
 }
 
-/// Runs `f` on the worker of a one-worker pool: inside a pool, so the
-/// library's own stages run inline.
+/// Runs `f` in one block of a two-block dispatch on a two-worker pool:
+/// inside a pool dispatch, so the library's own stages run inline.
 template <typename F>
 void run_inline(F&& f) {
-  sim::ThreadPool one(1);
-  one.submit([&f] {
+  sim::ThreadPool two(2);
+  two.parallel_for(2, [&f](std::size_t i) {
+    if (i != 0) return;
     ASSERT_EQ(sim::fan_out_pool(), nullptr);
     f();
   });
-  one.wait_idle();
 }
 
 /// One armed broadcast: its result and its flight-recorder events.

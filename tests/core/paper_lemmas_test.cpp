@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "core/scenarios.hpp"
 #include "core/skyline_dc.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/area.hpp"
@@ -195,21 +196,14 @@ TEST(Corollary7Test, EnlargedCirclesHaveNoCommonPoint) {
 TEST(Lemma8Test, MergeWorkIsLinearithmic) {
   sim::Xoshiro256 rng(66);
   // Compare total spans at n and 4n: n log n growth gives ~4.7x, far below
-  // the ~16x of quadratic growth.  The input is the perf suite's narrow
-  // band (radii in [1.0, 1.02], neighbours at 97% of the link distance),
-  // where the sector-bound prefilter can drop almost nothing, so the
-  // spans measure merges of n disks, not of the few a U[1,2] set leaves.
+  // the ~16x of quadratic growth.  The input is the narrow band
+  // (narrow_band_set), where the sector-bound prefilter can drop almost
+  // nothing, so the spans measure merges of n disks, not of the few a
+  // U[1,2] set leaves.
   const auto work = [&](std::size_t n) {
-    std::vector<Disk> disks;
-    const double r0 = 1.01;
-    disks.push_back(Disk{{0.0, 0.0}, r0});
-    for (std::size_t i = 1; i < n; ++i) {
-      const double r = rng.uniform(1.0, 1.02);
-      const double d = 0.97 * std::min(r0, r);
-      disks.push_back(Disk{d * geom::unit_at(rng.uniform(0.0, kTwoPi)), r});
-    }
+    const Scenario sc = narrow_band_set(rng, n);
     MergeStats stats;
-    (void)compute_skyline(disks, {0, 0}, &stats);
+    (void)compute_skyline(sc.disks, sc.origin, &stats);
     EXPECT_GE(stats.survivors, n * 9 / 10) << "n = " << n;
     return stats.spans;
   };

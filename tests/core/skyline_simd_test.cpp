@@ -75,26 +75,10 @@ void expect_bit_identical(const std::vector<geom::Disk>& disks,
   }
 }
 
-/// The bench's hard regime: nearly equal radii, neighbors at 97% of the
-/// maximum bidirectional distance — almost every disk survives.
-std::vector<geom::Disk> narrow_band(sim::Xoshiro256& rng, std::size_t n) {
-  std::vector<geom::Disk> disks;
-  disks.reserve(n);
-  const double r0 = 1.01;
-  disks.push_back({{0.0, 0.0}, r0});
-  for (std::size_t i = 1; i < n; ++i) {
-    const double radius = rng.uniform(1.0, 1.02);
-    const double dist = 0.97 * std::min(r0, radius);
-    const double theta = rng.uniform(0.0, geom::kTwoPi);
-    disks.push_back({{dist * std::cos(theta), dist * std::sin(theta)}, radius});
-  }
-  return disks;
-}
-
 TEST(SkylineSimdTest, CoincidentCentersAndExactDuplicates) {
   sim::Xoshiro256 rng(0xC01DC01DULL);
   for (int rep = 0; rep < 20; ++rep) {
-    std::vector<geom::Disk> disks = narrow_band(rng, 12);
+    std::vector<geom::Disk> disks = narrow_band_set(rng, 12).disks;
     // A stack of concentric disks at a random member's center, plus an
     // exact duplicate of another member: the prefilter and the merge
     // tie-breaks must resolve both identically on every kernel set.
@@ -116,7 +100,7 @@ TEST(SkylineSimdTest, CoincidentCentersAndExactDuplicates) {
 TEST(SkylineSimdTest, DominatingDiskCollapsesEitherWay) {
   sim::Xoshiro256 rng(0xD0111ACEULL);
   for (int rep = 0; rep < 20; ++rep) {
-    std::vector<geom::Disk> disks = narrow_band(rng, 24);
+    std::vector<geom::Disk> disks = narrow_band_set(rng, 24).disks;
     // One disk strictly containing every other: the skyline collapses
     // to a single full-circle arc; the sector bound drops the rest.
     disks.push_back({{0.01, -0.02}, 5.0});
@@ -128,7 +112,7 @@ TEST(SkylineSimdTest, DominatingDiskCollapsesEitherWay) {
 TEST(SkylineSimdTest, SubAngleTolBreakpointClusters) {
   sim::Xoshiro256 rng(0x70CC1U);
   for (int rep = 0; rep < 20; ++rep) {
-    std::vector<geom::Disk> disks = narrow_band(rng, 10);
+    std::vector<geom::Disk> disks = narrow_band_set(rng, 10).disks;
     // Shadow three disks with copies rotated about the origin by half
     // of kAngleTol: every breakpoint of the original reappears within
     // tolerance, forcing the equal-angle and equal-radius tie-break
@@ -149,7 +133,7 @@ TEST(SkylineSimdTest, SubAngleTolBreakpointClusters) {
 TEST(SkylineSimdTest, TangentAndContainedPairs) {
   sim::Xoshiro256 rng(0x7A46E47ULL);
   for (int rep = 0; rep < 20; ++rep) {
-    std::vector<geom::Disk> disks = narrow_band(rng, 8);
+    std::vector<geom::Disk> disks = narrow_band_set(rng, 8).disks;
     // Internal tangencies (dist == |r_a - r_b|, from either side) and a
     // strict containment: the h^2 <= 0 clamp must pick the same
     // tangent-point verdict on every kernel set.  (External tangency
@@ -172,7 +156,7 @@ TEST(SkylineSimdTest, LaneRemainderSizes) {
                               std::size_t{9}, std::size_t{13},
                               std::size_t{17}, std::size_t{31}}) {
     for (int rep = 0; rep < 5; ++rep) {
-      expect_bit_identical(narrow_band(rng, n), {0.0, 0.0},
+      expect_bit_identical(narrow_band_set(rng, n).disks, {0.0, 0.0},
                            "n=" + std::to_string(n) + " rep " +
                                std::to_string(rep));
     }
@@ -186,7 +170,7 @@ TEST(SkylineSimdTest, RandomizedDegenerateFuzz) {
   for (int rep = 0; rep < 40; ++rep) {
     const std::size_t n = 3 + static_cast<std::size_t>(
                                   rng.uniform(0.0, 40.0));
-    std::vector<geom::Disk> disks = narrow_band(rng, n);
+    std::vector<geom::Disk> disks = narrow_band_set(rng, n).disks;
     if (rng.uniform() < 0.5) {  // coincident-center stack
       const geom::Disk base = disks[static_cast<std::size_t>(
           rng.uniform(0.0, static_cast<double>(n)))];
@@ -333,7 +317,7 @@ TEST(SectorBoundTest, ActiveAndScalarAgreeOnEveryLaneRemainder) {
           "random n=" + std::to_string(n) + " rep " + std::to_string(rep));
       for (const std::uint8_t k : v.keep) dropped += k == 0 ? 1 : 0;
       (void)expect_sector_agreement(
-          narrow_band(rng, n), {0.0, 0.0},
+          narrow_band_set(rng, n).disks, {0.0, 0.0},
           "narrow n=" + std::to_string(n) + " rep " + std::to_string(rep));
     }
   }

@@ -193,14 +193,8 @@ TEST(WorkspaceReuseTest, WarmedUpReuseIsAllocationFree) {
 
   SkylineWorkspace ws;
   std::vector<Arc> arcs;
-  // Two warm passes, not one: the engine ping-pongs its two arc buffers
-  // (std::swap per merge level), so after a run with an odd level count the
-  // capacities sit in swapped slots and the first *reuse* can grow a buffer
-  // once more.  The second pass reaches the capacity fixed point.
-  for (int warm = 0; warm < 2; ++warm) {
-    for (const Scenario& sc : inputs) {
-      compute_skyline_arcs(sc.disks, sc.origin, ws, arcs);
-    }
+  for (const Scenario& sc : inputs) {
+    compute_skyline_arcs(sc.disks, sc.origin, ws, arcs);
   }
 
   const test::AllocGuard guard;

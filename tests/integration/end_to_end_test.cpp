@@ -12,7 +12,7 @@
 #include "core/mldcs.hpp"
 #include "net/hello.hpp"
 #include "net/topology.hpp"
-#include "sim/montecarlo.hpp"
+#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
 namespace mldcs {

@@ -1,8 +1,8 @@
 // Runtime verification of the sharded hot loop's MLDCS_HOT_PATH /
 // MLDCS_NO_LOCK annotations, compiled into the hot_path_guard_test
 // binary (which owns the alloc/lock interposers).  A one-worker pool
-// runs parallel_chunks inline on the caller thread — zero submit traffic,
-// zero latch — so the interposer counters see exactly what one shard's
+// runs parallel_blocks inline on the caller thread — no task, no latch —
+// so the interposer counters see exactly what one shard's
 // step executes: the region-graph apply, the dirty rule, and the
 // recompute/store path.  After warm-up, hover steps (a full mover hint
 // at unchanged positions, the worst case for the classify/rebucket/drift

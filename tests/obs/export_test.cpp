@@ -69,16 +69,16 @@ TEST(SnapshotJsonTest, MetricsSerialized) {
 TEST(PrometheusTest, FamiliesTypedAndPrefixed) {
   Registry r;
   r.counter("skyline.calls").add(7);
-  r.gauge("pool.queue-depth").set(2);
+  r.gauge("net.edge-flips").set(2);
 
   const std::string doc = to_prometheus(r);
   // Names sanitized (alnum-or-underscore) and prefixed with mldcs_.
   EXPECT_NE(doc.find("# TYPE mldcs_skyline_calls counter"),
             std::string::npos);
   EXPECT_NE(doc.find("mldcs_skyline_calls 7"), std::string::npos);
-  EXPECT_NE(doc.find("# TYPE mldcs_pool_queue_depth gauge"),
+  EXPECT_NE(doc.find("# TYPE mldcs_net_edge_flips gauge"),
             std::string::npos);
-  EXPECT_NE(doc.find("mldcs_pool_queue_depth 2"), std::string::npos);
+  EXPECT_NE(doc.find("mldcs_net_edge_flips 2"), std::string::npos);
 }
 
 TEST(PrometheusTest, HistogramSeriesAreCumulative) {

@@ -1,11 +1,10 @@
-// Tests for the table / chart renderers and the Monte-Carlo runner.
+// Tests for the table / chart renderers.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "sim/chart.hpp"
-#include "sim/montecarlo.hpp"
 #include "sim/table.hpp"
 
 namespace mldcs::sim {
@@ -93,23 +92,6 @@ TEST(ChartTest, HistogramTableAlignsSeveralHistograms) {
   const std::string s = os.str();
   EXPECT_NE(s.find("alg1"), std::string::npos);
   EXPECT_NE(s.find("#fwd"), std::string::npos);
-}
-
-TEST(MonteCarloTest, TrialsAreDeterministicAndIndependentOfThreads) {
-  const auto experiment = [](Xoshiro256& rng, std::size_t) {
-    return rng.uniform();
-  };
-  const auto a = run_trials(123, 64, experiment, 1);
-  const auto b = run_trials(123, 64, experiment, 4);
-  EXPECT_EQ(a, b);  // per-trial seeding, not shared streams
-  const auto c = run_trials(124, 64, experiment, 1);
-  EXPECT_NE(a, c);
-}
-
-TEST(MonteCarloTest, SummarizeAggregates) {
-  const auto stats = summarize({1.0, 2.0, 3.0});
-  EXPECT_EQ(stats.count(), 3u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 2.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the thread pool: parallel_for, parallel_chunks and the
-// self-scheduled parallel_blocks.
+// Tests for the thread pool: the self-scheduled parallel_blocks dispatch
+// and parallel_for, its per-index form.
 
 #include "sim/thread_pool.hpp"
 
@@ -15,7 +15,6 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "net/disk_graph.hpp"
@@ -64,9 +63,9 @@ TEST(ThreadPoolTest, ResultsIndependentOfThreadCount) {
   // parallelism level (the determinism contract).
   const auto run = [](std::size_t threads) {
     std::vector<double> out(500);
-    parallel_for(
-        500, [&](std::size_t i) { out[i] = static_cast<double>(i) * 1.5; },
-        threads);
+    ThreadPool pool(threads);
+    pool.parallel_for(
+        500, [&](std::size_t i) { out[i] = static_cast<double>(i) * 1.5; });
     return std::accumulate(out.begin(), out.end(), 0.0);
   };
   const double t1 = run(1);
@@ -96,97 +95,85 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   for (const auto& id : seen) EXPECT_EQ(id, this_thread);
 }
 
-// --- The dispatch contract: boundaries, caller-run chunk 0, errors --------
+// --- The dispatch contract: caller-run slot 0, queue, nesting, errors -----
 
-using Triple = std::tuple<std::size_t, std::size_t, std::size_t>;
-
-/// A chunk body that records every (chunk, lo, hi) it ran and the thread
-/// each chunk ran on.
-class ChunkLog {
+/// A slot body that records the thread each slot ran on.
+class SlotThreads {
  public:
-  void operator()(std::size_t c, std::size_t lo, std::size_t hi) {
+  void operator()(std::size_t slot) {
     const std::lock_guard<std::mutex> lock(m_);
-    seen_.emplace_back(c, lo, hi);
-    thread_of_[c] = std::this_thread::get_id();
+    thread_of_[slot] = std::this_thread::get_id();
   }
-  std::vector<Triple> sorted() {
+  std::map<std::size_t, std::thread::id> threads() {
     const std::lock_guard<std::mutex> lock(m_);
-    std::sort(seen_.begin(), seen_.end());
-    return seen_;
-  }
-  std::thread::id thread_of(std::size_t c) {
-    const std::lock_guard<std::mutex> lock(m_);
-    return thread_of_.at(c);
+    return thread_of_;
   }
 
  private:
   std::mutex m_;
-  std::vector<Triple> seen_;
   std::map<std::size_t, std::thread::id> thread_of_;
 };
 
-/// parallel_chunks' boundaries: chunk t of T = min(size, n) covers
-/// [t*n/T, (t+1)*n/T).
-std::vector<Triple> equal_chunks(std::size_t n, std::size_t size) {
-  const std::size_t t_count = std::min(size, n);
-  std::vector<Triple> out;
-  for (std::size_t t = 0; t < t_count; ++t) {
-    out.emplace_back(t, t * n / t_count, (t + 1) * n / t_count);
-  }
-  return out;
+/// Runs one block per slot of `pool`: each block waits until every slot
+/// has arrived, so no participant can claim a second block and every slot
+/// runs exactly one.
+template <typename F>
+void one_block_per_slot(ThreadPool& pool, F&& per_slot) {
+  std::atomic<std::size_t> arrived{0};
+  pool.parallel_blocks(pool.size(), 1,
+                       [&](std::size_t slot, std::size_t, std::size_t) {
+                         arrived.fetch_add(1);
+                         while (arrived.load() < pool.size()) {
+                           std::this_thread::yield();
+                         }
+                         per_slot(slot);
+                       });
 }
 
-TEST(ThreadPoolDispatchTest, ChunkTriplesFollowTheBoundaryFormulas) {
-  for (std::size_t size = 1; size <= 5; ++size) {
-    ThreadPool pool(size);
-    for (const std::size_t n : {1u, 3u, 4u, 5u, 1000u}) {
-      ChunkLog plain;
-      pool.parallel_chunks(n, plain);
-      EXPECT_EQ(plain.sorted(), equal_chunks(n, size))
-          << "size " << size << ", n " << n;
-    }
-  }
-}
-
+// Slot 0 — chunk 0 in these tests' names — is the calling thread; the
+// other slots run on distinct workers, and a dispatch of size() blocks
+// that wait for each other uses every one of them.
 TEST(ThreadPoolDispatchTest, ChunkZeroRunsOnTheCallingThread) {
   ThreadPool pool(4);
   const std::thread::id caller = std::this_thread::get_id();
-  ChunkLog plain;
-  pool.parallel_chunks(100, plain);
-  EXPECT_EQ(plain.thread_of(0), caller);
-  for (std::size_t c = 1; c < 4; ++c) EXPECT_NE(plain.thread_of(c), caller);
+  SlotThreads seen;
+  one_block_per_slot(pool, seen);
+  const std::map<std::size_t, std::thread::id> threads = seen.threads();
+  ASSERT_EQ(threads.size(), 4u);
+  EXPECT_EQ(threads.at(0), caller);
+  std::set<std::thread::id> distinct;
+  for (const auto& entry : threads) distinct.insert(entry.second);
+  EXPECT_EQ(distinct.size(), 4u);
 }
 
-/// Dispatch 4 chunks; chunk `thrower` throws at once, the others finish
-/// late.  The rethrow must come after every other chunk has finished.
-void expect_rethrow_after_all_chunks(std::size_t thrower) {
+/// Four slots, one block each; slot `thrower` throws at once, the others
+/// finish late.  The rethrow must come after every other slot has finished.
+void expect_rethrow_after_all_slots(std::size_t thrower) {
   ThreadPool pool(4);
   std::atomic<int> finished{0};
   try {
-    pool.parallel_chunks(4, [&](std::size_t c, std::size_t, std::size_t) {
-      if (c == thrower) throw std::runtime_error("chunk failed");
+    one_block_per_slot(pool, [&](std::size_t slot) {
+      if (slot == thrower) throw std::runtime_error("slot failed");
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
       finished.fetch_add(1);
     });
-    ADD_FAILURE() << "no exception from chunk " << thrower;
+    ADD_FAILURE() << "no exception from slot " << thrower;
   } catch (const std::runtime_error&) {
-    EXPECT_EQ(finished.load(), 3) << "thrown by chunk " << thrower;
+    EXPECT_EQ(finished.load(), 3) << "thrown by slot " << thrower;
   }
 }
 
 TEST(ThreadPoolDispatchTest, ChunkZeroExceptionHeldUntilAllChunksFinish) {
-  expect_rethrow_after_all_chunks(0);
+  expect_rethrow_after_all_slots(0);
 }
 
 TEST(ThreadPoolDispatchTest, WorkerChunkExceptionHeldUntilAllChunksFinish) {
-  expect_rethrow_after_all_chunks(2);
+  expect_rethrow_after_all_slots(2);
 }
 
-// A dispatch from one of the pool's own workers runs inline: with every
-// worker nesting one, waiting for free workers would deadlock.
-// A warmed-up pool dispatches without allocating: a dispatch's tasks fit
-// std::function's inline buffer, and the task queue keeps the capacity of
-// its deepest backlog.
+// A warmed-up pool dispatches without allocating: a dispatch's tasks are
+// {dispatch, slot} pairs, and the task ring keeps the capacity of its
+// deepest backlog.
 TEST(ThreadPoolDispatchTest, WarmedUpDispatchesAllocateNothing) {
   if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
   ThreadPool pool(4);
@@ -207,52 +194,124 @@ TEST(ThreadPoolDispatchTest, WarmedUpDispatchesAllocateNothing) {
             1664u * (63u * 64u / 2u));
 }
 
-// The queue keeps FIFO order while it wraps and regrows: 10 tasks move its
-// head, then 40 queue up behind a task that holds the pool's one worker.
-TEST(ThreadPoolDispatchTest, QueueRunsTasksInSubmitOrderAcrossRegrowth) {
-  ThreadPool pool(1);
-  std::vector<int> order;  // written by the pool's one worker only
-  const auto submit_range = [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      pool.submit([&order, i] { order.push_back(i); });
+/// A one-worker backlog on a two-worker pool: worker A is parked inside a
+/// dispatch until the test ends, and worker B inside a second one until
+/// release_b().  Dispatches made meanwhile (each hands out one task) wait
+/// in the ring, and B alone drains them once released, in ring order.
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(ThreadPool& pool) {
+    a_.start(pool);
+    b_.start(pool);
+  }
+  ~ParkedWorkers() {
+    b_.stop();
+    a_.stop();
+  }
+  void release_b() { b_.stop(); }
+
+ private:
+  /// A thread whose two-block dispatch keeps a worker in slot 1 until
+  /// stop(); start() returns once that worker is parked.
+  struct Parked {
+    std::atomic<bool> hold{true};
+    std::atomic<bool> parked{false};
+    std::thread thread;
+
+    void start(ThreadPool& pool) {
+      thread = std::thread([this, &pool] {
+        pool.parallel_blocks(2, 1, [this](std::size_t slot, std::size_t,
+                                          std::size_t) {
+          if (slot == 0) {
+            // Hold one block until the worker has claimed the other.
+            while (!parked.load()) std::this_thread::yield();
+            return;
+          }
+          parked = true;
+          while (hold.load()) std::this_thread::yield();
+        });
+      });
+      while (!parked.load()) std::this_thread::yield();
+    }
+    void stop() {
+      if (!thread.joinable()) return;
+      hold = false;
+      thread.join();
     }
   };
-  submit_range(0, 10);
-  pool.wait_idle();
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    started = true;
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!started.load()) std::this_thread::yield();
-  submit_range(10, 50);
-  EXPECT_EQ(pool.queue_depth(), 40u);
-  release = true;
-  pool.wait_idle();
-  std::vector<int> want(50);
+
+  Parked a_;
+  Parked b_;
+};
+
+// The ring keeps FIFO order while it wraps and regrows: 10 dispatches move
+// its head, then 40 dispatches from 40 threads queue one task each behind
+// the parked workers.  Each dispatcher holds block 0 until its worker slot
+// has run block 1, which records the dispatcher's index.
+TEST(ThreadPoolDispatchTest, QueueRunsTasksInSubmitOrderAcrossRegrowth) {
+  ThreadPool pool(2);
+  for (int i = 0; i < 10; ++i) {
+    one_block_per_slot(pool, [](std::size_t) {});
+  }
+  std::vector<int> order;  // written by worker B only
+  std::atomic<int> queued{0};
+  std::vector<std::thread> dispatchers;
+  {
+    ParkedWorkers parked(pool);
+    for (int i = 0; i < 40; ++i) {
+      dispatchers.emplace_back([&pool, &order, &queued, i] {
+        std::atomic<bool> ran{false};
+        pool.parallel_blocks(2, 1, [&](std::size_t slot, std::size_t,
+                                       std::size_t) {
+          if (slot == 0) {
+            // The dispatch queued its task before slot 0 started.
+            queued.fetch_add(1);
+            while (!ran.load()) std::this_thread::yield();
+            return;
+          }
+          order.push_back(i);
+          ran = true;
+        });
+      });
+      while (queued.load() <= i) std::this_thread::yield();
+    }
+    parked.release_b();
+    for (std::thread& t : dispatchers) t.join();
+  }
+  std::vector<int> want(40);
   std::iota(want.begin(), want.end(), 0);
   EXPECT_EQ(order, want);
 }
 
+// A dispatch nested in any slot, the caller's or a worker's, runs inline on
+// that thread as slot 0: with every slot nesting one, waiting for free
+// workers would deadlock.
 TEST(ThreadPoolDispatchTest, NestedDispatchFromOwnWorkerRunsInline) {
   ThreadPool pool(4);
-  std::thread::id task_thread;
-  ChunkLog nested;
-  pool.submit([&] {
-    task_thread = std::this_thread::get_id();
+  std::vector<std::thread::id> outer_thread(4);
+  std::vector<std::vector<std::thread::id>> inner_thread(
+      4, std::vector<std::thread::id>(4));
+  std::vector<std::vector<std::size_t>> inner_slot(
+      4, std::vector<std::size_t>(4, 99));
+  one_block_per_slot(pool, [&](std::size_t slot) {
+    outer_thread[slot] = std::this_thread::get_id();
     EXPECT_EQ(ThreadPool::worker_pool(), &pool);
-    pool.parallel_chunks(4, nested);
+    pool.parallel_blocks(4, 1, [&](std::size_t s, std::size_t lo,
+                                   std::size_t) {
+      inner_thread[slot][lo] = std::this_thread::get_id();
+      inner_slot[slot][lo] = s;
+    });
   });
-  pool.wait_idle();
-  EXPECT_EQ(nested.sorted(), equal_chunks(4, 4));
-  for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(nested.thread_of(c), task_thread);
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(inner_thread[slot][i], outer_thread[slot]);
+      EXPECT_EQ(inner_slot[slot][i], 0u);
+    }
   }
   EXPECT_EQ(ThreadPool::worker_pool(), nullptr);
 }
 
-// While the caller runs chunk 0 beside the workers' chunks it counts as one
+// While the caller runs slot 0 beside the workers' slots it counts as one
 // of the pool's workers: worker_pool() names the pool and fan_out_pool()
 // keeps library code inline.  Once the dispatch returns the caller is
 // outside every pool again.
@@ -260,8 +319,8 @@ TEST(ThreadPoolDispatchTest, CallerCountsAsWorkerWhileRunningChunkZero) {
   ThreadPool pool(2);
   ThreadPool* seen = nullptr;
   ThreadPool* fan_out = &pool;
-  pool.parallel_chunks(2, [&](std::size_t c, std::size_t, std::size_t) {
-    if (c == 0) {
+  one_block_per_slot(pool, [&](std::size_t slot) {
+    if (slot == 0) {
       seen = ThreadPool::worker_pool();
       fan_out = fan_out_pool();
     }
@@ -275,8 +334,8 @@ TEST(ThreadPoolDispatchTest, CallerCountsAsWorkerWhileRunningChunkZero) {
 }
 
 // A library call that fans out on its own (here a ~5700-node
-// DiskGraph::build) runs inline when made from chunk 0: the dispatch's own
-// chunk 1 is the only task any pool runs.
+// DiskGraph::build) runs inline when made from slot 0: the dispatch's own
+// slot 1 is the only task any pool runs.
 TEST(ThreadPoolDispatchTest, LibraryCallFromChunkZeroStaysInline) {
   if (!obs::kTelemetryEnabled || default_pool().size() < 2) {
     GTEST_SKIP() << "needs pool telemetry and a multi-worker default pool";
@@ -288,22 +347,18 @@ TEST(ThreadPoolDispatchTest, LibraryCallFromChunkZeroStaysInline) {
   Xoshiro256 rng(5);
   const std::vector<net::Node> nodes = net::generate_deployment(p, rng);
   ThreadPool pool(2);
-  const auto tasks = [&pool] {
-    pool.wait_idle();
-    return test::pool_tasks();
-  };
 
-  std::uint64_t before = tasks();
+  std::uint64_t before = test::pool_tasks();
   const net::DiskGraph top = net::DiskGraph::build(nodes);
-  ASSERT_GT(tasks() - before, 0u)
+  ASSERT_GT(test::pool_tasks() - before, 0u)
       << "a top-level build must fan out, or this test proves nothing";
 
-  before = tasks();
+  before = test::pool_tasks();
   std::size_t edges = 0;
-  pool.parallel_chunks(2, [&](std::size_t c, std::size_t, std::size_t) {
-    if (c == 0) edges = net::DiskGraph::build(nodes).edge_count();
+  one_block_per_slot(pool, [&](std::size_t slot) {
+    if (slot == 0) edges = net::DiskGraph::build(nodes).edge_count();
   });
-  EXPECT_EQ(tasks() - before, 1u);
+  EXPECT_EQ(test::pool_tasks() - before, 1u);
   EXPECT_EQ(edges, top.edge_count());
 }
 
@@ -398,38 +453,53 @@ TEST(ThreadPoolBlocksTest, SlotsAreDenseAndTheCallerIsSlotZero) {
 // the same call would deadlock.
 TEST(ThreadPoolBlocksTest, NestedCallFromOwnWorkerRunsInlineInOrder) {
   ThreadPool pool(4);
-  std::thread::id task_thread;
+  std::thread::id worker_thread;
   BlockLog nested;
-  pool.submit([&] {
-    task_thread = std::this_thread::get_id();
+  one_block_per_slot(pool, [&](std::size_t slot) {
+    if (slot != 1) return;
+    worker_thread = std::this_thread::get_id();
     pool.parallel_blocks(50, 4, nested);
   });
-  pool.wait_idle();
   const std::vector<BlockLog::Entry> entries = nested.entries();
   ASSERT_EQ(entries.size(), 13u);
   for (std::size_t b = 0; b < entries.size(); ++b) {
     EXPECT_EQ(entries[b].slot, 0u);
     EXPECT_EQ(entries[b].lo, 4 * b);
     EXPECT_EQ(entries[b].hi, std::min<std::size_t>(50, 4 * b + 4));
-    EXPECT_EQ(entries[b].thread, task_thread);
+    EXPECT_EQ(entries[b].thread, worker_thread);
   }
 }
 
-// Slot 1 starts late twice over: first its task waits behind two sleeping
-// tasks on the pool's two workers (it has claimed nothing yet), then it
-// sleeps inside the first block it claims while the caller works through
-// 1 ms blocks.  The caller keeps claiming meanwhile, and every block
-// still runs once.
+// Slot 1 starts late twice over: first its task waits in the ring behind
+// two other threads' dispatches, whose slots hold the pool's two workers
+// for 30 ms (it has claimed nothing yet), then it sleeps inside the first
+// block it claims while the caller works through 1 ms blocks.  The caller
+// keeps claiming meanwhile, and every block still runs once.
 TEST(ThreadPoolBlocksTest, CoverageHoldsWhenSlotOneSleeps) {
   ThreadPool pool(2);
+  std::atomic<int> busy{0};
+  std::vector<std::thread> others;
   for (int i = 0; i < 2; ++i) {
-    pool.submit(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(30)); });
+    others.emplace_back([&pool, &busy] {
+      std::atomic<bool> claimed{false};
+      pool.parallel_blocks(2, 1, [&](std::size_t slot, std::size_t,
+                                     std::size_t) {
+        if (slot == 0) {
+          // Hold one block until this dispatch's worker has the other.
+          while (!claimed.load()) std::this_thread::yield();
+          return;
+        }
+        claimed = true;
+        busy.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      });
+    });
   }
+  while (busy.load() < 2) std::this_thread::yield();
   BlockLog late;
   pool.parallel_blocks(400, 4, late);
   expect_every_block_once(late.entries(), 400, 4);
-  pool.wait_idle();
+  for (std::thread& t : others) t.join();
 
   BlockLog sleepy;
   std::atomic<bool> slept{false};

@@ -16,21 +16,21 @@
 namespace mldcs::test {
 
 /// Tasks every pool has run so far: the `pool.tasks_executed` counter,
-/// which counts only with telemetry on (obs::kTelemetryEnabled).  A worker
-/// counts a task after the dispatch that handed it out has returned, so
-/// this first waits for `pool` (by default the library's own) to go idle.
-inline std::uint64_t pool_tasks(sim::ThreadPool& pool = sim::default_pool()) {
-  pool.wait_idle();
+/// which counts only with telemetry on (obs::kTelemetryEnabled).  A task
+/// counts itself before its dispatch returns, so a call that has returned
+/// is fully counted.
+inline std::uint64_t pool_tasks() {
   return obs::registry().counter("pool.tasks_executed").value();
 }
 
-/// Returns once every worker of `pool` has started and run a task: one
-/// dispatch whose chunks wait for each other.  A worker registers its
-/// thread (which allocates) when it starts, so an allocation probe over
-/// pooled code warms up with this first.  Call it from outside the pool.
+/// Returns once `pool` has started its workers and size() - 1 of them have
+/// run a task: one dispatch of size() blocks that wait for each other, so
+/// no participant can claim a second block.  A worker registers its thread
+/// (which allocates) when it starts, so an allocation probe over pooled
+/// code warms up with this first.  Call it from outside the pool.
 inline void start_workers(sim::ThreadPool& pool = sim::default_pool()) {
   std::atomic<std::size_t> arrived{0};
-  pool.parallel_chunks(pool.size(), [&](std::size_t, std::size_t, std::size_t) {
+  pool.parallel_for(pool.size(), [&](std::size_t) {
     arrived.fetch_add(1);
     while (arrived.load() < pool.size()) std::this_thread::yield();
   });

@@ -12,9 +12,8 @@ introspection") and redraws a per-shard table:
     step/barrier-wait nanoseconds per shard, plus the engine step the
     table was published at,
   * /snapshot.json (mldcs-telemetry-v1): a headline strip of counters
-    (cache.updates, shard.migrations, skyline.calls, ...) with
-    per-interval rates once two snapshots are in hand, plus the
-    pool.queue_depth gauge (and its high-water mark),
+    (cache.updates, shard.migrations, skyline.calls, pool.tasks_executed,
+    ...) with per-interval rates once two snapshots are in hand,
   * /profile?seconds=N&format=json (mldcs-profile-v1, only with
     --profile N): a sampled phase-breakdown strip — where the CPU went,
     by obs::Scope phase tag, over an N-second window.  The profile request
@@ -48,11 +47,7 @@ import obslib
 HEADLINE_COUNTERS = (
     "shard.steps", "shard.migrations", "shard.exchanged",
     "cache.updates", "cache.dirty_relays", "skyline.calls",
-)
-
-#: Gauges worth a slot on the headline strip, in display order.
-HEADLINE_GAUGES = (
-    "pool.queue_depth", "pool.queue_depth_hwm",
+    "pool.tasks_executed",
 )
 
 
@@ -101,7 +96,6 @@ def render(base, timeout, prev=None, profile_seconds=None):
                  f"{len(shards)} shard(s)")
 
     counters = snap_doc.get("counters", {})
-    gauges = snap_doc.get("gauges", {})
     now = time.monotonic()
     prev_time, prev_counters = prev if prev is not None else (None, {})
     dt = now - prev_time if prev_time is not None else 0.0
@@ -113,9 +107,6 @@ def render(base, timeout, prev=None, profile_seconds=None):
         if name in prev_counters and dt > 0:
             cell += f"({rate_text(counters[name] - prev_counters[name], dt)})"
         strip.append(cell)
-    for name in HEADLINE_GAUGES:
-        if name in gauges:
-            strip.append(f"{name}={gauges[name]}")
     if strip:
         lines.append("  " + "  ".join(strip))
     state = (now, dict(counters))
