@@ -14,7 +14,9 @@
 ///     compute_skyline loop; plus one skyline simulate_broadcast on the
 ///     same graph, with its time and allocations.
 ///  3. DiskGraph::build timings at growing deployment sizes (count-then-
-///     fill CSR construction).
+///     fill CSR construction), and the whole-plane DynamicDiskGraph
+///     constructor on the same deployments (grid buckets plus lists seeded
+///     from that build).
 ///  4. compute_all_skylines thread scaling: the batched sweep at several
 ///     pool sizes, reported as speedup over one thread.
 ///  5. mobility steady state: incremental maintenance (DynamicDiskGraph
@@ -676,11 +678,16 @@ int main(int argc, char** argv) {
       const net::DiskGraph g = net::DiskGraph::build(std::move(copy));
       if (g.size() != n_nodes) std::abort();
     });
+    const Measurement m_dynamic = measure(budget_ns, [&] {
+      const net::DynamicDiskGraph d{std::vector<net::Node>(nodes)};
+      if (d.size() != n_nodes) std::abort();
+    });
 
     std::cout << "  graph build n=" << n_nodes << ": "
               << m_build.ns_per_op / 1e6 << " ms ("
               << m_build.ns_per_op / static_cast<double>(n_nodes)
-              << " ns/node)\n";
+              << " ns/node); DynamicDiskGraph: "
+              << m_dynamic.ns_per_op / 1e6 << " ms\n";
 
     j.open_obj();
     j.field("nodes", static_cast<std::uint64_t>(n_nodes));
@@ -688,6 +695,9 @@ int main(int argc, char** argv) {
     j.field("ns_per_node",
             m_build.ns_per_op / static_cast<double>(n_nodes));
     j.field("allocs_per_build", m_build.allocs_per_op);
+    j.field("dynamic_build_ns", m_dynamic.ns_per_op);
+    j.field("dynamic_ns_per_node",
+            m_dynamic.ns_per_op / static_cast<double>(n_nodes));
     j.close_obj();
   }
   j.close_arr();

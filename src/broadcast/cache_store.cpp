@@ -8,8 +8,8 @@ namespace {
 
 /// Maintenance telemetry (docs/OBSERVABILITY.md): per-step dirty-relay
 /// distribution, slot overflow / compaction churn, and the live/dead shape
-/// of the slotted store — the signals that tune position_tolerance,
-/// compaction_threshold, and the slot slack policy.
+/// of the slotted store — the signals that tune SlotStore's compaction
+/// threshold and slot slack policy.
 struct CacheTelemetry {
   obs::Counter& updates = obs::registry().counter("cache.updates");
   obs::Counter& dirty_relays = obs::registry().counter("cache.dirty_relays");

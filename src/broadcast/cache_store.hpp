@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file cache_store.hpp
-/// The state both incremental forwarding-set caches share: one maintenance
-/// `CacheConfig`, the slotted set store, and the dirty-relay rule.
+/// The state both incremental forwarding-set caches share: the slotted set
+/// store and the dirty-relay rule.
 ///
 /// `SkylineCache` (one store, chunk-parallel recompute) and `ShardCache`
 /// (one store per engine shard, serial recompute inside the shard barrier)
@@ -19,21 +19,10 @@
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "geometry/vec2.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/node.hpp"
 
 namespace mldcs::bcast {
-
-/// Maintenance knobs of SkylineCache and ShardedSkylineCache.
-struct CacheConfig {
-  /// A moved node dirties its neighborhood only once it has drifted more
-  /// than this from its last committed position.  0 = exact maintenance
-  /// (cached output always bit-identical to a from-scratch sweep).
-  double position_tolerance = 0.0;
-  /// Dead fraction of the slotted store that triggers compaction.
-  double compaction_threshold = 0.5;
-};
 
 namespace detail {
 
@@ -59,10 +48,15 @@ struct StoreStats {
 /// Every node owns a stable slot with some slack, so a recomputed set that
 /// still fits is written in place and clean relays cost zero.  A set that
 /// outgrows its slot is re-appended with fresh slack; once the dead
-/// fraction passes the compaction threshold the blob is repacked.  The
-/// layout is a pure function of the store() sequence.
+/// fraction passes kCompactionThreshold the blob is repacked.  The layout
+/// is a pure function of the store() sequence.
 class SlotStore {
  public:
+  /// Dead (outgrown) fraction of the blob that triggers compaction: a
+  /// repack copies every live set, so it waits until at least half of the
+  /// blob is garbage, which bounds the store at about twice its live size.
+  static constexpr double kCompactionThreshold = 0.5;
+
   explicit SlotStore(std::size_t n) : slots_(n) {}
 
   /// Relay `u`'s stored set (sorted ascending, as it was stored).
@@ -77,11 +71,11 @@ class SlotStore {
   MLDCS_HOT_PATH MLDCS_NO_LOCK void store(net::NodeId u,
                                           std::span<const net::NodeId> set);
 
-  /// Whether the dead fraction has passed `threshold`.
-  [[nodiscard]] bool needs_compaction(double threshold) const noexcept {
+  /// Whether the dead fraction has passed kCompactionThreshold.
+  [[nodiscard]] bool needs_compaction() const noexcept {
     return stats_.dead > 0 &&
            static_cast<double>(stats_.dead) >
-               threshold * static_cast<double>(ids_.size());
+               kCompactionThreshold * static_cast<double>(ids_.size());
   }
 
   /// Repack every slot contiguously with fresh slack (drops dead space).
@@ -122,65 +116,47 @@ class SlotStore {
 /// are:
 ///
 ///   dirty(w)  iff  w's 1-hop neighbor set changed (w is an endpoint of a
-///                  flipped edge), or w itself moved beyond the position
-///                  tolerance, or a current neighbor of w did.
+///                  flipped edge), or w itself moved, or a current neighbor
+///                  of w did.
 ///
-/// Below-tolerance drift accumulates: a node's committed position advances
-/// only when its move dirties, so slow nodes cannot creep forever.  An
-/// `owned` predicate restricts which relays are marked (a shard marks only
-/// the relays it owns; the rule itself runs over every resident).
+/// Maintenance is exact: `StepDelta::moved` names real movers only (the
+/// graph drops hinted ids that did not move), so every mover dirties its
+/// neighborhood.  An `owned` predicate restricts which relays are marked (a
+/// shard marks only the relays it owns; the rule itself runs over every
+/// resident, and a relay that migrates into a shard moved, so it is marked
+/// there).
 class DirtyRelays {
  public:
-  /// Commits every node's current position in `g`.
-  explicit DirtyRelays(const net::DynamicDiskGraph& g)
-      : committed_pos_(g.size()), in_dirty_(g.size(), 0) {
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      committed_pos_[i] = g.node(static_cast<net::NodeId>(i)).pos;
-    }
-  }
+  /// A rule over relays [0, n).
+  explicit DirtyRelays(std::size_t n) : in_dirty_(n, 0) {}
 
   /// Mark every relay `owned` accepts (the initial sweep).
   template <typename Owned>
   void mark_all(Owned owned) {
     dirty_.clear();
-    for (std::size_t i = 0; i < committed_pos_.size(); ++i) {
+    for (std::size_t i = 0; i < in_dirty_.size(); ++i) {
       const net::NodeId u = static_cast<net::NodeId>(i);
       if (owned(u)) dirty_.push_back(u);
     }
   }
 
   /// Replace the dirty set with the owned relays `delta` (already applied
-  /// to `g`) dirties.  `arrivals` are force-marked when owned, even below
-  /// tolerance, and their positions committed: a relay handed over between
-  /// shards must never be served from a stale slot (at tolerance 0 they
-  /// are already dirty and this is a no-op).
+  /// to `g`) dirties.
   template <typename Owned>
   MLDCS_HOT_PATH MLDCS_NO_LOCK void collect(
       const net::DynamicDiskGraph& g,
-      const net::DynamicDiskGraph::StepDelta& delta, double tolerance,
-      Owned owned, std::span<const net::NodeId> arrivals = {}) {
+      const net::DynamicDiskGraph::StepDelta& delta, Owned owned) {
     dirty_.clear();
     const auto mark = [&](net::NodeId w) {
       if (!owned(w) || in_dirty_[w] != 0) return;
       in_dirty_[w] = 1;
       dirty_.push_back(w);
     };
-    const double tol2 = tolerance * tolerance;
     for (const net::NodeId u : delta.moved) {
-      if (geom::distance2(committed_pos_[u], g.node(u).pos) <= tol2) continue;
-      committed_pos_[u] = g.node(u).pos;
       mark(u);
       for (const net::NodeId v : g.neighbors(u)) mark(v);
     }
-    // A flipped edge changes both endpoints' local disk sets regardless of
-    // how far anyone drifted (committed positions are left alone: a link
-    // flip says nothing about how far the endpoint itself has crept).
     for (const net::NodeId w : delta.link_changed) mark(w);
-    for (const net::NodeId u : arrivals) {
-      if (!owned(u)) continue;
-      committed_pos_[u] = g.node(u).pos;
-      mark(u);
-    }
     std::sort(dirty_.begin(), dirty_.end());
     for (const net::NodeId w : dirty_) in_dirty_[w] = 0;
   }
@@ -193,9 +169,6 @@ class DirtyRelays {
   }
 
  private:
-  /// Last position at which each node's neighborhood was committed (always
-  /// current when the tolerance is 0).
-  std::vector<geom::Vec2> committed_pos_;
   std::vector<net::NodeId> dirty_;
   std::vector<std::uint8_t> in_dirty_;  ///< membership mask for dirty_
 };

@@ -24,14 +24,13 @@ ShardedCacheTelemetry& sharded_cache_telemetry() {
 }  // namespace
 
 ShardCache::ShardCache(const net::DynamicDiskGraph& g, std::uint32_t shard,
-                       std::span<const std::uint32_t> owner_of, Config config)
+                       std::span<const std::uint32_t> owner_of)
     : g_(&g),
       shard_(shard),
       owner_of_(owner_of),
-      config_(config),
       store_(g.size()),
       arc_counts_(g.size(), 0),
-      dirty_(g) {
+      dirty_(g.size()) {
   full_sweep();
 }
 
@@ -45,18 +44,15 @@ MLDCS_ALLOC_OK void ShardCache::full_sweep() {
 }
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::update(
-    const net::DynamicDiskGraph::StepDelta& delta,
-    std::span<const net::NodeId> migrated) {
+    const net::DynamicDiskGraph::StepDelta& delta) {
   const obs::Scope scope(obs::Phase::kCacheRecompute);
   // Ownership filter: the dirty rule runs over the full region (halo movers
   // dirty owned neighbors) but only owned relays are recomputed — every
   // other resident is some neighbor shard's problem.  Evicted movers fall
   // through harmlessly: they own nothing here and their post-apply
-  // neighbor list is empty (the removals are in link_changed).  Migration
-  // arrivals are force-marked so ownership handover never serves a stale
-  // slot.
-  dirty_.collect(*g_, delta, config_.position_tolerance,
-                 [this](net::NodeId w) { return owned(w); }, migrated);
+  // neighbor list is empty (the removals are in link_changed).  A
+  // migration arrival moved into this shard's tile, so it is a mover here.
+  dirty_.collect(*g_, delta, [this](net::NodeId w) { return owned(w); });
   recomputes_ += dirty_.relays().size();
   recompute_marked();
   ++updates_;
@@ -70,11 +66,10 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void ShardCache::recompute_marked() {
     arc_counts_[u] = detail::relay_forwarding_set(*g_, u, scratch_);
     store_.store(u, scratch_.relay_ids);
   }
-  if (store_.needs_compaction(config_.compaction_threshold)) store_.compact();
+  if (store_.needs_compaction()) store_.compact();
 }
 
-ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine,
-                                         Config config)
+ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine)
     : engine_(&engine) {
   // Eager registration: materialize the cache.* series now, so a
   // /snapshot.json taken before the first step already carries them
@@ -86,10 +81,10 @@ ShardedSkylineCache::ShardedSkylineCache(net::ShardedEngine& engine,
   engine.pool().parallel_for(shards, [&](std::size_t s) {
     shards_[s] = std::make_unique<ShardCache>(
         engine_->shard_graph(s), static_cast<std::uint32_t>(s),
-        engine_->owner_map(), config);
+        engine_->owner_map());
   });
   engine.set_shard_hook([this](std::size_t s) {
-    shards_[s]->update(engine_->shard_delta(s), engine_->migrated_last_step());
+    shards_[s]->update(engine_->shard_delta(s));
     // Feed the observer load table (introspection /shards, blackbox
     // heartbeats) — one relaxed store into shard s's own slot.
     engine_->publish_shard_dirty(s, shards_[s]->last_dirty().size());

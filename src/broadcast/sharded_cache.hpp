@@ -17,11 +17,9 @@
 /// inner loop
 /// (relay_skyline.hpp) produces byte-identical sets, so
 /// `ShardedSkylineCache::forwarding_set(u)` — which reads the owner
-/// shard's store — equals the single-engine cache after every step.  Exact
-/// at position_tolerance 0; a positive tolerance keeps each shard
-/// internally consistent but lets committed positions drift from what one
-/// global cache would have (a relay that crosses a border is force-marked
-/// dirty on arrival so its new owner never serves a stale slot).
+/// shard's store — equals the single-engine cache after every step.  A
+/// relay that crosses a border moved, so its new owner marks it dirty and
+/// never serves a stale slot.
 ///
 /// Concurrency contract: `ShardCache::update` runs on the engine's worker
 /// threads, one shard per call, with **zero cross-shard locking** — it is
@@ -54,23 +52,17 @@ namespace mldcs::bcast {
 /// so lookups need no id translation.
 class ShardCache {
  public:
-  using Config = CacheConfig;
-
   /// Full initial sweep over the relays `owner_of` assigns to `shard`.
   /// `g` (the shard's region graph) and the `owner_of` span (the engine's
   /// live owner map) must outlive the cache.
   ShardCache(const net::DynamicDiskGraph& g, std::uint32_t shard,
-             std::span<const std::uint32_t> owner_of, Config config);
+             std::span<const std::uint32_t> owner_of);
 
   /// Recompute the owned relays dirtied by this shard's `delta` (already
-  /// applied to the graph).  `migrated` is the engine's global migration
-  /// list for the step; arrivals into this shard are force-marked dirty so
-  /// ownership handover never serves a stale slot.  Serial, shard-local,
-  /// lock-free; steady-state allocation-free outside member-scratch
-  /// growth.
+  /// applied to the graph).  Serial, shard-local, lock-free; steady-state
+  /// allocation-free outside member-scratch growth.
   MLDCS_HOT_PATH MLDCS_NO_LOCK void update(
-      const net::DynamicDiskGraph::StepDelta& delta,
-      std::span<const net::NodeId> migrated);
+      const net::DynamicDiskGraph::StepDelta& delta);
 
   /// The cached forwarding set of relay `u`, sorted ascending.  Valid only
   /// while this shard owns `u` (the composite routes queries to owners).
@@ -120,7 +112,6 @@ class ShardCache {
   const net::DynamicDiskGraph* g_;
   std::uint32_t shard_;
   std::span<const std::uint32_t> owner_of_;
-  Config config_;
 
   detail::SlotStore store_;
   std::vector<std::uint32_t> arc_counts_;
@@ -135,15 +126,13 @@ class ShardCache {
 /// per shard, updated inside the engine's step barrier via the shard hook,
 /// queried by owner routing.  Drop-in equivalent of the single-engine
 /// `SkylineCache` (same query surface, same kCacheUpdate event per step,
-/// bit-identical sets at tolerance 0).
+/// bit-identical sets).
 class ShardedSkylineCache {
  public:
-  using Config = CacheConfig;
-
   /// Builds every shard's cache (initial sweeps run in parallel on the
   /// engine's pool) and installs the engine's shard hook.  The engine must
   /// outlive this cache, which must be the engine's only hook client.
-  explicit ShardedSkylineCache(net::ShardedEngine& engine, Config config = {});
+  explicit ShardedSkylineCache(net::ShardedEngine& engine);
   ~ShardedSkylineCache();
 
   ShardedSkylineCache(const ShardedSkylineCache&) = delete;

@@ -15,13 +15,12 @@ constexpr auto kAllOwned = [](net::NodeId) { return true; };
 }  // namespace
 
 SkylineCache::SkylineCache(const net::DynamicDiskGraph& g,
-                           sim::ThreadPool& pool, Config config)
+                           sim::ThreadPool& pool)
     : g_(&g),
       pool_(&pool),
-      config_(config),
       store_(g.size()),
       arc_counts_(g.size(), 0),
-      dirty_(g) {
+      dirty_(g.size()) {
   full_sweep();
 }
 
@@ -35,7 +34,7 @@ void SkylineCache::full_sweep() {
 MLDCS_HOT_PATH void SkylineCache::update(
     const net::DynamicDiskGraph::StepDelta& delta) {
   const obs::Scope scope(obs::Phase::kCacheUpdate);
-  dirty_.collect(*g_, delta, config_.position_tolerance, kAllOwned);
+  dirty_.collect(*g_, delta, kAllOwned);
   const std::size_t n_dirty = dirty_.relays().size();
   recomputes_ += n_dirty;
   const detail::StoreStats before = store_.stats();
@@ -66,7 +65,7 @@ void SkylineCache::recompute_dirty() {
     }
   }
 
-  if (store_.needs_compaction(config_.compaction_threshold)) {
+  if (store_.needs_compaction()) {
     const obs::Scope compact(obs::Phase::kCacheCompact);
     store_.compact();
   }

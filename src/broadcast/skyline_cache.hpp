@@ -10,20 +10,18 @@
 /// that flipped.  `SkylineCache` exploits exactly that: it holds the result
 /// of a whole-network sweep (the CSR store of bcast::compute_all_skylines)
 /// and, fed the `StepDelta` of a `net::DynamicDiskGraph`, recomputes only
-/// the **dirty** relays (detail::DirtyRelays states the rule).  With the
-/// default tolerance 0 this is exact: after every update the cached sets
-/// are bit-identical to a from-scratch `DiskGraph::build` +
-/// `compute_all_skylines` on the same positions (differential-tested over
-/// long mobility runs in tests/broadcast/skyline_cache_test.cpp).  A
-/// positive tolerance trades exactness for even fewer recomputes: a node
-/// must drift that far from its last committed position before it dirties
-/// its neighborhood.
+/// the **dirty** relays (detail::DirtyRelays states the rule).  This is
+/// exact: after every update the cached sets are bit-identical to a
+/// from-scratch `DiskGraph::build` + `compute_all_skylines` on the same
+/// positions (differential-tested over long mobility runs in
+/// tests/broadcast/skyline_cache_test.cpp).
 ///
 /// Dirty relays are recomputed as one relay batch on the pool (the loop
 /// compute_all_skylines runs — see relay_skyline.hpp), and results are
-/// patched serially, in relay order, into the slotted set store.  The dirty
-/// rule, the store and the Config are shared with the sharded cache
-/// (cache_store.hpp); only the recompute loop is this engine's own.
+/// patched serially, in relay order, into the slotted set store, which
+/// compacts once half of it is dead space.  The dirty rule and the store
+/// are shared with the sharded cache (cache_store.hpp); only the recompute
+/// loop is this engine's own.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,15 +41,10 @@ namespace mldcs::bcast {
 /// Cached all-relay skyline forwarding sets over a DynamicDiskGraph.
 class SkylineCache {
  public:
-  using Config = CacheConfig;
-
   /// Full initial sweep over `g` (which must outlive the cache).  `pool` is
   /// retained and reused by every update — steady-state maintenance spawns
   /// no threads.
-  SkylineCache(const net::DynamicDiskGraph& g, sim::ThreadPool& pool,
-               Config config);
-  SkylineCache(const net::DynamicDiskGraph& g, sim::ThreadPool& pool)
-      : SkylineCache(g, pool, Config()) {}
+  SkylineCache(const net::DynamicDiskGraph& g, sim::ThreadPool& pool);
 
   /// Recompute the relays dirtied by `delta` (the return value of the
   /// graph's `apply` for this step, which must already be applied).
@@ -133,7 +126,6 @@ class SkylineCache {
 
   const net::DynamicDiskGraph* g_;
   sim::ThreadPool* pool_;
-  Config config_;
 
   detail::SlotStore store_;
   std::vector<std::uint32_t> arc_counts_;

@@ -39,7 +39,6 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   // A non-finite coordinate would reach the grid's floor-to-int64 cell
   // mapping (UB for NaN) and an infinite one would size its cell array
   // without bound, so reject both here, at the boundary.
-  double max_r = 0.0;
   for (const Node& node : g.nodes_) {
     if (!std::isfinite(node.pos.x) || !std::isfinite(node.pos.y) ||
         !std::isfinite(node.radius)) {
@@ -47,9 +46,8 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
           "DiskGraph::build: node " + std::to_string(node.id) +
           " has a non-finite position or radius");
     }
-    max_r = std::max(max_r, node.radius);
   }
-  const SpatialGrid grid(g.nodes_, std::max(max_r, 1e-6));
+  const SpatialGrid grid(g.nodes_);
 
   // Count-then-fill CSR build, no per-node vectors.  A node's neighbors are
   // within min(r_u, r_v) <= r_u of it, so visiting the grid candidates at

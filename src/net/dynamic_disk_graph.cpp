@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -41,15 +40,15 @@ bool finite_position(const Node& node) noexcept {
   return std::isfinite(node.pos.x) && std::isfinite(node.pos.y);
 }
 
-/// The cold half of the finite-input checks: builds the message.  A NaN
-/// position would reach the float-to-integer cast in cell_of, and a NaN
-/// radius would make linked_to asymmetric (std::min with one NaN operand).
-[[noreturn]] MLDCS_ALLOC_OK void throw_non_finite(const char* where,
-                                                  std::size_t node,
-                                                  const char* what) {
+/// The cold half of the input checks: builds the message.  A NaN position
+/// would reach the float-to-integer cast in GridGeometry::cell_of, and a
+/// NaN radius would make linked_to asymmetric (std::min with one NaN
+/// operand).
+[[noreturn]] MLDCS_ALLOC_OK void throw_bad_node(const char* where,
+                                                std::size_t node,
+                                                const char* what) {
   throw std::invalid_argument(std::string(where) + ": node " +
-                              std::to_string(node) + " has a non-finite " +
-                              what);
+                              std::to_string(node) + " " + what);
 }
 
 }  // namespace
@@ -67,36 +66,14 @@ DynamicDiskGraph::DynamicDiskGraph(std::vector<Node> nodes,
 void DynamicDiskGraph::init(std::vector<Node> nodes) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (!finite_position(nodes[i]) || !std::isfinite(nodes[i].radius)) {
-      throw_non_finite("DynamicDiskGraph", i, "position or radius");
+      throw_bad_node("DynamicDiskGraph", i,
+                     "has a non-finite position or radius");
     }
     nodes[i].id = static_cast<NodeId>(i);
   }
   nodes_ = std::move(nodes);
   const std::size_t n = nodes_.size();
-
-  double max_r = 0.0;
-  double min_x = std::numeric_limits<double>::infinity();
-  double min_y = min_x;
-  double max_x = -min_x;
-  double max_y = -min_x;
-  for (const Node& node : nodes_) {
-    max_r = std::max(max_r, node.radius);
-    min_x = std::min(min_x, node.pos.x);
-    min_y = std::min(min_y, node.pos.y);
-    max_x = std::max(max_x, node.pos.x);
-    max_y = std::max(max_y, node.pos.y);
-  }
-  if (nodes_.empty()) {
-    min_x = min_y = 0.0;
-    max_x = max_y = 0.0;
-  }
-  cell_ = std::max(max_r, 1e-6);
-  min_x_ = min_x;
-  min_y_ = min_y;
-  nx_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::floor((max_x - min_x) / cell_)) + 1);
-  ny_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::floor((max_y - min_y) / cell_)) + 1);
+  grid_ = GridGeometry(nodes_);
 
   resident_.assign(n, 1);
   resident_count_ = n;
@@ -108,67 +85,46 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
     }
   }
 
-  buckets_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_),
-                  {});
+  // Seed from the one-shot build over the residents (every node in
+  // whole-plane mode), pooled from 4096 nodes unless inside a dispatch.
+  // Local id i is residents[i], a monotone map, so the lists stay sorted.
+  buckets_.assign(grid_.cell_count(), {});
   bucket_of_.resize(n);
+  std::vector<NodeId> residents;
+  std::vector<Node> local;
+  residents.reserve(resident_count_);
+  local.reserve(resident_count_);
   for (const Node& node : nodes_) {
     if (resident_[node.id] == 0) continue;
-    const std::size_t c = cell_of(node.pos);
+    const std::size_t c = grid_.cell_of(node.pos);
     bucket_of_[node.id] = static_cast<std::uint32_t>(c);
     buckets_[c].push_back(node.id);
+    residents.push_back(node.id);
+    local.push_back(node);
   }
-
+  const DiskGraph seed = DiskGraph::build(std::move(local));
   adjacency_.resize(n);
+  for (std::size_t i = 0; i < residents.size(); ++i) {
+    const std::span<const NodeId> nb = seed.neighbors(static_cast<NodeId>(i));
+    std::vector<NodeId>& adj = adjacency_[residents[i]];
+    adj.reserve(slack_for(nb.size()));
+    for (const NodeId v : nb) adj.push_back(residents[v]);
+  }
+  edges_ = seed.edge_count();
+
   in_moved_.assign(n, 0);
   link_mark_.assign(n, 0);
   slots_.resize(1);
-  for (NodeId u = 0; u < n; ++u) {
-    if (resident_[u] == 0) continue;
-    link_scan(u, slots_[0].candidates, adjacency_[u]);
-    edges_ += adjacency_[u].size();
-  }
-  edges_ /= 2;
 }
 
-std::size_t DynamicDiskGraph::cell_of(geom::Vec2 p) const noexcept {
-  std::int64_t cx =
-      static_cast<std::int64_t>(std::floor((p.x - min_x_) / cell_));
-  std::int64_t cy =
-      static_cast<std::int64_t>(std::floor((p.y - min_y_) / cell_));
-  cx = std::clamp<std::int64_t>(cx, 0, nx_ - 1);
-  cy = std::clamp<std::int64_t>(cy, 0, ny_ - 1);
-  return static_cast<std::size_t>(cy * nx_ + cx);
-}
-
-void DynamicDiskGraph::link_scan(NodeId u, std::vector<NodeId>& candidates,
-                                 std::vector<NodeId>& out) const {
+void DynamicDiskGraph::link_scan(NodeId u, std::vector<NodeId>& out) const {
   const Node& nu = nodes_[u];
-  const geom::Vec2 p = nu.pos;
-  const double range = nu.radius;
-  const std::int64_t cx0 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.x - range - min_x_) / cell_)), 0,
-      nx_ - 1);
-  const std::int64_t cx1 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.x + range - min_x_) / cell_)), 0,
-      nx_ - 1);
-  const std::int64_t cy0 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.y - range - min_y_) / cell_)), 0,
-      ny_ - 1);
-  const std::int64_t cy1 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor((p.y + range - min_y_) / cell_)), 0,
-      ny_ - 1);
-  candidates.clear();
-  for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-      const std::vector<NodeId>& bucket =
-          buckets_[static_cast<std::size_t>(cy * nx_ + cx)];
-      candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-    }
-  }
   out.clear();
-  for (const NodeId v : candidates) {
-    if (v != u && nu.linked_to(nodes_[v])) out.push_back(v);
-  }
+  grid_.for_each_cell(nu.pos, nu.radius, [&](std::size_t c) {
+    for (const NodeId v : buckets_[c]) {
+      if (v != u && nu.linked_to(nodes_[v])) out.push_back(v);
+    }
+  });
   std::sort(out.begin(), out.end());
 }
 
@@ -178,7 +134,7 @@ bool DynamicDiskGraph::linked(NodeId u, NodeId v) const noexcept {
 }
 
 void DynamicDiskGraph::rebucket(NodeId u, geom::Vec2 new_pos) {
-  const std::size_t new_cell = cell_of(new_pos);
+  const std::size_t new_cell = grid_.cell_of(new_pos);
   const std::size_t old_cell = bucket_of_[u];
   if (new_cell == old_cell) return;
   // Shard graphs step concurrently and report through shard.* counters
@@ -201,7 +157,7 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
   }
   for (std::size_t i = 0; i < current.size(); ++i) {
     if (!finite_position(current[i])) {
-      throw_non_finite("DynamicDiskGraph::apply", i, "position");
+      throw_bad_node("DynamicDiskGraph::apply", i, "has a non-finite position");
     }
   }
   delta_.moved.clear();
@@ -219,11 +175,22 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
     throw std::invalid_argument("DynamicDiskGraph::apply: node count changed");
   }
   for (const NodeId u : moved_hint) {
+    if (u >= current.size()) {
+      throw_bad_node("DynamicDiskGraph::apply", u, "is out of range");
+    }
     if (!finite_position(current[u])) {
-      throw_non_finite("DynamicDiskGraph::apply", u, "position");
+      throw_bad_node("DynamicDiskGraph::apply", u, "has a non-finite position");
     }
   }
-  delta_.moved.assign(moved_hint.begin(), moved_hint.end());
+  // Drop hinted residents that did not move: the caches' dirty rule marks
+  // every mover.  A non-resident's stored position may be stale, so
+  // classify_movers decides for it.
+  delta_.moved.clear();
+  for (const NodeId u : moved_hint) {
+    if (resident_[u] == 0 || current[u].pos != nodes_[u].pos) {
+      delta_.moved.push_back(u);
+    }
+  }
   std::sort(delta_.moved.begin(), delta_.moved.end());
   delta_.moved.erase(std::unique(delta_.moved.begin(), delta_.moved.end()),
                      delta_.moved.end());
@@ -263,7 +230,7 @@ MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(SlotScratch& cs,
     // An evicted node's new list is empty by fiat — its bucket slot is
     // already gone, so every old link shows up as removed.
     cs.adj.clear();
-    if (in_moved_[u] != 2) link_scan(u, cs.candidates, cs.adj);
+    if (in_moved_[u] != 2) link_scan(u, cs.adj);
 
     // Sorted two-pointer diff of old (adjacency_[u]) vs new (cs.adj).  Both
     // endpoints of a flip between movers see it (linked_to is symmetric
@@ -292,12 +259,10 @@ MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(SlotScratch& cs,
         ++k;
       }
     }
-    // Regrow with slack (the SlotStore::cap_for rule): `assign` alone would
-    // reallocate to the exact size each time a degree passes its old
-    // maximum, and under motion some node does that almost every step.
+    // Regrow with slack: `assign` alone would reallocate to the exact size.
     if (old_adj.capacity() < cs.adj.size()) {
       old_adj.clear();
-      old_adj.reserve(cs.adj.size() + cs.adj.size() / 4 + 2);
+      old_adj.reserve(slack_for(cs.adj.size()));
     }
     old_adj.assign(cs.adj.begin(), cs.adj.end());
   }
@@ -331,7 +296,7 @@ DynamicDiskGraph::apply_moved(
     } else {
       in_moved_[u] = 1;
       if (resident_[u] == 0) {
-        const std::size_t c = cell_of(current[u].pos);
+        const std::size_t c = grid_.cell_of(current[u].pos);
         bucket_of_[u] = static_cast<std::uint32_t>(c);
         buckets_[c].push_back(u);
         resident_[u] = 1;

@@ -9,11 +9,17 @@
 /// moved.  `DynamicDiskGraph` keeps the same bidirectional-link topology
 /// (Section 3.1: u ~ v iff ||u - v|| <= min(r_u, r_v)) in *mutable* form:
 ///
-///  - a bucketed uniform grid whose cells are updated only for nodes whose
-///    cell actually changed,
+///  - one mutable bucket per cell of the `GridGeometry` (spatial_grid.hpp)
+///    fitted to the initial deployment, updated only for nodes whose cell
+///    actually changed,
 ///  - per-node sorted adjacency lists patched by edge diffs: each moved
 ///    node's neighbor list is recomputed from the grid, and only the
 ///    added/removed edges touch the (unmoved) other endpoints.
+///
+/// The lists are seeded from `DiskGraph::build` itself (pooled from 4096
+/// nodes under `sim::fan_out_pool()`; region mode: over the residents,
+/// local ids mapped back), so the two graph types share one grid geometry
+/// and one adjacency build.
 ///
 /// Every `apply` returns a `StepDelta` naming the moved nodes and the
 /// endpoints of flipped edges — exactly the information a cached-skyline
@@ -24,8 +30,9 @@
 /// host's, tests/net/parallel_apply_test.cpp).
 ///
 /// **Phases of one apply.**  (1) Serial: commit each mover's position and
-/// re-bucket it.  (2) The one per-mover body: grid query, exact link
-/// filter, sort, and a two-pointer diff against the mover's old list, then
+/// re-bucket it.  (2) The one per-mover body: a walk over the buckets of
+/// the cells its range touches, the exact link filter and sort of the
+/// build's fill pass, and a two-pointer diff against the mover's old list, then
 /// the new list replaces the old.  The body reads only post-move positions,
 /// the grid and the movers' own lists, so it runs over blocks of the mover
 /// list — inline, or in blocks claimed by the participants of
@@ -71,6 +78,7 @@
 #include "geometry/bbox.hpp"
 #include "net/disk_graph.hpp"
 #include "net/node.hpp"
+#include "net/spatial_grid.hpp"
 #include "obs/event_log.hpp"
 
 namespace mldcs::net {
@@ -111,15 +119,15 @@ class DynamicDiskGraph {
   /// movers as bcast::detail::kRelayBlock holds relays.
   static constexpr std::size_t kParallelApplyBlock = 16;
 
-  /// Build the initial topology.  As in `DiskGraph::build`, node ids are
-  /// reassigned to indices, and a non-finite position or radius throws
-  /// std::invalid_argument.
+  /// Build the initial topology (seeded from `DiskGraph::build`).  As there,
+  /// node ids are reassigned to indices, and a non-finite position or
+  /// radius throws std::invalid_argument before anything is built.
   explicit DynamicDiskGraph(std::vector<Node> nodes);
 
   /// Region mode: keep a slot for every node (ids are still indices into the
   /// full deployment) but bucket and link only the nodes inside `interest`.
-  /// Grid geometry (cell size, extent) is computed from the full deployment,
-  /// so shard grids agree with the global one.  See the file comment.
+  /// The grid is fitted to the full deployment, so shard grids agree with
+  /// the global one.  See the file comment.
   DynamicDiskGraph(std::vector<Node> nodes, const geom::BBox& interest);
 
   [[nodiscard]] bool region_mode() const noexcept { return region_mode_; }
@@ -186,9 +194,11 @@ class DynamicDiskGraph {
 
   /// Same, with the moved set supplied by the caller (e.g.
   /// `MobileNetwork::moved_last_step()`), skipping the O(n) change scan.
-  /// Ids not in `moved_hint` must be unchanged in `current` (region mode:
-  /// hints whose old and new positions are both outside the region are
-  /// permitted and ignored).
+  /// Ids not in `moved_hint` must be unchanged in `current`; hinted ids
+  /// that did not move are dropped, so `delta.moved` names real movers
+  /// only (region mode: hints whose old and new positions are both outside
+  /// the region are ignored too).  A hinted id >= size() throws
+  /// std::invalid_argument before any state changes.
   MLDCS_HOT_PATH const StepDelta& apply(
       std::span<const Node> current, std::span<const NodeId> moved_hint);
 
@@ -215,7 +225,6 @@ class DynamicDiskGraph {
   /// parallel_blocks slot; grows to the pool size, then is reused every
   /// step.
   struct SlotScratch {
-    std::vector<NodeId> candidates;
     std::vector<NodeId> adj;     ///< the current mover's new list
     std::vector<NodeId> marked;  ///< ids this slot set in link_mark_
     std::vector<Patch> patches;  ///< in the slot's claim order
@@ -228,11 +237,16 @@ class DynamicDiskGraph {
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);
   MLDCS_HOT_PATH void diff_movers(SlotScratch& cs, std::size_t lo,
                                   std::size_t hi);
-  [[nodiscard]] std::size_t cell_of(geom::Vec2 p) const noexcept;
   /// u's exact neighbor list at its current position, sorted, into `out`.
-  void link_scan(NodeId u, std::vector<NodeId>& candidates,
-                 std::vector<NodeId>& out) const;
+  void link_scan(NodeId u, std::vector<NodeId>& out) const;
   void rebucket(NodeId u, geom::Vec2 new_pos);
+
+  /// Capacity of a list of `size` ids when seeded or regrown (the
+  /// SlotStore::cap_for rule): under motion some degree passes its old
+  /// maximum almost every step.
+  [[nodiscard]] static std::size_t slack_for(std::size_t size) noexcept {
+    return size + size / 4 + 2;
+  }
 
   std::vector<Node> nodes_;
   std::vector<std::vector<NodeId>> adjacency_;  ///< sorted per node
@@ -246,14 +260,9 @@ class DynamicDiskGraph {
   std::vector<std::uint8_t> resident_;
   std::size_t resident_count_ = 0;
 
-  // Bucketed grid (same geometry as SpatialGrid: cell side = max radius,
-  // fixed origin/extent from the initial deployment, out-of-range positions
-  // clamped into the border cells).
-  double cell_ = 1.0;
-  double min_x_ = 0.0;
-  double min_y_ = 0.0;
-  std::int64_t nx_ = 1;
-  std::int64_t ny_ = 1;
+  // Bucketed grid: one mutable bucket per cell of the geometry fitted to
+  // the initial deployment (later positions clamp into the border cells).
+  GridGeometry grid_;
   std::vector<std::vector<NodeId>> buckets_;
   std::vector<std::uint32_t> bucket_of_;  ///< node -> bucket index
 

@@ -102,7 +102,9 @@ ShardedEngine::ShardedEngine(std::vector<Node> nodes, sim::ThreadPool& pool,
   // Region = tile dilated by the max radius: every link of an owned node
   // fits inside (a link spans at most max_radius), so owned adjacency is
   // complete.  Shard construction is embarrassingly parallel — each builds
-  // its own grid and resident adjacency from a private copy of the nodes.
+  // its own grid and seeds its residents' adjacency from DiskGraph::build
+  // over a private copy of the nodes; while shards build side by side,
+  // sim::fan_out_pool() keeps those builds inline.
   shards_.resize(shards);
   pool_->parallel_for(shards, [this](std::size_t s) {
     const std::size_t r = s / cols_;
@@ -185,9 +187,14 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
   if (current.size() != nodes_.size()) {
     throw std::invalid_argument("ShardedEngine::step: node count changed");
   }
-  // The deployment-rectangle contract, checked before any owner or
-  // position state changes.  NaN positions fail contains() too.
+  // The hint range and the deployment-rectangle contract, checked before
+  // any owner or position state changes.  NaN positions fail contains()
+  // too.
   for (const NodeId u : moved_hint) {
+    if (u >= nodes_.size()) {
+      throw std::invalid_argument(
+          "ShardedEngine::step: hinted node out of range");
+    }
     if (!deployment_.contains(current[u].pos)) {
       throw std::invalid_argument(
           "ShardedEngine::step: position outside the deployment rectangle");

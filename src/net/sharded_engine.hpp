@@ -170,7 +170,9 @@ class ShardedEngine {
   /// and order as `nodes()`, radii unchanged), `moved_hint` the ascending
   /// ids of nodes whose position changed (e.g.
   /// `MobileNetwork::moved_last_step()`).  Steady-state steps are
-  /// allocation-free outside member-scratch growth.
+  /// allocation-free outside member-scratch growth.  A hinted id outside
+  /// [0, size()) or a mover outside the deployment rectangle throws
+  /// std::invalid_argument before any state changes.
   MLDCS_HOT_PATH void step(std::span<const Node> current,
                            std::span<const NodeId> moved_hint);
 

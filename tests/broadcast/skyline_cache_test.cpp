@@ -147,12 +147,12 @@ TEST(SkylineCacheTest, NoOpUpdateRecomputesNothing) {
 }
 
 TEST(SkylineCacheTest, SlotOverflowAndCompactionStayCorrect) {
-  // A hub whose neighbor count grows step by step: its slot must outgrow
-  // its slack repeatedly, and an aggressive compaction threshold forces
-  // repacks — through all of which the cache must stay exact.
+  // A hub whose neighbor count grows step by step: its slot and the ring's
+  // must outgrow their slack repeatedly, until half the store is dead and
+  // it is repacked — through all of which the cache must stay exact.
   std::vector<net::Node> nodes;
   nodes.push_back({0, {0.0, 0.0}, 10.0});  // hub hears everyone
-  const std::size_t kSatellites = 24;
+  const std::size_t kSatellites = 48;
   for (std::size_t i = 1; i <= kSatellites; ++i) {
     // Start far away (no links), radius large enough to link when close.
     nodes.push_back({static_cast<net::NodeId>(i),
@@ -161,9 +161,7 @@ TEST(SkylineCacheTest, SlotOverflowAndCompactionStayCorrect) {
   }
   net::DynamicDiskGraph dyn{std::vector<net::Node>(nodes)};
   sim::ThreadPool pool(2);
-  SkylineCache::Config cfg;
-  cfg.compaction_threshold = 0.05;  // compact eagerly
-  SkylineCache cache(dyn, pool, cfg);
+  SkylineCache cache(dyn, pool);
 
   // Walk satellites into the hub's range one per step, on a ring so each
   // contributes a distinct skyline arc (growing forwarding set).
@@ -326,31 +324,6 @@ TEST(SkylineCacheTest, SteadyStateUpdateIsAllocationFree) {
         << "oscillation produced no dirty relays: the zero reading proved "
            "nothing";
   }
-}
-
-TEST(SkylineCacheTest, PositiveToleranceSkipsSubToleranceJitter) {
-  std::vector<net::Node> nodes{
-      {0, {0.0, 0.0}, 1.0}, {1, {0.8, 0.0}, 1.0}, {2, {0.4, 0.6}, 1.0}};
-  net::DynamicDiskGraph dyn{std::vector<net::Node>(nodes)};
-  sim::ThreadPool pool(1);
-  SkylineCache::Config cfg;
-  cfg.position_tolerance = 0.05;
-  SkylineCache cache(dyn, pool, cfg);
-
-  // Jitter node 1 by well under the tolerance: no recompute.
-  nodes[1].pos = {0.81, 0.0};
-  cache.update(dyn.apply(nodes));
-  EXPECT_TRUE(cache.last_dirty().empty());
-
-  // Accumulated drift: repeated sub-tolerance moves eventually exceed the
-  // tolerance relative to the *committed* position and trigger a recompute.
-  bool recomputed = false;
-  for (int i = 2; i <= 8 && !recomputed; ++i) {
-    nodes[1].pos = {0.80 + 0.01 * i, 0.0};
-    cache.update(dyn.apply(nodes));
-    recomputed = !cache.last_dirty().empty();
-  }
-  EXPECT_TRUE(recomputed) << "accumulated drift never dirtied the relay";
 }
 
 }  // namespace

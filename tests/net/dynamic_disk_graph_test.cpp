@@ -149,6 +149,14 @@ TEST(DynamicDiskGraphTest, ApplyRejectsNonFiniteMoverBeforeAnyChange) {
 
   // Scanning and hinted forms, NaN and infinite positions: each throws and
   // leaves the graph — positions, adjacency, last delta — as it was.
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(dyn.last_delta().moved, last);
+    EXPECT_EQ(dyn.edge_count(), edges);
+    for (NodeId u = 0; u < dyn.size(); ++u) {
+      ASSERT_EQ(dyn.node(u).pos, moved[u].pos) << u;
+    }
+    expect_matches_rebuild(dyn, "after rejected apply");
+  };
   std::vector<Node> bad = moved;
   bad[2].pos.x += 0.3;  // a valid mover in the same step
   for (const double v : {std::numeric_limits<double>::quiet_NaN(),
@@ -157,12 +165,15 @@ TEST(DynamicDiskGraphTest, ApplyRejectsNonFiniteMoverBeforeAnyChange) {
     EXPECT_THROW(dyn.apply(bad), std::invalid_argument);
     const std::vector<NodeId> hint{2, 3};
     EXPECT_THROW(dyn.apply(bad, hint), std::invalid_argument);
-    EXPECT_EQ(dyn.last_delta().moved, last);
-    EXPECT_EQ(dyn.edge_count(), edges);
-    for (NodeId u = 0; u < dyn.size(); ++u) {
-      ASSERT_EQ(dyn.node(u).pos, moved[u].pos) << u;
-    }
-    expect_matches_rebuild(dyn, "after rejected apply");
+    expect_unchanged();
+  }
+  // A hinted id past the last node, after a valid mover in the same hint.
+  {
+    std::vector<Node> valid = moved;
+    valid[2].pos.x += 0.3;
+    const std::vector<NodeId> hint{2, static_cast<NodeId>(dyn.size())};
+    EXPECT_THROW(dyn.apply(valid, hint), std::invalid_argument);
+    expect_unchanged();
   }
 
   // A valid apply afterwards still matches a from-scratch build.
@@ -172,6 +183,22 @@ TEST(DynamicDiskGraphTest, ApplyRejectsNonFiniteMoverBeforeAnyChange) {
   expect_matches_rebuild(dyn, "valid apply after rejections");
   dyn.apply(nodes);
   expect_matches_rebuild(dyn, "scanning apply after rejections");
+}
+
+// A hint may name nodes that did not move (or name one twice); the delta
+// names the real movers only, so downstream dirty rules see no phantom
+// motion.
+TEST(DynamicDiskGraphTest, HintedUnmovedIdsAreDropped) {
+  sim::Xoshiro256 rng(14);
+  std::vector<Node> nodes = generate_deployment(small_deploy(), rng);
+  ASSERT_GT(nodes.size(), 8u);
+  DynamicDiskGraph dyn{std::vector<Node>(nodes)};
+  nodes[4].pos.x += 0.25;
+  const std::vector<NodeId> hint{7, 4, 1, 4};
+  const auto& d = dyn.apply(nodes, hint);
+  EXPECT_EQ(d.moved, (std::vector<NodeId>{4}));
+  expect_matches_rebuild(dyn, "after hinted apply");
+  EXPECT_TRUE(dyn.apply(nodes, hint).empty());
 }
 
 /// Long differential run: random-waypoint motion across regimes, the

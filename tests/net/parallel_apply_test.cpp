@@ -1,10 +1,11 @@
 // Whole-plane DynamicDiskGraph::apply on the ~1000-node paper deployment,
 // where steps with kParallelApplyMovers or more movers run the per-mover
 // diff on sim::default_pool(), checked step by step against two
-// consecutive from-scratch DiskGraph::build calls.
+// consecutive from-scratch DiskGraph::build calls; and the constructor's
+// seed from a pooled DiskGraph::build at 4096+ nodes.
 //
-// tests/CMakeLists.txt registers this binary three times: at the host's
-// default pool size, and with MLDCS_THREADS=1 and =2.  default_pool() reads
+// tests/CMakeLists.txt registers this binary four times: at the host's
+// default pool size, and with MLDCS_THREADS=1, 2 and 3.  default_pool() reads
 // the variable once per process, so each pool size needs its own process;
 // all of them must pass the same oracle, which is what makes the parallel
 // path's output equal to the serial one's.
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -70,6 +72,17 @@ class Oracle {
  public:
   explicit Oracle(const std::vector<Node>& nodes)
       : dyn_(std::vector<Node>(nodes)), prev_(DiskGraph::build(nodes)) {}
+
+  /// The seeded graph equals the build of the same nodes, list by list.
+  void expect_seed_matches_build() const {
+    ASSERT_EQ(dyn_.edge_count(), prev_.edge_count());
+    for (NodeId u = 0; u < prev_.size(); ++u) {
+      const auto got = dyn_.neighbors(u);
+      const auto want = prev_.neighbors(u);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "seeded adjacency of node " << u;
+    }
+  }
 
   void step(const std::vector<Node>& current, std::span<const NodeId> hint,
             bool hinted, const char* where) {
@@ -261,6 +274,67 @@ TEST_F(ParallelApplyTest, MatchesConsecutiveRebuildsWithCoincidentNodes) {
     if (HasFatalFailure()) return;
   }
   expect_pool_used(oracle, "coincident");
+}
+
+// 4096+ nodes: the constructor seeds from a DiskGraph::build that runs on
+// the pool (at every pool size it must give the build's lists), and so does
+// a region graph with 4096+ residents.  Then 20 pooled apply steps, each
+// checked against a rebuild.
+TEST_F(ParallelApplyTest, PooledSeedMatchesBuildThenRebuilds) {
+  DeploymentParams p = paper_deploy();
+  p.side = 12.5 * std::sqrt(5.0);  // ~5000 nodes at the paper's density
+  WaypointParams wp;
+  wp.v_min = 0.1;
+  wp.v_max = 0.5;
+  wp.pause = 2.0;
+  sim::Xoshiro256 rng(0x5EED5EEDULL);
+  MobileNetwork mobile(p, wp, rng);
+  const std::vector<Node> nodes(mobile.nodes().begin(), mobile.nodes().end());
+  ASSERT_GE(nodes.size(), 4096u);
+  const bool expect_fan_out =
+      obs::kTelemetryEnabled && sim::default_pool().size() > 1;
+  const auto pool_tasks = [] { return Counters::read().pool_tasks; };
+
+  // Whole plane: the graph the steps below drive, then one more seed alone,
+  // to see it reach the pool.
+  Oracle oracle(nodes);
+  oracle.expect_seed_matches_build();
+  if (HasFatalFailure()) return;
+  std::uint64_t before = pool_tasks();
+  (void)DynamicDiskGraph{std::vector<Node>(nodes)};
+  if (expect_fan_out) {
+    EXPECT_GT(pool_tasks(), before) << "the whole-plane seed should fan out";
+  }
+
+  // A region: residents' lists are the whole-plane lists restricted to
+  // residents.
+  const geom::BBox region{{-1.0, -1.0}, {p.side - 2.0, p.side - 2.0}};
+  before = pool_tasks();
+  const DynamicDiskGraph local{std::vector<Node>(nodes), region};
+  if (expect_fan_out) {
+    EXPECT_GT(pool_tasks(), before) << "the region seed should fan out";
+  }
+  ASSERT_GE(local.resident_count(), 4096u);
+  const DiskGraph whole = DiskGraph::build(nodes);
+  for (NodeId u = 0; u < whole.size(); ++u) {
+    std::vector<NodeId> want;
+    if (local.resident(u)) {
+      for (const NodeId v : whole.neighbors(u)) {
+        if (local.resident(v)) want.push_back(v);
+      }
+    }
+    const auto got = local.neighbors(u);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "region adjacency of node " << u;
+  }
+
+  for (int t = 0; t < 20; ++t) {
+    mobile.step(1.0, rng);
+    oracle.step(mobile.nodes(), mobile.moved_last_step(), t % 2 == 0,
+                "pooled seed");
+    if (HasFatalFailure()) return;
+  }
+  expect_pool_used(oracle, "pooled seed");
 }
 
 }  // namespace

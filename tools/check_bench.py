@@ -51,6 +51,11 @@ of the single_relay_skyline section (matched by n_disks):
     incremental step is under 1 ms, and on one idle 4-core host its
     ratio read anywhere from 4.6x to 9.6x.
 
+The graph_build section's whole-plane DynamicDiskGraph constructor
+(dynamic_build_ns, the set-up the single mobility engine pays) is
+printed next to DiskGraph::build at each size, never gated; a baseline
+from before the field existed prints the fresh numbers alone.
+
 A missing or renamed section/field (e.g. a fresh run produced with
 `perf_suite --section ...`, or an older baseline from before a schema
 addition) is a named WARNING, not a failure: the comparison that cannot
@@ -330,6 +335,30 @@ def check_simulate_broadcast_allocs(baseline_doc, fresh_doc):
     return []
 
 
+def report_dynamic_build(baseline_doc, fresh_doc):
+    """Print the DynamicDiskGraph constructor beside DiskGraph::build per
+    graph_build size, with the baseline's when it has one.  Informational:
+    never a failure."""
+    def by_nodes(doc):
+        rows = doc.get("graph_build")
+        if not isinstance(rows, list):
+            return {}
+        return {e["nodes"]: e for e in rows
+                if isinstance(e, dict) and "nodes" in e}
+
+    base = by_nodes(baseline_doc)
+    for n, cur in sorted(by_nodes(fresh_doc).items()):
+        if "dynamic_build_ns" not in cur or "build_ns" not in cur:
+            continue
+        line = (f"  graph_build n={n}: DynamicDiskGraph "
+                f"{cur['dynamic_build_ns'] / 1e6:.2f} ms, DiskGraph::build "
+                f"{cur['build_ns'] / 1e6:.2f} ms")
+        old = base.get(n, {}).get("dynamic_build_ns")
+        if old is not None:
+            line += f" (baseline DynamicDiskGraph {old / 1e6:.2f} ms)"
+        print(line + " [not gated]")
+
+
 def flatten(summary, prefix=""):
     """Flatten a bench_summary dict to (dotted-key, number) pairs."""
     for key, val in summary.items():
@@ -596,6 +625,7 @@ def main():
                   f"(baseline/{ratio:.2f}), {cur['allocs_per_op']} "
                   f"allocs/op [{status}]")
 
+    report_dynamic_build(baseline_doc, fresh_doc)
     failures += check_simulate_broadcast_allocs(baseline_doc, fresh_doc)
     failures += check_paper_density(baseline_doc, fresh_doc)
     failures += check_simd_dispatch(fresh_doc, args.fresh)

@@ -545,10 +545,13 @@ def bench_summary(doc):
 
     gb = doc.get("graph_build")
     if isinstance(gb, list) and gb:
-        per_node = [e["ns_per_node"] for e in gb
-                    if isinstance(e, dict) and "ns_per_node" in e]
-        if per_node:
-            out["graph_build_ns_per_node"] = max(per_node)
+        for key, name in (("ns_per_node", "graph_build_ns_per_node"),
+                          ("dynamic_ns_per_node",
+                           "graph_build_dynamic_ns_per_node")):
+            per_node = [e[key] for e in gb
+                        if isinstance(e, dict) and key in e]
+            if per_node:
+                out[name] = max(per_node)
 
     threads = doc.get("batch_all_relays_threads")
     if isinstance(threads, list) and threads:
