@@ -319,31 +319,18 @@ int main(int argc, char** argv) {
     obs::BlackBoxConfig bb;
     bb.path = blackbox_path.c_str();
     if (!obs::blackbox_arm(bb)) {
-      if constexpr (!obs::kTelemetryEnabled) {
-        std::cerr << "note: --blackbox ignored (built with "
-                     "MLDCS_ENABLE_TELEMETRY=OFF)\n";
-      } else {
-        std::cerr << "error: cannot arm blackbox at " << blackbox_path
-                  << "\n";
-        return 1;
-      }
-    } else {
-      blackbox_note = blackbox_path;
+      std::cerr << "error: cannot arm blackbox at " << blackbox_path << "\n";
+      return 1;
     }
+    blackbox_note = blackbox_path;
   }
   std::string profile_note = "off";
   if (!profile_path.empty()) {
     if (!obs::profiler_arm(obs::ProfilerConfig{})) {
-      if constexpr (!obs::kTelemetryEnabled) {
-        std::cerr << "note: --profile ignored (built with "
-                     "MLDCS_ENABLE_TELEMETRY=OFF)\n";
-      } else {
-        std::cerr << "error: cannot arm profiler\n";
-        return 1;
-      }
-    } else {
-      profile_note = profile_path;
+      std::cerr << "error: cannot arm profiler\n";
+      return 1;
     }
+    profile_note = profile_path;
   }
   obs::IntrospectServer introspect;
   std::string introspect_note = "off";

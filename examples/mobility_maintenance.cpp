@@ -181,33 +181,21 @@ int main(int argc, char** argv) {
     obs::BlackBoxConfig bb;
     bb.path = blackbox_path.c_str();
     if (!obs::blackbox_arm(bb)) {
-      if constexpr (!obs::kTelemetryEnabled) {
-        std::cerr << "note: --blackbox ignored (built with "
-                     "MLDCS_ENABLE_TELEMETRY=OFF)\n";
-      } else {
-        std::cerr << "error: cannot arm blackbox at " << blackbox_path << "\n";
-        return 1;
-      }
-    } else {
-      std::cout << "blackbox armed: " << blackbox_path
-                << " (dumps on SIGSEGV/SIGABRT/SIGBUS, watchdog alarm, "
-                   "exit)\n";
+      std::cerr << "error: cannot arm blackbox at " << blackbox_path << "\n";
+      return 1;
     }
+    std::cout << "blackbox armed: " << blackbox_path
+              << " (dumps on SIGSEGV/SIGABRT/SIGBUS, watchdog alarm, "
+                 "exit)\n";
   }
   if (!profile_path.empty()) {
     if (!obs::profiler_arm(obs::ProfilerConfig{})) {
-      if constexpr (!obs::kTelemetryEnabled) {
-        std::cerr << "note: --profile ignored (built with "
-                     "MLDCS_ENABLE_TELEMETRY=OFF)\n";
-      } else {
-        std::cerr << "error: cannot arm profiler\n";
-        return 1;
-      }
-    } else {
-      std::cout << "profiler armed: 97 Hz per-thread CPU sampling, folded "
-                   "profile to "
-                << profile_path << " at exit\n";
+      std::cerr << "error: cannot arm profiler\n";
+      return 1;
     }
+    std::cout << "profiler armed: 97 Hz per-thread CPU sampling, folded "
+                 "profile to "
+              << profile_path << " at exit\n";
   }
 
   net::DeploymentParams p;

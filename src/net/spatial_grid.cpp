@@ -23,13 +23,23 @@ GridGeometry::GridGeometry(std::span<const Node> nodes) {
     min_x = min_y = 0.0;
     max_x = max_y = 0.0;
   }
+  // Tiny or zero radii over a wide extent would ask for far more cells
+  // than nodes (and overflow nx_ * ny_), so the side doubles until the
+  // count is within max(4n, 1024).  A coarser grid only adds candidates
+  // that the caller's exact filter drops.
+  const double max_cells =
+      std::max(4.0 * static_cast<double>(nodes.size()), 1024.0);
+  const double width = max_x - min_x;
+  const double height = max_y - min_y;
+  const auto cells_along = [this](double extent) {
+    return std::floor(extent / cell_) + 1.0;
+  };
   cell_ = std::max(max_r, 1e-6);
+  while (cells_along(width) * cells_along(height) > max_cells) cell_ *= 2.0;
   min_x_ = min_x;
   min_y_ = min_y;
-  nx_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::floor((max_x - min_x) / cell_)) + 1);
-  ny_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::floor((max_y - min_y) / cell_)) + 1);
+  nx_ = static_cast<std::int64_t>(cells_along(width));
+  ny_ = static_cast<std::int64_t>(cells_along(height));
 }
 
 SpatialGrid::SpatialGrid(std::span<const Node> nodes) : geometry_(nodes) {

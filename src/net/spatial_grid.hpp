@@ -32,8 +32,9 @@ class GridGeometry {
   GridGeometry() = default;
 
   /// Fit the bounding box of `nodes`, with cells of side max radius
-  /// (floored at 1e-6, so zero radii still give a valid grid).  Positions
-  /// and radii must be finite.
+  /// (floored at 1e-6, so zero radii still give a valid grid), doubled
+  /// while that would make more than max(4n, 1024) cells.  Positions and
+  /// radii must be finite.
   explicit GridGeometry(std::span<const Node> nodes);
 
   [[nodiscard]] double cell_size() const noexcept { return cell_; }

@@ -1,7 +1,5 @@
 #include "obs/blackbox.hpp"
 
-#if MLDCS_ENABLE_TELEMETRY
-
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -19,6 +17,7 @@
 #include "obs/event_log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/shard_stats.hpp"
+#include "obs/telemetry.hpp"
 
 namespace mldcs::obs {
 
@@ -587,5 +586,3 @@ bool blackbox_dump_now(const char* reason) noexcept {
 }
 
 }  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY

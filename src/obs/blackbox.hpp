@@ -48,14 +48,9 @@
 /// The profile line appears when the sampling profiler (obs/profiler.hpp)
 /// is or was armed: its drain thread pre-serializes phase counts and top
 /// stacks into a double buffer the dumper copies byte-for-byte.
-///
-/// With MLDCS_ENABLE_TELEMETRY=OFF every function is an inline no-op stub
-/// (arm fails, dumps refuse) and call sites compile away.
 
 #include <cstddef>
 #include <cstdint>
-
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
 
 namespace mldcs::obs {
 
@@ -67,8 +62,6 @@ struct BlackBoxConfig {
   std::size_t event_tail = 64;          ///< events kept per frame (1..256)
   bool install_signal_handlers = true;  ///< arm SIGSEGV/SIGABRT/SIGBUS
 };
-
-#if MLDCS_ENABLE_TELEMETRY
 
 /// Arm the recorder process-wide.  Returns false (and stays disarmed) if
 /// already armed, the path is unusable (a touch-open fails), or the path
@@ -96,18 +89,5 @@ bool blackbox_dump_now(const char* reason) noexcept;
 /// Heartbeats recorded since the last arm (frames overwritten in the
 /// ring still count).  For tests and progress reporting.
 [[nodiscard]] std::uint64_t blackbox_heartbeat_count() noexcept;
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-inline bool blackbox_arm(const BlackBoxConfig&) { return false; }
-inline void blackbox_disarm() {}
-[[nodiscard]] inline bool blackbox_armed() noexcept { return false; }
-inline void blackbox_heartbeat(std::uint64_t) {}
-inline bool blackbox_dump_now(const char*) noexcept { return false; }
-[[nodiscard]] inline std::uint64_t blackbox_heartbeat_count() noexcept {
-  return 0;
-}
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace mldcs::obs

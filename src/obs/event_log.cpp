@@ -1,8 +1,12 @@
 #include "obs/event_log.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <ostream>
 
 #include "core/annotations.hpp"
+#include "obs/thread_record.hpp"
 
 namespace mldcs::obs {
 
@@ -37,18 +41,6 @@ const char* event_type_name(EventType t) noexcept {
   }
   return "unknown";
 }
-
-}  // namespace mldcs::obs
-
-#if MLDCS_ENABLE_TELEMETRY
-
-#include <algorithm>
-#include <atomic>
-#include <mutex>
-
-#include "obs/thread_record.hpp"
-
-namespace mldcs::obs {
 
 namespace {
 
@@ -146,20 +138,3 @@ void write_events_jsonl_tail(std::ostream& os, std::size_t tail) {
 }
 
 }  // namespace mldcs::obs
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-namespace mldcs::obs {
-
-void write_events_jsonl(std::ostream& os) {
-  os << "{\"schema\":\"mldcs-events-v1\",\"enabled\":false,\"count\":0,"
-        "\"dropped\":0}\n";
-}
-
-void write_events_jsonl_tail(std::ostream& os, std::size_t) {
-  write_events_jsonl(os);
-}
-
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY

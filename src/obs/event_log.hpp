@@ -27,9 +27,7 @@
 ///    events_dropped) instead of growing memory without bound.
 ///  - **Disarmed = one relaxed load.**  When collection is stopped (the
 ///    default), emit_event returns immediately after one relaxed atomic
-///    load.  With MLDCS_ENABLE_TELEMETRY=OFF every function here is an
-///    inline no-op stub and instrumented call sites compile to nothing
-///    (write_events_jsonl still emits a valid empty document).
+///    load.
 ///
 /// Event vocabulary (field meanings per type are part of the
 /// `mldcs-events-v1` schema; see docs/OBSERVABILITY.md):
@@ -66,8 +64,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
-
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
 
 namespace mldcs::obs {
 
@@ -110,8 +106,6 @@ struct Event {
   EventType type = EventType::kBroadcast;
 };
 
-#if MLDCS_ENABLE_TELEMETRY
-
 /// Arm collection with a hard cap on recorded events (ids past the cap are
 /// dropped and counted).  Restarting keeps already-buffered events and the
 /// id sequence; pass through events_clear() for a fresh run.
@@ -146,22 +140,5 @@ void write_events_jsonl(std::ostream& os);
 /// count reflects the emitted lines, so the output is a valid standalone
 /// `mldcs-events-v1` document).  Serves introspection's `/events?tail=N`.
 void write_events_jsonl_tail(std::ostream& os, std::size_t tail);
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-inline void events_start(std::size_t = kDefaultEventCapacity) {}
-inline void events_stop() {}
-[[nodiscard]] inline bool events_enabled() noexcept { return false; }
-inline std::uint64_t emit_event(EventType, std::uint32_t, std::uint32_t,
-                                std::uint64_t, std::uint64_t) noexcept {
-  return kNoEvent;
-}
-[[nodiscard]] inline std::uint64_t events_dropped() noexcept { return 0; }
-inline void events_clear() {}
-[[nodiscard]] inline std::vector<Event> events_snapshot() { return {}; }
-void write_events_jsonl(std::ostream& os);  // valid header-only document
-void write_events_jsonl_tail(std::ostream& os, std::size_t tail);
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace mldcs::obs

@@ -24,9 +24,8 @@
 ///    redundant-airtime budget (the Ni et al. storm metric), attributed to
 ///    the transmitter that caused each duplicate reception.
 ///
-/// This module is pure data processing: it compiles identically with
-/// telemetry on or off (with telemetry off the snapshot it would consume is
-/// simply empty).
+/// This module is pure data processing over an event snapshot: it needs
+/// no simulator and no armed log.
 
 #include <cstdint>
 #include <span>

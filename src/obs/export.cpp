@@ -45,8 +45,7 @@ void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
 
 void write_snapshot_json(std::ostream& os, const Registry& r) {
   const RegistrySnapshot s = r.snapshot();
-  os << "{\"schema\":\"mldcs-telemetry-v1\",\"enabled\":"
-     << (kTelemetryEnabled ? "true" : "false");
+  os << "{\"schema\":\"mldcs-telemetry-v1\",\"enabled\":true";
   os << ",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : s.counters) {

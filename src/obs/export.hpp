@@ -6,9 +6,7 @@
 /// text exposition (for scraping a long-running process).
 ///
 /// Both serialize a RegistrySnapshot, so they are consistent per metric
-/// and cost nothing on the update path.  With MLDCS_ENABLE_TELEMETRY=OFF
-/// they emit valid documents with empty metric sections and
-/// `"enabled": false`, so pipelines stay unconditional.
+/// and cost nothing on the update path.
 
 #include <iosfwd>
 

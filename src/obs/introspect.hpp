@@ -31,9 +31,6 @@
 ///    per connection, 200ms poll ticks so stop() returns promptly.  This
 ///    is an operational loopback port for curl/Prometheus/mldcs_top.py,
 ///    not a web server; it binds 127.0.0.1 by default.
-///  - **Telemetry-off still answers.**  The class has no stub branch:
-///    with MLDCS_ENABLE_TELEMETRY=OFF the endpoints serve the exporters'
-///    valid empty documents, so probes and dashboards stay unconditional.
 
 #include <atomic>
 #include <cstdint>

@@ -1,36 +1,10 @@
 // Sampling profiler engine (see profiler.hpp for the design contract).
-//
-// Split in two: the unconditional report writers at the bottom compile in
-// both telemetry branches (the introspection server calls them with stub
-// reports in OFF builds); everything else — rings, timers, the SIGPROF
-// handler, the drain thread — sits behind MLDCS_ENABLE_TELEMETRY.
 
 #ifndef _GNU_SOURCE
 #define _GNU_SOURCE 1  // pthread_getattr_np, SIGEV_THREAD_ID
 #endif
 
 #include "obs/profiler.hpp"
-
-#include <ostream>
-
-namespace mldcs::obs {
-namespace {
-
-/// JSON string body for `in` (quotes and backslashes escaped, control
-/// characters flattened to spaces).
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (const char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
-  return out;
-}
-
-}  // namespace
-}  // namespace mldcs::obs
-
-#if MLDCS_ENABLE_TELEMETRY
 
 #include <dlfcn.h>
 #include <pthread.h>
@@ -47,6 +21,7 @@ std::string json_escape(const std::string& in) {
 #include <cstring>
 #include <cxxabi.h>
 #include <mutex>
+#include <ostream>
 #include <thread>
 #include <unordered_map>
 
@@ -99,6 +74,17 @@ constexpr std::uint32_t kMinHz = 1;
 constexpr std::uint32_t kMaxHz = 1000;
 constexpr std::size_t kCrashBytes = 16384;
 constexpr auto kDrainPeriod = std::chrono::milliseconds(50);
+
+/// JSON string body for `in` (quotes and backslashes escaped, control
+/// characters flattened to spaces).
+std::string json_escape(const std::string& in) {
+  std::string out;
+  for (const char c : in) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
+  }
+  return out;
+}
 
 struct State {
   // Control side (normal context, under detail::g_registry_mu).
@@ -658,17 +644,6 @@ std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept {
   }
   return 0;  // buffer kept flipping underneath us: give up cleanly
 }
-
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY
-
-// ---------------------------------------------------------------------------
-// Unconditional writers: real in both telemetry branches so the
-// introspection server (which has no stub branch) always emits valid
-// documents.
-
-namespace mldcs::obs {
 
 void write_profile_folded(std::ostream& os, const ProfileReport& r) {
   for (const auto& [stack, count] : r.folded) {

@@ -38,11 +38,6 @@
 /// mobility_maintenance, `profiler_crash_snapshot()` inside blackbox
 /// dumps, and tools/obslib.py `load_profile` (docs/OBSERVABILITY.md,
 /// "Sampling profiler").
-///
-/// With MLDCS_ENABLE_TELEMETRY=OFF every function is an inline no-op
-/// stub (arm fails, reports are empty, Scope compiles away); the
-/// folded/JSON writers stay real so unconditional callers (the
-/// introspection server) still emit valid empty documents.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,7 +46,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/scope.hpp"  // Phase vocabulary, Scope, telemetry switch
+#include "obs/scope.hpp"  // Phase vocabulary, Scope
 
 namespace mldcs::obs {
 
@@ -60,9 +55,7 @@ struct ProfilerConfig {
   std::uint32_t hz = 97;  ///< sampling rate per thread, clamped to 1..1000
 };
 
-/// One folded profile, as drained so far.  Plain data, defined for both
-/// telemetry branches (the RegistrySnapshot pattern) so tools and tests
-/// compile unconditionally.
+/// One folded profile, as drained so far.
 struct ProfileReport {
   std::uint32_t hz = 0;            ///< armed sampling rate
   std::uint64_t total_samples = 0; ///< samples folded (== sum of phases)
@@ -73,8 +66,6 @@ struct ProfileReport {
   /// phase_name -> sample count, descending by count; only nonzero rows.
   std::vector<std::pair<std::string, std::uint64_t>> phases;
 };
-
-#if MLDCS_ENABLE_TELEMETRY
 
 /// The calling thread's current phase tag (tests, diagnostics).
 [[nodiscard]] inline Phase profiler_current_phase() noexcept {
@@ -124,31 +115,9 @@ void profiler_register_thread();
 /// this between the event tail and the end trailer.
 std::size_t profiler_crash_snapshot(char* dst, std::size_t cap) noexcept;
 
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-[[nodiscard]] inline Phase profiler_current_phase() noexcept {
-  return Phase::kNone;
-}
-inline bool profiler_arm(const ProfilerConfig&) { return false; }
-inline void profiler_disarm() {}
-[[nodiscard]] inline bool profiler_armed() noexcept { return false; }
-inline void profiler_register_thread() {}
-[[nodiscard]] inline ProfileReport profiler_report() { return {}; }
-[[nodiscard]] inline ProfileReport profiler_capture_window(
-    double, const ProfilerConfig&) {
-  return {};
-}
-inline std::size_t profiler_crash_snapshot(char*, std::size_t) noexcept {
-  return 0;
-}
-
-#endif  // MLDCS_ENABLE_TELEMETRY
-
 /// Write `r` as collapsed-stack text: one "stack count" line per folded
 /// stack, flamegraph.pl / speedscope compatible.  Metadata (hz, dropped,
 /// phases) is not representable here — use the JSON form for that.
-/// Real in both telemetry branches: an OFF build writes an empty (valid)
-/// document.
 void write_profile_folded(std::ostream& os, const ProfileReport& r);
 
 /// Write `r` as one `mldcs-profile-v1` JSON document:

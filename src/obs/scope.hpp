@@ -9,17 +9,12 @@
 /// thread-local stores and one relaxed load; armed, on a registered thread
 /// (pool workers and engine callers register up front), it takes no lock
 /// and allocates nothing — safe in MLDCS_HOT_PATH / MLDCS_NO_LOCK bodies,
-/// and known to mldcs-analyze by name.  Telemetry OFF: an empty object.
+/// and known to mldcs-analyze by name.
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-
-#include "obs/telemetry.hpp"  // MLDCS_ENABLE_TELEMETRY / kTelemetryEnabled
-
-#if MLDCS_ENABLE_TELEMETRY
-#include <atomic>
-#endif
 
 namespace mldcs::obs {
 
@@ -98,8 +93,6 @@ inline constexpr std::size_t kPhaseCount = 14;
       .count();
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 namespace detail {
 /// The per-thread phase word.  Constant-initialized (no TLS init guard),
 /// so the SIGPROF handler's read is a plain thread-local atomic load.
@@ -134,16 +127,5 @@ class Scope {
   Phase phase_;
   std::int64_t t0_ns_ = -1;  ///< span start; -1 while untraced
 };
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-class Scope {
- public:
-  explicit Scope(Phase) noexcept {}
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-};
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace mldcs::obs

@@ -22,9 +22,7 @@
 /// engines, and a destructor must only deregister the provider it itself
 /// installed, never a successor's.
 ///
-/// This header is deliberately independent of MLDCS_ENABLE_TELEMETRY: the
-/// numbers come from the engine, not the metric registry, so `/shards`
-/// stays live even in a telemetry-off build.
+/// The numbers come from the engine, not the metric registry.
 
 #include <cstdint>
 #include <functional>

@@ -1,7 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#if MLDCS_ENABLE_TELEMETRY
-
 #include <algorithm>
 #include <deque>
 #include <mutex>
@@ -80,16 +78,3 @@ Registry& registry() {
 }
 
 }  // namespace mldcs::obs
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-namespace mldcs::obs {
-
-Registry& registry() {
-  static Registry stub;
-  return stub;
-}
-
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY

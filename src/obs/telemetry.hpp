@@ -17,39 +17,18 @@
 ///    mutex, but call sites hoist the returned reference into a
 ///    function-local static, so the lock is paid once per call site per
 ///    process, not per event.
-///  - **Compile-time kill switch**: with the CMake option
-///    `MLDCS_ENABLE_TELEMETRY=OFF` every class here becomes an empty inline
-///    stub, so instrumented hot paths pay literally zero (no atomic, no
-///    branch, no clock read — the calls fold away).  `kTelemetryEnabled`
-///    lets call sites `if constexpr` away any side computation (clock
-///    reads, divisions) feeding a metric.
 ///
 /// Snapshots (JSON / Prometheus text) live in obs/export.hpp; tracing spans
 /// in obs/trace.hpp.
 
-#include <cstdint>
-
-// MLDCS_ENABLE_TELEMETRY is defined (to 0 or 1) on the mldcs_obs CMake
-// target PUBLICly, so every TU in the build agrees on which branch below it
-// compiled against (an ODR must, like MLDCS_ENABLE_INVARIANT_CHECKS).
-// Plain includes outside the build (tooling, editors) default to ON.
-#ifndef MLDCS_ENABLE_TELEMETRY
-#define MLDCS_ENABLE_TELEMETRY 1
-#endif
-
-#if MLDCS_ENABLE_TELEMETRY
 #include <atomic>
-#endif
-
-#include <bit>  // Histogram::bucket_of, in both telemetry branches
-
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace mldcs::obs {
-
-inline constexpr bool kTelemetryEnabled = MLDCS_ENABLE_TELEMETRY != 0;
 
 /// Plain-data snapshot of one histogram (see Histogram::snapshot).
 struct HistogramSnapshot {
@@ -77,8 +56,6 @@ struct RegistrySnapshot {
   std::vector<std::pair<std::string, std::int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 };
-
-#if MLDCS_ENABLE_TELEMETRY
 
 /// Monotonic event counter.  Updates are relaxed atomic adds; reads are
 /// racy-but-coherent (fine for snapshots: each counter is individually
@@ -241,69 +218,6 @@ class Registry {
   struct Impl;
   Impl* impl_;  ///< raw pointer: keeps the header <memory>-free
 };
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-// Stub metrics: identical surface, empty bodies — instrumented call sites
-// compile unchanged and the optimizer deletes them.  All metric references
-// alias one shared static per class; snapshots are empty.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  void set_max(std::int64_t) noexcept {}
-  [[nodiscard]] std::int64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-  void record(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return 0; }
-  // The bucket geometry helpers are pure functions (no metric state), so
-  // the stub keeps the real implementations: tools and tests that reason
-  // about bucket layout behave identically in both telemetry modes.
-  [[nodiscard]] static std::size_t bucket_of(std::uint64_t v) noexcept {
-    return v == 0 ? 0 : static_cast<std::size_t>(std::bit_width(v));
-  }
-  [[nodiscard]] static std::uint64_t bucket_lo(std::size_t b) noexcept {
-    return b <= 1 ? b : std::uint64_t{1} << (b - 1);
-  }
-  [[nodiscard]] static std::uint64_t bucket_hi(std::size_t b) noexcept {
-    return b == 0 ? 0
-           : b >= 64
-               ? ~std::uint64_t{0}
-               : (std::uint64_t{1} << b) - 1;
-  }
-  [[nodiscard]] HistogramSnapshot snapshot() const { return {}; }
-  void reset() noexcept {}
-};
-
-class Registry {
- public:
-  [[nodiscard]] Counter& counter(std::string_view) noexcept { return c_; }
-  [[nodiscard]] Gauge& gauge(std::string_view) noexcept { return g_; }
-  [[nodiscard]] Histogram& histogram(std::string_view) noexcept { return h_; }
-  [[nodiscard]] RegistrySnapshot snapshot() const { return {}; }
-  void reset() noexcept {}
-
- private:
-  Counter c_;
-  Gauge g_;
-  Histogram h_;
-};
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 /// The process-wide registry every built-in instrumentation point reports
 /// to.  Constructed on first use, never destroyed before static teardown.

@@ -1,12 +1,9 @@
 #include "obs/trace.hpp"
 
-#include <ostream>
-
-#if MLDCS_ENABLE_TELEMETRY
-
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <ostream>
 
 #include "core/annotations.hpp"
 #include "obs/thread_record.hpp"
@@ -110,16 +107,3 @@ void trace_clear() {
 }
 
 }  // namespace mldcs::obs
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-namespace mldcs::obs {
-
-void write_trace_json(std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[],"
-        "\"otherData\":{\"dropped_spans\":0}}\n";
-}
-
-}  // namespace mldcs::obs
-
-#endif  // MLDCS_ENABLE_TELEMETRY

@@ -6,9 +6,7 @@
 /// `phase_name(p)`, so a trace and a profile split time by one vocabulary.
 /// Each thread's spans go to a lock-free single-producer ring of
 /// kTraceRingSlots in its observability record, allocated when tracing is
-/// armed; a full ring drops and counts (`otherData.dropped_spans`).  With
-/// MLDCS_ENABLE_TELEMETRY=OFF the functions are inline no-ops
-/// (write_trace_json still emits a valid empty document).
+/// armed; a full ring drops and counts (`otherData.dropped_spans`).
 
 #include <cstddef>
 #include <iosfwd>
@@ -19,8 +17,6 @@ namespace mldcs::obs {
 
 /// Spans one thread can buffer between flushes.
 inline constexpr std::size_t kTraceRingSlots = std::size_t{1} << 15;
-
-#if MLDCS_ENABLE_TELEMETRY
 
 /// Begin collecting spans (clock epoch is set on the first start) and
 /// give every live registered thread its span ring.
@@ -39,15 +35,5 @@ void write_trace_json(std::ostream& os);
 
 /// Drop all buffered spans and the dropped-span count.
 void trace_clear();
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-inline void trace_start() {}
-inline void trace_stop() {}
-[[nodiscard]] inline bool trace_enabled() noexcept { return false; }
-void write_trace_json(std::ostream& os);  // valid empty document
-inline void trace_clear() {}
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace mldcs::obs

@@ -20,8 +20,7 @@
 /// checks/sampled/mismatches, a last-mismatch-step gauge), flight-recorder
 /// events (kWatchdogCheck per check, kWatchdogMismatch per bad relay,
 /// causally linked to the cache update they indict), and the object's own
-/// plain counters — which stay functional with telemetry compiled out, so
-/// the verdict API works in every build.
+/// plain counters, which the verdict API reads.
 ///
 /// The class is callback-generic (it lives below net/broadcast in the
 /// layering); `bcast::make_cache_watchdog` binds it to a SkylineCache.

@@ -48,7 +48,7 @@ ThreadPool::ThreadPool(std::size_t threads)
   // Register the pool metrics up front so snapshots always carry them —
   // a single-worker pool runs everything inline and would otherwise never
   // touch the registry.
-  if constexpr (obs::kTelemetryEnabled) pool_telemetry();
+  pool_telemetry();
 }
 
 ThreadPool::~ThreadPool() {
@@ -63,8 +63,10 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::ensure_started() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!threads_.empty() || stopping_) return;
-  threads_.reserve(workers_);
-  for (std::size_t t = 0; t < workers_; ++t) {
+  // The dispatching caller is slot 0, so size() - 1 threads serve the
+  // other slots of any dispatch.
+  threads_.reserve(workers_ - 1);
+  for (std::size_t t = 1; t < workers_; ++t) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -117,16 +119,11 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping, and no dispatch is in flight
       task = queue_.dequeue();
     }
-    // Clock reads sit outside the telemetry stubs, so gate them too: with
-    // the kill switch off the worker loop compiles exactly as before.
-    std::int64_t t0 = 0;
-    if constexpr (obs::kTelemetryEnabled) t0 = obs::clock_ns();
+    const std::int64_t t0 = obs::clock_ns();
     run_slot(*task.job, task.slot);
-    if constexpr (obs::kTelemetryEnabled) {
-      PoolTelemetry& t = pool_telemetry();
-      t.tasks.add();
-      t.busy_ns.add(static_cast<std::uint64_t>(obs::clock_ns() - t0));
-    }
+    PoolTelemetry& t = pool_telemetry();
+    t.tasks.add();
+    t.busy_ns.add(static_cast<std::uint64_t>(obs::clock_ns() - t0));
     // Notify under the lock: once `remaining` hits 0 the caller may destroy
     // the dispatch, so the notify must not happen after the release.
     const std::lock_guard<std::mutex> lock(task.job->m);

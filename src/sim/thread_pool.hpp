@@ -13,9 +13,10 @@
 /// caller: keep every output keyed by index or by block, never by slot,
 /// and results are bitwise identical at any thread count and under any
 /// schedule.  The calling thread is slot 0 and hands only the other slots
-/// to the workers, so a dispatch never waits for one more worker to wake
-/// than it has blocks to hand out; while it runs slot 0 it counts as one of
-/// the pool's workers (worker_pool()).  A dispatch's tasks reach the
+/// to the workers, so a pool of size() n runs n - 1 worker threads, and a
+/// dispatch never waits for one more worker to wake than it has blocks to
+/// hand out; while it runs slot 0 the caller counts as one of the pool's
+/// workers (worker_pool()).  A dispatch's tasks reach the
 /// workers through a FIFO ring that only grows, so once the ring has
 /// reached its deepest level a dispatch allocates nothing.
 ///
@@ -42,10 +43,12 @@
 
 namespace mldcs::sim {
 
-/// Fixed-size persistent thread pool; workers start lazily on first use.
+/// Fixed-size persistent thread pool: a dispatch's caller plus size() - 1
+/// worker threads, which start lazily on first use.
 class ThreadPool {
  public:
-  /// `threads` = 0 selects hardware_concurrency() (at least 1).
+  /// `threads` participants per dispatch (so `threads` - 1 worker
+  /// threads); 0 selects hardware_concurrency() (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

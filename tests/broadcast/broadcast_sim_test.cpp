@@ -164,8 +164,6 @@ TEST(BroadcastSimTest, AsymmetricRadiiPhysicalCoverageCountsStormExactly) {
   EXPECT_DOUBLE_EQ(link.delivery_ratio(), 1.0);
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 TEST(BroadcastSimTest, AsymmetricScenarioReplayDerivationAgrees) {
   // The same hand-counted numbers must fall out of the event stream: the
   // recorder is a second, independent derivation of the storm metrics.
@@ -199,8 +197,6 @@ TEST(BroadcastSimTest, AsymmetricScenarioReplayDerivationAgrees) {
   ASSERT_EQ(by_tx.size(), 1u);
   EXPECT_EQ(by_tx.front(), (std::pair<net::NodeId, std::uint64_t>{1, 2}));
 }
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 /// Independent replay of the simulator's semantics over the per-relay
 /// LocalView reference, forwarding_set(g, u, scheme): FIFO transmissions,

@@ -22,7 +22,6 @@
 #include "net/disk_graph.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/pool_tasks.hpp"
@@ -130,9 +129,7 @@ TEST(ParallelBroadcastTest, SkylineBroadcastMatchesInlineRun) {
               std::to_string(static_cast<int>(model)) +
               (pruned ? ", pruned" : ", plain");
           ASSERT_GE(pooled.result.transmissions, 2u) << where;
-          if (obs::kTelemetryEnabled) {
-            ASSERT_FALSE(pooled.events.empty()) << where;
-          }
+          ASSERT_FALSE(pooled.events.empty()) << where;
           expect_same(pooled, inl, where);
           if (HasFatalFailure()) return;
         }
@@ -141,7 +138,7 @@ TEST(ParallelBroadcastTest, SkylineBroadcastMatchesInlineRun) {
   }
   // With more than one worker the pooled runs must actually have reached
   // the pool — otherwise this file tests the inline path twice.
-  if (obs::kTelemetryEnabled && sim::default_pool().size() > 1) {
+  if (sim::default_pool().size() > 1) {
     EXPECT_GT(pooled_tasks, 0u);
   }
 }
@@ -167,8 +164,7 @@ TEST(ParallelBroadcastTest, GraphBuildMatchesInlineRun) {
       ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
           << where << ", node " << u;
     }
-    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1 &&
-        nodes.size() >= 4096) {
+    if (sim::default_pool().size() > 1 && nodes.size() >= 4096) {
       EXPECT_GT(tasks, 0u) << where << " should build on the pool";
     }
   }

@@ -28,7 +28,6 @@
 #include "net/mobility.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/alloc_guard.hpp"
@@ -193,7 +192,7 @@ TEST(HotPathGuard, SimulateBroadcastAllocFree) {
     }
     // With more than one worker the frontiers' sets must have been
     // computed on the pool, so the count above covers that path.
-    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1) {
+    if (sim::default_pool().size() > 1) {
       EXPECT_GT(pool_tasks(), tasks_before) << (pruned ? "pruned" : "plain");
     }
   }
@@ -227,8 +226,7 @@ TEST(HotPathGuard, DiskGraphBuildAllocations) {
                    static_cast<int>(allocs));
     EXPECT_GT(g.edge_count(), 0u) << where;
     EXPECT_LE(allocs, 26u) << where;
-    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1 &&
-        nodes.size() >= 4096) {
+    if (sim::default_pool().size() > 1 && nodes.size() >= 4096) {
       EXPECT_GT(pool_tasks(), tasks_before) << where << " should fan out";
     }
   }

@@ -130,20 +130,18 @@ class Oracle {
     EXPECT_EQ(d.edges_removed, removed) << where;
 
     // The kStep event and the graph.* counters carry the same numbers.
-    if constexpr (obs::kTelemetryEnabled) {
-      EXPECT_EQ(after.edges_added - before.edges_added, added) << where;
-      EXPECT_EQ(after.edges_removed - before.edges_removed, removed) << where;
-      if (after.pool_tasks != before.pool_tasks) ++pooled_steps_;
-      const std::vector<obs::Event> events = obs::events_snapshot();
-      ASSERT_FALSE(events.empty()) << where;
-      const obs::Event& e = events.back();
-      EXPECT_EQ(e.id, d.event_id) << where;
-      EXPECT_EQ(e.type, obs::EventType::kStep) << where;
-      EXPECT_EQ(e.a, moved.size()) << where;
-      EXPECT_EQ(e.b, changed.size()) << where;
-      EXPECT_EQ(e.parent, obs::kNoEvent) << where;
-      EXPECT_EQ(e.value, dyn_.step_count()) << where;
-    }
+    EXPECT_EQ(after.edges_added - before.edges_added, added) << where;
+    EXPECT_EQ(after.edges_removed - before.edges_removed, removed) << where;
+    if (after.pool_tasks != before.pool_tasks) ++pooled_steps_;
+    const std::vector<obs::Event> events = obs::events_snapshot();
+    ASSERT_FALSE(events.empty()) << where;
+    const obs::Event& e = events.back();
+    EXPECT_EQ(e.id, d.event_id) << where;
+    EXPECT_EQ(e.type, obs::EventType::kStep) << where;
+    EXPECT_EQ(e.a, moved.size()) << where;
+    EXPECT_EQ(e.b, changed.size()) << where;
+    EXPECT_EQ(e.parent, obs::kNoEvent) << where;
+    EXPECT_EQ(e.value, dyn_.step_count()) << where;
     prev_ = fresh;
   }
 
@@ -170,7 +168,7 @@ class ParallelApplyTest : public ::testing::Test {
   /// have reached the pool — otherwise this file tests the serial path
   /// twice.
   static void expect_pool_used(const Oracle& oracle, const char* where) {
-    if (obs::kTelemetryEnabled && sim::default_pool().size() > 1) {
+    if (sim::default_pool().size() > 1) {
       EXPECT_GT(oracle.pooled_steps(), 0u) << where;
     }
   }
@@ -291,8 +289,7 @@ TEST_F(ParallelApplyTest, PooledSeedMatchesBuildThenRebuilds) {
   MobileNetwork mobile(p, wp, rng);
   const std::vector<Node> nodes(mobile.nodes().begin(), mobile.nodes().end());
   ASSERT_GE(nodes.size(), 4096u);
-  const bool expect_fan_out =
-      obs::kTelemetryEnabled && sim::default_pool().size() > 1;
+  const bool expect_fan_out = sim::default_pool().size() > 1;
   const auto pool_tasks = [] { return Counters::read().pool_tasks; };
 
   // Whole plane: the graph the steps below drive, then one more seed alone,

@@ -298,10 +298,8 @@ void expect_bit_identical_run(std::uint64_t seed, const WaypointParams& wp,
   for (std::size_t s = 0; s < engine.shard_count(); ++s) {
     summed += cache.shard(s).compaction_count();
   }
-  if (obs::kTelemetryEnabled) {
-    EXPECT_EQ(sharded_reported, summed)
-        << regime << ": cache.compactions disagrees with the shard stores";
-  }
+  EXPECT_EQ(sharded_reported, summed)
+      << regime << ": cache.compactions disagrees with the shard stores";
 }
 
 /// Slot churn on two shards: satellites parked in the left tile walk one
@@ -369,10 +367,8 @@ std::uint64_t expect_bit_identical_churn() {
   for (std::size_t s = 0; s < engine.shard_count(); ++s) {
     summed += cache.shard(s).compaction_count();
   }
-  if (obs::kTelemetryEnabled) {
-    EXPECT_EQ(sharded_reported, summed)
-        << "churn: cache.compactions disagrees with the shard stores";
-  }
+  EXPECT_EQ(sharded_reported, summed)
+      << "churn: cache.compactions disagrees with the shard stores";
   return summed;
 }
 
@@ -455,9 +451,6 @@ TEST(ShardedEngineTest, StepRejectsMoverOutsideDeploymentBeforeAnyChange) {
 // --- Events ----------------------------------------------------------------
 
 TEST(ShardedEngineTest, EmitsShardExchangeWithCacheUpdateChild) {
-  if (!obs::kTelemetryEnabled) {
-    GTEST_SKIP() << "event emission requires MLDCS_ENABLE_TELEMETRY";
-  }
   sim::Xoshiro256 rng(31);
   DeploymentParams dp = small_deploy(6.0);
   MobileNetwork net(dp, regimes()[1].wp, rng);

@@ -188,12 +188,10 @@ TEST(ShardedHotPath, ArmedTraceStepsTakeNoMutexAndAllocateNothing) {
         << "armed scopes must not allocate after warm-up";
     EXPECT_EQ(armed.hover_allocs, 0u);
   }
-  if (obs::kTelemetryEnabled) {
-    for (const char* name : {"\"cache_update\"", "\"engine_step\"",
-                             "\"shard_step\"", "\"graph_apply\"",
-                             "\"cache_recompute\""}) {
-      EXPECT_NE(trace.find(name), std::string::npos) << name;
-    }
+  for (const char* name : {"\"cache_update\"", "\"engine_step\"",
+                           "\"shard_step\"", "\"graph_apply\"",
+                           "\"cache_recompute\""}) {
+    EXPECT_NE(trace.find(name), std::string::npos) << name;
   }
 }
 

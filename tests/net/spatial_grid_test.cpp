@@ -11,6 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "net/disk_graph.hpp"
+#include "net/dynamic_disk_graph.hpp"
 #include "sim/rng.hpp"
 
 namespace mldcs::net {
@@ -159,6 +161,26 @@ TEST(GridGeometryTest, ClampsOutsidePositionsIntoBorderCells) {
   geo.for_each_cell({-50, -50}, 1.0,
                     [&](std::size_t c) { cells.push_back(c); });
   EXPECT_EQ(cells, (std::vector<std::size_t>{0}));
+}
+
+// Zero radii over a wide extent: cells of the floored side would number
+// (extent / 1e-6)^2, so the side grows until the grid has at most
+// max(4n, 1024) cells (checked before anything is built), and neither
+// graph type links the nodes.
+TEST(GridGeometryTest, ZeroRadiiOverAWideExtentBoundTheCellCount) {
+  for (const double apart : {12.5, 1e6}) {
+    const std::vector<Node> nodes{{0, {0, 0}, 0.0},
+                                  {1, {apart, apart}, 0.0}};
+    ASSERT_LE(GridGeometry(nodes).cell_count(), 1024u) << apart;
+    const DiskGraph built = DiskGraph::build(nodes);
+    const DynamicDiskGraph dynamic{std::vector<Node>(nodes)};
+    EXPECT_EQ(built.edge_count(), 0u) << apart;
+    EXPECT_EQ(dynamic.edge_count(), 0u) << apart;
+    for (const NodeId u : {0u, 1u}) {
+      EXPECT_TRUE(built.neighbors(u).empty()) << apart;
+      EXPECT_TRUE(dynamic.neighbors(u).empty()) << apart;
+    }
+  }
 }
 
 }  // namespace

@@ -51,9 +51,6 @@ std::uint64_t newest_heartbeat_step(const std::string& doc) {
 class BlackBoxTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kTelemetryEnabled) {
-      GTEST_SKIP() << "blackbox requires MLDCS_ENABLE_TELEMETRY";
-    }
     blackbox_disarm();  // isolate from any earlier test's arming
   }
   void TearDown() override { blackbox_disarm(); }
@@ -201,17 +198,6 @@ TEST_F(BlackBoxTest, CrashDumpOnSigabrtCarriesLastHeartbeat) {
   EXPECT_NE(doc.find("\"reason\":\"SIGABRT\""), std::string::npos);
   EXPECT_EQ(newest_heartbeat_step(doc), kSteps);
   EXPECT_NE(doc.find("{\"kind\":\"end\","), std::string::npos);
-}
-
-TEST(BlackBoxStubTest, OffModeRefusesToArm) {
-  if (kTelemetryEnabled) {
-    GTEST_SKIP() << "stub behaviour only observable with telemetry off";
-  }
-  BlackBoxConfig cfg;
-  EXPECT_FALSE(blackbox_arm(cfg));
-  EXPECT_FALSE(blackbox_armed());
-  EXPECT_FALSE(blackbox_dump_now("test"));
-  EXPECT_EQ(blackbox_heartbeat_count(), 0u);
 }
 
 }  // namespace

@@ -58,8 +58,6 @@ TEST_F(EventLogTest, JsonlAlwaysStartsWithSchemaHeader) {
   EXPECT_NE(doc.find("\"count\":0"), std::string::npos);
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 TEST_F(EventLogTest, IdsAreMonotoneFromZeroAndSnapshotOrdered) {
   events_start();
   const std::uint64_t a = emit_event(EventType::kTx, 1, kNoNode, kNoEvent, 7);
@@ -137,18 +135,6 @@ TEST_F(EventLogTest, StopFreezesTheLogWithoutClearingIt) {
   EXPECT_EQ(emit_event(EventType::kStep, 0, 0, kNoEvent, 2), kNoEvent);
   EXPECT_EQ(events_snapshot().size(), 1u);
 }
-
-#else  // !MLDCS_ENABLE_TELEMETRY
-
-TEST_F(EventLogTest, CompiledOutEverythingIsEmpty) {
-  events_start();
-  EXPECT_FALSE(events_enabled());
-  EXPECT_EQ(emit_event(EventType::kTx, 1, kNoNode, kNoEvent, 0), kNoEvent);
-  EXPECT_TRUE(events_snapshot().empty());
-  EXPECT_NE(dump_jsonl().find("\"enabled\":false"), std::string::npos);
-}
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace
 }  // namespace mldcs::obs

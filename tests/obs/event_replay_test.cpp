@@ -36,8 +36,6 @@ class EventReplayTest : public ::testing::Test {
   }
 };
 
-#if MLDCS_ENABLE_TELEMETRY
-
 BroadcastResult result_of(const ReplayedBroadcast& r) {
   BroadcastResult out;
   out.transmissions = r.transmissions;
@@ -202,15 +200,13 @@ TEST_F(EventReplayTest, MultipleBroadcastsSegmentCleanly) {
   EXPECT_EQ(replays[1].source, 2u);
 }
 
-#endif  // MLDCS_ENABLE_TELEMETRY
-
 TEST_F(EventReplayTest, EmptyStreamReplaysToNothing) {
   EXPECT_TRUE(replay_broadcasts({}).empty());
 }
 
 TEST_F(EventReplayTest, HandBuiltStreamFoldsWithoutASimulator) {
   // Replay is pure data processing: a synthetic stream (as an offline tool
-  // would load from JSONL) folds identically with telemetry on or off.
+  // would load from JSONL) folds without a simulator or an armed log.
   const std::vector<Event> events{
       {0, kNoEvent, 3, 0, 0, EventType::kBroadcast},   // source 0, reachable 3
       {1, kNoEvent, 0, 0, kNoNode, EventType::kTx},    // source transmits

@@ -38,15 +38,11 @@ TEST(SnapshotJsonTest, EmptyRegistrySchema) {
   const Registry r;
   const std::string doc = to_json(r);
   EXPECT_NE(doc.find("\"schema\":\"mldcs-telemetry-v1\""), std::string::npos);
-  EXPECT_NE(doc.find(kTelemetryEnabled ? "\"enabled\":true"
-                                       : "\"enabled\":false"),
-            std::string::npos);
+  EXPECT_NE(doc.find("\"enabled\":true"), std::string::npos);
   EXPECT_NE(doc.find("\"counters\":{}"), std::string::npos);
   EXPECT_NE(doc.find("\"gauges\":{}"), std::string::npos);
   EXPECT_NE(doc.find("\"histograms\":{}"), std::string::npos);
 }
-
-#if MLDCS_ENABLE_TELEMETRY
 
 TEST(SnapshotJsonTest, MetricsSerialized) {
   Registry r;
@@ -99,8 +95,6 @@ TEST(PrometheusTest, HistogramSeriesAreCumulative) {
   EXPECT_NE(doc.find("mldcs_dist_count 3"), std::string::npos);
 }
 
-#endif  // MLDCS_ENABLE_TELEMETRY
-
 // Exporters under concurrent registration: writer threads registering and
 // bumping fresh metrics while the main thread snapshots both formats in a
 // loop.  The introspection server serves exactly this pattern (a scraper
@@ -144,17 +138,15 @@ TEST(ExportConcurrencyTest, RegistrationWhileExportingIsSafe) {
   }
   for (std::thread& w : writers) w.join();
 
-  if (kTelemetryEnabled) {
-    std::ostringstream final_json;
-    write_snapshot_json(final_json, r);
-    const std::string doc = final_json.str();
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::string stem =
-            "stress.t" + std::to_string(t) + ".m" + std::to_string(i);
-        ASSERT_NE(doc.find("\"" + stem + ".c\":"), std::string::npos)
-            << "registered counter lost: " << stem;
-      }
+  std::ostringstream final_json;
+  write_snapshot_json(final_json, r);
+  const std::string doc = final_json.str();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const std::string stem =
+          "stress.t" + std::to_string(t) + ".m" + std::to_string(i);
+      ASSERT_NE(doc.find("\"" + stem + ".c\":"), std::string::npos)
+          << "registered counter lost: " << stem;
     }
   }
 }

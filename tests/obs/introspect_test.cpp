@@ -111,12 +111,10 @@ TEST(IntrospectServerTest, EndpointsServeTheirSchemas) {
 
   const std::string metrics = get(port, "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  if (kTelemetryEnabled) {
-    EXPECT_NE(snapshot.find("\"introspect.test_hits\":3"),
-              std::string::npos);
-    EXPECT_NE(metrics.find("mldcs_introspect_test_hits 3"),
-              std::string::npos);
-  }
+  EXPECT_NE(snapshot.find("\"introspect.test_hits\":3"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("mldcs_introspect_test_hits 3"),
+            std::string::npos);
 
   const std::string events = get(port, "/events?tail=4");
   EXPECT_NE(events.find("200 OK"), std::string::npos);
@@ -189,9 +187,6 @@ net::ShardedEngine::Config sharded(std::size_t shards, double side) {
 /// step already carries them (a scraper attaching at t=0 sees the full
 /// schema, not a trickle of late-registered series).
 TEST(IntrospectServerTest, PreStepSnapshotCarriesShardSeries) {
-  if (!kTelemetryEnabled) {
-    GTEST_SKIP() << "registration requires MLDCS_ENABLE_TELEMETRY";
-  }
   sim::Xoshiro256 rng(17);
   net::MobileNetwork net(small_deploy(), net::WaypointParams{}, rng);
   sim::ThreadPool pool(2);

@@ -1,10 +1,6 @@
 // Tests for the telemetry registry: counter/gauge/histogram semantics,
 // bucket boundaries, name identity, snapshots, and multi-threaded updates
 // (the latter is what the TSan CI job exercises for data races).
-//
-// Expectations are written against kTelemetryEnabled so the suite also
-// passes in an MLDCS_ENABLE_TELEMETRY=OFF build, where every metric is a
-// shared no-op stub.
 
 #include "obs/telemetry.hpp"
 
@@ -18,15 +14,13 @@
 namespace mldcs::obs {
 namespace {
 
-constexpr std::uint64_t kOn = kTelemetryEnabled ? 1 : 0;
-
 TEST(CounterTest, AddAndValue) {
   Registry r;
   Counter& c = r.counter("c");
   EXPECT_EQ(c.value(), 0u);
   c.add();
   c.add(41);
-  EXPECT_EQ(c.value(), 42 * kOn);
+  EXPECT_EQ(c.value(), 42u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
 }
@@ -35,12 +29,12 @@ TEST(GaugeTest, SetAddAndHighWaterMark) {
   Registry r;
   Gauge& g = r.gauge("g");
   g.set(-7);
-  EXPECT_EQ(g.value(), -7 * static_cast<std::int64_t>(kOn));
+  EXPECT_EQ(g.value(), -7);
   g.add(10);
-  EXPECT_EQ(g.value(), 3 * static_cast<std::int64_t>(kOn));
+  EXPECT_EQ(g.value(), 3);
   g.set_max(100);
   g.set_max(50);  // below the mark: no effect
-  EXPECT_EQ(g.value(), 100 * static_cast<std::int64_t>(kOn));
+  EXPECT_EQ(g.value(), 100);
 }
 
 TEST(HistogramTest, CountSumAndSnapshotExtremes) {
@@ -49,26 +43,22 @@ TEST(HistogramTest, CountSumAndSnapshotExtremes) {
   h.record(0);
   h.record(1);
   h.record(1000);
-  EXPECT_EQ(h.count(), 3 * kOn);
-  EXPECT_EQ(h.sum(), 1001 * kOn);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.sum(), 1001u);
 
   const HistogramSnapshot s = h.snapshot();
-  if constexpr (kTelemetryEnabled) {
-    EXPECT_EQ(s.min, 0u);
-    EXPECT_EQ(s.max, 1000u);
-    EXPECT_DOUBLE_EQ(s.mean(), 1001.0 / 3.0);
-    // 0, 1, and 1000 land in three distinct log buckets.
-    ASSERT_EQ(s.buckets.size(), 3u);
-    EXPECT_EQ(s.buckets[0].lo, 0u);
-    EXPECT_EQ(s.buckets[0].hi, 0u);
-    EXPECT_EQ(s.buckets[1].lo, 1u);
-    EXPECT_EQ(s.buckets[1].hi, 1u);
-    EXPECT_LE(s.buckets[2].lo, 1000u);
-    EXPECT_GE(s.buckets[2].hi, 1000u);
-    for (const auto& b : s.buckets) EXPECT_EQ(b.count, 1u);
-  } else {
-    EXPECT_TRUE(s.buckets.empty());
-  }
+  EXPECT_EQ(s.min, 0u);
+  EXPECT_EQ(s.max, 1000u);
+  EXPECT_DOUBLE_EQ(s.mean(), 1001.0 / 3.0);
+  // 0, 1, and 1000 land in three distinct log buckets.
+  ASSERT_EQ(s.buckets.size(), 3u);
+  EXPECT_EQ(s.buckets[0].lo, 0u);
+  EXPECT_EQ(s.buckets[0].hi, 0u);
+  EXPECT_EQ(s.buckets[1].lo, 1u);
+  EXPECT_EQ(s.buckets[1].hi, 1u);
+  EXPECT_LE(s.buckets[2].lo, 1000u);
+  EXPECT_GE(s.buckets[2].hi, 1000u);
+  for (const auto& b : s.buckets) EXPECT_EQ(b.count, 1u);
 }
 
 TEST(HistogramTest, EmptySnapshotIsAllZero) {
@@ -81,8 +71,6 @@ TEST(HistogramTest, EmptySnapshotIsAllZero) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_TRUE(s.buckets.empty());
 }
-
-#if MLDCS_ENABLE_TELEMETRY
 
 TEST(HistogramTest, BucketBoundaries) {
   // bucket 0 = {0}; bucket b >= 1 = [2^(b-1), 2^b - 1].
@@ -198,8 +186,6 @@ TEST(RegistryTest, ConcurrentRegistrationYieldsOneMetricPerName) {
   ASSERT_EQ(s.counters.size(), 1u);
   EXPECT_EQ(s.counters[0].second, 32u);
 }
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 TEST(GlobalRegistryTest, IsASingleton) {
   EXPECT_EQ(&registry(), &registry());

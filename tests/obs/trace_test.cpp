@@ -80,8 +80,6 @@ TEST(PhaseTable, NamesAreUniqueAndOnlyPerCallPhasesAreUntraced) {
   EXPECT_STREQ(phase_name(Phase::kCacheUpdate), "cache_update");
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 TEST_F(TraceTest, RecordsCompleteEvents) {
   trace_start();
   EXPECT_TRUE(trace_enabled());
@@ -255,8 +253,6 @@ TEST_F(TraceTest, ManyJoinedThreadsThenFreshPoolStillRecords) {
   EXPECT_EQ(events_snapshot().size(), 8u);
   events_clear();
 }
-
-#endif  // MLDCS_ENABLE_TELEMETRY
 
 }  // namespace
 }  // namespace mldcs::obs

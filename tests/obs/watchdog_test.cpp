@@ -1,6 +1,6 @@
 // Tests for the generic ConsistencyWatchdog: period gating, distinct
-// sampling, mismatch verdicts against a mutable fake store, and (telemetry
-// on) the watchdog.* metrics and causally linked events it reports through.
+// sampling, mismatch verdicts against a mutable fake store, and the
+// watchdog.* metrics and causally linked events it reports through.
 
 #include "obs/watchdog.hpp"
 
@@ -128,8 +128,6 @@ TEST_F(WatchdogTest, SamplingSequenceIsSeedDeterministic) {
   EXPECT_EQ(wa.last_mismatch_step(), wb.last_mismatch_step());
 }
 
-#if MLDCS_ENABLE_TELEMETRY
-
 TEST_F(WatchdogTest, ReportsThroughMetricsAndCausallyLinkedEvents) {
   auto& reg = registry();
   const std::uint64_t checks0 = reg.counter("watchdog.checks").value();
@@ -168,11 +166,9 @@ TEST_F(WatchdogTest, ReportsThroughMetricsAndCausallyLinkedEvents) {
   EXPECT_EQ(bad->parent, check->id);
 }
 
-#endif  // MLDCS_ENABLE_TELEMETRY
-
 TEST_F(WatchdogTest, VerdictApiWorksWithTelemetryDisarmed) {
-  // The plain counters are the product here: they must work identically
-  // whether telemetry is compiled out or merely not armed.
+  // The plain counters are the product here: they must work with the
+  // event log not armed.
   FakeStore store(8);
   store.cache[0] = {1, 2, 3};
   auto wd = store.watchdog({.period = 2, .samples = 8, .seed = 9});

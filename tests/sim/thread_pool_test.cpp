@@ -9,17 +9,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/disk_graph.hpp"
 #include "net/topology.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/pool_tasks.hpp"
@@ -35,6 +36,34 @@ TEST(ThreadPoolTest, DefaultSizeIsAtLeastOne) {
 TEST(ThreadPoolTest, ExplicitSizeRespected) {
   const ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
+}
+
+/// Thread ids of this process: the entries of /proc/self/task.
+std::set<std::string> task_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+// The caller runs slot 0 of every dispatch, so a pool of size() n starts
+// n - 1 worker threads, and start_workers reaches every one of them.  New
+// thread ids are counted, so a thread of an earlier test that is still
+// exiting does not count.  A sanitizer runtime starts its helper thread
+// with the process's first thread, so one is started first.
+TEST(ThreadPoolTest, PoolOfFourStartsThreeWorkerThreads) {
+  if (!std::filesystem::is_directory("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  std::thread([] {}).join();
+  const std::set<std::string> before = task_ids();
+  ThreadPool pool(4);
+  test::start_workers(pool);
+  std::size_t started = 0;
+  for (const std::string& id : task_ids()) started += before.count(id) == 0;
+  EXPECT_EQ(started, 3u);
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
@@ -194,10 +223,11 @@ TEST(ThreadPoolDispatchTest, WarmedUpDispatchesAllocateNothing) {
             1664u * (63u * 64u / 2u));
 }
 
-/// A one-worker backlog on a two-worker pool: worker A is parked inside a
-/// dispatch until the test ends, and worker B inside a second one until
-/// release_b().  Dispatches made meanwhile (each hands out one task) wait
-/// in the ring, and B alone drains them once released, in ring order.
+/// A one-worker backlog on a pool of size 3 (two workers): worker A is
+/// parked inside a dispatch until the test ends, and worker B inside a
+/// second one until release_b().  Dispatches made meanwhile (each hands out
+/// one task) wait in the ring, and B alone drains them once released, in
+/// ring order.
 class ParkedWorkers {
  public:
   explicit ParkedWorkers(ThreadPool& pool) {
@@ -244,12 +274,14 @@ class ParkedWorkers {
   Parked b_;
 };
 
-// The ring keeps FIFO order while it wraps and regrows: 10 dispatches move
-// its head, then 40 dispatches from 40 threads queue one task each behind
-// the parked workers.  Each dispatcher holds block 0 until its worker slot
+// The ring keeps FIFO order while it wraps and regrows: 10 dispatches of
+// two tasks and the two parked ones move its head to slot 6 of 16, then 40
+// dispatches from 40 threads queue one task each behind the parked
+// workers, so the backlog wraps at its 11th task and the ring regrows at
+// its 17th and 33rd.  Each dispatcher holds block 0 until its worker slot
 // has run block 1, which records the dispatcher's index.
 TEST(ThreadPoolDispatchTest, QueueRunsTasksInSubmitOrderAcrossRegrowth) {
-  ThreadPool pool(2);
+  ThreadPool pool(3);
   for (int i = 0; i < 10; ++i) {
     one_block_per_slot(pool, [](std::size_t) {});
   }
@@ -337,8 +369,8 @@ TEST(ThreadPoolDispatchTest, CallerCountsAsWorkerWhileRunningChunkZero) {
 // DiskGraph::build) runs inline when made from slot 0: the dispatch's own
 // slot 1 is the only task any pool runs.
 TEST(ThreadPoolDispatchTest, LibraryCallFromChunkZeroStaysInline) {
-  if (!obs::kTelemetryEnabled || default_pool().size() < 2) {
-    GTEST_SKIP() << "needs pool telemetry and a multi-worker default pool";
+  if (default_pool().size() < 2) {
+    GTEST_SKIP() << "needs a multi-worker default pool";
   }
   net::DeploymentParams p;
   p.model = net::RadiusModel::kUniform;

@@ -15,19 +15,19 @@
 
 namespace mldcs::test {
 
-/// Tasks every pool has run so far: the `pool.tasks_executed` counter,
-/// which counts only with telemetry on (obs::kTelemetryEnabled).  A task
-/// counts itself before its dispatch returns, so a call that has returned
-/// is fully counted.
+/// Tasks every pool has run so far: the `pool.tasks_executed` counter.  A
+/// task counts itself before its dispatch returns, so a call that has
+/// returned is fully counted.
 inline std::uint64_t pool_tasks() {
   return obs::registry().counter("pool.tasks_executed").value();
 }
 
-/// Returns once `pool` has started its workers and size() - 1 of them have
-/// run a task: one dispatch of size() blocks that wait for each other, so
-/// no participant can claim a second block.  A worker registers its thread
-/// (which allocates) when it starts, so an allocation probe over pooled
-/// code warms up with this first.  Call it from outside the pool.
+/// Returns once `pool` has started its workers and every one of them (the
+/// size() - 1 threads beside the caller) has run a task: one dispatch of
+/// size() blocks that wait for each other, so no participant can claim a
+/// second block.  A worker registers its thread (which allocates) when it
+/// starts, so an allocation probe over pooled code warms up with this
+/// first.  Call it from outside the pool.
 inline void start_workers(sim::ThreadPool& pool = sim::default_pool()) {
   std::atomic<std::size_t> arrived{0};
   pool.parallel_for(pool.size(), [&](std::size_t) {

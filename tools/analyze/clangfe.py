@@ -6,10 +6,8 @@ reachability rules (hot-no-alloc, lock-discipline): real overload
 resolution for call edges, constructor calls (invisible to the token
 frontend), and exact [[clang::annotate]] attributes.
 
-The preprocessor-aware rules (telemetry-stub-parity needs BOTH branches of
-`#if MLDCS_ENABLE_TELEMETRY`; tolerance-audit and event-vocabulary read
-suppression comments and Python sources) always run on the token model —
-a compiler frontend fundamentally sees one configuration at a time.
+tolerance-audit and event-vocabulary (which read suppression comments and
+Python sources) always run on the token model.
 
 This file must import cleanly only when asked to: mldcs_analyze.py catches
 ClangUnavailable and degrades to the token frontend, which is the

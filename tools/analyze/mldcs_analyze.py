@@ -7,7 +7,6 @@ covers the generic part):
   hot-no-alloc            MLDCS_HOT_PATH call trees never allocate
   lock-discipline         MLDCS_NO_LOCK call trees never lock/block
   tolerance-audit         geometry/core compare doubles through geom::kTol
-  telemetry-stub-parity   ON/OFF telemetry branches expose the same surface
   event-vocabulary        EventType enum / switch / obslib / emit sites agree
 
 Usage:

@@ -1,14 +1,12 @@
 """Source model for mldcs-analyze: a C++ token frontend.
 
-The analyzer needs four views of the tree that no off-the-shelf linter
+The analyzer needs three views of the tree that no off-the-shelf linter
 provides together:
 
   * function definitions with their *project annotations* (MLDCS_HOT_PATH /
     MLDCS_NO_LOCK / MLDCS_ALLOC_OK from src/core/annotations.hpp),
   * a call graph good enough for reachability ("what can this hot root
     reach"),
-  * both branches of `#if MLDCS_ENABLE_TELEMETRY` *simultaneously* (a real
-    compiler frontend only ever sees one),
   * inline suppression markers (`// mldcs-analyze:allow(<rule>)`).
 
 This module implements the token frontend: a hand-rolled C++ lexer plus a
@@ -16,8 +14,8 @@ scope-tracking pass that extracts functions, fields, calls, local
 owning-container declarations, and lock/allocation sink tokens.  It is the
 *reference* frontend — deterministic, dependency-free, and what CI gates
 on.  A libclang frontend (clangfe.py) can replace the call-graph/function
-extraction where python3-clang is installed; rules that need both
-preprocessor branches always run on this model.
+extraction where python3-clang is installed; the tolerance and
+vocabulary rules always run on this model.
 
 Deliberate over-approximations (soundness posture, see
 docs/CORRECTNESS.md):
@@ -71,7 +69,6 @@ class Tok:
     kind: str  # 'id' | 'num' | 'fnum' | 'str' | 'chr' | 'p' (punct)
     val: str
     line: int
-    pp: str | None = None  # telemetry branch: 'on' | 'off' | None
 
 
 class Lexed:
@@ -96,15 +93,6 @@ def lex(path: str, text: str) -> Lexed:
     tokens: list[Tok] = []
     allows: dict[int, set] = {}
     i, n, line = 0, len(text), 1
-    # Telemetry-branch tracking: a stack of preprocessor conditionals, each
-    # 'on'/'off' (a MLDCS_ENABLE_TELEMETRY branch) or None (unrelated).
-    pp_stack: list[str | None] = []
-
-    def cur_pp() -> str | None:
-        for s in reversed(pp_stack):
-            if s is not None:
-                return s
-        return None
 
     def note_allow(comment: str, ln: int) -> None:
         m = ALLOW_RE.search(comment)
@@ -128,30 +116,7 @@ def lex(path: str, text: str) -> Lexed:
                 if text[j] == "\n" and text[j - 1] != "\\":
                     break
                 j += 1
-            directive = text[i:j]
-            d = directive.replace("\\\n", " ")
-            dm = re.match(r"#\s*(\w+)\s*(.*)", d)
-            if dm:
-                kind, rest = dm.group(1), dm.group(2).strip()
-                rest_nc = rest.split("//")[0].split("/*")[0].strip()
-                if kind in ("if", "ifdef", "ifndef"):
-                    state: str | None = None
-                    if re.fullmatch(r"MLDCS_ENABLE_TELEMETRY", rest_nc) or \
-                       re.fullmatch(r"defined\s*\(\s*MLDCS_ENABLE_TELEMETRY\s*\)",
-                                    rest_nc):
-                        state = "off" if kind == "ifndef" else "on"
-                    elif re.fullmatch(r"!\s*MLDCS_ENABLE_TELEMETRY", rest_nc):
-                        state = "off"
-                    pp_stack.append(state)
-                elif kind in ("else", "elif") and pp_stack:
-                    top = pp_stack[-1]
-                    if top == "on":
-                        pp_stack[-1] = "off"
-                    elif top == "off":
-                        pp_stack[-1] = "on"
-                elif kind == "endif" and pp_stack:
-                    pp_stack.pop()
-            line += directive.count("\n")
+            line += text.count("\n", i, j)
             i = j
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "/":
@@ -177,21 +142,21 @@ def lex(path: str, text: str) -> Lexed:
                     end = text.find(")" + m.group(1) + '"', i)
                     end = n - 1 if end < 0 else end + len(m.group(1)) + 2
                     tokens.pop()
-                    tokens.append(Tok("str", text[i:end], line, cur_pp()))
+                    tokens.append(Tok("str", text[i:end], line))
                     line += text.count("\n", i, end)
                     i = end
                     continue
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
-            tokens.append(Tok("str", text[i:j + 1], line, cur_pp()))
+            tokens.append(Tok("str", text[i:j + 1], line))
             i = j + 1
             continue
         if c == "'":
             j = i + 1
             while j < n and text[j] != "'":
                 j += 2 if text[j] == "\\" else 1
-            tokens.append(Tok("chr", text[i:j + 1], line, cur_pp()))
+            tokens.append(Tok("chr", text[i:j + 1], line))
             i = j + 1
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -203,27 +168,27 @@ def lex(path: str, text: str) -> Lexed:
             else:
                 isf = "." in lit or "e" in lit.lower() or \
                       lit.rstrip("uUlLzZ").endswith(("f", "F"))
-            tokens.append(Tok("fnum" if isf else "num", lit, line, cur_pp()))
+            tokens.append(Tok("fnum" if isf else "num", lit, line))
             i += len(lit)
             continue
         if c.isalpha() or c == "_":
             m = re.match(r"[A-Za-z_]\w*", text[i:])
-            tokens.append(Tok("id", m.group(0), line, cur_pp()))
+            tokens.append(Tok("id", m.group(0), line))
             i += len(m.group(0))
             continue
         for p in PUNCT3:
             if text.startswith(p, i):
-                tokens.append(Tok("p", p, line, cur_pp()))
+                tokens.append(Tok("p", p, line))
                 i += len(p)
                 break
         else:
             for p in PUNCT2:
                 if text.startswith(p, i):
-                    tokens.append(Tok("p", p, line, cur_pp()))
+                    tokens.append(Tok("p", p, line))
                     i += len(p)
                     break
             else:
-                tokens.append(Tok("p", c, line, cur_pp()))
+                tokens.append(Tok("p", c, line))
                 i += 1
     return Lexed(path, tokens, allows)
 
@@ -280,8 +245,6 @@ class Func:
     ret: str                  # raw return-type text
     annotations: set
     is_def: bool
-    pp: str | None            # 'on'/'off' telemetry branch, or None
-    access: str = "public"    # access specifier at the declaration point
     body: tuple | None = None  # (lo, hi) token span of the body, if a def
     calls: list = dataclasses.field(default_factory=list)
     sinks: list = dataclasses.field(default_factory=list)
@@ -350,7 +313,6 @@ class _Extractor:
     def run(self) -> None:
         toks = self.toks
         scopes: list[tuple] = []  # ('ns'|'class'|'enum'|'block'|'skip', name)
-        self.access: list[str] = []  # parallel to scopes; "" for non-class
         decl_start = 0
         i = 0
         n = len(toks)
@@ -374,38 +336,22 @@ class _Extractor:
                     decl_start = i
                     continue
                 scopes.append((kind, name))
-                if kind == "class":
-                    decl = toks[decl_start:i]
-                    is_struct = any(t2.kind == "id"
-                                    and t2.val in ("struct", "union")
-                                    for t2 in decl)
-                    self.access.append("public" if is_struct else "private")
-                else:
-                    self.access.append("")
                 decl_start = i + 1
                 i += 1
                 continue
             if t.kind == "p" and t.val == "}":
                 if scopes:
                     scopes.pop()
-                    self.access.pop()
                 i += 1
                 # consume a trailing ';' of class/enum definitions
                 decl_start = i
                 continue
             if t.kind == "id" and t.val in ("public", "private", "protected") \
                     and i + 1 < n and toks[i + 1].val == ":":
-                if self.access and scopes and scopes[-1][0] == "class":
-                    self.access[-1] = t.val
                 decl_start = i + 2
                 i += 2
                 continue
             i += 1
-
-    def _cur_access(self, scopes) -> str:
-        if scopes and scopes[-1][0] == "class" and self.access:
-            return self.access[-1]
-        return "public"
 
     # -- helpers --
 
@@ -542,8 +488,7 @@ class _Extractor:
                            if s[0] in ("ns", "class") and s[1]]
                           + name_parts)
         fn = Func(self.lx.path, decl[open_k].line, name, qname, cls, params,
-                  ret, annotations, is_def, decl[open_k].pp,
-                  access=self._cur_access(scopes))
+                  ret, annotations, is_def)
         # Constructor-initializer list: record its calls on the ctor.
         if is_def:
             self._scan_calls(fn, start + close_k + 1, brace)

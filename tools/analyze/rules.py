@@ -1,4 +1,4 @@
-"""The five mldcs-analyze rules.
+"""The four mldcs-analyze rules.
 
 Each rule is a function `(model, ctx) -> list[Finding]`.  `ctx` carries the
 repo root, per-rule options, and helpers.  Rules must honor inline
@@ -27,12 +27,6 @@ Rule summaries (full motivation in docs/CORRECTNESS.md):
                         audit to </<=/>/>= (heuristic: template brackets are
                         excluded by token context).
 
-  telemetry-stub-parity In src/obs/ headers with both MLDCS_ENABLE_TELEMETRY
-                        branches, every public function of the ON branch
-                        must exist in the OFF stub with the same normalized
-                        signature, and vice versa — the kill switch must
-                        never change what compiles.
-
   event-vocabulary      The EventType enum, the event_type_name switch, and
                         tools/obslib.py EVENT_TYPES must agree exactly (and
                         likewise the Phase enum, the phase_name switch, and
@@ -52,7 +46,6 @@ RULES = (
     "hot-no-alloc",
     "lock-discipline",
     "tolerance-audit",
-    "telemetry-stub-parity",
     "event-vocabulary",
 )
 
@@ -280,96 +273,7 @@ def rule_tolerance_audit(model, ctx):
     return findings
 
 
-# --- Rule 4: telemetry-stub-parity ------------------------------------------
-
-_SIG_DROP = frozenset(("inline", "static", "constexpr", "virtual",
-                       "explicit", "friend", "noexcept"))
-
-
-def _norm_type(words):
-    """Canonicalize a type token list: drop annotations/attributes and
-    squeeze spacing so 'std :: uint32_t' == 'std::uint32_t'."""
-    out = []
-    for w in words:
-        if w in _SIG_DROP:
-            continue
-        out.append(w)
-    s = " ".join(out)
-    s = re.sub(r"\[\s*\[.*?\]\s*\]", "", s)
-    s = s.replace(" ::", "::").replace(":: ", "::")
-    s = re.sub(r"\s+([<>*&,()])", r"\1", s)
-    s = re.sub(r"([<>*&,()])\s+", r"\1", s)
-    return s.strip()
-
-
-def _norm_param(param: str) -> str:
-    words = param.split()
-    if "=" in words:
-        words = words[:words.index("=")]
-    # Drop a trailing parameter *name*: an identifier that is not the sole
-    # token and is not glued to a '::' qualifier.
-    if len(words) >= 2 and re.fullmatch(r"[A-Za-z_]\w*", words[-1]) \
-            and words[-2] != "::" and words[-1] not in ("int", "long",
-                                                        "short", "char",
-                                                        "unsigned", "double",
-                                                        "float", "bool"):
-        words = words[:-1]
-    return _norm_type(words)
-
-
-def _signature(fn):
-    from model import _split_top
-    params = tuple(_norm_param(p) for p in _split_top(fn.params))
-    return (_norm_type(fn.ret.split()), params)
-
-
-def rule_telemetry_stub_parity(model, ctx):
-    findings = []
-    by_file: dict[str, dict] = {}
-    for fn in model.functions + model.declarations:
-        rel = ctx.rel(fn.file)
-        if not (rel.startswith("src/obs/") and rel.endswith(".hpp")):
-            continue
-        if fn.pp is None or fn.access != "public":
-            continue
-        if fn.cls is not None and (fn.name == fn.cls
-                                   or fn.name.startswith("~")
-                                   or fn.name == "operator"):
-            continue
-        key = (fn.cls, fn.name)
-        slot = by_file.setdefault(rel, {}).setdefault(
-            key, {"on": [], "off": []})
-        slot[fn.pp].append(fn)
-    for rel, entries in sorted(by_file.items()):
-        for (cls, name), slot in sorted(entries.items(),
-                                        key=lambda kv: (kv[0][0] or "",
-                                                        kv[0][1])):
-            qual = f"{cls}::{name}" if cls else name
-            on_sigs = sorted(_signature(f) for f in slot["on"])
-            off_sigs = sorted(_signature(f) for f in slot["off"])
-            if on_sigs == off_sigs:
-                continue
-            present = slot["on"] or slot["off"]
-            line = present[0].line
-            fpath = present[0].file
-            if model.allowed("telemetry-stub-parity", fpath, line):
-                continue
-            if not slot["off"]:
-                msg = (f"'{qual}' exists in the telemetry-ON branch but has "
-                       f"no stub in the OFF branch")
-            elif not slot["on"]:
-                msg = (f"'{qual}' exists only in the telemetry-OFF stub — "
-                       f"dead surface or missing ON declaration")
-            else:
-                msg = (f"'{qual}' signature differs between telemetry "
-                       f"branches: ON {on_sigs} vs OFF {off_sigs}")
-            findings.append(Finding(
-                "telemetry-stub-parity", rel, line, msg,
-                f"telemetry-stub-parity:{rel}:{qual}"))
-    return findings
-
-
-# --- Rule 5: event-vocabulary -----------------------------------------------
+# --- Rule 4: event-vocabulary -----------------------------------------------
 
 #: Every enum whose names leave the process, as (header, enum, name switch,
 #: tools/obslib.py set, the obslib loader that rejects unknown names).
@@ -551,6 +455,5 @@ RULE_FUNCS = {
     "hot-no-alloc": rule_hot_no_alloc,
     "lock-discipline": rule_lock_discipline,
     "tolerance-audit": rule_tolerance_audit,
-    "telemetry-stub-parity": rule_telemetry_stub_parity,
     "event-vocabulary": rule_event_vocabulary,
 }

@@ -127,9 +127,6 @@ def section_telemetry(lines, path):
         return
     counters = doc["counters"]
     gauges = doc["gauges"]
-    if not doc.get("enabled", True):
-        lines.append("> Telemetry was compiled out; all values are zero.")
-        lines.append("")
     rows = [(k, v) for k, v in sorted(counters.items())]
     rows += [(k, v) for k, v in sorted(gauges.items())]
     if rows:

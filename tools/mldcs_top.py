@@ -27,8 +27,8 @@ step uses to assert that a live run serves well-formed introspection.
 
 The server is single-threaded and never blocks the simulation; polling
 at sub-second intervals is safe but pointless below the heartbeat/step
-cadence.  With telemetry compiled out the endpoints still answer (empty
-documents); the dashboard then shows an empty table rather than failing.
+cadence.  Endpoints with nothing to show yet answer with empty documents;
+the dashboard then shows an empty table rather than failing.
 
 Exit status: 0 on success; 2 when the server is unreachable or a
 response fails schema validation.
@@ -124,7 +124,7 @@ def render(base, timeout, prev=None, profile_seconds=None):
         total = prof_doc["total_samples"]
         if total == 0:
             lines.append(f"  phases({profile_seconds}s): no samples "
-                         "(idle window or telemetry compiled out)")
+                         "(idle window)")
         else:
             cells = [f"{name} {100.0 * count / total:.0f}%"
                      for name, count in sorted(prof_doc["phases"].items(),
@@ -133,8 +133,8 @@ def render(base, timeout, prev=None, profile_seconds=None):
                          + " | ".join(cells))
 
     if not shards:
-        lines.append("  (no shard table: single-engine run, telemetry "
-                     "compiled out, or the engine is not up yet)")
+        lines.append("  (no shard table: single-engine run, or the engine "
+                     "is not up yet)")
         return lines, state
 
     header = (f"  {'shard':>5} {'owned':>7} {'halo':>7} {'incoming':>8} "

@@ -366,7 +366,7 @@ def load_profile(path):
     mldcs-profile-v1 JSON form (check_profile_doc); anything else as
     collapsed-stack text, where each line is "phase;frame;...;leaf N"
     and the phase breakdown is recovered from the root frame.  An empty
-    file is a valid empty profile (telemetry-off builds serve one).
+    file is a valid empty profile (no samples).
 
     Returns {"format", "hz", "total_samples", "dropped", "duration_s",
     "phases", "stacks"} with stacks as (stack, count) pairs sorted by

@@ -30,8 +30,8 @@ the phase breakdown table (count and share per phase) and the top-K
 hottest folded stacks.  The trace argument is optional when --profile
 or --blackbox is given.
 
-Exit status: 0 on success — including an empty trace (telemetry compiled
-out or tracing never started) and an empty or truncated trace *file*
+Exit status: 0 on success — including an empty trace (tracing never
+started) and an empty or truncated trace *file*
 (a run that died mid-write; reported as a named warning, since a crashed
 run must not also crash its post-mortem tooling).  2 on a missing file
 or a schema violation in well-formed JSON.  Doubles as the CI schema
@@ -75,8 +75,7 @@ def load_trace_spans(path):
 
 def print_trace_summary(spans):
     if not spans:
-        print("trace: no spans recorded (telemetry compiled out, or "
-              "tracing was never started)")
+        print("trace: no spans recorded (tracing was never started)")
         return
     by_name = {}
     for e in spans:
@@ -101,11 +100,9 @@ def print_trace_summary(spans):
 
 
 def print_snapshot_summary(doc):
-    enabled = doc.get("enabled", True)
     n = (len(doc["counters"]) + len(doc["gauges"])
          + len(doc["histograms"]))
-    print(f"\nsnapshot: {n} metrics "
-          f"(telemetry {'enabled' if enabled else 'compiled out'})")
+    print(f"\nsnapshot: {n} metrics")
     for name, v in sorted(doc["counters"].items()):
         print(f"  counter   {name:<36} {v}")
     for name, v in sorted(doc["gauges"].items()):
@@ -153,8 +150,8 @@ def print_profile_summary(prof, top_k=12):
     print(f"\nprofile [{prof['format']}]: {prof['total_samples']} "
           f"samples{suffix}")
     if prof["total_samples"] == 0:
-        print("  no samples (telemetry compiled out, or the profiler was "
-              "never armed / the window saw no CPU)")
+        print("  no samples (the profiler was never armed, or the window "
+              "saw no CPU)")
         return
     total = prof["total_samples"]
     header = f"  {'phase':<20} {'samples':>10} {'share':>7}"
