@@ -774,7 +774,9 @@ int main(int argc, char** argv) {
   // cached forwarding sets are compared with the rebuild and the bench
   // aborts on any mismatch — the speedups below are for *bit-identical*
   // output.  Dirty-relay counts are reported so the speedup can be read
-  // against how much of the network each regime actually perturbs.
+  // against how much of the network each regime actually perturbs, and the
+  // graph layer of each side (apply_ns_per_step, build_ns_per_step) so the
+  // race between the incremental step and a rebuild reads layer by layer.
   if (run_section("mobility_steady_state")) {
     struct MobilityRegime {
       const char* name;
@@ -829,8 +831,14 @@ int main(int argc, char** argv) {
       std::uint64_t moved_total = 0;
       std::uint64_t flips_total = 0;
       double inc_ns = 0.0;
+      double apply_ns = 0.0;
       double full_ns = 0.0;
+      double build_ns = 0.0;
       std::uint64_t inc_allocs = 0;
+      const auto ns = [](clock::duration d) {
+        return static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+      };
       for (int t = 0; t < steps; ++t) {
         mobile.step(1.0, rng);
 
@@ -838,11 +846,11 @@ int main(int argc, char** argv) {
         const auto t0 = clock::now();
         const auto& delta =
             dyn.apply(mobile.nodes(), mobile.moved_last_step());
+        const auto t_applied = clock::now();
         cache.update(delta);
         const auto t1 = clock::now();
-        inc_ns += static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count());
+        inc_ns += ns(t1 - t0);
+        apply_ns += ns(t_applied - t0);
         inc_allocs += allocations() - a0;
         moved_total += delta.moved.size();
         flips_total += delta.edges_added + delta.edges_removed;
@@ -850,13 +858,14 @@ int main(int argc, char** argv) {
         const auto t2 = clock::now();
         std::vector<net::Node> copy(mobile.nodes().begin(),
                                     mobile.nodes().end());
+        const auto t_copied = clock::now();
         const net::DiskGraph fresh_g = net::DiskGraph::build(std::move(copy));
+        const auto t_built = clock::now();
         const bcast::AllSkylines fresh =
             bcast::compute_all_skylines(fresh_g, pool);
         const auto t3 = clock::now();
-        full_ns += static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t3 - t2)
-                .count());
+        full_ns += ns(t3 - t2);
+        build_ns += ns(t_built - t_copied);
 
         if (t % 10 == 0) {
           for (net::NodeId u = 0; u < dyn.size(); ++u) {
@@ -878,8 +887,10 @@ int main(int argc, char** argv) {
           static_cast<double>(cache.recompute_count() - dirty0) / d_steps;
       const double speedup = full_ns / inc_ns;
       std::cout << "  mobility " << regime.name << ": incremental "
-                << inc_ns / d_steps / 1e6 << " ms/step vs rebuild "
-                << full_ns / d_steps / 1e6 << " ms/step => " << speedup
+                << inc_ns / d_steps / 1e6 << " ms/step (apply "
+                << apply_ns / d_steps / 1e6 << ") vs rebuild "
+                << full_ns / d_steps / 1e6 << " ms/step (build "
+                << build_ns / d_steps / 1e6 << ") => " << speedup
                 << "x (avg " << avg_dirty << " dirty relays, "
                 << static_cast<double>(moved_total) / d_steps
                 << " movers/step)\n";
@@ -897,9 +908,11 @@ int main(int argc, char** argv) {
               static_cast<double>(flips_total) / d_steps);
       j.field("avg_dirty_relays_per_step", avg_dirty);
       j.field("incremental_ns_per_step", inc_ns / d_steps);
+      j.field("apply_ns_per_step", apply_ns / d_steps);
       j.field("incremental_allocs_per_step",
               static_cast<double>(inc_allocs) / d_steps);
       j.field("full_rebuild_ns_per_step", full_ns / d_steps);
+      j.field("build_ns_per_step", build_ns / d_steps);
       j.field("speedup_vs_full_rebuild", speedup);
       j.field("compactions", cache.compaction_count());
       j.close_obj();

@@ -254,9 +254,12 @@ int main(int argc, char** argv) {
     introspect.set_health([&healthy](std::string&) {
       return healthy.load(std::memory_order_relaxed);
     });
+    // Flushed: with --introspect 0 this line is the only place the chosen
+    // port shows, and a redirected stdout would otherwise hold it back.
     std::cout << "introspection server listening on 127.0.0.1:"
               << introspect.port()
-              << " (/metrics /snapshot.json /events /shards /healthz)\n";
+              << " (/metrics /snapshot.json /events /shards /healthz)"
+              << std::endl;
   }
 
   std::uint64_t bytes_1hop = 0;

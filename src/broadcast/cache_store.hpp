@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -141,23 +142,36 @@ class DirtyRelays {
   }
 
   /// Replace the dirty set with the owned relays `delta` (already applied
-  /// to `g`) dirties.
+  /// to `g`) dirties.  The movers are marked first, and the walk over their
+  /// neighbors and the flipped endpoints stops once every relay is marked:
+  /// when every node moves, the movers alone are all of them.  A shard owns
+  /// only a subset, so its walk never stops early.
   template <typename Owned>
   MLDCS_HOT_PATH MLDCS_NO_LOCK void collect(
       const net::DynamicDiskGraph& g,
       const net::DynamicDiskGraph::StepDelta& delta, Owned owned) {
     dirty_.clear();
+    const std::size_t n = in_dirty_.size();
     const auto mark = [&](net::NodeId w) {
       if (!owned(w) || in_dirty_[w] != 0) return;
       in_dirty_[w] = 1;
       dirty_.push_back(w);
     };
-    for (const net::NodeId u : delta.moved) {
-      mark(u);
-      for (const net::NodeId v : g.neighbors(u)) mark(v);
+    for (const net::NodeId u : delta.moved) mark(u);
+    for (auto u = delta.moved.begin();
+         dirty_.size() < n && u != delta.moved.end(); ++u) {
+      for (const net::NodeId v : g.neighbors(*u)) mark(v);
     }
-    for (const net::NodeId w : delta.link_changed) mark(w);
-    std::sort(dirty_.begin(), dirty_.end());
+    for (auto w = delta.link_changed.begin();
+         dirty_.size() < n && w != delta.link_changed.end(); ++w) {
+      mark(*w);
+    }
+    if (dirty_.size() == n) {
+      // Every relay is marked: the ascending list is [0, n), no sort.
+      std::iota(dirty_.begin(), dirty_.end(), net::NodeId{0});
+    } else {
+      std::sort(dirty_.begin(), dirty_.end());
+    }
     for (const net::NodeId w : dirty_) in_dirty_[w] = 0;
   }
 

@@ -12,19 +12,11 @@ namespace mldcs::net {
 
 namespace {
 
-/// Deployments of at least this many nodes run the count and fill passes on
-/// sim::fan_out_pool(); the paper's graphs (~1000 nodes) build inline.  A
-/// pooled build already wins from ~256 nodes at the paper's density (4-core
-/// x86-64, Release, warm workers: 0.20 vs 0.37 ms at 256 nodes, 0.9 vs
-/// 2.5 ms at 999), but a ~1000-node pooled build + sweep also beats the
-/// incremental maintenance step (DynamicDiskGraph::apply +
-/// SkylineCache::update) that mobile networks rely on.  The threshold comes
-/// down once that step is faster again (ROADMAP.md, item 6).
-constexpr std::size_t kParallelBuildNodes = 4096;
-
-/// Nodes per block of a pooled pass: a 4096-node build hands out 16 blocks
-/// per pass, enough for a slow core to claim fewer of them.
-constexpr std::size_t kBuildBlock = 256;
+/// Nodes per block of a pooled pass: a 999-node build hands out 16 blocks
+/// per pass, enough for a slow core to claim fewer of them.  Blocks of 32,
+/// 64 and 128 nodes built 999 nodes alike (0.57-0.66 ms, 4-core x86-64);
+/// 32 was the slowest of the three at 15,974.
+constexpr std::size_t kBuildBlock = 64;
 
 }  // namespace
 

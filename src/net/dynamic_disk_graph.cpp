@@ -1,7 +1,6 @@
 #include "net/dynamic_disk_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -14,6 +13,10 @@
 namespace mldcs::net {
 
 namespace {
+
+/// Most added ids per mover that diff_movers orders by rank counting (64
+/// squared compares, a few hundred cycles vectorized); more take std::sort.
+constexpr std::size_t kRankSortMax = 64;
 
 /// Topology-maintenance telemetry (docs/OBSERVABILITY.md): how much of the
 /// network each step actually perturbs — movers, grid re-buckets, link
@@ -86,22 +89,29 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
   }
 
   // Seed from the one-shot build over the residents (every node in
-  // whole-plane mode), pooled from 4096 nodes unless inside a dispatch.
-  // Local id i is residents[i], a monotone map, so the lists stay sorted.
-  buckets_.assign(grid_.cell_count(), {});
-  bucket_of_.resize(n);
+  // whole-plane mode), pooled from DiskGraph::kParallelBuildNodes nodes
+  // unless inside a dispatch.  Local id i is residents[i], a monotone map,
+  // so the lists stay sorted.
   std::vector<NodeId> residents;
   std::vector<Node> local;
   residents.reserve(resident_count_);
   local.reserve(resident_count_);
+  bucket_of_.resize(n);
+  entry_of_.resize(n);
+  std::vector<std::uint32_t> occupancy(grid_.cell_count(), 0);
   for (const Node& node : nodes_) {
     if (resident_[node.id] == 0) continue;
-    const std::size_t c = grid_.cell_of(node.pos);
-    bucket_of_[node.id] = static_cast<std::uint32_t>(c);
-    buckets_[c].push_back(node.id);
+    bucket_of_[node.id] = static_cast<std::uint32_t>(grid_.cell_of(node.pos));
+    ++occupancy[bucket_of_[node.id]];
     residents.push_back(node.id);
     local.push_back(node);
   }
+  // Buckets get the lists' slack up front, not push-back doubling.
+  buckets_.assign(grid_.cell_count(), {});
+  for (std::size_t c = 0; c < buckets_.size(); ++c) {
+    if (occupancy[c] != 0) buckets_[c].reserve(slack_for(occupancy[c]));
+  }
+  for (const NodeId u : residents) insert_resident(u, bucket_of_[u]);
   const DiskGraph seed = DiskGraph::build(std::move(local));
   adjacency_.resize(n);
   for (std::size_t i = 0; i < residents.size(); ++i) {
@@ -115,39 +125,53 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
   in_moved_.assign(n, 0);
   link_mark_.assign(n, 0);
   slots_.resize(1);
+  slots_[0].mark.assign(n, 0);
 }
 
-void DynamicDiskGraph::link_scan(NodeId u, std::vector<NodeId>& out) const {
+void DynamicDiskGraph::insert_resident(NodeId u, std::size_t cell) {
+  std::vector<Resident>& bucket = buckets_[cell];
+  const Node& node = nodes_[u];
+  bucket_of_[u] = static_cast<std::uint32_t>(cell);
+  entry_of_[u] = static_cast<std::uint32_t>(bucket.size());
+  bucket.push_back({node.pos.x, node.pos.y, node.radius, u});
+}
+
+void DynamicDiskGraph::erase_resident(NodeId u) {
+  // Bucket order is irrelevant (the walk's output is ordered per mover),
+  // so swap-erase keeps removal O(1).
+  std::vector<Resident>& bucket = buckets_[bucket_of_[u]];
+  const std::uint32_t e = entry_of_[u];
+  bucket[e] = bucket.back();
+  entry_of_[bucket[e].id] = e;
+  bucket.pop_back();
+}
+
+std::size_t DynamicDiskGraph::link_scan(NodeId u,
+                                        std::vector<NodeId>& found) const {
   const Node& nu = nodes_[u];
-  out.clear();
-  grid_.for_each_cell(nu.pos, nu.radius, [&](std::size_t c) {
-    for (const NodeId v : buckets_[c]) {
-      if (v != u && nu.linked_to(nodes_[v])) out.push_back(v);
+  const double ux = nu.pos.x;
+  const double uy = nu.pos.y;
+  const double ur = nu.radius;
+  std::size_t k = 0;
+  grid_.for_each_cell(nu.pos, ur, [&](std::size_t c) {
+    const std::vector<Resident>& bucket = buckets_[c];
+    if (found.size() < k + bucket.size()) found.resize(k + bucket.size());
+    // The exact filter, branch-free: every resident is written, and the
+    // cursor steps past the linked ones (u itself sits in its own cell).
+    NodeId* const out = found.data();
+    for (const Resident& v : bucket) {
+      out[k] = v.id;
+      const bool linked = in_link_range(ux, uy, ur, v.x, v.y, v.r);
+      k += static_cast<std::size_t>(linked) &
+           static_cast<std::size_t>(v.id != u);
     }
   });
-  std::sort(out.begin(), out.end());
+  return k;
 }
 
 bool DynamicDiskGraph::linked(NodeId u, NodeId v) const noexcept {
   const std::vector<NodeId>& adj = adjacency_[u];
   return std::binary_search(adj.begin(), adj.end(), v);
-}
-
-void DynamicDiskGraph::rebucket(NodeId u, geom::Vec2 new_pos) {
-  const std::size_t new_cell = grid_.cell_of(new_pos);
-  const std::size_t old_cell = bucket_of_[u];
-  if (new_cell == old_cell) return;
-  // Shard graphs step concurrently and report through shard.* counters
-  // instead (and must not race to first-initialize the registry entries).
-  if (!region_mode_) graph_telemetry().rebucketed.add();
-  std::vector<NodeId>& old_bucket = buckets_[old_cell];
-  // Bucket order is irrelevant to correctness (adjacency lists are sorted
-  // after the exact-distance filter), so swap-erase keeps removal O(1).
-  const auto it = std::find(old_bucket.begin(), old_bucket.end(), u);
-  *it = old_bucket.back();
-  old_bucket.pop_back();
-  buckets_[new_cell].push_back(u);
-  bucket_of_[u] = static_cast<std::uint32_t>(new_cell);
 }
 
 MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
@@ -213,59 +237,192 @@ MLDCS_HOT_PATH void DynamicDiskGraph::classify_movers(
   delta_.moved.resize(w);
 }
 
+MLDCS_HOT_PATH void DynamicDiskGraph::place_movers(
+    std::span<const Node> current) {
+  // In region mode this is also where residency flips: an entering node
+  // gets a bucket entry, a leaving node loses its entry (so no later walk
+  // can see it) and keeps in_moved_ == 2 for phase 2.  A mover that stays
+  // in its cell still rewrites its entry's copied position.
+  std::uint64_t rebucketed = 0;
+  for (const NodeId u : delta_.moved) {
+    assert(current[u].radius == nodes_[u].radius &&
+           "apply: radii are fixed under mobility");
+    const geom::Vec2 pos = current[u].pos;
+    nodes_[u].pos = pos;
+    if (in_moved_[u] == 2) {
+      erase_resident(u);
+      resident_[u] = 0;
+      --resident_count_;
+      continue;
+    }
+    in_moved_[u] = 1;
+    const std::size_t cell = grid_.cell_of(pos);
+    if (resident_[u] == 0) {
+      insert_resident(u, cell);
+      resident_[u] = 1;
+      ++resident_count_;
+    } else if (cell == bucket_of_[u]) {
+      Resident& e = buckets_[cell][entry_of_[u]];
+      e.x = pos.x;
+      e.y = pos.y;
+    } else {
+      erase_resident(u);
+      insert_resident(u, cell);
+      ++rebucketed;
+    }
+  }
+  // Shard graphs step concurrently and report through shard.* counters
+  // instead (and must not race to first-initialize the registry entries).
+  if (!region_mode_ && rebucketed != 0) {
+    graph_telemetry().rebucketed.add(rebucketed);
+  }
+}
+
 MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(SlotScratch& cs,
                                                   std::size_t lo,
                                                   std::size_t hi) {
-  // Another participant may mark the same endpoint concurrently; both
-  // store the same value, and an id both saw unmarked is deduplicated in
-  // phase 3.
-  const auto mark = [this, &cs](NodeId v) {
-    const std::atomic_ref<std::uint8_t> flag(link_mark_[v]);
-    if (flag.load(std::memory_order_relaxed) != 0) return;
-    flag.store(1, std::memory_order_relaxed);
-    cs.marked.push_back(v);
-  };
+  // cs.mark is all zero between movers: 1 = in u's old list, 2 = found by
+  // the walk only (added), 3 = both (kept).
+  std::uint8_t* const mark = cs.mark.data();
   for (std::size_t m = lo; m < hi; ++m) {
     const NodeId u = delta_.moved[m];
-    // An evicted node's new list is empty by fiat — its bucket slot is
-    // already gone, so every old link shows up as removed.
-    cs.adj.clear();
-    if (in_moved_[u] != 2) link_scan(u, cs.adj);
+    std::vector<NodeId>& adj = adjacency_[u];
+    for (const NodeId v : adj) mark[v] = 1;
 
-    // Sorted two-pointer diff of old (adjacency_[u]) vs new (cs.adj).  Both
-    // endpoints of a flip between movers see it (linked_to is symmetric
-    // and both sides see post-move positions), so it is counted from the
-    // lower one; an unmoved endpoint gets a queued patch instead.
-    std::vector<NodeId>& old_adj = adjacency_[u];
-    const auto record = [&](NodeId v, bool added) {
-      if (in_moved_[v] != 0 && v < u) return;  // counted from min(u, v)
-      added ? ++cs.added : ++cs.removed;
-      mark(u);
-      mark(v);
-      if (in_moved_[v] == 0) cs.patches.push_back({v, u, added});
+    // The walk, in bucket order.  An evicted node's new list is empty by
+    // fiat — its bucket entry is already gone, so every old link shows up
+    // as removed.
+    const std::size_t n_found =
+        in_moved_[u] == 2 ? 0 : link_scan(u, cs.found);
+    if (cs.added.size() < n_found) cs.added.resize(n_found);
+    const NodeId* const found = cs.found.data();
+    NodeId* const added = cs.added.data();
+    std::size_t n_added = 0;
+    for (std::size_t f = 0; f < n_found; ++f) {
+      const NodeId v = found[f];
+      const std::uint8_t was = mark[v];
+      mark[v] = static_cast<std::uint8_t>(was | 2);
+      added[n_added] = v;
+      n_added += static_cast<std::size_t>(was == 0);
+    }
+
+    // The old list in order: compact the kept ids to its front, collect
+    // the removed ones, and clear every mark.  Branch-free, like the
+    // classification above: at high speed over half the links flip.
+    const std::size_t n_old = adj.size();
+    if (cs.removed.size() < n_old) cs.removed.resize(n_old);
+    NodeId* const removed = cs.removed.data();
+    NodeId* const list = adj.data();
+    std::size_t n_kept = 0;
+    std::size_t n_removed = 0;
+    for (std::size_t i = 0; i < n_old; ++i) {
+      const NodeId v = list[i];
+      const bool kept = mark[v] == 3;
+      mark[v] = 0;
+      list[n_kept] = v;
+      removed[n_removed] = v;
+      n_kept += static_cast<std::size_t>(kept);
+      n_removed += static_cast<std::size_t>(!kept);
+    }
+    for (std::size_t a = 0; a < n_added; ++a) mark[added[a]] = 0;
+    // Only the added ids need ordering.  Each one's rank is the number of
+    // smaller ones (the ids are distinct): a branch-free count that
+    // vectorizes, where a comparison sort mispredicts about every other
+    // compare.  It is quadratic, so long lists fall back to std::sort.
+    NodeId* const sorted = cs.found.data();  // the walk's output is spent
+    if (n_added <= kRankSortMax) {
+      for (std::size_t a = 0; a < n_added; ++a) {
+        const NodeId v = added[a];
+        std::uint32_t rank = 0;  // 32-bit lanes: four compares per vector
+        for (std::size_t b = 0; b < n_added; ++b) {
+          rank += static_cast<std::uint32_t>(added[b] < v);
+        }
+        sorted[rank] = v;
+      }
+    } else {
+      std::copy(added, added + n_added, sorted);
+      std::sort(sorted, sorted + n_added);
+    }
+
+    // A flip between two movers shows up in both of their diffs (linked_to
+    // is symmetric and both sides see post-move positions): each marks only
+    // itself, and the flip is counted from the lower one.  An unmoved
+    // endpoint gets a queued patch instead, and phase 3 marks it.  Whether
+    // a flip's far end moved is the same for nearly every flip of a step,
+    // so only that branch remains, and it predicts well.
+    const auto record = [&](NodeId v, bool is_added) {
+      const bool unmoved = in_moved_[v] == 0;
+      if (unmoved) cs.patches.push_back({v, u, is_added});
+      return static_cast<std::size_t>(unmoved || u < v);
     };
-    std::size_t i = 0;
-    std::size_t k = 0;
-    while (i < old_adj.size() || k < cs.adj.size()) {
-      if (k == cs.adj.size() ||
-          (i < old_adj.size() && old_adj[i] < cs.adj[k])) {
-        record(old_adj[i], /*added=*/false);
-        ++i;
-      } else if (i == old_adj.size() || cs.adj[k] < old_adj[i]) {
-        record(cs.adj[k], /*added=*/true);
-        ++k;
-      } else {
-        ++i;
-        ++k;
+    for (std::size_t r = 0; r < n_removed; ++r) {
+      cs.removed_edges += record(removed[r], false);
+    }
+    for (std::size_t a = 0; a < n_added; ++a) {
+      cs.added_edges += record(sorted[a], true);
+    }
+    if (n_removed + n_added != 0) link_mark_[u] = 1;  // u's own byte only
+
+    // The new list: the kept ids merged with the added ones, from the back
+    // and branch-free while both have ids left.  Regrow with slack first.
+    const std::size_t n_new = n_kept + n_added;
+    adj.resize(n_kept);
+    if (adj.capacity() < n_new) adj.reserve(slack_for(n_new));
+    adj.resize(n_new);
+    NodeId* const out = adj.data();
+    std::size_t i = n_kept;
+    std::size_t j = n_added;
+    std::size_t w = n_new;
+    while (i > 0 && j > 0) {
+      const NodeId a = out[i - 1];
+      const NodeId b = sorted[j - 1];
+      const bool take_kept = a > b;
+      out[--w] = take_kept ? a : b;
+      i -= static_cast<std::size_t>(take_kept);
+      j -= static_cast<std::size_t>(!take_kept);
+    }
+    std::copy(sorted, sorted + j, out);  // i == 0 here, so w == j
+  }
+}
+
+MLDCS_HOT_PATH void DynamicDiskGraph::patch_unmoved() {
+  // Which slot queued which edit depends on the schedule, but the result
+  // does not.  Every edit inserts or erases a mover id in the sorted list
+  // of an unmoved endpoint, and the edits to one list name distinct movers
+  // (each mover diffs its own list once), so they commute; the counts are
+  // sums.
+  patched_.clear();
+  for (const SlotScratch& cs : slots_) {
+    for (const Patch& p : cs.patches) {
+      std::vector<NodeId>& adj = adjacency_[p.v];
+      const auto pos = std::lower_bound(adj.begin(), adj.end(), p.u);
+      p.added ? static_cast<void>(adj.insert(pos, p.u))
+              : static_cast<void>(adj.erase(pos));
+      if (link_mark_[p.v] == 0) {
+        link_mark_[p.v] = 1;
+        patched_.push_back(p.v);
       }
     }
-    // Regrow with slack: `assign` alone would reallocate to the exact size.
-    if (old_adj.capacity() < cs.adj.size()) {
-      old_adj.clear();
-      old_adj.reserve(slack_for(cs.adj.size()));
-    }
-    old_adj.assign(cs.adj.begin(), cs.adj.end());
+    delta_.edges_added += cs.added_edges;
+    delta_.edges_removed += cs.removed_edges;
   }
+
+  // link_changed: the marked movers, already ascending in delta_.moved,
+  // merged with the patched unmoved endpoints — the one sort, over those
+  // alone (none when every node moves).  Gathering clears every mark.
+  std::sort(patched_.begin(), patched_.end());
+  auto next = patched_.cbegin();
+  for (const NodeId u : delta_.moved) {
+    if (link_mark_[u] == 0) continue;
+    link_mark_[u] = 0;
+    for (; next != patched_.cend() && *next < u; ++next) {
+      delta_.link_changed.push_back(*next);
+    }
+    delta_.link_changed.push_back(u);
+  }
+  delta_.link_changed.insert(delta_.link_changed.end(), next,
+                             patched_.cend());
+  for (const NodeId v : patched_) link_mark_[v] = 0;
 }
 
 MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta&
@@ -278,35 +435,9 @@ DynamicDiskGraph::apply_moved(
 
   if (region_mode_) classify_movers(current);
 
-  // Phase 1: commit every moved position and re-bucket, so phase 2's grid
-  // queries and symmetric linked_to tests all see the new geometry.  In
-  // region mode this is also where residency flips: an entering node gets a
-  // fresh bucket slot, a leaving node loses its slot (so no later grid
-  // query can see it) and keeps in_moved_ == 2 for phase 2.
-  for (const NodeId u : delta_.moved) {
-    assert(current[u].radius == nodes_[u].radius &&
-           "apply: radii are fixed under mobility");
-    if (in_moved_[u] == 2) {
-      std::vector<NodeId>& bucket = buckets_[bucket_of_[u]];
-      const auto it = std::find(bucket.begin(), bucket.end(), u);
-      *it = bucket.back();
-      bucket.pop_back();
-      resident_[u] = 0;
-      --resident_count_;
-    } else {
-      in_moved_[u] = 1;
-      if (resident_[u] == 0) {
-        const std::size_t c = grid_.cell_of(current[u].pos);
-        bucket_of_[u] = static_cast<std::uint32_t>(c);
-        buckets_[c].push_back(u);
-        resident_[u] = 1;
-        ++resident_count_;
-      } else {
-        rebucket(u, current[u].pos);
-      }
-    }
-    nodes_[u].pos = current[u].pos;
-  }
+  // Phase 1: commit every moved position and its bucket entry, so phase
+  // 2's walks and symmetric link tests all see the new geometry.
+  place_movers(current);
 
   // Phase 2: the per-mover diff, inline or in self-scheduled blocks of
   // movers on the pool.  Whole-plane only: a region graph is a shard
@@ -317,12 +448,12 @@ DynamicDiskGraph::apply_moved(
                                                       : nullptr;
   if (pool != nullptr && slots_.size() < pool->size()) {
     slots_.resize(pool->size());
+    for (SlotScratch& cs : slots_) cs.mark.resize(nodes_.size(), 0);
   }
   for (SlotScratch& cs : slots_) {
-    cs.marked.clear();
     cs.patches.clear();
-    cs.added = 0;
-    cs.removed = 0;
+    cs.added_edges = 0;
+    cs.removed_edges = 0;
   }
   if (pool != nullptr) {
     pool->parallel_blocks(
@@ -335,34 +466,11 @@ DynamicDiskGraph::apply_moved(
     diff_movers(slots_[0], 0, movers);
   }
 
-  // Phase 3: which slot queued which edit depends on the schedule, but the
-  // result does not.  Every edit inserts or erases a mover id in the sorted
-  // list of an unmoved endpoint, and the edits to one list name distinct
-  // movers (each mover diffs its own list once), so they commute; the
-  // counts are sums and link_changed is sorted below.
-  for (const SlotScratch& cs : slots_) {
-    for (const Patch& p : cs.patches) {
-      std::vector<NodeId>& adj = adjacency_[p.v];
-      const auto pos = std::lower_bound(adj.begin(), adj.end(), p.u);
-      p.added ? static_cast<void>(adj.insert(pos, p.u))
-              : static_cast<void>(adj.erase(pos));
-    }
-    delta_.edges_added += cs.added;
-    delta_.edges_removed += cs.removed;
-    delta_.link_changed.insert(delta_.link_changed.end(), cs.marked.begin(),
-                               cs.marked.end());
-  }
+  // Phase 3: patch the unmoved endpoints and gather link_changed.
+  patch_unmoved();
   edges_ += delta_.edges_added;
   edges_ -= delta_.edges_removed;
-
   for (const NodeId u : delta_.moved) in_moved_[u] = 0;
-  // At most one entry per node, plus the rare id two participants both
-  // saw unmarked.
-  std::sort(delta_.link_changed.begin(), delta_.link_changed.end());
-  delta_.link_changed.erase(
-      std::unique(delta_.link_changed.begin(), delta_.link_changed.end()),
-      delta_.link_changed.end());
-  for (const NodeId v : delta_.link_changed) link_mark_[v] = 0;
 
   ++steps_;
   if (region_mode_) {

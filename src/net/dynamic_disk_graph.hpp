@@ -10,42 +10,47 @@
 /// (Section 3.1: u ~ v iff ||u - v|| <= min(r_u, r_v)) in *mutable* form:
 ///
 ///  - one mutable bucket per cell of the `GridGeometry` (spatial_grid.hpp)
-///    fitted to the initial deployment, updated only for nodes whose cell
-///    actually changed,
+///    fitted to the initial deployment, holding a copy of each resident's
+///    position and radius beside its id, rewritten for every mover and
+///    moved between buckets only when a node's cell changed,
 ///  - per-node sorted adjacency lists patched by edge diffs: each moved
 ///    node's neighbor list is recomputed from the grid, and only the
 ///    added/removed edges touch the (unmoved) other endpoints.
 ///
-/// The lists are seeded from `DiskGraph::build` itself (pooled from 4096
-/// nodes under `sim::fan_out_pool()`; region mode: over the residents,
-/// local ids mapped back), so the two graph types share one grid geometry
-/// and one adjacency build.
+/// The lists are seeded from `DiskGraph::build` itself (pooled from
+/// `DiskGraph::kParallelBuildNodes` nodes under `sim::fan_out_pool()`;
+/// region mode: over the residents, local ids mapped back), so the two
+/// graph types share one grid geometry, one adjacency build and one link
+/// expression (`in_link_range`, node.hpp).
 ///
 /// Every `apply` returns a `StepDelta` naming the moved nodes and the
 /// endpoints of flipped edges — exactly the information a cached-skyline
 /// layer (bcast::SkylineCache) needs to recompute only dirty relays.  The
 /// maintained adjacency is always identical to what `DiskGraph::build`
 /// would produce on the current positions (differential-tested in
-/// tests/net/dynamic_disk_graph_test.cpp and, at pool sizes 1, 2 and the
+/// tests/net/dynamic_disk_graph_test.cpp and, at pool sizes 1, 2, 3 and the
 /// host's, tests/net/parallel_apply_test.cpp).
 ///
 /// **Phases of one apply.**  (1) Serial: commit each mover's position and
-/// re-bucket it.  (2) The one per-mover body: a walk over the buckets of
-/// the cells its range touches, the exact link filter and sort of the
-/// build's fill pass, and a two-pointer diff against the mover's old list, then
-/// the new list replaces the old.  The body reads only post-move positions,
-/// the grid and the movers' own lists, so it runs over blocks of the mover
-/// list — inline, or in blocks claimed by the participants of
-/// `sim::default_pool()` (ThreadPool::parallel_blocks).  A flip between two
-/// movers is counted from the lower endpoint.  Each participant marks
-/// flipped endpoints in a per-node byte mask and queues edits to *unmoved*
-/// endpoints' lists in its own slot; it keeps no record per flip.  (3)
-/// Serial: the queued edits are patched in, slot by slot.  Which slot
-/// queued an edit depends on the schedule, but the result does not: every
-/// edit inserts or erases a mover id in an unmoved endpoint's sorted list,
-/// and the edits to one list name distinct movers, so they commute.
-/// `link_changed` is the marked ids, sorted (at most one entry per node —
-/// never a sort over every flipped edge's endpoints).
+/// its bucket entry.  (2) The one per-mover body: mark the mover's old
+/// list in the participant's byte mask, walk the contiguous bucket entries
+/// of the cells its range touches through the exact link filter, and split
+/// the walk's results by the mask into kept, added and removed ids (no
+/// comparison sort of the whole list: only the added ids are ordered, then
+/// merged with the kept ones into the new list).  The body reads only
+/// post-move positions, the grid and the movers' own lists, so it runs over
+/// blocks of the mover list — inline, or in blocks claimed by the
+/// participants of `sim::default_pool()` (ThreadPool::parallel_blocks).  A
+/// flip between two movers shows up in both of their diffs; it is counted
+/// from the lower endpoint, and each mover marks only itself as a flipped
+/// endpoint.  Edits to *unmoved* endpoints' lists are queued in the
+/// participant's slot; it keeps no record per flip.  (3) Serial: the queued
+/// edits are patched in, slot by slot, and their unmoved endpoints marked.
+/// Which slot queued an edit depends on the schedule, but the result does
+/// not: every edit inserts or erases a mover id in an unmoved endpoint's
+/// sorted list, and the edits to one list name distinct movers, so they
+/// commute.  `link_changed` merges the marked movers (already ascending)
+/// with the patched endpoints, sorted — none when every node moves.
 ///
 /// Phase 2 goes to the pool when the graph is whole-plane, the step has at
 /// least `kParallelApplyMovers` movers, and `sim::fan_out_pool()` allows it
@@ -108,15 +113,17 @@ class DynamicDiskGraph {
 
   /// Whole-plane steps with at least this many movers run the per-mover
   /// diff on `sim::default_pool()` (see the file comment).  Measured on the
-  /// ~1000-node paper deployment, 4-core x86-64: at 256 movers the pool won
-  /// every run (0.50-0.67 ms against 0.77 ms inline); at 128-192 the
-  /// workers' wake-up ate the gain in about one run in three.
+  /// ~1000-node paper deployment, 4-core x86-64, Release, random movers
+  /// displaced by up to 0.3: at 256 movers pooled and inline steps tie
+  /// (0.25 ms each, medians of 350 steps), at 512 the pool wins (0.30-0.33
+  /// against 0.41 ms).
   static constexpr std::size_t kParallelApplyMovers = 256;
 
-  /// Movers per block of a pooled phase 2.  A mover's diff costs about a
-  /// quarter of a relay's skyline (~5 against ~18 us of CPU in a traced
-  /// high-speed step, 4-core x86-64), so a block holds twice as many
-  /// movers as bcast::detail::kRelayBlock holds relays.
+  /// Movers per block of a pooled phase 2.  A mover's diff costs about 1 us
+  /// of CPU (a serial 999-mover high-speed step takes ~1.05 ms), about a
+  /// ninth of a relay's skyline; blocks of 16, 32 and 64 movers could not
+  /// be told apart (three alternating runs each, 4-core x86-64), so blocks
+  /// stay small for the balance.
   static constexpr std::size_t kParallelApplyBlock = 16;
 
   /// Build the initial topology (seeded from `DiskGraph::build`).  As there,
@@ -213,6 +220,17 @@ class DynamicDiskGraph {
   [[nodiscard]] DiskGraph to_disk_graph() const;
 
  private:
+  /// A resident's entry in its cell's bucket: the position and radius
+  /// beside the id, so the phase-2 walk reads one contiguous array per cell
+  /// instead of chasing `nodes_[v]` per candidate.  Phase 1 rewrites the
+  /// entry of every mover, whether or not its cell changed.
+  struct Resident {
+    double x;
+    double y;
+    double r;
+    NodeId id;
+  };
+
   /// An edit to an unmoved endpoint's list, queued by phase 2 and applied
   /// in phase 3: insert (added) or erase mover `u` in `v`'s list.
   struct Patch {
@@ -225,21 +243,33 @@ class DynamicDiskGraph {
   /// parallel_blocks slot; grows to the pool size, then is reused every
   /// step.
   struct SlotScratch {
-    std::vector<NodeId> adj;     ///< the current mover's new list
-    std::vector<NodeId> marked;  ///< ids this slot set in link_mark_
+    /// One byte per node, zero between movers: the current mover's old
+    /// list and walk results (see diff_movers).
+    std::vector<std::uint8_t> mark;
+    // The current mover's walk results, added and removed ids.  Sized up
+    // on demand and used through counts, never shrunk.
+    std::vector<NodeId> found;
+    std::vector<NodeId> added;
+    std::vector<NodeId> removed;
     std::vector<Patch> patches;  ///< in the slot's claim order
-    std::size_t added = 0;
-    std::size_t removed = 0;
+    std::size_t added_edges = 0;
+    std::size_t removed_edges = 0;
   };
 
   void init(std::vector<Node> nodes);
   MLDCS_HOT_PATH const StepDelta& apply_moved(std::span<const Node> current);
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);
+  MLDCS_HOT_PATH void place_movers(std::span<const Node> current);
   MLDCS_HOT_PATH void diff_movers(SlotScratch& cs, std::size_t lo,
                                   std::size_t hi);
-  /// u's exact neighbor list at its current position, sorted, into `out`.
-  void link_scan(NodeId u, std::vector<NodeId>& out) const;
-  void rebucket(NodeId u, geom::Vec2 new_pos);
+  MLDCS_HOT_PATH void patch_unmoved();
+  /// u's exact neighbors at its current position, in walk order, into
+  /// `found[0, k)`; returns k.
+  std::size_t link_scan(NodeId u, std::vector<NodeId>& found) const;
+  /// Add `u` (position and radius from nodes_) to the bucket of `cell`.
+  void insert_resident(NodeId u, std::size_t cell);
+  /// Drop `u` from the bucket it is in.
+  void erase_resident(NodeId u);
 
   /// Capacity of a list of `size` ids when seeded or regrown (the
   /// SlotStore::cap_for rule): under motion some degree passes its old
@@ -263,8 +293,9 @@ class DynamicDiskGraph {
   // Bucketed grid: one mutable bucket per cell of the geometry fitted to
   // the initial deployment (later positions clamp into the border cells).
   GridGeometry grid_;
-  std::vector<std::vector<NodeId>> buckets_;
+  std::vector<std::vector<Resident>> buckets_;
   std::vector<std::uint32_t> bucket_of_;  ///< node -> bucket index
+  std::vector<std::uint32_t> entry_of_;   ///< node -> index in its bucket
 
   // Step scratch, reused across apply() calls.
   StepDelta delta_;
@@ -273,10 +304,13 @@ class DynamicDiskGraph {
   /// into the region), 2 = evicted from the region (new adjacency forced
   /// empty in phase 2).
   std::vector<std::uint8_t> in_moved_;
-  /// 1 = endpoint of a flipped edge this step.  Participants set it
-  /// concurrently (relaxed atomic_ref stores); phase 3 clears what it
-  /// gathered.
+  /// 1 = endpoint of a flipped edge this step.  In phase 2 each mover sets
+  /// only its own byte, when its own list changed; phase 3 sets those of
+  /// the unmoved endpoints it patches, and clears every mark as it gathers
+  /// link_changed.
   std::vector<std::uint8_t> link_mark_;
+  /// Phase 3 scratch: the unmoved endpoints patched this step, each once.
+  std::vector<NodeId> patched_;
 };
 
 }  // namespace mldcs::net

@@ -197,9 +197,10 @@ class ThreadPool {
 ///
 /// The library also dispatches to it on its own, through fan_out_pool():
 /// a whole-plane `net::DynamicDiskGraph::apply` with many movers (its
-/// per-mover diff), a `net::DiskGraph::build` of 4096+ nodes (its count
-/// and fill passes), and a skyline `bcast::simulate_broadcast` (each large
-/// frontier's forwarding sets).  Those stages are bounded by this pool's
+/// per-mover diff), a `net::DiskGraph::build` of
+/// `net::DiskGraph::kParallelBuildNodes` (256) or more nodes — the paper's
+/// ~1000-node graphs included — (its count and fill passes), and a skyline
+/// `bcast::simulate_broadcast` (each large frontier's forwarding sets).  Those stages are bounded by this pool's
 /// size, not by any pool the caller hands to a cache or a sweep — so
 /// `perf_suite --threads` does not bound them, and `MLDCS_THREADS` does.
 ///

@@ -144,9 +144,10 @@ TEST(ParallelBroadcastTest, SkylineBroadcastMatchesInlineRun) {
 }
 
 // DiskGraph::build gives the same CSR arrays on the pool and inline, below
-// and above the size at which it starts to fan out (4096 nodes).
+// and above the size at which it starts to fan out
+// (DiskGraph::kParallelBuildNodes): ~15 nodes, and ~400 to ~5700.
 TEST(ParallelBroadcastTest, GraphBuildMatchesInlineRun) {
-  for (const double side : {8.0, 12.5, 25.0, 30.0}) {
+  for (const double side : {1.5, 8.0, 12.5, 25.0, 30.0}) {
     const std::vector<net::Node> nodes = paper_nodes(7, 36.8, side);
     const std::uint64_t before = pool_tasks();
     const net::DiskGraph pooled = net::DiskGraph::build(nodes);
@@ -164,7 +165,9 @@ TEST(ParallelBroadcastTest, GraphBuildMatchesInlineRun) {
       ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
           << where << ", node " << u;
     }
-    if (sim::default_pool().size() > 1 && nodes.size() >= 4096) {
+    if (nodes.size() < net::DiskGraph::kParallelBuildNodes) {
+      EXPECT_EQ(tasks, 0u) << where << " should build inline";
+    } else if (sim::default_pool().size() > 1) {
       EXPECT_GT(tasks, 0u) << where << " should build on the pool";
     }
   }

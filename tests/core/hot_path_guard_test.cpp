@@ -201,10 +201,11 @@ TEST(HotPathGuard, SimulateBroadcastAllocFree) {
 // --- DiskGraph::build: count and fill passes without per-chunk scratch -----
 
 // Builds at the paper's density, held to the 26 allocations the serial
-// 999-node build made: 999 nodes (inline) and ~5700 (on the pool when it has
-// more than one worker).  Both passes visit the grid's candidates in place,
-// so no chunk allocates; a candidate vector per chunk and pass would add
-// allocations to every build.
+// 999-node build made: 999 and ~5700 nodes, both past
+// DiskGraph::kParallelBuildNodes, so on the pool when it has more than one
+// worker.  Both passes visit the grid's candidates in place, so no block
+// allocates; a candidate vector per block and pass would add allocations to
+// every build.
 TEST(HotPathGuard, DiskGraphBuildAllocations) {
   if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
   for (const double side : {12.5, 30.0}) {
@@ -226,7 +227,8 @@ TEST(HotPathGuard, DiskGraphBuildAllocations) {
                    static_cast<int>(allocs));
     EXPECT_GT(g.edge_count(), 0u) << where;
     EXPECT_LE(allocs, 26u) << where;
-    if (sim::default_pool().size() > 1 && nodes.size() >= 4096) {
+    ASSERT_GE(nodes.size(), net::DiskGraph::kParallelBuildNodes) << where;
+    if (sim::default_pool().size() > 1) {
       EXPECT_GT(pool_tasks(), tasks_before) << where << " should fan out";
     }
   }

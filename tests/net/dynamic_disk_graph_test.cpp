@@ -97,6 +97,41 @@ TEST(DynamicDiskGraphTest, SimultaneousMovesCountEachFlippedEdgeOnce) {
   expect_matches_rebuild(dyn, "after simultaneous move");
 }
 
+// Two movers jump into a dense cluster together and out again: each gains
+// (then loses) 151 neighbours in one step, more added ids than the
+// apply's rank count orders, so the comparison-sort path runs too.
+TEST(DynamicDiskGraphTest, JoiningADenseClusterMatchesRebuild) {
+  sim::Xoshiro256 rng(21);
+  std::vector<Node> nodes;
+  for (NodeId i = 0; i < 150; ++i) {
+    nodes.push_back({i,
+                     {10.0 + rng.uniform(-0.5, 0.5),
+                      10.0 + rng.uniform(-0.5, 0.5)},
+                     1.5});
+  }
+  nodes.push_back({150, {0.0, 0.0}, 2.0});
+  nodes.push_back({151, {20.0, 20.0}, 2.0});
+  DynamicDiskGraph dyn{std::vector<Node>(nodes)};
+  ASSERT_EQ(dyn.degree(150) + dyn.degree(151), 0u);
+
+  nodes[150].pos = {10.1, 10.0};
+  nodes[151].pos = {9.9, 10.0};
+  const auto& in = dyn.apply(nodes);
+  EXPECT_EQ(in.edges_added, 2u * 150u + 1u);
+  EXPECT_EQ(in.edges_removed, 0u);
+  EXPECT_EQ(in.link_changed.size(), nodes.size());
+  EXPECT_EQ(dyn.degree(150), 151u);
+  expect_matches_rebuild(dyn, "joined the cluster");
+
+  nodes[150].pos = {0.0, 0.0};
+  nodes[151].pos = {20.0, 20.0};
+  const auto& out = dyn.apply(nodes);
+  EXPECT_EQ(out.edges_added, 0u);
+  EXPECT_EQ(out.edges_removed, 2u * 150u + 1u);
+  EXPECT_EQ(out.link_changed.size(), nodes.size());
+  expect_matches_rebuild(dyn, "left the cluster");
+}
+
 TEST(DynamicDiskGraphTest, ToDiskGraphReflectsIncrementalState) {
   sim::Xoshiro256 rng(13);
   std::vector<Node> nodes = generate_deployment(small_deploy(), rng);

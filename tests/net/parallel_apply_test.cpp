@@ -2,7 +2,8 @@
 // where steps with kParallelApplyMovers or more movers run the per-mover
 // diff on sim::default_pool(), checked step by step against two
 // consecutive from-scratch DiskGraph::build calls; and the constructor's
-// seed from a pooled DiskGraph::build at 4096+ nodes.
+// seed from a pooled DiskGraph::build (DiskGraph::kParallelBuildNodes
+// nodes or more, so the paper deployment's seed is pooled too).
 //
 // tests/CMakeLists.txt registers this binary four times: at the host's
 // default pool size, and with MLDCS_THREADS=1, 2 and 3.  default_pool() reads
@@ -21,6 +22,7 @@
 
 #include "net/dynamic_disk_graph.hpp"
 #include "net/mobility.hpp"
+#include "net/spatial_grid.hpp"
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "obs/telemetry.hpp"
@@ -146,6 +148,7 @@ class Oracle {
   }
 
   [[nodiscard]] std::size_t pooled_steps() const { return pooled_steps_; }
+  [[nodiscard]] const DynamicDiskGraph& graph() const { return dyn_; }
 
  private:
   DynamicDiskGraph dyn_;
@@ -274,9 +277,82 @@ TEST_F(ParallelApplyTest, MatchesConsecutiveRebuildsWithCoincidentNodes) {
   expect_pool_used(oracle, "coincident");
 }
 
-// 4096+ nodes: the constructor seeds from a DiskGraph::build that runs on
+// A bucket holds a copy of each resident's position and radius, so phase 1
+// must rewrite a mover's copy even when its cell does not change; a stale
+// copy shows up in the lists of the movers that walk past it.  Planted: two
+// movers that stay in one cell while their link flips every step, and one
+// that leaves the fitted extent for a clamped border cell, moves inside
+// that cell (gaining links), and comes back.  The rest of the deployment
+// jitters, so every step has enough movers for the pool, and each step is
+// checked against a rebuild.
+TEST_F(ParallelApplyTest, BucketCopiesFollowMoversInAndOutOfTheGrid) {
+  sim::Xoshiro256 rng(2024);
+  const DeploymentParams p = paper_deploy();
+  std::vector<Node> nodes = generate_deployment(p, rng);
+  const std::size_t base = nodes.size();
+  // Planted nodes sit inside the deployment's extent, so the graph's grid
+  // (fitted to every initial node) is this one.
+  const GridGeometry grid(nodes);
+  const double y = p.side / 2.0;
+
+  // The pair: radius 1, 0.9 apart on even steps (linked) and 1.1 apart on
+  // odd ones, all four positions inside the cell of the centre `a`.
+  double a = p.side / 2.0;
+  while (grid.cell_of({a - 0.55, y}) != grid.cell_of({a + 0.55, y})) a += 0.1;
+  const auto pair_x = [a](int t, double dir) {
+    return a + dir * (t % 2 == 0 ? 0.45 : 0.55);
+  };
+  // The wanderer: inside at x = 3, then outside the extent (every base
+  // node has x >= 0) at x = -2, out of everyone's reach, then at x = -0.5
+  // in the same clamped border cell, within reach of the border nodes.
+  const double wander_x[] = {3.0, -2.0, -0.5, 3.0};
+  ASSERT_EQ(grid.cell_of({-2.0, y}), grid.cell_of({-0.5, y}));
+  ASSERT_NE(grid.cell_of({-2.0, y}), grid.cell_of({3.0, y}));
+
+  const auto s = static_cast<NodeId>(base);
+  const auto t_id = static_cast<NodeId>(base + 1);
+  const auto e = static_cast<NodeId>(base + 2);
+  nodes.push_back({s, {pair_x(0, -1.0), y}, 1.0});
+  nodes.push_back({t_id, {pair_x(0, 1.0), y}, 1.0});
+  nodes.push_back({e, {wander_x[0], y}, 1.5});
+  ASSERT_EQ(GridGeometry(nodes).cell_count(), grid.cell_count());
+
+  Oracle oracle(nodes);
+  std::vector<NodeId> hint;
+  bool wanderer_linked_outside = false;
+  for (int t = 1; t <= 24; ++t) {
+    hint.clear();
+    for (NodeId u = 0; u < base; ++u) {
+      Node& node = nodes[u];
+      node.pos.x = std::clamp(node.pos.x + rng.uniform(-0.05, 0.05), 0.0,
+                              p.side);
+      node.pos.y = std::clamp(node.pos.y + rng.uniform(-0.05, 0.05), 0.0,
+                              p.side);
+      hint.push_back(u);
+    }
+    nodes[s].pos.x = pair_x(t, -1.0);
+    nodes[t_id].pos.x = pair_x(t, 1.0);
+    nodes[e].pos.x = wander_x[t % 4];
+    hint.insert(hint.end(), {s, t_id, e});
+    ASSERT_EQ(grid.cell_of(nodes[s].pos), grid.cell_of(nodes[t_id].pos));
+
+    oracle.step(nodes, hint, t % 2 == 0, "bucket copies");
+    if (HasFatalFailure()) return;
+    const DynamicDiskGraph& g = oracle.graph();
+    EXPECT_EQ(g.linked(s, t_id), t % 2 == 0) << "step " << t;
+    if (t % 4 == 1) {
+      EXPECT_EQ(g.degree(e), 0u) << "step " << t;
+    }
+    if (t % 4 == 2 && g.degree(e) > 0) wanderer_linked_outside = true;
+  }
+  EXPECT_TRUE(wanderer_linked_outside)
+      << "outside the extent, the wanderer should reach a border node";
+  expect_pool_used(oracle, "bucket copies");
+}
+
+// ~5000 nodes: the constructor seeds from a DiskGraph::build that runs on
 // the pool (at every pool size it must give the build's lists), and so does
-// a region graph with 4096+ residents.  Then 20 pooled apply steps, each
+// a region graph over most of them.  Then 20 pooled apply steps, each
 // checked against a rebuild.
 TEST_F(ParallelApplyTest, PooledSeedMatchesBuildThenRebuilds) {
   DeploymentParams p = paper_deploy();
@@ -288,7 +364,7 @@ TEST_F(ParallelApplyTest, PooledSeedMatchesBuildThenRebuilds) {
   sim::Xoshiro256 rng(0x5EED5EEDULL);
   MobileNetwork mobile(p, wp, rng);
   const std::vector<Node> nodes(mobile.nodes().begin(), mobile.nodes().end());
-  ASSERT_GE(nodes.size(), 4096u);
+  ASSERT_GE(nodes.size(), DiskGraph::kParallelBuildNodes);
   const bool expect_fan_out = sim::default_pool().size() > 1;
   const auto pool_tasks = [] { return Counters::read().pool_tasks; };
 
@@ -311,7 +387,7 @@ TEST_F(ParallelApplyTest, PooledSeedMatchesBuildThenRebuilds) {
   if (expect_fan_out) {
     EXPECT_GT(pool_tasks(), before) << "the region seed should fan out";
   }
-  ASSERT_GE(local.resident_count(), 4096u);
+  ASSERT_GE(local.resident_count(), DiskGraph::kParallelBuildNodes);
   const DiskGraph whole = DiskGraph::build(nodes);
   for (NodeId u = 0; u < whole.size(); ++u) {
     std::vector<NodeId> want;

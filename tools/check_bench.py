@@ -49,7 +49,10 @@ of the single_relay_skyline section (matched by n_disks):
     graph apply on sim::default_pool()), so hosts with fewer than 4
     cores are skipped.  quasi_static is reported, not gated: its
     incremental step is under 1 ms, and on one idle 4-core host its
-    ratio read anywhere from 4.6x to 9.6x.
+    ratio read anywhere from 4.6x to 9.6x.  Beside each ratio the graph
+    layer of both sides (apply_ns_per_step, build_ns_per_step) is
+    printed, never gated; a run from before those fields prints the
+    ratio alone.
 
 The graph_build section's whole-plane DynamicDiskGraph constructor
 (dynamic_build_ns, the set-up the single mobility engine pays) is
@@ -480,8 +483,19 @@ def check_mobility_speedup(fresh_doc, fresh_path, reference, ref_label):
     cores.
     """
     failures = []
-    fresh = obslib.bench_summary(fresh_doc).get(
-        "mobility_speedup_vs_full_rebuild")
+    summary = obslib.bench_summary(fresh_doc)
+    fresh = summary.get("mobility_speedup_vs_full_rebuild")
+    apply_ns = summary.get("mobility_apply_ns_per_step", {})
+    build_ns = summary.get("mobility_build_ns_per_step", {})
+
+    def layers(regime, note=""):
+        """The graph layer of both sides, printed beside the ratio (never
+        gated; runs from before the fields existed print nothing)."""
+        if regime not in apply_ns or regime not in build_ns:
+            return ""
+        return (f"; apply {apply_ns[regime] / 1e6:.3f} ms vs build "
+                f"{build_ns[regime] / 1e6:.3f} ms{note}")
+
     if not isinstance(fresh, dict) or not fresh:
         warn(f"{fresh_path}: section 'mobility_steady_state' missing or "
              "empty; skipping incremental-maintenance gate")
@@ -501,7 +515,7 @@ def check_mobility_speedup(fresh_doc, fresh_path, reference, ref_label):
     for regime, speedup in sorted(fresh.items()):
         if regime not in MOBILITY_GATED_REGIMES:
             print(f"  mobility {regime}: {speedup:.2f}x vs full rebuild "
-                  "(not gated)")
+                  f"(not gated{layers(regime)})")
             continue
         prev = ref.get(regime)
         if not isinstance(prev, (int, float)) or prev <= 0:
@@ -517,7 +531,8 @@ def check_mobility_speedup(fresh_doc, fresh_path, reference, ref_label):
                 f"{ref_label})")
             status = "FAIL"
         print(f"  mobility {regime}: {speedup:.2f}x vs full rebuild "
-              f"(reference {prev:.2f}x) [{status}]")
+              f"(reference {prev:.2f}x{layers(regime, ', not gated')}) "
+              f"[{status}]")
     return failures
 
 

@@ -107,7 +107,8 @@ def load_events(path):
     """Load and validate an mldcs-events-v1 JSONL file.
 
     Returns (header, events): the header dict and the list of event dicts
-    in file order.  Raises SchemaError on unreadable input, a bad header,
+    in file order, each with an 'a' key (None where the writer left out a
+    kNoNode field).  Raises SchemaError on unreadable input, a bad header,
     an unknown event type, non-increasing ids, a parent that does not
     precede its child, or a count that disagrees with the line count.
     """
@@ -141,9 +142,12 @@ def load_events(path):
     prev_id = -1
     for i, line in enumerate(lines[1:], start=1):
         e = parse(i, line)
-        for key in ("id", "t", "a", "v"):
+        for key in ("id", "t", "v"):
             if key not in e:
                 raise SchemaError(f"{path}:{i + 1}: event missing '{key}'")
+        # The writer omits a node field that is kNoNode (as in crash_dump):
+        # a missing 'a' reads as None, "no node".
+        e.setdefault("a", None)
         if e["t"] not in EVENT_TYPES:
             raise SchemaError(
                 f"{path}:{i + 1}: unknown event type {e['t']!r}")
@@ -591,10 +595,13 @@ def bench_summary(doc):
 
     mob = doc.get("mobility_steady_state")
     if isinstance(mob, list) and mob:
-        speedups = {e["regime"]: e.get("speedup_vs_full_rebuild")
-                    for e in mob if isinstance(e, dict) and "regime" in e}
-        speedups = {k: v for k, v in speedups.items() if v is not None}
-        if speedups:
-            out["mobility_speedup_vs_full_rebuild"] = speedups
+        # The gated ratio, then the graph layer of each side of it.
+        for key in ("speedup_vs_full_rebuild", "apply_ns_per_step",
+                    "build_ns_per_step"):
+            per_regime = {e["regime"]: e[key] for e in mob
+                          if isinstance(e, dict) and "regime" in e
+                          and e.get(key) is not None}
+            if per_regime:
+                out[f"mobility_{key}"] = per_regime
 
     return out
