@@ -12,7 +12,8 @@
 ///     deployment: compute_all_skylines vs the pre-batch per-relay loop
 ///     (LocalView + skyline_forwarding_set) and vs a bare per-relay
 ///     compute_skyline loop; plus one skyline simulate_broadcast on the
-///     same graph, with its time and allocations.
+///     same graph, with its time and allocations, and library deliver
+///     over the sweep's sets (deliver_ns).
 ///  3. DiskGraph::build timings at growing deployment sizes (count-then-
 ///     fill CSR construction), and the whole-plane DynamicDiskGraph
 ///     constructor on the same deployments (grid buckets plus lists seeded
@@ -499,8 +500,8 @@ int main(int argc, char** argv) {
   // --- 1c. one relay at the paper's density --------------------------------
   // relay_forwarding_set over every relay of section 2's deployment (radii
   // U[1,2], target degree 36.8, ~1000 nodes) on one thread: the per-relay
-  // cost that the sweep, the cache update and each skyline broadcast
-  // frontier all pay.  disks_in_per_relay and survivors_per_relay (disks
+  // cost that the sweep, the cache update and each skyline broadcast's
+  // transmitters all pay.  disks_in_per_relay and survivors_per_relay (disks
   // the sector-bound prefilter lets into the merge) depend only on the
   // seed; check_bench.py gates the survivors, so a weakened bound fails.
   if (run_section("single_relay_paper_density")) {
@@ -617,6 +618,19 @@ int main(int argc, char** argv) {
           bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
       if (r.transmissions == 0) std::abort();
     });
+    // Delivery alone: library deliver from node 0 over the sweep's sets,
+    // its reachability BFS included, on kept scratch.
+    const bcast::AllSkylines swept = bcast::compute_all_skylines(g, pool);
+    const auto swept_set = [&swept](net::NodeId u) {
+      return swept.forwarding_set(u);
+    };
+    bcast::DeliveryScratch delivery;
+    const Measurement m_deliver = measure(budget_ns, [&] {
+      const bcast::BroadcastResult r = bcast::deliver(
+          g, 0, bcast::Scheme::kSkyline, swept_set,
+          bcast::ReceptionModel::kBidirectionalLink, delivery);
+      if (r.transmissions == 0) std::abort();
+    });
 
     const double n_nodes = static_cast<double>(g.size());
     std::cout << "  all-relays (" << g.size() << " nodes, avg degree "
@@ -625,7 +639,8 @@ int main(int argc, char** argv) {
               << " ms, bare skyline loop " << m_bare.ns_per_op / 1e6
               << " ms => speedup " << m_loop.ns_per_op / m_batch.ns_per_op
               << "x; skyline broadcast " << m_sim.ns_per_op / 1e6 << " ms ("
-              << m_sim.allocs_per_op << " allocs)\n";
+              << m_sim.allocs_per_op << " allocs), deliver over held sets "
+              << m_deliver.ns_per_op / 1e3 << " us\n";
 
     j.open_obj("batch_all_relays");
     j.field("nodes", static_cast<std::uint64_t>(g.size()));
@@ -644,6 +659,7 @@ int main(int argc, char** argv) {
             m_bare.ns_per_op / m_batch.ns_per_op);
     j.field("simulate_broadcast_skyline_ns", m_sim.ns_per_op);
     j.field("simulate_broadcast_skyline_allocs", m_sim.allocs_per_op);
+    j.field("deliver_ns", m_deliver.ns_per_op);
     j.close_obj();
   }
 

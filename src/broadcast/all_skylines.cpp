@@ -27,9 +27,10 @@ double AllSkylines::average_forwarding_size() const noexcept {
 MLDCS_HOT_PATH AllSkylines compute_all_skylines(const net::DiskGraph& g,
                                                 sim::ThreadPool& pool) {
   const std::size_t n = g.size();
-  // One relay batch over every node (a one-shot sweep: its batch and
-  // result are fresh), then a serial copy into the tight CSR arrays.
-  detail::RelayBatch batch;
+  // One relay batch over every node, in the calling thread's kept batch
+  // (so a warmed-up thread's sweep allocates only its result), then a
+  // serial copy into the tight CSR arrays.
+  detail::RelayBatch& batch = detail::thread_batch();
   batch.compute(g, std::views::iota(net::NodeId{0}, n), &pool,
                 obs::Phase::kNone);
   AllSkylines out;

@@ -10,12 +10,13 @@
 /// with per-relay calls pays, per node, a LocalView construction (including
 /// an unneeded 2-hop BFS — the skyline scheme is 1-hop only) and fresh
 /// vectors for disks and arcs.  compute_all_skylines instead runs every
-/// node as one relay batch (detail::RelayBatch, relay_skyline.hpp): it
-/// walks the CSR adjacency directly with one SkylineWorkspace per pool
-/// participant, which claims blocks of nodes until none is left, so the
-/// whole sweep performs O(1) allocations per participant rather than O(1)
-/// per node — measured >= 2x faster than the per-relay loop (see
-/// bench/perf_suite.cpp and docs/PERFORMANCE.md).
+/// node as one relay batch (the calling thread's detail::RelayBatch,
+/// relay_skyline.hpp, kept across sweeps): it walks the CSR adjacency
+/// directly with one SkylineWorkspace per pool participant, which claims
+/// blocks of nodes until none is left, so a warmed-up thread's sweep
+/// allocates only its result (3 arrays) rather than O(1) per node —
+/// measured >= 2x faster than the per-relay loop (see bench/perf_suite.cpp
+/// and docs/PERFORMANCE.md).
 
 #include <cstdint>
 #include <span>

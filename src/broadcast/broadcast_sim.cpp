@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "broadcast/relay_skyline.hpp"
-#include "core/invariants.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -14,49 +13,15 @@ namespace mldcs::bcast {
 
 namespace {
 
-/// Frontiers of at least this many transmitters compute their skyline sets
-/// on the pool.  Measured on the ~1000-node paper deployment (10 seeds,
-/// 4-core x86-64, Release): a broadcast took 2.5-3.0 ms at every threshold
-/// from 4 to 32 against 5.0-7.8 ms inline, and lost ground from 48 up
-/// (3.7 ms at 64, 5.5 ms at 128) as fewer frontiers qualified.
-constexpr std::size_t kParallelFrontier = 16;
-
-/// Each thread's relay batch, kept across broadcasts: a warmed-up thread
-/// computes its frontiers' sets without allocating.
-thread_local detail::RelayBatch t_batch;
-
-/// The skyline sets of simulate_broadcast, computed a frontier at a time:
-/// prepare() runs the frontier as one relay batch — on the pool from
-/// kParallelFrontier transmitters, inline below that or without a pool —
-/// and operator() reads the sets back in frontier order, the order in
-/// which deliver_gated's FIFO transmits.  A set depends only on (graph,
-/// relay), so every pool size gives the same sets.
-class FrontierSkylines {
- public:
-  FrontierSkylines(const net::DiskGraph& g, sim::ThreadPool* pool)
-      : g_(g), pool_(pool) {}
-
-  void prepare(std::span<const net::NodeId> frontier) {
-    batch_.compute(g_, frontier,
-                   frontier.size() >= kParallelFrontier ? pool_ : nullptr,
-                   obs::Phase::kBroadcast);
-    frontier_ = frontier;
-    next_ = 0;
-  }
-
-  std::span<const net::NodeId> operator()([[maybe_unused]] net::NodeId u) {
-    MLDCS_DCHECK(next_ < frontier_.size() && frontier_[next_] == u,
-                 "transmitter " << u << " out of frontier order");
-    return batch_.set(next_++);
-  }
-
- private:
-  const net::DiskGraph& g_;
-  sim::ThreadPool* pool_;
-  detail::RelayBatch& batch_ = t_batch;  ///< the calling thread's
-  std::span<const net::NodeId> frontier_;
-  std::size_t next_ = 0;  ///< frontier_[next_] transmits next
-};
+/// Skyline broadcasts over graphs of at least this many nodes compute
+/// their transmitter closure on sim::fan_out_pool().  Measured on 4-core
+/// x86-64 (Release, medians of 300 closures from node 0, seeds 1-3): at
+/// the paper's density the pool took 45-59 us against 88-137 us inline at
+/// 33 nodes, 314-356 against 761-916 us at 257 and 1.09-1.23 against
+/// 3.3-4.0 ms at 999, broke even at 17-25 and lost at 9 (21-25 against
+/// 7-15 us); at degree 10 it took 41-47 against 49-60 us at 33 nodes.
+/// So the pool starts far below DiskGraph::kParallelBuildNodes.
+constexpr std::size_t kParallelClosureNodes = 32;
 
 /// Broadcast telemetry (docs/OBSERVABILITY.md): storm pressure
 /// (transmissions, redundant receptions) and coverage outcome per
@@ -97,11 +62,23 @@ BroadcastResult detail::simulate_broadcast(const net::DiskGraph& g,
                                            ReceptionModel reception,
                                            Gate<net::DiskGraph> gate) {
   DeliveryScratch scratch;
+  const bool pruned = gate != nullptr;
   if (scheme == Scheme::kSkyline) {
-    // Skyline sets come from 1-hop information through the shared relay
-    // loop, a frontier at a time.
-    FrontierSkylines sets(g, sim::fan_out_pool());
-    return deliver_gated(g, source, scheme, sets, reception, scratch, gate);
+    // Every transmitter's set first, gated, in one pass over the closure
+    // of the source (a set depends only on (graph, relay), so every pool
+    // size gives the same sets); then one serial delivery reading them by
+    // node.
+    const obs::Scope scope(obs::Phase::kBroadcast);
+    RelayBatch& batch = thread_batch();
+    if (source < g.size()) {
+      batch.closure(
+          g, source, gate,
+          g.size() >= kParallelClosureNodes ? sim::fan_out_pool() : nullptr,
+          obs::Phase::kBroadcast);
+    }
+    const auto sets = [&batch](net::NodeId u) { return batch.set(u); };
+    return deliver_gated(g, source, scheme, sets, reception, scratch, nullptr,
+                         pruned);
   }
   // The 2-hop schemes keep forwarding_set's LocalView path.
   std::vector<net::NodeId> two_hop;
@@ -109,7 +86,8 @@ BroadcastResult detail::simulate_broadcast(const net::DiskGraph& g,
     two_hop = forwarding_set(g, u, scheme);
     return two_hop;
   };
-  return deliver_gated(g, source, scheme, sets, reception, scratch, gate);
+  return deliver_gated(g, source, scheme, sets, reception, scratch, gate,
+                       pruned);
 }
 
 }  // namespace mldcs::bcast

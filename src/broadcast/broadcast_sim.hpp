@@ -10,10 +10,14 @@
 /// (the broadcast-storm metric), delivery, and hop latency, and can model
 /// *physical* reception (any node inside the sender's disk hears it)
 /// separately from the bidirectional-link graph used for neighbor
-/// knowledge — the distinction at the heart of Figure 5.6.  The caller
-/// supplies the sets: `simulate_broadcast` derives them from a `Scheme`,
-/// and a caller holding `AllSkylines` or a `SkylineCache` passes its own.
-/// Every broadcast emits flight-recorder events and `bcast.*` telemetry.
+/// knowledge — the distinction at the heart of Figure 5.6.  Each
+/// transmission first marks its receptions, then designates: a set is a
+/// subset of the sender's receivers, so nothing is searched per reception.
+/// The caller supplies the sets: `simulate_broadcast` derives them from a
+/// `Scheme` (the skyline sets of every transmitter in one pooled pass
+/// before delivery starts), and a caller holding `AllSkylines` or a
+/// `SkylineCache` passes its own.  Every broadcast emits flight-recorder
+/// events and `bcast.*` telemetry.
 
 #include <algorithm>
 #include <cstdint>
@@ -23,6 +27,7 @@
 
 #include "broadcast/forwarding.hpp"
 #include "core/annotations.hpp"
+#include "core/invariants.hpp"
 #include "net/disk_graph.hpp"
 #include "obs/event_log.hpp"
 #include "obs/scope.hpp"
@@ -117,18 +122,17 @@ std::uint64_t reachable_count(const Graph& g, net::NodeId source,
 template <typename Graph>
 using Gate = bool (*)(const Graph&, net::NodeId, net::NodeId);
 
-/// `deliver` with a receiver gate (nullptr: none).  A gated broadcast is
-/// self-pruned: its kBroadcast tag carries kSelfPrunedTag.  If `sets` is a
-/// non-const object with `prepare(frontier)`, each non-flooding frontier —
-/// the transmitters one hop further out, in FIFO order — is handed to it
-/// before the first of them transmits, and `sets(u)` is then called once
-/// per transmitter in exactly that order, so the sets can be computed
-/// together and read back by position (simulate_broadcast does).
+/// `deliver` with a receiver gate (nullptr: none), evaluated once per
+/// named pair whose node is not queued yet.  A `pruned` broadcast's
+/// kBroadcast tag carries kSelfPrunedTag — also when its sets arrive
+/// already gated and `gate` is null, as simulate_broadcast's skyline sets
+/// do.
 template <typename Graph, typename Sets>
 BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
-                              Scheme scheme, Sets& sets,
+                              Scheme scheme, const Sets& sets,
                               ReceptionModel reception, DeliveryScratch& s,
-                              std::type_identity_t<Gate<Graph>> gate) {
+                              std::type_identity_t<Gate<Graph>> gate,
+                              bool pruned) {
   const obs::Scope scope(obs::Phase::kBroadcast);
   BroadcastResult result;
   if (source >= g.size()) return result;
@@ -151,7 +155,7 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
   if (ev) {
     s.rx_event.assign(n, obs::kNoEvent);
     obs::emit_event(obs::EventType::kBroadcast, source,
-                    (gate == nullptr ? 0u : kSelfPrunedTag) |
+                    (pruned ? kSelfPrunedTag : 0u) |
                         (static_cast<std::uint32_t>(reception) << 8) |
                         static_cast<std::uint32_t>(scheme),
                     obs::kNoEvent, result.reachable);
@@ -166,19 +170,7 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
   result.delivered = 1;
 
   const bool floods = scheme == Scheme::kFlooding;
-  std::size_t frontier_end = 0;
   while (head < tail) {
-    // A frontier is [head, tail) when head reaches the end of the previous
-    // one: the transmitters the previous frontier queued.  Handing it to
-    // sets.prepare ahead of its transmissions changes no order.
-    if constexpr (requires(std::span<const net::NodeId> f) {
-                    sets.prepare(f);
-                  }) {
-      if (head == frontier_end) {
-        frontier_end = tail;
-        if (!floods) sets.prepare({s.fifo.data() + head, tail - head});
-      }
-    }
     const net::NodeId u = s.fifo[head++];
     ++result.transmissions;
     std::uint64_t tx_id = obs::kNoEvent;
@@ -187,11 +179,10 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
                               s.rx_event[u], s.hops[u]);
     }
 
-    std::span<const net::NodeId> fwd;
-    if (!floods) fwd = sets(u);
-    for (const net::NodeId v : receivers_of(g, u, reception, s.heard)) {
-      const bool named =
-          floods || std::binary_search(fwd.begin(), fwd.end(), v);
+    // Receptions first: everyone who hears u gets a copy or a duplicate.
+    const std::span<const net::NodeId> heard =
+        receivers_of(g, u, reception, s.heard);
+    for (const net::NodeId v : heard) {
       if (!s.received[v]) {
         s.received[v] = 1;
         s.hops[v] = s.hops[u] + 1;
@@ -208,11 +199,23 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
                           s.hops[u] + 1);
         }
       }
-      // A queued node transmits exactly once.
-      if (named && !s.queued[v] && (gate == nullptr || gate(g, u, v))) {
-        s.queued[v] = 1;
-        if (ev) obs::emit_event(obs::EventType::kDesignate, v, u, tx_id, 0);
-        s.fifo[tail++] = v;
+    }
+    // Then designation, in ascending id order as the receivers are: a
+    // queued node transmits exactly once.
+    const auto designate = [&](net::NodeId v) {
+      if (s.queued[v] || (gate != nullptr && !gate(g, u, v))) return;
+      s.queued[v] = 1;
+      if (ev) obs::emit_event(obs::EventType::kDesignate, v, u, tx_id, 0);
+      s.fifo[tail++] = v;
+    };
+    if (floods) {
+      for (const net::NodeId v : heard) designate(v);
+    } else {
+      for (const net::NodeId v : sets(u)) {
+        MLDCS_DCHECK(
+            s.received[v] && std::binary_search(heard.begin(), heard.end(), v),
+            "node " << v << " is named by " << u << " but does not hear it");
+        designate(v);
       }
     }
   }
@@ -242,26 +245,30 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
 /// Deliver one broadcast from `source` over `g`, a DiskGraph or a
 /// whole-plane DynamicDiskGraph (read only through size(), neighbors(u) and
 /// node(u)/nodes()).  `sets(u)` returns transmitter u's forwarding set,
-/// sorted ascending and valid until the next call; Scheme::kFlooding never
-/// calls it and names every node that hears a transmission (under physical
-/// reception, non-neighbors too).  `scheme` also labels the broadcast in
-/// the flight recorder.  An out-of-range source yields an empty result.
+/// sorted ascending, valid until the next call, and a subset of the nodes
+/// that hear u (a debug check asserts that every designee has received);
+/// each transmission marks its receptions, then designates over sets(u).
+/// Scheme::kFlooding never calls it and names every node that hears a
+/// transmission (under physical reception, non-neighbors too).  `scheme`
+/// also labels the broadcast in the flight recorder.  An out-of-range
+/// source yields an empty result.
 template <typename Graph, typename Sets>
 [[nodiscard]] MLDCS_HOT_PATH BroadcastResult deliver(
     const Graph& g, net::NodeId source, Scheme scheme, const Sets& sets,
     ReceptionModel reception, DeliveryScratch& scratch) {
   return detail::deliver_gated(g, source, scheme, sets, reception, scratch,
-                               nullptr);
+                               nullptr, false);
 }
 
 /// Simulate one broadcast from `source` with forwarding sets chosen by
-/// `scheme` at every relaying node: `deliver` over sets derived on demand.
-/// Skyline sets come from 1-hop information only, a frontier at a time
-/// through the relay batch of relay_skyline.hpp (the one
-/// compute_all_skylines runs), and equal forwarding_set(g, u,
-/// Scheme::kSkyline); a frontier of 16+ transmitters runs on
-/// sim::fan_out_pool(), with the same result.  The 2-hop schemes use
-/// forwarding_set's LocalView path.
+/// `scheme` at every relaying node: `deliver` over sets derived from the
+/// graph.  Skyline sets come from 1-hop information only and equal
+/// forwarding_set(g, u, Scheme::kSkyline): the calling thread's relay
+/// batch (relay_skyline.hpp) computes every transmitter's set in one pass
+/// over the transmitter closure before delivery starts — on
+/// sim::fan_out_pool() for graphs of 32 or more nodes, with the same
+/// result.  The 2-hop schemes use
+/// forwarding_set's LocalView path, one transmitter at a time.
 [[nodiscard]] BroadcastResult simulate_broadcast(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,
     ReceptionModel reception = ReceptionModel::kBidirectionalLink);

@@ -200,7 +200,8 @@ class ThreadPool {
 /// per-mover diff), a `net::DiskGraph::build` of
 /// `net::DiskGraph::kParallelBuildNodes` (256) or more nodes — the paper's
 /// ~1000-node graphs included — (its count and fill passes), and a skyline
-/// `bcast::simulate_broadcast` (each large frontier's forwarding sets).  Those stages are bounded by this pool's
+/// `bcast::simulate_broadcast` of 32 or more nodes (every transmitter's
+/// forwarding set, one closure pass).  Those stages are bounded by this pool's
 /// size, not by any pool the caller hands to a cache or a sweep — so
 /// `perf_suite --threads` does not bound them, and `MLDCS_THREADS` does.
 ///

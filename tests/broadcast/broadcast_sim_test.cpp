@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "broadcast/all_skylines.hpp"
 #include "broadcast/self_pruning.hpp"
 #include "broadcast/skyline_cache.hpp"
+#include "core/invariants.hpp"
 #include "net/dynamic_disk_graph.hpp"
 #include "net/mobility.hpp"
 #include "net/topology.hpp"
@@ -50,6 +53,33 @@ TEST(BroadcastSimTest, SingleNodeBroadcast) {
   EXPECT_TRUE(r.full_delivery());
   EXPECT_EQ(r.max_hops, 0u);
 }
+
+#if MLDCS_INVARIANT_CHECKS_ENABLED
+// deliver designates over sets(u) without looking for its members among
+// u's receivers, so a set must name only nodes that hear u.  A debug build
+// checks that every designee has: a set naming node 3 of a 0-1-2-3 chain
+// from the source trips the check (counted here instead of aborting).
+TEST(BroadcastSimTest, DesigneeThatDidNotHearTripsDebugCheck) {
+  const auto g = chain(4);
+  const std::vector<net::NodeId> bogus{3};
+  const std::vector<net::NodeId> none;
+  const auto sets = [&](net::NodeId u) -> std::span<const net::NodeId> {
+    return u == 0 ? bogus : none;
+  };
+  core::reset_invariant_failures();
+  core::set_invariant_action(core::InvariantAction::kCount);
+  DeliveryScratch scratch;
+  (void)deliver(g, 0, Scheme::kSkyline, sets,
+                ReceptionModel::kBidirectionalLink, scratch);
+  const std::uint64_t failures = core::invariant_failure_count();
+  const std::string message = core::first_invariant_failure();
+  core::set_invariant_action(core::InvariantAction::kAbort);
+  core::reset_invariant_failures();
+  EXPECT_EQ(failures, 1u);
+  EXPECT_NE(message.find("named by 0 but does not hear it"), std::string::npos)
+      << message;
+}
+#endif
 
 TEST(BroadcastSimTest, InvalidSourceYieldsEmptyResult) {
   const auto g = chain(3);

@@ -145,11 +145,12 @@ net::DiskGraph static_1k_graph() {
 
 // Not an annotated hot path, but a skyline broadcast must allocate no more
 // than a flooding one: its per-call DeliveryScratch.  Each thread keeps its
-// relay batch across broadcasts, the batch's buffers only grow, and the
-// pool's queue allocates nothing once warm, so from the third broadcast on
-// every one allocates exactly that, at any pool size and under any
-// schedule — never per transmitter (a LocalView, a receiver copy, a result
-// vector), per frontier, or per pool task.
+// relay batch across broadcasts, the batch's buffers only grow (its closure
+// keeps the sets at the graph's CSR offsets, so nothing grows inside the
+// dispatch), and the pool's queue allocates nothing once warm, so from the
+// third broadcast on every one allocates exactly that, at any pool size and
+// under any schedule — never per transmitter (a LocalView, a receiver copy,
+// a result vector), per closure, or per pool task.
 TEST(HotPathGuard, SimulateBroadcastAllocFree) {
   if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
   if (core::kInvariantChecksEnabled) {
@@ -190,7 +191,7 @@ TEST(HotPathGuard, SimulateBroadcastAllocFree) {
                        static_cast<int>(allocs));
       }
     }
-    // With more than one worker the frontiers' sets must have been
+    // With more than one worker the closure's sets must have been
     // computed on the pool, so the count above covers that path.
     if (sim::default_pool().size() > 1) {
       EXPECT_GT(pool_tasks(), tasks_before) << (pruned ? "pruned" : "plain");

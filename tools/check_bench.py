@@ -13,10 +13,14 @@ of the single_relay_skyline section (matched by n_disks):
     workspace engine is allocation-free by design; even 1 alloc/op means
     the scratch-reuse contract broke)
 
-  * simulator allocation regression, from the batch_all_relays section:
-    simulate_broadcast_skyline_allocs above the baseline (by the same
-    rule as allocs_per_op: the per-transmission loop runs on reused
-    scratch, so any rise means it allocates per transmitter again)
+  * simulator and sweep allocation regression, from the batch_all_relays
+    section: simulate_broadcast_skyline_allocs or batch_allocs above the
+    baseline (by the same rule as allocs_per_op: the broadcast and the
+    sweep run on the calling thread's kept relay batch, so any rise means
+    one of them allocates per transmitter, per relay or per call again).
+    Beside the broadcast's time, deliver_ns (delivery over held sets) is
+    printed, never gated; a baseline without it prints the fresh number
+    alone.
 
   * paper-density regression, from the single_relay_paper_density
     section, gated like single_relay_skyline: relays_per_s below
@@ -73,7 +77,9 @@ attributable; provenance changes never gate by themselves.
 
 --history FILE.jsonl additionally appends the fresh run's per-section
 summary (obslib.bench_summary) as one JSON line and prints deltas
-against the previous entry — the longitudinal record CI keeps so a slow
+against the previous entry; the line's `source` names the fresh file
+relative to the repository root, or by its bare name (with a warning)
+when it lies outside — the longitudinal record CI keeps so a slow
 drift (each step under the 3x gate) is still visible across runs.
 Every line is validated (obslib.check_history_entry) before use:
 unparseable or malformed lines — non-object entries, non-numeric leaf
@@ -90,8 +96,12 @@ Exit status: 0 clean (possibly with warnings), 1 regression,
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import obslib
+
+#: The repository root, which history lines name their source relative to.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MAX_SLOWDOWN = 3.0
 MIN_SIMD_SPEEDUP = 1.0
@@ -307,35 +317,58 @@ def check_paper_density(baseline_doc, fresh_doc):
     return failures
 
 
-SIM_ALLOCS_KEY = "simulate_broadcast_skyline_allocs"
+#: batch_all_relays allocation counts gated by the no-rise rule, with the
+#: label each is reported under.
+BATCH_ALLOC_KEYS = (("simulate_broadcast_skyline_allocs",
+                     "simulate_broadcast skyline"),
+                    ("batch_allocs", "compute_all_skylines sweep"))
 
 
-def check_simulate_broadcast_allocs(baseline_doc, fresh_doc):
-    """Gate one skyline simulate_broadcast's allocations (batch_all_relays).
+def check_batch_allocs(baseline_doc, fresh_doc):
+    """Gate the batch_all_relays allocation counts: one skyline
+    simulate_broadcast's and one sweep's.
 
-    Returns a list of failure strings: the fresh count above the
-    baseline's is a regression, by the same rule as the workspace
-    allocs_per_op gate.  A document without the field (an older baseline,
-    or a sectioned run) skips the gate with a named warning.
+    Returns a list of failure strings: a fresh count above the baseline's
+    is a regression, by the same rule as the workspace allocs_per_op
+    gate.  A document without a field (an older baseline, or a sectioned
+    run) skips that gate with a named warning.  The broadcast's time and
+    deliver_ns are printed beside it, never gated.
     """
-    counts = []
-    for label, doc in (("baseline", baseline_doc), ("fresh run", fresh_doc)):
-        batch = doc.get("batch_all_relays")
-        val = batch.get(SIM_ALLOCS_KEY) if isinstance(batch, dict) else None
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            warn(f"{label}: batch_all_relays.{SIM_ALLOCS_KEY} missing; "
-                 "skipping simulator allocation gate")
-            return []
-        counts.append(val)
-    base, cur = counts
-    if cur > base:
-        print(f"  simulate_broadcast skyline: {cur} allocs (baseline "
-              f"{base}) [FAIL]")
-        return [f"simulate_broadcast skyline now allocates more "
-                f"({base} -> {cur} allocs/broadcast)"]
-    print(f"  simulate_broadcast skyline: {cur} allocs (baseline {base}) "
-          "[ok]")
-    return []
+    batches = [doc.get("batch_all_relays") for doc in (baseline_doc,
+                                                       fresh_doc)]
+    batches = [b if isinstance(b, dict) else {} for b in batches]
+    failures = []
+    for key, label in BATCH_ALLOC_KEYS:
+        counts = []
+        for name, batch in zip(("baseline", "fresh run"), batches):
+            val = batch.get(key)
+            if not isinstance(val, (int, float)) or isinstance(val, bool):
+                warn(f"{name}: batch_all_relays.{key} missing; skipping "
+                     f"the {label} allocation gate")
+                break
+            counts.append(val)
+        if len(counts) != 2:
+            continue
+        base, cur = counts
+        status = "ok"
+        if cur > base:
+            failures.append(f"{label} now allocates more ({base} -> {cur} "
+                            "allocs/call)")
+            status = "FAIL"
+        print(f"  {label}: {cur} allocs (baseline {base}) [{status}]")
+    base, fresh = batches
+    if "simulate_broadcast_skyline_ns" in fresh:
+        def timing(batch):
+            sim = batch["simulate_broadcast_skyline_ns"] / 1e6
+            deliver = batch.get("deliver_ns")
+            return (f"{sim:.2f} ms" if deliver is None else
+                    f"{sim:.2f} ms, deliver over held sets "
+                    f"{deliver / 1e3:.0f} us")
+        line = f"  skyline broadcast: {timing(fresh)}"
+        if "simulate_broadcast_skyline_ns" in base:
+            line += f" (baseline {timing(base)})"
+        print(line + ", not gated")
+    return failures
 
 
 def report_dynamic_build(baseline_doc, fresh_doc):
@@ -536,11 +569,24 @@ def check_mobility_speedup(fresh_doc, fresh_path, reference, ref_label):
     return failures
 
 
+def history_source(fresh_path):
+    """The fresh file as a history line names it: relative to the
+    repository root, or its bare name (with a warning) when it lies
+    outside, so no machine path lands in the committed history."""
+    path = Path(fresh_path).resolve()
+    try:
+        return path.relative_to(REPO_ROOT).as_posix()
+    except ValueError:
+        warn(f"{fresh_path} lies outside the repository; the history "
+             f"line names it '{path.name}'")
+        return path.name
+
+
 def update_history(path, fresh_doc, fresh_path, previous):
     """Append the fresh run's summary to the history file and print
     deltas against `previous` (the last valid entry, already read)."""
     summary = obslib.bench_summary(fresh_doc)
-    entry = {"source": fresh_path, **summary}
+    entry = {"source": history_source(fresh_path), **summary}
     try:
         obslib.check_history_entry(entry, fresh_path)
     except obslib.SchemaError as e:
@@ -641,7 +687,7 @@ def main():
                   f"allocs/op [{status}]")
 
     report_dynamic_build(baseline_doc, fresh_doc)
-    failures += check_simulate_broadcast_allocs(baseline_doc, fresh_doc)
+    failures += check_batch_allocs(baseline_doc, fresh_doc)
     failures += check_paper_density(baseline_doc, fresh_doc)
     failures += check_simd_dispatch(fresh_doc, args.fresh)
 

@@ -536,8 +536,9 @@ def bench_summary(doc):
 
     batch = doc.get("batch_all_relays")
     if isinstance(batch, dict):
-        for key in ("batch_relays_per_s", "simulate_broadcast_skyline_ns",
-                    "simulate_broadcast_skyline_allocs"):
+        for key in ("batch_relays_per_s", "batch_allocs",
+                    "simulate_broadcast_skyline_ns",
+                    "simulate_broadcast_skyline_allocs", "deliver_ns"):
             if key in batch:
                 out[key] = batch[key]
 
