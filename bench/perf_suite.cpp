@@ -47,28 +47,17 @@
 ///
 /// Usage: perf_suite [--quick] [--threads N] [--out PATH]
 ///                   [--list-sections] [--section NAME]...
-///                   [--trace PATH] [--telemetry PATH] [--events PATH]
-///                   [--introspect PORT] [--blackbox PATH]
-///                   [--profile PATH]
+///                   [observability flags]
 ///
 /// --section restricts the run to the named section(s); skipped sections
 /// are simply absent from the JSON (tools/check_bench.py warns and moves
-/// on).  --trace writes a chrome://tracing trace of the run; --telemetry
-/// writes an mldcs-telemetry-v1 registry snapshot; --events arms the
-/// flight recorder and writes an mldcs-events-v1 JSONL log — arming it
-/// perturbs the mobility timings, so use it for forensics runs, not for
-/// regenerating BENCH_skyline.json (docs/OBSERVABILITY.md).
-///
-/// --introspect PORT serves /metrics, /snapshot.json, /events, /shards,
-/// and /healthz live on 127.0.0.1:PORT while sections run; --blackbox
-/// PATH arms the obs/blackbox.hpp flight recorder with one heartbeat per
-/// section boundary and writes a mldcs-blackbox-v1 report on crash or
-/// exit.  --profile PATH arms the obs/profiler.hpp sampling profiler at
-/// 97 Hz for the whole run and writes the collapsed-stack profile
-/// (mldcs-profile-v1 folded text) at exit — like --events, arming it
-/// perturbs timings, so keep it off when regenerating BENCH_skyline.json.
-/// All three are recorded in the provenance block ("introspect",
-/// "blackbox", "profile") since an attached observer can perturb timings.
+/// on).  The observability flags (--trace, --telemetry, --events,
+/// --blackbox, --profile, --introspect) are obs::RunOutputs'
+/// (obs/run_outputs.hpp); here the blackbox records one heartbeat per
+/// section boundary and one at the end.  The event log, the profiler and
+/// a polled server perturb timings, so keep them off when regenerating
+/// BENCH_skyline.json; the provenance block records the server, the
+/// blackbox and the profile ("introspect", "blackbox", "profile").
 
 #include <algorithm>
 #include <atomic>
@@ -101,12 +90,7 @@
 #include "net/sharded_engine.hpp"
 #include "net/topology.hpp"
 #include "obs/blackbox.hpp"
-#include "obs/event_log.hpp"
-#include "obs/export.hpp"
-#include "obs/introspect.hpp"
-#include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/run_outputs.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/alloc_guard.hpp"
@@ -245,40 +229,25 @@ bool known_section(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  obs::RunOutputs outputs(std::cout, std::cerr);
+  if (!outputs.parse(argc, argv)) return 2;
   bool quick = false;
   std::size_t n_threads = 0;  // 0 = hardware concurrency
   std::string out_path = "BENCH_skyline.json";
-  std::string trace_path;
-  std::string telemetry_path;
-  std::string events_path;
-  std::string blackbox_path;
-  std::string profile_path;
-  int introspect_port = -1;  // -1: server off; 0: ephemeral
   std::vector<std::string> sections;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      n_threads = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--telemetry" && i + 1 < argc) {
-      telemetry_path = argv[++i];
-    } else if (arg == "--events" && i + 1 < argc) {
-      events_path = argv[++i];
-    } else if (arg == "--blackbox" && i + 1 < argc) {
-      blackbox_path = argv[++i];
-    } else if (arg == "--profile" && i + 1 < argc) {
-      profile_path = argv[++i];
-    } else if (arg == "--introspect" && i + 1 < argc) {
-      introspect_port = std::atoi(argv[++i]);
-      if (introspect_port < 0 || introspect_port > 65535) {
-        std::cerr << "error: --introspect expects a port in [0, 65535]\n";
+      const auto n = obs::parse_decimal(argv[++i], SIZE_MAX);
+      if (!n) {
+        std::cerr << "error: --threads expects N >= 0 (0: every core)\n";
         return 2;
       }
+      n_threads = static_cast<std::size_t>(*n);
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
     } else if (arg == "--section" && i + 1 < argc) {
       sections.emplace_back(argv[++i]);
       if (!known_section(sections.back())) {
@@ -291,10 +260,8 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::cerr << "usage: perf_suite [--quick] [--threads N] [--out PATH]\n"
-                   "                  [--list-sections] [--section NAME]...\n"
-                   "                  [--trace PATH] [--telemetry PATH]\n"
-                   "                  [--events PATH] [--introspect PORT]\n"
-                   "                  [--blackbox PATH] [--profile PATH]\n";
+                   "  [--list-sections] [--section NAME]...\n  "
+                << obs::RunOutputs::kUsage << "\n";
       return 2;
     }
   }
@@ -310,44 +277,7 @@ int main(int argc, char** argv) {
     if (run) obs::blackbox_heartbeat(++section_no);
     return run;
   };
-  if (!trace_path.empty()) obs::trace_start();
-  if (!events_path.empty() || !blackbox_path.empty() || introspect_port >= 0) {
-    obs::events_start();
-  }
-
-  std::string blackbox_note = "off";
-  if (!blackbox_path.empty()) {
-    obs::BlackBoxConfig bb;
-    bb.path = blackbox_path.c_str();
-    if (!obs::blackbox_arm(bb)) {
-      std::cerr << "error: cannot arm blackbox at " << blackbox_path << "\n";
-      return 1;
-    }
-    blackbox_note = blackbox_path;
-  }
-  std::string profile_note = "off";
-  if (!profile_path.empty()) {
-    if (!obs::profiler_arm(obs::ProfilerConfig{})) {
-      std::cerr << "error: cannot arm profiler\n";
-      return 1;
-    }
-    profile_note = profile_path;
-  }
-  obs::IntrospectServer introspect;
-  std::string introspect_note = "off";
-  if (introspect_port >= 0) {
-    obs::IntrospectServer::Options opt;
-    opt.port = static_cast<std::uint16_t>(introspect_port);
-    std::string err;
-    if (!introspect.start(opt, &err)) {
-      std::cerr << "error: cannot start introspection server: " << err
-                << "\n";
-      return 1;
-    }
-    introspect_note = "on:" + std::to_string(introspect.port());
-    std::cout << "introspection server listening on 127.0.0.1:"
-              << introspect.port() << "\n";
-  }
+  if (!outputs.start()) return 1;
 
   std::ofstream out(out_path);
   if (!out) {
@@ -379,9 +309,9 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   // An attached observer (live endpoint polls, heartbeat snapshots) can
   // perturb timings, so its presence is provenance, like the dispatch.
-  j.field("introspect", introspect_note);
-  j.field("blackbox", blackbox_note);
-  j.field("profile", profile_note);
+  j.field("introspect", outputs.introspect_note());
+  j.field("blackbox", outputs.blackbox_note());
+  j.field("profile", outputs.profile_note());
   j.close_obj();
   std::cout << "  provenance: " << compiler_id() << "; simd dispatch "
             << geom::simd::dispatch_choice() << " (detected "
@@ -1081,58 +1011,6 @@ int main(int argc, char** argv) {
   out.close();
   std::cout << "[OK] wrote " << out_path << "\n";
 
-  if (introspect.running()) {
-    std::cout << "[OK] introspection server served " << introspect.requests()
-              << " request(s)\n";
-    introspect.stop();
-  }
-  if (obs::blackbox_armed()) {
-    obs::blackbox_heartbeat(++section_no);  // final frame: end-of-run state
-    if (obs::blackbox_dump_now("exit")) {
-      std::cout << "[OK] wrote blackbox report to " << blackbox_path << "\n";
-    }
-    obs::blackbox_disarm();
-  }
-  if (obs::profiler_armed()) {
-    obs::profiler_disarm();  // joins the drain: the report below is final
-    std::ofstream prof_out(profile_path);
-    if (!prof_out) {
-      std::cerr << "error: cannot open " << profile_path << " for writing\n";
-      return 1;
-    }
-    obs::write_profile_folded(prof_out, obs::profiler_report());
-    std::cout << "[OK] wrote " << profile_path << "\n";
-  }
-
-  if (!trace_path.empty()) {
-    obs::trace_stop();
-    std::ofstream trace_out(trace_path);
-    if (!trace_out) {
-      std::cerr << "error: cannot open " << trace_path << " for writing\n";
-      return 1;
-    }
-    obs::write_trace_json(trace_out);
-    std::cout << "[OK] wrote " << trace_path << "\n";
-  }
-  if (!telemetry_path.empty()) {
-    std::ofstream snap_out(telemetry_path);
-    if (!snap_out) {
-      std::cerr << "error: cannot open " << telemetry_path
-                << " for writing\n";
-      return 1;
-    }
-    obs::write_snapshot_json(snap_out, obs::registry());
-    std::cout << "[OK] wrote " << telemetry_path << "\n";
-  }
-  if (!events_path.empty()) {
-    obs::events_stop();
-    std::ofstream ev_out(events_path);
-    if (!ev_out) {
-      std::cerr << "error: cannot open " << events_path << " for writing\n";
-      return 1;
-    }
-    obs::write_events_jsonl(ev_out);
-    std::cout << "[OK] wrote " << events_path << "\n";
-  }
-  return 0;
+  obs::blackbox_heartbeat(++section_no);  // final frame: end-of-run state
+  return outputs.finish() ? 0 : 1;
 }

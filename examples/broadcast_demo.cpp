@@ -89,9 +89,14 @@ int main(int argc, char** argv) {
 
   if (!events_path.empty()) {
     const auto replays = obs::replay_broadcasts(obs::events_snapshot());
-    if (replays.empty()) {
-      std::cout << "\n(no events recorded: telemetry is compiled out in "
-                   "this build, so the flight recorder is a no-op)\n";
+    if (obs::events_dropped() > 0) {
+      std::cout << "\n(" << obs::events_dropped()
+                << " events dropped at the flight recorder's capacity, so "
+                   "the replays below may be incomplete)\n";
+    } else if (replays.size() != schemes.size()) {
+      std::cerr << "error: " << replays.size() << " broadcast replays for "
+                << schemes.size() << " schemes\n";
+      return 1;
     }
     // One replay per scheme, in simulation order: ask each "why" question
     // the storm analysis cares about straight from the event stream.

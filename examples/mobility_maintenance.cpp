@@ -18,52 +18,33 @@
 /// incremental step against a full rebuild.
 ///
 /// Usage: mobility_maintenance [periods] [speed] [seed]
-///                              [--trace PATH] [--telemetry PATH]
-///                              [--events PATH] [--watchdog K,M]
-///                              [--shards N] [--introspect PORT]
-///                              [--blackbox PATH] [--profile PATH]
+///                              [--watchdog K,M] [--shards N]
+///                              [observability flags]
 ///
-/// --trace records the run as chrome://tracing trace events, one span per
-/// obs::Scope phase (graph_apply / cache_update / cache_recompute per
-/// period; engine_step / shard_step / halo_exchange too with --shards);
-/// --telemetry dumps the process-wide mldcs-telemetry-v1 registry
-/// snapshot — dirty-relay histograms, slot overflows, compactions, pool
-/// busy time (docs/OBSERVABILITY.md).
+/// The observability flags (--trace, --telemetry, --events, --blackbox,
+/// --profile, --introspect) are obs::RunOutputs' (obs/run_outputs.hpp).
+/// Here the blackbox records one heartbeat per period, and /healthz
+/// reports the watchdog's verdict.
 ///
-/// --events records the run in the flight recorder (kStep / kCacheUpdate
-/// causal chain per period) and writes the mldcs-events-v1 JSONL to PATH.
 /// --watchdog K,M audits the skyline cache online: every K periods, M
 /// randomly sampled relays are recomputed from scratch and compared
 /// against the cached forwarding sets (obs/watchdog.hpp); the verdict is
-/// printed at the end and any mismatch makes the run exit 1.
+/// printed at the end and any mismatch makes the run exit 1 (and, with
+/// --blackbox, dumps the report).
 ///
 /// --shards N maintains the topology through the spatially sharded engine
 /// (net::ShardedEngine + bcast::ShardedSkylineCache) instead of the single
 /// DynamicDiskGraph — bit-identical forwarding sets, and the per-shard
-/// load table becomes visible to the observability surfaces below.
-///
-/// --introspect PORT serves live introspection on 127.0.0.1:PORT (0 picks
-/// an ephemeral port, printed at startup): /metrics, /snapshot.json,
-/// /events?tail=N, /shards, /healthz (poll with curl, Prometheus, or
-/// tools/mldcs_top.py).  --blackbox PATH arms the flight recorder: one
-/// heartbeat frame per period into a crash-safe ring, dumped to PATH as a
-/// mldcs-blackbox-v1 report on SIGSEGV/SIGABRT/SIGBUS, on a watchdog
-/// mismatch, and at clean exit (validate with tools/summarize_trace.py
-/// --blackbox PATH).
-///
-/// --profile PATH arms the obs/profiler.hpp sampling profiler at 97 Hz
-/// for the whole run and writes the collapsed-stack profile
-/// (mldcs-profile-v1 folded text; feed to flamegraph.pl / speedscope, or
-/// tools/summarize_trace.py --profile) at exit.  A crash while armed
-/// appends the phase breakdown to the blackbox report.
+/// load table becomes visible to /shards and the blackbox.
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broadcast/all_skylines.hpp"
@@ -77,12 +58,7 @@
 #include "net/sharded_engine.hpp"
 #include "net/topology.hpp"
 #include "obs/blackbox.hpp"
-#include "obs/event_log.hpp"
-#include "obs/export.hpp"
-#include "obs/introspect.hpp"
-#include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/run_outputs.hpp"
 #include "sim/rng.hpp"
 #include "sim/table.hpp"
 #include "sim/thread_pool.hpp"
@@ -99,67 +75,47 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   using namespace mldcs;
 
+  // /healthz mirrors the latest watchdog verdict through an atomic (the
+  // server thread must not read watchdog state the main loop is writing);
+  // declared first, so it outlives the server.
+  std::atomic<bool> healthy{true};
+  obs::RunOutputs outputs(std::cout, std::cerr);
+  if (!outputs.parse(argc, argv)) return 2;
+
   // Flags may appear anywhere; whatever remains is the positional
   // [periods] [speed] [seed] triple.
-  std::string trace_path;
-  std::string telemetry_path;
-  std::string events_path;
-  std::string blackbox_path;
-  std::string profile_path;
-  int introspect_port = -1;  // -1: server off; 0: ephemeral
   std::size_t shards = 1;
   std::uint32_t wd_period = 0;  // 0: watchdog off
   std::uint32_t wd_samples = 8;
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--telemetry" && i + 1 < argc) {
-      telemetry_path = argv[++i];
-    } else if (arg == "--events" && i + 1 < argc) {
-      events_path = argv[++i];
-    } else if (arg == "--blackbox" && i + 1 < argc) {
-      blackbox_path = argv[++i];
-    } else if (arg == "--profile" && i + 1 < argc) {
-      profile_path = argv[++i];
-    } else if (arg == "--introspect" && i + 1 < argc) {
-      introspect_port = std::atoi(argv[++i]);
-      if (introspect_port < 0 || introspect_port > 65535) {
-        std::cerr << "error: --introspect expects a port in [0, 65535]\n";
-        return 2;
-      }
-    } else if (arg == "--shards" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) {
+    if (arg == "--shards" && i + 1 < argc) {
+      const auto n = obs::parse_decimal(argv[++i], UINT32_MAX);
+      if (!n || *n < 1) {
         std::cerr << "error: --shards expects N >= 1\n";
         return 2;
       }
-      shards = static_cast<std::size_t>(n);
+      shards = static_cast<std::size_t>(*n);
     } else if (arg == "--watchdog" && i + 1 < argc) {
-      const std::string spec = argv[++i];
+      const std::string_view spec = argv[++i];
       const std::size_t comma = spec.find(',');
-      wd_period = static_cast<std::uint32_t>(
-          std::atoi(spec.substr(0, comma).c_str()));
-      if (comma != std::string::npos) {
-        wd_samples = static_cast<std::uint32_t>(
-            std::atoi(spec.substr(comma + 1).c_str()));
+      const auto k = obs::parse_decimal(spec.substr(0, comma), UINT32_MAX);
+      std::optional<std::uint64_t> m = wd_samples;
+      if (comma != std::string_view::npos) {
+        m = obs::parse_decimal(spec.substr(comma + 1), UINT32_MAX);
       }
-      if (wd_period == 0 || wd_samples == 0) {
+      if (!k || !m || *k == 0 || *m == 0) {
         std::cerr << "error: --watchdog expects K,M with K,M >= 1 (got '"
                   << spec << "')\n";
         return 2;
       }
+      wd_period = static_cast<std::uint32_t>(*k);
+      wd_samples = static_cast<std::uint32_t>(*m);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "usage: mobility_maintenance [periods] [speed] [seed]\n"
-                   "                            [--trace PATH] "
-                   "[--telemetry PATH]\n"
-                   "                            [--events PATH] "
-                   "[--watchdog K,M]\n"
-                   "                            [--shards N] "
-                   "[--introspect PORT]\n"
-                   "                            [--blackbox PATH] "
-                   "[--profile PATH]\n";
+                   "  [--watchdog K,M] [--shards N]\n  "
+                << obs::RunOutputs::kUsage << "\n";
       return 2;
     } else {
       pos.push_back(arg);
@@ -171,32 +127,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       pos.size() > 2 ? static_cast<std::uint64_t>(std::atoll(pos[2].c_str()))
                      : 11;
-  if (!trace_path.empty()) obs::trace_start();
-  // The flight recorder and the /events endpoint both read the event log;
-  // arm it whenever any consumer is on, not just --events.
-  if (!events_path.empty() || !blackbox_path.empty() || introspect_port >= 0) {
-    obs::events_start();
-  }
-  if (!blackbox_path.empty()) {
-    obs::BlackBoxConfig bb;
-    bb.path = blackbox_path.c_str();
-    if (!obs::blackbox_arm(bb)) {
-      std::cerr << "error: cannot arm blackbox at " << blackbox_path << "\n";
-      return 1;
-    }
-    std::cout << "blackbox armed: " << blackbox_path
-              << " (dumps on SIGSEGV/SIGABRT/SIGBUS, watchdog alarm, "
-                 "exit)\n";
-  }
-  if (!profile_path.empty()) {
-    if (!obs::profiler_arm(obs::ProfilerConfig{})) {
-      std::cerr << "error: cannot arm profiler\n";
-      return 1;
-    }
-    std::cout << "profiler armed: 97 Hz per-thread CPU sampling, folded "
-                 "profile to "
-              << profile_path << " at exit\n";
-  }
+  if (!outputs.start()) return 1;
 
   net::DeploymentParams p;
   p.model = net::RadiusModel::kUniform;
@@ -238,29 +169,9 @@ int main(int argc, char** argv) {
                 : bcast::make_cache_watchdog(*cache, wd_cfg));
   }
 
-  // /healthz mirrors the latest watchdog verdict through an atomic (the
-  // server thread must not read watchdog state the main loop is writing).
-  std::atomic<bool> healthy{true};
-  obs::IntrospectServer introspect;
-  if (introspect_port >= 0) {
-    obs::IntrospectServer::Options opt;
-    opt.port = static_cast<std::uint16_t>(introspect_port);
-    std::string err;
-    if (!introspect.start(opt, &err)) {
-      std::cerr << "error: cannot start introspection server: " << err
-                << "\n";
-      return 1;
-    }
-    introspect.set_health([&healthy](std::string&) {
-      return healthy.load(std::memory_order_relaxed);
-    });
-    // Flushed: with --introspect 0 this line is the only place the chosen
-    // port shows, and a redirected stdout would otherwise hold it back.
-    std::cout << "introspection server listening on 127.0.0.1:"
-              << introspect.port()
-              << " (/metrics /snapshot.json /events /shards /healthz)"
-              << std::endl;
-  }
+  outputs.server().set_health([&healthy](std::string&) {
+    return healthy.load(std::memory_order_relaxed);
+  });
 
   std::uint64_t bytes_1hop = 0;
   std::uint64_t bytes_2hop = 0;
@@ -416,74 +327,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (introspect.running()) {
-    std::cout << "\nintrospection server served " << introspect.requests()
-              << " request(s)\n";
-    introspect.stop();
-  }
-  if (obs::blackbox_armed()) {
-    // A clean exit still leaves a report behind — the same file a crash
-    // would have produced, so pipelines validate one artifact either way.
-    if (obs::blackbox_dump_now("exit")) {
-      std::cout << "wrote blackbox report to " << blackbox_path << " ("
-                << obs::blackbox_heartbeat_count()
-                << " heartbeats recorded; validate with "
-                   "tools/summarize_trace.py --blackbox)\n";
-    }
-    obs::blackbox_disarm();
-  }
-  if (obs::profiler_armed()) {
-    // Disarm joins the drain thread, so the report below is complete.
-    obs::profiler_disarm();
-    std::ofstream prof_out(profile_path);
-    if (!prof_out) {
-      std::cerr << "error: cannot open " << profile_path << " for writing\n";
-      return 1;
-    }
-    const obs::ProfileReport report = obs::profiler_report();
-    obs::write_profile_folded(prof_out, report);
-    std::uint64_t named = 0;
-    for (const auto& [phase, count] : report.phases) {
-      if (phase != "none") named += count;
-    }
-    std::cout << "wrote folded profile to " << profile_path << " ("
-              << report.total_samples << " samples, " << named
-              << " phase-tagged; flamegraph.pl or speedscope it, or "
-                 "tools/summarize_trace.py --profile)\n";
-  }
-
-  if (!events_path.empty()) {
-    obs::events_stop();
-    std::ofstream events_out(events_path);
-    if (!events_out) {
-      std::cerr << "error: cannot open " << events_path << " for writing\n";
-      return 1;
-    }
-    obs::write_events_jsonl(events_out);
-    std::cout << "\nwrote event log to " << events_path
-              << " (validate/report with tools/mldcs_report.py)\n";
-  }
-
-  if (!trace_path.empty()) {
-    obs::trace_stop();
-    std::ofstream trace_out(trace_path);
-    if (!trace_out) {
-      std::cerr << "error: cannot open " << trace_path << " for writing\n";
-      return 1;
-    }
-    obs::write_trace_json(trace_out);
-    std::cout << "\nwrote trace to " << trace_path
-              << " (load in chrome://tracing or ui.perfetto.dev)\n";
-  }
-  if (!telemetry_path.empty()) {
-    std::ofstream snap_out(telemetry_path);
-    if (!snap_out) {
-      std::cerr << "error: cannot open " << telemetry_path
-                << " for writing\n";
-      return 1;
-    }
-    obs::write_snapshot_json(snap_out, obs::registry());
-    std::cout << "wrote telemetry snapshot to " << telemetry_path << "\n";
-  }
+  if (!outputs.finish()) return 1;
   return watchdog && !watchdog->clean() ? 1 : 0;
 }

@@ -15,7 +15,6 @@
 #include "geometry/bbox.hpp"
 #include "geometry/circle_intersect.hpp"
 #include "geometry/radial.hpp"
-#include "geometry/segment.hpp"
 #include "geometry/triangle.hpp"
 #include "sim/rng.hpp"
 
