@@ -23,10 +23,11 @@ using namespace mldcs;
 
 /// Exact union area of {relay disk} + the chosen neighbors' disks.
 double covered_area(const net::DiskGraph& g, const bcast::LocalView& view,
-                    const std::vector<net::NodeId>& fwd) {
+                    const std::vector<net::NodeId>& fwd,
+                    core::SkylineWorkspace& ws) {
   std::vector<geom::Disk> disks{g.node(view.self).disk()};
   for (net::NodeId v : fwd) disks.push_back(g.node(v).disk());
-  const auto sky = core::compute_skyline(disks, g.node(view.self).pos);
+  const auto sky = core::compute_skyline(disks, g.node(view.self).pos, ws);
   return sky.enclosed_area(disks);
 }
 
@@ -44,6 +45,7 @@ int main() {
   sim::Table table({"avg_1hop", "flooding_pct", "skyline_pct", "greedy_pct",
                     "optimal_pct", "new_node_miss_rate_greedy_pct"});
   bool skyline_exact = true;
+  core::SkylineWorkspace ws;
 
   for (int n = 6; n <= 18; n += 6) {
     std::vector<sim::RunningStats> frac(schemes.size());
@@ -59,11 +61,11 @@ int main() {
       const bcast::LocalView view = bcast::local_view(g, 0);
       if (view.one_hop.empty()) continue;
 
-      const double full = covered_area(g, view, view.one_hop);
+      const double full = covered_area(g, view, view.one_hop, ws);
       std::vector<std::vector<net::NodeId>> sets(schemes.size());
       for (std::size_t s = 0; s < schemes.size(); ++s) {
         sets[s] = bcast::forwarding_set(g, view, schemes[s]);
-        frac[s].add(100.0 * covered_area(g, view, sets[s]) / full);
+        frac[s].add(100.0 * covered_area(g, view, sets[s], ws) / full);
       }
 
       // "New node" probe: drop 200 uniform points inside the 1-hop coverage

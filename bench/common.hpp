@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "broadcast/forwarding.hpp"
-#include "core/skyline_dc.hpp"
 #include "net/topology.hpp"
 #include "sim/histogram.hpp"
 #include "sim/rng.hpp"
@@ -61,13 +60,10 @@ inline std::vector<std::vector<std::uint64_t>> run_sweep_point(
     sim::Xoshiro256 rng(sim::derive_seed(seed, t));
     const net::DiskGraph g = net::generate_graph(params, rng);
     const bcast::LocalView view = bcast::local_view(g, 0);
-    // One skyline-engine workspace per worker thread (workers are
-    // persistent, so this amortizes across every trial and sweep point).
-    thread_local core::SkylineWorkspace ws;
     rows[t].size_of_scheme.fill(0);
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       rows[t].size_of_scheme[s] =
-          bcast::forwarding_set(g, view, schemes[s], ws).size();
+          bcast::forwarding_set(g, view, schemes[s]).size();
     }
   };
   sim::default_pool().parallel_for(trials, body);

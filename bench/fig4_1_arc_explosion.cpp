@@ -21,9 +21,10 @@ int main() {
   sim::Table table({"k", "central_disk_arcs", "total_arcs", "2n_bound",
                     "radial_err", "valid"});
   bool ok = true;
+  core::SkylineWorkspace ws;
   for (std::size_t k : {3u, 4u, 5u, 6u, 8u, 10u, 12u, 16u}) {
     const core::Scenario sc = core::figure41_configuration(k);
-    const auto sky = core::compute_skyline(sc.disks, sc.origin);
+    const auto sky = core::compute_skyline(sc.disks, sc.origin, ws);
 
     std::size_t central = 0;
     for (const auto& [disk, arcs] : sky.arcs_per_disk()) {
@@ -51,7 +52,7 @@ int main() {
   sim::Table sweep({"r_frac", "central_arcs"});
   for (double f : {-0.2, -0.05, 0.05, 0.25, 0.5, 0.75, 0.95}) {
     const core::Scenario sc = core::figure41_configuration(6, f);
-    const auto sky = core::compute_skyline(sc.disks, sc.origin);
+    const auto sky = core::compute_skyline(sc.disks, sc.origin, ws);
     std::size_t central = 0;
     for (const auto& [disk, arcs] : sky.arcs_per_disk()) {
       if (disk == 6) central = arcs;

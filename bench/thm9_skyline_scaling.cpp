@@ -35,16 +35,17 @@ Scenario merge_scenario(std::size_t n) {
 
 void BM_SkylineDivideAndConquer(benchmark::State& state) {
   const Scenario sc = merge_scenario(static_cast<std::size_t>(state.range(0)));
+  mldcs::core::SkylineWorkspace ws;
+  // Disks the sector-bound prefilter lets into the merge, counted in one
+  // untimed call that also warms the workspace.
+  mldcs::core::MergeStats stats;
+  (void)mldcs::core::compute_skyline(sc.disks, sc.origin, ws, &stats);
   std::size_t arcs = 0;
   for (auto _ : state) {
-    const auto sky = mldcs::core::compute_skyline(sc.disks, sc.origin);
+    const auto sky = mldcs::core::compute_skyline(sc.disks, sc.origin, ws);
     arcs = sky.arc_count();
     benchmark::DoNotOptimize(arcs);
   }
-  // Disks the sector-bound prefilter lets into the merge, counted in one
-  // untimed call.
-  mldcs::core::MergeStats stats;
-  (void)mldcs::core::compute_skyline(sc.disks, sc.origin, &stats);
   state.SetComplexityN(state.range(0));
   state.counters["arcs"] = static_cast<double>(arcs);
   state.counters["arcs_per_disk"] =
@@ -88,10 +89,12 @@ void BM_MergeWorkPerLevel(benchmark::State& state) {
   // Lemma 8 in operation: total Merge spans across the recursion is
   // O(n log n); reported as a counter for the EXPERIMENTS.md table.
   const Scenario sc = merge_scenario(static_cast<std::size_t>(state.range(0)));
+  mldcs::core::SkylineWorkspace ws;
   mldcs::core::MergeStats stats;
   for (auto _ : state) {
     stats = {};
-    const auto sky = mldcs::core::compute_skyline(sc.disks, sc.origin, &stats);
+    const auto sky =
+        mldcs::core::compute_skyline(sc.disks, sc.origin, ws, &stats);
     benchmark::DoNotOptimize(sky.arc_count());
   }
   state.SetComplexityN(state.range(0));

@@ -11,9 +11,10 @@
 /// that failed full delivery — a per-node account of why each missed node
 /// never got the message (obs/event_replay.hpp).
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,12 +23,18 @@
 #include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "obs/event_replay.hpp"
+#include "obs/run_outputs.hpp"
 #include "sim/rng.hpp"
 #include "sim/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace mldcs;
 
+  const auto usage = [] {
+    std::cerr << "usage: broadcast_demo [avg_degree] [seed] [hetero(0|1)] "
+                 "[--events PATH]\n";
+    return 2;
+  };
   std::string events_path;
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
@@ -35,18 +42,24 @@ int main(int argc, char** argv) {
     if (arg == "--events" && i + 1 < argc) {
       events_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "usage: broadcast_demo [avg_degree] [seed] [hetero(0|1)] "
-                   "[--events PATH]\n";
-      return 2;
+      return usage();
     } else {
       pos.push_back(arg);
     }
   }
-  const double degree = pos.size() > 0 ? std::atof(pos[0].c_str()) : 10.0;
-  const std::uint64_t seed =
-      pos.size() > 1 ? static_cast<std::uint64_t>(std::atoll(pos[1].c_str()))
-                     : 7;
-  const bool hetero = pos.size() > 2 ? std::atoi(pos[2].c_str()) != 0 : true;
+  // Strict positionals: a finite degree > 0, any 64-bit seed, hetero 0 or 1.
+  std::optional<double> degree_arg = 10.0;
+  std::optional<std::uint64_t> seed_arg = 7;
+  std::optional<std::uint64_t> hetero_arg = 1;
+  if (pos.size() > 0) degree_arg = obs::parse_positive_real(pos[0]);
+  if (pos.size() > 1) seed_arg = obs::parse_decimal(pos[1], UINT64_MAX);
+  if (pos.size() > 2) hetero_arg = obs::parse_decimal(pos[2], 1);
+  if (pos.size() > 3 || !degree_arg || !seed_arg || !hetero_arg) {
+    return usage();
+  }
+  const double degree = *degree_arg;
+  const std::uint64_t seed = *seed_arg;
+  const bool hetero = *hetero_arg == 1;
 
   net::DeploymentParams p;
   p.model = hetero ? net::RadiusModel::kUniform : net::RadiusModel::kHomogeneous;

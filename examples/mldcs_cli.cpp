@@ -12,9 +12,12 @@
 ///       Generate a Chapter 5 deployment and dump it in the file format
 ///       (pipe to a file to get a reproducible test case).
 ///
-/// Exit code 0 on success, 1 on bad usage, 2 on invalid input data.
+/// Exit code 0 on success, 1 on bad usage, 2 on invalid input data: a
+/// malformed number (printed with the usage) or deployment file.
 
+#include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "broadcast/forwarding.hpp"
@@ -22,19 +25,20 @@
 #include "geometry/angle.hpp"
 #include "net/io.hpp"
 #include "net/topology.hpp"
+#include "obs/run_outputs.hpp"
 #include "sim/rng.hpp"
 
 namespace {
 
 using namespace mldcs;
 
-int usage() {
+int usage(int code = 1) {
   std::cerr << "usage:\n"
             << "  mldcs_cli cover <file> [relay-index]\n"
             << "  mldcs_cli forward <file> <relay-index> "
                "<flooding|skyline|sel|greedy|optimal>\n"
             << "  mldcs_cli gen <avg-degree> <hetero 0|1> <seed>\n";
-  return 1;
+  return code;
 }
 
 int cmd_cover(const std::string& path, net::NodeId relay) {
@@ -124,18 +128,23 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "cover" && argc >= 3) {
-      const net::NodeId relay =
-          argc > 3 ? static_cast<net::NodeId>(std::atoi(argv[3])) : 0;
-      return cmd_cover(argv[2], relay);
+    if (cmd == "cover" && (argc == 3 || argc == 4)) {
+      std::optional<std::uint64_t> relay = 0;
+      if (argc == 4) relay = obs::parse_decimal(argv[3], net::kNoNode - 1);
+      if (!relay) return usage(2);
+      return cmd_cover(argv[2], static_cast<net::NodeId>(*relay));
     }
     if (cmd == "forward" && argc == 5) {
-      return cmd_forward(argv[2], static_cast<net::NodeId>(std::atoi(argv[3])),
-                         argv[4]);
+      const auto relay = obs::parse_decimal(argv[3], net::kNoNode - 1);
+      if (!relay) return usage(2);
+      return cmd_forward(argv[2], static_cast<net::NodeId>(*relay), argv[4]);
     }
     if (cmd == "gen" && argc == 5) {
-      return cmd_gen(std::atof(argv[2]), std::atoi(argv[3]) != 0,
-                     static_cast<std::uint64_t>(std::atoll(argv[4])));
+      const auto degree = obs::parse_positive_real(argv[2]);
+      const auto hetero = obs::parse_decimal(argv[3], 1);
+      const auto seed = obs::parse_decimal(argv[4], UINT64_MAX);
+      if (!degree || !hetero || !seed) return usage(2);
+      return cmd_gen(*degree, *hetero == 1, *seed);
     }
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';

@@ -40,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -82,6 +81,13 @@ int main(int argc, char** argv) {
   obs::RunOutputs outputs(std::cout, std::cerr);
   if (!outputs.parse(argc, argv)) return 2;
 
+  const auto usage = [] {
+    std::cerr << "usage: mobility_maintenance [periods] [speed] [seed]\n"
+                 "  [--watchdog K,M] [--shards N]\n  "
+              << obs::RunOutputs::kUsage << "\n";
+    return 2;
+  };
+
   // Flags may appear anywhere; whatever remains is the positional
   // [periods] [speed] [seed] triple.
   std::size_t shards = 1;
@@ -113,20 +119,26 @@ int main(int argc, char** argv) {
       wd_period = static_cast<std::uint32_t>(*k);
       wd_samples = static_cast<std::uint32_t>(*m);
     } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "usage: mobility_maintenance [periods] [speed] [seed]\n"
-                   "  [--watchdog K,M] [--shards N]\n  "
-                << obs::RunOutputs::kUsage << "\n";
-      return 2;
+      return usage();
     } else {
       pos.push_back(arg);
     }
   }
-  const int periods = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 20;
-  const double speed =
-      pos.size() > 1 ? std::atof(pos[1].c_str()) : 0.25;  // per period
-  const std::uint64_t seed =
-      pos.size() > 2 ? static_cast<std::uint64_t>(std::atoll(pos[2].c_str()))
-                     : 11;
+  // Strict positionals: at least one period, a finite speed > 0 (per
+  // period) and any 64-bit seed.
+  std::optional<std::uint64_t> periods_arg = 20;
+  std::optional<double> speed_arg = 0.25;
+  std::optional<std::uint64_t> seed_arg = 11;
+  if (pos.size() > 0) periods_arg = obs::parse_decimal(pos[0], INT32_MAX);
+  if (pos.size() > 1) speed_arg = obs::parse_positive_real(pos[1]);
+  if (pos.size() > 2) seed_arg = obs::parse_decimal(pos[2], UINT64_MAX);
+  if (pos.size() > 3 || !periods_arg || *periods_arg == 0 || !speed_arg ||
+      !seed_arg) {
+    return usage();
+  }
+  const int periods = static_cast<int>(*periods_arg);
+  const double speed = *speed_arg;
+  const std::uint64_t seed = *seed_arg;
   if (!outputs.start()) return 1;
 
   net::DeploymentParams p;

@@ -5,10 +5,13 @@
 ///
 /// Usage: skyline_svg [out.svg] [n_disks] [seed]
 ///        skyline_svg fig41 [out.svg] [k]     — render the Figure 4.1 config
+///
+/// Counts (n_disks, k) must be >= 1; a malformed number exits 2.
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/scenarios.hpp"
@@ -16,6 +19,7 @@
 #include "geometry/angle.hpp"
 #include "geometry/bbox.hpp"
 #include "geometry/radial.hpp"
+#include "obs/run_outputs.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -26,7 +30,8 @@ const char* kPalette[] = {"#e41a1c", "#377eb8", "#4daf4a", "#984ea3",
                           "#ff7f00", "#a65628", "#f781bf", "#17becf"};
 
 void write_svg(const std::string& path, const core::Scenario& sc) {
-  const auto sky = core::compute_skyline(sc.disks, sc.origin);
+  core::SkylineWorkspace ws;
+  const auto sky = core::compute_skyline(sc.disks, sc.origin, ws);
   geom::BBox box = geom::bbox_of(std::span<const geom::Disk>(sc.disks));
   box = box.inflated(0.25);
 
@@ -83,18 +88,26 @@ void write_svg(const std::string& path, const core::Scenario& sc) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto usage = [] {
+    std::cerr << "usage: skyline_svg [out.svg] [n_disks] [seed]\n"
+                 "       skyline_svg fig41 [out.svg] [k]\n";
+    return 2;
+  };
   if (argc > 1 && std::string(argv[1]) == "fig41") {
     const std::string out = argc > 2 ? argv[2] : "fig41.svg";
-    const std::size_t k = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 6;
-    write_svg(out, core::figure41_configuration(k));
+    std::optional<std::uint64_t> k = 6;
+    if (argc > 3) k = obs::parse_decimal(argv[3], UINT32_MAX);
+    if (argc > 4 || !k || *k == 0) return usage();
+    write_svg(out, core::figure41_configuration(*k));
     return 0;
   }
   const std::string out = argc > 1 ? argv[1] : "skyline.svg";
-  const std::size_t n =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 9;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 4;
-  sim::Xoshiro256 rng(seed);
-  write_svg(out, core::random_local_set(rng, n, true));
+  std::optional<std::uint64_t> n = 9;
+  std::optional<std::uint64_t> seed = 4;
+  if (argc > 2) n = obs::parse_decimal(argv[2], UINT32_MAX);
+  if (argc > 3) seed = obs::parse_decimal(argv[3], UINT64_MAX);
+  if (argc > 4 || !n || *n == 0 || !seed) return usage();
+  sim::Xoshiro256 rng(*seed);
+  write_svg(out, core::random_local_set(rng, *n, true));
   return 0;
 }

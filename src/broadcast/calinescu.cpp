@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "broadcast/forwarding.hpp"
-#include "core/mldcs.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/tolerance.hpp"
 
@@ -39,13 +38,9 @@ std::vector<net::NodeId> calinescu_forwarding_set(const net::DiskGraph& g,
 
   const geom::Vec2 origin = g.node(view.self).pos;
 
-  // Candidate relays: the skyline disks of the 1-hop neighborhood, in
-  // counter-clockwise order of their centers as seen from the relay.
-  const std::vector<geom::Disk> disks = local_disk_set(g, view);
-  std::vector<net::NodeId> sky_nodes;
-  for (std::size_t idx : core::mldcs_unchecked(disks, origin)) {
-    if (idx != 0) sky_nodes.push_back(view.one_hop[idx - 1]);
-  }
+  // Candidate relays: the skyline disks of the 1-hop neighborhood (the
+  // skyline forwarding set, sorted by node id).
+  const std::vector<net::NodeId> sky_nodes = skyline_forwarding_set(g, view);
   // Non-skyline 1-hop neighbors may still be the *only* graph-link to some
   // 2-hop node in degenerate tie cases; keep all 1-hop neighbors as backup
   // candidates after the skyline ones so the result always dominates the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "broadcast/set_cover.hpp"
-#include "core/mldcs.hpp"
 #include "core/skyline_dc.hpp"
 
 namespace mldcs::bcast {
@@ -54,14 +53,7 @@ std::vector<net::NodeId> sky_set_to_node_ids(
 std::vector<net::NodeId> skyline_forwarding_set(const net::DiskGraph& g,
                                                 const LocalView& view) {
   const std::vector<geom::Disk> disks = local_disk_set(g, view);
-  return sky_set_to_node_ids(
-      core::mldcs_unchecked(disks, g.node(view.self).pos), view);
-}
-
-std::vector<net::NodeId> skyline_forwarding_set(const net::DiskGraph& g,
-                                                const LocalView& view,
-                                                core::SkylineWorkspace& ws) {
-  const std::vector<geom::Disk> disks = local_disk_set(g, view);
+  core::SkylineWorkspace ws;
   return sky_set_to_node_ids(
       core::compute_skyline(disks, g.node(view.self).pos, ws).skyline_set(),
       view);
@@ -113,13 +105,6 @@ std::vector<net::NodeId> forwarding_set(const net::DiskGraph& g,
       return optimal_forwarding_set(g, view);
   }
   return {};
-}
-
-std::vector<net::NodeId> forwarding_set(const net::DiskGraph& g,
-                                        const LocalView& view, Scheme scheme,
-                                        core::SkylineWorkspace& ws) {
-  if (scheme == Scheme::kSkyline) return skyline_forwarding_set(g, view, ws);
-  return forwarding_set(g, view, scheme);
 }
 
 std::vector<net::NodeId> forwarding_set(const net::DiskGraph& g,

@@ -10,6 +10,12 @@
 /// | selecting forwarding set  | 1+2-hop     | no (paper [6]) | covers 2-hop nodes    |
 /// | greedy (Chvátal / MPR)    | 1+2-hop     | yes            | covers 2-hop nodes    |
 /// | optimal (exact min cover) | 1+2-hop     | yes            | min covering 2-hop    |
+///
+/// This is the per-relay reference path: one relay at a time, through a
+/// LocalView, each skyline on a workspace built for the call.  Loops over
+/// many relays (the sweep, SkylineCache, a skyline broadcast) run the
+/// batch of relay_skyline.hpp instead, which the tests and the benchmark
+/// oracle compare against forwarding_set(g, relay, Scheme::kSkyline).
 
 #include <string_view>
 #include <vector>
@@ -17,10 +23,6 @@
 #include "broadcast/local_view.hpp"
 #include "net/disk_graph.hpp"
 #include "net/node.hpp"
-
-namespace mldcs::core {
-class SkylineWorkspace;
-}  // namespace mldcs::core
 
 namespace mldcs::bcast {
 
@@ -58,23 +60,9 @@ enum class Scheme {
 
 /// The skyline/MLDCS forwarding set (our scheme): the skyline set of the
 /// local disk set {self} + 1-hop neighbors, minus self.  1-hop info only,
-/// O(n log n).
+/// O(n log n).  Builds a core::SkylineWorkspace for the call.
 [[nodiscard]] std::vector<net::NodeId> skyline_forwarding_set(
     const net::DiskGraph& g, const LocalView& view);
-
-/// Workspace overload for sweeps: same result, with the skyline engine's
-/// scratch taken from `ws` (one workspace per thread; see
-/// core::SkylineWorkspace).  forwarding_set(g, view, scheme, ws) routes
-/// Scheme::kSkyline through this and everything else through the plain
-/// overload.
-[[nodiscard]] std::vector<net::NodeId> skyline_forwarding_set(
-    const net::DiskGraph& g, const LocalView& view,
-    core::SkylineWorkspace& ws);
-
-/// Scheme dispatch with a caller-provided skyline workspace.
-[[nodiscard]] std::vector<net::NodeId> forwarding_set(
-    const net::DiskGraph& g, const LocalView& view, Scheme scheme,
-    core::SkylineWorkspace& ws);
 
 /// Chvátal-greedy 2-hop cover (the paper's "greedy algorithm").
 [[nodiscard]] std::vector<net::NodeId> greedy_forwarding_set(

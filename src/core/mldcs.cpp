@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/invariants.hpp"
 #include "core/skyline_dc.hpp"
 #include "geometry/radial.hpp"
 #include "geometry/tolerance.hpp"
@@ -46,21 +45,12 @@ LocalDiskSet::LocalDiskSet(geom::Vec2 origin, std::vector<geom::Disk> disks)
 }
 
 std::vector<std::size_t> mldcs(const LocalDiskSet& set) {
-  return compute_skyline(set.disks(), set.origin()).skyline_set();
-}
-
-std::vector<std::size_t> mldcs_unchecked(std::span<const geom::Disk> disks,
-                                         geom::Vec2 o) {
-  // "Unchecked" means no throwing validation on the release fast path; in
-  // checked builds the premise is still enforced, because a violation here
-  // (a broadcast-layer disk graph with a one-directional link) corrupts the
-  // cover silently instead of failing loudly.
-  MLDCS_DCHECK_OK(check_local_disk_premise(disks, o));
-  return compute_skyline(disks, o).skyline_set();
+  return skyline_of(set).skyline_set();
 }
 
 Skyline skyline_of(const LocalDiskSet& set) {
-  return compute_skyline(set.disks(), set.origin());
+  SkylineWorkspace ws;
+  return compute_skyline(set.disks(), set.origin(), ws);
 }
 
 }  // namespace mldcs::core

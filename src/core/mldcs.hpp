@@ -53,13 +53,11 @@ class LocalDiskSet {
 /// Compute the minimum local disk cover set of a validated local disk set:
 /// sorted indices (into `set.disks()`) of a minimum subset whose disk union
 /// equals the union of all disks.  O(n log n).
+///
+/// This and skyline_of are one-shot calls: each builds a SkylineWorkspace
+/// for the call.  A loop over many sets holds one workspace and calls
+/// compute_skyline (skyline_dc.hpp) instead.
 [[nodiscard]] std::vector<std::size_t> mldcs(const LocalDiskSet& set);
-
-/// Unvalidated fast path for callers that construct local disk sets by
-/// construction (e.g. the broadcast layer, which derives them from a disk
-/// graph where the precondition holds by the bidirectional-link rule).
-[[nodiscard]] std::vector<std::size_t> mldcs_unchecked(
-    std::span<const geom::Disk> disks, geom::Vec2 o);
 
 /// The full skyline of a validated local disk set (arcs, not just the set);
 /// useful for rendering, area computation, and the Lemma 8 instrumentation.

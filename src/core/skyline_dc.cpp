@@ -54,17 +54,6 @@ MLDCS_ALLOC_OK void SkylineWorkspace::reserve(std::size_t n_disks) {
   live_.reserve(n_disks);
 }
 
-void SkylineWorkspace::clear() noexcept {
-  lev_cur_ = {};
-  lev_next_ = {};
-  scratch_ = {};
-  soa_ = {};
-  zeros_ = {};
-  sector_max_ = {};
-  keep_ = {};
-  live_ = {};
-}
-
 MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
     std::span<const geom::Disk> disks, geom::Vec2 o, SkylineWorkspace& ws,
     std::vector<Arc>& out, MergeStats* stats) {
@@ -206,14 +195,6 @@ MLDCS_ALLOC_OK Skyline compute_skyline(std::span<const geom::Disk> disks,
   std::vector<Arc> arcs;
   compute_skyline_arcs(disks, o, ws, arcs, stats);
   return Skyline{o, std::move(arcs)};
-}
-
-MLDCS_ALLOC_OK Skyline compute_skyline(std::span<const geom::Disk> disks,
-                                       geom::Vec2 o, MergeStats* stats) {
-  // One workspace per thread: every legacy call site becomes allocation-
-  // free in steady state without signature changes.
-  thread_local SkylineWorkspace tl_workspace;
-  return compute_skyline(disks, o, tl_workspace, stats);
 }
 
 }  // namespace mldcs::core

@@ -9,12 +9,14 @@
 ///
 /// The engine here runs the recursion *iteratively, bottom-up*: level 0
 /// holds n single-disk skylines concatenated in one buffer; each pass
-/// merges adjacent pairs into the other buffer.  All scratch
-/// lives in a reusable `SkylineWorkspace`, so a relay sweep that computes
-/// thousands of skylines performs no heap allocation after the first call
-/// (the recursive formulation allocated four vectors per Merge — see
-/// `compute_skyline_recursive` in skyline_reference.hpp, kept as the
-/// differential baseline).
+/// merges adjacent pairs into the other buffer.  All scratch lives in a
+/// `SkylineWorkspace` the caller holds, so a loop that computes thousands
+/// of skylines on one workspace performs no heap allocation after the
+/// first call (the recursive formulation allocated four vectors per Merge
+/// — see `compute_skyline_recursive` in skyline_reference.hpp, kept as the
+/// differential baseline).  The relay loops keep theirs in
+/// `bcast::detail::RelayBatch`; the validated one-shot entry points
+/// (`mldcs`, `skyline_of` in mldcs.hpp) build one per call.
 
 #include <cstdint>
 #include <span>
@@ -49,12 +51,7 @@ class SkylineWorkspace {
   /// next compute_skyline call of that size allocates nothing.
   MLDCS_ALLOC_OK void reserve(std::size_t n_disks);
 
-  /// Release all scratch memory (buffers regrow on next use).
-  void clear() noexcept;
-
  private:
-  friend Skyline compute_skyline(std::span<const geom::Disk>, geom::Vec2,
-                                 SkylineWorkspace&, MergeStats*);
   friend void compute_skyline_arcs(std::span<const geom::Disk>, geom::Vec2,
                                    SkylineWorkspace&, std::vector<Arc>&,
                                    MergeStats*);
@@ -79,7 +76,7 @@ class SkylineWorkspace {
 inline constexpr double kEnvelopeMargin = 1e-6;
 
 /// Compute the skyline of a local disk set around relay `o` with the
-/// divide-and-conquer algorithm.
+/// divide-and-conquer algorithm, all intermediate buffers taken from `ws`.
 ///
 /// Preconditions: every disk contains `o` (a *local* disk set; validated by
 /// the `mldcs()` entry point, assumed here).  Arc disk-indices in the result
@@ -88,15 +85,8 @@ inline constexpr double kEnvelopeMargin = 1e-6;
 /// `stats`, when non-null, accumulates Merge instrumentation across all
 /// recursion levels.
 ///
-/// Delegates to the workspace engine through a thread-local workspace, so
-/// repeated calls on one thread reuse scratch automatically.
-[[nodiscard]] MLDCS_ALLOC_OK Skyline compute_skyline(
-    std::span<const geom::Disk> disks, geom::Vec2 o,
-    MergeStats* stats = nullptr);
-
-/// Workspace overload: same algorithm and result, with all intermediate
-/// buffers taken from `ws`.  The only allocation is the returned Skyline's
-/// own arc vector; use compute_skyline_arcs to avoid even that.
+/// The only allocation of a warmed-up `ws` is the returned Skyline's own
+/// arc vector; use compute_skyline_arcs to avoid even that.
 [[nodiscard]] MLDCS_ALLOC_OK Skyline compute_skyline(
     std::span<const geom::Disk> disks, geom::Vec2 o, SkylineWorkspace& ws,
     MergeStats* stats = nullptr);

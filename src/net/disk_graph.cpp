@@ -93,27 +93,6 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   return g;
 }
 
-DiskGraph DiskGraph::from_adjacency(std::vector<Node> nodes,
-                                    std::span<const std::vector<NodeId>> adj) {
-  DiskGraph g;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    nodes[i].id = static_cast<NodeId>(i);
-  }
-  g.nodes_ = std::move(nodes);
-  const std::size_t n = g.nodes_.size();
-  g.offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    g.offsets_[i + 1] =
-        g.offsets_[i] + static_cast<std::uint32_t>(adj[i].size());
-  }
-  g.adjacency_.resize(g.offsets_[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::copy(adj[i].begin(), adj[i].end(),
-              g.adjacency_.begin() + g.offsets_[i]);
-  }
-  return g;
-}
-
 std::span<const NodeId> DiskGraph::neighbors(NodeId id) const noexcept {
   return {adjacency_.data() + offsets_[id],
           adjacency_.data() + offsets_[id + 1]};

@@ -496,14 +496,4 @@ DynamicDiskGraph::apply_moved(
   return delta_;
 }
 
-DiskGraph DynamicDiskGraph::to_disk_graph() const {
-  if (region_mode_) {
-    throw std::logic_error(
-        "DynamicDiskGraph::to_disk_graph: region graphs hold stale "
-        "positions for non-resident slots; snapshot the whole-plane graph");
-  }
-  return DiskGraph::from_adjacency(
-      std::vector<Node>(nodes_.begin(), nodes_.end()), adjacency_);
-}
-
 }  // namespace mldcs::net

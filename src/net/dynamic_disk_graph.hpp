@@ -213,12 +213,6 @@ class DynamicDiskGraph {
   /// apply).  Same lifetime rule as the `apply` return value.
   [[nodiscard]] const StepDelta& last_delta() const noexcept { return delta_; }
 
-  /// Materialize the current topology as an immutable CSR `DiskGraph`
-  /// (O(edges) copy of the maintained adjacency — no grid rebuild).
-  /// Whole-plane mode only: a region graph's non-resident slots hold stale
-  /// positions, so the snapshot would be meaningless (throws).
-  [[nodiscard]] DiskGraph to_disk_graph() const;
-
  private:
   /// A resident's entry in its cell's bucket: the position and radius
   /// beside the id, so the phase-2 walk reads one contiguous array per cell

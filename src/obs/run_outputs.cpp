@@ -1,6 +1,7 @@
 #include "obs/run_outputs.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <system_error>
@@ -20,6 +21,17 @@ std::optional<std::uint64_t> parse_decimal(std::string_view text,
   const char* const end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, value);
   if (text.empty() || ec != std::errc{} || stop != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parse_positive_real(std::string_view text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end ||
+      !std::isfinite(value) || !(value > 0.0)) {
     return std::nullopt;
   }
   return value;

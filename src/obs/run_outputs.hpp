@@ -39,6 +39,11 @@ namespace mldcs::obs {
 [[nodiscard]] std::optional<std::uint64_t> parse_decimal(std::string_view text,
                                                          std::uint64_t max);
 
+/// A real argument (a speed, a degree), parsed as strictly: the whole text
+/// is one decimal or exponent-form number (no sign, space or suffix) whose
+/// value is finite and > 0.  nullopt for anything else.
+[[nodiscard]] std::optional<double> parse_positive_real(std::string_view text);
+
 class RunOutputs {
  public:
   /// The six flags, for a program's usage text.

@@ -1,7 +1,8 @@
 // compute_all_skylines (the batched all-relay MLDCS API) against the
-// per-relay skyline_forwarding_set reference, across deployment models and
-// thread-pool sizes.  The batch path shares the Merge core but none of the
-// per-relay plumbing (LocalView, Skyline objects), so this is a real
+// per-relay reference forwarding_set(g, u, Scheme::kSkyline) — the call the
+// end-to-end benchmark's oracle makes — across deployment models, densities
+// and thread-pool sizes.  The batch path shares the Merge core but none of
+// the per-relay plumbing (LocalView, Skyline objects), so this is a real
 // differential test of the CSR assembly and the per-worker workspace reuse.
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 
 #include "broadcast/all_skylines.hpp"
 #include "broadcast/forwarding.hpp"
-#include "broadcast/local_view.hpp"
 #include "broadcast/relay_skyline.hpp"
 #include "core/skyline_dc.hpp"
 #include "net/topology.hpp"
@@ -40,10 +40,11 @@ void expect_matches_per_relay(const net::DiskGraph& g, sim::ThreadPool& pool,
 
   std::size_t total = 0;
   std::size_t max_arcs = 0;
+  core::SkylineWorkspace ws;
   for (net::NodeId u = 0; u < g.size(); ++u) {
     const std::string where = label + " relay " + std::to_string(u);
     const std::vector<net::NodeId> expected =
-        skyline_forwarding_set(g, local_view(g, u));
+        forwarding_set(g, u, Scheme::kSkyline);
     const std::span<const net::NodeId> got = all.forwarding_set(u);
     ASSERT_EQ(std::vector<net::NodeId>(got.begin(), got.end()), expected)
         << where;
@@ -55,7 +56,7 @@ void expect_matches_per_relay(const net::DiskGraph& g, sim::ThreadPool& pool,
     for (const net::NodeId v : g.neighbors(u)) {
       disks.push_back(g.node(v).disk());
     }
-    const core::Skyline sky = core::compute_skyline(disks, g.node(u).pos);
+    const core::Skyline sky = core::compute_skyline(disks, g.node(u).pos, ws);
     EXPECT_EQ(all.arc_count(u), sky.arc_count()) << where;
     max_arcs = std::max(max_arcs, sky.arc_count());
   }
@@ -78,6 +79,11 @@ TEST(AllSkylinesTest, MatchesPerRelayReferenceHeterogeneous) {
   sim::ThreadPool pool;
   expect_matches_per_relay(make_graph(true, 8, 0xA110C9), pool,
                            "hetero deg=8");
+  // The benchmark's density: radii U[1,2], degree 36.8, ~1000 nodes.  Here
+  // the sector bound drops about 60% of a relay's disks before the merge.
+  const net::DiskGraph paper = make_graph(true, 36.8, 0xA110CB);
+  ASSERT_GT(paper.size(), 900u);
+  expect_matches_per_relay(paper, pool, "hetero deg=36.8");
 }
 
 // Pool sizes 1-5 give byte-identical results whichever participant claims

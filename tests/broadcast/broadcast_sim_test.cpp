@@ -399,7 +399,8 @@ TEST(BroadcastSimTest, DeliverOverSkylineCacheMatchesSimulatorAfterMobility) {
     link_flips += delta.edges_added + delta.edges_removed;
     cache.update(delta);
     if (t % 20 != 0) continue;
-    const net::DiskGraph g = dyn.to_disk_graph();
+    const net::DiskGraph g = net::DiskGraph::build(
+        std::vector<net::Node>(dyn.nodes().begin(), dyn.nodes().end()));
     for (const ReceptionModel model : {ReceptionModel::kBidirectionalLink,
                                        ReceptionModel::kPhysicalCoverage}) {
       for (const net::NodeId source :

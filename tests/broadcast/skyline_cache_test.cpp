@@ -38,7 +38,10 @@ net::DeploymentParams small_deploy() {
 void expect_matches_fresh(const SkylineCache& cache,
                           const net::DynamicDiskGraph& dyn,
                           sim::ThreadPool& pool, const char* where) {
-  const net::DiskGraph g = dyn.to_disk_graph();
+  // A rebuild from the positions alone: it shares no code with the
+  // maintained adjacency.
+  const net::DiskGraph g = net::DiskGraph::build(
+      std::vector<net::Node>(dyn.nodes().begin(), dyn.nodes().end()));
   const AllSkylines fresh = compute_all_skylines(g, pool);
   ASSERT_EQ(cache.size(), fresh.size()) << where;
   ASSERT_EQ(cache.total_forwarders(), fresh.total_forwarders()) << where;

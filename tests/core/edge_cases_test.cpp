@@ -21,8 +21,8 @@ using geom::kTwoPi;
 using geom::Vec2;
 
 void expect_agreement(const std::vector<Disk>& disks, Vec2 o,
-                      const std::string& label) {
-  const auto dc = compute_skyline(disks, o);
+                      SkylineWorkspace& ws, const std::string& label) {
+  const auto dc = compute_skyline(disks, o, ws);
   const auto bf = compute_skyline_bruteforce(disks, o);
   EXPECT_EQ(verify_skyline(dc, disks), "") << label;
   EXPECT_LT(max_radial_error(dc, disks, 2048), 1e-7) << label;
@@ -33,8 +33,8 @@ void expect_agreement(const std::vector<Disk>& disks, Vec2 o,
 /// identical skyline sets from the D&C, the incremental reference, and the
 /// brute-force envelope.
 void expect_triple_agreement(const std::vector<Disk>& disks, Vec2 o,
-                             const std::string& label) {
-  const auto dc = compute_skyline(disks, o);
+                             SkylineWorkspace& ws, const std::string& label) {
+  const auto dc = compute_skyline(disks, o, ws);
   const auto inc = compute_skyline_incremental(disks, o);
   const auto bf = compute_skyline_bruteforce(disks, o);
   EXPECT_EQ(verify_skyline(dc, disks), "") << label;
@@ -47,13 +47,15 @@ void expect_triple_agreement(const std::vector<Disk>& disks, Vec2 o,
 TEST(EdgeCasesTest, RelayOnEveryDiskBoundary) {
   // k disks all passing exactly through o: rho_i has a zero.  The union
   // boundary touches o, the most degenerate star-shaped configuration.
+  SkylineWorkspace ws;
   for (const std::size_t k : {2u, 3u, 5u, 8u}) {
     std::vector<Disk> disks;
     for (std::size_t i = 0; i < k; ++i) {
       const double a = kTwoPi * static_cast<double>(i) / static_cast<double>(k);
       disks.push_back(Disk{geom::unit_at(a), 1.0});  // ||o - c|| == r
     }
-    expect_agreement(disks, {0, 0}, "boundary-relay k=" + std::to_string(k));
+    expect_agreement(disks, {0, 0}, ws,
+                     "boundary-relay k=" + std::to_string(k));
   }
 }
 
@@ -61,6 +63,7 @@ TEST(EdgeCasesTest, NearCoincidentRadii) {
   // Radii differing by barely more than the tolerance: the tie-break must
   // stay deterministic and the algorithms must agree.
   sim::Xoshiro256 rng(31);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 20; ++rep) {
     std::vector<Disk> disks;
     const std::size_t n = 3 + rng.uniform_int(6);
@@ -69,8 +72,8 @@ TEST(EdgeCasesTest, NearCoincidentRadii) {
       const double d = rng.uniform(0.0, 0.9);
       disks.push_back(Disk{d * geom::unit_at(rng.uniform(0.0, kTwoPi)), r});
     }
-    expect_agreement(disks, {0, 0}, "near-coincident rep " +
-                                        std::to_string(rep));
+    expect_agreement(disks, {0, 0}, ws,
+                     "near-coincident rep " + std::to_string(rep));
   }
 }
 
@@ -81,7 +84,8 @@ TEST(EdgeCasesTest, MicroScaleConfiguration) {
   const std::vector<Disk> disks{{{0.5 * s, 0.0}, 1.0 * s},
                                 {{-0.5 * s, 0.0}, 1.0 * s},
                                 {{0.0, 0.6 * s}, 0.9 * s}};
-  expect_agreement(disks, {0, 0}, "micro scale");
+  SkylineWorkspace ws;
+  expect_agreement(disks, {0, 0}, ws, "micro scale");
 }
 
 TEST(EdgeCasesTest, MacroScaleConfiguration) {
@@ -91,7 +95,8 @@ TEST(EdgeCasesTest, MacroScaleConfiguration) {
   const std::vector<Disk> disks{{base + Vec2{500, 0}, 1000.0},
                                 {base + Vec2{-500, 0}, 1000.0},
                                 {base + Vec2{0, 600}, 900.0}};
-  expect_agreement(disks, base, "macro scale");
+  SkylineWorkspace ws;
+  expect_agreement(disks, base, ws, "macro scale");
 }
 
 TEST(EdgeCasesTest, ManyDisksThroughTwoCommonPoints) {
@@ -104,7 +109,8 @@ TEST(EdgeCasesTest, ManyDisksThroughTwoCommonPoints) {
     const double r = std::sqrt(cx * cx + h * h);
     disks.push_back(Disk{{cx, 0.0}, r});
   }
-  expect_agreement(disks, {0, 0}, "pencil of circles");
+  SkylineWorkspace ws;
+  expect_agreement(disks, {0, 0}, ws, "pencil of circles");
 }
 
 TEST(EdgeCasesTest, LargeRandomSetAgreesWithIncremental) {
@@ -117,7 +123,8 @@ TEST(EdgeCasesTest, LargeRandomSetAgreesWithIncremental) {
     const double d = rng.uniform(0.0, r);
     disks.push_back(Disk{d * geom::unit_at(rng.uniform(0.0, kTwoPi)), r});
   }
-  const auto dc = compute_skyline(disks, {0, 0});
+  SkylineWorkspace ws;
+  const auto dc = compute_skyline(disks, {0, 0}, ws);
   const auto inc = compute_skyline_incremental(disks, {0, 0});
   EXPECT_EQ(dc.skyline_set(), inc.skyline_set());
   EXPECT_EQ(verify_skyline(dc, disks), "");
@@ -133,7 +140,8 @@ TEST(EdgeCasesTest, RadiusAtOutOfRangeDiskIndexIsSafe) {
 TEST(EdgeCasesTest, AllDisksZeroRadiusAtOrigin) {
   // Pathological but legal: every disk is the single point o.
   const std::vector<Disk> disks{{{0, 0}, 0.0}, {{0, 0}, 0.0}};
-  const auto sky = compute_skyline(disks, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(disks, {0, 0}, ws);
   EXPECT_EQ(sky.skyline_set().size(), 1u);
   EXPECT_NEAR(sky.enclosed_area(disks), 0.0, 1e-12);
 }
@@ -149,7 +157,8 @@ TEST(EdgeCasesTest, SpikyRadialProfile) {
     const double d = 0.95;
     disks.push_back(Disk{d * geom::unit_at(a), d + 0.06});
   }
-  expect_agreement(disks, {0, 0}, "spiky profile");
+  SkylineWorkspace ws;
+  expect_agreement(disks, {0, 0}, ws, "spiky profile");
 }
 
 TEST(EdgeCasesTest, CoincidentCentersEqualRadii) {
@@ -157,18 +166,20 @@ TEST(EdgeCasesTest, CoincidentCentersEqualRadii) {
   // index) must keep exactly one representative, identically in all three
   // algorithms.
   const Disk twin{{0.3, -0.2}, 1.1};
+  SkylineWorkspace ws;
   for (const std::size_t copies : {2u, 3u, 6u}) {
     const std::vector<Disk> disks(copies, twin);
-    expect_triple_agreement(disks, {0, 0},
+    expect_triple_agreement(disks, {0, 0}, ws,
                             "coincident x" + std::to_string(copies));
-    EXPECT_EQ(compute_skyline(disks, {0, 0}).skyline_set(),
+    EXPECT_EQ(compute_skyline(disks, {0, 0}, ws).skyline_set(),
               (std::vector<std::size_t>{0}));
   }
   // Coincident pair embedded among distinct disks: the pair still yields
   // one representative and the distinct disks are unaffected.
   const std::vector<Disk> mixed{{{0.6, 0.0}, 1.0}, twin, twin,
                                 {{-0.5, 0.4}, 1.2}};
-  expect_triple_agreement(mixed, {0, 0}, "coincident pair among distinct");
+  expect_triple_agreement(mixed, {0, 0}, ws,
+                          "coincident pair among distinct");
 }
 
 TEST(EdgeCasesTest, DiskFullyContainingAllOthers) {
@@ -178,12 +189,13 @@ TEST(EdgeCasesTest, DiskFullyContainingAllOthers) {
   const std::vector<Disk> small{{{0.4, 0.0}, 1.0},
                                 {{-0.3, 0.2}, 0.8},
                                 {{0.0, -0.5}, 1.2}};
+  SkylineWorkspace ws;
   for (std::size_t pos = 0; pos <= small.size(); ++pos) {
     std::vector<Disk> disks = small;
     disks.insert(disks.begin() + static_cast<std::ptrdiff_t>(pos), big);
     const std::string label = "big disk at index " + std::to_string(pos);
-    expect_triple_agreement(disks, {0, 0}, label);
-    EXPECT_EQ(compute_skyline(disks, {0, 0}).skyline_set(),
+    expect_triple_agreement(disks, {0, 0}, ws, label);
+    EXPECT_EQ(compute_skyline(disks, {0, 0}, ws).skyline_set(),
               (std::vector<std::size_t>{pos}))
         << label;
   }
@@ -195,6 +207,7 @@ TEST(EdgeCasesTest, ArcEndpointsWithinAngleTol) {
   // angles land within tolerance of each other, so breakpoint dedup and
   // sliver coalescing must fire identically in all three algorithms.
   const double h = 0.8;
+  SkylineWorkspace ws;
   for (const double eps : {0.0, 1e-13, 1e-11, 0.4e-9}) {
     std::vector<Disk> disks;
     for (const double cx : {-0.6, 0.0, 0.6}) {
@@ -203,7 +216,7 @@ TEST(EdgeCasesTest, ArcEndpointsWithinAngleTol) {
     // Perturb the last circle so it passes within eps of (0, +-h) instead
     // of exactly through them.
     disks.back().center.x += eps;
-    expect_triple_agreement(disks, {0, 0},
+    expect_triple_agreement(disks, {0, 0}, ws,
                             "near-coincident breakpoints eps=" +
                                 std::to_string(eps));
   }

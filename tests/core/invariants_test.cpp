@@ -87,7 +87,8 @@ TEST(InvariantMacrosDeathTest, AbortModeAbortsWithExpressionDump) {
 TEST(CheckArcListTest, AcceptsEmptyAndComputedSkylines) {
   EXPECT_EQ(check_arc_list({}), "");
   const Scenario sc = figure32_like_configuration();
-  const Skyline sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const Skyline sky = compute_skyline(sc.disks, sc.origin, ws);
   EXPECT_EQ(check_arc_list(sky.arcs(), sc.disks.size()), "");
 }
 
@@ -136,8 +137,9 @@ TEST(CheckLocalDiskPremiseTest, AcceptsValidAndRejectsViolations) {
 
 TEST(CheckMinimalityTest, AcceptsComputedSkylines) {
   const Scenario sc = figure32_like_configuration();
+  SkylineWorkspace ws;
   EXPECT_EQ(check_skyline_minimality(sc.disks,
-                                     compute_skyline(sc.disks, sc.origin)),
+                                     compute_skyline(sc.disks, sc.origin, ws)),
             "");
   EXPECT_EQ(check_skyline_minimality(
                 sc.disks, compute_skyline_incremental(sc.disks, sc.origin)),
@@ -147,7 +149,8 @@ TEST(CheckMinimalityTest, AcceptsComputedSkylines) {
 TEST(CheckMinimalityTest, RejectsArcFromDominatedDisk) {
   // Disk 1 strictly inside disk 0: it must never own an arc.
   const std::vector<Disk> disks{{{0.0, 0.0}, 2.0}, {{0.1, 0.0}, 0.5}};
-  Skyline good = compute_skyline(disks, {0, 0});
+  SkylineWorkspace ws;
+  Skyline good = compute_skyline(disks, {0, 0}, ws);
   ASSERT_EQ(good.skyline_set(), (std::vector<std::size_t>{0}));
 
   // Forge a skyline crediting half the boundary to the dominated disk.
@@ -160,7 +163,8 @@ TEST(CheckMinimalityTest, RejectsCoverageLoss) {
   // Two half-overlapping disks: both are on the skyline.  A "skyline" that
   // credits everything to disk 0 loses disk 1's exclusive area.
   const std::vector<Disk> disks{{{-0.4, 0.0}, 1.0}, {{0.4, 0.0}, 1.0}};
-  const Skyline truth = compute_skyline(disks, {0, 0});
+  SkylineWorkspace ws;
+  const Skyline truth = compute_skyline(disks, {0, 0}, ws);
   ASSERT_EQ(truth.skyline_set().size(), 2u);
 
   const Skyline forged({0, 0}, {{0.0, kTwoPi, 0}});
@@ -173,6 +177,7 @@ TEST(InvariantFuzzTest, RandomLocalSetsSatisfyAllInvariants) {
   // skylines that pass every validator, for both the D&C and the
   // incremental algorithm.
   sim::Xoshiro256 rng(20260807);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 60; ++rep) {
     std::vector<Disk> disks;
     const std::size_t n = 2 + rng.uniform_int(10);
@@ -192,7 +197,7 @@ TEST(InvariantFuzzTest, RandomLocalSetsSatisfyAllInvariants) {
     }
     const std::string label = "rep " + std::to_string(rep);
 
-    const Skyline dc = compute_skyline(disks, {0, 0});
+    const Skyline dc = compute_skyline(disks, {0, 0}, ws);
     EXPECT_EQ(check_local_disk_premise(disks, {0, 0}), "") << label;
     EXPECT_EQ(check_arc_list(dc.arcs(), disks.size()), "") << label;
     EXPECT_EQ(check_skyline_minimality(disks, dc), "") << label;

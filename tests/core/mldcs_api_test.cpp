@@ -81,28 +81,20 @@ TEST(MldcsTest, Figure32LikeConfigurationDropsTheDominatedDisk) {
   EXPECT_EQ(result, (std::vector<std::size_t>{1, 2, 4, 5}));
 }
 
-TEST(MldcsTest, UncheckedMatchesChecked) {
-  sim::Xoshiro256 rng(5150);
-  for (int rep = 0; rep < 20; ++rep) {
-    const Scenario sc = random_local_set(rng, 9, true);
-    const LocalDiskSet set(sc.origin, sc.disks);
-    EXPECT_EQ(mldcs(set), mldcs_unchecked(sc.disks, sc.origin));
-  }
-}
-
 TEST(MldcsTest, SkylineOfMatchesComputeSkyline) {
   sim::Xoshiro256 rng(61);
   const Scenario sc = random_local_set(rng, 7, false);
   const LocalDiskSet set(sc.origin, sc.disks);
+  SkylineWorkspace ws;
   EXPECT_EQ(skyline_of(set).skyline_set(),
-            compute_skyline(sc.disks, sc.origin).skyline_set());
+            compute_skyline(sc.disks, sc.origin, ws).skyline_set());
 }
 
 TEST(MldcsTest, ResultIndicesAreSortedAndUnique) {
   sim::Xoshiro256 rng(71);
   for (int rep = 0; rep < 20; ++rep) {
     const Scenario sc = random_local_set(rng, 15, true);
-    const auto result = mldcs_unchecked(sc.disks, sc.origin);
+    const auto result = mldcs(LocalDiskSet(sc.origin, sc.disks));
     for (std::size_t k = 1; k < result.size(); ++k) {
       EXPECT_LT(result[k - 1], result[k]);
     }
@@ -116,9 +108,10 @@ TEST(MldcsTest, MldcsIsMinimalNoMemberRemovable) {
   // removed disk's own arc midpoints, where its radial distance strictly
   // exceeds every other disk's.
   sim::Xoshiro256 rng(81);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 10; ++rep) {
     const Scenario sc = random_local_set(rng, 10, true);
-    const Skyline sky = compute_skyline(sc.disks, sc.origin);
+    const Skyline sky = compute_skyline(sc.disks, sc.origin, ws);
     for (std::size_t drop : sky.skyline_set()) {
       std::vector<geom::Disk> others;
       for (std::size_t i = 0; i < sc.disks.size(); ++i) {

@@ -199,10 +199,11 @@ TEST(Lemma8Test, MergeWorkIsLinearithmic) {
   // (narrow_band_set), where the sector-bound prefilter can drop almost
   // nothing, so the spans measure merges of n disks, not of the few a
   // U[1,2] set leaves.
+  SkylineWorkspace ws;
   const auto work = [&](std::size_t n) {
     const Scenario sc = narrow_band_set(rng, n);
     MergeStats stats;
-    (void)compute_skyline(sc.disks, sc.origin, &stats);
+    (void)compute_skyline(sc.disks, sc.origin, ws, &stats);
     EXPECT_GE(stats.survivors, n * 9 / 10) << "n = " << n;
     return stats.spans;
   };

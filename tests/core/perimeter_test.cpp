@@ -39,13 +39,15 @@ double polyline_perimeter(const Skyline& sky,
 
 TEST(PerimeterTest, SingleCenteredDisk) {
   const std::vector<Disk> one{{{0, 0}, 2.0}};
-  const auto sky = compute_skyline(one, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(one, {0, 0}, ws);
   EXPECT_NEAR(sky.perimeter(one), 2 * kTwoPi, 1e-9);
 }
 
 TEST(PerimeterTest, SingleOffsetDisk) {
   const std::vector<Disk> one{{{0.4, -0.3}, 1.5}};
-  const auto sky = compute_skyline(one, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(one, {0, 0}, ws);
   EXPECT_NEAR(sky.perimeter(one), kTwoPi * 1.5, 1e-9);
 }
 
@@ -53,21 +55,24 @@ TEST(PerimeterTest, TwoCrossingUnitDisksClassicLens) {
   // Unit disks at distance 1: each circle loses a 2*pi/3 lens arc, so the
   // union perimeter is 2 * (2*pi - 2*pi/3) = 8*pi/3.
   const std::vector<Disk> two{{{0.5, 0}, 1.0}, {{-0.5, 0}, 1.0}};
-  const auto sky = compute_skyline(two, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(two, {0, 0}, ws);
   EXPECT_NEAR(sky.perimeter(two), 8.0 * kPi / 3.0, 1e-9);
 }
 
 TEST(PerimeterTest, DominatedDiskDoesNotContribute) {
   const std::vector<Disk> pair{{{0, 0}, 3.0}, {{0.5, 0}, 1.0}};
-  const auto sky = compute_skyline(pair, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(pair, {0, 0}, ws);
   EXPECT_NEAR(sky.perimeter(pair), kTwoPi * 3.0, 1e-9);
 }
 
 TEST(PerimeterTest, MatchesPolylineReferenceOnRandomSets) {
   sim::Xoshiro256 rng(808);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 10; ++rep) {
     const Scenario sc = random_local_set(rng, 10, true);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     const double exact = sky.perimeter(sc.disks);
     const double numeric = polyline_perimeter(sky, sc.disks);
     EXPECT_NEAR(exact, numeric, exact * 1e-4) << "rep " << rep;
@@ -78,9 +83,10 @@ TEST(PerimeterTest, AtLeastLargestDiskAtMostSumOfDisks) {
   // The union boundary is at least the hull disk's circumference scale and
   // at most the total circumference of all contributing circles.
   sim::Xoshiro256 rng(809);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 20; ++rep) {
     const Scenario sc = random_local_set(rng, 8, true);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     const double perim = sky.perimeter(sc.disks);
     double rmax = 0.0;
     double total = 0.0;
@@ -97,9 +103,10 @@ TEST(PerimeterTest, IsoperimetricConsistencyWithArea) {
   // For any planar region, P^2 >= 4*pi*A (isoperimetric inequality) — a
   // cheap cross-check tying the two exact integrals together.
   sim::Xoshiro256 rng(810);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 20; ++rep) {
     const Scenario sc = random_local_set(rng, 9, true);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     const double perim = sky.perimeter(sc.disks);
     const double area = sky.enclosed_area(sc.disks);
     EXPECT_GE(perim * perim, 4.0 * kPi * area - 1e-6);

@@ -27,8 +27,9 @@ using geom::kTwoPi;
 /// identical radial coverage, identical skyline sets (under the shared
 /// deterministic tie-break the arc structure itself must match), and all
 /// validators pass.
-void expect_skylines_agree(const Scenario& sc, const std::string& label) {
-  const auto dc = compute_skyline(sc.disks, sc.origin);
+void expect_skylines_agree(const Scenario& sc, SkylineWorkspace& ws,
+                           const std::string& label) {
+  const auto dc = compute_skyline(sc.disks, sc.origin, ws);
   const auto bf = compute_skyline_bruteforce(sc.disks, sc.origin);
   const auto inc = compute_skyline_incremental(sc.disks, sc.origin);
 
@@ -67,11 +68,12 @@ class SkylineRandomTest
 TEST_P(SkylineRandomTest, AllAlgorithmsAgree) {
   const auto [n, hetero, seed] = GetParam();
   sim::Xoshiro256 rng(static_cast<std::uint64_t>(seed) * 1000003 + 17);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 5; ++rep) {
     const Scenario sc =
         random_local_set(rng, static_cast<std::size_t>(n), hetero);
     expect_skylines_agree(
-        sc, "n=" + std::to_string(n) + " hetero=" + std::to_string(hetero) +
+        sc, ws, "n=" + std::to_string(n) + " hetero=" + std::to_string(hetero) +
                 " seed=" + std::to_string(seed) + " rep=" + std::to_string(rep));
   }
 }
@@ -85,14 +87,16 @@ INSTANTIATE_TEST_SUITE_P(
 // Degenerate configurations.
 
 TEST(SkylineDegenerateTest, EmptySet) {
-  const auto sky = compute_skyline({}, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline({}, {0, 0}, ws);
   EXPECT_TRUE(sky.empty());
   EXPECT_TRUE(sky.skyline_set().empty());
 }
 
 TEST(SkylineDegenerateTest, SingleDisk) {
   const std::vector<geom::Disk> one{{{0.2, 0.1}, 1.0}};
-  const auto sky = compute_skyline(one, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(one, {0, 0}, ws);
   ASSERT_EQ(sky.arc_count(), 1u);
   EXPECT_EQ(sky.skyline_set(), (std::vector<std::size_t>{0}));
   EXPECT_EQ(verify_skyline(sky, one), "");
@@ -100,15 +104,17 @@ TEST(SkylineDegenerateTest, SingleDisk) {
 
 TEST(SkylineDegenerateTest, ConcentricDisksKeepOnlyLargest) {
   const Scenario sc = concentric_set(8);
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   EXPECT_EQ(sky.skyline_set(), (std::vector<std::size_t>{7}));
-  expect_skylines_agree(sc, "concentric");
+  expect_skylines_agree(sc, ws, "concentric");
 }
 
 TEST(SkylineDegenerateTest, DuplicateDisksKeepExactlyOne) {
+  SkylineWorkspace ws;
   for (std::size_t copies : {2u, 3u, 7u}) {
     const Scenario sc = duplicate_set(copies);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     EXPECT_EQ(sky.skyline_set().size(), 1u) << copies << " copies";
     EXPECT_EQ(sky.skyline_set()[0], 0u) << "tie-break must pick index 0";
   }
@@ -117,21 +123,24 @@ TEST(SkylineDegenerateTest, DuplicateDisksKeepExactlyOne) {
 TEST(SkylineDegenerateTest, DominatedSetKeepsOnlyTheBigDisk) {
   sim::Xoshiro256 rng(404);
   const Scenario sc = dominated_set(rng, 12);
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   EXPECT_EQ(sky.skyline_set(), (std::vector<std::size_t>{0}));
-  expect_skylines_agree(sc, "dominated");
+  expect_skylines_agree(sc, ws, "dominated");
 }
 
 TEST(SkylineDegenerateTest, InternallyTangentPair) {
   const Scenario sc = tangent_pair();
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   EXPECT_EQ(sky.skyline_set(), (std::vector<std::size_t>{0}));
-  expect_skylines_agree(sc, "tangent");
+  expect_skylines_agree(sc, ws, "tangent");
 }
 
 TEST(SkylineDegenerateTest, CollinearCenters) {
+  SkylineWorkspace ws;
   for (std::size_t n : {2u, 5u, 9u, 17u}) {
-    expect_skylines_agree(collinear_set(n),
+    expect_skylines_agree(collinear_set(n), ws,
                           "collinear n=" + std::to_string(n));
   }
 }
@@ -141,7 +150,8 @@ TEST(SkylineDegenerateTest, ZeroRadiusRelayAmongNormalDisks) {
   // contains o); it must never appear in the skyline set when any other
   // disk is present.
   const std::vector<geom::Disk> disks{{{0, 0}, 0.0}, {{0.1, 0}, 1.0}};
-  const auto sky = compute_skyline(disks, {0, 0});
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(disks, {0, 0}, ws);
   EXPECT_EQ(sky.skyline_set(), (std::vector<std::size_t>{1}));
 }
 
@@ -155,7 +165,8 @@ class Figure41Test : public ::testing::TestWithParam<int> {};
 TEST_P(Figure41Test, CentralDiskContributesKArcs) {
   const std::size_t k = static_cast<std::size_t>(GetParam());
   const Scenario sc = figure41_configuration(k);
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   EXPECT_EQ(verify_skyline(sky, sc.disks), "");
 
   std::size_t central_arcs = 0;
@@ -173,7 +184,8 @@ TEST(Figure41Test, BelowThresholdRadiusContributesNothing) {
   // everywhere, so it contributes no arcs.
   Scenario sc = figure41_configuration(5);
   sc.disks.back().radius *= 0.80;  // drop below the valley distance
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   for (const auto& [disk, arcs] : sky.arcs_per_disk()) {
     EXPECT_NE(disk, 5u);
   }
@@ -187,10 +199,11 @@ class Lemma8Test : public ::testing::TestWithParam<int> {};
 
 TEST_P(Lemma8Test, ArcCountAtMostTwiceDiskCount) {
   sim::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 20; ++rep) {
     const std::size_t n = 2 + rng.uniform_int(40);
     const Scenario sc = random_local_set(rng, n, true, 1.0, 1.05);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     EXPECT_LE(sky.arc_count(), 2 * n);
   }
 }
@@ -202,9 +215,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Lemma8Test, ::testing::Range(0, 6));
 
 TEST(SkylineAreaTest, EnclosedAreaMatchesGridEstimate) {
   sim::Xoshiro256 rng(2024);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 5; ++rep) {
     const Scenario sc = random_local_set(rng, 10, true);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     const double exact = sky.enclosed_area(sc.disks);
     const double grid = geom::union_area_grid(sc.disks, 700);
     EXPECT_NEAR(exact, grid, exact * 0.01) << "rep " << rep;
@@ -215,12 +229,13 @@ TEST(SkylineAreaTest, SkylineSetPreservesExactArea) {
   // Theorem 3 in area form: the union of just the skyline disks has the
   // same exact area as the union of all disks.
   sim::Xoshiro256 rng(7777);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 10; ++rep) {
     const Scenario sc = random_local_set(rng, 14, true);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     std::vector<geom::Disk> subset;
     for (std::size_t i : sky.skyline_set()) subset.push_back(sc.disks[i]);
-    const auto sub_sky = compute_skyline(subset, sc.origin);
+    const auto sub_sky = compute_skyline(subset, sc.origin, ws);
     EXPECT_NEAR(sky.enclosed_area(sc.disks), sub_sky.enclosed_area(subset),
                 1e-6);
   }
@@ -233,7 +248,8 @@ TEST(SkylineAreaTest, SkylineSetPreservesExactArea) {
 TEST(SkylineOrderTest, PermutationInvariance) {
   sim::Xoshiro256 rng(31415);
   const Scenario sc = random_local_set(rng, 12, true);
-  const auto base = compute_skyline(sc.disks, sc.origin).skyline_set();
+  SkylineWorkspace ws;
+  const auto base = compute_skyline(sc.disks, sc.origin, ws).skyline_set();
 
   std::vector<std::size_t> perm(sc.disks.size());
   for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
@@ -246,7 +262,7 @@ TEST(SkylineOrderTest, PermutationInvariance) {
     for (std::size_t i = 0; i < perm.size(); ++i) {
       shuffled[i] = sc.disks[perm[i]];
     }
-    auto got = compute_skyline(shuffled, sc.origin).skyline_set();
+    auto got = compute_skyline(shuffled, sc.origin, ws).skyline_set();
     // Map back through the permutation.
     std::vector<std::size_t> mapped;
     for (std::size_t i : got) mapped.push_back(perm[i]);

@@ -46,11 +46,6 @@ void expect_workspace_agrees(const Scenario& sc, const std::string& label) {
   EXPECT_EQ(via_ws.skyline_set(), bf.skyline_set()) << label;
   EXPECT_LE(via_ws.arc_count(), 2 * sc.disks.size()) << label;  // Lemma 8
 
-  // The plain compute_skyline entry point now routes through a thread-local
-  // workspace — it must produce the identical arc list.
-  const Skyline via_tl = compute_skyline(sc.disks, sc.origin);
-  EXPECT_EQ(arc_vec(via_ws.arcs()), arc_vec(via_tl.arcs())) << label;
-
   // The allocation-free form returns the same arcs as the Skyline form.
   std::vector<Arc> arcs;
   compute_skyline_arcs(sc.disks, sc.origin, ws, arcs);
@@ -166,10 +161,6 @@ TEST(WorkspaceReuseTest, ReserveAndClearPreserveResults) {
 
   SkylineWorkspace ws;
   ws.reserve(256);  // oversized up-front reservation
-  EXPECT_EQ(compute_skyline(sc.disks, sc.origin, ws).skyline_set(),
-            expected.skyline_set());
-
-  ws.clear();  // release everything; buffers must regrow transparently
   EXPECT_EQ(compute_skyline(sc.disks, sc.origin, ws).skyline_set(),
             expected.skyline_set());
 }

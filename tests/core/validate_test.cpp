@@ -20,7 +20,8 @@ using geom::kTwoPi;
 TEST(ValidateTest, MaxRadialErrorZeroForCorrectSkyline) {
   sim::Xoshiro256 rng(1);
   const Scenario sc = random_local_set(rng, 8, true);
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   EXPECT_LT(max_radial_error(sky, sc.disks, 1024), 1e-9);
 }
 
@@ -28,7 +29,8 @@ TEST(ValidateTest, MaxRadialErrorDetectsWrongDiskAssignment) {
   // Take a correct 2-disk skyline and swap the arcs' disk labels: the
   // radial error must spike.
   const std::vector<Disk> disks{{{0.5, 0}, 1.0}, {{-0.5, 0}, 1.0}};
-  const auto good = compute_skyline(disks, {0, 0});
+  SkylineWorkspace ws;
+  const auto good = compute_skyline(disks, {0, 0}, ws);
   std::vector<Arc> broken(good.arcs().begin(), good.arcs().end());
   for (Arc& a : broken) a.disk = 1 - a.disk;
   const Skyline bad({0, 0}, std::move(broken));
@@ -37,9 +39,10 @@ TEST(ValidateTest, MaxRadialErrorDetectsWrongDiskAssignment) {
 
 TEST(ValidateTest, VerifySkylineAcceptsCorrect) {
   sim::Xoshiro256 rng(2);
+  SkylineWorkspace ws;
   for (int rep = 0; rep < 10; ++rep) {
     const Scenario sc = random_local_set(rng, 12, true);
-    const auto sky = compute_skyline(sc.disks, sc.origin);
+    const auto sky = compute_skyline(sc.disks, sc.origin, ws);
     EXPECT_EQ(verify_skyline(sky, sc.disks), "");
   }
 }
@@ -93,7 +96,8 @@ TEST(ValidateTest, IsDiskCoverSetRejectsOutOfRangeIndices) {
 TEST(ValidateTest, ExclusiveWitnessExistsForSkylineDisks) {
   sim::Xoshiro256 rng(4);
   const Scenario sc = random_local_set(rng, 10, true);
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   for (std::size_t i : sky.skyline_set()) {
     const auto witness = exclusive_coverage_witness(sky, sc.disks, i);
     ASSERT_TRUE(witness.has_value()) << "disk " << i;
@@ -109,7 +113,8 @@ TEST(ValidateTest, ExclusiveWitnessExistsForSkylineDisks) {
 
 TEST(ValidateTest, ExclusiveWitnessAbsentForNonSkylineDisks) {
   const Scenario sc = figure32_like_configuration();
-  const auto sky = compute_skyline(sc.disks, sc.origin);
+  SkylineWorkspace ws;
+  const auto sky = compute_skyline(sc.disks, sc.origin, ws);
   // Disk 3 is dominated: no arcs, no witness.
   EXPECT_FALSE(exclusive_coverage_witness(sky, sc.disks, 3).has_value());
 }

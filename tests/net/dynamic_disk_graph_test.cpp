@@ -132,26 +132,6 @@ TEST(DynamicDiskGraphTest, JoiningADenseClusterMatchesRebuild) {
   expect_matches_rebuild(dyn, "left the cluster");
 }
 
-TEST(DynamicDiskGraphTest, ToDiskGraphReflectsIncrementalState) {
-  sim::Xoshiro256 rng(13);
-  std::vector<Node> nodes = generate_deployment(small_deploy(), rng);
-  DynamicDiskGraph dyn{std::vector<Node>(nodes)};
-  // Shuffle a few nodes around, then materialize.
-  for (std::size_t i = 0; i < nodes.size(); i += 7) {
-    nodes[i].pos = {rng.uniform(0.0, 12.5), rng.uniform(0.0, 12.5)};
-  }
-  dyn.apply(nodes);
-  const DiskGraph snap = dyn.to_disk_graph();
-  ASSERT_EQ(snap.size(), dyn.size());
-  EXPECT_EQ(snap.edge_count(), dyn.edge_count());
-  for (NodeId u = 0; u < dyn.size(); ++u) {
-    const auto got = snap.neighbors(u);
-    const auto want = dyn.neighbors(u);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
-  }
-  expect_matches_rebuild(dyn, "materialized");
-}
-
 TEST(DynamicDiskGraphTest, ConstructorRejectsNonFiniteInput) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

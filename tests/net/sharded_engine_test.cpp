@@ -72,7 +72,6 @@ TEST(RegionGraphTest, ResidencyRestrictsAdjacencyToTheRegion) {
   EXPECT_TRUE(g.neighbors(2).empty());
   EXPECT_TRUE(g.neighbors(3).empty());
   EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_THROW((void)g.to_disk_graph(), std::logic_error);
 }
 
 TEST(RegionGraphTest, ApplyClassifiesMoveInsertEvict) {

@@ -1,8 +1,8 @@
-// Tests for the observability front end: strict --introspect parsing,
-// flags taken out of argv while every other argument stays, and a
-// start/finish round trip that writes each requested artifact (the event
-// file holding the blackbox exit dump's crash_dump event) or names the
-// path it cannot write.
+// Tests for the observability front end: strict --introspect and
+// positional-real parsing, flags taken out of argv while every other
+// argument stays, and a start/finish round trip that writes each requested
+// artifact (the event file holding the blackbox exit dump's crash_dump
+// event) or names the path it cannot write.
 
 #include "obs/run_outputs.hpp"
 
@@ -90,6 +90,17 @@ TEST_F(RunOutputsTest, IntrospectRejectsMalformedPorts) {
     Args args({"prog", "--introspect", port});
     EXPECT_FALSE(outputs.parse(args.argc, args.argv())) << port;
     EXPECT_TRUE(contains(err.str(), "expects a port in [0, 65535]")) << port;
+  }
+}
+
+TEST(PositiveRealTest, AcceptsOnlyWholeFinitePositiveNumbers) {
+  EXPECT_EQ(parse_positive_real("0.25"), 0.25);
+  EXPECT_EQ(parse_positive_real("36.8"), 36.8);
+  EXPECT_EQ(parse_positive_real("2e-3"), 2e-3);
+  EXPECT_EQ(parse_positive_real("10"), 10.0);
+  for (const char* text : {"", "abc", "0.25x", " 1", "1 ", "+1", "0", "0.0",
+                           "-0.5", "inf", "nan", "1e999"}) {
+    EXPECT_FALSE(parse_positive_real(text).has_value()) << "'" << text << "'";
   }
 }
 
