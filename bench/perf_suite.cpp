@@ -45,9 +45,13 @@
 /// detected SIMD ISA, dispatch choice) so BENCH_history.jsonl deltas are
 /// attributable to toolchain or dispatch changes, not just code.
 ///
-/// Usage: perf_suite [--quick] [--threads N] [--out PATH]
+/// Usage: perf_suite [--quick] [--out PATH]
 ///                   [--list-sections] [--section NAME]...
 ///                   [observability flags]
+///
+/// Every section but the two that compare pool sizes runs on
+/// sim::default_pool(), as the library's own fan-out does: MLDCS_THREADS
+/// sizes it.
 ///
 /// --section restricts the run to the named section(s); skipped sections
 /// are simply absent from the JSON (tools/check_bench.py warns and moves
@@ -232,20 +236,12 @@ int main(int argc, char** argv) {
   obs::RunOutputs outputs(std::cout, std::cerr);
   if (!outputs.parse(argc, argv)) return 2;
   bool quick = false;
-  std::size_t n_threads = 0;  // 0 = hardware concurrency
   std::string out_path = "BENCH_skyline.json";
   std::vector<std::string> sections;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const auto n = obs::parse_decimal(argv[++i], SIZE_MAX);
-      if (!n) {
-        std::cerr << "error: --threads expects N >= 0 (0: every core)\n";
-        return 2;
-      }
-      n_threads = static_cast<std::size_t>(*n);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--section" && i + 1 < argc) {
@@ -259,7 +255,7 @@ int main(int argc, char** argv) {
       for (const char* s : kSections) std::cout << s << "\n";
       return 0;
     } else {
-      std::cerr << "usage: perf_suite [--quick] [--threads N] [--out PATH]\n"
+      std::cerr << "usage: perf_suite [--quick] [--out PATH]\n"
                    "  [--list-sections] [--section NAME]...\n  "
                 << obs::RunOutputs::kUsage << "\n";
       return 2;
@@ -287,7 +283,7 @@ int main(int argc, char** argv) {
   out.precision(6);
   JsonWriter j{out};
 
-  sim::ThreadPool pool(n_threads);
+  sim::ThreadPool& pool = sim::default_pool();
   std::cout << "perf_suite: " << (quick ? "quick" : "full") << " mode, "
             << pool.size() << " worker thread(s), writing " << out_path
             << "\n";

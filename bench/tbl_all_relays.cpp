@@ -9,8 +9,9 @@
 ///
 /// The skyline column and the arc-count instrumentation come from the
 /// batched compute_all_skylines API (one workspace per worker, whole
-/// deployment per call); greedy still goes through per-relay LocalViews,
-/// since it genuinely needs the 2-hop neighborhood.
+/// deployment per call, on sim::default_pool(), so MLDCS_THREADS sizes
+/// it); greedy still goes through per-relay LocalViews, since it genuinely
+/// needs the 2-hop neighborhood.
 
 #include <iostream>
 
@@ -24,7 +25,7 @@ int main() {
 
   sim::Table table({"avg_1hop", "model", "region", "relays", "degree",
                     "skyline", "greedy", "sky_arcs_max"});
-  sim::ThreadPool pool;
+  sim::ThreadPool& pool = sim::default_pool();
 
   for (const bool hetero : {false, true}) {
     for (const int n : {8, 16}) {

@@ -3,14 +3,20 @@
 /// Zelikovsky (MONET 9(2), 2004) as described in Section 2.2 of the paper:
 /// homogeneous networks only.
 ///
-/// Per quadrant around the relay: (1) compute the skyline disks of the
-/// 1-hop neighborhood and order them counter-clockwise; (2) each 2-hop
-/// neighbor in the quadrant is covered by a set of skyline disks; (3) a
-/// simple greedy sweep picks disks until all 2-hop neighbors in the
-/// quadrant are covered.  Restricting candidates to *skyline* disks is safe
-/// because the skyline set is a disk cover set: any 2-hop neighbor inside
-/// some 1-hop disk is inside a skyline disk, and in a homogeneous network
-/// being inside a neighbor's disk is the same as being linked to it.
+/// Per quadrant around the relay: (1) the candidates are the skyline disks
+/// of the 1-hop neighborhood (the skyline forwarding set, in node-id
+/// order), followed by the other 1-hop neighbors in node-id order; (2) each
+/// 2-hop neighbor in the quadrant is covered by a set of candidates; (3) a
+/// greedy sweep over the quadrant's 2-hop neighbors, counter-clockwise,
+/// picks candidates until all of them are covered.  Only the 2-hop targets
+/// are swept counter-clockwise: the counter-clockwise candidate order of
+/// Section 2.2 is not followed.  The greedy keeps the first candidate on a
+/// tie in gain, so a tie goes to a skyline disk before any other neighbor,
+/// and within each group to the lower id.  Preferring *skyline* disks is
+/// safe because the skyline set is a disk cover set: any 2-hop neighbor
+/// inside some 1-hop disk is inside a skyline disk, and in a homogeneous
+/// network being inside a neighbor's disk is the same as being linked to
+/// it.
 
 #include <algorithm>
 #include <cmath>

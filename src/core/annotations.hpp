@@ -14,11 +14,9 @@
 /// `MLDCS_ALLOC_OK` exempts a deliberately-allocating subtree (convenience
 /// overloads, rare-by-design maintenance like store compaction).
 ///
-/// Under clang the macros expand to `[[clang::annotate]]`, so the markers
-/// also survive into the AST for libclang-based tooling; under every other
-/// compiler they expand to nothing.  Either way they cost nothing at
-/// runtime — the analyzer reads the markers from the source text, so the
-/// discipline is enforced regardless of which compiler built the tree.
+/// The macros expand to nothing on every compiler, so they cost nothing:
+/// the analyzer reads the markers from the source text, and the discipline
+/// is enforced whichever compiler built the tree.
 ///
 /// Placement: before the return type, on both declaration and definition
 /// (the analyzer accepts either, but keeping them paired is what makes the
@@ -32,24 +30,18 @@
 /// before) the offending line.  See docs/CORRECTNESS.md for the rule
 /// vocabulary and the baseline workflow.
 
-#if defined(__clang__)
-#define MLDCS_ANNOTATE(tag) [[clang::annotate(tag)]]
-#else
-#define MLDCS_ANNOTATE(tag)
-#endif
-
 /// Roots the `hot-no-alloc` rule: this function and everything reachable
 /// from it must not allocate (no new/malloc, no fresh owning containers);
 /// growth of caller-owned scratch (reference parameters, members) is
 /// permitted — that is the amortized-zero steady-state pattern.
-#define MLDCS_HOT_PATH MLDCS_ANNOTATE("mldcs::hot_path")
+#define MLDCS_HOT_PATH
 
 /// Roots the `lock-discipline` rule: this function and everything
 /// reachable from it must not take a std::mutex (or friends), wait on a
 /// condition variable, sleep, or join a thread.
-#define MLDCS_NO_LOCK MLDCS_ANNOTATE("mldcs::no_lock")
+#define MLDCS_NO_LOCK
 
 /// Exempts a function from `hot-no-alloc` scans that reach it: it may
 /// allocate, and the scan does not descend into it.  For allocating
 /// convenience overloads and rare-by-design maintenance paths.
-#define MLDCS_ALLOC_OK MLDCS_ANNOTATE("mldcs::alloc_ok")
+#define MLDCS_ALLOC_OK

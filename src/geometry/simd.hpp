@@ -14,9 +14,10 @@
 ///   * "scalar" — width-1 emulation, always compiled in.  This is the
 ///     differential reference: it executes the exact same operation
 ///     sequence as the wide policies, one lane at a time.
-///   * "avx2"   — 4 x double, compiled on x86-64 when MLDCS_ENABLE_SIMD is
-///     ON, selected at runtime only if the CPU reports AVX2.
-///   * "neon"   — 2 x double, compiled on AArch64 (NEON is baseline there).
+///   * "avx2"   — 4 x double, always compiled on x86-64, selected at
+///     runtime only if the CPU reports AVX2.
+///   * "neon"   — 2 x double, always compiled on AArch64 (baseline there).
+/// Any other architecture builds the scalar kernels alone.
 ///
 /// Bit-identity contract: kernels use only elementwise correctly-rounded
 /// IEEE-754 double operations (add/sub/mul/div/sqrt/abs/compare/select) in
@@ -147,8 +148,8 @@ struct SkylineKernels {
 /// Name of the kernel set active_kernels() returns.
 [[nodiscard]] const char* dispatch_choice() noexcept;
 
-/// True when a wide (non-scalar) kernel set was compiled into this binary
-/// (MLDCS_ENABLE_SIMD=ON and the target architecture has one).
+/// True when the target architecture has a wide (non-scalar) kernel set,
+/// which the build then always compiles in (x86-64, AArch64).
 [[nodiscard]] bool simd_compiled() noexcept;
 
 /// Test/bench hook: force active_kernels() to return `k` for this object's

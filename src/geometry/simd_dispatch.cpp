@@ -3,9 +3,10 @@
 
 #include "geometry/simd.hpp"
 
-// Runtime kernel dispatch (see simd.hpp).  The geometry CMakeLists defines
-// MLDCS_SIMD_HAS_AVX2 / MLDCS_SIMD_HAS_NEON for exactly the wide TUs it
-// compiled in, so this file is the single place that knows what exists.
+// Runtime kernel dispatch (see simd.hpp).  The geometry CMakeLists compiles
+// the wide TU of the target architecture (x86-64: AVX2, AArch64: NEON) and
+// defines MLDCS_SIMD_HAS_AVX2 / MLDCS_SIMD_HAS_NEON for it, so this file is
+// the single place that knows what exists.
 
 namespace mldcs::geom::simd {
 

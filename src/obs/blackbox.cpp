@@ -141,7 +141,7 @@ constexpr std::size_t kFrameBytes = 4096;
 constexpr std::size_t kFrameSuffixReserve = 32;  // ,"truncated":true}\n
 constexpr std::size_t kTailBytes = 16384;
 constexpr std::size_t kMaxFrames = 256;
-constexpr std::size_t kMaxTail = 256;
+constexpr std::size_t kEventTail = 64;  ///< events kept per frame
 
 /// One ring slot.  seq: 0 = never written, odd (2t+1) = ticket t being
 /// written, even (2t+2) = ticket t published.  A reader copies the bytes
@@ -157,7 +157,6 @@ struct State {
   std::mutex hb_mu;  ///< serializes arm/disarm/heartbeat; never on dump path
   std::vector<std::pair<std::string, std::uint64_t>> prev_counters;
   std::vector<ShardStat> shard_scratch;
-  std::size_t event_tail_cap = 64;
 
   // Shared with the dump path (atomics + bytes published before them).
   std::atomic<bool> armed{false};
@@ -360,7 +359,6 @@ bool blackbox_arm(const BlackBoxConfig& config) {
   }
   s.ticket = 0;
   s.heartbeats.store(0, std::memory_order_relaxed);
-  s.event_tail_cap = std::clamp<std::size_t>(config.event_tail, 1, kMaxTail);
   s.prev_counters.clear();
   s.tail_len[0] = s.tail_len[1] = 0;
   s.tail_count[0] = s.tail_count[1] = 0;
@@ -372,7 +370,7 @@ bool blackbox_arm(const BlackBoxConfig& config) {
   h.str(",\"frames\":");
   h.u64(n);
   h.str(",\"event_tail\":");
-  h.u64(s.event_tail_cap);
+  h.u64(kEventTail);
   h.str(",\"path\":\"");
   h.str(s.path);
   h.str("\",\"reason\":\"");
@@ -533,7 +531,7 @@ MLDCS_ALLOC_OK void blackbox_heartbeat(std::uint64_t step) {
     const unsigned cur = s.tail_cur.load(std::memory_order_relaxed);
     const unsigned nxt = 1 - cur;
     BoundedWriter tw(s.tail_buf[nxt], kTailBytes);
-    const std::size_t keep = std::min(s.event_tail_cap, events.size());
+    const std::size_t keep = std::min(kEventTail, events.size());
     std::uint32_t count = 0;
     for (std::size_t i = events.size() - keep; i < events.size(); ++i) {
       const Event& e = events[i];

@@ -42,9 +42,10 @@
 ///   {"kind":"profile","schema":"mldcs-profile-v1",...}       (if armed)
 ///   {"kind":"end","frames":H,"events":E}
 ///
-/// The event tail is captured at heartbeat time into a double buffer (the
-/// Event record carries no thread id, so the tail is the global last-N by
-/// id); the end line's counts let tools/obslib.py detect truncated dumps.
+/// The event tail, the last 64 events (the header's "event_tail"), is
+/// captured at heartbeat time into a double buffer (the Event record
+/// carries no thread id, so the tail is the global last 64 by id); the end
+/// line's counts let tools/obslib.py detect truncated dumps.
 /// The profile line appears when the sampling profiler (obs/profiler.hpp)
 /// is or was armed: its drain thread pre-serializes phase counts and top
 /// stacks into a double buffer the dumper copies byte-for-byte.
@@ -59,7 +60,6 @@ namespace mldcs::obs {
 struct BlackBoxConfig {
   const char* path = "blackbox.jsonl";  ///< report destination
   std::size_t frames = 64;              ///< heartbeat ring slots (1..256)
-  std::size_t event_tail = 64;          ///< events kept per frame (1..256)
   bool install_signal_handlers = true;  ///< arm SIGSEGV/SIGABRT/SIGBUS
 };
 

@@ -201,15 +201,17 @@ class ThreadPool {
 /// `net::DiskGraph::kParallelBuildNodes` (256) or more nodes — the paper's
 /// ~1000-node graphs included — (its count and fill passes), and a skyline
 /// `bcast::simulate_broadcast` of 32 or more nodes (every transmitter's
-/// forwarding set, one closure pass).  Those stages are bounded by this pool's
-/// size, not by any pool the caller hands to a cache or a sweep — so
-/// `perf_suite --threads` does not bound them, and `MLDCS_THREADS` does.
+/// forwarding set, one closure pass).  That fan-out never uses a pool the
+/// caller hands to a cache or a sweep: a caller that holds its own
+/// ThreadPool runs two sets of workers, its own and this pool's, and only
+/// `MLDCS_THREADS` bounds the stages above.  Programs that want one set
+/// pass this pool to the cache or the sweep as well.
 ///
 /// Size: hardware_concurrency, unless the `MLDCS_THREADS` environment
 /// variable names a positive integer — then that, clamped to
 /// hardware_concurrency.  One env var makes CI and bench runs reproducible
-/// without plumbing --threads through every binary; unparsable or
-/// non-positive values are ignored.
+/// without a pool-size flag in every binary; unparsable or non-positive
+/// values are ignored.
 ThreadPool& default_pool();
 
 /// The one fan-out rule for library code: the pool an internal parallel

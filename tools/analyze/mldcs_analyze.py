@@ -10,9 +10,8 @@ covers the generic part):
   event-vocabulary        EventType enum / switch / obslib / emit sites agree
 
 Usage:
-    tools/analyze/mldcs_analyze.py [--root DIR] [--compile-commands FILE]
-        [--rules r1,r2] [--baseline FILE] [--json-out FILE]
-        [--frontend auto|tokens|clang] [--strict-relational] [paths...]
+    tools/analyze/mldcs_analyze.py [--root DIR] [--rules r1,r2]
+        [--baseline FILE] [--json-out FILE] [paths...]
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 
@@ -39,43 +38,21 @@ from rules import Ctx, RULE_FUNCS, RULES  # noqa: E402
 CXX_EXT = (".cpp", ".cc", ".cxx", ".hpp", ".hh", ".hxx", ".h", ".ipp")
 
 
-def find_sources(root: str, compile_commands: str | None,
-                 explicit: list) -> list:
-    """Files to analyze: explicit paths if given, else src/** — seeded from
-    compile_commands.json when available (so the set tracks the build),
-    always unioned with a directory scan (headers are not TUs)."""
+def find_sources(root: str, explicit: list) -> list:
+    """Files to analyze: explicit paths if given, else every C++ file under
+    <root>/src (headers included)."""
     files: set = set()
-    if explicit:
-        for p in explicit:
-            ap = os.path.abspath(p)
-            if os.path.isdir(ap):
-                for dirpath, _dirs, names in os.walk(ap):
-                    for n in names:
-                        if n.endswith(CXX_EXT):
-                            files.add(os.path.join(dirpath, n))
-            elif os.path.isfile(ap):
-                files.add(ap)
-            else:
-                raise FileNotFoundError(p)
-        return sorted(files)
-    src = os.path.join(root, "src")
-    if compile_commands and os.path.isfile(compile_commands):
-        try:
-            with open(compile_commands, encoding="utf-8") as f:
-                for entry in json.load(f):
-                    fp = os.path.normpath(
-                        os.path.join(entry.get("directory", ""),
-                                     entry.get("file", "")))
-                    if fp.startswith(src + os.sep) and os.path.isfile(fp):
-                        files.add(fp)
-        except (json.JSONDecodeError, OSError) as e:
-            print(f"mldcs-analyze: warning: unreadable compile commands "
-                  f"({e}); falling back to a directory scan",
-                  file=sys.stderr)
-    for dirpath, _dirs, names in os.walk(src):
-        for n in names:
-            if n.endswith(CXX_EXT):
-                files.add(os.path.join(dirpath, n))
+    for p in explicit or [os.path.join(root, "src")]:
+        ap = os.path.abspath(p)
+        if os.path.isdir(ap):
+            for dirpath, _dirs, names in os.walk(ap):
+                for n in names:
+                    if n.endswith(CXX_EXT):
+                        files.add(os.path.join(dirpath, n))
+        elif os.path.isfile(ap):
+            files.add(ap)
+        else:
+            raise FileNotFoundError(p)
     return sorted(files)
 
 
@@ -108,10 +85,6 @@ def main(argv=None) -> int:
     ap.add_argument("--root", default=default_root,
                     help="repository root (default: two levels above this "
                          "script)")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json to seed the file set "
-                         "(default: first build*/compile_commands.json "
-                         "under the root)")
     ap.add_argument("--rules", default=",".join(RULES),
                     help="comma-separated rule subset (default: all). "
                          "Known: " + ", ".join(RULES))
@@ -120,13 +93,6 @@ def main(argv=None) -> int:
                          "<root>/tools/analyze/baseline.json if present)")
     ap.add_argument("--json-out", default=None,
                     help="also write findings as a JSON report")
-    ap.add_argument("--frontend", choices=("auto", "tokens", "clang"),
-                    default="auto",
-                    help="source frontend: the built-in token model "
-                         "(default), or libclang where python3-clang is "
-                         "installed")
-    ap.add_argument("--strict-relational", action="store_true",
-                    help="tolerance-audit also flags </<=/>/>= (heuristic)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule names and exit")
     ap.add_argument("-q", "--quiet", action="store_true",
@@ -146,16 +112,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    cc = args.compile_commands
-    if cc is None:
-        for d in sorted(os.listdir(root)) if os.path.isdir(root) else []:
-            cand = os.path.join(root, d, "compile_commands.json")
-            if d.startswith("build") and os.path.isfile(cand):
-                cc = cand
-                break
-
     try:
-        files = find_sources(root, cc, args.paths)
+        files = find_sources(root, args.paths)
     except FileNotFoundError as e:
         print(f"mldcs-analyze: no such path: {e}", file=sys.stderr)
         return 2
@@ -173,23 +131,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     model.finish()
 
-    if args.frontend == "clang":
-        try:
-            import clangfe
-            clangfe.refine(model, cc)
-        except clangfe.ClangUnavailable as e:
-            print(f"mldcs-analyze: --frontend=clang unavailable: {e}\n"
-                  f"  (install python3-clang + libclang, or use the "
-                  f"default token frontend)", file=sys.stderr)
-            return 2
-    elif args.frontend == "auto":
-        try:
-            import clangfe
-            clangfe.refine(model, cc)
-        except Exception:
-            pass  # token model stands alone
-
-    ctx = Ctx(root, strict_relational=args.strict_relational)
+    ctx = Ctx(root)
     findings = []
     for r in selected:
         findings.extend(RULE_FUNCS[r](model, ctx))

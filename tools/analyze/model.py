@@ -12,10 +12,8 @@ provides together:
 This module implements the token frontend: a hand-rolled C++ lexer plus a
 scope-tracking pass that extracts functions, fields, calls, local
 owning-container declarations, and lock/allocation sink tokens.  It is the
-*reference* frontend — deterministic, dependency-free, and what CI gates
-on.  A libclang frontend (clangfe.py) can replace the call-graph/function
-extraction where python3-clang is installed; the tolerance and
-vocabulary rules always run on this model.
+analyzer's only frontend — deterministic, dependency-free, and what CI
+gates on.
 
 Deliberate over-approximations (soundness posture, see
 docs/CORRECTNESS.md):

@@ -1,7 +1,7 @@
 """The four mldcs-analyze rules.
 
 Each rule is a function `(model, ctx) -> list[Finding]`.  `ctx` carries the
-repo root, per-rule options, and helpers.  Rules must honor inline
+repo root and path helpers.  Rules must honor inline
 suppression (`// mldcs-analyze:allow(<rule>)` on the flagged line or the
 line above) themselves via `model.allowed`; baseline suppression is applied
 by the driver on the stable `key`.
@@ -23,9 +23,7 @@ Rule summaries (full motivation in docs/CORRECTNESS.md):
   tolerance-audit       In src/geometry/ and src/core/, raw ==/!= between
                         floating-point expressions must go through the
                         geom:: tolerance helpers (approx_equal & friends,
-                        kTol/kAngleTol).  --strict-relational extends the
-                        audit to </<=/>/>= (heuristic: template brackets are
-                        excluded by token context).
+                        kTol/kAngleTol).
 
   event-vocabulary      The EventType enum, the event_type_name switch, and
                         tools/obslib.py EVENT_TYPES must agree exactly (and
@@ -66,9 +64,8 @@ class Finding:
 
 
 class Ctx:
-    def __init__(self, root: str, strict_relational: bool = False):
+    def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        self.strict_relational = strict_relational
 
     def rel(self, path: str) -> str:
         return os.path.relpath(os.path.abspath(path), self.root).replace(
@@ -231,27 +228,9 @@ def rule_tolerance_audit(model, ctx):
         lx = model.lexed[fn.file]
         toks = lx.tokens
         lo, hi = fn.body
-        ops = ("==", "!=")
         for j in range(lo, hi):
             t = toks[j]
-            if t.kind != "p":
-                continue
-            strict = False
-            if t.val in ops:
-                pass
-            elif ctx.strict_relational and t.val in ("<", "<=", ">", ">="):
-                strict = True
-                # Exclude template-bracket lookalikes: '<'/'>' adjacent to
-                # another angle, a comma at template position, or following
-                # a known type-ish identifier sequence 'std ::'.
-                if t.val in ("<", ">"):
-                    prev = toks[j - 1] if j > lo else None
-                    nxt = toks[j + 1] if j + 1 < hi else None
-                    if prev and prev.kind == "p":
-                        continue
-                    if nxt and nxt.kind == "p" and nxt.val not in ("(", "-"):
-                        continue
-            else:
+            if t.kind != "p" or t.val not in ("==", "!="):
                 continue
             left = _operand_window(toks, j, -1, hi, lo)
             right = _operand_window(toks, j, +1, hi, lo)
@@ -262,12 +241,10 @@ def rule_tolerance_audit(model, ctx):
                 continue
             if model.allowed("tolerance-audit", fn.file, t.line):
                 continue
-            hint = ("definitely_less/approx_leq" if strict
-                    else "approx_equal/approx_zero")
             findings.append(Finding(
                 "tolerance-audit", rel, t.line,
                 f"raw '{t.val}' on floating-point operands in '{fn.qname}' "
-                f"— use geom::{hint} (kTol) instead",
+                f"— use geom::approx_equal/approx_zero (kTol) instead",
                 f"tolerance-audit:{rel}:{fn.qname}:{t.val}@"
                 f"{t.line - fn.line}"))
     return findings

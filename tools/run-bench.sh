@@ -2,12 +2,14 @@
 # Build the Release perf suite and refresh BENCH_skyline.json at the repo
 # root.  Usage:
 #
-#   tools/run-bench.sh [--quick] [--threads N] [--out PATH]
+#   tools/run-bench.sh [--quick] [--out PATH] [--section NAME]...
 #
 # --quick cuts the per-measurement time budget ~10x (the CI bench-smoke
 # job uses it); full runs are what get checked in.  Without --out, results
-# go to BENCH_skyline.json at the repo root.  See docs/PERFORMANCE.md for
-# the JSON schema.
+# go to BENCH_skyline.json at the repo root.  Every other argument goes to
+# perf_suite as it is.  The suite runs on sim::default_pool(): set
+# MLDCS_THREADS=N in the environment to pin its size.  See
+# docs/PERFORMANCE.md for the JSON schema.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
