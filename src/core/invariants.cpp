@@ -1,17 +1,9 @@
 #include "core/invariants.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <vector>
-
-#include "core/mldcs.hpp"
-#include "core/skyline_reference.hpp"
-#include "geometry/angle.hpp"
-#include "geometry/radial.hpp"
-#include "geometry/tolerance.hpp"
 
 namespace mldcs::core {
 
@@ -64,121 +56,6 @@ void report_invariant_violation(const char* expr, const char* file, int line,
   std::fprintf(stderr, "%s\n", msg.c_str());
   std::fflush(stderr);
   std::abort();
-}
-
-std::string check_arc_list(std::span<const Arc> arcs, std::size_t n_disks) {
-  if (arcs.empty()) return {};
-  std::ostringstream msg;
-  // mldcs-analyze:allow(tolerance-audit): exact +x-axis split convention
-  if (arcs.front().start != 0.0) {
-    msg << "first arc starts at " << arcs.front().start
-        << " instead of 0 (the +x-axis split convention)";
-    return msg.str();
-  }
-  if (!geom::approx_equal(arcs.back().end, geom::kTwoPi, geom::kAngleTol)) {
-    msg << "last arc ends at " << arcs.back().end
-        << " instead of 2*pi: no cyclic closure at the relay seam";
-    return msg.str();
-  }
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const Arc& a = arcs[i];
-    if (!(a.start < a.end)) {
-      msg << "arc " << i << " (" << a << ") is inverted or empty";
-      return msg.str();
-    }
-    if (a.span() <= geom::kAngleTol) {
-      msg << "arc " << i << " (" << a << ") has sub-tolerance span "
-          << a.span() << " <= kAngleTol = " << geom::kAngleTol
-          << ": slivers must be coalesced by normalize_arcs";
-      return msg.str();
-    }
-    if (a.disk >= n_disks) {
-      msg << "arc " << i << " (" << a << ") references disk " << a.disk
-          << " outside the local set of " << n_disks << " disks";
-      return msg.str();
-    }
-    if (i + 1 < arcs.size()) {
-      // Endpoints must be shared doubles bit-for-bit; approximate
-      // contiguity here would mask drift.
-      // mldcs-analyze:allow(tolerance-audit): exact contiguity by design
-      if (arcs[i + 1].start != a.end) {
-        msg << "arcs " << i << " and " << i + 1 << " are not exactly "
-            << "contiguous: " << a.end << " vs " << arcs[i + 1].start
-            << " (endpoints must be shared doubles, no drift)";
-        return msg.str();
-      }
-      if (arcs[i + 1].disk == a.disk) {
-        msg << "arcs " << i << " and " << i + 1 << " both come from disk "
-            << a.disk << ": Merge Step 3 must coalesce same-disk neighbors";
-        return msg.str();
-      }
-    }
-  }
-  return {};
-}
-
-std::string check_local_disk_premise(std::span<const geom::Disk> disks,
-                                     geom::Vec2 o) {
-  // describe_local_set_violation is the library's single statement of the
-  // Section 3.2 premise; reuse it so the invariant layer and the public
-  // LocalDiskSet validation can never drift apart.
-  return describe_local_set_violation(disks, o);
-}
-
-std::string check_skyline_minimality(std::span<const geom::Disk> disks,
-                                     const Skyline& sky, double area_tol) {
-  std::ostringstream msg;
-  if (sky.empty()) {
-    if (disks.empty()) return {};
-    msg << "skyline is empty for a non-empty local set of " << disks.size()
-        << " disks";
-    return msg.str();
-  }
-  const geom::Vec2 o = sky.origin();
-  // Every arc must lie on the upper envelope at its midpoint: a kept disk
-  // whose arc is strictly below the envelope is not a boundary contributor
-  // and Theorem 3 no longer certifies it as necessary.
-  const auto arcs = sky.arcs();
-  for (std::size_t k = 0; k < arcs.size(); ++k) {
-    const Arc& a = arcs[k];
-    if (a.disk >= disks.size()) {
-      msg << "arc " << k << " (" << a << ") references disk " << a.disk
-          << " outside the local set of " << disks.size() << " disks";
-      return msg.str();
-    }
-    const double mine = geom::radial_distance(disks[a.disk], o, a.mid());
-    const double best = geom::radial_envelope(disks, o, a.mid());
-    if (mine < best - area_tol) {
-      msg << "arc " << k << " (" << a << ") is not on the envelope at its "
-          << "midpoint: rho = " << mine << " < envelope = " << best
-          << " — disk " << a.disk << " contributes no boundary there";
-      return msg.str();
-    }
-  }
-  // Cross-validate against the O(n^2) brute-force envelope: same skyline
-  // set (minimal cardinality + identical degeneracy resolution) and same
-  // enclosed union area.
-  const Skyline reference = compute_skyline_bruteforce(disks, o);
-  const std::vector<std::size_t> got = sky.skyline_set();
-  const std::vector<std::size_t> want = reference.skyline_set();
-  if (got != want) {
-    msg << "skyline set diverges from the brute-force reference: got {";
-    for (std::size_t i : got) msg << ' ' << i;
-    msg << " } want {";
-    for (std::size_t i : want) msg << ' ' << i;
-    msg << " } — a degeneracy was resolved on different sides";
-    return msg.str();
-  }
-  const double got_area = sky.enclosed_area(disks);
-  const double want_area = reference.enclosed_area(disks);
-  if (std::abs(got_area - want_area) > area_tol) {
-    msg << "enclosed union area " << got_area
-        << " differs from the brute-force reference " << want_area << " by "
-        << std::abs(got_area - want_area) << " > " << area_tol
-        << ": coverage was lost or gained";
-    return msg.str();
-  }
-  return {};
 }
 
 }  // namespace mldcs::core

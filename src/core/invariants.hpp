@@ -1,17 +1,11 @@
 #pragma once
 
 /// \file invariants.hpp
-/// The correctness-tooling layer for the core algorithms: the
-/// MLDCS_CHECK / MLDCS_DCHECK macro family plus structured validators for
-/// the geometric invariants that the skyline machinery depends on.
-///
-/// Every degeneracy in this library — tangent disks, coincident centers,
-/// arcs collapsing below kAngleTol — must be resolved on the *same side* by
-/// `compute_skyline` (D&C), `compute_skyline_incremental`, and
-/// `compute_skyline_bruteforce`, or the three stop cross-validating and the
-/// Theorem 3 minimality argument silently breaks.  These validators state
-/// those conventions as checkable predicates and the macros make violations
-/// loud instead of letting them surface later as a wrong cover set.
+/// The MLDCS_CHECK / MLDCS_DCHECK macro family and its failure policy.
+/// The contracts they check — the local-disk-set premise, the arc-list
+/// rules and the Theorem 3 skyline checks — are stated once, in
+/// validate.hpp; the macros make a violation loud instead of letting it
+/// surface later as a wrong cover set.
 ///
 /// Failure policy: a failing check prints the expression, location, and a
 /// caller-supplied detail dump, then aborts — unless the process opted into
@@ -26,17 +20,9 @@
 /// the same name) or NDEBUG is absent — mirroring assert(), which these
 /// macros replace.
 
-#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <span>
 #include <sstream>
 #include <string>
-
-#include "core/annotations.hpp"
-#include "core/skyline.hpp"
-#include "geometry/disk.hpp"
-#include "geometry/vec2.hpp"
 
 #if defined(MLDCS_ENABLE_INVARIANT_CHECKS) || !defined(NDEBUG)
 #define MLDCS_INVARIANT_CHECKS_ENABLED 1
@@ -49,10 +35,6 @@ namespace mldcs::core {
 /// Compile-time mirror of the macro gate, for `if constexpr` wiring.
 inline constexpr bool kInvariantChecksEnabled =
     MLDCS_INVARIANT_CHECKS_ENABLED != 0;
-
-/// Deep (superlinear) checks such as check_skyline_minimality are skipped
-/// above this input size so debug/sanitizer test runs stay fast.
-inline constexpr std::size_t kDeepCheckMaxDisks = 96;
 
 /// What a failing MLDCS_CHECK / MLDCS_DCHECK does.
 enum class InvariantAction {
@@ -78,38 +60,6 @@ void reset_invariant_failures() noexcept;
 /// invariant_action().
 void report_invariant_violation(const char* expr, const char* file, int line,
                                 const std::string& detail);
-
-// --- Structured validators -------------------------------------------------
-// Each returns an empty string when the invariant holds and a human-readable
-// description of the first violation otherwise, so they can be used both via
-// MLDCS_DCHECK_OK and directly from tests.
-
-/// Structural invariants of a skyline arc list (the class comment on
-/// `Skyline`): angles sorted and exactly contiguous, cyclic closure
-/// arcs.front().start == 0 and arcs.back().end == 2*pi at the relay seam,
-/// no arc narrower than kAngleTol (sub-tolerance slivers must have been
-/// coalesced), adjacent arcs from different disks, and all disk indices
-/// below `n_disks` (pass SIZE_MAX to skip the bound).
-[[nodiscard]] MLDCS_ALLOC_OK std::string check_arc_list(
-    std::span<const Arc> arcs,
-    std::size_t n_disks = std::numeric_limits<std::size_t>::max());
-
-/// The local-disk-set premise (paper Section 3.2): every disk is finite,
-/// non-negative, and contains the relay `o` — the geometric form of the
-/// bidirectional-link rule (||o - u_i|| <= r_i means u_i hears o and o
-/// hears u_i at radius r_i).
-[[nodiscard]] MLDCS_ALLOC_OK std::string check_local_disk_premise(
-    std::span<const geom::Disk> disks, geom::Vec2 o);
-
-/// Theorem 3 contract of a computed skyline: every kept disk contributes a
-/// genuine boundary arc (its radial distance attains the envelope at the
-/// arc midpoint, and the arc is wider than kAngleTol), the skyline set
-/// equals the O(n^2) brute-force reference's set, and the enclosed union
-/// area matches the reference within `area_tol` (absolute, on the paper's
-/// O(10)-sized deployments).  Cost: O(n^2) — gate with kDeepCheckMaxDisks.
-[[nodiscard]] MLDCS_ALLOC_OK std::string check_skyline_minimality(
-    std::span<const geom::Disk> disks, const Skyline& sky,
-    double area_tol = 1e-7);
 
 }  // namespace mldcs::core
 

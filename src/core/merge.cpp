@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/invariants.hpp"
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/circle_intersect.hpp"
 #include "geometry/radial.hpp"

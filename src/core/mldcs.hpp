@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "core/skyline.hpp"
 #include "geometry/disk.hpp"
 #include "geometry/vec2.hpp"
@@ -35,7 +34,8 @@ class InvalidLocalDiskSet : public std::invalid_argument {
 class LocalDiskSet {
  public:
   /// Validates the precondition ||o - u_i|| <= r_i for every disk and that
-  /// all values are finite; throws InvalidLocalDiskSet otherwise.
+  /// all values are finite (describe_local_set_violation, validate.hpp);
+  /// throws InvalidLocalDiskSet otherwise.
   LocalDiskSet(geom::Vec2 origin, std::vector<geom::Disk> disks);
 
   [[nodiscard]] geom::Vec2 origin() const noexcept { return origin_; }
@@ -62,11 +62,5 @@ class LocalDiskSet {
 /// The full skyline of a validated local disk set (arcs, not just the set);
 /// useful for rendering, area computation, and the Lemma 8 instrumentation.
 [[nodiscard]] Skyline skyline_of(const LocalDiskSet& set);
-
-/// Validate the local-disk-set precondition without constructing; returns a
-/// human-readable description of the first violation, or an empty string if
-/// valid.
-[[nodiscard]] MLDCS_ALLOC_OK std::string describe_local_set_violation(
-    std::span<const geom::Disk> disks, geom::Vec2 o);
 
 }  // namespace mldcs::core

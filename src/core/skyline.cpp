@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/invariants.hpp"
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/area.hpp"
 #include "geometry/radial.hpp"
@@ -91,26 +92,6 @@ double Skyline::enclosed_area(std::span<const geom::Disk> disks) const {
     area += geom::sector_area_under_disk(disks[a.disk], origin_, a.start, a.end);
   }
   return area;
-}
-
-bool Skyline::well_formed(std::span<const Arc> arcs,
-                          std::size_t n_disks) noexcept {
-  if (arcs.empty()) return true;
-  // mldcs-analyze:allow(tolerance-audit): exact +x-axis split convention
-  if (arcs.front().start != 0.0) return false;
-  if (!geom::approx_equal(arcs.back().end, kTwoPi, kAngleTol)) return false;
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const Arc& a = arcs[i];
-    if (!(a.start < a.end)) return false;
-    if (n_disks != std::numeric_limits<std::size_t>::max() && a.disk >= n_disks)
-      return false;
-    if (i + 1 < arcs.size()) {
-      // mldcs-analyze:allow(tolerance-audit): exact contiguity by design
-      if (arcs[i + 1].start != a.end) return false;
-      if (arcs[i + 1].disk == a.disk) return false;     // coalesced
-    }
-  }
-  return true;
 }
 
 std::vector<Arc> normalize_arcs(std::vector<Arc> arcs) {

@@ -19,18 +19,19 @@ namespace mldcs::core {
 /// An immutable, validated skyline: a contiguous sequence of arcs covering
 /// [0, 2*pi] exactly once around the relay `origin`.
 ///
-/// Invariants (checked by `well_formed`, enforced by the factory functions):
+/// Invariants (checked by `check_arc_list` in validate.hpp, enforced by the
+/// factory functions):
 ///  - arcs are non-empty (unless the skyline is of an empty disk set),
 ///  - arcs[0].start == 0 and arcs.back().end == 2*pi,
 ///  - arcs[i].end == arcs[i+1].start exactly (shared doubles, no drift),
-///  - every arc has strictly positive span,
+///  - every arc is wider than kAngleTol (slivers are coalesced),
 ///  - adjacent arcs come from different disks (Step 3 of Merge coalesces).
 class Skyline {
  public:
   Skyline() = default;
 
   /// Wrap an arc list that already satisfies the invariants.
-  /// Precondition: `well_formed(arcs)`; checked in debug builds.
+  /// Precondition: `check_arc_list(arcs)` passes; checked in debug builds.
   Skyline(geom::Vec2 origin, std::vector<Arc> arcs);
 
   [[nodiscard]] geom::Vec2 origin() const noexcept { return origin_; }
@@ -71,11 +72,6 @@ class Skyline {
   /// each contributing circle CCW, so the center-angle sweep is well
   /// defined.
   [[nodiscard]] double perimeter(std::span<const geom::Disk> disks) const;
-
-  /// Structural-invariant check (see class comment).  `n_disks` bounds the
-  /// stored disk indices; pass SIZE_MAX to skip the index bound.
-  [[nodiscard]] static bool well_formed(std::span<const Arc> arcs,
-                                        std::size_t n_disks) noexcept;
 
  private:
   geom::Vec2 origin_;

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "core/invariants.hpp"
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/radial.hpp"
 #include "geometry/simd.hpp"
@@ -63,7 +64,7 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   out.clear();
   const std::size_t n = disks.size();
   if (n == 0) return;
-  MLDCS_DCHECK_OK(check_local_disk_premise(disks, o));
+  MLDCS_DCHECK_OK(describe_local_set_violation(disks, o));
 
   const geom::simd::SkylineKernels& kernels = geom::simd::active_kernels();
 
@@ -179,12 +180,13 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   t.level_arcs_hwm.set_max(static_cast<std::int64_t>(level_arcs_max));
 
   if constexpr (kInvariantChecksEnabled) {
-    // The full Theorem 3 cross-check is O(n^2); keep it to inputs where the
-    // brute-force reference is cheap so checked test runs stay fast.
+    // The Theorem 3 oracle costs what its brute-force reference costs
+    // (validate.hpp); keep it to inputs where that is cheap so checked
+    // test runs stay fast.
     if (n <= kDeepCheckMaxDisks) {
       // mldcs-analyze:allow(hot-no-alloc): debug-only invariant cross-check
       const Skyline sky{o, std::vector<Arc>(out.begin(), out.end())};
-      MLDCS_CHECK_OK(check_skyline_minimality(disks, sky));
+      MLDCS_CHECK_OK(check_skyline_minimality(sky, disks));
     }
   }
 }

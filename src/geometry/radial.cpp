@@ -62,17 +62,6 @@ double radial_envelope(std::span<const Disk> disks, Vec2 o,
   return best;
 }
 
-std::vector<double> sample_radial_envelope(std::span<const Disk> disks, Vec2 o,
-                                           std::size_t samples) {
-  std::vector<double> out(samples);
-  for (std::size_t k = 0; k < samples; ++k) {
-    const double theta = kTwoPi * static_cast<double>(k) /
-                         static_cast<double>(samples);
-    out[k] = radial_envelope(disks, o, theta);
-  }
-  return out;
-}
-
 int radial_zero_transitions(const Disk& d, Vec2 o, double out[2],
                             double tol) noexcept {
   const Vec2 rel = d.center - o;
@@ -82,14 +71,6 @@ int radial_zero_transitions(const Disk& d, Vec2 o, double out[2],
   out[0] = normalize_angle(phi + kPi / 2.0);
   out[1] = normalize_angle(phi - kPi / 2.0);
   return 2;
-}
-
-bool is_local_disk_set(std::span<const Disk> disks, Vec2 o,
-                       double tol) noexcept {
-  for (const Disk& d : disks) {
-    if (!d.contains(o, tol)) return false;
-  }
-  return true;
 }
 
 }  // namespace mldcs::geom

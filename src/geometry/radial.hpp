@@ -12,8 +12,8 @@
 /// rho(theta) = max_i rho_i(theta).  This header provides that function and
 /// its kin; the skyline algorithms in src/core are built on it.
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "geometry/disk.hpp"
 #include "geometry/vec2.hpp"
@@ -67,15 +67,6 @@ class RadialDisk {
 /// The upper-envelope value max_i rho_i(theta); 0 on an empty span.
 [[nodiscard]] double radial_envelope(std::span<const Disk> disks, Vec2 o,
                                      double theta) noexcept;
-
-/// Evaluate the envelope on `samples` equally spaced angles in [0, 2*pi).
-[[nodiscard]] std::vector<double> sample_radial_envelope(
-    std::span<const Disk> disks, Vec2 o, std::size_t samples);
-
-/// True if every disk in the span contains `o` (i.e. the span is a valid
-/// local disk set around `o`).
-[[nodiscard]] bool is_local_disk_set(std::span<const Disk> disks, Vec2 o,
-                                     double tol = kTol) noexcept;
 
 /// Degenerate-support angles: when `o` lies exactly on the boundary of `d`
 /// (||o - c|| == r within tol), rho is 2r*cos(theta - phi) on the half

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "core/validate.hpp"
-#include "geometry/radial.hpp"
 #include "net/topology.hpp"
 #include "sim/rng.hpp"
 
@@ -67,7 +66,7 @@ TEST(LocalViewTest, DiskSetIsValidLocalSet) {
   const LocalView view = local_view(g, 0);
   const auto disks = local_disk_set(g, view);
   ASSERT_EQ(disks.size(), view.one_hop.size() + 1);
-  EXPECT_TRUE(geom::is_local_disk_set(disks, g.node(0).pos));
+  EXPECT_EQ(core::describe_local_set_violation(disks, g.node(0).pos), "");
 }
 
 TEST(LocalViewTest, TwoHopCoverageIndexesAreValid) {

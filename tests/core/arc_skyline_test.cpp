@@ -1,9 +1,11 @@
-// Tests for the Arc representation and the Skyline container invariants.
+// Tests for the Arc representation, the Skyline container and
+// normalize_arcs (whose output must pass check_arc_list).
 
 #include <gtest/gtest.h>
 
 #include "core/arc.hpp"
 #include "core/skyline.hpp"
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 
 namespace mldcs::core {
@@ -32,29 +34,30 @@ TEST(SkylineTest, EmptySkyline) {
 }
 
 TEST(SkylineTest, WellFormedAcceptsCanonicalList) {
+  // The first and last arcs may share a disk: the +x-axis split.
   const std::vector<Arc> arcs{{0.0, 2.0, 0}, {2.0, 4.0, 1}, {4.0, kTwoPi, 0}};
-  EXPECT_TRUE(Skyline::well_formed(arcs, 2));
+  EXPECT_EQ(check_arc_list(arcs, 2), "");
 }
 
 TEST(SkylineTest, WellFormedRejectsBadLists) {
   // Doesn't start at 0.
-  EXPECT_FALSE(Skyline::well_formed(
-      std::vector<Arc>{{0.5, kTwoPi, 0}}, 1));
+  EXPECT_NE(check_arc_list(std::vector<Arc>{{0.5, kTwoPi, 0}}, 1), "");
   // Doesn't end at 2*pi.
-  EXPECT_FALSE(Skyline::well_formed(
-      std::vector<Arc>{{0.0, 3.0, 0}}, 1));
+  EXPECT_NE(check_arc_list(std::vector<Arc>{{0.0, 3.0, 0}}, 1), "");
   // Gap between arcs.
-  EXPECT_FALSE(Skyline::well_formed(
-      std::vector<Arc>{{0.0, 1.0, 0}, {1.5, kTwoPi, 1}}, 2));
+  EXPECT_NE(check_arc_list(
+                std::vector<Arc>{{0.0, 1.0, 0}, {1.5, kTwoPi, 1}}, 2),
+            "");
   // Adjacent same-disk arcs (uncoalesced).
-  EXPECT_FALSE(Skyline::well_formed(
-      std::vector<Arc>{{0.0, 1.0, 0}, {1.0, kTwoPi, 0}}, 1));
+  EXPECT_NE(check_arc_list(
+                std::vector<Arc>{{0.0, 1.0, 0}, {1.0, kTwoPi, 0}}, 1),
+            "");
   // Empty arc.
-  EXPECT_FALSE(Skyline::well_formed(
-      std::vector<Arc>{{0.0, 0.0, 0}, {0.0, kTwoPi, 1}}, 2));
+  EXPECT_NE(check_arc_list(
+                std::vector<Arc>{{0.0, 0.0, 0}, {0.0, kTwoPi, 1}}, 2),
+            "");
   // Disk index out of range.
-  EXPECT_FALSE(Skyline::well_formed(
-      std::vector<Arc>{{0.0, kTwoPi, 5}}, 2));
+  EXPECT_NE(check_arc_list(std::vector<Arc>{{0.0, kTwoPi, 5}}, 2), "");
 }
 
 TEST(SkylineTest, SkylineSetDeduplicatesAndSorts) {
@@ -88,7 +91,7 @@ TEST(NormalizeArcsTest, SortsAndSnapsFragments) {
   ASSERT_EQ(out.size(), 2u);  // the two disk-1 arcs coalesce
   EXPECT_EQ(out[0].disk, 0u);
   EXPECT_EQ(out[1].disk, 1u);
-  EXPECT_TRUE(Skyline::well_formed(out, 2));
+  EXPECT_EQ(check_arc_list(out, 2), "");
 }
 
 TEST(NormalizeArcsTest, DropsSlivers) {
@@ -99,7 +102,7 @@ TEST(NormalizeArcsTest, DropsSlivers) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].disk, 0u);
   EXPECT_EQ(out[1].disk, 2u);
-  EXPECT_TRUE(Skyline::well_formed(out, 3));
+  EXPECT_EQ(check_arc_list(out, 3), "");
 }
 
 TEST(NormalizeArcsTest, CoalescesRunsOfSameDisk) {
@@ -134,7 +137,7 @@ TEST(NormalizeArcsTest, OutputIsAlwaysWellFormed) {
       pos = end;
     }
     const auto out = normalize_arcs(std::move(frags));
-    EXPECT_TRUE(Skyline::well_formed(out, 5)) << "trial " << trial;
+    EXPECT_EQ(check_arc_list(out, 5), "") << "trial " << trial;
   }
 }
 

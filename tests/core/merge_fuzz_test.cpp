@@ -40,7 +40,7 @@ void expect_equals_whole(const std::vector<geom::Disk>& disks, geom::Vec2 o,
                          const std::vector<Arc>& merged, SkylineWorkspace& ws,
                          const std::string& label) {
   const Skyline sky(o, merged);
-  EXPECT_TRUE(Skyline::well_formed(merged, disks.size())) << label;
+  EXPECT_EQ(verify_skyline(sky, disks), "") << label;
   EXPECT_LT(max_radial_error(sky, disks, 1024), 1e-7) << label;
   EXPECT_EQ(sky.skyline_set(), compute_skyline(disks, o, ws).skyline_set())
       << label;

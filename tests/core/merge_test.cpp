@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/skyline.hpp"
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/radial.hpp"
 
@@ -53,7 +54,7 @@ TEST(MergeTest, Case1NoIntersectionOuterWins) {
       merge_skylines(full_circle(0), full_circle(1), disks, kO);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].disk, 1u);
-  EXPECT_TRUE(Skyline::well_formed(merged, 2));
+  EXPECT_EQ(check_arc_list(merged, 2), "");
 }
 
 TEST(MergeTest, Case3TwoCrossingsProduceTwoArcs) {
@@ -63,7 +64,7 @@ TEST(MergeTest, Case3TwoCrossingsProduceTwoArcs) {
   const std::vector<Disk> disks{{{0.5, 0.0}, 1.0}, {{-0.5, 0.0}, 1.0}};
   const auto merged =
       merge_skylines(full_circle(0), full_circle(1), disks, kO);
-  EXPECT_TRUE(Skyline::well_formed(merged, 2));
+  EXPECT_EQ(check_arc_list(merged, 2), "");
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].disk, 0u);  // [0, pi/2): east disk
   EXPECT_EQ(merged[1].disk, 1u);  // [pi/2, 3pi/2): west disk
@@ -94,7 +95,7 @@ TEST(MergeTest, ResultIsUpperEnvelopePointwise) {
   const std::vector<Disk> disks{{{0.7, 0.1}, 1.3}, {{-0.4, -0.5}, 1.6}};
   const auto merged =
       merge_skylines(full_circle(0), full_circle(1), disks, kO);
-  EXPECT_TRUE(Skyline::well_formed(merged, 2));
+  EXPECT_EQ(check_arc_list(merged, 2), "");
   const Skyline sky(kO, merged);
   for (int k = 0; k < 720; ++k) {
     const double theta = kTwoPi * k / 720.0;

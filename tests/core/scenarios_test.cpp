@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "core/mldcs.hpp"
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "geometry/radial.hpp"
 #include "sim/rng.hpp"
@@ -23,7 +23,7 @@ TEST(ScenariosTest, RandomLocalSetIsValidAndBidirectional) {
       const Scenario sc = random_local_set(rng, 12, hetero);
       ASSERT_EQ(sc.disks.size(), 12u);
       // Valid local set: every disk contains the origin.
-      EXPECT_TRUE(geom::is_local_disk_set(sc.disks, sc.origin));
+      EXPECT_EQ(describe_local_set_violation(sc.disks, sc.origin), "");
       // Full bidirectional rule: ||u_i - o|| <= min(r_0, r_i).
       const double r0 = sc.disks[0].radius;
       for (const geom::Disk& d : sc.disks) {
@@ -66,7 +66,7 @@ TEST(ScenariosTest, DuplicateSetAllIdentical) {
   const Scenario sc = duplicate_set(4);
   ASSERT_EQ(sc.disks.size(), 4u);
   for (const auto& d : sc.disks) EXPECT_EQ(d, sc.disks[0]);
-  EXPECT_TRUE(geom::is_local_disk_set(sc.disks, sc.origin));
+  EXPECT_EQ(describe_local_set_violation(sc.disks, sc.origin), "");
 }
 
 TEST(ScenariosTest, DominatedSetFirstDiskContainsAll) {
@@ -88,7 +88,7 @@ TEST(ScenariosTest, TangentPairTouchesAtOnePoint) {
 TEST(ScenariosTest, CollinearSetCentersOnXAxis) {
   const Scenario sc = collinear_set(7);
   for (const auto& d : sc.disks) EXPECT_DOUBLE_EQ(d.center.y, 0.0);
-  EXPECT_TRUE(geom::is_local_disk_set(sc.disks, sc.origin));
+  EXPECT_EQ(describe_local_set_violation(sc.disks, sc.origin), "");
 }
 
 TEST(ScenariosTest, Figure41GeometryInvariants) {
@@ -108,7 +108,7 @@ TEST(ScenariosTest, Figure41GeometryInvariants) {
         0.5 * std::cos(half_gap) + std::sqrt(1.0 - sin_part * sin_part);
     EXPECT_GT(r, op);
     EXPECT_LT(r, 1.5);
-    EXPECT_TRUE(geom::is_local_disk_set(sc.disks, sc.origin));
+    EXPECT_EQ(describe_local_set_violation(sc.disks, sc.origin), "");
   }
 }
 
@@ -124,7 +124,7 @@ TEST(ScenariosTest, Figure41WindowEndpointsBehave) {
 
 TEST(ScenariosTest, Figure32LikeIsValidAndHasDominatedDisk) {
   const Scenario sc = figure32_like_configuration();
-  EXPECT_TRUE(geom::is_local_disk_set(sc.disks, sc.origin));
+  EXPECT_EQ(describe_local_set_violation(sc.disks, sc.origin), "");
   // Disk 3 must be covered by the union of the others: its radial function
   // never exceeds the envelope of the rest.
   std::vector<geom::Disk> others;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/validate.hpp"
 #include "geometry/angle.hpp"
 #include "sim/rng.hpp"
 
@@ -106,19 +107,14 @@ TEST(RadialTest, EnvelopeIsMaxOfMembers) {
   }
 }
 
-TEST(RadialTest, SampleRadialEnvelopeSizeAndValues) {
-  const std::vector<Disk> disks{{{0, 0}, 1.0}};
-  const auto samples = sample_radial_envelope(disks, {0, 0}, 16);
-  ASSERT_EQ(samples.size(), 16u);
-  for (double v : samples) EXPECT_NEAR(v, 1.0, 1e-12);
-}
-
+/// The radial view needs o inside every disk; that premise is stated once,
+/// by core::describe_local_set_violation ("" when it holds).
 TEST(RadialTest, IsLocalDiskSet) {
   const std::vector<Disk> good{{{0, 0}, 1.0}, {{0.5, 0}, 1.0}};
   const std::vector<Disk> bad{{{0, 0}, 1.0}, {{5.0, 0}, 1.0}};
-  EXPECT_TRUE(is_local_disk_set(good, {0, 0}));
-  EXPECT_FALSE(is_local_disk_set(bad, {0, 0}));
-  EXPECT_TRUE(is_local_disk_set({}, {0, 0}));  // vacuous
+  EXPECT_EQ(core::describe_local_set_violation(good, {0, 0}), "");
+  EXPECT_NE(core::describe_local_set_violation(bad, {0, 0}), "");
+  EXPECT_EQ(core::describe_local_set_violation({}, {0, 0}), "");  // vacuous
 }
 
 /// Property: for random local disks, the radial crossing matches the
