@@ -65,18 +65,18 @@ struct RelayScratch {
   core::SkylineWorkspace ws;
   std::vector<geom::Disk> disks;
   std::vector<core::Arc> arcs;
-  std::vector<std::size_t> sky_set;
+  std::vector<std::uint8_t> owns;      ///< per local disk; all 0 between calls
   std::vector<net::NodeId> relay_ids;  ///< the result (sorted ascending)
 
-  /// Grow every buffer for relays of up to `max_degree` neighbors, so no
-  /// later relay_forwarding_set call on such a relay allocates.  A local
-  /// disk set of k disks has at most 2k skyline arcs (Lemma 8).
+  /// Reserve every buffer for relays of up to `max_degree` neighbors, so
+  /// no later relay_forwarding_set call on such a relay allocates.  A
+  /// local disk set of k disks has at most 2k skyline arcs (Lemma 8).
   MLDCS_ALLOC_OK void reserve(std::size_t max_degree) {
     const std::size_t k = max_degree + 1;
     ws.reserve(k);
     disks.reserve(k);
     arcs.reserve(2 * k);
-    sky_set.reserve(2 * k);
+    owns.reserve(k);
     relay_ids.reserve(max_degree);
   }
 };
@@ -93,21 +93,26 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK std::uint32_t relay_forwarding_set(
 
   core::compute_skyline_arcs(s.disks, g.node(id).pos, s.ws, s.arcs);
 
-  // Skyline set: sorted unique disk indices.  Disk 0 is the relay itself —
-  // its area was served by the transmission the relay already made, so it
-  // never needs a forwarder (Section 3.2).  Neighbor disks follow `nb`'s
-  // ascending id order, so ascending indices map to ascending node ids
-  // with no re-sort.
-  s.sky_set.clear();
-  for (const core::Arc& a : s.arcs) s.sky_set.push_back(a.disk);
-  std::sort(s.sky_set.begin(), s.sky_set.end());
-  s.sky_set.erase(std::unique(s.sky_set.begin(), s.sky_set.end()),
-                  s.sky_set.end());
-  s.relay_ids.clear();
-  for (const std::size_t idx : s.sky_set) {
-    if (idx == 0) continue;
-    s.relay_ids.push_back(nb[idx - 1]);
+  // Skyline set: the local disks that own an arc, marked, then read in
+  // index order.  Disk 0 is the relay itself — its area was served by the
+  // transmission the relay already made, so it never needs a forwarder
+  // (Section 3.2).  Neighbor disks follow `nb`'s ascending id order, so
+  // ascending indices map to ascending node ids with no sort.  Every
+  // neighbor is stored at the write cursor, which advances only past an
+  // owner, and the read clears each mark for the next call.
+  if (s.owns.size() < s.disks.size()) s.owns.resize(s.disks.size());
+  std::uint8_t* const owns = s.owns.data();
+  for (const core::Arc& a : s.arcs) owns[a.disk] = 1;
+  owns[0] = 0;
+  s.relay_ids.resize(nb.size());
+  net::NodeId* const ids = s.relay_ids.data();
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < nb.size(); ++i) {
+    ids[w] = nb[i];
+    w += owns[i + 1];
+    owns[i + 1] = 0;
   }
+  s.relay_ids.resize(w);
   return static_cast<std::uint32_t>(s.arcs.size());
 }
 

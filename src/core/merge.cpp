@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "core/invariants.hpp"
@@ -192,180 +193,244 @@ std::vector<Arc> merge_skylines(std::span<const Arc> sl1,
 
 namespace detail {
 
-MLDCS_ALLOC_OK void LevelSoA::reserve(std::size_t n_disks) {
-  // Lemma 8: a level's concatenated partial skylines hold <= 2n arcs.
-  const std::size_t cap = 2 * n_disks + 8;
-  start.reserve(cap);
-  ux.reserve(cap);
-  uy.reserve(cap);
-  disk.reserve(cap);
-  bounds.reserve(n_disks + 1);
+namespace {
+
+using geom::DiskSoA;
+static_assert(DiskSoA::kLaneBlock % geom::simd::kBatchPad == 0,
+              "padded task batches must be whole kernel batches");
+
+/// Cuts a level of `level_arcs` arcs can produce: two circle crossings per
+/// refined span, plus its `zero_cuts` zero-transition cuts.  Spans number
+/// at most the level's arcs: a pair of skylines of a and b arcs refines
+/// into at most a + b - 1 spans.
+constexpr std::size_t cut_bound(std::size_t level_arcs,
+                                std::size_t zero_cuts) noexcept {
+  return 2 * level_arcs + zero_cuts;
+}
+
+using Reals = double* MergeLevelScratch::*;
+using Ids = std::uint32_t* MergeLevelScratch::*;
+using M = MergeLevelScratch;
+/// The scratch arrays by length: one per span, one per cut, one per
+/// evaluation (the gathered disks serve the spans' batch too), one per
+/// zero-transition cut.
+constexpr Reals kSpanReals[] = {&M::sp_alpha, &M::sp_beta, &M::sp_uax,
+                                &M::sp_uay,   &M::sp_ubx,  &M::sp_uby,
+                                &M::iv0x,     &M::iv0y,    &M::iv1x,
+                                &M::iv1y,     &M::s_da,    &M::s_db,
+                                &M::s_ss};
+constexpr Reals kCutReals[] = {&M::cvx, &M::cvy, &M::cang, &M::cux, &M::cuy};
+constexpr Reals kEvalReals[] = {&M::g_ax,  &M::g_ay,   &M::g_ar,   &M::g_bx,
+                                &M::g_by,  &M::g_br,   &M::e_sx,   &M::e_sy,
+                                &M::e_lo,  &M::e_loux, &M::e_louy, &M::e_da,
+                                &M::e_db,  &M::e_ss};
+constexpr Reals kZeroReals[] = {&M::zang, &M::zux, &M::zuy};
+constexpr Ids kSpanIds[] = {&M::sp_ia, &M::sp_ib, &M::pair_end,
+                            &M::cut_span};
+constexpr Ids kSpanEndIds[] = {&M::cut_first, &M::eval_end};
+
+/// Array lengths for a level of `level_arcs` arcs (kernel batches padded).
+struct ScratchShape {
+  std::size_t spans, cuts, evals, zcuts;
+
+  ScratchShape(std::size_t level_arcs, std::size_t zero_cuts)
+      : spans(DiskSoA::padded(level_arcs)),
+        cuts(DiskSoA::padded(cut_bound(level_arcs, zero_cuts))),
+        // A cut span with c cuts has at most c + 1 sub-spans.
+        evals(DiskSoA::padded(level_arcs +
+                              cut_bound(level_arcs, zero_cuts))),
+        zcuts(zero_cuts) {}
+
+  [[nodiscard]] std::size_t reals() const noexcept {
+    return std::size(kSpanReals) * spans + std::size(kCutReals) * cuts +
+           std::size(kEvalReals) * evals + std::size(kZeroReals) * zcuts;
+  }
+  [[nodiscard]] std::size_t ids() const noexcept {
+    return std::size(kSpanIds) * spans + std::size(kSpanEndIds) * (spans + 1) +
+           zcuts;
+  }
+};
+
+}  // namespace
+
+void LevelSoA::fit(std::size_t n_arcs, std::size_t n_skylines) {
+  // The readable slot: Pass A loads the head of an exhausted arc list
+  // before discarding it, which at the level's end is one past its arcs.
+  const std::size_t slots = n_arcs + 1;
+  if (reals_.size() < 3 * slots) reals_.resize(3 * slots);
+  if (ids_.size() < slots + n_skylines + 1) {
+    ids_.resize(slots + n_skylines + 1);
+  }
+  start = reals_.data();
+  ux = start + slots;
+  uy = ux + slots;
+  disk = ids_.data();
+  bounds = disk + slots;
+}
+
+MLDCS_ALLOC_OK void LevelSoA::reserve(std::size_t n_arcs,
+                                      std::size_t n_skylines) {
+  reals_.reserve(3 * (n_arcs + 1));
+  ids_.reserve(n_arcs + 1 + n_skylines + 1);
+}
+
+void ZeroCutTable::fit(std::size_t n) {
+  if (count.size() >= n) return;
+  count.resize(n);
+  for (auto* v : {&ang0, &ang1, &ux0, &uy0, &ux1, &uy1}) v->resize(n);
 }
 
 MLDCS_ALLOC_OK void ZeroCutTable::reserve(std::size_t n_disks) {
   count.reserve(n_disks);
-  ang0.reserve(n_disks);
-  ang1.reserve(n_disks);
-  ux0.reserve(n_disks);
-  uy0.reserve(n_disks);
-  ux1.reserve(n_disks);
-  uy1.reserve(n_disks);
+  for (auto* v : {&ang0, &ang1, &ux0, &uy0, &ux1, &uy1}) v->reserve(n_disks);
+}
+
+void MergeLevelScratch::fit(std::size_t level_arcs, std::size_t zero_cuts) {
+  const ScratchShape shape(level_arcs, zero_cuts);
+  if (reals_.size() < shape.reals()) reals_.resize(shape.reals());
+  if (ids_.size() < shape.ids()) ids_.resize(shape.ids());
+  if (codes_.size() < shape.spans) codes_.resize(shape.spans);
+  double* r = reals_.data();
+  const auto carve = [](auto*& cursor, std::size_t n) {
+    auto* const p = cursor;
+    cursor += n;
+    return p;
+  };
+  for (const Reals a : kSpanReals) this->*a = carve(r, shape.spans);
+  for (const Reals a : kCutReals) this->*a = carve(r, shape.cuts);
+  for (const Reals a : kEvalReals) this->*a = carve(r, shape.evals);
+  for (const Reals a : kZeroReals) this->*a = carve(r, shape.zcuts);
+  std::uint32_t* q = ids_.data();
+  for (const Ids a : kSpanIds) this->*a = carve(q, shape.spans);
+  for (const Ids a : kSpanEndIds) this->*a = carve(q, shape.spans + 1);
+  zslot = carve(q, shape.zcuts);
+  iacc = codes_.data();
 }
 
 MLDCS_ALLOC_OK void MergeLevelScratch::reserve(std::size_t n_disks) {
-  // A level has <= 2n arcs (Lemma 8), so <= 2n + n/2 refined spans (one
-  // extra closing span per pair), each spawning <= 7 sub-span evaluations
-  // in the worst degenerate case but ~1.5 in practice.  These are warm-up
-  // reservations, not bounds: the vectors may still grow on extreme inputs
-  // (caller-owned scratch, steady state after one call of a given size).
-  const std::size_t spans = 3 * n_disks + geom::simd::kBatchPad;
-  const std::size_t evals = 4 * n_disks + geom::simd::kBatchPad;
-  for (auto* v : {&sp_alpha, &sp_beta, &sp_uax, &sp_uay, &sp_ubx, &sp_uby}) {
-    v->reserve(spans);
-  }
-  for (auto* v : {&sp_ia, &sp_ib, &sp_pair}) v->reserve(spans);
-  for (auto* v : {&g_ax, &g_ay, &g_ar, &g_bx, &g_by, &g_br}) {
-    v->reserve(evals);
-  }
-  for (auto* v : {&iv0x, &iv0y, &iv1x, &iv1y, &s_da, &s_db, &s_ss}) {
-    v->reserve(spans);
-  }
-  iacc.reserve(spans);
-  for (auto* v : {&cvx, &cvy, &cang, &cux, &cuy}) v->reserve(spans);
-  cspan.reserve(spans);
-  for (auto* v : {&zang, &zux, &zuy}) v->reserve(n_disks);
-  zspan.reserve(n_disks);
-  for (auto* v :
-       {&e_sx, &e_sy, &e_lo, &e_loux, &e_louy, &e_da, &e_db, &e_ss}) {
-    v->reserve(evals);
-  }
-  e_span.reserve(evals);
+  // Lemma 8: a level's partial skylines hold at most 2n arcs in total.
+  const ScratchShape shape(2 * n_disks, zero_cut_bound(n_disks));
+  reals_.reserve(shape.reals());
+  ids_.reserve(shape.ids());
+  codes_.reserve(shape.spans);
 }
-
-namespace {
-
-/// Grow-only resize for kernel scratch: arrays keep their high-water size
-/// across levels, so kernel *output* buffers are never redundantly
-/// value-initialized (a plain resize-from-cleared zero-fills every lane).
-template <typename T>
-inline void ensure_size(std::vector<T>& v, std::size_t n) {
-  if (v.size() < n) v.resize(n);
-}
-
-}  // namespace
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_level_batched(
-    const LevelSoA& cur, LevelSoA& next, const geom::DiskSoA& soa,
+    const LevelSoA* cur, LevelSoA& next, const geom::DiskSoA& soa,
     geom::Vec2 o, const ZeroCutTable& zeros,
     const geom::simd::SkylineKernels& kernels, MergeLevelScratch& ms,
     MergeStats* stats) {
-  const std::size_t n_pairs = cur.skylines() / 2;
+  const std::size_t level_arcs = cur != nullptr ? cur->arcs : soa.count;
+  const std::size_t n_skylines = cur != nullptr ? cur->skylines : soa.count;
+  const std::size_t n_pairs = n_skylines / 2;
+  const std::size_t zero_cuts = zeros.any ? zero_cut_bound(soa.count) : 0;
+  // The level's one size check: every array below is written through a
+  // raw cursor within these bounds.
+  ms.fit(level_arcs, zero_cuts);
+  next.fit(merge_output_bound(level_arcs, zero_cuts),
+           n_pairs + n_skylines % 2);
   const double tol2 = geom::kTol * geom::kTol;
   const double* const soa_cx = soa.cx.data();
   const double* const soa_cy = soa.cy.data();
   const double* const soa_r = soa.r.data();
+  double* const sp_alpha = ms.sp_alpha;
+  double* const sp_beta = ms.sp_beta;
+  double* const sp_uax = ms.sp_uax;
+  double* const sp_uay = ms.sp_uay;
+  double* const sp_ubx = ms.sp_ubx;
+  double* const sp_uby = ms.sp_uby;
+  std::uint32_t* const sp_ia = ms.sp_ia;
+  std::uint32_t* const sp_ib = ms.sp_ib;
+  std::uint32_t* const pair_end = ms.pair_end;
+  double* const g_ax = ms.g_ax;
+  double* const g_ay = ms.g_ay;
+  double* const g_ar = ms.g_ar;
+  double* const g_bx = ms.g_bx;
+  double* const g_by = ms.g_by;
+  double* const g_br = ms.g_br;
 
   // ---- Pass A (scalar): refine each pair's breakpoints into aligned
-  // spans (Merge Step 1) and gather the circle-intersection batch.  All
-  // scratch writes go through raw cursors into grow-only arrays — the
-  // span count is bounded by the level's arc count (every span starts at
-  // a kept breakpoint; a pair keeps at most arcs_a + arcs_b - 1 of them
-  // since 0.0 is shared) plus one closing span per pair. ----
-  const std::size_t spans_cap =
-      geom::DiskSoA::padded(cur.start.size() + n_pairs + 1);
-  for (auto* v : {&ms.sp_alpha, &ms.sp_beta, &ms.sp_uax, &ms.sp_uay,
-                  &ms.sp_ubx, &ms.sp_uby, &ms.g_ax, &ms.g_ay, &ms.g_ar,
-                  &ms.g_bx, &ms.g_by, &ms.g_br, &ms.iv0x, &ms.iv0y,
-                  &ms.iv1x, &ms.iv1y, &ms.s_da, &ms.s_db, &ms.s_ss}) {
-    ensure_size(*v, spans_cap);
-  }
-  for (auto* v : {&ms.sp_ia, &ms.sp_ib, &ms.sp_pair}) {
-    ensure_size(*v, spans_cap);
-  }
-  ensure_size(ms.iacc, spans_cap);
-  double* const sp_alpha = ms.sp_alpha.data();
-  double* const sp_beta = ms.sp_beta.data();
-  double* const sp_uax = ms.sp_uax.data();
-  double* const sp_uay = ms.sp_uay.data();
-  double* const sp_ubx = ms.sp_ubx.data();
-  double* const sp_uby = ms.sp_uby.data();
-  std::uint32_t* const sp_ia = ms.sp_ia.data();
-  std::uint32_t* const sp_ib = ms.sp_ib.data();
-  std::uint32_t* const sp_pair = ms.sp_pair.data();
-  const double* const cs = cur.start.data();
-  const double* const cux = cur.ux.data();
-  const double* const cuy = cur.uy.data();
-  const std::uint32_t* const cdisk = cur.disk.data();
+  // spans (Merge Step 1) and gather the circle-intersection batch. ----
   std::size_t ns = 0;
-  {
-    double* const g_ax = ms.g_ax.data();
-    double* const g_ay = ms.g_ay.data();
-    double* const g_ar = ms.g_ar.data();
-    double* const g_bx = ms.g_bx.data();
-    double* const g_by = ms.g_by.data();
-    double* const g_br = ms.g_br.data();
+  const auto gather = [&](std::size_t i, std::uint32_t ia, std::uint32_t ib) {
+    sp_ia[i] = ia;
+    sp_ib[i] = ib;
+    g_ax[i] = soa_cx[ia];
+    g_ay[i] = soa_cy[ia];
+    g_ar[i] = soa_r[ia];
+    g_bx[i] = soa_cx[ib];
+    g_by[i] = soa_cy[ib];
+    g_br[i] = soa_r[ib];
+  };
+  if (cur == nullptr) {
+    // Level 0: pair p merges the full circles of live disks 2p and 2p + 1,
+    // one span [0, 2*pi] with the +x unit at both ends, so there is no
+    // breakpoint to walk.
     for (std::size_t pr = 0; pr < n_pairs; ++pr) {
-      const std::size_t a1 = cur.bounds[2 * pr + 1];
-      const std::size_t b1 = cur.bounds[2 * pr + 2];
-      // Arc cursors (legacy lockstep: advance while the arc ends at or
-      // before the span midpoint) and breakpoint cursors.  Both skylines
-      // start at exactly 0.0; that shared break seeds the walk.
-      std::size_t pa = cur.bounds[2 * pr];
-      std::size_t pb = a1;
-      std::size_t qa = pa + 1;
-      std::size_t qb = pb + 1;
+      sp_alpha[pr] = 0.0;
+      sp_beta[pr] = kTwoPi;
+      sp_uax[pr] = 1.0;
+      sp_uay[pr] = 0.0;
+      sp_ubx[pr] = 1.0;
+      sp_uby[pr] = 0.0;
+      gather(pr, static_cast<std::uint32_t>(2 * pr),
+             static_cast<std::uint32_t>(2 * pr + 1));
+      pair_end[pr] = static_cast<std::uint32_t>(pr + 1);
+    }
+    ns = n_pairs;
+  } else {
+    const double* const cs = cur->start;
+    const double* const cux = cur->ux;
+    const double* const cuy = cur->uy;
+    const std::uint32_t* const cdisk = cur->disk;
+    const std::uint32_t* const cbounds = cur->bounds;
+    for (std::size_t pr = 0; pr < n_pairs; ++pr) {
+      const std::size_t a1 = cbounds[2 * pr + 1];
+      const std::size_t b1 = cbounds[2 * pr + 2];
+      // Breakpoint cursors.  Both skylines start at exactly 0.0; that
+      // shared break seeds the walk.
+      std::size_t qa = cbounds[2 * pr] + 1;
+      std::size_t qb = a1 + 1;
       double last = 0.0;
       double last_ux = 1.0;
       double last_uy = 0.0;
 
-      const auto emit_span = [&](double alpha, double aux, double auy,
-                                 double beta, double bux, double buy) {
-        const double mid = 0.5 * (alpha + beta);
-        while (pa + 1 < a1 && cs[pa + 1] <= mid) ++pa;
-        while (pb + 1 < b1 && cs[pb + 1] <= mid) ++pb;
-        const std::uint32_t ia = cdisk[pa];
-        const std::uint32_t ib = cdisk[pb];
-        sp_alpha[ns] = alpha;
+      // Emit span [last, beta].  Each skyline shows the arc that holds
+      // the span's midpoint: the arc of its last consumed break other
+      // than beta (pa, pb), or an earlier one when breaks that Step 1
+      // merged into `last` lie past the midpoint, which only a span
+      // under 2 * kAngleTol wide can see.  Every skyline's first start
+      // is 0.0, below any midpoint, so the step back stops there.
+      const auto emit_span = [&](double beta, double bux, double buy,
+                                 std::size_t pa, std::size_t pb) {
+        const double mid = 0.5 * (last + beta);
+        while (cs[pa] > mid) --pa;
+        while (cs[pb] > mid) --pb;
+        sp_alpha[ns] = last;
         sp_beta[ns] = beta;
-        sp_uax[ns] = aux;
-        sp_uay[ns] = auy;
+        sp_uax[ns] = last_ux;
+        sp_uay[ns] = last_uy;
         sp_ubx[ns] = bux;
         sp_uby[ns] = buy;
-        sp_ia[ns] = ia;
-        sp_ib[ns] = ib;
-        sp_pair[ns] = static_cast<std::uint32_t>(pr);
-        g_ax[ns] = soa_cx[ia];
-        g_ay[ns] = soa_cy[ia];
-        g_ar[ns] = soa_r[ia];
-        g_bx[ns] = soa_cx[ib];
-        g_by[ns] = soa_cy[ib];
-        g_br[ns] = soa_r[ib];
+        gather(ns, cdisk[pa], cdisk[pb]);
         ++ns;
-        if (stats != nullptr) {
-          ++stats->spans;
-          ++stats->circle_intersections;
-        }
       };
 
-      for (;;) {
-        double cand;
-        double cand_ux;
-        double cand_uy;
-        if (qa < a1 && (qb >= b1 || cs[qa] <= cs[qb])) {
-          cand = cs[qa];
-          cand_ux = cux[qa];
-          cand_uy = cuy[qa];
-          ++qa;
-        } else if (qb < b1) {
-          cand = cs[qb];
-          cand_ux = cux[qb];
-          cand_uy = cuy[qb];
-          ++qb;
-        } else {
-          break;
-        }
+      while (qa < a1 || qb < b1) {
+        // Next break of the merged sequence, ties to skyline A, chosen
+        // without a data-dependent branch: an exhausted list's head (the
+        // next skyline's first start, or the level's readable slot) is
+        // loaded and never taken.
+        const std::size_t from_a = static_cast<std::size_t>(
+            (qa < a1) & ((qb >= b1) | (cs[qa] <= cs[qb])));
+        const std::size_t q = from_a != 0 ? qa : qb;
+        qa += from_a;
+        qb += 1 - from_a;
+        const double cand = cs[q];
+        const double cand_ux = cux[q];
+        const double cand_uy = cuy[q];
         if (cand - last <= kAngleTol) continue;  // dedup (Step 1's unique)
-        emit_span(last, last_ux, last_uy, cand, cand_ux, cand_uy);
+        emit_span(cand, cand_ux, cand_uy, qa - 1 - from_a, qb - 2 + from_a);
         last = cand;
         last_ux = cand_ux;
         last_uy = cand_uy;
@@ -374,131 +439,122 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_level_batched(
       // kAngleTol of 2*pi the closing sliver is skipped entirely: the
       // starts-only output extends the pair's last arc to 2*pi anyway.
       if (kTwoPi - last > kAngleTol) {
-        emit_span(last, last_ux, last_uy, kTwoPi, 1.0, 0.0);
+        emit_span(kTwoPi, 1.0, 0.0, a1 - 1, b1 - 1);
       }
+      pair_end[pr] = static_cast<std::uint32_t>(ns);
     }
-
-    // ---- Kernel 1: circle-circle intersections fused with the span
-    // acceptance test, one task per span.  Padding lanes are coincident
-    // unit circles (degenerate => acc 0), so their span fields — 0.0 from
-    // the grow-only scratch — are never interpreted. ----
-    const std::size_t spans_pad = geom::DiskSoA::padded(ns);
-    for (std::size_t i = ns; i < spans_pad; ++i) {
-      g_ax[i] = o.x;  // padding: coincident unit circles at o
-      g_ay[i] = o.y;
-      g_ar[i] = 1.0;
-      g_bx[i] = o.x;
-      g_by[i] = o.y;
-      g_br[i] = 1.0;
-    }
-    kernels.circle_isect(spans_pad, g_ax, g_ay, g_ar, g_bx, g_by, g_br,
-                         sp_uax, sp_uay, sp_ubx, sp_uby, sp_alpha, sp_beta,
-                         o.x, o.y, ms.iv0x.data(), ms.iv0y.data(),
-                         ms.iv1x.data(), ms.iv1y.data(), ms.iacc.data(),
-                         ms.s_da.data(), ms.s_db.data(), ms.s_ss.data());
   }
   const std::size_t n_spans = ns;
 
-  // ---- Pass B (scalar): compact the kernel-accepted cuts, in point
-  // order, into the finalization batch (Merge Step 2's candidate filter).
-  // Narrow spans (< 3.0 rad) and exact full-circle spans were decided
-  // in-kernel; the rare in-between widths (bit 2) take one libm atan2
-  // per candidate point here.  Spans that keep at least one cut get bit 3
-  // ORed into their acceptance code so Passes C/D can tell cut spans
-  // (sub-span evaluation batch) from cut-free ones (Kernel 1's
+  // ---- Kernel 1: circle-circle intersections fused with the span
+  // acceptance test, one task per span.  Padding lanes are coincident
+  // unit circles (degenerate => acc 0), so their span fields — stale
+  // values of the grow-only scratch — are never interpreted. ----
+  for (std::size_t i = n_spans; i < DiskSoA::padded(n_spans); ++i) {
+    g_ax[i] = o.x;  // padding: coincident unit circles at o
+    g_ay[i] = o.y;
+    g_ar[i] = 1.0;
+    g_bx[i] = o.x;
+    g_by[i] = o.y;
+    g_br[i] = 1.0;
+  }
+  kernels.circle_isect(DiskSoA::padded(n_spans), g_ax, g_ay, g_ar, g_bx,
+                       g_by, g_br, sp_uax, sp_uay, sp_ubx, sp_uby, sp_alpha,
+                       sp_beta, o.x, o.y, ms.iv0x, ms.iv0y,
+                       ms.iv1x, ms.iv1y, ms.iacc,
+                       ms.s_da, ms.s_db, ms.s_ss);
+
+  // ---- Pass B (scalar): list each span's cuts, in span order, as the
+  // finalization batch (Merge Step 2's candidate filter).  Narrow spans
+  // (< 3.0 rad) and exact full-circle spans were decided in-kernel; the
+  // rare in-between widths (bit 2) take one libm atan2 per candidate
+  // point here.  When the relay sits on some disk's boundary, the span's
+  // zero-transition cuts follow its crossings.  Spans that keep at least
+  // one cut get bit 3 ORed into their acceptance code so Pass D can tell
+  // cut spans (sub-span evaluation batch) from cut-free ones (Kernel 1's
   // speculative whole-span evaluation). ----
-  ensure_size(ms.cvx, geom::DiskSoA::padded(2 * n_spans));
-  ensure_size(ms.cvy, geom::DiskSoA::padded(2 * n_spans));
-  ensure_size(ms.cspan, 2 * n_spans);
-  ensure_size(ms.cang, geom::DiskSoA::padded(2 * n_spans));
-  ensure_size(ms.cux, geom::DiskSoA::padded(2 * n_spans));
-  ensure_size(ms.cuy, geom::DiskSoA::padded(2 * n_spans));
-  double* const cvx = ms.cvx.data();
-  double* const cvy = ms.cvy.data();
-  std::uint32_t* const cspan = ms.cspan.data();
-  const double* const iv0x = ms.iv0x.data();
-  const double* const iv0y = ms.iv0y.data();
-  const double* const iv1x = ms.iv1x.data();
-  const double* const iv1y = ms.iv1y.data();
-  int* const iacc = ms.iacc.data();
+  double* const cvx = ms.cvx;
+  double* const cvy = ms.cvy;
+  std::uint32_t* const cut_span = ms.cut_span;
+  std::uint32_t* const cut_first = ms.cut_first;
+  const double* const iv0x = ms.iv0x;
+  const double* const iv0y = ms.iv0y;
+  const double* const iv1x = ms.iv1x;
+  const double* const iv1y = ms.iv1y;
+  int* const iacc = ms.iacc;
   std::size_t n_cuts = 0;
+  std::size_t n_cut_spans = 0;
+  std::size_t n_zero_cuts = 0;
   for (std::size_t s = 0; s < n_spans; ++s) {
     const int a = iacc[s];
+    const std::size_t first = n_cuts;
     if ((a & 4) == 0) {
       // a in {0..3}: the kernel decided.  Unconditional stores with a
       // masked cursor advance keep this free of data-dependent branches
-      // (rejected lanes write one-past-the-end garbage that the next
-      // accepted lane overwrites; the buffers are sized 2 * n_spans).
-      const std::size_t before = n_cuts;
+      // (a rejected point is overwritten by the next accepted one).
       cvx[n_cuts] = iv0x[s];
       cvy[n_cuts] = iv0y[s];
-      cspan[n_cuts] = static_cast<std::uint32_t>(s);
       n_cuts += static_cast<std::size_t>(a & 1);
       cvx[n_cuts] = iv1x[s];
       cvy[n_cuts] = iv1y[s];
-      cspan[n_cuts] = static_cast<std::uint32_t>(s);
       n_cuts += static_cast<std::size_t>((a >> 1) & 1);
-      iacc[s] = a | (static_cast<int>(n_cuts != before) << 3);
-      continue;
-    }
-    // Deferred: mid-width span, (a & 3) candidate points.
-    const double alpha = sp_alpha[s];
-    const double beta = sp_beta[s];
-    const int cnt = a & 3;
-    bool kept = false;
-    for (int k = 0; k < cnt; ++k) {
-      const double vx = (k == 0) ? iv0x[s] : iv1x[s];
-      const double vy = (k == 0) ? iv0y[s] : iv1y[s];
-      const double vv = vx * vx + vy * vy;
-      if (vv <= tol2) continue;  // intersection at the relay itself
-      const double ang = geom::normalize_angle(std::atan2(vy, vx));
-      if (ang > alpha + kAngleTol && ang < beta - kAngleTol) {
-        cvx[n_cuts] = vx;
-        cvy[n_cuts] = vy;
-        cspan[n_cuts] = static_cast<std::uint32_t>(s);
-        ++n_cuts;
-        kept = true;
+    } else {
+      // Deferred: mid-width span, (a & 3) candidate points.
+      for (int k = 0; k < (a & 3); ++k) {
+        const double vx = (k == 0) ? iv0x[s] : iv1x[s];
+        const double vy = (k == 0) ? iv0y[s] : iv1y[s];
+        if (vx * vx + vy * vy <= tol2) continue;  // crossing at the relay
+        const double ang = geom::normalize_angle(std::atan2(vy, vx));
+        if (ang > sp_alpha[s] + kAngleTol && ang < sp_beta[s] - kAngleTol) {
+          cvx[n_cuts] = vx;
+          cvy[n_cuts] = vy;
+          ++n_cuts;
+        }
       }
     }
-    if (kept) iacc[s] = a | 8;
-  }
-  // Zero-transition cuts (angle and unit precomputed) — only when some
-  // live disk actually has them, i.e. the relay sits on its boundary.
-  std::size_t n_zero_cuts = 0;
-  if (zeros.any) {
-    ensure_size(ms.zang, 4 * n_spans);
-    ensure_size(ms.zux, 4 * n_spans);
-    ensure_size(ms.zuy, 4 * n_spans);
-    ensure_size(ms.zspan, 4 * n_spans);
-    for (std::size_t s = 0; s < n_spans; ++s) {
-      const double alpha = sp_alpha[s];
-      const double beta = sp_beta[s];
-      const std::uint32_t span_disks[2] = {sp_ia[s], sp_ib[s]};
-      for (const std::uint32_t d : span_disks) {
-        const std::size_t nz = zeros.count[d];
-        for (std::size_t k = 0; k < nz; ++k) {
+    if (zeros.any) {
+      // Zero-transition cuts: angle and unit known since precompute.  The
+      // unit goes through Kernel 2 like any cut vector; the exact values
+      // are written over its output below.
+      for (const std::uint32_t d : {sp_ia[s], sp_ib[s]}) {
+        for (std::size_t k = 0; k < zeros.count[d]; ++k) {
           const double z = (k == 0) ? zeros.ang0[d] : zeros.ang1[d];
-          if (z > alpha + kAngleTol && z < beta - kAngleTol) {
+          if (z > sp_alpha[s] + kAngleTol && z < sp_beta[s] - kAngleTol) {
+            ms.zslot[n_zero_cuts] = static_cast<std::uint32_t>(n_cuts);
             ms.zang[n_zero_cuts] = z;
             ms.zux[n_zero_cuts] = (k == 0) ? zeros.ux0[d] : zeros.ux1[d];
             ms.zuy[n_zero_cuts] = (k == 0) ? zeros.uy0[d] : zeros.uy1[d];
-            ms.zspan[n_zero_cuts] = static_cast<std::uint32_t>(s);
+            cvx[n_cuts] = ms.zux[n_zero_cuts];
+            cvy[n_cuts] = ms.zuy[n_zero_cuts];
             ++n_zero_cuts;
-            iacc[s] |= 8;
+            ++n_cuts;
           }
         }
       }
     }
+    const bool cut = n_cuts != first;
+    cut_span[n_cut_spans] = static_cast<std::uint32_t>(s);
+    cut_first[n_cut_spans] = static_cast<std::uint32_t>(first);
+    n_cut_spans += static_cast<std::size_t>(cut);
+    iacc[s] = a | (static_cast<int>(cut) << 3);
   }
+  cut_first[n_cut_spans] = static_cast<std::uint32_t>(n_cuts);
 
-  // ---- Kernel 2: finalize accepted intersection cuts (angle + unit). ----
-  const std::size_t cuts_pad = geom::DiskSoA::padded(n_cuts);
-  for (std::size_t i = n_cuts; i < cuts_pad; ++i) {
+  // ---- Kernel 2: finalize the cuts (angle + unit). ----
+  for (std::size_t i = n_cuts; i < DiskSoA::padded(n_cuts); ++i) {
     cvx[i] = 1.0;  // padding: the unit +x vector
     cvy[i] = 0.0;
   }
-  kernels.cut_finalize(cuts_pad, cvx, cvy, ms.cang.data(), ms.cux.data(),
-                       ms.cuy.data());
+  double* const cang = ms.cang;
+  double* const cux = ms.cux;
+  double* const cuy = ms.cuy;
+  kernels.cut_finalize(DiskSoA::padded(n_cuts), cvx, cvy, cang, cux, cuy);
+  for (std::size_t k = 0; k < n_zero_cuts; ++k) {
+    const std::uint32_t c = ms.zslot[k];
+    cang[c] = ms.zang[k];
+    cux[c] = ms.zux[k];
+    cuy[c] = ms.zuy[k];
+  }
 
   // ---- Pass C (scalar): split each *cut* span at its cuts and gather one
   // winner evaluation per non-sliver sub-span (Merge Step 2, Cases 2-3).
@@ -508,85 +564,44 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_level_batched(
   // sub-span midpoint for widths < pi, and wider sub-spans (cut-free by
   // construction, so any interior ray sees the same winner) use the
   // perpendicular of the start unit. ----
-  const std::size_t evals_cap =
-      geom::DiskSoA::padded(n_spans + n_cuts + n_zero_cuts);
-  for (auto* v : {&ms.e_sx, &ms.e_sy, &ms.e_lo, &ms.e_loux, &ms.e_louy,
-                  &ms.e_da, &ms.e_db, &ms.e_ss, &ms.g_ax, &ms.g_ay, &ms.g_ar,
-                  &ms.g_bx, &ms.g_by, &ms.g_br}) {
-    ensure_size(*v, evals_cap);
-  }
-  ensure_size(ms.e_span, evals_cap);
-  double* const e_sx = ms.e_sx.data();
-  double* const e_sy = ms.e_sy.data();
-  double* const e_lo = ms.e_lo.data();
-  double* const e_loux = ms.e_loux.data();
-  double* const e_louy = ms.e_louy.data();
-  std::uint32_t* const e_span = ms.e_span.data();
-  double* const g_ax = ms.g_ax.data();
-  double* const g_ay = ms.g_ay.data();
-  double* const g_ar = ms.g_ar.data();
-  double* const g_bx = ms.g_bx.data();
-  double* const g_by = ms.g_by.data();
-  double* const g_br = ms.g_br.data();
-  const double* const cang = ms.cang.data();
-  const double* const cux2 = ms.cux.data();
-  const double* const cuy2 = ms.cuy.data();
+  double* const e_sx = ms.e_sx;
+  double* const e_sy = ms.e_sy;
+  double* const e_lo = ms.e_lo;
+  double* const e_loux = ms.e_loux;
+  double* const e_louy = ms.e_louy;
+  std::uint32_t* const eval_end = ms.eval_end;
   std::size_t ne = 0;
-  std::size_t ci = 0;
-  std::size_t zi = 0;
-  // Walk the two sorted cut lists directly — cost scales with the number
-  // of cut spans, and no per-span skip branch is ever mispredicted.
-  while (ci < n_cuts || zi < n_zero_cuts) {
-    const std::uint32_t s =
-        ci < n_cuts ? (zi < n_zero_cuts && ms.zspan[zi] < cspan[ci]
-                           ? ms.zspan[zi]
-                           : cspan[ci])
-                    : ms.zspan[zi];
-    const std::uint32_t ia = sp_ia[s];
-    const std::uint32_t ib = sp_ib[s];
-    double cut_ang[6];
-    double cut_ux[6];
-    double cut_uy[6];
-    std::size_t nc = 0;
-    for (; ci < n_cuts && cspan[ci] == s; ++ci) {
-      cut_ang[nc] = cang[ci];
-      cut_ux[nc] = cux2[ci];
-      cut_uy[nc] = cuy2[ci];
-      ++nc;
-    }
-    for (; zi < n_zero_cuts && ms.zspan[zi] == s; ++zi) {
-      MLDCS_CHECK(nc < 6, "cut buffer overflow on span ["
-                              << sp_alpha[s] << ", " << sp_beta[s]
-                              << "] for live disks " << sp_ia[s] << "/"
-                              << sp_ib[s]);
-      cut_ang[nc] = ms.zang[zi];
-      cut_ux[nc] = ms.zux[zi];
-      cut_uy[nc] = ms.zuy[zi];
-      ++nc;
-    }
-    // Tiny stable insertion sort (<= 6 cuts; see resolve_span).
-    for (std::size_t a = 1; a < nc; ++a) {
-      const double va = cut_ang[a];
-      const double vx = cut_ux[a];
-      const double vy = cut_uy[a];
-      std::size_t b = a;
-      while (b > 0 && cut_ang[b - 1] > va) {
-        cut_ang[b] = cut_ang[b - 1];
-        cut_ux[b] = cut_ux[b - 1];
-        cut_uy[b] = cut_uy[b - 1];
+  for (std::size_t m = 0; m < n_cut_spans; ++m) {
+    const std::uint32_t s = cut_span[m];
+    const std::size_t c0 = cut_first[m];
+    const std::size_t c1 = cut_first[m + 1];
+    // Stable insertion sort of the span's cuts by angle, in place: one or
+    // two crossings, up to six with zero transitions.
+    for (std::size_t c = c0 + 1; c < c1; ++c) {
+      const double va = cang[c];
+      const double vx = cux[c];
+      const double vy = cuy[c];
+      std::size_t b = c;
+      while (b > c0 && cang[b - 1] > va) {
+        cang[b] = cang[b - 1];
+        cux[b] = cux[b - 1];
+        cuy[b] = cuy[b - 1];
         --b;
       }
-      cut_ang[b] = va;
-      cut_ux[b] = vx;
-      cut_uy[b] = vy;
+      cang[b] = va;
+      cux[b] = vx;
+      cuy[b] = vy;
     }
+    const double ax = soa_cx[sp_ia[s]];
+    const double ay = soa_cy[sp_ia[s]];
+    const double ar = soa_r[sp_ia[s]];
+    const double bx = soa_cx[sp_ib[s]];
+    const double by = soa_cy[sp_ib[s]];
+    const double br = soa_r[sp_ib[s]];
     double lo = sp_alpha[s];
     double loux = sp_uax[s];
     double louy = sp_uay[s];
-    for (std::size_t k = 0; k <= nc; ++k) {
-      const double hi = (k == nc) ? sp_beta[s] : cut_ang[k];
-      const double hux = (k == nc) ? sp_ubx[s] : cut_ux[k];
-      const double huy = (k == nc) ? sp_uby[s] : cut_uy[k];
+    const auto sub_span = [&](double hi, double hux, double huy) {
       if (hi - lo > kAngleTol) {
         if (hi - lo < 3.0) {
           e_sx[ne] = loux + hux;  // midpoint bisector (width < pi)
@@ -598,25 +613,26 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_level_batched(
         e_lo[ne] = lo;
         e_loux[ne] = loux;
         e_louy[ne] = louy;
-        e_span[ne] = static_cast<std::uint32_t>(s);
-        g_ax[ne] = soa_cx[ia];
-        g_ay[ne] = soa_cy[ia];
-        g_ar[ne] = soa_r[ia];
-        g_bx[ne] = soa_cx[ib];
-        g_by[ne] = soa_cy[ib];
-        g_br[ne] = soa_r[ib];
+        g_ax[ne] = ax;
+        g_ay[ne] = ay;
+        g_ar[ne] = ar;
+        g_bx[ne] = bx;
+        g_by[ne] = by;
+        g_br[ne] = br;
         ++ne;
       }
       lo = hi;
       loux = hux;
       louy = huy;
-    }
+    };
+    for (std::size_t c = c0; c < c1; ++c) sub_span(cang[c], cux[c], cuy[c]);
+    sub_span(sp_beta[s], sp_ubx[s], sp_uby[s]);
+    eval_end[m] = static_cast<std::uint32_t>(ne);
   }
 
   // ---- Kernel 3: paired radial distances along every bisector. ----
   const std::size_t n_evals = ne;
-  const std::size_t evals_pad = geom::DiskSoA::padded(n_evals);
-  for (std::size_t i = n_evals; i < evals_pad; ++i) {
+  for (std::size_t i = n_evals; i < DiskSoA::padded(n_evals); ++i) {
     e_sx[i] = 1.0;  // padding: the unit +x vector against dummy circles
     e_sy[i] = 0.0;
     g_ax[i] = o.x;
@@ -626,36 +642,29 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_level_batched(
     g_by[i] = o.y;
     g_br[i] = 1.0;
   }
-  kernels.rho_pairs(evals_pad, e_sx, e_sy, g_ax, g_ay, g_ar, g_bx, g_by,
-                    g_br, o.x, o.y, ms.e_da.data(), ms.e_db.data(),
-                    ms.e_ss.data());
+  kernels.rho_pairs(DiskSoA::padded(n_evals), e_sx, e_sy, g_ax, g_ay, g_ar,
+                    g_bx, g_by, g_br, o.x, o.y, ms.e_da,
+                    ms.e_db, ms.e_ss);
 
   // ---- Pass D (scalar): pick each evaluated (sub-)span's winner with
   // the library tie-break (outer_disk_at, scaled by |s| so no
   // normalization is needed) and emit starts, coalescing same-disk
   // neighbors (Step 3).  Cut-free spans consume Kernel 1's speculative
   // whole-span evaluation — pure stream reads, no gather; cut spans
-  // consume their sub-span group from Kernel 3.  `next` is written
-  // through cursors into arrays sized at the combined upper bound, then
-  // shrunk to the emitted arc count. ----
-  const std::size_t arcs_cap = n_spans + n_evals;
-  next.start.resize(arcs_cap);
-  next.ux.resize(arcs_cap);
-  next.uy.resize(arcs_cap);
-  next.disk.resize(arcs_cap);
-  next.bounds.resize(n_pairs + 1);
-  double* const nx_start = next.start.data();
-  double* const nx_ux = next.ux.data();
-  double* const nx_uy = next.uy.data();
-  std::uint32_t* const nx_disk = next.disk.data();
-  std::uint32_t* const nx_bounds = next.bounds.data();
-  nx_bounds[0] = 0;
-  const double* const e_da = ms.e_da.data();
-  const double* const e_db = ms.e_db.data();
-  const double* const e_ss = ms.e_ss.data();
-  const double* const s_da = ms.s_da.data();
-  const double* const s_db = ms.s_db.data();
-  const double* const s_ss = ms.s_ss.data();
+  // consume their sub-span group from Kernel 3.  Every arc is stored at
+  // the cursor, which advances only past a change of disk, so the
+  // coalescing takes no branch. ----
+  double* const nx_start = next.start;
+  double* const nx_ux = next.ux;
+  double* const nx_uy = next.uy;
+  std::uint32_t* const nx_disk = next.disk;
+  std::uint32_t* const nx_bounds = next.bounds;
+  const double* const e_da = ms.e_da;
+  const double* const e_db = ms.e_db;
+  const double* const e_ss = ms.e_ss;
+  const double* const s_da = ms.s_da;
+  const double* const s_db = ms.s_db;
+  const double* const s_ss = ms.s_ss;
   constexpr std::uint32_t kNoDisk = 0xffffffffu;
   // da - db > kTol * |s| <=> rho_a - rho_b > kTol at the ray angle;
   // radial tie: larger disk radius first, then smaller id.
@@ -669,52 +678,66 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void merge_level_batched(
     return ia < ib ? ia : ib;
   };
   std::size_t na = 0;
-  std::size_t open_pair = 0;
-  std::uint32_t last_disk = kNoDisk;
+  std::size_t s = 0;
+  std::size_t m = 0;  // cut span ordinal
   std::size_t t = 0;  // Kernel-3 evaluation cursor
-  for (std::size_t s = 0; s < n_spans; ++s) {
-    const std::uint32_t pr = sp_pair[s];
-    while (open_pair < pr) {
-      nx_bounds[++open_pair] = static_cast<std::uint32_t>(na);
-      last_disk = kNoDisk;
-    }
-    const std::uint32_t ia = sp_ia[s];
-    const std::uint32_t ib = sp_ib[s];
-    if ((iacc[s] & 8) == 0) {
-      // Cut-free span (Case 1): one whole-span winner, speculated by
-      // Kernel 1.  Pass A guarantees the span is not a sliver.
-      const std::uint32_t win = pick_winner(s_da[s], s_db[s], s_ss[s], ia, ib);
-      if (stats != nullptr) ++stats->arcs_emitted;
-      if (win != last_disk) {
-        nx_start[na] = sp_alpha[s];
-        nx_ux[na] = sp_uax[s];
-        nx_uy[na] = sp_uay[s];
-        nx_disk[na] = win;
-        ++na;
-        last_disk = win;
+  for (std::size_t pr = 0; pr < n_pairs; ++pr) {
+    nx_bounds[pr] = static_cast<std::uint32_t>(na);
+    std::uint32_t last_disk = kNoDisk;
+    const auto emit_arc = [&](double start, double ux, double uy,
+                              std::uint32_t win) {
+      nx_start[na] = start;
+      nx_ux[na] = ux;
+      nx_uy[na] = uy;
+      nx_disk[na] = win;
+      na += static_cast<std::size_t>(win != last_disk);
+      last_disk = win;
+    };
+    for (const std::size_t s_end = pair_end[pr]; s < s_end; ++s) {
+      const std::uint32_t ia = sp_ia[s];
+      const std::uint32_t ib = sp_ib[s];
+      if ((iacc[s] & 8) == 0) {
+        // Cut-free span (Case 1): one whole-span winner, speculated by
+        // Kernel 1.  Pass A guarantees the span is not a sliver.
+        emit_arc(sp_alpha[s], sp_uax[s], sp_uay[s],
+                 pick_winner(s_da[s], s_db[s], s_ss[s], ia, ib));
+        continue;
       }
-      continue;
-    }
-    for (; t < n_evals && e_span[t] == static_cast<std::uint32_t>(s); ++t) {
-      const std::uint32_t win = pick_winner(e_da[t], e_db[t], e_ss[t], ia, ib);
-      if (stats != nullptr) ++stats->arcs_emitted;
-      if (win != last_disk) {
-        nx_start[na] = e_lo[t];
-        nx_ux[na] = e_loux[t];
-        nx_uy[na] = e_louy[t];
-        nx_disk[na] = win;
-        ++na;
-        last_disk = win;
+      for (const std::size_t t_end = eval_end[m++]; t < t_end; ++t) {
+        emit_arc(e_lo[t], e_loux[t], e_louy[t],
+                 pick_winner(e_da[t], e_db[t], e_ss[t], ia, ib));
       }
     }
   }
-  while (open_pair < n_pairs) {
-    nx_bounds[++open_pair] = static_cast<std::uint32_t>(na);
+  nx_bounds[n_pairs] = static_cast<std::uint32_t>(na);
+  next.skylines = n_pairs;
+  if (n_skylines % 2 == 1) {
+    // The odd tail skyline, carried verbatim: at level 0 the last live
+    // disk's full circle.
+    if (cur == nullptr) {
+      nx_start[na] = 0.0;
+      nx_ux[na] = 1.0;
+      nx_uy[na] = 0.0;
+      nx_disk[na] = static_cast<std::uint32_t>(n_skylines - 1);
+      ++na;
+    } else {
+      for (std::size_t k = cur->bounds[n_skylines - 1];
+           k < cur->bounds[n_skylines]; ++k) {
+        nx_start[na] = cur->start[k];
+        nx_ux[na] = cur->ux[k];
+        nx_uy[na] = cur->uy[k];
+        nx_disk[na] = cur->disk[k];
+        ++na;
+      }
+    }
+    nx_bounds[++next.skylines] = static_cast<std::uint32_t>(na);
   }
-  next.start.resize(na);
-  next.ux.resize(na);
-  next.uy.resize(na);
-  next.disk.resize(na);
+  next.arcs = na;
+  if (stats != nullptr) {
+    stats->spans += n_spans;
+    stats->circle_intersections += n_spans;
+    stats->arcs_emitted += n_spans - n_cut_spans + n_evals;
+  }
 }
 
 }  // namespace detail

@@ -1,7 +1,6 @@
 #include "core/skyline_dc.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -42,17 +41,28 @@ SkylineTelemetry& skyline_telemetry() {
 }  // namespace
 
 MLDCS_ALLOC_OK void SkylineWorkspace::reserve(std::size_t n_disks) {
-  // Lemma 8: any level's concatenated partial skylines total <= 2n arcs
-  // (each partial skyline of k disks has <= 2k arcs); Merge's raw Step-2
-  // output before coalescing stays within the same constant factor.
-  lev_cur_.reserve(n_disks);
-  lev_next_.reserve(n_disks);
+  // Lemma 8: a level's partial skylines hold at most 2n arcs in total, so
+  // a merge writes at most merge_output_bound(2n) arcs before coalescing.
+  const std::size_t level_arcs = detail::merge_output_bound(
+      2 * n_disks, detail::zero_cut_bound(n_disks));
+  lev_odd_.reserve(level_arcs, n_disks);
+  lev_even_.reserve(level_arcs, n_disks);
   scratch_.reserve(n_disks);
   soa_.reserve(n_disks);
   zeros_.reserve(n_disks);
   sector_max_.reserve(geom::simd::kSectors * geom::DiskSoA::padded(n_disks));
   keep_.reserve(geom::DiskSoA::padded(n_disks));
   live_.reserve(n_disks);
+}
+
+void SkylineWorkspace::fit(std::size_t n_disks) {
+  if (n_disks <= fit_disks_) return;
+  fit_disks_ = n_disks;
+  const std::size_t n_pad = geom::DiskSoA::padded(n_disks);
+  sector_max_.resize(geom::simd::kSectors * n_pad);
+  keep_.resize(n_pad);
+  live_.resize(n_disks);
+  zeros_.fit(n_disks);
 }
 
 MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
@@ -67,6 +77,7 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   MLDCS_DCHECK_OK(describe_local_set_violation(disks, o));
 
   const geom::simd::SkylineKernels& kernels = geom::simd::active_kernels();
+  ws.fit(n);
 
   // Sector-bound prefilter (simd.hpp SectorBoundFn): one linear pass
   // bounds every disk's radial function over kSectors fixed sectors and
@@ -76,29 +87,22 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
   // U[1,2] density about 13 of a relay's 34 disks remain.  Survivors keep
   // input order, so the merge tree depends only on the input.
   ws.soa_.assign(disks);
-  const std::size_t n_pad = geom::DiskSoA::padded(n);
-  ws.sector_max_.resize(geom::simd::kSectors * n_pad);
-  ws.keep_.resize(n_pad);
   kernels.sector_bound(n, ws.soa_.cx.data(), ws.soa_.cy.data(),
                        ws.soa_.r.data(), o.x, o.y, kEnvelopeMargin,
                        ws.sector_max_.data(), ws.keep_.data());
-  ws.live_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ws.keep_[i] != 0) ws.live_.push_back(static_cast<std::uint32_t>(i));
-  }
-  ws.soa_.retain(ws.keep_.data());
-  const std::size_t n_live = ws.live_.size();
+  const std::size_t n_live = ws.soa_.retain(ws.keep_.data(), ws.live_.data());
   if (stats != nullptr) stats->survivors += n_live;
 
   // Live-local ids from here on.  Each live disk's zero-transition cuts
   // are nonempty only when the relay sits exactly on the disk's boundary;
   // they are hoisted out of the merge levels so resolve-time span work
   // never calls libm for them.
-  ws.zeros_.assign(n_live);
+  ws.zeros_.any = false;
   for (std::size_t i = 0; i < n_live; ++i) {
     const geom::Disk& d = disks[ws.live_[i]];
     const double r = d.radius;
     const double d2 = geom::distance2(d.center, o);
+    ws.zeros_.count[i] = 0;
     // |d - r| <= kTol implies |d^2 - r^2| <= kTol (2r + kTol); rule the
     // common strictly-interior case out without a sqrt.
     if (std::fabs(d2 - r * r) > geom::kTol * (2.0 * r + 1.0)) continue;
@@ -120,62 +124,51 @@ MLDCS_HOT_PATH MLDCS_NO_LOCK void compute_skyline_arcs(
     }
   }
 
-  // Level 0: every surviving disk's boundary is one full-circle arc, split
-  // at the +x axis by convention (starts-only: start 0.0, unit (1, 0)),
-  // written as flat fills — skyline i is exactly arc i.  Even levels live
-  // in lev_cur_ and odd levels in lev_next_ on every call (the pointers
-  // trade places, the buffers do not), so each buffer grows to what its
-  // levels need and one warm-up call is enough for the next.
-  detail::LevelSoA* cur = &ws.lev_cur_;
-  detail::LevelSoA* next = &ws.lev_next_;
-  cur->start.assign(n_live, 0.0);
-  cur->ux.assign(n_live, 1.0);
-  cur->uy.assign(n_live, 0.0);
-  cur->disk.resize(n_live);
-  std::iota(cur->disk.begin(), cur->disk.end(), 0u);
-  cur->bounds.resize(n_live + 1);
-  std::iota(cur->bounds.begin(), cur->bounds.end(), 0u);
-
-  // Bottom-up passes: merge adjacent pairs until one skyline remains.  An
-  // odd tail skyline is carried to the next level verbatim, so the merge
-  // tree has the same O(log n) depth as the recursive halving and every
-  // disk goes through O(log n) Merges (Theorem 9's bound).  Each level is
-  // one call: the batched Merge accumulates geometry tasks across every
-  // pair of the level before handing them to the SIMD kernels, keeping
-  // lanes full even when individual partial skylines are short.
+  // Bottom-up passes: merge adjacent pairs until one skyline remains.
+  // Level 0 — every surviving disk's boundary as one full-circle arc,
+  // split at the +x axis by convention (start 0.0, unit (1, 0)) — is
+  // implicit: the first merge reads the live disks directly.  An odd tail
+  // skyline is carried to the next level verbatim, so the merge tree has
+  // the same O(log n) depth as the recursive halving and every disk goes
+  // through O(log n) Merges (Theorem 9's bound).  Each level is one call:
+  // the batched Merge accumulates geometry tasks across every pair of the
+  // level before handing them to the SIMD kernels, keeping lanes full
+  // even when individual partial skylines are short.  Odd levels land in
+  // lev_odd_ and even ones in lev_even_ on every call, so each buffer
+  // grows to what its levels need and one warm-up call is enough for the
+  // next.
+  const detail::LevelSoA* cur = nullptr;
   std::uint64_t levels = 0;
-  std::size_t level_arcs_max = cur->start.size();
-  std::size_t count = n_live;
-  while (count > 1) {
-    detail::merge_level_batched(*cur, *next, ws.soa_, o, ws.zeros_, kernels,
-                                ws.scratch_, stats);
-    if (count % 2 == 1) {
-      const std::uint32_t t0 = cur->bounds[count - 1];
-      const std::uint32_t t1 = cur->bounds[count];
-      for (std::uint32_t k = t0; k < t1; ++k) {
-        next->push(cur->start[k], cur->ux[k], cur->uy[k], cur->disk[k]);
-      }
-      next->close_skyline();
-    }
-    std::swap(cur, next);
-    count = cur->skylines();
+  std::size_t level_arcs_max = n_live;
+  for (std::size_t count = n_live; count > 1; count = cur->skylines) {
     ++levels;
-    level_arcs_max = std::max(level_arcs_max, cur->start.size());
+    detail::LevelSoA& next = levels % 2 == 1 ? ws.lev_odd_ : ws.lev_even_;
+    detail::merge_level_batched(cur, next, ws.soa_, o, ws.zeros_, kernels,
+                                ws.scratch_, stats);
+    cur = &next;
+    level_arcs_max = std::max(level_arcs_max, next.arcs);
   }
 
   // Starts-only to Arc conversion: endpoints are shared doubles by
   // construction, and live-local disk ids map back to input positions.
-  const std::size_t n_arcs = cur->start.size();
-  for (std::size_t k = 0; k < n_arcs; ++k) {
-    const double end = (k + 1 < n_arcs) ? cur->start[k + 1] : geom::kTwoPi;
-    out.push_back(Arc{cur->start[k], end,
-                      static_cast<std::size_t>(ws.live_[cur->disk[k]])});
+  // With no merge level, the one live disk owns the full circle.
+  if (cur == nullptr) {
+    for (std::size_t i = 0; i < n_live; ++i) {
+      out.push_back(Arc{0.0, geom::kTwoPi, ws.live_[i]});
+    }
+  } else {
+    const std::size_t n_arcs = cur->arcs;
+    for (std::size_t k = 0; k < n_arcs; ++k) {
+      const double end = (k + 1 < n_arcs) ? cur->start[k + 1] : geom::kTwoPi;
+      out.push_back(Arc{cur->start[k], end,
+                        static_cast<std::size_t>(ws.live_[cur->disk[k]])});
+    }
   }
 
   SkylineTelemetry& t = skyline_telemetry();
   t.calls.add();
   t.disks_in.add(n);
-  t.prefilter_rejects.add(n - ws.live_.size());
+  t.prefilter_rejects.add(n - n_live);
   t.merge_levels.add(levels);
   t.level_arcs_hwm.set_max(static_cast<std::int64_t>(level_arcs_max));
 

@@ -8,9 +8,9 @@
 /// optimal, since sorting reduces to local-disk-cover computation.
 ///
 /// The engine here runs the recursion *iteratively, bottom-up*: level 0
-/// holds n single-disk skylines concatenated in one buffer; each pass
-/// merges adjacent pairs into the other buffer.  All scratch lives in a
-/// `SkylineWorkspace` the caller holds, so a loop that computes thousands
+/// is the n single-disk skylines, read straight from the disks; each pass
+/// merges adjacent pairs into the other of two buffers.  All scratch lives
+/// in a `SkylineWorkspace` the caller holds, so a loop that computes thousands
 /// of skylines on one workspace performs no heap allocation after the
 /// first call (the recursive formulation allocated four vectors per Merge
 /// — see `compute_skyline_recursive` in skyline_reference.hpp, kept as the
@@ -47,8 +47,11 @@ class SkylineWorkspace {
   SkylineWorkspace(SkylineWorkspace&&) = default;
   SkylineWorkspace& operator=(SkylineWorkspace&&) = default;
 
-  /// Grow the buffers for local disk sets of up to `n_disks` disks, so the
-  /// next compute_skyline call of that size allocates nothing.
+  /// Reserve capacity for local disk sets of up to `n_disks` disks, so no
+  /// later compute_skyline call of that size allocates.  Every capacity
+  /// follows from Lemma 8 (a level's partial skylines hold at most 2n
+  /// arcs); buffers are sized, and their pages touched, only as calls need
+  /// them.
   MLDCS_ALLOC_OK void reserve(std::size_t n_disks);
 
  private:
@@ -56,14 +59,19 @@ class SkylineWorkspace {
                                    SkylineWorkspace&, std::vector<Arc>&,
                                    MergeStats*);
 
-  detail::LevelSoA lev_cur_;          ///< even levels' partial skylines
-  detail::LevelSoA lev_next_;         ///< odd levels' partial skylines
+  /// Grow the per-disk buffers to `n_disks` disks: the call's one size
+  /// check before the merge levels.
+  void fit(std::size_t n_disks);
+
+  detail::LevelSoA lev_odd_;          ///< odd levels' partial skylines
+  detail::LevelSoA lev_even_;         ///< even levels' (level 0 is implicit)
   detail::MergeLevelScratch scratch_; ///< batched Merge task arrays
   geom::DiskSoA soa_;                 ///< all disks, then live-local order
   detail::ZeroCutTable zeros_;        ///< per-live-disk boundary-relay cuts
   std::vector<double> sector_max_;    ///< prefilter: kSectors x padded(n)
   std::vector<std::uint8_t> keep_;    ///< prefilter: per-disk verdicts
   std::vector<std::uint32_t> live_;   ///< prefilter: surviving indices
+  std::size_t fit_disks_ = 0;         ///< disks the buffers are sized for
 };
 
 /// How far below the radial envelope a disk must stay, at every angle, for

@@ -30,8 +30,10 @@ namespace mldcs::geom {
 /// skyline computations reuse the buffers without allocating.
 struct DiskSoA {
   /// Every batch kernel consumes task arrays in blocks of this many lanes;
-  /// all concrete lane widths (1 scalar, 2 NEON, 4 AVX2) divide it.
-  static constexpr std::size_t kLaneBlock = 8;
+  /// all concrete lane widths (1 scalar, 2 NEON, 4 AVX2) divide it.  One
+  /// AVX2 vector: the engine's batches at the paper's density hold a few
+  /// dozen tasks, so a wider block only adds padding lanes.
+  static constexpr std::size_t kLaneBlock = 4;
 
   /// Radius stored in padding lanes.  -DBL_MAX (not -inf) so `r - other`
   /// stays well-defined for every finite operand while still comparing
@@ -39,6 +41,7 @@ struct DiskSoA {
   static constexpr double kSentinelRadius =
       -std::numeric_limits<double>::max();
 
+  /// The arrays only grow; lanes [count, padded(count)) hold sentinels.
   std::vector<double> cx;
   std::vector<double> cy;
   std::vector<double> r;
@@ -49,55 +52,47 @@ struct DiskSoA {
     return (n + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
   }
 
-  /// Padded size of the current contents.
-  [[nodiscard]] std::size_t padded_size() const noexcept {
-    return padded(count);
-  }
-
   void reserve(std::size_t n) {
     cx.reserve(padded(n));
     cy.reserve(padded(n));
     r.reserve(padded(n));
   }
 
-  /// Size the arrays for up to `n` disks, every lane a sentinel, and reset
-  /// the logical count.  Follow with push() — lanes at and beyond `count`
-  /// keep their sentinel radius, so the arrays stay safely padded after
-  /// every push without touching the tail again.
-  void assign_sentinels(std::size_t n) {
-    const std::size_t m = padded(n);
-    cx.assign(m, 0.0);
-    cy.assign(m, 0.0);
-    r.assign(m, kSentinelRadius);
-    count = 0;
-  }
-
-  /// Append one disk.  Precondition: count < the `n` given to
-  /// assign_sentinels (the arrays do not grow here — this is hot-path code).
-  void push(double x, double y, double radius) noexcept {
-    cx[count] = x;
-    cy[count] = y;
-    r[count] = radius;
-    ++count;
-  }
-
-  /// Bulk-load every disk of `disks`, sentinel-padded.
+  /// Load every disk of `disks`, sentinel-padded.
   void assign(std::span<const Disk> disks) {
-    assign_sentinels(disks.size());
-    for (const Disk& d : disks) push(d.center.x, d.center.y, d.radius);
+    const std::size_t n = disks.size();
+    const std::size_t m = padded(n);
+    if (cx.size() < m) {
+      cx.resize(m);
+      cy.resize(m);
+      r.resize(m);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      cx[i] = disks[i].center.x;
+      cy[i] = disks[i].center.y;
+      r[i] = disks[i].radius;
+    }
+    for (std::size_t i = n; i < m; ++i) {
+      cx[i] = 0.0;
+      cy[i] = 0.0;
+      r[i] = kSentinelRadius;
+    }
+    count = n;
   }
 
-  /// Keep the disks whose `keep` flag is nonzero, in order; the vacated
-  /// lanes become sentinels again, so every lane at and beyond the new
-  /// count is padding, as after push().  `keep` covers the current count.
-  void retain(const std::uint8_t* keep) noexcept {
+  /// Keep the disks whose `keep` flag is nonzero, in order, and write each
+  /// kept disk's former position to `kept` (room for the current count);
+  /// returns the new count.  The vacated lanes become sentinels again.
+  /// Every disk is stored at the write cursor, which advances only past a
+  /// kept one, so the compaction takes no data-dependent branch.
+  std::size_t retain(const std::uint8_t* keep, std::uint32_t* kept) noexcept {
     std::size_t w = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      if (keep[i] == 0) continue;
       cx[w] = cx[i];
       cy[w] = cy[i];
       r[w] = r[i];
-      ++w;
+      kept[w] = static_cast<std::uint32_t>(i);
+      w += static_cast<std::size_t>(keep[i] != 0);
     }
     for (std::size_t i = w; i < count; ++i) {
       cx[i] = 0.0;
@@ -105,6 +100,7 @@ struct DiskSoA {
       r[i] = kSentinelRadius;
     }
     count = w;
+    return w;
   }
 };
 

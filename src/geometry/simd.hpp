@@ -38,9 +38,10 @@
 namespace mldcs::geom::simd {
 
 /// Callers pad every task batch up to a multiple of this many lanes
-/// (equal to DiskSoA::kLaneBlock) with neutral inputs; kernels assume
-/// `n % kBatchPad == 0` and that all arrays are readable/writable up to n.
-inline constexpr std::size_t kBatchPad = 8;
+/// (equal to DiskSoA::kLaneBlock: one AVX2 vector, two NEON vectors) with
+/// neutral inputs; kernels assume `n % kBatchPad == 0` and that all arrays
+/// are readable/writable up to n.
+inline constexpr std::size_t kBatchPad = 4;
 
 /// Batched geom::intersect_circles against a common origin `o` = (ox, oy),
 /// fused with the Merge span-acceptance test.  Lane i intersects circle

@@ -7,7 +7,7 @@
 /// simd_avx2.cpp, simd_neon.cpp), each of which supplies a lane policy:
 ///
 ///   struct Policy {
-///     static constexpr std::size_t kWidth;   // 1, 2, or 4 (divides 8)
+///     static constexpr std::size_t kWidth;   // 1, 2, or 4 (divides kBatchPad)
 ///     using V;                               // kWidth doubles
 ///     using M;                               // per-lane boolean mask
 ///     load/store/broadcast, add/sub/mul/div/sqrt/abs/neg,

@@ -196,5 +196,35 @@ TEST(WorkspaceReuseTest, WarmedUpReuseIsAllocationFree) {
       << "warmed-up compute_skyline_arcs allocated on reuse";
 }
 
+/// reserve(n) is a bound, not a warm-up: a fresh workspace reserved for n
+/// disks makes its first call on a set of n disks without allocating.
+/// The shapes are ones whose levels outgrow a few arcs per disk: the
+/// Figure 4.1 construction, the narrow band and a collinear chain.
+TEST(WorkspaceReuseTest, ReserveBoundsTheFirstCall) {
+  if (!test::alloc_probe_active()) GTEST_SKIP() << "allocator owned by ASan";
+  if (kInvariantChecksEnabled) {
+    GTEST_SKIP() << "invariant diagnostics allocate by design (ALLOC_OK)";
+  }
+  sim::Xoshiro256 rng(0xB0C0);
+  const Scenario shapes[] = {figure41_configuration(8),
+                             narrow_band_set(rng, 64), collinear_set(256)};
+  std::vector<Arc> arcs;
+  {
+    // The process's first call registers the engine's telemetry.
+    SkylineWorkspace warm;
+    compute_skyline_arcs(shapes[0].disks, shapes[0].origin, warm, arcs);
+  }
+  for (const Scenario& sc : shapes) {
+    SkylineWorkspace ws;
+    ws.reserve(sc.disks.size());
+    arcs.reserve(2 * sc.disks.size());
+    const test::AllocGuard guard;
+    compute_skyline_arcs(sc.disks, sc.origin, ws, arcs);
+    EXPECT_EQ(guard.count(), 0u)
+        << "a workspace reserved for " << sc.disks.size()
+        << " disks allocated on its first call";
+  }
+}
+
 }  // namespace
 }  // namespace mldcs::core

@@ -25,9 +25,13 @@ of the single_relay_skyline section (matched by n_disks):
   * paper-density regression, from the single_relay_paper_density
     section, gated like single_relay_skyline: relays_per_s below
     baseline/3, allocs_per_relay above the baseline, or
-    survivors_per_relay above the baseline.  The survivors (disks the
-    sector-bound prefilter lets into the merge) depend only on the
-    deployment seed, so any rise means a weakened bound.
+    survivors_per_relay, spans_per_relay or evaluations_per_relay above
+    the baseline.  The survivors (disks the sector-bound prefilter lets
+    into the merge), the refined merge spans and the winner evaluations
+    depend only on the deployment seed, so a rise means a weakened bound
+    or a merge that does more work; equal counts beside a lower
+    ns_per_relay show a speed-up that kept the arithmetic.  A baseline
+    without the two work counts prints the fresh ones, ungated.
 
   * SIMD dispatch regression, from the single_relay_skyline_simd
     section of the fresh run alone: when the provenance says wide
@@ -262,6 +266,10 @@ def check_simd_dispatch(doc, path):
 PAPER_DENSITY = "single_relay_paper_density"
 PAPER_DENSITY_KEYS = ("relays_per_s", "allocs_per_relay",
                       "survivors_per_relay")
+#: Merge work counts of the section, gated by the survivors' no-rise rule
+#: when both documents have them, with the label each is reported under.
+PAPER_DENSITY_WORK_KEYS = (("spans_per_relay", "spans"),
+                           ("evaluations_per_relay", "evaluations"))
 
 
 def check_paper_density(baseline_doc, fresh_doc):
@@ -269,9 +277,12 @@ def check_paper_density(baseline_doc, fresh_doc):
 
     Returns a list of failure strings: relays_per_s below the baseline's
     by more than MAX_SLOWDOWN, or allocs_per_relay / survivors_per_relay
-    above the baseline's.  A fresh run without the section skips the gate
-    with a named warning; a baseline without it (recorded before the
-    section existed) skips it as informational, like every new section.
+    / spans_per_relay / evaluations_per_relay above the baseline's.  A
+    fresh run without the section skips the gate with a named warning; a
+    baseline without it (recorded before the section existed) skips it
+    as informational, like every new section.  A work count missing from
+    the baseline is printed ungated; missing from the fresh run, it is
+    skipped with a named warning.
     """
     fresh = fresh_doc.get(PAPER_DENSITY)
     if not isinstance(fresh, dict):
@@ -308,12 +319,29 @@ def check_paper_density(baseline_doc, fresh_doc):
             f"({base['survivors_per_relay']:.4f} -> "
             f"{fresh['survivors_per_relay']:.4f} per relay): the sector "
             "bound drops fewer disks")
+    work = []
+    for key, label in PAPER_DENSITY_WORK_KEYS:
+        value = fresh.get(key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            warn(f"fresh run: {PAPER_DENSITY} is missing {key}; skipping "
+                 f"its gate")
+            continue
+        ref = base.get(key)
+        if not isinstance(ref, (int, float)) or isinstance(ref, bool):
+            work.append(f"{value:.4f} {label}/relay (no baseline yet)")
+            continue
+        if value > ref:
+            failures.append(
+                f"paper density: the merge does more work ({ref:.4f} -> "
+                f"{value:.4f} {label} per relay)")
+        work.append(f"{value:.4f} {label}/relay (baseline {ref:.4f})")
     print(f"  paper density: {fresh['relays_per_s']:.0f} relays/s "
           f"(baseline {base['relays_per_s']:.0f}), "
           f"{fresh['allocs_per_relay']} allocs/relay, "
           f"{fresh['survivors_per_relay']:.4f} survivors/relay (baseline "
-          f"{base['survivors_per_relay']:.4f}) "
-          f"[{'FAIL' if failures else 'ok'}]")
+          f"{base['survivors_per_relay']:.4f})"
+          + "".join(f", {w}" for w in work)
+          + f" [{'FAIL' if failures else 'ok'}]")
     return failures
 
 

@@ -544,7 +544,8 @@ def bench_summary(doc):
 
     density = doc.get("single_relay_paper_density")
     if isinstance(density, dict):
-        for key in ("relays_per_s", "survivors_per_relay"):
+        for key in ("relays_per_s", "survivors_per_relay",
+                    "spans_per_relay", "evaluations_per_relay"):
             if key in density:
                 out[f"paper_density_{key}"] = density[key]
 
