@@ -408,24 +408,36 @@ struct BatchKernels {
       const V d = P::sqrt(P::add(P::mul(relx, relx), P::mul(rely, rely)));
       const V peak = P::add(rv, d);
       const V trough = P::sub(rv, d);
-      // cross(rel, b_k) and rho at boundary k.
+      // cross(rel, b_k) and rho at boundary k.  The table is exactly
+      // symmetric: b_k+4, b_k+8 and b_k+12 are b_k turned by 90, 180 and
+      // 270 degrees, so their (dot, cross) pairs are boundary k's turned to
+      // (-cross, dot), (-dot, -cross) and (cross, -dot), bit for bit but for
+      // the sign of an exact zero, which no compare, max or sum below sees.
+      // Boundaries k and k+8 share r^2 - cross^2, k+4 and k+12 share
+      // r^2 - dot^2: 4 pairs and 8 roots per vector, not 16 and 16.
       struct Edge {
         V cr;
         V rho;
       };
-      const auto at = [&](std::size_t k) {
+      const auto root = [&](V rad) {
+        return P::sqrt(P::select(P::lt(rad, zero), zero, rad));
+      };
+      Edge edge[kSectors];
+      for (std::size_t k = 0; k < kSectors / 4; ++k) {
         const V bx = P::broadcast(kSectorUx[k]);
         const V by = P::broadcast(kSectorUy[k]);
         const V dot = P::add(P::mul(relx, bx), P::mul(rely, by));
         const V cr = P::sub(P::mul(relx, by), P::mul(rely, bx));
-        const V rad = P::sub(r2, P::mul(cr, cr));
-        return Edge{cr, P::add(dot, P::sqrt(P::select(P::lt(rad, zero),
-                                                      zero, rad)))};
-      };
-      const Edge first = at(0);
-      Edge lo = first;
+        const V s = root(P::sub(r2, P::mul(cr, cr)));
+        const V t = root(P::sub(r2, P::mul(dot, dot)));
+        edge[k] = {cr, P::add(dot, s)};
+        edge[k + 4] = {dot, P::sub(t, cr)};
+        edge[k + 8] = {P::neg(cr), P::sub(s, dot)};
+        edge[k + 12] = {P::neg(dot), P::add(cr, t)};
+      }
       for (std::size_t k = 0; k < kSectors; ++k) {
-        const Edge hi = k + 1 < kSectors ? at(k + 1) : first;
+        const Edge& lo = edge[k];
+        const Edge& hi = edge[(k + 1) % kSectors];
         const M has_peak = P::m_and(P::le(lo.cr, zero), P::le(zero, hi.cr));
         const M has_trough =
             P::m_and(P::le(zero, lo.cr), P::le(hi.cr, zero));
@@ -437,7 +449,6 @@ struct BatchKernels {
                                neg_inf);
         const V lb = P::load(lb_lane + k * W);
         P::store(lb_lane + k * W, P::select(P::lt(lb, mn), mn, lb));
-        lo = hi;
       }
     }
     double thr[kSectors];

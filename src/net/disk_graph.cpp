@@ -2,23 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/spatial_grid.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace mldcs::net {
-
-namespace {
-
-/// Nodes per block of a pooled pass: a 999-node build hands out 16 blocks
-/// per pass, enough for a slow core to claim fewer of them.  Blocks of 32,
-/// 64 and 128 nodes built 999 nodes alike (0.57-0.66 ms, 4-core x86-64);
-/// 32 was the slowest of the three at 15,974.
-constexpr std::size_t kBuildBlock = 64;
-
-}  // namespace
 
 DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   DiskGraph g;
@@ -41,55 +34,61 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   }
   const SpatialGrid grid(g.nodes_);
 
-  // Count-then-fill CSR build, no per-node vectors.  A node's neighbors are
-  // within min(r_u, r_v) <= r_u of it, so visiting the grid candidates at
-  // range r_u and filtering by the bidirectional rule finds all of them;
-  // the visit is cheap enough that running it twice (count pass, fill pass)
-  // beats materializing a vector<vector> of all adjacency lists.  Neither
-  // pass allocates, and each node's entries depend on the node alone, so
-  // the passes run over contiguous node ranges, inline or in blocks on the
-  // pool, with the same output.
-  g.offsets_.assign(n + 1, 0);
-  const auto count_range = [&g, &grid](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Node& u = g.nodes_[i];
-      std::uint32_t deg = 0;
-      grid.for_each_candidate(u.pos, u.radius, [&](NodeId v) {
-        if (v != u.id && u.linked_to(g.nodes_[v])) ++deg;
-      });
-      g.offsets_[i + 1] = deg;  // shifted; prefix-summed below
-    }
-  };
-  const auto fill_range = [&g, &grid](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Node& u = g.nodes_[i];
-      NodeId* const first = g.adjacency_.data() + g.offsets_[i];
-      NodeId* dst = first;
-      grid.for_each_candidate(u.pos, u.radius, [&](NodeId v) {
-        if (v != u.id && u.linked_to(g.nodes_[v])) *dst++ = v;
-      });
-      std::sort(first, dst);
-    }
-  };
-
+  // Two passes over the nodes, each walking a node's cells once through
+  // the branch-free link filter.  A node's neighbors are within
+  // min(r_u, r_v) <= r_u of it, so the cells at range r_u hold all of
+  // them.  The count pass sizes each node's CSR segment and finds the most
+  // candidates one walk visits; the fill pass appends each walk to its
+  // participant's scratch and writes the list, ordered, into the segment
+  // (both decide every pair with `links`, so the list fills it exactly).
+  // A node's list depends on the node alone, so both passes run over
+  // contiguous node ranges, inline or in blocks on the pool, with the same
+  // output.  Every buffer (the CSR arrays, one walk's scratch per
+  // participant) is allocated here, on the calling thread, between them.
   sim::ThreadPool* const pool =
       n >= kParallelBuildNodes ? sim::fan_out_pool() : nullptr;
+  const std::size_t slots = pool == nullptr ? 1 : pool->size();
   const auto run_pass = [pool, n](const auto& pass) {
     if (pool == nullptr) {
-      pass(0, n);
-      return;
+      pass(0, 0, n);
+    } else {
+      pool->parallel_blocks(n, kParallelBuildBlock, pass);
     }
-    pool->parallel_blocks(
-        n, kBuildBlock,
-        [&pass](std::size_t /*slot*/, std::size_t lo, std::size_t hi) {
-          pass(lo, hi);
-        });
   };
 
-  run_pass(count_range);
+  g.offsets_.assign(n + 1, 0);
+  std::vector<std::size_t> widest(slots, 0);  // candidates, per slot
+  run_pass([&](std::size_t slot, std::size_t lo, std::size_t hi) {
+    std::size_t wide = widest[slot];
+    for (std::size_t i = lo; i < hi; ++i) {
+      const GridEntry u = GridEntry::of(g.nodes_[i]);
+      std::size_t deg = 0;
+      std::size_t seen = 0;
+      grid.for_each_cell({u.x, u.y}, u.r, [&](std::span<const GridEntry> c) {
+        for (const GridEntry& v : c) deg += links(u, v);
+        seen += c.size();
+      });
+      g.offsets_[i + 1] = static_cast<std::uint32_t>(deg);  // prefix-summed
+      wide = std::max(wide, seen);
+    }
+    widest[slot] = wide;
+  });
   for (std::size_t i = 0; i < n; ++i) g.offsets_[i + 1] += g.offsets_[i];
   g.adjacency_.resize(g.offsets_[n]);
-  run_pass(fill_range);
+
+  const std::size_t stride = *std::max_element(widest.begin(), widest.end());
+  std::vector<NodeId> found(slots * stride);
+  run_pass([&](std::size_t slot, std::size_t lo, std::size_t hi) {
+    NodeId* const scratch = found.data() + slot * stride;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const GridEntry u = GridEntry::of(g.nodes_[i]);
+      std::size_t k = 0;
+      grid.for_each_cell({u.x, u.y}, u.r, [&](std::span<const GridEntry> c) {
+        k = append_links(u, c, scratch, k);
+      });
+      sort_distinct_ids(scratch, k, g.adjacency_.data() + g.offsets_[i]);
+    }
+  });
   return g;
 }
 

@@ -16,12 +16,23 @@ namespace mldcs::net {
 /// Immutable bidirectional disk graph in CSR adjacency layout.
 class DiskGraph {
  public:
-  /// Deployments of at least this many nodes build their count and fill
-  /// passes on sim::fan_out_pool(), the paper's ~1000-node graphs
-  /// included.  Measured at the paper's density (4-core x86-64, Release,
-  /// warm workers, medians of 300 builds): pooled 0.17-0.19 against
-  /// 0.48-0.51 ms inline at 257 nodes, 0.69-0.75 against 2.3-2.5 ms at 999.
+  /// Deployments of at least this many nodes run the build's count and
+  /// fill passes on sim::fan_out_pool(), the paper's ~1000-node graphs
+  /// included.  Measured at the paper's density (4-core x86-64 VM,
+  /// Release, medians of 400 builds, pooled and inline interleaved):
+  /// pooled 82-118 against 134-239 us inline at 258 nodes, about even at
+  /// 126-188, and behind at 63 (22-36 against 21-34 us); while the host
+  /// ran its four vCPUs at one core's throughput, pooled trailed by 15-25%
+  /// at every size.
   static constexpr std::size_t kParallelBuildNodes = 256;
+
+  /// Nodes per block of a pooled pass: a 999-node build hands out 32
+  /// blocks per pass, enough for a slow core to claim fewer of them.  At
+  /// 999 nodes (4-core x86-64 VM, medians of 200 builds per size, sizes
+  /// interleaved) blocks of 16 and 32 built in 0.35-0.37 ms, 64 in
+  /// 0.37-0.38 and 128 in 0.42; at 15,974 blocks of 16 to 256 stayed
+  /// within 4% of each other.
+  static constexpr std::size_t kParallelBuildBlock = 32;
 
   /// Build the graph.  Node ids are reassigned to positions in `nodes`
   /// (callers address nodes by index).  Uses a spatial grid, O(N * degree);

@@ -14,10 +14,6 @@ namespace mldcs::net {
 
 namespace {
 
-/// Most added ids per mover that diff_movers orders by rank counting (64
-/// squared compares, a few hundred cycles vectorized); more take std::sort.
-constexpr std::size_t kRankSortMax = 64;
-
 /// Topology-maintenance telemetry (docs/OBSERVABILITY.md): how much of the
 /// network each step actually perturbs — movers, grid re-buckets, link
 /// flips — the denominators for reading SkylineCache dirty fractions.
@@ -88,14 +84,8 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
     }
   }
 
-  // Seed from the one-shot build over the residents (every node in
-  // whole-plane mode), pooled from DiskGraph::kParallelBuildNodes nodes
-  // unless inside a dispatch.  Local id i is residents[i], a monotone map,
-  // so the lists stay sorted.
-  std::vector<NodeId> residents;
-  std::vector<Node> local;
-  residents.reserve(resident_count_);
-  local.reserve(resident_count_);
+  // Bucket every resident, each bucket reserved with the lists' slack up
+  // front, not push-back doubling.
   bucket_of_.resize(n);
   entry_of_.resize(n);
   std::vector<std::uint32_t> occupancy(grid_.cell_count(), 0);
@@ -103,43 +93,77 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
     if (resident_[node.id] == 0) continue;
     bucket_of_[node.id] = static_cast<std::uint32_t>(grid_.cell_of(node.pos));
     ++occupancy[bucket_of_[node.id]];
-    residents.push_back(node.id);
-    local.push_back(node);
   }
-  // Buckets get the lists' slack up front, not push-back doubling.
   buckets_.assign(grid_.cell_count(), {});
   for (std::size_t c = 0; c < buckets_.size(); ++c) {
     if (occupancy[c] != 0) buckets_[c].reserve(slack_for(occupancy[c]));
   }
-  for (const NodeId u : residents) insert_resident(u, bucket_of_[u]);
-  const DiskGraph seed = DiskGraph::build(std::move(local));
-  adjacency_.resize(n);
-  for (std::size_t i = 0; i < residents.size(); ++i) {
-    const std::span<const NodeId> nb = seed.neighbors(static_cast<NodeId>(i));
-    std::vector<NodeId>& adj = adjacency_[residents[i]];
-    adj.reserve(slack_for(nb.size()));
-    for (const NodeId v : nb) adj.push_back(residents[v]);
+  for (const Node& node : nodes_) {
+    if (resident_[node.id] != 0) insert_resident(node.id, bucket_of_[node.id]);
   }
-  edges_ = seed.edge_count();
 
+  // Seed every resident's list with the walk apply uses (link_scan), in
+  // two passes over blocks of node ids: the first counts each list, so
+  // every list is allocated here, on the calling thread, with its slack;
+  // the second writes it, ordered.  Both run on sim::fan_out_pool() from
+  // DiskGraph::kParallelBuildNodes residents (inline inside a dispatch),
+  // with the same output.
   in_moved_.assign(n, 0);
   link_mark_.assign(n, 0);
-  slots_.resize(1);
-  slots_[0].mark.assign(n, 0);
+  sim::ThreadPool* const pool =
+      resident_count_ >= DiskGraph::kParallelBuildNodes ? sim::fan_out_pool()
+                                                        : nullptr;
+  grow_slots(pool == nullptr ? 1 : pool->size());
+  const auto run_pass = [pool, n](const auto& pass) {
+    if (pool == nullptr) {
+      pass(0, 0, n);
+    } else {
+      pool->parallel_blocks(n, DiskGraph::kParallelBuildBlock, pass);
+    }
+  };
+  std::vector<std::uint32_t> degree(n, 0);
+  run_pass([this, &degree](std::size_t slot, std::size_t lo, std::size_t hi) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      if (resident_[u] == 0) continue;
+      degree[u] = static_cast<std::uint32_t>(
+          link_scan(static_cast<NodeId>(u), slots_[slot].found));
+    }
+  });
+  adjacency_.resize(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (resident_[u] == 0) continue;
+    adjacency_[u].reserve(slack_for(degree[u]));
+    adjacency_[u].resize(degree[u]);
+    edges_ += degree[u];
+  }
+  edges_ /= 2;
+  run_pass([this](std::size_t slot, std::size_t lo, std::size_t hi) {
+    std::vector<NodeId>& found = slots_[slot].found;
+    for (std::size_t u = lo; u < hi; ++u) {
+      if (resident_[u] == 0) continue;
+      const std::size_t k = link_scan(static_cast<NodeId>(u), found);
+      sort_distinct_ids(found.data(), k, adjacency_[u].data());
+    }
+  });
+}
+
+void DynamicDiskGraph::grow_slots(std::size_t count) {
+  if (slots_.size() >= count) return;
+  slots_.resize(count);
+  for (SlotScratch& cs : slots_) cs.mark.resize(nodes_.size(), 0);
 }
 
 void DynamicDiskGraph::insert_resident(NodeId u, std::size_t cell) {
-  std::vector<Resident>& bucket = buckets_[cell];
-  const Node& node = nodes_[u];
+  std::vector<GridEntry>& bucket = buckets_[cell];
   bucket_of_[u] = static_cast<std::uint32_t>(cell);
   entry_of_[u] = static_cast<std::uint32_t>(bucket.size());
-  bucket.push_back({node.pos.x, node.pos.y, node.radius, u});
+  bucket.push_back(GridEntry::of(nodes_[u]));
 }
 
 void DynamicDiskGraph::erase_resident(NodeId u) {
   // Bucket order is irrelevant (the walk's output is ordered per mover),
   // so swap-erase keeps removal O(1).
-  std::vector<Resident>& bucket = buckets_[bucket_of_[u]];
+  std::vector<GridEntry>& bucket = buckets_[bucket_of_[u]];
   const std::uint32_t e = entry_of_[u];
   bucket[e] = bucket.back();
   entry_of_[bucket[e].id] = e;
@@ -148,23 +172,12 @@ void DynamicDiskGraph::erase_resident(NodeId u) {
 
 std::size_t DynamicDiskGraph::link_scan(NodeId u,
                                         std::vector<NodeId>& found) const {
-  const Node& nu = nodes_[u];
-  const double ux = nu.pos.x;
-  const double uy = nu.pos.y;
-  const double ur = nu.radius;
+  const GridEntry self = GridEntry::of(nodes_[u]);
   std::size_t k = 0;
-  grid_.for_each_cell(nu.pos, ur, [&](std::size_t c) {
-    const std::vector<Resident>& bucket = buckets_[c];
+  grid_.for_each_cell({self.x, self.y}, self.r, [&](std::size_t c) {
+    const std::vector<GridEntry>& bucket = buckets_[c];
     if (found.size() < k + bucket.size()) found.resize(k + bucket.size());
-    // The exact filter, branch-free: every resident is written, and the
-    // cursor steps past the linked ones (u itself sits in its own cell).
-    NodeId* const out = found.data();
-    for (const Resident& v : bucket) {
-      out[k] = v.id;
-      const bool linked = in_link_range(ux, uy, ur, v.x, v.y, v.r);
-      k += static_cast<std::size_t>(linked) &
-           static_cast<std::size_t>(v.id != u);
-    }
+    k = append_links(self, bucket, found.data(), k);
   });
   return k;
 }
@@ -262,7 +275,7 @@ MLDCS_HOT_PATH void DynamicDiskGraph::place_movers(
       resident_[u] = 1;
       ++resident_count_;
     } else if (cell == bucket_of_[u]) {
-      Resident& e = buckets_[cell][entry_of_[u]];
+      GridEntry& e = buckets_[cell][entry_of_[u]];
       e.x = pos.x;
       e.y = pos.y;
     } else {
@@ -325,24 +338,9 @@ MLDCS_HOT_PATH void DynamicDiskGraph::diff_movers(SlotScratch& cs,
       n_removed += static_cast<std::size_t>(!kept);
     }
     for (std::size_t a = 0; a < n_added; ++a) mark[added[a]] = 0;
-    // Only the added ids need ordering.  Each one's rank is the number of
-    // smaller ones (the ids are distinct): a branch-free count that
-    // vectorizes, where a comparison sort mispredicts about every other
-    // compare.  It is quadratic, so long lists fall back to std::sort.
+    // Only the added ids need ordering.
     NodeId* const sorted = cs.found.data();  // the walk's output is spent
-    if (n_added <= kRankSortMax) {
-      for (std::size_t a = 0; a < n_added; ++a) {
-        const NodeId v = added[a];
-        std::uint32_t rank = 0;  // 32-bit lanes: four compares per vector
-        for (std::size_t b = 0; b < n_added; ++b) {
-          rank += static_cast<std::uint32_t>(added[b] < v);
-        }
-        sorted[rank] = v;
-      }
-    } else {
-      std::copy(added, added + n_added, sorted);
-      std::sort(sorted, sorted + n_added);
-    }
+    sort_distinct_ids(added, n_added, sorted);
 
     // A flip between two movers shows up in both of their diffs (linked_to
     // is symmetric and both sides see post-move positions): each marks only
@@ -446,10 +444,7 @@ DynamicDiskGraph::apply_moved(
   sim::ThreadPool* const pool =
       !region_mode_ && movers >= kParallelApplyMovers ? sim::fan_out_pool()
                                                       : nullptr;
-  if (pool != nullptr && slots_.size() < pool->size()) {
-    slots_.resize(pool->size());
-    for (SlotScratch& cs : slots_) cs.mark.resize(nodes_.size(), 0);
-  }
+  if (pool != nullptr) grow_slots(pool->size());
   for (SlotScratch& cs : slots_) {
     cs.patches.clear();
     cs.added_edges = 0;

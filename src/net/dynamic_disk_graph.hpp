@@ -17,11 +17,13 @@
 ///    node's neighbor list is recomputed from the grid, and only the
 ///    added/removed edges touch the (unmoved) other endpoints.
 ///
-/// The lists are seeded from `DiskGraph::build` itself (pooled from
-/// `DiskGraph::kParallelBuildNodes` nodes under `sim::fan_out_pool()`;
-/// region mode: over the residents, local ids mapped back), so the two
-/// graph types share one grid geometry, one adjacency build and one link
-/// expression (`in_link_range`, node.hpp).
+/// The two graph types share one grid geometry, one cell entry
+/// (`GridEntry`), one branch-free link walk over a cell's entries
+/// (`append_links`) and one ordering of a list (`sort_distinct_ids`, all
+/// in spatial_grid.hpp).  The constructor seeds every resident's list with
+/// the walk each step uses, in `DiskGraph::build`'s two passes (count,
+/// then fill the lists it sized), pooled from
+/// `DiskGraph::kParallelBuildNodes` residents under `sim::fan_out_pool()`.
 ///
 /// Every `apply` returns a `StepDelta` naming the moved nodes and the
 /// endpoints of flipped edges — exactly the information a cached-skyline
@@ -126,9 +128,9 @@ class DynamicDiskGraph {
   /// stay small for the balance.
   static constexpr std::size_t kParallelApplyBlock = 16;
 
-  /// Build the initial topology (seeded from `DiskGraph::build`).  As there,
-  /// node ids are reassigned to indices, and a non-finite position or
-  /// radius throws std::invalid_argument before anything is built.
+  /// Build the initial topology (the same lists as `DiskGraph::build`).  As
+  /// there, node ids are reassigned to indices, and a non-finite position
+  /// or radius throws std::invalid_argument before anything is built.
   explicit DynamicDiskGraph(std::vector<Node> nodes);
 
   /// Region mode: keep a slot for every node (ids are still indices into the
@@ -214,17 +216,6 @@ class DynamicDiskGraph {
   [[nodiscard]] const StepDelta& last_delta() const noexcept { return delta_; }
 
  private:
-  /// A resident's entry in its cell's bucket: the position and radius
-  /// beside the id, so the phase-2 walk reads one contiguous array per cell
-  /// instead of chasing `nodes_[v]` per candidate.  Phase 1 rewrites the
-  /// entry of every mover, whether or not its cell changed.
-  struct Resident {
-    double x;
-    double y;
-    double r;
-    NodeId id;
-  };
-
   /// An edit to an unmoved endpoint's list, queued by phase 2 and applied
   /// in phase 3: insert (added) or erase mover `u` in `v`'s list.
   struct Patch {
@@ -234,8 +225,8 @@ class DynamicDiskGraph {
   };
 
   /// One phase-2 participant's scratch and queued results, indexed by
-  /// parallel_blocks slot; grows to the pool size, then is reused every
-  /// step.
+  /// parallel_blocks slot; grows to the pool size (in a pooled seed or
+  /// step), then is reused every step.  The seed walks into `found` too.
   struct SlotScratch {
     /// One byte per node, zero between movers: the current mover's old
     /// list and walk results (see diff_movers).
@@ -251,6 +242,8 @@ class DynamicDiskGraph {
   };
 
   void init(std::vector<Node> nodes);
+  /// Grow slots_ to `count` participants, each with its byte mask.
+  void grow_slots(std::size_t count);
   MLDCS_HOT_PATH const StepDelta& apply_moved(std::span<const Node> current);
   MLDCS_HOT_PATH void classify_movers(std::span<const Node> current);
   MLDCS_HOT_PATH void place_movers(std::span<const Node> current);
@@ -287,7 +280,9 @@ class DynamicDiskGraph {
   // Bucketed grid: one mutable bucket per cell of the geometry fitted to
   // the initial deployment (later positions clamp into the border cells).
   GridGeometry grid_;
-  std::vector<std::vector<Resident>> buckets_;
+  // A bucket holds one GridEntry per resident; phase 1 rewrites the entry
+  // of every mover, whether or not its cell changed.
+  std::vector<std::vector<GridEntry>> buckets_;
   std::vector<std::uint32_t> bucket_of_;  ///< node -> bucket index
   std::vector<std::uint32_t> entry_of_;   ///< node -> index in its bucket
 

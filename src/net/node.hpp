@@ -21,9 +21,10 @@ inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 /// Bidirectional-link rule (Section 3.1) on raw coordinates: nodes at
 /// (ux, uy) and (vx, vy) with radii ur and vr are neighbors iff
 /// ||u - v||^2 <= min(ur, vr)^2.  The one expression behind
-/// `Node::linked_to` (hence DiskGraph::build) and DynamicDiskGraph's bucket
-/// walk, so both graph types decide every pair bit for bit alike.  Symmetric:
-/// swapping u and v only negates the exact differences.
+/// `Node::linked_to` and the grid walk both graph types build their lists
+/// with (`append_links`, spatial_grid.hpp), so every pair is decided bit
+/// for bit alike.  Symmetric: swapping u and v only negates the exact
+/// differences.
 [[nodiscard]] constexpr bool in_link_range(double ux, double uy, double ur,
                                            double vx, double vy,
                                            double vr) noexcept {

@@ -102,9 +102,9 @@ ShardedEngine::ShardedEngine(std::vector<Node> nodes, sim::ThreadPool& pool,
   // Region = tile dilated by the max radius: every link of an owned node
   // fits inside (a link spans at most max_radius), so owned adjacency is
   // complete.  Shard construction is embarrassingly parallel — each builds
-  // its own grid and seeds its residents' adjacency from DiskGraph::build
-  // over a private copy of the nodes; while shards build side by side,
-  // sim::fan_out_pool() keeps those builds inline.
+  // its own grid over a private copy of the nodes and seeds its residents'
+  // adjacency from it; while shards build side by side,
+  // sim::fan_out_pool() keeps those seeds inline.
   shards_.resize(shards);
   pool_->parallel_for(shards, [this](std::size_t s) {
     const std::size_t r = s / cols_;

@@ -43,14 +43,16 @@ GridGeometry::GridGeometry(std::span<const Node> nodes) {
 }
 
 SpatialGrid::SpatialGrid(std::span<const Node> nodes) : geometry_(nodes) {
-  // Counting sort of node ids into cells (CSR).
+  // Counting sort of the nodes into cells, stable in input order.
   const std::size_t cells = geometry_.cell_count();
   offsets_.assign(cells + 1, 0);
   for (const Node& n : nodes) ++offsets_[geometry_.cell_of(n.pos) + 1];
   for (std::size_t c = 0; c < cells; ++c) offsets_[c + 1] += offsets_[c];
-  ids_.resize(nodes.size());
+  entries_.resize(nodes.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Node& n : nodes) ids_[cursor[geometry_.cell_of(n.pos)]++] = n.id;
+  for (const Node& n : nodes) {
+    entries_[cursor[geometry_.cell_of(n.pos)]++] = GridEntry::of(n);
+  }
 }
 
 }  // namespace mldcs::net

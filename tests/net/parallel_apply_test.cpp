@@ -2,8 +2,8 @@
 // where steps with kParallelApplyMovers or more movers run the per-mover
 // diff on sim::default_pool(), checked step by step against two
 // consecutive from-scratch DiskGraph::build calls; and the constructor's
-// seed from a pooled DiskGraph::build (DiskGraph::kParallelBuildNodes
-// nodes or more, so the paper deployment's seed is pooled too).
+// pooled seed (DiskGraph::kParallelBuildNodes residents or more, so the
+// paper deployment's seed is pooled too) against DiskGraph::build.
 //
 // tests/CMakeLists.txt registers this binary four times: at the host's
 // default pool size, and with MLDCS_THREADS=1, 2 and 3.  default_pool() reads
@@ -350,9 +350,9 @@ TEST_F(ParallelApplyTest, BucketCopiesFollowMoversInAndOutOfTheGrid) {
   expect_pool_used(oracle, "bucket copies");
 }
 
-// ~5000 nodes: the constructor seeds from a DiskGraph::build that runs on
-// the pool (at every pool size it must give the build's lists), and so does
-// a region graph over most of them.  Then 20 pooled apply steps, each
+// ~5000 nodes: the constructor seeds its lists on the pool (at every pool
+// size it must give the build's lists), and so does a region graph over
+// most of them.  Then 20 pooled apply steps, each
 // checked against a rebuild.
 TEST_F(ParallelApplyTest, PooledSeedMatchesBuildThenRebuilds) {
   DeploymentParams p = paper_deploy();

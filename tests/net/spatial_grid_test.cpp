@@ -29,14 +29,24 @@ std::vector<Node> random_nodes(sim::Xoshiro256& rng, std::size_t n,
   return nodes;
 }
 
+/// Every id the walk of the cells around `p` at `range` visits, in order.
+std::vector<NodeId> candidates(const SpatialGrid& grid, geom::Vec2 p,
+                               double range) {
+  std::vector<NodeId> out;
+  grid.for_each_cell(p, range, [&](std::span<const GridEntry> cell) {
+    for (const GridEntry& e : cell) out.push_back(e.id);
+  });
+  return out;
+}
+
 /// The candidates within `range` of `p` (inclusive), sorted.
 std::vector<NodeId> in_range(const SpatialGrid& grid,
                              std::span<const Node> nodes, geom::Vec2 p,
                              double range) {
   std::vector<NodeId> out;
-  grid.for_each_candidate(p, range, [&](NodeId id) {
+  for (const NodeId id : candidates(grid, p, range)) {
     if (geom::distance2(nodes[id].pos, p) <= range * range) out.push_back(id);
-  });
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -55,9 +65,7 @@ TEST(SpatialGridTest, EmptyNodeSet) {
   const std::vector<Node> none;
   const SpatialGrid grid(none);
   EXPECT_EQ(GridGeometry(none).cell_count(), 1u);
-  std::size_t visited = 0;
-  grid.for_each_candidate({0, 0}, 10.0, [&](NodeId) { ++visited; });
-  EXPECT_EQ(visited, 0u);
+  EXPECT_TRUE(candidates(grid, {0, 0}, 10.0).empty());
 }
 
 TEST(SpatialGridTest, SingleNodeFoundInRange) {
@@ -68,15 +76,18 @@ TEST(SpatialGridTest, SingleNodeFoundInRange) {
 }
 
 // The walk excludes nothing: a node querying at its own position is its own
-// candidate, and the caller (DiskGraph::build's passes, DynamicDiskGraph's
-// link scan) skips it by id.
+// candidate, and the link filter both graph types share (append_links)
+// skips it by id.
 TEST(SpatialGridTest, WalkIncludesTheQueryingNode) {
   const std::vector<Node> nodes{{0, {5, 5}, 1.0}, {1, {5.1, 5.0}, 1.0}};
   const SpatialGrid grid(nodes);
-  std::vector<NodeId> others;
-  grid.for_each_candidate(nodes[0].pos, 1.0, [&](NodeId id) {
-    if (id != 0) others.push_back(id);
+  const GridEntry self{5, 5, 1.0, 0};
+  std::vector<NodeId> others(2);
+  std::size_t k = 0;
+  grid.for_each_cell(nodes[0].pos, 1.0, [&](std::span<const GridEntry> c) {
+    k = append_links(self, c, others.data(), k);
   });
+  others.resize(k);
   EXPECT_EQ(others, (std::vector<NodeId>{1}));
   EXPECT_EQ(in_range(grid, nodes, nodes[0].pos, 1.0),
             (std::vector<NodeId>{0, 1}));
@@ -95,8 +106,7 @@ TEST(SpatialGridTest, CandidatesAreSupersetOfMatches) {
   const SpatialGrid grid(nodes);
   for (int trial = 0; trial < 20; ++trial) {
     const geom::Vec2 p{rng.uniform(0, 12.5), rng.uniform(0, 12.5)};
-    std::vector<NodeId> cand;
-    grid.for_each_candidate(p, 1.5, [&cand](NodeId id) { cand.push_back(id); });
+    std::vector<NodeId> cand = candidates(grid, p, 1.5);
     std::sort(cand.begin(), cand.end());
     EXPECT_EQ(std::adjacent_find(cand.begin(), cand.end()), cand.end())
         << "a candidate was visited twice";
