@@ -31,7 +31,7 @@ MLDCS_HOT_PATH AllSkylines compute_all_skylines(const net::DiskGraph& g,
   // (so a warmed-up thread's sweep allocates only its result), then a
   // serial copy into the tight CSR arrays.
   detail::RelayBatch& batch = detail::thread_batch();
-  batch.compute(g, std::views::iota(net::NodeId{0}, n), &pool,
+  batch.compute(g, std::views::iota(net::NodeId{0}, n), pool,
                 obs::Phase::kNone);
   AllSkylines out;
   out.offsets_.assign(n + 1, 0);

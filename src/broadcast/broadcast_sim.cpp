@@ -14,13 +14,14 @@ namespace mldcs::bcast {
 namespace {
 
 /// Skyline broadcasts over graphs of at least this many nodes compute
-/// their transmitter closure on sim::fan_out_pool().  Measured on 4-core
-/// x86-64 (Release, medians of 300 closures from node 0, seeds 1-3): at
-/// the paper's density the pool took 45-59 us against 88-137 us inline at
-/// 33 nodes, 314-356 against 761-916 us at 257 and 1.09-1.23 against
-/// 3.3-4.0 ms at 999, broke even at 17-25 and lost at 9 (21-25 against
-/// 7-15 us); at degree 10 it took 41-47 against 49-60 us at 33 nodes.
-/// So the pool starts far below DiskGraph::kParallelBuildNodes.
+/// their transmitter closure on all of sim::default_pool(), smaller ones
+/// inline.  Measured on 4-core x86-64 (Release, medians of 300 closures
+/// from node 0, seeds 1-3): at the paper's density the pool took 45-59 us
+/// against 88-137 us inline at 33 nodes, 314-356 against 761-916 us at 257
+/// and 1.09-1.23 against 3.3-4.0 ms at 999, broke even at 17-25 and lost
+/// at 9 (21-25 against 7-15 us); at degree 10 it took 41-47 against 49-60
+/// us at 33 nodes.  So the pool starts far below
+/// DiskGraph::kParallelBuildNodes.
 constexpr std::size_t kParallelClosureNodes = 32;
 
 /// Broadcast telemetry (docs/OBSERVABILITY.md): storm pressure
@@ -71,10 +72,10 @@ BroadcastResult detail::simulate_broadcast(const net::DiskGraph& g,
     const obs::Scope scope(obs::Phase::kBroadcast);
     RelayBatch& batch = thread_batch();
     if (source < g.size()) {
-      batch.closure(
-          g, source, gate,
-          g.size() >= kParallelClosureNodes ? sim::fan_out_pool() : nullptr,
-          obs::Phase::kBroadcast);
+      sim::ThreadPool& pool = sim::default_pool();
+      batch.closure(g, source, gate, pool,
+                    g.size() >= kParallelClosureNodes ? pool.size() : 1,
+                    obs::Phase::kBroadcast);
     }
     const auto sets = [&batch](net::NodeId u) { return batch.set(u); };
     return deliver_gated(g, source, scheme, sets, reception, scratch, nullptr,

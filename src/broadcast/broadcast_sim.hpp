@@ -266,8 +266,8 @@ template <typename Graph, typename Sets>
 /// forwarding_set(g, u, Scheme::kSkyline): the calling thread's relay
 /// batch (relay_skyline.hpp) computes every transmitter's set in one pass
 /// over the transmitter closure before delivery starts — on
-/// sim::fan_out_pool() for graphs of 32 or more nodes, with the same
-/// result.  The 2-hop schemes use
+/// sim::default_pool() for graphs of 32 or more nodes (inline inside
+/// another dispatch), with the same result.  The 2-hop schemes use
 /// forwarding_set's LocalView path, one transmitter at a time.
 [[nodiscard]] BroadcastResult simulate_broadcast(
     const net::DiskGraph& g, net::NodeId source, Scheme scheme,

@@ -130,12 +130,11 @@ class RelayBatch {
  public:
   /// Compute the set and arc count of every relays[k] (a sized
   /// random-access range of ids of `g`): in self-scheduled blocks of
-  /// kRelayBlock on `pool`, inline when `pool` is null, each block inside
-  /// obs::Scope(phase).  Replaces the previous batch; set(k) and
-  /// arc_count(k) read by position k.
+  /// kRelayBlock on `pool`, each block inside obs::Scope(phase).  Replaces
+  /// the previous batch; set(k) and arc_count(k) read by position k.
   template <typename Graph, std::ranges::random_access_range Relays>
   MLDCS_HOT_PATH void compute(const Graph& g, const Relays& relays,
-                              sim::ThreadPool* pool, obs::Phase phase) {
+                              sim::ThreadPool& pool, obs::Phase phase) {
     const std::size_t n = std::ranges::size(relays);
     first_.resize(n + 1);  // first_[0] stays 0
     len_.resize(n);
@@ -147,9 +146,10 @@ class RelayBatch {
       first_[k + 1] = first_[k] + degree;
     }
     ids_.resize(first_[n]);
-    reserve_participants(pool, max_degree);
+    reserve_participants(pool.participants(n, kRelayBlock), max_degree);
 
-    const auto run = [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+    pool.parallel_blocks(n, kRelayBlock, [&](std::size_t slot, std::size_t lo,
+                                             std::size_t hi) {
       const obs::Scope block(phase);
       RelayScratch& s = scratch_[slot];
       for (std::size_t k = lo; k < hi; ++k) {
@@ -158,12 +158,7 @@ class RelayBatch {
         std::copy(s.relay_ids.begin(), s.relay_ids.end(),
                   ids_.data() + first_[k]);
       }
-    };
-    if (pool == nullptr) {
-      run(0, 0, n);
-    } else {
-      pool->parallel_blocks(n, kRelayBlock, run);
-    }
+    });
   }
 
   /// Closure mode: the sets of every transmitter of a broadcast from
@@ -173,22 +168,22 @@ class RelayBatch {
   /// no order; each set keeps only the nodes its gate passes, so the gate
   /// runs once per named pair.  Sets sit at the graph's CSR offsets.
   ///
-  /// Participants — the caller and `pool`'s workers in one
-  /// parallel_blocks dispatch, or the caller alone when `pool` is null —
-  /// claim positions of one work list from a shared cursor.  A relay
-  /// appends each node it newly names: a claim on the node's queued byte,
-  /// a position from the list's tail, then a publish of that position.  A
-  /// participant whose position is not yet published waits (backoff), and
-  /// leaves once every discovered relay has finished.  Each participant
-  /// runs inside obs::Scope(phase).  A participant must not throw (its
-  /// unfinished relay would hold the others waiting), and none does:
-  /// relay_forwarding_set runs on reserved scratch.
+  /// Participants — up to `width` of them: the caller and `pool`'s workers
+  /// in one parallel_blocks dispatch of one block each, or the caller alone
+  /// when `width` is 1 — claim positions of one work list from a shared
+  /// cursor.  A relay appends each node it newly names: a claim on the
+  /// node's queued byte, a position from the list's tail, then a publish of
+  /// that position.  A participant whose position is not yet published
+  /// waits (backoff), and leaves once every discovered relay has finished.
+  /// Each participant runs inside obs::Scope(phase).  A participant must
+  /// not throw (its unfinished relay would hold the others waiting), and
+  /// none does: relay_forwarding_set runs on reserved scratch.
   template <typename Graph>
   MLDCS_HOT_PATH void closure(
       const Graph& g, net::NodeId source,
       std::type_identity_t<bool (*)(const Graph&, net::NodeId, net::NodeId)>
           gate,
-      sim::ThreadPool* pool, obs::Phase phase) {
+      sim::ThreadPool& pool, std::size_t width, obs::Phase phase) {
     const std::size_t n = g.size();
     first_.resize(n + 1);  // first_[0] stays 0
     len_.resize(n);
@@ -201,7 +196,8 @@ class RelayBatch {
     ids_.resize(first_[n]);
     order_.assign(n, net::kNoNode);
     queued_.assign(n, 0);
-    reserve_participants(pool, max_degree);
+    const std::size_t participants = pool.participants(width, 1);
+    reserve_participants(participants, max_degree);
     order_[0] = source;
     queued_[source] = 1;
 
@@ -250,15 +246,11 @@ class RelayBatch {
         finished.fetch_add(1, std::memory_order_release);
       }
     };
-    if (pool == nullptr) {
-      participate(0);
-    } else {
-      pool->parallel_blocks(
-          pool->size(), 1,
-          [&](std::size_t slot, std::size_t /*lo*/, std::size_t /*hi*/) {
-            participate(slot);
-          });
-    }
+    pool.parallel_blocks(
+        participants, 1,
+        [&](std::size_t slot, std::size_t /*lo*/, std::size_t /*hi*/) {
+          participate(slot);
+        });
   }
 
   /// The set of the last compute()'s relays[k], or of the last closure()'s
@@ -273,10 +265,9 @@ class RelayBatch {
   }
 
  private:
-  /// One reserved scratch per participant `pool` can bring (1 inline).
-  MLDCS_ALLOC_OK void reserve_participants(sim::ThreadPool* pool,
+  /// One reserved scratch per participant of the coming pass.
+  MLDCS_ALLOC_OK void reserve_participants(std::size_t participants,
                                            std::size_t max_degree) {
-    const std::size_t participants = pool == nullptr ? 1 : pool->size();
     if (scratch_.size() < participants) scratch_.resize(participants);
     for (RelayScratch& s : scratch_) s.reserve(max_degree);
   }

@@ -59,9 +59,4 @@ CircleIntersection intersect_circles(const Disk& a, const Disk& b,
   return out;
 }
 
-CircleIntersection intersect_circle_boundaries(const Disk& a, const Disk& b,
-                                               double tol) noexcept {
-  return intersect_circles(a, b, tol);
-}
-
 }  // namespace mldcs::geom

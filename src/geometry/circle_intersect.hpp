@@ -44,9 +44,4 @@ struct CircleIntersection {
 [[nodiscard]] CircleIntersection intersect_circles(const Disk& a, const Disk& b,
                                                    double tol = kTol) noexcept;
 
-/// Convenience: just the (0-2) proper intersection points; tangency yields
-/// the single touch point.
-[[nodiscard]] CircleIntersection intersect_circle_boundaries(
-    const Disk& a, const Disk& b, double tol = kTol) noexcept;
-
 }  // namespace mldcs::geom

@@ -42,23 +42,18 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
   // participant's scratch and writes the list, ordered, into the segment
   // (both decide every pair with `links`, so the list fills it exactly).
   // A node's list depends on the node alone, so both passes run over
-  // contiguous node ranges, inline or in blocks on the pool, with the same
-  // output.  Every buffer (the CSR arrays, one walk's scratch per
-  // participant) is allocated here, on the calling thread, between them.
-  sim::ThreadPool* const pool =
-      n >= kParallelBuildNodes ? sim::fan_out_pool() : nullptr;
-  const std::size_t slots = pool == nullptr ? 1 : pool->size();
-  const auto run_pass = [pool, n](const auto& pass) {
-    if (pool == nullptr) {
-      pass(0, 0, n);
-    } else {
-      pool->parallel_blocks(n, kParallelBuildBlock, pass);
-    }
-  };
+  // contiguous node ranges, in blocks on the pool from kParallelBuildNodes
+  // nodes and as one block below, with the same output.  Every buffer (the
+  // CSR arrays, one walk's scratch per participant) is allocated here, on
+  // the calling thread, between them.
+  sim::ThreadPool& pool = sim::default_pool();
+  const std::size_t block = n >= kParallelBuildNodes ? kParallelBuildBlock : n;
+  const std::size_t slots = pool.participants(n, block);
 
   g.offsets_.assign(n + 1, 0);
   std::vector<std::size_t> widest(slots, 0);  // candidates, per slot
-  run_pass([&](std::size_t slot, std::size_t lo, std::size_t hi) {
+  pool.parallel_blocks(n, block, [&](std::size_t slot, std::size_t lo,
+                                     std::size_t hi) {
     std::size_t wide = widest[slot];
     for (std::size_t i = lo; i < hi; ++i) {
       const GridEntry u = GridEntry::of(g.nodes_[i]);
@@ -78,7 +73,8 @@ DiskGraph DiskGraph::build(std::vector<Node> nodes) {
 
   const std::size_t stride = *std::max_element(widest.begin(), widest.end());
   std::vector<NodeId> found(slots * stride);
-  run_pass([&](std::size_t slot, std::size_t lo, std::size_t hi) {
+  pool.parallel_blocks(n, block, [&](std::size_t slot, std::size_t lo,
+                                     std::size_t hi) {
     NodeId* const scratch = found.data() + slot * stride;
     for (std::size_t i = lo; i < hi; ++i) {
       const GridEntry u = GridEntry::of(g.nodes_[i]);

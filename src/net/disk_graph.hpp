@@ -17,8 +17,8 @@ namespace mldcs::net {
 class DiskGraph {
  public:
   /// Deployments of at least this many nodes run the build's count and
-  /// fill passes on sim::fan_out_pool(), the paper's ~1000-node graphs
-  /// included.  Measured at the paper's density (4-core x86-64 VM,
+  /// fill passes in blocks on sim::default_pool(), the paper's ~1000-node
+  /// graphs included; smaller ones pass one block, which runs inline.  Measured at the paper's density (4-core x86-64 VM,
   /// Release, medians of 400 builds, pooled and inline interleaved):
   /// pooled 82-118 against 134-239 us inline at 258 nodes, about even at
   /// 126-188, and behind at 63 (22-36 against 21-34 us); while the host
@@ -36,8 +36,8 @@ class DiskGraph {
 
   /// Build the graph.  Node ids are reassigned to positions in `nodes`
   /// (callers address nodes by index).  Uses a spatial grid, O(N * degree);
-  /// deployments of kParallelBuildNodes or more run on sim::fan_out_pool(),
-  /// with the same result.
+  /// deployments of kParallelBuildNodes or more run on sim::default_pool()
+  /// (inline inside another dispatch), with the same result.
   /// Throws std::invalid_argument, naming the node index, if a position or
   /// radius is not finite.
   static DiskGraph build(std::vector<Node> nodes);

@@ -1,7 +1,6 @@
 #include "net/dynamic_disk_graph.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -48,6 +47,17 @@ bool finite_position(const Node& node) noexcept {
                                                 const char* what) {
   throw std::invalid_argument(std::string(where) + ": node " +
                               std::to_string(node) + " " + what);
+}
+
+/// apply's check of node `i` of a step: a finite position, and the radius
+/// it was built with, since place_movers copies the position alone.
+void check_step_node(const Node& now, const Node& before, std::size_t i) {
+  if (!finite_position(now)) {
+    throw_bad_node("DynamicDiskGraph::apply", i, "has a non-finite position");
+  }
+  if (now.radius != before.radius) {
+    throw_bad_node("DynamicDiskGraph::apply", i, "changed its radius");
+  }
 }
 
 }  // namespace
@@ -105,24 +115,19 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
   // Seed every resident's list with the walk apply uses (link_scan), in
   // two passes over blocks of node ids: the first counts each list, so
   // every list is allocated here, on the calling thread, with its slack;
-  // the second writes it, ordered.  Both run on sim::fan_out_pool() from
-  // DiskGraph::kParallelBuildNodes residents (inline inside a dispatch),
-  // with the same output.
+  // the second writes it, ordered.  Both run in blocks on the pool from
+  // DiskGraph::kParallelBuildNodes residents, as one block below, with the
+  // same output.
   in_moved_.assign(n, 0);
   link_mark_.assign(n, 0);
-  sim::ThreadPool* const pool =
-      resident_count_ >= DiskGraph::kParallelBuildNodes ? sim::fan_out_pool()
-                                                        : nullptr;
-  grow_slots(pool == nullptr ? 1 : pool->size());
-  const auto run_pass = [pool, n](const auto& pass) {
-    if (pool == nullptr) {
-      pass(0, 0, n);
-    } else {
-      pool->parallel_blocks(n, DiskGraph::kParallelBuildBlock, pass);
-    }
-  };
+  sim::ThreadPool& pool = sim::default_pool();
+  const std::size_t block = resident_count_ >= DiskGraph::kParallelBuildNodes
+                                ? DiskGraph::kParallelBuildBlock
+                                : n;
+  grow_slots(pool.participants(n, block));
   std::vector<std::uint32_t> degree(n, 0);
-  run_pass([this, &degree](std::size_t slot, std::size_t lo, std::size_t hi) {
+  pool.parallel_blocks(n, block, [&](std::size_t slot, std::size_t lo,
+                                     std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
       if (resident_[u] == 0) continue;
       degree[u] = static_cast<std::uint32_t>(
@@ -137,7 +142,8 @@ void DynamicDiskGraph::init(std::vector<Node> nodes) {
     edges_ += degree[u];
   }
   edges_ /= 2;
-  run_pass([this](std::size_t slot, std::size_t lo, std::size_t hi) {
+  pool.parallel_blocks(n, block, [this](std::size_t slot, std::size_t lo,
+                                        std::size_t hi) {
     std::vector<NodeId>& found = slots_[slot].found;
     for (std::size_t u = lo; u < hi; ++u) {
       if (resident_[u] == 0) continue;
@@ -193,9 +199,7 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
     throw std::invalid_argument("DynamicDiskGraph::apply: node count changed");
   }
   for (std::size_t i = 0; i < current.size(); ++i) {
-    if (!finite_position(current[i])) {
-      throw_bad_node("DynamicDiskGraph::apply", i, "has a non-finite position");
-    }
+    check_step_node(current[i], nodes_[i], i);
   }
   delta_.moved.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -215,9 +219,7 @@ MLDCS_HOT_PATH const DynamicDiskGraph::StepDelta& DynamicDiskGraph::apply(
     if (u >= current.size()) {
       throw_bad_node("DynamicDiskGraph::apply", u, "is out of range");
     }
-    if (!finite_position(current[u])) {
-      throw_bad_node("DynamicDiskGraph::apply", u, "has a non-finite position");
-    }
+    check_step_node(current[u], nodes_[u], u);
   }
   // Drop hinted residents that did not move: the caches' dirty rule marks
   // every mover.  A non-resident's stored position may be stale, so
@@ -258,8 +260,6 @@ MLDCS_HOT_PATH void DynamicDiskGraph::place_movers(
   // in its cell still rewrites its entry's copied position.
   std::uint64_t rebucketed = 0;
   for (const NodeId u : delta_.moved) {
-    assert(current[u].radius == nodes_[u].radius &&
-           "apply: radii are fixed under mobility");
     const geom::Vec2 pos = current[u].pos;
     nodes_[u].pos = pos;
     if (in_moved_[u] == 2) {
@@ -437,29 +437,34 @@ DynamicDiskGraph::apply_moved(
   // 2's walks and symmetric link tests all see the new geometry.
   place_movers(current);
 
-  // Phase 2: the per-mover diff, inline or in self-scheduled blocks of
-  // movers on the pool.  Whole-plane only: a region graph is a shard
+  // Phase 2: the per-mover diff, in self-scheduled blocks of movers on the
+  // pool, or as one block.  Whole-plane only: a region graph is a shard
   // already stepped on a pool worker inside the engine's barrier.
   const std::size_t movers = delta_.moved.size();
-  sim::ThreadPool* const pool =
-      !region_mode_ && movers >= kParallelApplyMovers ? sim::fan_out_pool()
-                                                      : nullptr;
-  if (pool != nullptr) grow_slots(pool->size());
+  sim::ThreadPool& pool = sim::default_pool();
+  const std::size_t block = !region_mode_ && movers >= kParallelApplyMovers
+                                ? kParallelApplyBlock
+                                : movers;
+  const std::size_t participants = pool.participants(movers, block);
+  grow_slots(participants);
   for (SlotScratch& cs : slots_) {
     cs.patches.clear();
     cs.added_edges = 0;
     cs.removed_edges = 0;
   }
-  if (pool != nullptr) {
-    pool->parallel_blocks(
-        movers, kParallelApplyBlock,
-        [this](std::size_t slot, std::size_t lo, std::size_t hi) {
-          const obs::Scope block(obs::Phase::kGraphApply);
-          diff_movers(slots_[slot], lo, hi);
-        });
-  } else {
-    diff_movers(slots_[0], 0, movers);
-  }
+  pool.parallel_blocks(
+      movers, block,
+      [this, pooled = participants > 1](std::size_t slot, std::size_t lo,
+                                        std::size_t hi) {
+        // A pooled block tags the samples its worker takes.  Inline, the
+        // scope above already does, and a second span would count twice.
+        if (!pooled) {
+          diff_movers(slots_[0], lo, hi);
+          return;
+        }
+        const obs::Scope tag(obs::Phase::kGraphApply);
+        diff_movers(slots_[slot], lo, hi);
+      });
 
   // Phase 3: patch the unmoved endpoints and gather link_changed.
   patch_unmoved();

@@ -22,8 +22,8 @@
 /// (`append_links`) and one ordering of a list (`sort_distinct_ids`, all
 /// in spatial_grid.hpp).  The constructor seeds every resident's list with
 /// the walk each step uses, in `DiskGraph::build`'s two passes (count,
-/// then fill the lists it sized), pooled from
-/// `DiskGraph::kParallelBuildNodes` residents under `sim::fan_out_pool()`.
+/// then fill the lists it sized), in blocks on `sim::default_pool()` from
+/// `DiskGraph::kParallelBuildNodes` residents (inline inside a dispatch).
 ///
 /// Every `apply` returns a `StepDelta` naming the moved nodes and the
 /// endpoints of flipped edges — exactly the information a cached-skyline
@@ -54,11 +54,12 @@
 /// commute.  `link_changed` merges the marked movers (already ascending)
 /// with the patched endpoints, sorted — none when every node moves.
 ///
-/// Phase 2 goes to the pool when the graph is whole-plane, the step has at
-/// least `kParallelApplyMovers` movers, and `sim::fan_out_pool()` allows it
-/// (the caller is outside every pool dispatch).  Region graphs (the shards
-/// of ShardedEngine, already stepped one per worker inside the engine's
-/// barrier) always run it inline.  The output — adjacency, `StepDelta`,
+/// Phase 2 runs in blocks on the pool when the graph is whole-plane and
+/// the step has at least `kParallelApplyMovers` movers, and as one block
+/// otherwise; `sim::ThreadPool::participants` runs it inline inside a
+/// dispatch too.  Region graphs (the shards of ShardedEngine, already
+/// stepped one per worker inside the engine's barrier) always pass one
+/// block.  The output — adjacency, `StepDelta`,
 /// kStep event, `graph.*` counters — is the same at every pool size and
 /// under every schedule.
 ///
@@ -140,9 +141,6 @@ class DynamicDiskGraph {
   DynamicDiskGraph(std::vector<Node> nodes, const geom::BBox& interest);
 
   [[nodiscard]] bool region_mode() const noexcept { return region_mode_; }
-  [[nodiscard]] const geom::BBox& interest() const noexcept {
-    return interest_;
-  }
 
   /// True if `id` is currently inside this graph's interest region (always
   /// true in whole-plane mode).  Non-resident nodes have empty neighbor
@@ -189,8 +187,9 @@ class DynamicDiskGraph {
   /// recomputed from the grid (on `sim::default_pool()` for large
   /// whole-plane steps), and the resulting edge diffs are patched into the
   /// unmoved endpoints' lists.  Returns the delta of this step;
-  /// the reference stays valid until the next `apply`.  A non-finite mover
-  /// position throws std::invalid_argument before any state changes.
+  /// the reference stays valid until the next `apply`.  A non-finite
+  /// position or a changed radius throws std::invalid_argument before any
+  /// state changes.
   ///
   /// In region mode each mover is first classified against the interest
   /// rectangle (move / insert / evict / ignore); `delta.moved` then lists
@@ -206,7 +205,8 @@ class DynamicDiskGraph {
   /// Ids not in `moved_hint` must be unchanged in `current`; hinted ids
   /// that did not move are dropped, so `delta.moved` names real movers
   /// only (region mode: hints whose old and new positions are both outside
-  /// the region are ignored too).  A hinted id >= size() throws
+  /// the region are ignored too).  A hinted id >= size(), or a hinted node
+  /// with a non-finite position or a changed radius, throws
   /// std::invalid_argument before any state changes.
   MLDCS_HOT_PATH const StepDelta& apply(
       std::span<const Node> current, std::span<const NodeId> moved_hint);
@@ -225,8 +225,8 @@ class DynamicDiskGraph {
   };
 
   /// One phase-2 participant's scratch and queued results, indexed by
-  /// parallel_blocks slot; grows to the pool size (in a pooled seed or
-  /// step), then is reused every step.  The seed walks into `found` too.
+  /// parallel_blocks slot; grows to the participants of a pooled seed or
+  /// step, then is reused every step.  The seed walks into `found` too.
   struct SlotScratch {
     /// One byte per node, zero between movers: the current mover's old
     /// list and walk results (see diff_movers).

@@ -103,8 +103,8 @@ ShardedEngine::ShardedEngine(std::vector<Node> nodes, sim::ThreadPool& pool,
   // fits inside (a link spans at most max_radius), so owned adjacency is
   // complete.  Shard construction is embarrassingly parallel — each builds
   // its own grid over a private copy of the nodes and seeds its residents'
-  // adjacency from it; while shards build side by side,
-  // sim::fan_out_pool() keeps those seeds inline.
+  // adjacency from it; while shards build side by side, each seed runs
+  // inline (sim::ThreadPool::participants).
   shards_.resize(shards);
   pool_->parallel_for(shards, [this](std::size_t s) {
     const std::size_t r = s / cols_;
@@ -187,9 +187,9 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
   if (current.size() != nodes_.size()) {
     throw std::invalid_argument("ShardedEngine::step: node count changed");
   }
-  // The hint range and the deployment-rectangle contract, checked before
-  // any owner or position state changes.  NaN positions fail contains()
-  // too.
+  // The hint range, the deployment-rectangle contract and the fixed radii,
+  // checked before any owner or position state changes (a shard graph
+  // would throw inside the barrier).  NaN positions fail contains() too.
   for (const NodeId u : moved_hint) {
     if (u >= nodes_.size()) {
       throw std::invalid_argument(
@@ -198,6 +198,9 @@ MLDCS_HOT_PATH void ShardedEngine::step(std::span<const Node> current,
     if (!deployment_.contains(current[u].pos)) {
       throw std::invalid_argument(
           "ShardedEngine::step: position outside the deployment rectangle");
+    }
+    if (current[u].radius != nodes_[u].radius) {
+      throw std::invalid_argument("ShardedEngine::step: radius changed");
     }
   }
   const obs::Scope scope(obs::Phase::kEngineStep);

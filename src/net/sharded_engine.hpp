@@ -105,9 +105,6 @@ class ShardedEngine {
   [[nodiscard]] const DynamicDiskGraph& shard_graph(std::size_t s) const {
     return shards_[s]->graph;
   }
-  [[nodiscard]] const geom::BBox& shard_region(std::size_t s) const {
-    return shards_[s]->region;
-  }
 
   /// Shard `s`'s StepDelta from the most recent step (empty delta before
   /// the first step).
@@ -171,8 +168,8 @@ class ShardedEngine {
   /// ids of nodes whose position changed (e.g.
   /// `MobileNetwork::moved_last_step()`).  Steady-state steps are
   /// allocation-free outside member-scratch growth.  A hinted id outside
-  /// [0, size()) or a mover outside the deployment rectangle throws
-  /// std::invalid_argument before any state changes.
+  /// [0, size()), a mover outside the deployment rectangle or a mover whose
+  /// radius changed throws std::invalid_argument before any state changes.
   MLDCS_HOT_PATH void step(std::span<const Node> current,
                            std::span<const NodeId> moved_hint);
 

@@ -75,10 +75,6 @@ std::vector<ReplayedBroadcast> replay_broadcasts(
   return out;
 }
 
-NodeFate node_fate(const ReplayedBroadcast& r, std::uint32_t node) {
-  return r.fate(node);
-}
-
 std::vector<std::pair<std::uint32_t, std::uint64_t>> redundancy_by_transmitter(
     const ReplayedBroadcast& r) {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> out;

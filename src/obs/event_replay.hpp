@@ -13,9 +13,9 @@
 ///
 /// On top of the replay sit the "why" queries the storm/forensics analyses
 /// need:
-///  - `node_fate` — everything the log knows about one node (received?
-///    via whom, at what hop? designated by whom? suppressed? duplicates
-///    heard?),
+///  - `ReplayedBroadcast::fate` — everything the log knows about one node
+///    (received? via whom, at what hop? designated by whom? suppressed?
+///    duplicates heard?),
 ///  - `explain_missed` — a human-readable account of why a node never got
 ///    the message, using the caller-supplied neighbor list to distinguish
 ///    "all neighbors missed too" from "neighbors heard it but every one of
@@ -74,6 +74,7 @@ struct ReplayedBroadcast {
   /// (the redundancy attribution; see redundancy_by_transmitter).
   std::vector<std::uint64_t> dup_caused;
 
+  /// Fate of `node` (bounds-safe: an id past `fates` reads as unheard).
   [[nodiscard]] NodeFate fate(std::uint32_t node) const {
     return node < fates.size() ? fates[node] : NodeFate{};
   }
@@ -84,10 +85,6 @@ struct ReplayedBroadcast {
 /// ignored).  `events` must be in id order, as events_snapshot returns.
 [[nodiscard]] std::vector<ReplayedBroadcast> replay_broadcasts(
     std::span<const Event> events);
-
-/// Fate of `node` in `r` (bounds-safe convenience wrapper).
-[[nodiscard]] NodeFate node_fate(const ReplayedBroadcast& r,
-                                 std::uint32_t node);
 
 /// Per-transmitter count of duplicate receptions it caused, descending by
 /// count (ties by node id).  The counts sum to r.redundant_receptions.

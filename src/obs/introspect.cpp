@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -16,6 +18,7 @@
 #include "obs/event_log.hpp"
 #include "obs/export.hpp"
 #include "obs/profiler.hpp"
+#include "obs/run_outputs.hpp"
 #include "obs/shard_stats.hpp"
 
 namespace mldcs::obs {
@@ -24,6 +27,8 @@ namespace {
 
 constexpr std::size_t kMaxRequestBytes = 4096;
 constexpr std::size_t kDefaultEventTail = 256;
+constexpr std::size_t kMaxEventTail = 1'000'000;
+constexpr std::uint64_t kMaxProfileSeconds = 30;
 constexpr int kPollTickMs = 200;
 
 void send_all(int fd, const char* p, std::size_t n) {
@@ -71,39 +76,39 @@ std::string shards_body() {
   return os.str();
 }
 
-/// Parse `?tail=N` off an `/events` target; clamp to something a curl
-/// can digest.  Malformed values fall back to the default.
-std::size_t parse_tail(const std::string& target) {
-  const std::size_t q = target.find("tail=");
-  if (q == std::string::npos) return kDefaultEventTail;
-  std::size_t n = 0;
-  bool any = false;
-  for (std::size_t i = q + 5; i < target.size(); ++i) {
-    const char c = target[i];
-    if (c < '0' || c > '9') break;
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-    any = true;
-    if (n > 1'000'000) return 1'000'000;
+/// The value of `key` in `target`'s query: the text after `=` of the first
+/// `&`-separated pair whose key is exactly `key` ("" when it has no `=`),
+/// nullopt when no pair has that key.
+std::optional<std::string_view> query_value(std::string_view target,
+                                            std::string_view key) {
+  const std::size_t q = target.find('?');
+  if (q == std::string_view::npos) return std::nullopt;
+  std::string_view rest = target.substr(q + 1);
+  for (;;) {
+    const std::size_t amp = rest.find('&');
+    const std::string_view pair = rest.substr(0, amp);
+    const std::size_t eq = pair.find('=');
+    if (pair.substr(0, eq) == key) {
+      return eq == std::string_view::npos ? std::string_view{}
+                                          : pair.substr(eq + 1);
+    }
+    if (amp == std::string_view::npos) return std::nullopt;
+    rest.remove_prefix(amp + 1);
   }
-  return any ? n : kDefaultEventTail;
 }
 
-/// Parse `?seconds=N` off a `/profile` target; clamp to 1..30 so a typo
-/// cannot park the (single-threaded) responder for minutes.
-double parse_profile_seconds(const std::string& target) {
-  const std::size_t q = target.find("seconds=");
-  if (q == std::string::npos) return 1.0;
-  std::size_t n = 0;
-  bool any = false;
-  for (std::size_t i = q + 8; i < target.size(); ++i) {
-    const char c = target[i];
-    if (c < '0' || c > '9') break;
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-    any = true;
-    if (n > 30) return 30.0;
-  }
-  if (!any || n == 0) return 1.0;
-  return static_cast<double>(n);
+/// `key`'s number in `target`'s query, clamped to [lo, hi]: `fallback`
+/// when the key is absent, nullopt when its value is not a decimal.
+std::optional<std::uint64_t> query_number(std::string_view target,
+                                          std::string_view key,
+                                          std::uint64_t fallback,
+                                          std::uint64_t lo, std::uint64_t hi) {
+  const std::optional<std::string_view> text = query_value(target, key);
+  if (!text) return fallback;
+  const std::optional<std::uint64_t> value =
+      parse_decimal(*text, std::numeric_limits<std::uint64_t>::max());
+  if (!value) return std::nullopt;
+  return std::clamp(*value, lo, hi);
 }
 
 constexpr const char* kIndexBody =
@@ -117,6 +122,25 @@ constexpr const char* kIndexBody =
     "  /healthz                 watchdog verdict\n";
 
 }  // namespace
+
+namespace detail {
+
+std::optional<std::size_t> events_tail(std::string_view target) {
+  return query_number(target, "tail", kDefaultEventTail, 0, kMaxEventTail);
+}
+
+std::optional<ProfileQuery> profile_query(std::string_view target) {
+  const std::optional<std::uint64_t> seconds =
+      query_number(target, "seconds", 1, 1, kMaxProfileSeconds);
+  const std::string_view format =
+      query_value(target, "format").value_or("folded");
+  if (!seconds || (format != "folded" && format != "json")) {
+    return std::nullopt;
+  }
+  return ProfileQuery{static_cast<double>(*seconds), format == "json"};
+}
+
+}  // namespace detail
 
 IntrospectServer::~IntrospectServer() { stop(); }
 
@@ -256,28 +280,38 @@ void IntrospectServer::handle_connection(int client_fd) {
     write_snapshot_json(os, *registry_);
     send_response(client_fd, 200, "OK", "application/json", os.str());
   } else if (path == "/events") {
+    const std::optional<std::size_t> tail = detail::events_tail(target);
+    if (!tail) {
+      send_response(client_fd, 400, "Bad Request", "text/plain",
+                    "bad query\n");
+      return;
+    }
     std::ostringstream os;
-    write_events_jsonl_tail(os, parse_tail(target));
+    write_events_jsonl_tail(os, *tail);
     send_response(client_fd, 200, "OK", "application/jsonl", os.str());
   } else if (path == "/shards") {
     send_response(client_fd, 200, "OK", "application/json", shards_body());
   } else if (path == "/profile") {
     // Deliberate exception to "never block": the *server thread* sleeps
     // for the sampled window (1..30 s, bounded); the simulation threads
-    // only carry the armed profiler's sampling cost.  Telemetry-off
-    // builds return a valid empty document immediately.
-    const double seconds = parse_profile_seconds(target);
-    const bool json = target.find("format=json") != std::string::npos;
+    // only carry the armed profiler's sampling cost.
+    const std::optional<detail::ProfileQuery> query =
+        detail::profile_query(target);
+    if (!query) {
+      send_response(client_fd, 400, "Bad Request", "text/plain",
+                    "bad query\n");
+      return;
+    }
     const ProfileReport report =
-        profiler_capture_window(seconds, ProfilerConfig{});
+        profiler_capture_window(query->seconds, ProfilerConfig{});
     std::ostringstream os;
-    if (json) {
+    if (query->json) {
       write_profile_json(os, report);
     } else {
       write_profile_folded(os, report);
     }
     send_response(client_fd, 200, "OK",
-                  json ? "application/json" : "text/plain", os.str());
+                  query->json ? "application/json" : "text/plain", os.str());
   } else if (path == "/healthz") {
     HealthFn health;
     {

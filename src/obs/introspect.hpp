@@ -9,12 +9,17 @@
 /// |------------------|----------------------------------------------------|
 /// | `/metrics`       | Prometheus text exposition (obs/export.hpp)        |
 /// | `/snapshot.json` | `mldcs-telemetry-v1` registry snapshot             |
-/// | `/events?tail=N` | `mldcs-events-v1` tail (default 256 events)        |
+/// | `/events?tail=N` | `mldcs-events-v1` tail (default 256 events, at     |
+/// |                  | most 1,000,000)                                    |
 /// | `/shards`        | `mldcs-shards-v1` per-shard load/barrier table     |
 /// | `/profile`       | `mldcs-profile-v1` sampled window (`?seconds=N`,   |
 /// |                  | 1..30, `&format=folded\|json`; default folded)     |
 /// | `/healthz`       | `200 ok` / `503 unhealthy` from the health hook    |
 /// | `/`              | plain-text endpoint index                          |
+///
+/// Query keys match exactly, and a malformed value (`tail=12abc`,
+/// `format=jsonx`) gets `400 Bad Request`; a number out of range is
+/// clamped.
 ///
 /// Design constraints, in order:
 ///  - **Never block the simulation.**  The server owns one background
@@ -33,15 +38,36 @@
 ///    not a web server; it binds 127.0.0.1 by default.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/telemetry.hpp"
 
 namespace mldcs::obs {
+
+namespace detail {
+/// The `/events` tail a request target asks for: its query's `tail`,
+/// parsed by parse_decimal (run_outputs.hpp) and clamped to 1,000,000;
+/// 256 without one; nullopt (answered 400) when malformed.  Exposed for
+/// tests.
+[[nodiscard]] std::optional<std::size_t> events_tail(std::string_view target);
+
+/// The window a `/profile` target asks for.
+struct ProfileQuery {
+  double seconds = 1.0;  ///< `seconds`, clamped to 1..30; 1 without one
+  bool json = false;     ///< `format=json` (`folded`, the default: false)
+};
+/// Read as events_tail reads `tail`; nullopt when `seconds` is not a
+/// decimal or `format` is neither `folded` nor `json`.
+[[nodiscard]] std::optional<ProfileQuery> profile_query(
+    std::string_view target);
+}  // namespace detail
 
 class IntrospectServer {
  public:

@@ -30,16 +30,13 @@ PoolTelemetry& pool_telemetry() {
   return t;
 }
 
-/// The pool this thread works for (set once at the top of worker_loop).
+/// The pool this thread works for: set once at the top of worker_loop,
+/// and around slot 0 of a dispatch.
 thread_local ThreadPool* t_worker_pool = nullptr;
 
 }  // namespace
 
 ThreadPool* ThreadPool::worker_pool() noexcept { return t_worker_pool; }
-
-void ThreadPool::set_worker_pool(ThreadPool* pool) noexcept {
-  t_worker_pool = pool;
-}
 
 ThreadPool::ThreadPool(std::size_t threads)
     : workers_(threads != 0 ? threads
@@ -90,13 +87,12 @@ void ThreadPool::dispatch(Dispatch& job, std::size_t tasks) {
   }
   for (std::size_t t = 0; t < tasks; ++t) task_cv_.notify_one();
   // Slot 0 runs beside the workers' slots, so the caller counts as one of
-  // this pool's workers meanwhile: a dispatch nested in it runs inline, and
-  // so does library code that asks fan_out_pool().  A thread that already
-  // works for another pool stays that pool's.
-  ThreadPool* const outer = worker_pool();
-  if (outer == nullptr) set_worker_pool(this);
+  // this pool's workers meanwhile: a dispatch nested in it, on any pool,
+  // runs inline.  Only a thread outside every pool gets here, so it is
+  // outside again afterwards.
+  t_worker_pool = this;
   run_slot(job, 0);
-  if (outer == nullptr) set_worker_pool(nullptr);
+  t_worker_pool = nullptr;
   std::unique_lock<std::mutex> lock(job.m);
   job.cv.wait(lock, [&job] { return job.remaining == 0; });
   if (job.error) std::rethrow_exception(job.error);
@@ -167,12 +163,6 @@ ThreadPool& default_pool() {
   static ThreadPool pool(detail::thread_override(
       std::getenv("MLDCS_THREADS"), std::thread::hardware_concurrency()));
   return pool;
-}
-
-ThreadPool* fan_out_pool() {
-  if (ThreadPool::worker_pool() != nullptr) return nullptr;
-  ThreadPool& pool = default_pool();
-  return pool.size() > 1 ? &pool : nullptr;
 }
 
 }  // namespace mldcs::sim

@@ -25,7 +25,7 @@
 ///  - parallel_blocks() / parallel_for() may be called from any thread, by
 ///    several threads at once on one pool, and block the caller until every
 ///    participant has stopped.
-///  - Called from a thread that works for this pool (see worker_pool()) they
+///  - Called from a thread that works for any pool (see worker_pool()) they
 ///    run every block inline, in block order, as slot 0: a nested dispatch
 ///    cannot deadlock waiting for workers that are all blocked in it.
 ///  - The destructor joins the workers; no dispatch may be in flight.
@@ -66,24 +66,38 @@ class ThreadPool {
                                   std::size_t /*hi*/) { body(i); });
   }
 
+  /// The participants a parallel_blocks(n, block, ...) call made on this
+  /// thread runs on: the one rule for running inline.  1 — the caller
+  /// alone, running every block in order as slot 0 — when there is at most
+  /// one block, size() <= 1, or the calling thread works for any pool (see
+  /// worker_pool()); min(size(), blocks) otherwise.  A stage sizes its
+  /// per-participant scratch with it before its pass.  `block` = 0 is read
+  /// as 1.
+  [[nodiscard]] std::size_t participants(std::size_t n,
+                                         std::size_t block) const noexcept {
+    block = std::max<std::size_t>(block, 1);
+    if (n <= block || workers_ <= 1 || worker_pool() != nullptr) return 1;
+    return std::min(workers_, (n - 1) / block + 1);
+  }
+
   /// Run `body(slot, lo, hi)` once for every block
   /// [b*block, min(n, (b+1)*block)) of [0, n).  Block boundaries depend
-  /// only on (n, block).  The caller (slot 0) and up to size()-1 workers
-  /// (slots 1..) claim blocks in ascending order from one shared cursor
-  /// until none is left, so a participant on a slow core simply claims
-  /// fewer blocks.  `slot` is dense in [0, min(size(), blocks)) and names
-  /// the participant, not the work: a slot runs on one thread for the whole
-  /// call and may run any number of blocks (possibly none), so it is the
-  /// hook for per-participant scratch, while every output must be keyed by
-  /// index or by block.  Blocks until every participant has stopped; a body
+  /// only on (n, block).  The caller (slot 0) and the other
+  /// participants(n, block) - 1 slots, run by workers, claim blocks in
+  /// ascending order from one shared cursor until none is left, so a
+  /// participant on a slow core simply claims fewer blocks.  `slot` is
+  /// dense in [0, participants(n, block)) and names the participant, not
+  /// the work: a slot runs on one thread for the whole call and may run any
+  /// number of blocks (possibly none), so it is the hook for
+  /// per-participant scratch, while every output must be keyed by index or
+  /// by block.  Blocks until every participant has stopped; a body
   /// exception stops its participant and is rethrown after that (first one
-  /// wins).  Runs every block inline, in order, as slot 0, when there is
-  /// one block, size() <= 1, or the caller is one of this pool's workers.
-  /// `block` = 0 is read as 1.
+  /// wins).  `block` = 0 is read as 1.
   template <typename F>
   MLDCS_ALLOC_OK void parallel_blocks(std::size_t n, std::size_t block,
                                       F&& body) {
     if (n == 0) return;
+    const std::size_t slots = participants(n, block);
     block = std::max<std::size_t>(block, 1);
     const std::size_t blocks = (n - 1) / block + 1;
     // One claim is one relaxed fetch_add: the blocks' writes reach the
@@ -97,8 +111,7 @@ class ThreadPool {
         body(slot, lo, n - lo <= block ? n : lo + block);
       }
     };
-    const std::size_t slots = std::min(workers_, blocks);
-    if (slots <= 1 || worker_pool() == this) {
+    if (slots == 1) {
       claim_loop(0);
       return;
     }
@@ -107,11 +120,12 @@ class ThreadPool {
   }
 
   /// The pool the calling thread works for: the pool whose worker it is,
-  /// or — while a caller outside every pool runs slot 0 of a dispatch —
-  /// the dispatching pool.  nullptr on any other thread (the main thread
-  /// between dispatches).  Code that would dispatch to a *different* pool
-  /// checks it too (through fan_out_pool()): a thread that blocks on
-  /// another pool's blocks holds its own pool's capacity hostage.
+  /// or — while the caller runs slot 0 of a dispatch — the dispatching
+  /// pool.  nullptr on any other thread (the main thread between
+  /// dispatches).  participants() runs a dispatch made on such a thread
+  /// inline, on whichever pool: the sibling slots already hold the cores,
+  /// and a thread that blocked on another pool's blocks would hold its own
+  /// pool's capacity hostage.
   [[nodiscard]] static ThreadPool* worker_pool() noexcept;
 
  private:
@@ -175,7 +189,6 @@ class ThreadPool {
   MLDCS_ALLOC_OK void dispatch(Dispatch& job, std::size_t tasks);
   /// Run one slot; its exception is recorded in `job`, not thrown.
   static void run_slot(Dispatch& job, std::size_t slot) noexcept;
-  static void set_worker_pool(ThreadPool* pool) noexcept;
   void ensure_started();  // spawn workers on first dispatch; no lock held
   void worker_loop();
 
@@ -195,13 +208,14 @@ class ThreadPool {
 /// concurrency contract as any ThreadPool; callers must not rely on
 /// exclusive use.
 ///
-/// The library also dispatches to it on its own, through fan_out_pool():
-/// a whole-plane `net::DynamicDiskGraph::apply` with many movers (its
-/// per-mover diff), a `net::DiskGraph::build` of
-/// `net::DiskGraph::kParallelBuildNodes` (256) or more nodes — the paper's
-/// ~1000-node graphs included — (its count and fill passes), and a skyline
-/// `bcast::simulate_broadcast` of 32 or more nodes (every transmitter's
-/// forwarding set, one closure pass).  That fan-out never uses a pool the
+/// The library also dispatches to it on its own: a whole-plane
+/// `net::DynamicDiskGraph::apply` with many movers (its per-mover diff), a
+/// `net::DiskGraph::build` of `net::DiskGraph::kParallelBuildNodes` (256)
+/// or more nodes — the paper's ~1000-node graphs included — (its count and
+/// fill passes), and a skyline `bcast::simulate_broadcast` of 32 or more
+/// nodes (every transmitter's forwarding set, one closure pass).  Like any
+/// dispatch, each runs inline when made inside another one
+/// (ThreadPool::participants).  That fan-out never uses a pool the
 /// caller hands to a cache or a sweep: a caller that holds its own
 /// ThreadPool runs two sets of workers, its own and this pool's, and only
 /// `MLDCS_THREADS` bounds the stages above.  Programs that want one set
@@ -213,15 +227,6 @@ class ThreadPool {
 /// without a pool-size flag in every binary; unparsable or non-positive
 /// values are ignored.
 ThreadPool& default_pool();
-
-/// The one fan-out rule for library code: the pool an internal parallel
-/// stage may use here.  default_pool() when the caller is outside every
-/// pool dispatch and that pool has more than one worker; nullptr (run
-/// inline) otherwise.  Inside a dispatch — on a pool worker, or while the
-/// caller runs slot 0 — the sibling slots already hold the cores, so a
-/// nested build, apply or broadcast runs inline instead of oversubscribing
-/// them.  The stage's output must not depend on which way it ran.
-[[nodiscard]] ThreadPool* fan_out_pool();
 
 namespace detail {
 /// MLDCS_THREADS parsing, exposed for tests: returns the worker count for

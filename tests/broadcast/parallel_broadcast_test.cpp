@@ -2,9 +2,9 @@
 // simulate_broadcast computes every transmitter's forwarding set in one
 // pass over the transmitter closure on sim::default_pool(), and a large
 // DiskGraph::build runs its count and fill passes there.  Called from
-// inside a pool worker, both run inline (sim::fan_out_pool()), so each
-// check runs a call twice — from the test's main thread, then from inside
-// a dispatch on a two-worker pool — and demands the same output.
+// inside a pool worker, both run inline (sim::ThreadPool::participants),
+// so each check runs a call twice — from the test's main thread, then from
+// inside a dispatch on a two-worker pool — and demands the same output.
 //
 // tests/CMakeLists.txt registers this binary four times: at the host's
 // default pool size, and with MLDCS_THREADS=1, 2 and 3.  default_pool() reads
@@ -59,7 +59,7 @@ void run_inline(F&& f) {
   sim::ThreadPool two(2);
   two.parallel_for(2, [&f](std::size_t i) {
     if (i != 0) return;
-    ASSERT_EQ(sim::fan_out_pool(), nullptr);
+    ASSERT_EQ(sim::default_pool().participants(1024, 1), 1u);
     f();
   });
 }

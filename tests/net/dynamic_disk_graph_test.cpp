@@ -200,6 +200,39 @@ TEST(DynamicDiskGraphTest, ApplyRejectsNonFiniteMoverBeforeAnyChange) {
   expect_matches_rebuild(dyn, "scanning apply after rejections");
 }
 
+// Radii are fixed at construction, and apply copies a mover's position
+// alone: a changed radius throws, in both forms and in every build type,
+// before anything changes.
+TEST(DynamicDiskGraphTest, ApplyRejectsChangedRadiusBeforeAnyChange) {
+  sim::Xoshiro256 rng(15);
+  std::vector<Node> nodes = generate_deployment(small_deploy(), rng);
+  ASSERT_GT(nodes.size(), 4u);
+  DynamicDiskGraph dyn{std::vector<Node>(nodes)};
+  const std::size_t edges = dyn.edge_count();
+
+  std::vector<Node> bad = nodes;
+  bad[2].pos.x += 0.3;  // a valid mover in the same step
+  bad[3].pos.x -= 0.2;
+  bad[3].radius *= 1.5;
+  EXPECT_THROW(dyn.apply(bad), std::invalid_argument);
+  EXPECT_THROW(dyn.apply(bad, std::vector<NodeId>{2, 3}),
+               std::invalid_argument);
+  // An unmoved node's radius counts as much as a mover's.
+  std::vector<Node> grown = nodes;
+  grown[1].radius += 0.5;
+  EXPECT_THROW(dyn.apply(grown), std::invalid_argument);
+  EXPECT_THROW(dyn.apply(grown, std::vector<NodeId>{1}),
+               std::invalid_argument);
+
+  EXPECT_EQ(dyn.step_count(), 0u);
+  EXPECT_EQ(dyn.edge_count(), edges);
+  for (NodeId u = 0; u < dyn.size(); ++u) {
+    ASSERT_EQ(dyn.node(u).pos, nodes[u].pos) << u;
+    ASSERT_EQ(dyn.node(u).radius, nodes[u].radius) << u;
+  }
+  expect_matches_rebuild(dyn, "after rejected radius changes");
+}
+
 // A hint may name nodes that did not move (or name one twice); the delta
 // names the real movers only, so downstream dirty rules see no phantom
 // motion.

@@ -447,6 +447,38 @@ TEST(ShardedEngineTest, StepRejectsMoverOutsideDeploymentBeforeAnyChange) {
   }
 }
 
+// A changed radius is checked with the rest of the step's input, before
+// ownership is committed: a shard graph would reject it only inside the
+// barrier.
+TEST(ShardedEngineTest, StepRejectsChangedRadiusBeforeAnyChange) {
+  const double side = 12.5;
+  sim::Xoshiro256 rng(62);
+  MobileNetwork net(small_deploy(), regimes()[1].wp, rng);
+  sim::ThreadPool pool(2);
+  ShardedEngine engine{std::vector<Node>(net.nodes()), pool,
+                       sharded(4, side)};
+  bcast::ShardedSkylineCache cache(engine);
+  net.step(0.5, rng);
+  const std::vector<NodeId> moved = vec(net.moved_last_step());
+  ASSERT_FALSE(moved.empty());
+  const std::vector<std::uint32_t> owners(engine.owner_map().begin(),
+                                          engine.owner_map().end());
+  const std::vector<Node> committed(engine.nodes().begin(),
+                                    engine.nodes().end());
+
+  std::vector<Node> grown(net.nodes().begin(), net.nodes().end());
+  grown[moved.back()].radius *= 1.5;
+  EXPECT_THROW(cache.step(grown, moved), std::invalid_argument);
+  EXPECT_EQ(engine.step_count(), 0u);
+  for (NodeId u = 0; u < engine.size(); ++u) {
+    ASSERT_EQ(engine.owner_of(u), owners[u]) << "owner of " << u;
+    ASSERT_EQ(engine.nodes()[u].pos, committed[u].pos) << "node " << u;
+    ASSERT_EQ(engine.nodes()[u].radius, committed[u].radius) << "node " << u;
+  }
+  cache.step(net.nodes(), moved);  // the same motion, valid this time
+  EXPECT_EQ(engine.step_count(), 1u);
+}
+
 // --- Events ----------------------------------------------------------------
 
 TEST(ShardedEngineTest, EmitsShardExchangeWithCacheUpdateChild) {

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,6 +139,51 @@ TEST(IntrospectServerTest, EndpointsServeTheirSchemas) {
             std::string::npos);
 
   EXPECT_GE(server.requests(), 9u);
+  server.stop();
+}
+
+// Query values are read by exact key and parsed strictly: a key that only
+// ends in `tail` is not `tail`, trailing text or an unknown format makes a
+// value malformed, and a number out of range is clamped.
+TEST(IntrospectQueryTest, KeysMatchExactlyAndValuesParseStrictly) {
+  using Tail = std::optional<std::size_t>;
+  EXPECT_EQ(detail::events_tail("/events"), Tail(256));
+  EXPECT_EQ(detail::events_tail("/events?tail=12"), Tail(12));
+  EXPECT_EQ(detail::events_tail("/events?tail=12abc"), std::nullopt);
+  EXPECT_EQ(detail::events_tail("/events?tail="), std::nullopt);
+  EXPECT_EQ(detail::events_tail("/events?tail=-3"), std::nullopt);
+  EXPECT_EQ(detail::events_tail("/events?xtail=5"), Tail(256));
+  EXPECT_EQ(detail::events_tail("/events?xtail=5&tail=7"), Tail(7));
+  EXPECT_EQ(detail::events_tail("/events?tail=99999999"), Tail(1'000'000));
+
+  const auto profile = [](const char* target) {
+    return detail::profile_query(target);
+  };
+  ASSERT_TRUE(profile("/profile").has_value());
+  EXPECT_EQ(profile("/profile")->seconds, 1.0);
+  EXPECT_FALSE(profile("/profile")->json);
+  EXPECT_EQ(profile("/profile?seconds=99")->seconds, 30.0);
+  EXPECT_EQ(profile("/profile?seconds=0")->seconds, 1.0);
+  ASSERT_TRUE(profile("/profile?format=json&seconds=2").has_value());
+  EXPECT_EQ(profile("/profile?format=json&seconds=2")->seconds, 2.0);
+  EXPECT_TRUE(profile("/profile?format=json&seconds=2")->json);
+  EXPECT_FALSE(profile("/profile?format=folded")->json);
+  EXPECT_FALSE(profile("/profile?format=jsonx").has_value());
+  EXPECT_FALSE(profile("/profile?xformat=json")->json);
+  EXPECT_FALSE(profile("/profile?seconds=2s").has_value());
+}
+
+// A malformed value is answered 400 before any work (a /profile request
+// would otherwise block for its window).
+TEST(IntrospectServerTest, MalformedQueryValuesAreBadRequests) {
+  IntrospectServer server;
+  ASSERT_TRUE(server.start({}));
+  const std::uint16_t port = server.port();
+  EXPECT_NE(get(port, "/events?tail=12abc").find("400 Bad Request"),
+            std::string::npos);
+  EXPECT_NE(get(port, "/profile?format=jsonx").find("400 Bad Request"),
+            std::string::npos);
+  EXPECT_NE(get(port, "/events?xtail=5").find("200 OK"), std::string::npos);
   server.stop();
 }
 

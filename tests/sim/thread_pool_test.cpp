@@ -344,24 +344,63 @@ TEST(ThreadPoolDispatchTest, NestedDispatchFromOwnWorkerRunsInline) {
 }
 
 // While the caller runs slot 0 beside the workers' slots it counts as one
-// of the pool's workers: worker_pool() names the pool and fan_out_pool()
-// keeps library code inline.  Once the dispatch returns the caller is
-// outside every pool again.
+// of the pool's workers: worker_pool() names the pool, and participants()
+// gives any dispatch made there, on any pool, the caller alone.  Once the
+// dispatch returns the caller is outside every pool again.
 TEST(ThreadPoolDispatchTest, CallerCountsAsWorkerWhileRunningChunkZero) {
   ThreadPool pool(2);
+  ThreadPool other(4);
   ThreadPool* seen = nullptr;
-  ThreadPool* fan_out = &pool;
+  std::size_t own = 0;
+  std::size_t others = 0;
+  std::size_t library = 0;
   one_block_per_slot(pool, [&](std::size_t slot) {
     if (slot == 0) {
       seen = ThreadPool::worker_pool();
-      fan_out = fan_out_pool();
+      own = pool.participants(64, 1);
+      others = other.participants(64, 1);
+      library = default_pool().participants(64, 1);
     }
   });
   EXPECT_EQ(seen, &pool);
-  EXPECT_EQ(fan_out, nullptr);
+  EXPECT_EQ(own, 1u);
+  EXPECT_EQ(others, 1u);
+  EXPECT_EQ(library, 1u);
   EXPECT_EQ(ThreadPool::worker_pool(), nullptr);
-  if (default_pool().size() > 1) {
-    EXPECT_EQ(fan_out_pool(), &default_pool());
+  EXPECT_EQ(pool.participants(64, 1), 2u);
+  EXPECT_EQ(other.participants(64, 1), 4u);
+  EXPECT_EQ(default_pool().participants(64, 1),
+            std::min<std::size_t>(default_pool().size(), 64));
+}
+
+// A dispatch made from any slot runs inline even on another pool: that
+// pool's workers would run its blocks while this pool's slot waits for
+// them, holding two pools' cores for one.  So every inner block runs on
+// the thread of the slot that made the call, as slot 0, and the only task
+// any pool runs is the outer dispatch's slot 1.
+TEST(ThreadPoolDispatchTest, DispatchOnAnotherPoolFromABlockRunsInline) {
+  ThreadPool pool(2);
+  ThreadPool other(4);
+  std::vector<std::thread::id> outer_thread(2);
+  std::vector<std::vector<std::thread::id>> inner_thread(
+      2, std::vector<std::thread::id>(8));
+  std::vector<std::vector<std::size_t>> inner_slot(
+      2, std::vector<std::size_t>(8, 99));
+  const std::uint64_t before = test::pool_tasks();
+  one_block_per_slot(pool, [&](std::size_t slot) {
+    outer_thread[slot] = std::this_thread::get_id();
+    other.parallel_blocks(8, 1, [&](std::size_t s, std::size_t lo,
+                                    std::size_t) {
+      inner_thread[slot][lo] = std::this_thread::get_id();
+      inner_slot[slot][lo] = s;
+    });
+  });
+  EXPECT_EQ(test::pool_tasks() - before, 1u);
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(inner_thread[slot][i], outer_thread[slot]);
+      EXPECT_EQ(inner_slot[slot][i], 0u);
+    }
   }
 }
 
@@ -432,6 +471,19 @@ void expect_every_block_once(const std::vector<BlockLog::Entry>& log,
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(visits[i], 1) << "index " << i << " of " << n;
   }
+}
+
+// The inline rule from outside every pool: the caller alone for at most
+// one block or a one-worker pool, one participant per block up to size().
+TEST(ThreadPoolBlocksTest, ParticipantsFollowTheInlineRule) {
+  const ThreadPool four(4);
+  EXPECT_EQ(four.participants(0, 8), 1u);
+  EXPECT_EQ(four.participants(8, 8), 1u);
+  EXPECT_EQ(four.participants(9, 8), 2u);
+  EXPECT_EQ(four.participants(100, 8), 4u);
+  EXPECT_EQ(four.participants(3, 0), 3u);  // block 0 is read as 1
+  const ThreadPool one(1);
+  EXPECT_EQ(one.participants(100, 1), 1u);
 }
 
 TEST(ThreadPoolBlocksTest, EveryIndexVisitedExactlyOnce) {
