@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "broadcast/relay_skyline.hpp"
-#include "obs/scope.hpp"
 
 namespace mldcs::bcast {
 
@@ -31,8 +30,7 @@ MLDCS_HOT_PATH AllSkylines compute_all_skylines(const net::DiskGraph& g,
   // (so a warmed-up thread's sweep allocates only its result), then a
   // serial copy into the tight CSR arrays.
   detail::RelayBatch& batch = detail::thread_batch();
-  batch.compute(g, std::views::iota(net::NodeId{0}, n), pool,
-                obs::Phase::kNone);
+  batch.compute(g, std::views::iota(net::NodeId{0}, n), pool);
   AllSkylines out;
   out.offsets_.assign(n + 1, 0);
   out.arc_counts_.assign(n, 0);

@@ -62,6 +62,7 @@ BroadcastResult detail::simulate_broadcast(const net::DiskGraph& g,
                                            net::NodeId source, Scheme scheme,
                                            ReceptionModel reception,
                                            Gate<net::DiskGraph> gate) {
+  const obs::Scope scope(obs::Phase::kBroadcast);
   DeliveryScratch scratch;
   const bool pruned = gate != nullptr;
   if (scheme == Scheme::kSkyline) {
@@ -69,13 +70,11 @@ BroadcastResult detail::simulate_broadcast(const net::DiskGraph& g,
     // of the source (a set depends only on (graph, relay), so every pool
     // size gives the same sets); then one serial delivery reading them by
     // node.
-    const obs::Scope scope(obs::Phase::kBroadcast);
     RelayBatch& batch = thread_batch();
     if (source < g.size()) {
       sim::ThreadPool& pool = sim::default_pool();
       batch.closure(g, source, gate, pool,
-                    g.size() >= kParallelClosureNodes ? pool.size() : 1,
-                    obs::Phase::kBroadcast);
+                    g.size() >= kParallelClosureNodes ? pool.size() : 1);
     }
     const auto sets = [&batch](net::NodeId u) { return batch.set(u); };
     return deliver_gated(g, source, scheme, sets, reception, scratch, nullptr,

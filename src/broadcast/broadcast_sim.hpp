@@ -126,14 +126,13 @@ using Gate = bool (*)(const Graph&, net::NodeId, net::NodeId);
 /// named pair whose node is not queued yet.  A `pruned` broadcast's
 /// kBroadcast tag carries kSelfPrunedTag — also when its sets arrive
 /// already gated and `gate` is null, as simulate_broadcast's skyline sets
-/// do.
+/// do.  Its callers open the broadcast's span.
 template <typename Graph, typename Sets>
 BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
                               Scheme scheme, const Sets& sets,
                               ReceptionModel reception, DeliveryScratch& s,
                               std::type_identity_t<Gate<Graph>> gate,
                               bool pruned) {
-  const obs::Scope scope(obs::Phase::kBroadcast);
   BroadcastResult result;
   if (source >= g.size()) return result;
 
@@ -250,12 +249,13 @@ BroadcastResult deliver_gated(const Graph& g, net::NodeId source,
 /// each transmission marks its receptions, then designates over sets(u).
 /// Scheme::kFlooding never calls it and names every node that hears a
 /// transmission (under physical reception, non-neighbors too).  `scheme`
-/// also labels the broadcast in the flight recorder.  An out-of-range
-/// source yields an empty result.
+/// also labels the broadcast in the flight recorder, and the call is one
+/// obs::Scope(kBroadcast).  An out-of-range source yields an empty result.
 template <typename Graph, typename Sets>
 [[nodiscard]] MLDCS_HOT_PATH BroadcastResult deliver(
     const Graph& g, net::NodeId source, Scheme scheme, const Sets& sets,
     ReceptionModel reception, DeliveryScratch& scratch) {
+  const obs::Scope scope(obs::Phase::kBroadcast);
   return detail::deliver_gated(g, source, scheme, sets, reception, scratch,
                                nullptr, false);
 }

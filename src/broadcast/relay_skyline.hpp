@@ -29,7 +29,6 @@
 #include "core/skyline_dc.hpp"
 #include "geometry/disk.hpp"
 #include "net/node.hpp"
-#include "obs/scope.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace mldcs::bcast::detail {
@@ -130,11 +129,11 @@ class RelayBatch {
  public:
   /// Compute the set and arc count of every relays[k] (a sized
   /// random-access range of ids of `g`): in self-scheduled blocks of
-  /// kRelayBlock on `pool`, each block inside obs::Scope(phase).  Replaces
-  /// the previous batch; set(k) and arc_count(k) read by position k.
+  /// kRelayBlock on `pool`, in the caller's phase.  Replaces the previous
+  /// batch; set(k) and arc_count(k) read by position k.
   template <typename Graph, std::ranges::random_access_range Relays>
   MLDCS_HOT_PATH void compute(const Graph& g, const Relays& relays,
-                              sim::ThreadPool& pool, obs::Phase phase) {
+                              sim::ThreadPool& pool) {
     const std::size_t n = std::ranges::size(relays);
     first_.resize(n + 1);  // first_[0] stays 0
     len_.resize(n);
@@ -150,7 +149,6 @@ class RelayBatch {
 
     pool.parallel_blocks(n, kRelayBlock, [&](std::size_t slot, std::size_t lo,
                                              std::size_t hi) {
-      const obs::Scope block(phase);
       RelayScratch& s = scratch_[slot];
       for (std::size_t k = lo; k < hi; ++k) {
         arcs_[k] = relay_forwarding_set(g, relays[k], s);
@@ -175,15 +173,15 @@ class RelayBatch {
   /// node's queued byte, a position from the list's tail, then a publish of
   /// that position.  A participant whose position is not yet published
   /// waits (backoff), and leaves once every discovered relay has finished.
-  /// Each participant runs inside obs::Scope(phase).  A participant must
-  /// not throw (its unfinished relay would hold the others waiting), and
-  /// none does: relay_forwarding_set runs on reserved scratch.
+  /// A participant must not throw (its unfinished relay would hold the
+  /// others waiting), and none does: relay_forwarding_set runs on reserved
+  /// scratch.
   template <typename Graph>
   MLDCS_HOT_PATH void closure(
       const Graph& g, net::NodeId source,
       std::type_identity_t<bool (*)(const Graph&, net::NodeId, net::NodeId)>
           gate,
-      sim::ThreadPool& pool, std::size_t width, obs::Phase phase) {
+      sim::ThreadPool& pool, std::size_t width) {
     const std::size_t n = g.size();
     first_.resize(n + 1);  // first_[0] stays 0
     len_.resize(n);
@@ -207,7 +205,6 @@ class RelayBatch {
     alignas(64) std::atomic<std::size_t> discovered{1};
     alignas(64) std::atomic<std::size_t> finished{0};
     const auto participate = [&](std::size_t slot) noexcept {
-      const obs::Scope scope(phase);
       RelayScratch& s = scratch_[slot];
       for (;;) {
         const std::size_t p = next.fetch_add(1, std::memory_order_relaxed);

@@ -52,7 +52,7 @@ void SkylineCache::recompute_dirty() {
   if (dirty.empty()) return;
   {
     const obs::Scope recompute(obs::Phase::kCacheRecompute);
-    batch_.compute(*g_, dirty, *pool_, obs::Phase::kCacheRecompute);
+    batch_.compute(*g_, dirty, *pool_);
   }
 
   // Serial patch in dirty order, i.e. ascending relay order: the store

@@ -445,24 +445,14 @@ DynamicDiskGraph::apply_moved(
   const std::size_t block = !region_mode_ && movers >= kParallelApplyMovers
                                 ? kParallelApplyBlock
                                 : movers;
-  const std::size_t participants = pool.participants(movers, block);
-  grow_slots(participants);
+  grow_slots(pool.participants(movers, block));
   for (SlotScratch& cs : slots_) {
     cs.patches.clear();
     cs.added_edges = 0;
     cs.removed_edges = 0;
   }
   pool.parallel_blocks(
-      movers, block,
-      [this, pooled = participants > 1](std::size_t slot, std::size_t lo,
-                                        std::size_t hi) {
-        // A pooled block tags the samples its worker takes.  Inline, the
-        // scope above already does, and a second span would count twice.
-        if (!pooled) {
-          diff_movers(slots_[0], lo, hi);
-          return;
-        }
-        const obs::Scope tag(obs::Phase::kGraphApply);
+      movers, block, [this](std::size_t slot, std::size_t lo, std::size_t hi) {
         diff_movers(slots_[slot], lo, hi);
       });
 

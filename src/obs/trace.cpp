@@ -83,17 +83,28 @@ void write_trace_json(std::ostream& os) {
       const detail::SpanSlot& e = ring[t & (kTraceRingSlots - 1)];
       if (!first) os << ",";
       first = false;
-      // chrome://tracing wants microsecond timestamps; fractional values
-      // keep the ns resolution.
       os << "{\"name\":\"" << phase_name(e.phase)
          << "\",\"cat\":\"mldcs\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-         << rec->index << ",\"ts\":" << static_cast<double>(e.t0_ns) / 1e3
-         << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3 << "}";
+         << rec->index << ",\"ts\":";
+      detail::write_trace_us(os, e.t0_ns);
+      os << ",\"dur\":";
+      detail::write_trace_us(os, e.dur_ns);
+      os << "}";
     }
     rec->span_tail.store(head, std::memory_order_release);
   }
   os << "],\"otherData\":{\"dropped_spans\":"
      << g_dropped.exchange(0, std::memory_order_relaxed) << "}}\n";
+}
+
+// chrome://tracing wants microseconds.  A double at the stream's default
+// six significant digits would round a start after 1 s to 10 us, so the
+// whole nanoseconds are written as integer us and a 3-digit remainder.
+void detail::write_trace_us(std::ostream& os, std::int64_t ns) {
+  const auto digit = [](std::int64_t d) {
+    return static_cast<char>('0' + d % 10);
+  };
+  os << ns / 1000 << '.' << digit(ns / 100) << digit(ns / 10) << digit(ns);
 }
 
 void trace_clear() {

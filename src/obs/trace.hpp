@@ -9,6 +9,7 @@
 /// armed; a full ring drops and counts (`otherData.dropped_spans`).
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 
 #include "obs/scope.hpp"
@@ -35,5 +36,11 @@ void write_trace_json(std::ostream& os);
 
 /// Drop all buffered spans and the dropped-span count.
 void trace_clear();
+
+namespace detail {
+/// Write `ns` >= 0 nanoseconds as exact decimal microseconds, the unit of
+/// a span's ts and dur: "1234.567" for 1,234,567 ns.
+void write_trace_us(std::ostream& os, std::int64_t ns);
+}  // namespace detail
 
 }  // namespace mldcs::obs

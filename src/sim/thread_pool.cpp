@@ -79,6 +79,8 @@ void ThreadPool::run_slot(Dispatch& job, std::size_t slot) noexcept {
 
 void ThreadPool::dispatch(Dispatch& job, std::size_t tasks) {
   ensure_started();
+  // Every worker slot runs in the caller's phase (worker_loop).
+  job.caller_phase = obs::profiler_current_phase();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t slot = 1; slot <= tasks; ++slot) {
@@ -116,7 +118,10 @@ void ThreadPool::worker_loop() {
       task = queue_.dequeue();
     }
     const std::int64_t t0 = obs::clock_ns();
-    run_slot(*task.job, task.slot);
+    {
+      const obs::Scope work(task.job->caller_phase);
+      run_slot(*task.job, task.slot);
+    }
     PoolTelemetry& t = pool_telemetry();
     t.tasks.add();
     t.busy_ns.add(static_cast<std::uint64_t>(obs::clock_ns() - t0));

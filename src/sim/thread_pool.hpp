@@ -20,6 +20,11 @@
 /// workers through a FIFO ring that only grows, so once the ring has
 /// reached its deepest level a dispatch allocates nothing.
 ///
+/// A dispatch records its caller's phase word (obs/scope.hpp), and each
+/// worker slot runs inside one obs::Scope of it: worker samples carry the
+/// caller's layer, and a trace gets one span per worker slot.  Slot 0 and
+/// an inline dispatch open nothing, as the caller is already in its phase.
+///
 /// Concurrency contract (exercised under ThreadSanitizer by
 /// tests/sim/thread_pool_stress_test.cpp):
 ///  - parallel_blocks() / parallel_for() may be called from any thread, by
@@ -40,6 +45,7 @@
 #include <vector>
 
 #include "core/annotations.hpp"
+#include "obs/scope.hpp"
 
 namespace mldcs::sim {
 
@@ -130,9 +136,9 @@ class ThreadPool {
 
  private:
   /// One dispatch's shared state, on the caller's stack: its claim loop,
-  /// type-erased to a function pointer, and the latch the caller waits on.
-  /// A queued task is {dispatch, slot}, so handing out a slot allocates
-  /// nothing.
+  /// type-erased to a function pointer, the caller's phase, and the latch
+  /// the caller waits on.  A queued task is {dispatch, slot}, so handing
+  /// out a slot allocates nothing.
   struct Dispatch {
     Dispatch(void (*runner)(const void*, std::size_t), const void* body,
              std::size_t tasks)
@@ -140,6 +146,7 @@ class ThreadPool {
 
     void (*run)(const void*, std::size_t);  // run_loop<L>(loop, slot)
     const void* loop;
+    obs::Phase caller_phase = obs::Phase::kNone;  // set by dispatch()
     std::mutex m;
     std::condition_variable cv;
     std::size_t remaining;     // guarded by m: worker slots still running

@@ -1,20 +1,33 @@
 // Tests for chrome-trace span collection through obs::Scope.  The trace
 // state is process global, so every test starts from a clean stop+clear
-// and the assertions are substring checks on the emitted JSON document.
+// and the assertions read the emitted JSON document: substring checks,
+// and for the library's pooled stages the spans read back per thread.
 
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <regex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "broadcast/broadcast_sim.hpp"
+#include "broadcast/relay_skyline.hpp"
+#include "broadcast/skyline_cache.hpp"
+#include "net/disk_graph.hpp"
+#include "net/dynamic_disk_graph.hpp"
+#include "net/topology.hpp"
 #include "obs/event_log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/scope.hpp"
+#include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace mldcs::obs {
@@ -36,6 +49,89 @@ std::size_t count_occurrences(const std::string& hay,
   return n;
 }
 
+/// One span of a trace document, its times read back in whole ns.
+struct Span {
+  std::string name;
+  unsigned long tid = 0;
+  std::int64_t ts_ns = 0;
+  std::int64_t dur_ns = 0;
+};
+
+/// Every span of `doc`.  A ts or dur that is not exact microseconds with
+/// three decimals leaves its span unread, which fails the count check.
+std::vector<Span> parse_spans(const std::string& doc) {
+  static const std::regex kSpan(
+      R"re(\{"name":"(\w+)","cat":"mldcs","ph":"X","pid":0,"tid":(\d+),)re"
+      R"re("ts":(\d+)\.(\d{3}),"dur":(\d+)\.(\d{3})\})re");
+  const auto ns = [](const std::ssub_match& us, const std::ssub_match& frac) {
+    return std::stoll(us.str()) * 1000 + std::stoll(frac.str());
+  };
+  std::vector<Span> spans;
+  for (std::sregex_iterator it(doc.begin(), doc.end(), kSpan), end;
+       it != end; ++it) {
+    const std::smatch& m = *it;
+    spans.push_back({m[1].str(), std::stoul(m[2].str()), ns(m[3], m[4]),
+                     ns(m[5], m[6])});
+  }
+  EXPECT_EQ(spans.size(), count_occurrences(doc, "\"ph\":\"X\""))
+      << "every ts and dur must be exact decimal microseconds";
+  return spans;
+}
+
+/// Checks the `phase` spans of `doc`, the trace of one pooled pass that
+/// its caller made after opening a step_commit mark (a phase nothing on
+/// the path opens): exactly one on the calling thread, at most `slots` in
+/// all (one per worker slot besides), and none that starts inside an
+/// earlier one on its thread.
+void expect_one_span_per_slot(const std::string& doc,
+                              const std::string& phase, std::size_t slots) {
+  std::vector<Span> spans = parse_spans(doc);
+  const auto mark = std::find_if(spans.begin(), spans.end(), [](const Span& s) {
+    return s.name == "step_commit";
+  });
+  ASSERT_NE(mark, spans.end()) << "no step_commit mark";
+  const unsigned long caller = mark->tid;
+  std::erase_if(spans, [&phase](const Span& s) { return s.name != phase; });
+  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+    return std::tuple(a.tid, a.ts_ns, -a.dur_ns) <
+           std::tuple(b.tid, b.ts_ns, -b.dur_ns);
+  });
+  std::size_t on_caller = 0;
+  std::size_t nested = 0;
+  std::int64_t end = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    const bool same_thread = i > 0 && s.tid == spans[i - 1].tid;
+    if (same_thread && s.ts_ns < end) ++nested;
+    end = same_thread ? std::max(end, s.ts_ns + s.dur_ns)
+                      : s.ts_ns + s.dur_ns;
+    if (s.tid == caller) ++on_caller;
+  }
+  EXPECT_EQ(on_caller, 1u) << phase << " spans on the calling thread";
+  EXPECT_LE(spans.size(), slots) << phase << " spans in all";
+  EXPECT_EQ(nested, 0u) << phase << " spans nested in their own phase";
+}
+
+/// A heterogeneous deployment of the paper's (radii U[1, 2] on the 12.5
+/// square) at its lowest average degree, 10: about 270 nodes, enough for a
+/// pooled apply and dozens of relay blocks, and quick under the invariant
+/// checks of the sanitizer builds.
+std::vector<net::Node> deployment() {
+  net::DeploymentParams p;
+  p.model = net::RadiusModel::kUniform;
+  sim::Xoshiro256 rng(35);
+  return net::generate_deployment(p, rng);
+}
+
+/// `nodes` with every node moved 0.05 along x, inside the square.
+std::vector<net::Node> nudged(std::span<const net::Node> nodes) {
+  std::vector<net::Node> moved(nodes.begin(), nodes.end());
+  for (net::Node& n : moved) {
+    n.pos.x += n.pos.x + 0.05 <= net::DeploymentParams{}.side ? 0.05 : -0.05;
+  }
+  return moved;
+}
+
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -47,6 +143,20 @@ class TraceTest : public ::testing::Test {
     trace_clear();
   }
 };
+
+// Timestamps are written as whole nanoseconds over 1000: a double at the
+// stream's six significant digits would round a start after 1 s to 10 us.
+TEST(TraceMicroseconds, AreExactDecimalsAtEveryMagnitude) {
+  const auto us = [](std::int64_t ns) {
+    std::ostringstream os;
+    detail::write_trace_us(os, ns);
+    return os.str();
+  };
+  EXPECT_EQ(us(0), "0.000");
+  EXPECT_EQ(us(999), "0.999");
+  EXPECT_EQ(us(1'234'567), "1234.567");
+  EXPECT_EQ(us(2'019'840'123'456), "2019840123.456");
+}
 
 TEST_F(TraceTest, EmptyDocumentIsValidJson) {
   const std::string doc = flush_trace();
@@ -252,6 +362,69 @@ TEST_F(TraceTest, ManyJoinedThreadsThenFreshPoolStillRecords) {
   EXPECT_EQ(count_occurrences(flush_trace(), "\"broadcast\""), 8u);
   EXPECT_EQ(events_snapshot().size(), 8u);
   events_clear();
+}
+
+// A pass's workers work in its caller's phase, one span per worker slot,
+// and no relay block opens a scope: so a dirty-relay recompute on a
+// one-worker pool, which runs every block inline, is exactly the caller's
+// one cache_recompute span, however many blocks it has.
+TEST_F(TraceTest, InlineCacheRecomputeIsOneSpan) {
+  sim::ThreadPool one(1);
+  net::DynamicDiskGraph dyn{deployment()};
+  bcast::SkylineCache cache(dyn, one);
+  const std::vector<net::Node> moved = nudged(dyn.nodes());
+  trace_start();
+  { const Scope mark(Phase::kStepCommit); }
+  cache.update(dyn.apply(moved));
+  trace_stop();
+  ASSERT_GT(cache.last_dirty().size(), bcast::detail::kRelayBlock);
+  expect_one_span_per_slot(flush_trace(), "cache_recompute", one.size());
+}
+
+// On four workers: the caller's cache_recompute span and one per worker
+// slot (a worker may run several slots of one dispatch, one after the
+// other).
+TEST_F(TraceTest, PooledCacheRecomputeIsOneSpanPerSlot) {
+  sim::ThreadPool four(4);
+  net::DynamicDiskGraph dyn{deployment()};
+  bcast::SkylineCache cache(dyn, four);
+  const std::vector<net::Node> moved = nudged(dyn.nodes());
+  trace_start();
+  { const Scope mark(Phase::kStepCommit); }
+  cache.update(dyn.apply(moved));
+  trace_stop();
+  ASSERT_GT(cache.last_dirty().size(), 4 * bcast::detail::kRelayBlock);
+  expect_one_span_per_slot(flush_trace(), "cache_recompute", four.size());
+}
+
+// The same for a whole-plane apply that moves every node: its per-mover
+// diff runs on sim::default_pool(), pooled when that has more than one
+// worker.
+TEST_F(TraceTest, PooledApplyIsOneSpanPerSlot) {
+  net::DynamicDiskGraph dyn{deployment()};
+  const std::vector<net::Node> moved = nudged(dyn.nodes());
+  trace_start();
+  { const Scope mark(Phase::kStepCommit); }
+  const std::size_t movers = dyn.apply(moved).moved.size();
+  trace_stop();
+  ASSERT_GE(movers, net::DynamicDiskGraph::kParallelApplyMovers);
+  expect_one_span_per_slot(flush_trace(), "graph_apply",
+                           sim::default_pool().size());
+}
+
+// A skyline broadcast is one broadcast span on the calling thread: the
+// entry point opens it and delivery opens none.  Each worker slot of the
+// transmitter closure's pass adds one.
+TEST_F(TraceTest, SkylineBroadcastIsOneSpanOnTheCallingThread) {
+  const net::DiskGraph g = net::DiskGraph::build(deployment());
+  trace_start();
+  { const Scope mark(Phase::kStepCommit); }
+  const bcast::BroadcastResult r =
+      bcast::simulate_broadcast(g, 0, bcast::Scheme::kSkyline);
+  trace_stop();
+  EXPECT_GT(r.transmissions, 1u);
+  expect_one_span_per_slot(flush_trace(), "broadcast",
+                           sim::default_pool().size());
 }
 
 }  // namespace

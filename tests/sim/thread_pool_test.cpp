@@ -21,6 +21,8 @@
 
 #include "net/disk_graph.hpp"
 #include "net/topology.hpp"
+#include "obs/profiler.hpp"
+#include "obs/scope.hpp"
 #include "sim/rng.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/pool_tasks.hpp"
@@ -431,6 +433,33 @@ TEST(ThreadPoolDispatchTest, LibraryCallFromChunkZeroStaysInline) {
   });
   EXPECT_EQ(test::pool_tasks() - before, 1u);
   EXPECT_EQ(edges, top.edge_count());
+}
+
+// A dispatch records its caller's phase word and every worker slot runs
+// in it, so a block reads the caller's phase on whichever thread runs it:
+// the phase inside a scope, kNone outside every scope.  The caller's own
+// word is its scope's throughout.
+TEST(ThreadPoolDispatchTest, WorkerSlotsWorkInTheCallersPhase) {
+  ThreadPool pool(4);
+  std::vector<obs::Phase> seen(4, obs::Phase::kNone);
+  const auto read_phase = [&](std::size_t slot) {
+    seen[slot] = obs::profiler_current_phase();
+  };
+  {
+    const obs::Scope apply(obs::Phase::kGraphApply);
+    one_block_per_slot(pool, read_phase);
+    EXPECT_EQ(obs::profiler_current_phase(), obs::Phase::kGraphApply);
+  }
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    EXPECT_EQ(seen[slot], obs::Phase::kGraphApply) << "slot " << slot;
+  }
+
+  std::fill(seen.begin(), seen.end(), obs::Phase::kCacheUpdate);
+  one_block_per_slot(pool, read_phase);
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    EXPECT_EQ(seen[slot], obs::Phase::kNone) << "slot " << slot;
+  }
+  EXPECT_EQ(obs::profiler_current_phase(), obs::Phase::kNone);
 }
 
 // --- parallel_blocks: self-scheduled blocks, slots, errors ----------------

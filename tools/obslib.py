@@ -56,12 +56,23 @@ def load_json(path):
 
 
 def check_trace(doc, path):
-    """Validate a chrome-trace document; return its complete-span events."""
+    """Validate a chrome-trace document; return its complete-span events.
+
+    otherData.dropped_spans, when present, must be a non-negative integer
+    (read it with trace_dropped_spans)."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level is not a JSON object")
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         raise SchemaError(f"{path}: missing 'traceEvents' array")
+    other = doc.get("otherData", {})
+    if not isinstance(other, dict):
+        raise SchemaError(f"{path}: 'otherData' is not an object")
+    dropped = other.get("dropped_spans", 0)
+    if not isinstance(dropped, int) or isinstance(dropped, bool) \
+            or dropped < 0:
+        raise SchemaError(f"{path}: 'otherData.dropped_spans' is not a "
+                          "non-negative integer")
     spans = []
     for i, e in enumerate(events):
         if not isinstance(e, dict):
@@ -78,6 +89,31 @@ def check_trace(doc, path):
                 f"{path}: traceEvents[{i}] has negative duration")
         spans.append(e)
     return spans
+
+
+def trace_dropped_spans(doc):
+    """Spans the writer lost to full rings, of a document check_trace
+    accepted: otherData.dropped_spans, 0 when absent."""
+    return doc.get("otherData", {}).get("dropped_spans", 0)
+
+
+def same_name_overlaps(spans):
+    """Spans that start before an earlier span of the same name on the
+    same thread has ended, compared in whole nanoseconds: a span nested
+    in its own phase, which a per-phase total counts twice."""
+    by_key = {}
+    for e in spans:
+        by_key.setdefault((e["tid"], e["name"]), []).append(
+            (round(e["ts"] * 1000), round(e["dur"] * 1000), e))
+    overlaps = []
+    for group in by_key.values():
+        group.sort(key=lambda s: (s[0], -s[1]))
+        end = None
+        for ts, dur, e in group:
+            if end is not None and ts < end:
+                overlaps.append(e)
+            end = ts + dur if end is None else max(end, ts + dur)
+    return overlaps
 
 
 def check_snapshot(doc, path):

@@ -11,6 +11,8 @@ a "traceEvents" array of complete ("ph": "X") spans, timestamps and
 durations in microseconds.  The summary groups events by span name and
 prints count, total wall time, mean duration, and share of the summed
 span time — the quick per-phase readout without opening chrome://tracing.
+It also prints otherData.dropped_spans, the spans lost to full per-thread
+rings, with a named WARNING when it is not 0 (the exit status stays 0).
 
 --snapshot additionally validates and summarizes an mldcs-telemetry-v1
 registry snapshot (obs::write_snapshot_json): counter/gauge values and
@@ -51,8 +53,8 @@ def fail(msg):
 
 
 def load_trace_spans(path):
-    """Spans from a trace file, or None (with a named warning) when the
-    file is empty or truncated mid-write."""
+    """(spans, dropped span count) from a trace file, or None (with a
+    named warning) when the file is empty or truncated mid-write."""
     if not os.path.exists(path):
         fail(f"cannot read {path}: no such file")
     if os.path.getsize(path) == 0:
@@ -68,12 +70,15 @@ def load_trace_spans(path):
               f"(truncated write?): {e}")
         return None
     try:
-        return obslib.check_trace(doc, path)
+        return obslib.check_trace(doc, path), obslib.trace_dropped_spans(doc)
     except obslib.SchemaError as e:
         fail(str(e))
 
 
-def print_trace_summary(spans):
+def print_trace_summary(spans, dropped):
+    if dropped > 0:
+        print(f"summarize_trace: WARNING: {dropped} span(s) dropped by "
+              "full per-thread rings; the totals below undercount")
     if not spans:
         print("trace: no spans recorded (tracing was never started)")
         return
@@ -85,7 +90,7 @@ def print_trace_summary(spans):
     total_us = sum(t for _, t in by_name.values())
     threads = len({e["tid"] for e in spans})
     print(f"trace: {len(spans)} spans, {len(by_name)} phases, "
-          f"{threads} thread(s)")
+          f"{threads} thread(s), {dropped} dropped")
     header = f"{'phase':<32} {'count':>8} {'total ms':>12} " \
              f"{'mean us':>12} {'share':>7}"
     print(header)
@@ -95,8 +100,9 @@ def print_trace_summary(spans):
         share = 100.0 * us / total_us if total_us > 0 else 0.0
         print(f"{name:<32} {count:>8} {us / 1e3:>12.3f} "
               f"{us / count:>12.2f} {share:>6.1f}%")
-    # Share is of summed span time; nested spans double-count, so the
-    # column can legitimately exceed 100% in aggregate.
+    # Share is of summed span time.  A phase's spans never nest in each
+    # other, but one phase's spans may nest in another's (cache_patch in
+    # cache_update), so the column sums to more than 100%.
 
 
 def print_snapshot_summary(doc):
@@ -185,9 +191,9 @@ def main():
         parser.error("give a trace file, --profile, or --blackbox")
 
     if args.trace is not None:
-        spans = load_trace_spans(args.trace)
-        if spans is not None:
-            print_trace_summary(spans)
+        loaded = load_trace_spans(args.trace)
+        if loaded is not None:
+            print_trace_summary(*loaded)
 
     if args.snapshot:
         try:
